@@ -48,11 +48,13 @@ from .sums import (
     SumOutcome,
     blocks_from_summands,
     canonical_signing_sum3,
+    compose,
     is_unit_2x2,
     matrix_sum_1,
     matrix_sum_2,
     matrix_sum_3,
     resign_to_target,
+    sign_composition,
     sign_sum_1,
     sign_sum_2,
     standard_repr_sum_1,

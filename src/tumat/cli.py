@@ -10,6 +10,7 @@ TUMAT_EQ_LIMIT.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -24,17 +25,8 @@ from .documents import (
 from .errors import ShapeError, SizeGuardError
 from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular
-from .sums import (
-    Sum3Labels,
-    canonical_signing_sum3,
-    sign_sum_1,
-    sign_sum_2,
-    standard_repr_sum_1,
-    standard_repr_sum_2,
-    standard_repr_sum_3,
-    verify_is_sum_k_of,
-)
-from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_signing_of, is_totally_unimodular
+from .sums import Sum3Labels, compose, sign_composition, verify_is_sum_k_of
+from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular, is_tu_signing_of
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,8 +48,9 @@ def _tu_limit() -> int:
     return _env_int("TUMAT_TU_LIMIT", DEFAULT_TU_LIMIT)
 
 
-def _eq_limit() -> int:
-    return _env_int("TUMAT_EQ_LIMIT", DEFAULT_EQ_LIMIT)
+def _eq_limit(force: bool = False) -> float:
+    limit = _env_int("TUMAT_EQ_LIMIT", DEFAULT_EQ_LIMIT)
+    return math.inf if force else limit
 
 
 def _read(path: str) -> str:
@@ -120,30 +113,29 @@ def cmd_tu_sign(args) -> int:
     return EXIT_OK
 
 
+def _glue(args):
+    """The glue value named by -k and the label flags (see ``tumat.sums.compose``)."""
+    if args.k == 1:
+        return None
+    if args.k == 2:
+        if args.x is None or args.y is None:
+            raise DocumentError("--k 2 needs --x and --y")
+        return (args.x, args.y)
+    fields = (args.x0, args.x1, args.x2, args.y0, args.y1, args.y2)
+    if any(v is None for v in fields):
+        raise DocumentError("--k 3 needs --x0 --x1 --x2 --y0 --y1 --y2")
+    return Sum3Labels(*fields)
+
+
 def cmd_sum(args) -> int:
     left = _load_standard_repr(args.left)
     right = _load_standard_repr(args.right)
-    if args.k == 1:
-        outcome = standard_repr_sum_1(left, right)
-    elif args.k == 2:
-        if args.x is None or args.y is None:
-            raise DocumentError("--k 2 needs --x and --y")
-        outcome = standard_repr_sum_2(left, right, args.x, args.y)
-    else:
-        labels = _sum3_labels(args)
-        outcome = standard_repr_sum_3(left, right, labels)
+    outcome = compose(left, right, _glue(args))
     if not outcome.valid:
         print(f"invalid {args.k}-sum [{outcome.reason}]: {outcome.message}", file=sys.stderr)
         return EXIT_NEGATIVE
     _write_out(render_standard_repr_document(outcome.result), args.output)
     return EXIT_OK
-
-
-def _sum3_labels(args) -> Sum3Labels:
-    fields = (args.x0, args.x1, args.x2, args.y0, args.y1, args.y2)
-    if any(v is None for v in fields):
-        raise DocumentError("--k 3 needs --x0 --x1 --x2 --y0 --y1 --y2")
-    return Sum3Labels(*fields)
 
 
 def cmd_regular_check(args) -> int:
@@ -159,9 +151,7 @@ def cmd_regular_check(args) -> int:
 
 
 def cmd_matroid_info(args) -> int:
-    doc = parse_document(_read(args.input))
-    rep = doc.to_full() if isinstance(doc, StandardRepr) else doc
-    m = to_matroid(rep)
+    m = to_matroid(_load_matrix(args.input))
     print(f"elements: {len(m.ground)}")
     print(f"rank: {m.rank}")
     bases = m.bases()
@@ -173,11 +163,9 @@ def cmd_matroid_info(args) -> int:
 
 
 def cmd_matroid_eq(args) -> int:
-    reps = []
-    for path in (args.left, args.right):
-        doc = parse_document(_read(path))
-        reps.append(doc.to_full() if isinstance(doc, StandardRepr) else doc)
-    if matroids_equal(to_matroid(reps[0]), to_matroid(reps[1]), limit=_eq_limit()):
+    left = to_matroid(_load_matrix(args.left))
+    right = to_matroid(_load_matrix(args.right))
+    if matroids_equal(left, right, limit=_eq_limit()):
         print("equal")
         return EXIT_OK
     print("not equal")
@@ -188,57 +176,30 @@ def cmd_verify_composition(args) -> int:
     left = _load_standard_repr(args.left)
     right = _load_standard_repr(args.right)
     tu_limit = _tu_limit()
-    flag_l, signed_left = is_regular(left, tu_limit=tu_limit, force=args.force)
-    if not flag_l:
-        print("left summand not regular", file=sys.stderr)
-        return EXIT_NEGATIVE
-    flag_r, signed_right = is_regular(right, tu_limit=tu_limit, force=args.force)
-    if not flag_r:
-        print("right summand not regular", file=sys.stderr)
-        return EXIT_NEGATIVE
-    if args.k == 1:
-        outcome = standard_repr_sum_1(left, right)
-    elif args.k == 2:
-        if args.x is None or args.y is None:
-            raise DocumentError("--k 2 needs --x and --y")
-        outcome = standard_repr_sum_2(left, right, args.x, args.y)
-    else:
-        outcome = standard_repr_sum_3(left, right, _sum3_labels(args))
+    signed = []
+    for name, summand in (("left", left), ("right", right)):
+        flag, signing = is_regular(summand, tu_limit=tu_limit, force=args.force)
+        if not flag:
+            print(f"{name} summand not regular", file=sys.stderr)
+            return EXIT_NEGATIVE
+        signed.append(signing)
+    glue = _glue(args)
+    outcome = compose(left, right, glue)
     if not outcome.valid:
         print(f"invalid {args.k}-sum [{outcome.reason}]: {outcome.message}", file=sys.stderr)
         return EXIT_NEGATIVE
     s = outcome.result
-    if args.k == 1:
-        witness_body = sign_sum_1(signed_left.body, signed_right.body, limit=tu_limit, force=args.force)
-    elif args.k == 2:
-        xi = signed_left.row_position(args.x)
-        r = signed_left.body.row(xi)
-        yi = signed_right.col_position(args.y)
-        c = signed_right.body.col(yi)
-        keep_rows = [i for i in range(signed_left.body.n_rows) if i != xi]
-        keep_cols = [j for j in range(signed_right.body.n_cols) if j != yi]
-        a_left = signed_left.body.submatrix(keep_rows, range(signed_left.body.n_cols))
-        a_right = signed_right.body.submatrix(range(signed_right.body.n_rows), keep_cols)
-        witness_body = sign_sum_2(a_left, r, a_right, c, limit=tu_limit, force=args.force)
-    else:
-        witness = canonical_signing_sum3(
-            signed_left, signed_right, _sum3_labels(args), limit=tu_limit, force=args.force
-        )
-        witness_body = witness.body
+    witness = sign_composition(*signed, glue, limit=tu_limit, force=args.force)
     checks_ok = (
-        is_totally_unimodular(witness_body, limit=tu_limit, force=args.force).is_tu
-        and is_signing_of(witness_body, s.B.body)
+        is_tu_signing_of(witness.body, s.B.body, limit=tu_limit, force=args.force)
         and verify_is_sum_k_of(
-            args.k,
             s.to_matroid(),
             left.to_matroid(),
             right.to_matroid(),
             left,
             right,
-            x=args.x if args.k == 2 else None,
-            y=args.y if args.k == 2 else None,
-            labels=_sum3_labels(args) if args.k == 3 else None,
-            eq_limit=_eq_limit(),
+            glue,
+            eq_limit=_eq_limit(args.force),
         )
     )
     if not checks_ok:
@@ -250,14 +211,15 @@ def cmd_verify_composition(args) -> int:
         _write_out(
             render_standard_repr_document(s), os.path.join(args.out_dir, "sum.json")
         )
-        _write_out(
-            render_matrix_document(LabeledMatrix(s.X, s.Y, witness_body)),
-            os.path.join(args.out_dir, "witness.json"),
-        )
+        _write_out(render_matrix_document(witness), os.path.join(args.out_dir, "witness.json"))
     return EXIT_OK
 
 
-def _add_sum_label_flags(p: argparse.ArgumentParser) -> None:
+def _add_sum_args(p: argparse.ArgumentParser) -> None:
+    """-k, the two summands and the glue label flags that ``_glue`` reads."""
+    p.add_argument("-k", "--k", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("left")
+    p.add_argument("right")
     p.add_argument("--x", help="glue row label (k=2)")
     p.add_argument("--y", help="glue column label (k=2)")
     for name in ("x0", "x1", "x2", "y0", "y1", "y2"):
@@ -283,11 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tu_sign)
 
     p = top.add_parser("sum", help="compose two standard representation documents")
-    p.add_argument("-k", "--k", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("left")
-    p.add_argument("right")
+    _add_sum_args(p)
     p.add_argument("-o", "--output", help="write the result here instead of stdout")
-    _add_sum_label_flags(p)
     p.set_defaults(func=cmd_sum)
 
     reg = top.add_parser("regular", help="regularity").add_subparsers(dest="sub", required=True)
@@ -312,12 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         "composition",
         help="check that a k-sum of two regular summands is regular, with witnesses",
     )
-    p.add_argument("-k", "--k", type=int, choices=(1, 2, 3), required=True)
-    p.add_argument("left")
-    p.add_argument("right")
+    _add_sum_args(p)
     p.add_argument("--out-dir", help="directory for the sum and witness documents")
     p.add_argument("--force", action="store_true", help="lift size guards")
-    _add_sum_label_flags(p)
     p.set_defaults(func=cmd_verify_composition)
 
     return parser

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix
@@ -95,12 +94,8 @@ def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     return ExactMatrix(kind, rows, n_cols=n_cols)
 
 
-def _entry_str(kind: str, v) -> str:
-    return str(v)
-
-
 def _grid(m: ExactMatrix) -> list[list[str]]:
-    return [[_entry_str(m.kind, v) for v in row] for row in m.rows]
+    return [[str(v) for v in row] for row in m.rows]
 
 
 def parse_matrix_document(text: str) -> LabeledMatrix:

@@ -15,7 +15,7 @@ from math import lcm
 from typing import Callable, FrozenSet, Iterable, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix, from_blocks, gf2_rank_of_ints
+from .exactmat import GF2, RATIONAL, ExactMatrix, gf2_rank_of_ints
 from .exactmat import _int_rows_rank
 
 DEFAULT_EQ_LIMIT = 18

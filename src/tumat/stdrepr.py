@@ -12,8 +12,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, from_cols
-from .matroid import FiniteMatroid, Label, LabeledMatrix, matroids_equal, to_matroid
-from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
+from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal, to_matroid
+from .tu import DEFAULT_MAX_FREE_SIGNS, DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
 __all__ = [
     "StandardRepr",
@@ -199,7 +199,7 @@ def is_regular(
     s: StandardRepr,
     *,
     tu_limit: int = DEFAULT_TU_LIMIT,
-    max_free_signs: int = 20,
+    max_free_signs: int = DEFAULT_MAX_FREE_SIGNS,
     force: bool = False,
 ) -> tuple[bool, Optional[LabeledMatrix]]:
     """Whether the represented binary matroid is regular, with a witness.
@@ -223,7 +223,7 @@ def is_regular_witness(
     m: FiniteMatroid,
     *,
     tu_limit: int = DEFAULT_TU_LIMIT,
-    eq_limit: int = 18,
+    eq_limit: int = DEFAULT_EQ_LIMIT,
     force: bool = False,
 ) -> bool:
     """Check a claimed witness: ``rep`` is TU and represents exactly ``m``."""

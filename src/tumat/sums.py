@@ -16,6 +16,11 @@ loses them.
 
 Signing constructions mirror the sums over the rationals and produce TU
 signings of the GF(2) results when the summand signings are TU.
+
+A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
+a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` and
+``sign_composition`` read k off the glue and delegate to the per-k
+functions.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from typing import Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, from_blocks, from_cols, from_rows
-from .matroid import FiniteMatroid, Label, LabeledMatrix, matroids_equal
-from .stdrepr import StandardRepr
-from .tu import DEFAULT_TU_LIMIT, is_totally_unimodular, scale_rows_cols
+from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal
+from .stdrepr import StandardRepr, support
+from .tu import DEFAULT_TU_LIMIT, is_totally_unimodular, scale_rows_cols, spanning_forest
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -63,6 +68,8 @@ __all__ = [
     "sign_sum_2",
     "resign_to_target",
     "canonical_signing_sum3",
+    "compose",
+    "sign_composition",
     "verify_is_sum_k_of",
     "FORM_IDENTITY",
     "FORM_UPPER_TRIANGULAR",
@@ -233,15 +240,15 @@ def blocks_from_summands(
     )
 
 
-def _require_gf2(s: StandardRepr, who: str) -> None:
-    if s.kind != GF2:
-        raise ShapeError(f"{who} must be a GF(2) standard representation")
+def _require_gf2(left: StandardRepr, right: StandardRepr) -> None:
+    for s, who in ((left, "left"), (right, "right")):
+        if s.kind != GF2:
+            raise ShapeError(f"{who} summand must be a GF(2) standard representation")
 
 
 def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     """1-sum: block-diagonal standard representation on disjoint labels."""
-    _require_gf2(left, "left summand")
-    _require_gf2(right, "right summand")
+    _require_gf2(left, right)
     if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
         raise ShapeError("row labels of one summand collide with column labels of the other")
     x_shared = set(left.X) & set(right.X)
@@ -264,32 +271,31 @@ def standard_repr_sum_2(
     r is row x of the left matrix and c is column y of the right matrix;
     either being all zero makes the sum Invalid.
     """
-    _require_gf2(left, "left summand")
-    _require_gf2(right, "right summand")
+    _require_gf2(left, right)
     if set(left.X) & set(right.X) != {x}:
         raise ShapeError("row label sets must intersect in exactly the glue label x")
     if set(left.Y) & set(right.Y) != {y}:
         raise ShapeError("column label sets must intersect in exactly the glue label y")
     if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
         raise ShapeError("row labels of one summand collide with column labels of the other")
-    r = left.B.body.row(left.B.row_position(x))
-    c = right.B.body.col(right.B.col_position(y))
+    a_left, r, a_right, c, x_out, y_out = _sum2_pieces(left.B, right.B, x, y)
     if not any(r):
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {x!r} of the left summand is zero")
     if not any(c):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {y!r} of the right summand is zero")
-    x_keep = [u for u in left.X if u != x]
-    y_keep = [v for v in right.Y if v != y]
-    a_left = left.B.select(x_keep, left.Y).body
-    a_right = right.B.select(right.X, y_keep).body
     body = matrix_sum_2(a_left, r, a_right, c)
-    x_out = x_keep + list(right.X)
-    y_out = list(left.Y) + y_keep
     return SumOutcome.ok(StandardRepr(x_out, y_out, LabeledMatrix(x_out, y_out, body)))
 
 
-def _distinct(labels: Sequence[Label]) -> bool:
-    return len(set(labels)) == len(labels)
+def _sum2_pieces(b_left: LabeledMatrix, b_right: LabeledMatrix, x: Label, y: Label):
+    """Cut a 2-sum into a_left, r, a_right, c and the row and column labels of the sum."""
+    x_keep = [u for u in b_left.row_labels if u != x]
+    y_keep = [v for v in b_right.col_labels if v != y]
+    r = b_left.body.row(b_left.row_position(x))
+    c = b_right.body.col(b_right.col_position(y))
+    a_left = b_left.select(x_keep, b_left.col_labels).body
+    a_right = b_right.select(b_right.row_labels, y_keep).body
+    return a_left, r, a_right, c, x_keep + list(b_right.row_labels), list(b_left.col_labels) + y_keep
 
 
 def standard_repr_sum_3(
@@ -304,8 +310,7 @@ def standard_repr_sum_3(
     outside rows x0, x1 and row x2 of the right is zero outside columns
     y0, y1.
     """
-    _require_gf2(left, "left summand")
-    _require_gf2(right, "right summand")
+    _require_gf2(left, right)
     xs = set(labels.xs)
     ys = set(labels.ys)
     if set(left.X) & set(right.X) != xs:
@@ -315,7 +320,7 @@ def standard_repr_sum_3(
     if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
         raise ShapeError("row labels of one summand collide with column labels of the other")
 
-    if not (_distinct(labels.xs) and _distinct(labels.ys)):
+    if len(xs) < 3 or len(ys) < 3:
         return SumOutcome.invalid(REASON_LABELS_NOT_DISTINCT, "glue labels must be six distinct names")
     d0_left = left.B.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body
     d0_right = right.B.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body
@@ -323,21 +328,15 @@ def standard_repr_sum_3(
         return SumOutcome.invalid(REASON_D0_MISMATCH, "connector blocks of the two summands differ")
     if d0_left.determinant() == 0:
         return SumOutcome.invalid(REASON_D0_SINGULAR, "connector block is singular")
-    one_entries = [
-        (left, labels.x0, labels.y2, "left"),
-        (left, labels.x1, labels.y2, "left"),
-        (left, labels.x2, labels.y0, "left"),
-        (left, labels.x2, labels.y1, "left"),
-        (right, labels.x0, labels.y2, "right"),
-        (right, labels.x1, labels.y2, "right"),
-        (right, labels.x2, labels.y0, "right"),
-        (right, labels.x2, labels.y1, "right"),
-    ]
-    for side, u, v, name in one_entries:
-        if side.B.entry(u, v) != 1:
-            return SumOutcome.invalid(
-                REASON_MISSING_ONE, f"{name} summand entry ({u!r}, {v!r}) must be 1"
-            )
+    one_entries = (
+        (labels.x0, labels.y2), (labels.x1, labels.y2), (labels.x2, labels.y0), (labels.x2, labels.y1)
+    )
+    for side, name in ((left, "left"), (right, "right")):
+        for u, v in one_entries:
+            if side.B.entry(u, v) != 1:
+                return SumOutcome.invalid(
+                    REASON_MISSING_ONE, f"{name} summand entry ({u!r}, {v!r}) must be 1"
+                )
     for u in left.X:
         if u not in (labels.x0, labels.x1) and left.B.entry(u, labels.y2) != 0:
             return SumOutcome.invalid(
@@ -351,21 +350,30 @@ def standard_repr_sum_3(
                 f"right summand row {labels.x2!r} must be zero at column {v!r}",
             )
 
-    blocks = blocks_from_summands(left.B, right.B, labels)
-    body = matrix_sum_3(blocks)
-    x_left_rest = [u for u in left.X if u not in xs]
-    y_left_rest = [v for v in left.Y if v not in ys]
-    x_right_rest = [u for u in right.X if u not in xs]
-    y_right_rest = [v for v in right.Y if v not in ys]
-    block_rows = x_left_rest + [labels.x2, labels.x0, labels.x1] + x_right_rest
-    block_cols = y_left_rest + [labels.y0, labels.y1, labels.y2] + y_right_rest
-    assembled = LabeledMatrix(block_rows, block_cols, body)
-    x_out = [u for u in left.X if u not in (labels.x0, labels.x1)] + \
-        [u for u in right.X if u != labels.x2]
-    y_out = [v for v in left.Y if v != labels.y2] + \
-        [v for v in right.Y if v not in (labels.y0, labels.y1)]
-    b_out = assembled.select(x_out, y_out)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, b_out))
+    b_out = _assemble_sum3(left.B, right.B, labels)
+    return SumOutcome.ok(StandardRepr(b_out.row_labels, b_out.col_labels, b_out))
+
+
+def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Labels) -> LabeledMatrix:
+    """The 3-sum matrix of two labeled summands, cut into blocks at ``cut``.
+
+    Rows are the left rows without x0, x1, then the right rows without
+    x2; columns are the left columns without y2, then the right columns
+    without y0, y1.  Swapping x0 with x1 or y0 with y1 in ``cut`` leaves
+    these labels unchanged.
+    """
+    body = matrix_sum_3(blocks_from_summands(b_left, b_right, cut))
+    xs = set(cut.xs)
+    ys = set(cut.ys)
+    block_rows = [u for u in b_left.row_labels if u not in xs] + [cut.x2, cut.x0, cut.x1] + \
+        [u for u in b_right.row_labels if u not in xs]
+    block_cols = [v for v in b_left.col_labels if v not in ys] + [cut.y0, cut.y1, cut.y2] + \
+        [v for v in b_right.col_labels if v not in ys]
+    x_out = [u for u in b_left.row_labels if u not in (cut.x0, cut.x1)] + \
+        [u for u in b_right.row_labels if u != cut.x2]
+    y_out = [v for v in b_left.col_labels if v != cut.y2] + \
+        [v for v in b_right.col_labels if v not in (cut.y0, cut.y1)]
+    return LabeledMatrix(block_rows, block_cols, body).select(x_out, y_out)
 
 
 _PERM_PAIRS = (
@@ -456,44 +464,17 @@ def resign_to_target(
         raise ShapeError("position counts must match the target shape")
     if len(set(row_positions)) != k_rows or len(set(col_positions)) != k_cols:
         raise ShapeError("designated positions must be distinct")
-    for i in row_positions:
-        if not 0 <= i < a.n_rows:
-            raise ShapeError(f"row position {i} out of range")
-    for j in col_positions:
-        if not 0 <= j < a.n_cols:
-            raise ShapeError(f"column position {j} out of range")
     sub = a.submatrix(row_positions, col_positions)
     for i in range(k_rows):
         for j in range(k_cols):
             if (sub[i, j] == 0) != (target[i, j] == 0):
                 raise ShapeError("designated submatrix support differs from the target support")
-    row_sign: dict[int, int] = {}
-    col_sign: dict[int, int] = {}
-    nodes = [("r", i) for i in range(k_rows)] + [("c", j) for j in range(k_cols)]
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {v: [] for v in nodes}
-    for i in range(k_rows):
-        for j in range(k_cols):
-            if target[i, j] != 0:
-                adj[("r", i)].append(("c", j))
-                adj[("c", j)].append(("r", i))
-    for seed in nodes:
-        kind_, idx = seed
-        assigned = row_sign if kind_ == "r" else col_sign
-        if idx in assigned:
-            continue
-        assigned[idx] = 1
-        queue = [seed]
-        while queue:
-            side, v = queue.pop(0)
-            for other_side, w in adj[(side, v)]:
-                store = row_sign if other_side == "r" else col_sign
-                if w in store:
-                    continue
-                i, j = (v, w) if side == "r" else (w, v)
-                known = row_sign[i] if side == "r" else col_sign[j]
-                ratio = target[i, j] / sub[i, j]
-                store[w] = int(ratio) * known
-                queue.append((other_side, w))
+    edges = [(i, j) for i in range(k_rows) for j in range(k_cols) if target[i, j] != 0]
+    sign = [1] * (k_rows + k_cols)
+    for parent, child in spanning_forest(k_rows, k_cols, edges):
+        i, j = (parent, child - k_rows) if parent < k_rows else (child, parent - k_rows)
+        sign[child] = int(target[i, j] / sub[i, j]) * sign[parent]
+    row_sign, col_sign = sign[:k_rows], sign[k_rows:]
     for i in range(k_rows):
         for j in range(k_cols):
             if target[i, j] != 0 and row_sign[i] * col_sign[j] * sub[i, j] != target[i, j]:
@@ -529,90 +510,86 @@ def canonical_signing_sum3(
     for side, name in ((signed_left, "left"), (signed_right, "right")):
         if not is_totally_unimodular(side.body, limit=limit, force=force).is_tu:
             raise ShapeError(f"{name} summand signing is not totally unimodular")
-    d0_supp_left = _abs_gf2(signed_left.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body)
-    d0_supp_right = _abs_gf2(signed_right.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body)
+    connector = ([labels.x0, labels.x1], [labels.y0, labels.y1])
+    d0_supp_left = support(signed_left.select(*connector)).body
+    d0_supp_right = support(signed_right.select(*connector)).body
     if d0_supp_left != d0_supp_right:
         raise ShapeError("connector supports of the two signings differ")
     unit = is_unit_2x2(d0_supp_left)
     if unit is None:
         raise ShapeError("connector block is singular")
     f, g, form = unit
-    px = (labels.xs[f[0]], labels.xs[f[1]])
-    py = (labels.ys[g[0]], labels.ys[g[1]])
+    xs, ys = labels.xs, labels.ys
+    cut = Sum3Labels(xs[f[0]], xs[f[1]], labels.x2, ys[g[0]], ys[g[1]], labels.y2)
     target = _CONNECTOR_TARGETS[form]
 
     def resign(side: LabeledMatrix) -> LabeledMatrix:
-        rows = [side.row_position(labels.x2), side.row_position(px[0]), side.row_position(px[1])]
-        cols = [side.col_position(py[0]), side.col_position(py[1]), side.col_position(labels.y2)]
+        rows = [side.row_position(u) for u in (cut.x2, cut.x0, cut.x1)]
+        cols = [side.col_position(v) for v in cut.ys]
         return LabeledMatrix(
             side.row_labels, side.col_labels, resign_to_target(side.body, rows, cols, target)
         )
 
-    left = resign(signed_left)
-    right = resign(signed_right)
-
-    xs = set(labels.xs)
-    ys = set(labels.ys)
-    x_left_rest = [u for u in left.row_labels if u not in xs]
-    y_left_rest = [v for v in left.col_labels if v not in ys]
-    x_right_rest = [u for u in right.row_labels if u not in xs]
-    y_right_rest = [v for v in right.col_labels if v not in ys]
-
-    a_left = left.select(x_left_rest + [labels.x2], y_left_rest + [py[0], py[1]]).body
-    d_left = left.select([px[0], px[1]], y_left_rest).body
-    d0 = left.select([px[0], px[1]], [py[0], py[1]]).body
-    d_right = right.select(x_right_rest, [py[0], py[1]]).body
-    a_right = right.select([px[0], px[1]] + x_right_rest, [labels.y2] + y_right_rest).body
-    dlr = d_right @ d0.inverse() @ d_left
-    bottom_left = from_blocks(d_left, d0, dlr, d_right)
-    top_right = ExactMatrix.zeros(a_left.n_rows, a_right.n_cols, RATIONAL)
-    body = from_blocks(a_left, top_right, bottom_left, a_right)
-    block_rows = x_left_rest + [labels.x2, px[0], px[1]] + x_right_rest
-    block_cols = y_left_rest + [py[0], py[1], labels.y2] + y_right_rest
-    assembled = LabeledMatrix(block_rows, block_cols, body)
-    x_out = [u for u in signed_left.row_labels if u not in (labels.x0, labels.x1)] + \
-        [u for u in signed_right.row_labels if u != labels.x2]
-    y_out = [v for v in signed_left.col_labels if v != labels.y2] + \
-        [v for v in signed_right.col_labels if v not in (labels.y0, labels.y1)]
-    return assembled.select(x_out, y_out)
+    return _assemble_sum3(resign(signed_left), resign(signed_right), cut)
 
 
-def _abs_gf2(a: ExactMatrix) -> ExactMatrix:
-    rows = [[0 if v == 0 else 1 for v in row] for row in a.rows]
-    return ExactMatrix(GF2, rows, n_cols=a.n_cols)
+def _pair(glue) -> tuple[Label, Label]:
+    """The 2-sum glue (x, y); any glue that is not None, a pair or Sum3Labels raises."""
+    if not (isinstance(glue, tuple) and len(glue) == 2):
+        raise ShapeError("the glue must be None (1-sum), a pair (x, y) (2-sum) or Sum3Labels (3-sum)")
+    return glue
+
+
+def compose(
+    left: StandardRepr, right: StandardRepr, glue: None | tuple[Label, Label] | Sum3Labels
+) -> SumOutcome:
+    """The 1-, 2- or 3-sum of two standard representations, named by its glue."""
+    if glue is None:
+        return standard_repr_sum_1(left, right)
+    if isinstance(glue, Sum3Labels):
+        return standard_repr_sum_3(left, right, glue)
+    return standard_repr_sum_2(left, right, *_pair(glue))
+
+
+def sign_composition(
+    signed_left: LabeledMatrix,
+    signed_right: LabeledMatrix,
+    glue: None | tuple[Label, Label] | Sum3Labels,
+    *,
+    limit: int = DEFAULT_TU_LIMIT,
+    force: bool = False,
+) -> LabeledMatrix:
+    """TU signing of a sum from TU signings of its summands, labeled like ``compose``'s result."""
+    if glue is None:
+        body = sign_sum_1(signed_left.body, signed_right.body, limit=limit, force=force)
+        return LabeledMatrix(
+            signed_left.row_labels + signed_right.row_labels,
+            signed_left.col_labels + signed_right.col_labels,
+            body,
+        )
+    if isinstance(glue, Sum3Labels):
+        return canonical_signing_sum3(signed_left, signed_right, glue, limit=limit, force=force)
+    a_left, r, a_right, c, rows, cols = _sum2_pieces(signed_left, signed_right, *_pair(glue))
+    return LabeledMatrix(rows, cols, sign_sum_2(a_left, r, a_right, c, limit=limit, force=force))
 
 
 def verify_is_sum_k_of(
-    k: int,
     m: FiniteMatroid,
     m_left: FiniteMatroid,
     m_right: FiniteMatroid,
     s_left: StandardRepr,
     s_right: StandardRepr,
+    glue: None | tuple[Label, Label] | Sum3Labels,
     *,
-    x: Optional[Label] = None,
-    y: Optional[Label] = None,
-    labels: Optional[Sum3Labels] = None,
-    eq_limit: int = 18,
+    eq_limit: int = DEFAULT_EQ_LIMIT,
 ) -> bool:
     """Certify a k-sum relation between three matroids.
 
-    The witnesses are standard representations of the summands; the sum
-    must come out Valid, and all three matroids must match the claimed
-    ones exhaustively.
+    The witnesses are standard representations of the summands; their
+    sum at ``glue`` must come out Valid, and all three matroids must
+    match the claimed ones exhaustively.
     """
-    if k == 1:
-        outcome = standard_repr_sum_1(s_left, s_right)
-    elif k == 2:
-        if x is None or y is None:
-            raise ShapeError("a 2-sum needs the glue labels x and y")
-        outcome = standard_repr_sum_2(s_left, s_right, x, y)
-    elif k == 3:
-        if labels is None:
-            raise ShapeError("a 3-sum needs its six glue labels")
-        outcome = standard_repr_sum_3(s_left, s_right, labels)
-    else:
-        raise ShapeError("k must be 1, 2, or 3")
+    outcome = compose(s_left, s_right, glue)
     if not outcome.valid:
         return False
     return (

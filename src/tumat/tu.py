@@ -9,6 +9,7 @@ first short-circuits on any entry outside {-1, 0, 1}.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +30,7 @@ __all__ = [
     "find_tu_signing",
     "find_tu_signing_bruteforce",
     "scale_rows_cols",
+    "spanning_forest",
     "DEFAULT_TU_LIMIT",
 ]
 
@@ -149,6 +151,37 @@ def _support_edges(u: ExactMatrix) -> list[tuple[int, int]]:
     return [(i, j) for i in range(u.n_rows) for j in range(u.n_cols) if u.rows[i][j]]
 
 
+def spanning_forest(
+    n_rows: int, n_cols: int, edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Breadth-first spanning forest of a bipartite row/column graph.
+
+    Vertex i is row i and vertex n_rows + j is column j; edge (i, j)
+    joins row i and column j.  Roots are taken in vertex order, and the
+    forest comes back as (parent, child) vertex pairs in discovery order,
+    so every parent is reached before its children.
+    """
+    adj: list[list[int]] = [[] for _ in range(n_rows + n_cols)]
+    for i, j in edges:
+        adj[i].append(n_rows + j)
+        adj[n_rows + j].append(i)
+    seen = [False] * len(adj)
+    pairs = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    pairs.append((v, w))
+                    queue.append(w)
+    return pairs
+
+
 def _spanning_forest_split(u: ExactMatrix) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Split the nonzero positions into spanning-forest edges and the rest.
 
@@ -157,28 +190,9 @@ def _spanning_forest_split(u: ExactMatrix) -> tuple[list[tuple[int, int]], list[
     edges carry +1, so only the remaining edges need free signs.
     """
     m, n = u.shape
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in _support_edges(u):
-        a, b = i, m + j
-        adj.setdefault(a, []).append((b, (i, j)))
-        adj.setdefault(b, []).append((a, (i, j)))
-    seen: set[int] = set()
-    tree: set[tuple[int, int]] = set()
-    for start in range(m + n):
-        if start in seen or start not in adj:
-            continue
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w, edge in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    tree.add(edge)
-                    queue.append(w)
-    tree_edges = sorted(tree)
-    free_edges = [e for e in _support_edges(u) if e not in tree]
-    return tree_edges, free_edges
+    edges = _support_edges(u)
+    tree = {(min(p, c), max(p, c) - m) for p, c in spanning_forest(m, n, edges)}
+    return sorted(tree), [e for e in edges if e not in tree]
 
 
 def _build_signing(

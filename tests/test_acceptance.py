@@ -210,7 +210,7 @@ def test_criterion_08_composition_preserves_regularity():
         assert is_totally_unimodular(witness).is_tu
         assert is_signing_of(witness, s.B.body)
         assert verify_is_sum_k_of(
-            1, s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right)
+            s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right, None)
         ones += 1
 
     twos = 0
@@ -236,8 +236,7 @@ def test_criterion_08_composition_preserves_regularity():
         assert is_totally_unimodular(witness).is_tu
         assert is_signing_of(witness, s.B.body)
         assert verify_is_sum_k_of(
-            2, s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right,
-            x=x, y=y)
+            s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right, (x, y))
         twos += 1
 
     per_form = {"identity": 0, "upper-triangular-11": 0}
@@ -255,8 +254,7 @@ def test_criterion_08_composition_preserves_regularity():
         assert is_totally_unimodular(witness.body).is_tu
         assert is_tu_signing_of(witness.body, s.B.body)
         assert verify_is_sum_k_of(
-            3, s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right,
-            labels=glue)
+            s.to_matroid(), left.to_matroid(), right.to_matroid(), left, right, glue)
         d0m = ExactMatrix(GF2, [list(d0[0]), list(d0[1])])
         per_form[is_unit_2x2(d0m)[2]] += 1
     assert sum(per_form.values()) >= 6

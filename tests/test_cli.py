@@ -212,6 +212,38 @@ def test_verify_composition_k3_golden(capsys, tmp_path):
     assert (tmp_path / "witness.json").read_text() == golden("golden_verify_k3_witness.json")
 
 
+VERIFY_CASES = {
+    "k1-sum1": (["-k", "1"], "sum1_left.json", "sum1_right.json"),
+    "k2-sum2": (["-k", "2", "--x", "x2", "--y", "y2"], "sum2_left.json", "sum2_right.json"),
+    **{
+        f"k3-d0-{d0}": (["-k", "3", *K3_FLAGS], f"sum3/d0-{d0}-left.json", f"sum3/d0-{d0}-right.json")
+        for d0 in ("0110", "0111", "1001", "1011", "1110")
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_composition_goldens(capsys, tmp_path, case):
+    # d0-1101 is pinned by test_verify_composition_k3_golden
+    flags, left, right = VERIFY_CASES[case]
+    code, out, err = run(capsys, "verify", "composition", *flags, "--out-dir", tmp_path,
+                         FIXTURES / left, FIXTURES / right)
+    assert (code, out, err) == (0, f"verified {flags[1]}-sum composition: regular\n", "")
+    for name in ("sum.json", "witness.json"):
+        assert (tmp_path / name).read_text() == golden(f"verify_composition/{case}/{name}")
+
+
+def test_verify_composition_force_lifts_eq_guard(capsys, monkeypatch):
+    monkeypatch.setenv("TUMAT_EQ_LIMIT", "5")
+    argv = ["verify", "composition", "-k", "1",
+            FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("size guard:")
+    code, out, _ = run(capsys, *argv, "--force")
+    assert (code, out) == (0, "verified 1-sum composition: regular\n")
+
+
 def test_verify_composition_rejects_irregular_summand(capsys):
     code, _, err = run(capsys, "verify", "composition", "-k", "1",
                        FIXTURES / "fano.json", FIXTURES / "sum1_right.json")

@@ -25,6 +25,7 @@ from tumat import (
     Sum3Labels,
     blocks_from_summands,
     canonical_signing_sum3,
+    compose,
     disjoint_sum,
     find_tu_signing,
     is_totally_unimodular,
@@ -491,45 +492,46 @@ def test_verify_is_sum_k_of():
     l1 = make_repr(["x1"], ["y1"], ExactMatrix(GF2, [[1]]))
     r1 = make_repr(["x2"], ["y2"], ExactMatrix(GF2, [[1]]))
     s1 = standard_repr_sum_1(l1, r1).result
-    assert verify_is_sum_k_of(1, s1.to_matroid(), l1.to_matroid(), r1.to_matroid(), l1, r1)
+    assert verify_is_sum_k_of(s1.to_matroid(), l1.to_matroid(), r1.to_matroid(), l1, r1, None)
     # the wrong matroid on either slot is refused
-    assert not verify_is_sum_k_of(1, l1.to_matroid(), l1.to_matroid(), r1.to_matroid(), l1, r1)
-    assert not verify_is_sum_k_of(1, s1.to_matroid(), r1.to_matroid(), r1.to_matroid(), l1, r1)
+    assert not verify_is_sum_k_of(l1.to_matroid(), l1.to_matroid(), r1.to_matroid(), l1, r1, None)
+    assert not verify_is_sum_k_of(s1.to_matroid(), r1.to_matroid(), r1.to_matroid(), l1, r1, None)
 
     left2 = make_repr(["x1", "x2"], ["y1", "y2"], ExactMatrix(GF2, [[1, 1], [0, 1]]))
     right2 = make_repr(["x2", "x3"], ["y2", "y3"], ExactMatrix(GF2, [[1, 0], [1, 1]]))
     s2 = standard_repr_sum_2(left2, right2, "x2", "y2").result
     assert verify_is_sum_k_of(
-        2, s2.to_matroid(), left2.to_matroid(), right2.to_matroid(), left2, right2,
-        x="x2", y="y2",
-    )
-    with pytest.raises(ShapeError):
-        verify_is_sum_k_of(2, s2.to_matroid(), left2.to_matroid(), right2.to_matroid(), left2, right2)
+        s2.to_matroid(), left2.to_matroid(), right2.to_matroid(), left2, right2, ("x2", "y2"))
 
     left3, right3, glue = identity_pair()
     s3 = standard_repr_sum_3(left3, right3, glue).result
     assert verify_is_sum_k_of(
-        3, s3.to_matroid(), left3.to_matroid(), right3.to_matroid(), left3, right3,
-        labels=glue,
-    )
-    with pytest.raises(ShapeError):
-        verify_is_sum_k_of(3, s3.to_matroid(), left3.to_matroid(), right3.to_matroid(), left3, right3)
-    with pytest.raises(ShapeError):
-        verify_is_sum_k_of(4, s3.to_matroid(), left3.to_matroid(), right3.to_matroid(), left3, right3)
+        s3.to_matroid(), left3.to_matroid(), right3.to_matroid(), left3, right3, glue)
 
     # an Invalid sum can never be certified
     zero_row = make_repr(["x1", "x2"], ["y1", "y2"], ExactMatrix(GF2, [[1, 1], [0, 0]]))
     assert not verify_is_sum_k_of(
-        2, s2.to_matroid(), zero_row.to_matroid(), right2.to_matroid(), zero_row, right2,
-        x="x2", y="y2",
-    )
+        s2.to_matroid(), zero_row.to_matroid(), right2.to_matroid(), zero_row, right2, ("x2", "y2"))
 
     # a single flipped entry in a witness changes the sum matroid
     flipped = make_repr(["x1", "x2"], ["y1", "y2"], ExactMatrix(GF2, [[0, 1], [0, 1]]))
     assert not verify_is_sum_k_of(
-        2, s2.to_matroid(), flipped.to_matroid(), right2.to_matroid(), flipped, right2,
-        x="x2", y="y2",
-    )
+        s2.to_matroid(), flipped.to_matroid(), right2.to_matroid(), flipped, right2, ("x2", "y2"))
+
+
+@pytest.mark.parametrize("bad_glue", [
+    ("x2", "y2", "z"),
+    "x2",
+    Sum3Labels("x0", "x1", "x2", "y0", "y1", None),
+])
+def test_malformed_glue_raises(bad_glue):
+    left3, right3, _ = identity_pair()
+    s3 = standard_repr_sum_3(left3, right3, GLUE).result
+    with pytest.raises(ShapeError):
+        compose(left3, right3, bad_glue)
+    with pytest.raises(ShapeError):
+        verify_is_sum_k_of(
+            s3.to_matroid(), left3.to_matroid(), right3.to_matroid(), left3, right3, bad_glue)
 
 
 def test_sum2_random_pairs_have_regular_summands():
