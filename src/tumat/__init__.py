@@ -65,7 +65,6 @@ from .sums import (
 from .tu import (
     TuVerdict,
     find_tu_signing,
-    find_tu_signing_bruteforce,
     is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,

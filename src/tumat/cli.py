@@ -165,7 +165,7 @@ def cmd_matroid_info(args) -> int:
 def cmd_matroid_eq(args) -> int:
     left = to_matroid(_load_matrix(args.left))
     right = to_matroid(_load_matrix(args.right))
-    if matroids_equal(left, right, limit=_eq_limit()):
+    if matroids_equal(left, right, limit=_eq_limit(args.force)):
         print("equal")
         return EXIT_OK
     print("not equal")
@@ -264,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = mat.add_parser("eq", help="exhaustive matroid equality of two documents")
     p.add_argument("left")
     p.add_argument("right")
+    p.add_argument("--force", action="store_true", help="lift size guards")
     p.set_defaults(func=cmd_matroid_eq)
 
     ver = top.add_parser("verify", help="verification pipelines").add_subparsers(dest="sub", required=True)

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, from_cols
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal, to_matroid
-from .tu import DEFAULT_MAX_FREE_SIGNS, DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
+from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
 __all__ = [
     "StandardRepr",
@@ -199,7 +199,6 @@ def is_regular(
     s: StandardRepr,
     *,
     tu_limit: int = DEFAULT_TU_LIMIT,
-    max_free_signs: int = DEFAULT_MAX_FREE_SIGNS,
     force: bool = False,
 ) -> tuple[bool, Optional[LabeledMatrix]]:
     """Whether the represented binary matroid is regular, with a witness.
@@ -210,9 +209,7 @@ def is_regular(
     """
     if s.kind != GF2:
         raise ShapeError("regularity queries take a GF(2) standard representation")
-    signing = find_tu_signing(
-        s.B.body, tu_limit=tu_limit, max_free_signs=max_free_signs, force=force
-    )
+    signing = find_tu_signing(s.B.body, tu_limit=tu_limit, force=force)
     if signing is None:
         return (False, None)
     return (True, LabeledMatrix(s.X, s.Y, signing))

@@ -5,6 +5,13 @@ including those selected with repeated row or column indices, has
 determinant -1, 0, or 1.  Repeats force a zero determinant, so checking
 strictly increasing index lists suffices; the checker works that way and
 first short-circuits on any entry outside {-1, 0, 1}.
+
+A GF(2) matrix has a TU signing exactly when its matroid is regular.
+Camion (1965) proved that a TU signing is unique up to scaling rows and
+columns by -1, so the signing search needs no enumeration: it pins a
+spanning forest to +1, propagates every other sign from a chordless
+cycle, and runs one TU check on the result (Truemper, *Matroid
+Decomposition*, 1992).
 """
 
 from __future__ import annotations
@@ -19,8 +26,6 @@ from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _int_bareiss_det
 
 DEFAULT_TU_LIMIT = 8
-DEFAULT_MAX_FREE_SIGNS = 20
-DEFAULT_ORACLE_MAX_NONZEROS = 16
 
 __all__ = [
     "TuVerdict",
@@ -28,7 +33,6 @@ __all__ = [
     "is_signing_of",
     "is_tu_signing_of",
     "find_tu_signing",
-    "find_tu_signing_bruteforce",
     "scale_rows_cols",
     "spanning_forest",
     "DEFAULT_TU_LIMIT",
@@ -147,8 +151,14 @@ def scale_rows_cols(
     return ExactMatrix(RATIONAL, rows, n_cols=a.n_cols)
 
 
-def _support_edges(u: ExactMatrix) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(u.n_rows) for j in range(u.n_cols) if u.rows[i][j]]
+def _adjacency(
+    n_rows: int, n_cols: int, edges: Sequence[tuple[int, int]]
+) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n_rows + n_cols)]
+    for i, j in edges:
+        adj[i].append(n_rows + j)
+        adj[n_rows + j].append(i)
+    return adj
 
 
 def spanning_forest(
@@ -161,10 +171,7 @@ def spanning_forest(
     forest comes back as (parent, child) vertex pairs in discovery order,
     so every parent is reached before its children.
     """
-    adj: list[list[int]] = [[] for _ in range(n_rows + n_cols)]
-    for i, j in edges:
-        adj[i].append(n_rows + j)
-        adj[n_rows + j].append(i)
+    adj = _adjacency(n_rows, n_cols, edges)
     seen = [False] * len(adj)
     pairs = []
     for root in range(len(adj)):
@@ -182,82 +189,52 @@ def spanning_forest(
     return pairs
 
 
-def _spanning_forest_split(u: ExactMatrix) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split the nonzero positions into spanning-forest edges and the rest.
-
-    The bipartite graph has a vertex per row and per column and an edge per
-    nonzero entry.  Any signing can be row/column-scaled so that forest
-    edges carry +1, so only the remaining edges need free signs.
-    """
-    m, n = u.shape
-    edges = _support_edges(u)
-    tree = {(min(p, c), max(p, c) - m) for p, c in spanning_forest(m, n, edges)}
-    return sorted(tree), [e for e in edges if e not in tree]
-
-
-def _build_signing(
-    u: ExactMatrix, signs: dict[tuple[int, int], int]
-) -> ExactMatrix:
-    rows = [
-        [signs[(i, j)] if u.rows[i][j] else 0 for j in range(u.n_cols)]
-        for i in range(u.n_rows)
-    ]
-    return ExactMatrix(RATIONAL, rows, n_cols=u.n_cols)
-
-
 def find_tu_signing(
-    u: ExactMatrix,
-    *,
-    tu_limit: int = DEFAULT_TU_LIMIT,
-    max_free_signs: int = DEFAULT_MAX_FREE_SIGNS,
-    force: bool = False,
+    u: ExactMatrix, *, tu_limit: int = DEFAULT_TU_LIMIT, force: bool = False
 ) -> Optional[ExactMatrix]:
-    """Search for a TU signing of a GF(2) matrix; None when no signing is TU.
+    """Find a TU signing of a GF(2) matrix; None when no signing is TU.
 
-    Signs along a spanning forest of the support graph are pinned to +1
-    (harmless up to row/column scaling), and the remaining free signs are
-    enumerated.  The first TU assignment in enumeration order is returned.
+    Signs along a spanning forest of the support graph are pinned to +1,
+    which any signing reaches by row/column scaling.  The vertices are
+    then added in the forest's discovery order; each new vertex c signs
+    its edge to every earlier neighbour r so that a cycle through c, r
+    and an already signed neighbour sums to 0 mod 4.  That cycle closes
+    a shortest path whose interior avoids the neighbours of c, so it is
+    chordless in the whole support graph, and every chordless cycle of a
+    TU matrix sums to 0 mod 4.  Each sign is therefore forced: by
+    Camion's theorem a TU signing is unique up to row/column scaling,
+    hence unique once the forest is +1, and the propagated matrix is that
+    signing whenever one exists.  One TU check decides.
     """
     if u.kind != GF2:
         raise ShapeError("the signing search takes a GF(2) matrix")
-    tree_edges, free_edges = _spanning_forest_split(u)
-    f = len(free_edges)
-    if f > max_free_signs and not force:
-        raise SizeGuardError(
-            f"signing search with {f} free signs exceeds the guard ({max_free_signs}); "
-            "pass force=True to run anyway"
-        )
-    signs = {e: 1 for e in tree_edges}
-    for bits in range(1 << f):
-        for b, e in enumerate(free_edges):
-            signs[e] = -1 if (bits >> b) & 1 else 1
-        cand = _build_signing(u, signs)
-        if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu:
-            return cand
-    return None
-
-
-def find_tu_signing_bruteforce(
-    u: ExactMatrix,
-    *,
-    tu_limit: int = DEFAULT_TU_LIMIT,
-    max_nonzeros: int = DEFAULT_ORACLE_MAX_NONZEROS,
-    force: bool = False,
-) -> Optional[ExactMatrix]:
-    """Reference search enumerating all 2^(#nonzeros) sign assignments."""
-    if u.kind != GF2:
-        raise ShapeError("the signing search takes a GF(2) matrix")
-    edges = _support_edges(u)
-    if len(edges) > max_nonzeros and not force:
-        raise SizeGuardError(
-            f"brute-force signing over {len(edges)} nonzeros exceeds the guard "
-            f"({max_nonzeros}); pass force=True to run anyway"
-        )
-    signs: dict[tuple[int, int], int] = {}
-    for bits in range(1 << len(edges)):
-        for b, e in enumerate(edges):
-            signs[e] = -1 if (bits >> b) & 1 else 1
-        cand = _build_signing(u, signs)
-        if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu:
-            return cand
-    return None
+    m, n = u.shape
+    edges = [(i, j) for i in range(m) for j in range(n) if u.rows[i][j]]
+    adj = _adjacency(m, n, edges)
+    sign: dict[tuple[int, int], int] = {}  # both orientations of each vertex pair
+    seen = [False] * (m + n)
+    for p, c in spanning_forest(m, n, edges):
+        seen[p] = True
+        near = {r for r in adj[c] if seen[r]}
+        sign[c, p] = sign[p, c] = 1
+        todo = [p]
+        while todo:
+            s = todo.pop()
+            # path sums from s over seen vertices, stopping at neighbours of c
+            total = {s: sign[c, s]}
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                for w in adj[v]:
+                    if not seen[w] or w in total:
+                        continue
+                    total[w] = total[v] + sign[v, w]
+                    if w not in near:
+                        queue.append(w)
+                    elif (c, w) not in sign:
+                        sign[c, w] = sign[w, c] = 1 if total[w] % 4 == 3 else -1
+                        todo.append(w)
+        seen[c] = True
+    rows = [[sign.get((i, m + j), 0) for j in range(n)] for i in range(m)]
+    cand = ExactMatrix(RATIONAL, rows, n_cols=n)
+    return cand if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu else None

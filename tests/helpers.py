@@ -15,9 +15,15 @@ from tumat import (
     RATIONAL,
     ExactMatrix,
     LabeledMatrix,
+    ShapeError,
+    SizeGuardError,
     StandardRepr,
+    is_totally_unimodular,
     scale_rows_cols,
 )
+from tumat.tu import DEFAULT_TU_LIMIT
+
+DEFAULT_ORACLE_MAX_NONZEROS = 16
 
 
 def cofactor_det(grid):
@@ -54,6 +60,27 @@ def naive_tu_verdict(a):
                 det = cofactor_det([[grid[i][j] for j in cs] for i in rs])
                 if det not in (Fraction(-1), Fraction(0), Fraction(1)):
                     return (rs, cs, det)
+    return None
+
+
+def find_tu_signing_bruteforce(u, *, tu_limit=DEFAULT_TU_LIMIT,
+                               max_nonzeros=DEFAULT_ORACLE_MAX_NONZEROS, force=False):
+    """Reference search enumerating all 2^(#nonzeros) sign assignments."""
+    if u.kind != GF2:
+        raise ShapeError("the signing search takes a GF(2) matrix")
+    edges = [(i, j) for i in range(u.n_rows) for j in range(u.n_cols) if u.rows[i][j]]
+    if len(edges) > max_nonzeros and not force:
+        raise SizeGuardError(
+            f"brute-force signing over {len(edges)} nonzeros exceeds the guard "
+            f"({max_nonzeros}); pass force=True to run anyway"
+        )
+    for bits in range(1 << len(edges)):
+        rows = [[0] * u.n_cols for _ in range(u.n_rows)]
+        for b, (i, j) in enumerate(edges):
+            rows[i][j] = -1 if (bits >> b) & 1 else 1
+        cand = ExactMatrix(RATIONAL, rows, n_cols=u.n_cols)
+        if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu:
+            return cand
     return None
 
 

@@ -19,7 +19,6 @@ from tumat import (
     canonical_signing_sum3,
     disjoint_sum,
     find_tu_signing,
-    find_tu_signing_bruteforce,
     fundamental_repr,
     is_regular,
     is_regular_witness,
@@ -48,6 +47,7 @@ from tumat.fixtures import fano_b, r10_b, r10_standard_repr
 
 from helpers import (
     SUM3_LABELS,
+    find_tu_signing_bruteforce,
     labels,
     make_repr,
     naive_tu_verdict,

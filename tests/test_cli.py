@@ -184,6 +184,9 @@ def test_matroid_eq_guard(capsys, monkeypatch):
     code, _, err = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
     assert code == 3
     assert err.startswith("size guard:")
+    code, out, _ = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json",
+                       "--force")
+    assert (code, out) == (0, "equal\n")
 
 
 def test_verify_composition_k1(capsys):

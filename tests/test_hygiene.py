@@ -1,0 +1,40 @@
+"""Every imported name in the package and the tests is used.
+
+A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
+``__init__.py`` files and import lines marked ``# noqa`` are skipped;
+a name listed in a module's ``__all__`` counts as used.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "# noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    found = [hit for p in paths if p.name != "__init__.py" for hit in unused_imports(p)]
+    assert not found

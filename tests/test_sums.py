@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -21,7 +20,6 @@ from tumat import (
     LabeledMatrix,
     MatrixSum3Blocks,
     ShapeError,
-    StandardRepr,
     Sum3Labels,
     blocks_from_summands,
     canonical_signing_sum3,

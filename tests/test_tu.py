@@ -11,7 +11,6 @@ from tumat import (
     SizeGuardError,
     TuVerdict,
     find_tu_signing,
-    find_tu_signing_bruteforce,
     is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,
@@ -19,7 +18,7 @@ from tumat import (
 )
 from tumat.fixtures import fano_b, incidence_matrix, network_example
 
-from helpers import naive_tu_verdict, random_tu_matrix, support_gf2
+from helpers import find_tu_signing_bruteforce, naive_tu_verdict, random_tu_matrix, support_gf2
 
 
 def test_known_verdicts():
@@ -148,17 +147,23 @@ def test_fano_has_no_signing_both_searches():
 
 def test_searches_agree_on_random_supports():
     rng = random.Random(41)
+    supports = []
     for _ in range(25):
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
-        rows = [[1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)]
-        u = ExactMatrix(GF2, rows, n_cols=n)
+        supports.append([[1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)])
+    # propagating each sign along a shortest path over the edges signed so
+    # far closes a cycle with a chord here and wrongly finds no signing
+    supports.append([[0, 0, 0, 1, 1, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]])
+    for rows in supports:
+        u = ExactMatrix(GF2, rows, n_cols=len(rows[0]))
         fast = find_tu_signing(u)
         slow = find_tu_signing_bruteforce(u)
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert is_tu_signing_of(fast, u)
             assert is_tu_signing_of(slow, u)
+    assert fast is not None  # the fixed support above has a TU signing
 
 
 def test_signing_of_tu_support_recovers_a_witness():
@@ -171,17 +176,23 @@ def test_signing_of_tu_support_recovers_a_witness():
 
 
 def test_signing_guards():
+    # the signing search has no guard of its own: 25 free signs, one TU check
     ones6 = ExactMatrix(GF2, [[1] * 6 for _ in range(6)])
-    with pytest.raises(SizeGuardError):
-        find_tu_signing(ones6)  # 25 free signs > 20
-    with pytest.raises(SizeGuardError):
-        find_tu_signing(ExactMatrix(GF2, [[1, 1], [1, 1]]), max_free_signs=0)
+    assert is_tu_signing_of(find_tu_signing(ones6), ones6)
     with pytest.raises(SizeGuardError):
         find_tu_signing_bruteforce(ExactMatrix(GF2, [[1, 1], [1, 1]]), max_nonzeros=3)
     assert (
         find_tu_signing_bruteforce(ExactMatrix(GF2, [[1, 1], [1, 1]]), max_nonzeros=3, force=True)
         is not None
     )
+
+
+def test_signing_k7_network_support_at_a_path():
+    # K7's network matrix at the path 0-1-...-6: column (i, j) has ones at
+    # rows i..j-1; 15 columns, 30 free signs, and the all-ones signing is TU
+    arcs = [(i, j) for i in range(7) for j in range(i + 2, 7)]
+    rows = [[1 if i <= r < j else 0 for i, j in arcs] for r in range(6)]
+    assert find_tu_signing(ExactMatrix(GF2, rows)) == ExactMatrix(RATIONAL, rows)
 
 
 def test_incidence_matrices_are_tu():
