@@ -95,28 +95,32 @@ def _int_bareiss_det(rows: list[list[int]]) -> int:
 
 
 def _int_rows_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as rows (exact, no division)."""
+    """Rank of an integer matrix given as rows (fraction-free Bareiss elimination).
+
+    Each step scales the rows below the pivot by pivot/previous pivot, so every
+    entry stays a minor of the input up to sign and the division is exact.  A
+    row whose factor is zero is skipped when that ratio is +-1 (a sign change).
+    """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    rank = 0
+    rank, prev = 0, 1
     for c in range(n):
-        piv = None
-        for r in range(rank, m):
-            if work[r][c]:
-                piv = r
+        for piv in range(rank, m):
+            if work[piv][c]:
                 break
-        if piv is None:
+        else:
             continue
         work[rank], work[piv] = work[piv], work[rank]
         pr = work[rank]
         pv = pr[c]
         for r in range(rank + 1, m):
-            f = work[r][c]
-            if f:
-                wr = work[r]
-                for j in range(c, n):
-                    wr[j] = wr[j] * pv - pr[j] * f
+            wr = work[r]
+            f = wr[c]
+            if f or abs(pv) != abs(prev):
+                for j in range(c + 1, n):
+                    wr[j] = (wr[j] * pv - pr[j] * f) // prev
+        prev = pv
         rank += 1
         if rank == m:
             break

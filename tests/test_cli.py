@@ -1,15 +1,26 @@
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from tumat import (
+    RATIONAL,
+    ExactMatrix,
+    LabeledMatrix,
+    StandardRepr,
+    is_regular_witness,
+    is_totally_unimodular,
     is_tu_signing_of,
     parse_matrix_document,
     parse_standard_repr_document,
+    render_standard_repr_document,
 )
+from tumat import cli
 from tumat.cli import main
+
+from helpers import random_standard_repr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -205,6 +216,15 @@ def test_verify_composition_k2_artifacts(capsys, tmp_path):
     assert is_tu_signing_of(witness.body, s.B.body)
 
 
+def assert_witness_represents_sum(out_dir):
+    # independent of is_tu_signing_of: [I | W] over Q and [I | B] over GF(2)
+    # are compared as matroids, subset by subset
+    s = parse_standard_repr_document((out_dir / "sum.json").read_text())
+    w = parse_matrix_document((out_dir / "witness.json").read_text())
+    assert len(s.ground) <= 10
+    assert is_regular_witness(StandardRepr(s.X, s.Y, w).to_full(), s.to_matroid())
+
+
 def test_verify_composition_k3_golden(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "composition", "-k", "3", *K3_FLAGS,
                        "--out-dir", tmp_path,
@@ -213,6 +233,7 @@ def test_verify_composition_k3_golden(capsys, tmp_path):
     assert (code, out) == (0, "verified 3-sum composition: regular\n")
     assert (tmp_path / "sum.json").read_text() == golden("golden_verify_k3_sum.json")
     assert (tmp_path / "witness.json").read_text() == golden("golden_verify_k3_witness.json")
+    assert_witness_represents_sum(tmp_path)
 
 
 VERIFY_CASES = {
@@ -234,17 +255,69 @@ def test_verify_composition_goldens(capsys, tmp_path, case):
     assert (code, out, err) == (0, f"verified {flags[1]}-sum composition: regular\n", "")
     for name in ("sum.json", "witness.json"):
         assert (tmp_path / name).read_text() == golden(f"verify_composition/{case}/{name}")
+    assert_witness_represents_sum(tmp_path)
 
 
-def test_verify_composition_force_lifts_eq_guard(capsys, monkeypatch):
-    monkeypatch.setenv("TUMAT_EQ_LIMIT", "5")
+def test_verify_composition_reads_no_eq_limit_and_force_lifts_tu_guard(capsys, monkeypatch):
     argv = ["verify", "composition", "-k", "1",
             FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"]
+    monkeypatch.setenv("TUMAT_EQ_LIMIT", "5")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "verified 1-sum composition: regular\n")
+    monkeypatch.delenv("TUMAT_EQ_LIMIT")
+    monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("size guard:")
     code, out, _ = run(capsys, *argv, "--force")
     assert (code, out) == (0, "verified 1-sum composition: regular\n")
+
+
+def test_verify_composition_19_elements_needs_no_guard_widening(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("TUMAT_EQ_LIMIT", raising=False)
+    monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
+    rng = random.Random(19)
+    left = random_standard_repr(rng, 2, 7, regular=True)
+    right = random_standard_repr(rng, 2, 8, x_start=3, y_start=8, regular=True)
+    for name, summand in (("left.json", left), ("right.json", right)):
+        (tmp_path / name).write_text(render_standard_repr_document(summand))
+    code, out, err = run(capsys, "verify", "composition", "-k", "1",
+                         tmp_path / "left.json", tmp_path / "right.json")
+    assert (code, out, err) == (0, "verified 1-sum composition: regular\n", "")
+
+
+def _flip_in_nonzero_2x2(rows):
+    m, n = len(rows), len(rows[0])
+    i, j = next((i, j) for i in range(m) for j in range(n)
+                if rows[i][j] and any(rows[i][j2] and rows[i2][j] and rows[i2][j2]
+                                      for i2 in range(i + 1, m) for j2 in range(j + 1, n)))
+    rows[i][j] = -rows[i][j]
+
+
+def _zero_first_nonzero(rows):
+    i, j = next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    rows[i][j] = 0
+
+
+@pytest.mark.parametrize("corrupt", [_flip_in_nonzero_2x2, _zero_first_nonzero])
+def test_verify_composition_rejects_corrupted_witness(capsys, monkeypatch, corrupt):
+    real = cli.sign_composition
+    corrupted = []
+
+    def sign_then_corrupt(*args, **kwargs):
+        w = real(*args, **kwargs)
+        rows = w.body.to_lists()
+        corrupt(rows)
+        corrupted.append(LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows)))
+        return corrupted[0]
+
+    monkeypatch.setattr(cli, "sign_composition", sign_then_corrupt)
+    code, out, err = run(capsys, "verify", "composition", "-k", "3", *K3_FLAGS,
+                         FIXTURES / "sum3/d0-1101-left.json",
+                         FIXTURES / "sum3/d0-1101-right.json")
+    assert (code, out, err) == (1, "", "composition check failed: witness does not certify the sum\n")
+    if corrupt is _flip_in_nonzero_2x2:
+        assert not is_totally_unimodular(corrupted[0].body).is_tu
 
 
 def test_verify_composition_rejects_irregular_summand(capsys):

@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from tumat import GF2, RATIONAL, ExactMatrix, ShapeError, from_blocks, from_cols, from_rows
-from tumat.exactmat import gf2_rank_of_ints
+from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
 
 from helpers import cofactor_det, random_rational_matrix, random_gf2_matrix
 
@@ -130,6 +131,49 @@ def test_rank_against_nonsingular_submatrix_search():
             if found:
                 best = k
         assert a.rank() == best
+
+
+def fraction_rank(rows):
+    """Rank by plain Gauss elimination over the rationals (test oracle)."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][c] / work[rank][c]
+            work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+def test_int_rows_rank_matches_fraction_elimination():
+    rng = random.Random(23)
+    for trial in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 2:
+            # every row an integer combination of at most min(m, n) base rows
+            base = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, min(m, n)))]
+            rows = []
+            for _ in range(m):
+                coeffs = [rng.randint(-2, 2) for _ in base]
+                rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(n)])
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        assert _int_rows_rank(rows) == fraction_rank(rows), rows
+
+
+def test_int_rows_rank_30x30_is_polynomial():
+    # without exact division by the previous pivot the entries grow
+    # exponentially and this rank takes minutes
+    rng = random.Random(30)
+    rows = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)]
+    start = time.perf_counter()
+    rank = _int_rows_rank(rows)
+    assert time.perf_counter() - start < 1.0
+    assert rank == fraction_rank(rows)
 
 
 def test_gf2_rank_differs_from_rational_rank():
