@@ -64,9 +64,12 @@ def _read(path: str) -> str:
 def _write_out(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 def _load_matrix(path: str) -> LabeledMatrix:
@@ -195,13 +198,16 @@ def cmd_verify_composition(args) -> int:
     if not is_tu_signing_of(witness.body, s.B.body, limit=tu_limit, force=args.force):
         print("composition check failed: witness does not certify the sum", file=sys.stderr)
         return EXIT_NEGATIVE
-    print(f"verified {args.k}-sum composition: regular")
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {args.out_dir}: {exc}") from None
         _write_out(
             render_standard_repr_document(s), os.path.join(args.out_dir, "sum.json")
         )
         _write_out(render_matrix_document(witness), os.path.join(args.out_dir, "witness.json"))
+    print(f"verified {args.k}-sum composition: regular")
     return EXIT_OK
 
 

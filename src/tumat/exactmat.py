@@ -138,6 +138,44 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return out, scales
 
 
+def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
+    """Gauss-Jordan step in place: column j becomes the i-th unit column.
+
+    Row i is divided by its entry in column j, then subtracted (XORed over
+    GF(2)) from every other row that is nonzero there.  Rows are replaced,
+    never mutated, so they may be tuples.
+    """
+    base = rows[i]
+    if kind == GF2:
+        for k, row in enumerate(rows):
+            if k != i and row[j]:
+                rows[k] = [x ^ y for x, y in zip(row, base)]
+        return
+    a = base[j]
+    if a != 1:
+        base = rows[i] = [x / a for x in base]
+    for k, row in enumerate(rows):
+        f = row[j]
+        if k != i and f:
+            rows[k] = [x - f * b for x, b in zip(row, base)]
+
+
+def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> list[int]:
+    """Pivot each of ``cols`` in turn, in place; returns their pivot rows.
+
+    Each column pivots on the first unused row with a nonzero entry.  A
+    column with none depends on the earlier ones: the matrix is singular.
+    """
+    pivots: list[int] = []
+    for j in cols:
+        r = next((r for r in range(len(rows)) if rows[r][j] and r not in pivots), None)
+        if r is None:
+            raise ShapeError("matrix is singular")
+        _pivot_rows(kind, rows, r, j)
+        pivots.append(r)
+    return pivots
+
+
 class ExactMatrix:
     """Immutable exact matrix; ``kind`` is ``"gf2"`` or ``"rational"``."""
 
@@ -265,78 +303,20 @@ class ExactMatrix:
         """
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise ShapeError(f"pivot position ({i}, {j}) out of range")
-        a = self.rows[i][j]
-        if a == 0:
+        if self.rows[i][j] == 0:
             raise ShapeError(f"zero pivot entry at ({i}, {j})")
-        if self.kind == GF2:
-            base = list(self.rows[i])
-            new_rows = []
-            for k, row in enumerate(self.rows):
-                if k == i:
-                    new_rows.append(base)
-                elif row[j]:
-                    new_rows.append([x ^ y for x, y in zip(row, base)])
-                else:
-                    new_rows.append(list(row))
-            return ExactMatrix(GF2, new_rows, n_cols=self.n_cols)
-        base = [x / a for x in self.rows[i]]
-        new_rows = []
-        for k, row in enumerate(self.rows):
-            if k == i:
-                new_rows.append(base)
-            else:
-                f = row[j]
-                if f:
-                    new_rows.append([x - f * b for x, b in zip(row, base)])
-                else:
-                    new_rows.append(list(row))
-        return ExactMatrix(RATIONAL, new_rows, n_cols=self.n_cols)
+        rows = list(self.rows)
+        _pivot_rows(self.kind, rows, i, j)
+        return ExactMatrix(self.kind, rows, n_cols=self.n_cols)
 
     def inverse(self) -> "ExactMatrix":
-        """Inverse of a square nonsingular matrix."""
+        """Inverse of a square nonsingular matrix (Gauss-Jordan on [A | I])."""
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
-        if self.kind == GF2:
-            # bit-packed Gauss-Jordan on [A | I]
-            work = [
-                sum(bit << j for j, bit in enumerate(row)) | (1 << (n + i))
-                for i, row in enumerate(self.rows)
-            ]
-            r = 0
-            for c in range(n):
-                piv = None
-                for k in range(r, n):
-                    if (work[k] >> c) & 1:
-                        piv = k
-                        break
-                if piv is None:
-                    raise ShapeError("matrix is singular")
-                work[r], work[piv] = work[piv], work[r]
-                for k in range(n):
-                    if k != r and (work[k] >> c) & 1:
-                        work[k] ^= work[r]
-                r += 1
-            inv_rows = [[(work[i] >> (n + j)) & 1 for j in range(n)] for i in range(n)]
-            # rows of work are ordered by pivot column, which equals row index here
-            return ExactMatrix(GF2, inv_rows, n_cols=n)
-        work = [list(row) + [Fraction(int(i == k)) for k in range(n)] for i, row in enumerate(self.rows)]
-        for c in range(n):
-            piv = None
-            for k in range(c, n):
-                if work[k][c]:
-                    piv = k
-                    break
-            if piv is None:
-                raise ShapeError("matrix is singular")
-            work[c], work[piv] = work[piv], work[c]
-            pv = work[c][c]
-            work[c] = [x / pv for x in work[c]]
-            for k in range(n):
-                if k != c and work[k][c]:
-                    f = work[k][c]
-                    work[k] = [x - f * y for x, y in zip(work[k], work[c])]
-        return ExactMatrix(RATIONAL, [row[n:] for row in work], n_cols=n)
+        work = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(self.rows)]
+        pivots = _gauss_jordan(self.kind, work, range(n))
+        return ExactMatrix(self.kind, [work[r][n:] for r in pivots], n_cols=n)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):

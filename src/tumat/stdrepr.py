@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix, from_cols
+from .exactmat import GF2, RATIONAL, ExactMatrix, _gauss_jordan, from_cols
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal, to_matroid
 from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
@@ -94,34 +94,13 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     x_order, y_order = _split_by_base(rep, base_labels)
     if not to_matroid(rep).is_base(x_order):
         raise ShapeError("the given label set is not a base of the column matroid")
-    body = rep.body
-    work = [list(r) for r in body.rows]
-    n_rows = body.n_rows
-    pivot_row = {}
-    used = set()
-    for x in x_order:
-        j = rep.col_position(x)
-        r = next((r for r in range(n_rows) if r not in used and work[r][j] != 0), None)
-        if r is None:
-            raise ShapeError("basis columns became singular; inconsistent matrix")
-        piv = work[r][j]
-        if body.kind == RATIONAL and piv != 1:
-            work[r] = [v / piv for v in work[r]]
-        for k in range(n_rows):
-            if k != r and work[k][j] != 0:
-                f = work[k][j]
-                if body.kind == GF2:
-                    work[k] = [a ^ b for a, b in zip(work[k], work[r])]
-                else:
-                    work[k] = [a - f * b for a, b in zip(work[k], work[r])]
-        used.add(r)
-        pivot_row[x] = r
-    for r in range(n_rows):
-        if r not in used and any(work[r]):
-            raise ShapeError("residual rows are nonzero; inconsistent matrix")
+    work = list(rep.body.rows)
+    pivots = _gauss_jordan(rep.kind, work, [rep.col_position(x) for x in x_order])
+    if any(any(row) for r, row in enumerate(work) if r not in pivots):
+        raise ShapeError("residual rows are nonzero; inconsistent matrix")
     y_positions = [rep.col_position(y) for y in y_order]
-    b_rows = [[work[pivot_row[x]][j] for j in y_positions] for x in x_order]
-    b = ExactMatrix(body.kind, b_rows, n_cols=len(y_order))
+    b_rows = [[work[r][j] for j in y_positions] for r in pivots]
+    b = ExactMatrix(rep.kind, b_rows, n_cols=len(y_order))
     return StandardRepr(x_order, y_order, LabeledMatrix(x_order, y_order, b))
 
 
@@ -136,37 +115,13 @@ def standardize_tu(
 
     Pivots land on nonzero entries of the base columns, which are +-1 in
     a TU matrix, and every pivot keeps the whole working matrix TU, so
-    the extracted B is TU as well.  This is a deliberately different
-    route from ``standardize`` and is cross-checked against it in tests.
+    the extracted B is TU as well.
     """
     if rep.kind != RATIONAL:
         raise ShapeError("standardize_tu takes a rational matrix")
     if not is_totally_unimodular(rep.body, limit=limit, force=force).is_tu:
         raise ShapeError("standardize_tu needs a totally unimodular input")
-    x_order, y_order = _split_by_base(rep, base_labels)
-    if not to_matroid(rep).is_base(x_order):
-        raise ShapeError("the given label set is not a base of the column matroid")
-    work = rep.body
-    pivot_row = {}
-    used = set()
-    for x in x_order:
-        j = rep.col_position(x)
-        r = next(
-            (r for r in range(work.n_rows) if r not in used and work[r, j] != 0),
-            None,
-        )
-        if r is None:
-            raise ShapeError("basis columns became singular; inconsistent matrix")
-        work = work.pivot(r, j)
-        used.add(r)
-        pivot_row[x] = r
-    for r in range(work.n_rows):
-        if r not in used and any(work.rows[r]):
-            raise ShapeError("residual rows are nonzero; inconsistent matrix")
-    y_positions = [rep.col_position(y) for y in y_order]
-    b_rows = [[work[pivot_row[x], j] for j in y_positions] for x in x_order]
-    b = ExactMatrix(RATIONAL, b_rows, n_cols=len(y_order))
-    return StandardRepr(x_order, y_order, LabeledMatrix(x_order, y_order, b))
+    return standardize(rep, base_labels)
 
 
 def fundamental_repr(m: FiniteMatroid, base_labels: Iterable[Label]) -> StandardRepr:

@@ -61,8 +61,6 @@ class TuVerdict:
 
 def _det_int(grid: list[list[int]], rs: Sequence[int], cs: Sequence[int]) -> int:
     k = len(rs)
-    if k == 1:
-        return grid[rs[0]][cs[0]]
     if k == 2:
         r0, r1 = grid[rs[0]], grid[rs[1]]
         c0, c1 = cs

@@ -100,6 +100,13 @@ def test_tu_sign_output_file(capsys, tmp_path):
     assert target.read_text() == golden("golden_r10_signing.json")
 
 
+def test_tu_sign_unwritable_output_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "w.json"
+    code, out, err = run(capsys, "tu", "sign", FIXTURES / "r10.json", "-o", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
 def test_sum_k1_golden_round_trips(capsys):
     code, out, _ = run(capsys, "sum", "-k", "1",
                        FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json")
@@ -204,6 +211,18 @@ def test_verify_composition_k1(capsys):
     code, out, _ = run(capsys, "verify", "composition", "-k", "1",
                        FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json")
     assert (code, out) == (0, "verified 1-sum composition: regular\n")
+
+
+def test_verify_composition_unwritable_out_dir_exits_2_and_prints_no_verdict(capsys, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    blocked_file = tmp_path / "d" / "sum.json"
+    blocked_file.mkdir(parents=True)
+    for out_dir, path in ((blocker, blocker), (blocked_file.parent, blocked_file)):
+        code, out, err = run(capsys, "verify", "composition", "-k", "1", "--out-dir", out_dir,
+                             FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ")
 
 
 def test_verify_composition_k2_artifacts(capsys, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from tumat import GF2, RATIONAL, ExactMatrix, ShapeError, from_blocks, from_cols, from_rows
 from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
 
-from helpers import cofactor_det, random_rational_matrix, random_gf2_matrix
+from helpers import UNIT_D0S, cofactor_det, random_rational_matrix, random_gf2_matrix
 
 
 def test_construction_coerces_entries():
@@ -231,10 +231,25 @@ def test_inverse_round_trip():
             continue
         assert a @ a.inverse() == ExactMatrix.identity(n, RATIONAL)
         done += 1
-    g = ExactMatrix(GF2, [[1, 1], [0, 1]])
-    assert g @ g.inverse() == ExactMatrix.identity(2, GF2)
-    with pytest.raises(ShapeError):
+    for d0 in UNIT_D0S:
+        g = ExactMatrix(GF2, d0)
+        assert g @ g.inverse() == ExactMatrix.identity(2, GF2)
+    done = 0
+    while done < 25:
+        n = rng.randrange(1, 6)
+        g = random_gf2_matrix(rng, n, n)
+        if g.determinant() == 0:
+            continue
+        assert g @ g.inverse() == ExactMatrix.identity(n, GF2)
+        done += 1
+    assert ExactMatrix.identity(0, RATIONAL).inverse() == ExactMatrix.identity(0, RATIONAL)
+    assert ExactMatrix.identity(0, GF2).inverse() == ExactMatrix.identity(0, GF2)
+    with pytest.raises(ShapeError, match="matrix is singular"):
         ExactMatrix(GF2, [[1, 1], [1, 1]]).inverse()
+    with pytest.raises(ShapeError, match="matrix is singular"):
+        ExactMatrix(RATIONAL, [[1, "1/2", 0], [2, 1, 3], [0, 0, 1]]).inverse()
+    with pytest.raises(ShapeError, match="inverse of non-square matrix"):
+        ExactMatrix(RATIONAL, [[1, 0, 0], [0, 1, 0]]).inverse()
 
 
 def test_matmul():

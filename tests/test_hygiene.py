@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and so is
+every private module-level helper of the package.
 
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
@@ -38,3 +39,35 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "tumat").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     found = [hit for p in paths if p.name != "__init__.py" for hit in unused_imports(p)]
     assert not found
+
+
+def loaded_names(node):
+    """Names read inside ``node``, as bare names or as attributes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_no_dead_private_helpers():
+    # A module-level _name (function, class or constant) must be read
+    # somewhere in the package outside its own definition.
+    nodes = [(p.relative_to(ROOT), node) for p in sorted((ROOT / "src" / "tumat").rglob("*.py"))
+             for node in ast.parse(p.read_text(encoding="utf-8")).body]
+    reads = [loaded_names(node) for _, node in nodes]
+    dead = []
+    for k, (path, node) in enumerate(nodes):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__") and not any(
+                name in r for i, r in enumerate(reads) if i != k
+            ):
+                dead.append(f"{path}:{node.lineno}: {name}")
+    assert not dead
