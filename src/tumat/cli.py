@@ -10,6 +10,7 @@ shape errors, 3 when a size guard trips.  Guards can be lifted with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -70,6 +71,25 @@ def _write_out(text: str, path: Optional[str]) -> None:
             fh.write(text)
     except OSError as exc:
         raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
+def _write_all(out_dir: str, texts: dict[str, str]) -> None:
+    """Write every text to a temporary file in out_dir, then move each into place in order."""
+    moves, target = [], out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in texts.items():
+            target = os.path.join(out_dir, name)
+            moves.append((os.path.join(out_dir, f".{name}.{os.getpid()}.tmp"), target))
+            with open(moves[-1][0], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for tmp, target in moves:
+            os.replace(tmp, target)
+    except OSError as exc:
+        for tmp, _ in moves:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise DocumentError(f"cannot write {target}: {exc}") from None
 
 
 def _load_matrix(path: str) -> LabeledMatrix:
@@ -199,14 +219,11 @@ def cmd_verify_composition(args) -> int:
         print("composition check failed: witness does not certify the sum", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.out_dir is not None:
-        try:
-            os.makedirs(args.out_dir, exist_ok=True)
-        except OSError as exc:
-            raise DocumentError(f"cannot write {args.out_dir}: {exc}") from None
-        _write_out(
-            render_standard_repr_document(s), os.path.join(args.out_dir, "sum.json")
-        )
-        _write_out(render_matrix_document(witness), os.path.join(args.out_dir, "witness.json"))
+        # the sum goes in last, so a new sum.json always comes with its witness
+        _write_all(args.out_dir, {
+            "witness.json": render_matrix_document(witness),
+            "sum.json": render_standard_repr_document(s),
+        })
     print(f"verified {args.k}-sum composition: regular")
     return EXIT_OK
 

@@ -204,10 +204,10 @@ def matrix_sum_2(
 
 def matrix_sum_3(blocks: MatrixSum3Blocks) -> ExactMatrix:
     """Assemble the 3-sum matrix; the connector block must be invertible."""
-    d0 = blocks.d0_left
-    if d0.determinant() == 0:
-        raise ShapeError("the connector block is singular")
-    dlr = blocks.d_right @ d0.inverse() @ blocks.d_left
+    try:
+        dlr = blocks.d_right @ blocks.d0_left.inverse() @ blocks.d_left
+    except ShapeError:  # the block shapes are checked, so only inverse() can fail
+        raise ShapeError("the connector block is singular") from None
     bottom_left = from_blocks(blocks.d_left, blocks.d0_left, dlr, blocks.d_right)
     kind = blocks.a_left.kind
     top_right = ExactMatrix.zeros(blocks.a_left.n_rows, blocks.a_right.n_cols, kind)

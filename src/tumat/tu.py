@@ -3,8 +3,9 @@
 A rational matrix is totally unimodular (TU) when every square submatrix,
 including those selected with repeated row or column indices, has
 determinant -1, 0, or 1.  Repeats force a zero determinant, so checking
-strictly increasing index lists suffices; the checker works that way and
-first short-circuits on any entry outside {-1, 0, 1}.
+strictly increasing index lists suffices.  After an entry scan, the
+checker expands each order-k minor along its first row over the stored,
+already checked order-(k-1) minors of the other rows.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -23,7 +24,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _int_bareiss_det
+from .exactmat import GF2, RATIONAL, ExactMatrix
 
 DEFAULT_TU_LIMIT = 8
 
@@ -59,23 +60,6 @@ class TuVerdict:
                 raise ShapeError("witness determinant must lie outside {-1, 0, 1}")
 
 
-def _det_int(grid: list[list[int]], rs: Sequence[int], cs: Sequence[int]) -> int:
-    k = len(rs)
-    if k == 2:
-        r0, r1 = grid[rs[0]], grid[rs[1]]
-        c0, c1 = cs
-        return r0[c0] * r1[c1] - r0[c1] * r1[c0]
-    if k == 3:
-        r0, r1, r2 = grid[rs[0]], grid[rs[1]], grid[rs[2]]
-        c0, c1, c2 = cs
-        return (
-            r0[c0] * (r1[c1] * r2[c2] - r1[c2] * r2[c1])
-            - r0[c1] * (r1[c0] * r2[c2] - r1[c2] * r2[c0])
-            + r0[c2] * (r1[c0] * r2[c1] - r1[c1] * r2[c0])
-        )
-    return _int_bareiss_det([[grid[i][j] for j in cs] for i in rs])
-
-
 def is_totally_unimodular(
     a: ExactMatrix, *, limit: int = DEFAULT_TU_LIMIT, force: bool = False
 ) -> TuVerdict:
@@ -86,7 +70,9 @@ def is_totally_unimodular(
     returns the lexicographically first violating pair of minimal size.
     Matrices with min(m, n) > ``limit`` are refused with
     ``SizeGuardError`` unless ``force`` is set (the submatrix count is
-    exponential in min(m, n)).
+    exponential in min(m, n)).  Row lists whose tail rows have no nonzero
+    minor are skipped; memory peaks at one order's nonzero minors, at
+    worst C(m,k)*C(n,k) of them.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
@@ -102,13 +88,32 @@ def is_totally_unimodular(
             f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit}); "
             "pass force=True to run anyway"
         )
-    grid = [[int(v) for v in row] for row in a.rows]
+    # Each row's nonzeros as (column bit, mask of the columns left of it,
+    # entry); minors maps a row tuple to {column mask: det} for the nonzero
+    # minors of the previous order.  Along the first row, the entry in the
+    # t-th chosen column has cofactor sign (-1)^t: t columns lie left of it.
+    nonzeros = [[(1 << j, (1 << j) - 1, int(v)) for j, v in enumerate(row) if v] for row in a.rows]
+    minors = {(i,): {bit: v for bit, _, v in nz} for i, nz in enumerate(nonzeros)}
     for k in range(2, min(m, n) + 1):
+        last, found = k == min(m, n), {}
         for rs in combinations(range(m), k):
-            for cs in combinations(range(n), k):
-                d = _det_int(grid, rs, cs)
-                if d > 1 or d < -1:
-                    return TuVerdict(False, (rs, cs, Fraction(d)))
+            tail, first = minors.get(rs[1:]), nonzeros[rs[0]]
+            if not tail or not first:
+                continue
+            dets: dict[int, int] = {}
+            for cols, d in tail.items():
+                for bit, lower, v in first:
+                    if not cols & bit:
+                        term = -v * d if (cols & lower).bit_count() & 1 else v * d
+                        dets[cols | bit] = dets.get(cols | bit, 0) + term
+            bad = [(tuple(j for j in range(n) if key >> j & 1), d)
+                   for key, d in dets.items() if d > 1 or d < -1]
+            if bad:
+                cs, d = min(bad)
+                return TuVerdict(False, (rs, cs, Fraction(d)))
+            if not last:
+                found[rs] = {key: d for key, d in dets.items() if d}
+        minors = found
     return TuVerdict(True)
 
 

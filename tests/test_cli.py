@@ -225,6 +225,16 @@ def test_verify_composition_unwritable_out_dir_exits_2_and_prints_no_verdict(cap
         assert err.startswith(f"error: cannot write {path}: ")
 
 
+def test_verify_composition_out_dir_writes_nothing_when_one_file_fails(capsys, tmp_path):
+    (tmp_path / "witness.json").mkdir()
+    code, out, err = run(capsys, "verify", "composition", "-k", "1", "--out-dir", tmp_path,
+                         FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path / 'witness.json'}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["witness.json"]
+    assert not any((tmp_path / "witness.json").iterdir())
+
+
 def test_verify_composition_k2_artifacts(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "composition", "-k", "2",
                        "--x", "x2", "--y", "y2", "--out-dir", tmp_path,

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -206,3 +207,83 @@ def test_incidence_matrices_are_tu():
             arcs.append((t, h + 1 if h >= t else h))
         a = incidence_matrix(n, arcs)
         assert is_totally_unimodular(a).is_tu
+
+
+def oracle_verdict(a):
+    expected = naive_tu_verdict(a)
+    return TuVerdict(True) if expected is None else TuVerdict(False, expected)
+
+
+def test_matches_naive_oracle_on_shapes_up_to_6x6():
+    # 1xn, mx1, wide, tall and square shapes at varied density, with
+    # all-zero rows and columns mixed in
+    rng = random.Random(61)
+    seen = {"tu": 0, "not tu": 0}
+    for _ in range(2000):
+        m = rng.randrange(1, 7)
+        n = rng.randrange(1, 7)
+        density = rng.random()
+        rows = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(m)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        a = ExactMatrix(RATIONAL, rows, n_cols=n)
+        got = is_totally_unimodular(a)
+        assert got == oracle_verdict(a), rows
+        seen["tu" if got.is_tu else "not tu"] += 1
+    assert min(seen.values()) > 400
+
+
+def planted_cycle(rng, m, n, k):
+    """A matrix that is TU except for one k x k chordless cycle block.
+
+    Rows 0.. hold a random TU matrix on the columns outside the block,
+    then come zero rows, then the k cycle rows on the block's columns.
+    The cycle's entries multiply to (-1)^(k+1), so the block's
+    determinant is +-2; it is the only violator of order k and every
+    smaller square is TU.
+    """
+    block_cols = sorted(rng.sample(range(n), k))
+    other_cols = [j for j in range(n) if j not in block_cols]
+    top = m - k - rng.randrange(m - k)
+    rows = [[0] * n for _ in range(m)]
+    if top and other_cols:
+        tu = random_tu_matrix(rng, top, len(other_cols))
+        for i in range(top):
+            for t, j in enumerate(other_cols):
+                rows[i][j] = int(tu[i, t])
+    block_rows = list(range(m - k, m))
+    order = rng.sample(block_cols, k)
+    for t, i in enumerate(block_rows):
+        rows[i][order[t]] = 1
+        rows[i][order[(t + 1) % k]] = -1 if t == 0 and k % 2 == 0 else 1
+    signs = [rng.choice((1, -1)) for _ in range(m)], [rng.choice((1, -1)) for _ in range(n)]
+    a = scale_rows_cols(ExactMatrix(RATIONAL, rows, n_cols=n), *signs)
+    return a, tuple(block_rows), tuple(block_cols)
+
+
+def test_matches_naive_oracle_on_planted_witnesses():
+    rng = random.Random(67)
+    for trial in range(160):
+        k = 2 + trial % 4
+        m = k + 1 + rng.randrange(7 - k)
+        n = k + rng.randrange(7 - k)
+        a, block_rows, block_cols = planted_cycle(rng, m, n, k)
+        got = is_totally_unimodular(a)
+        assert got == oracle_verdict(a)
+        rows, cols, det = got.witness
+        assert (rows, cols, abs(det)) == (block_rows, block_cols, 2)
+
+
+def test_forced_9x11_check_is_fast():
+    # computing every determinant on its own takes about 2.5 s on this
+    # input (2-core host)
+    a = random_tu_matrix(random.Random(9), 9, 11)
+    start = time.perf_counter()
+    verdict = is_totally_unimodular(a, force=True)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.is_tu
