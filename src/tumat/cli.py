@@ -4,7 +4,8 @@ Exit codes: 0 on success or a positive verdict, 1 on a negative verdict
 (not TU, no signing, not regular, not equal, Invalid sum), 2 on parse or
 shape errors, 3 when a size guard trips.  Guards can be lifted with
 ``--force`` or widened with the environment variables TUMAT_TU_LIMIT
-(every TU check) and TUMAT_EQ_LIMIT (``matroid eq`` only).
+(every TU check) and TUMAT_EQ_LIMIT (``matroid eq`` only, and there only
+the subset-by-subset comparison of matroids not known to be binary).
 """
 
 from __future__ import annotations
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--max-bases", type=int, default=50, help="list bases up to this count")
     p.set_defaults(func=cmd_matroid_info)
-    p = mat.add_parser("eq", help="exhaustive matroid equality of two documents")
+    p = mat.add_parser("eq", help="matroid equality of two documents")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--force", action="store_true", help="lift size guards")

@@ -3,7 +3,10 @@
 Ground elements are nonempty strings.  A vector-backed matroid is the
 column matroid of a labeled matrix over GF(2) or the rationals: a set of
 column labels is independent when the selected columns have full column
-rank.  All queries are exact and exhaustive; sizes are desk scale.
+rank.  All queries are exact.  Equality of two matroids known to be
+binary compares their standard representations at one shared base;
+other pairs, and the remaining queries, are exhaustive; sizes are desk
+scale.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from typing import Callable, FrozenSet, Iterable, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, gf2_rank_of_ints
-from .exactmat import _int_rows_rank
+from .exactmat import _gauss_jordan, _int_rows_rank
+from .tu import is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
 DEFAULT_ZMOD_ENUM_LIMIT = 10**6
@@ -225,13 +229,75 @@ def indep_cols(rep: LabeledMatrix, subset: Iterable[Label]) -> bool:
 def matroids_equal(
     m1: FiniteMatroid, m2: FiniteMatroid, *, limit: int = DEFAULT_EQ_LIMIT
 ) -> bool:
-    """Exhaustive equality: same ground set and same independent sets.
+    """Equality: same ground set and same independent sets.
 
-    Compares all 2^n subsets; grounds larger than ``limit`` raise
+    Two vector-backed matroids are compared at the greedy base X of ``m1``
+    over the sorted ground: X must be a base of ``m2``, and both are
+    standardized to [I | B] at X.  A binary matroid is determined by B,
+    so when both sides are known binary (GF(2)-backed, or rational with a
+    B that scales to a TU matrix) equality is equality of the supports
+    of their Bs.  Otherwise all 2^n subsets are compared; only this
+    fallback is guarded, and grounds larger than ``limit`` raise
     ``SizeGuardError`` rather than silently approximating.
     """
     if m1._ground_set != m2._ground_set:
         return False
+    if m1._mode == "bases" or m2._mode == "bases":
+        return _subsets_equal(m1, m2, limit)
+    base: list[Label] = []
+    for e in sorted(m1._ground_set):
+        if m1.indep(base + [e]):
+            base.append(e)
+    if not m2.is_base(base):
+        return False
+    rest = sorted(m1._ground_set - set(base))
+    supports = [_binary_support(m, base, rest) for m in (m1, m2)]
+    if None in supports:
+        return _subsets_equal(m1, m2, limit)
+    return supports[0] == supports[1]
+
+
+def _binary_support(
+    m: FiniteMatroid, base: list[Label], rest: list[Label]
+) -> Optional[list[list[bool]]]:
+    """Support of B in the standard form [I | B] of ``m`` at ``base``.
+
+    None when ``m`` is not known to be binary: it is rational and B does
+    not scale to a TU matrix.  A TU B has every minor of [I | B] in
+    {-1, 0, 1}, equal mod 2 to the matching minor of its support, so
+    then ``m`` is the binary matroid of [I | support].
+    """
+    order = base + rest
+    if m._mode == GF2:
+        rows = [[m._cols[e] >> i & 1 for e in order] for i in range(m._n_rows)]
+    else:
+        rows = [[Fraction(m._cols[e][i]) for e in order] for i in range(m._n_rows)]
+    b = [rows[r][len(base):] for r in _gauss_jordan(m._mode, rows, range(len(base)))]
+    if m._mode == RATIONAL and not _scales_to_tu(b, len(rest)):
+        return None
+    return [[v != 0 for v in row] for row in b]
+
+
+def _scales_to_tu(b: list[list[Fraction]], n: int) -> bool:
+    """Whether B is TU once scaled so every entry on a spanning forest of its
+    support is +-1.  Row and column scaling keep the matroid of [I | B], and
+    any TU scaling of B differs from this one only by signs.  A check past
+    the default TU guard counts as not TU.
+    """
+    m = len(b)
+    edges = [(i, j) for i in range(m) for j in range(n) if b[i][j]]
+    scale = [Fraction(1)] * (m + n)  # rows, then columns
+    for p, c in spanning_forest(m, n, edges):
+        i, j = (p, c - m) if c >= m else (c, p - m)
+        scale[c] = 1 / abs(b[i][j] * scale[p])
+    rows = [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]
+    try:
+        return is_totally_unimodular(ExactMatrix(RATIONAL, rows, n_cols=n)).is_tu
+    except SizeGuardError:
+        return False
+
+
+def _subsets_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
     n = len(m1._ground_set)
     if n > limit:
         raise SizeGuardError(

@@ -587,7 +587,7 @@ def verify_is_sum_k_of(
 
     The witnesses are standard representations of the summands; their
     sum at ``glue`` must come out Valid, and all three matroids must
-    match the claimed ones exhaustively.
+    equal the claimed ones (``matroids_equal``).
     """
     outcome = compose(s_left, s_right, glue)
     if not outcome.valid:

@@ -1,7 +1,8 @@
 """Shared corpus builders and independent oracles for the test suite.
 
 The oracles here are deliberately naive re-implementations (cofactor
-determinants, full submatrix enumeration, exhaustive sign enumeration)
+determinants, full submatrix enumeration, exhaustive sign enumeration,
+subset-by-subset matroid comparison)
 so the optimized library code is checked against something that cannot
 share its bugs.
 """
@@ -82,6 +83,15 @@ def find_tu_signing_bruteforce(u, *, tu_limit=DEFAULT_TU_LIMIT,
         if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu:
             return cand
     return None
+
+
+def naive_matroids_equal(m1, m2):
+    """Compare independence of every subset of the ground set, one by one."""
+    if set(m1.ground) != set(m2.ground):
+        return False
+    ground = sorted(m1.ground)
+    return all(m1.indep(c) == m2.indep(c)
+               for k in range(len(ground) + 1) for c in combinations(ground, k))
 
 
 def incidence(n_nodes, arcs):

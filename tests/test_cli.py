@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tumat import (
+    GF2,
     RATIONAL,
     ExactMatrix,
     LabeledMatrix,
@@ -15,12 +16,14 @@ from tumat import (
     is_tu_signing_of,
     parse_matrix_document,
     parse_standard_repr_document,
+    render_matrix_document,
     render_standard_repr_document,
 )
 from tumat import cli
 from tumat.cli import main
+from tumat.fixtures import incidence_matrix
 
-from helpers import random_standard_repr
+from helpers import labels, make_repr, random_standard_repr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -197,14 +200,81 @@ def test_matroid_eq(capsys):
     assert (code, out) == (1, "not equal\n")
 
 
-def test_matroid_eq_guard(capsys, monkeypatch):
+def test_matroid_eq_guard(capsys, monkeypatch, tmp_path):
+    # GF(2) sides compare at a shared base, so the guard no longer applies;
+    # Fano over Q is not binary and takes the guarded subset-by-subset path.
     monkeypatch.setenv("TUMAT_EQ_LIMIT", "3")
-    code, _, err = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
-    assert code == 3
-    assert err.startswith("size guard:")
-    code, out, _ = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json",
-                       "--force")
+    code, out, _ = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
     assert (code, out) == (0, "equal\n")
+    fano_q = tmp_path / "fano_q.json"
+    fano_q.write_text((FIXTURES / "fano.json").read_text().replace('"gf2"', '"rational"'))
+    code, out, err = run(capsys, "matroid", "eq", fano_q, fano_q)
+    assert (code, out) == (3, "")
+    assert err.startswith("size guard:")
+    code, out, _ = run(capsys, "matroid", "eq", fano_q, fano_q, "--force")
+    assert (code, out) == (0, "equal\n")
+    code, out, _ = run(capsys, "matroid", "eq", fano_q, FIXTURES / "fano.json", "--force")
+    assert (code, out) == (1, "not equal\n")
+    # a malformed limit is still rejected, though the GF(2) pair never reads it
+    monkeypatch.setenv("TUMAT_EQ_LIMIT", "many")
+    code, out, err = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: environment variable TUMAT_EQ_LIMIT must be an integer")
+
+
+def _gf2_row_mixed(rng, rep):
+    """``rep`` over GF(2) after row additions, a row shuffle and a column
+    shuffle: the same column matroid."""
+    rows = [[1 if v else 0 for v in row] for row in rep.body.rows]
+    for _ in range(3 * len(rows)):
+        i, k = rng.sample(range(len(rows)), 2)
+        rows[i] = [x ^ y for x, y in zip(rows[i], rows[k])]
+    rng.shuffle(rows)
+    order = list(range(len(rep.col_labels)))
+    rng.shuffle(order)
+    body = ExactMatrix(GF2, [[row[j] for j in order] for row in rows], n_cols=len(order))
+    return LabeledMatrix(labels("r", len(rows)), [rep.col_labels[j] for j in order], body)
+
+
+def _eq(capsys, tmp_path, left, right):
+    paths = [tmp_path / "left.json", tmp_path / "right.json"]
+    for path, rep in zip(paths, (left, right)):
+        render = render_standard_repr_document if isinstance(rep, StandardRepr) else render_matrix_document
+        path.write_text(render(rep))
+    return run(capsys, "matroid", "eq", *paths)[:2]
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(6, 13), (10, 30)])
+def test_matroid_eq_gf2_past_the_exhaustive_size(capsys, monkeypatch, tmp_path, n_rows, n_cols):
+    # 19 and 40 elements, past the subset loop's default guard of 18
+    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    rng = random.Random(n_rows + n_cols)
+    s = random_standard_repr(rng, n_rows, n_cols)
+    assert _eq(capsys, tmp_path, s, _gf2_row_mixed(rng, s.to_full())) == (0, "equal\n")
+    # Toggling B[x][y] toggles whether X - x + y is a base: a different matroid.
+    x, y = s.X[0], s.Y[0]
+    rows = [list(row) for row in s.B.body.rows]
+    rows[0][0] ^= 1
+    flipped = make_repr(s.X, s.Y, ExactMatrix(GF2, rows, n_cols=n_cols))
+    swap = set(s.X) - {x} | {y}
+    assert s.to_matroid().indep(swap) != flipped.to_matroid().indep(swap)
+    assert _eq(capsys, tmp_path, s, _gf2_row_mixed(rng, flipped.to_full())) == (1, "not equal\n")
+
+
+@pytest.mark.parametrize("n_nodes, n_arcs", [(7, 19), (8, 40)])
+def test_matroid_eq_tu_rational_against_gf2_past_the_exhaustive_size(
+        capsys, monkeypatch, tmp_path, n_nodes, n_arcs):
+    # An incidence matrix (a path plus arcs out of node 0) less one row is
+    # TU, and a TU matrix has the same matroid as its reduction mod 2.
+    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    arcs = [(v, v + 1) for v in range(n_nodes - 1)]
+    arcs += [(0, 1 + k % (n_nodes - 1)) for k in range(n_arcs - len(arcs))]
+    body = incidence_matrix(n_nodes, arcs).submatrix(range(n_nodes - 1), range(n_arcs))
+    rep = LabeledMatrix(labels("v", n_nodes - 1), labels("a", n_arcs), body)
+    rng = random.Random(n_arcs)
+    assert _eq(capsys, tmp_path, rep, _gf2_row_mixed(rng, rep)) == (0, "equal\n")
 
 
 def test_verify_composition_k1(capsys):

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+
+import tumat.matroid as matroid_module
 
 from tumat import (
     GF2,
@@ -19,8 +22,15 @@ from tumat import (
     zmod_linear_independent,
 )
 from tumat.fixtures import fano_columns
+from tumat.matroid import DEFAULT_EQ_LIMIT
 
-from helpers import labels, random_gf2_matrix, random_rational_matrix
+from helpers import (
+    labels,
+    naive_matroids_equal,
+    random_gf2_matrix,
+    random_rational_matrix,
+    random_tu_matrix,
+)
 
 
 def lm(rows, cols, kind, data):
@@ -124,7 +134,7 @@ def test_from_bases_matches_vector_matroid():
         if not m.bases():
             continue
         m2 = FiniteMatroid.from_bases(m.ground, m.bases())
-        assert matroids_equal(m, m2)
+        assert naive_matroids_equal(m, m2)
 
 
 def test_indep_cols_matches_matroid():
@@ -142,14 +152,186 @@ def test_indep_cols_matches_matroid():
 
 
 def test_matroids_equal_guard():
+    # Only the subset-by-subset fallback is guarded.  U(2,4) over Q is not
+    # binary, so it falls back; GF(2) sides never do.
+    u24 = to_matroid(lm(["r", "s"], labels("e", 4), RATIONAL, [[1, 0, 1, 1], [0, 1, 1, 2]]))
+    assert matroids_equal(u24, u24)
+    with pytest.raises(SizeGuardError):
+        matroids_equal(u24, u24, limit=3)
+    assert matroids_equal(u24, u24, limit=4)
+    bases = FiniteMatroid.from_bases(u24.ground, u24.bases())
+    with pytest.raises(SizeGuardError):
+        matroids_equal(u24, bases, limit=3)
     a = lm(["r"], labels("e", 3), GF2, [[1, 1, 1]])
     m = to_matroid(a)
-    assert matroids_equal(m, m)
-    with pytest.raises(SizeGuardError):
-        matroids_equal(m, m, limit=2)
+    assert matroids_equal(m, m, limit=2)
     other = to_matroid(lm(["r"], labels("f", 3), GF2, [[1, 1, 1]]))
     # different grounds: unequal without tripping the guard
     assert not matroids_equal(m, other, limit=2)
+    assert not matroids_equal(u24, FiniteMatroid.from_bases(labels("f", 4), [()]), limit=2)
+    # a rational B past the default TU guard is not known binary: fall back
+    eye = [[int(i == j) for j in range(9)] for i in range(9)]
+    parallel = [row + row for row in eye]
+    big_q = to_matroid(lm(labels("r", 9), labels("e", 18), RATIONAL, parallel))
+    big_gf2 = to_matroid(lm(labels("r", 9), labels("e", 18), GF2, parallel))
+    with pytest.raises(SizeGuardError, match="exhaustive matroid comparison over 18 elements"):
+        matroids_equal(big_q, big_gf2, limit=17)
+
+
+def _row_mixed(kind, rows, rng):
+    """Rows after random row additions and a shuffle: the same column matroid."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randrange(4) if len(rows) > 1 else 0):
+        i, k = rng.sample(range(len(rows)), 2)
+        if kind == GF2:
+            rows[i] = [x ^ y for x, y in zip(rows[i], rows[k])]
+        else:
+            c = rng.choice([1, -1, 2, Fraction(1, 2)])
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[k])]
+    rng.shuffle(rows)
+    return rows
+
+
+def _flipped(kind, rows, rng):
+    """Rows with one entry toggled between zero and nonzero."""
+    rows = [list(r) for r in rows]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    if kind == GF2:
+        rows[i][j] ^= 1
+    else:
+        rows[i][j] = 0 if rows[i][j] else rng.choice([1, -1])
+    return rows
+
+
+def _matrix_matroid(kind, rows):
+    return to_matroid(lm(labels("r", len(rows)), labels("e", len(rows[0])), kind, rows))
+
+
+def _tu_rows(rng, n_rows, n_cols):
+    return random_tu_matrix(rng, n_rows, n_cols).to_lists()
+
+
+def _support(rows):
+    return [[1 if v else 0 for v in row] for row in rows]
+
+
+def _pair_gf2_gf2(rng, n_rows, n_cols):
+    a = random_gf2_matrix(rng, n_rows, n_cols).to_lists()
+    return GF2, a, GF2, _row_mixed(GF2, a, rng)
+
+
+def _pair_tu_q_gf2(rng, n_rows, n_cols):
+    a = _tu_rows(rng, n_rows, n_cols)
+    return RATIONAL, a, GF2, _row_mixed(GF2, _support(a), rng)
+
+
+def _pair_q_q(rng, n_rows, n_cols):
+    a = _tu_rows(rng, n_rows, n_cols) if rng.random() < 0.5 else \
+        random_rational_matrix(rng, n_rows, n_cols).to_lists()
+    return RATIONAL, a, RATIONAL, _row_mixed(RATIONAL, a, rng)
+
+
+def _pair_scaled_column(rng, n_rows, n_cols):
+    # a column of a TU matrix scaled by 2 or 1/2 is the same element
+    a = _tu_rows(rng, n_rows, n_cols)
+    j, c = rng.randrange(n_cols), rng.choice([2, Fraction(1, 2)])
+    scaled = [[v * c if k == j else v for k, v in enumerate(row)] for row in a]
+    return RATIONAL, scaled, GF2, _row_mixed(GF2, _support(a), rng)
+
+
+def _pair_non_regular_q(rng, n_rows, n_cols):
+    # Fano over Q and random matrices with entries 2, 1/2, 3 are not regular
+    if rng.random() < 0.3:
+        a = fano_columns().body.to_lists()
+        return RATIONAL, a, rng.choice([GF2, RATIONAL]), a
+    a = random_rational_matrix(rng, n_rows, n_cols).to_lists()
+    return RATIONAL, a, RATIONAL, _row_mixed(RATIONAL, a, rng)
+
+
+@pytest.mark.parametrize("family", [
+    _pair_gf2_gf2, _pair_tu_q_gf2, _pair_q_q, _pair_scaled_column, _pair_non_regular_q, "bases",
+])
+def test_matroids_equal_agrees_with_subset_oracle(family):
+    rng = random.Random(23)
+    verdicts = []
+    for _ in range(60):
+        n_rows = rng.randint(1, 4)
+        n_cols = rng.randint(n_rows, 10 - n_rows)
+        if family == "bases":
+            m1 = _matrix_matroid(GF2, random_gf2_matrix(rng, n_rows, n_cols).to_lists())
+            m2 = _matrix_matroid(GF2, random_gf2_matrix(rng, n_rows, n_cols).to_lists())
+            m2 = FiniteMatroid.from_bases(m2.ground, m2.bases())
+            if rng.random() < 0.5:
+                m2 = FiniteMatroid.from_bases(m1.ground, m1.bases())
+        else:
+            kind1, a1, kind2, a2 = family(rng, n_rows, n_cols)
+            if rng.random() < 0.5:
+                a2 = _flipped(kind2, a2, rng)
+            m1, m2 = _matrix_matroid(kind1, a1), _matrix_matroid(kind2, a2)
+        if rng.random() < 0.5:
+            m1, m2 = m2, m1
+        expected = naive_matroids_equal(m1, m2)
+        assert matroids_equal(m1, m2) == expected
+        verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+
+
+def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
+    def refuse(m1, m2, limit):
+        raise AssertionError("fell back to the subset loop")
+
+    monkeypatch.setattr(matroid_module, "_subsets_equal", refuse)
+    rng = random.Random(29)
+    verdicts = []
+    for _ in range(60):
+        n_rows = rng.randint(1, 4)
+        n_cols = rng.randint(n_rows, 10 - n_rows)
+        family = rng.choice([_pair_gf2_gf2, _pair_tu_q_gf2, _pair_scaled_column])
+        kind1, a1, kind2, a2 = family(rng, n_rows, n_cols)
+        if rng.random() < 0.5:
+            a2 = _flipped(kind2, a2, rng)
+        m1, m2 = _matrix_matroid(kind1, a1), _matrix_matroid(kind2, a2)
+        verdicts.append(matroids_equal(m1, m2, limit=0))
+    assert True in verdicts and False in verdicts
+
+
+def test_fano_over_q_falls_back_and_differs_from_fano_over_gf2(monkeypatch):
+    calls = []
+    subsets_equal = matroid_module._subsets_equal
+
+    def record(m1, m2, limit):
+        calls.append(limit)
+        return subsets_equal(m1, m2, limit)
+
+    monkeypatch.setattr(matroid_module, "_subsets_equal", record)
+    fano = fano_columns()
+    over_q = to_matroid(lm(fano.row_labels, fano.col_labels, RATIONAL, fano.body.to_lists()))
+    # same fundamental circuits at the shared base, different matroids
+    assert not matroids_equal(over_q, to_matroid(fano))
+    assert calls == [DEFAULT_EQ_LIMIT]
+    assert matroids_equal(over_q, over_q)
+    assert len(calls) == 2
+
+
+def test_matroids_equal_rank_zero_and_loops():
+    empty_gf2 = to_matroid(lm(["r"], [], GF2, [[]]))
+    empty_q = to_matroid(lm([], [], RATIONAL, []))
+    assert matroids_equal(empty_gf2, empty_q, limit=0)
+    no_rows = to_matroid(lm([], labels("e", 3), GF2, []))
+    zero_q = to_matroid(lm(["r", "s"], labels("e", 3), RATIONAL, [[0, 0, 0], [0, 0, 0]]))
+    assert no_rows.rank == zero_q.rank == 0
+    assert matroids_equal(no_rows, zero_q, limit=0)
+    assert matroids_equal(zero_q, no_rows, limit=0)
+    one_q = to_matroid(lm(["r"], labels("e", 3), RATIONAL, [[0, "1/2", 0]]))
+    one_gf2 = to_matroid(lm(["r"], labels("e", 3), GF2, [[0, 1, 0]]))
+    other_gf2 = to_matroid(lm(["r"], labels("e", 3), GF2, [[0, 0, 1]]))
+    assert not matroids_equal(zero_q, one_q, limit=0)
+    assert not matroids_equal(one_gf2, no_rows, limit=0)
+    assert matroids_equal(one_q, one_gf2, limit=0)
+    assert not matroids_equal(one_q, other_gf2, limit=0)
+    for m1 in (no_rows, zero_q, one_q, one_gf2, other_gf2):
+        for m2 in (no_rows, zero_q, one_q, one_gf2, other_gf2):
+            assert matroids_equal(m1, m2) == naive_matroids_equal(m1, m2)
 
 
 def test_disjoint_sum_gf2_matches_block_diagonal():
@@ -168,7 +350,7 @@ def test_disjoint_sum_gf2_matches_block_diagonal():
         direct = to_matroid(
             lm(labels("r", 2) + labels("s", 2), labels("a", 3) + labels("b", 2), GF2, blocks.to_lists())
         )
-        assert matroids_equal(disjoint_sum(to_matroid(a), to_matroid(b)), direct)
+        assert naive_matroids_equal(disjoint_sum(to_matroid(a), to_matroid(b)), direct)
 
 
 def test_disjoint_sum_rational_and_mixed():
