@@ -25,7 +25,6 @@ from .stdrepr import (
     StandardRepr,
     fundamental_repr,
     is_regular,
-    is_regular_witness,
     standardize,
     standardize_tu,
     support,

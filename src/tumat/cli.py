@@ -213,7 +213,7 @@ def cmd_verify_composition(args) -> int:
         print(f"invalid {args.k}-sum [{outcome.reason}]: {outcome.message}", file=sys.stderr)
         return EXIT_NEGATIVE
     s = outcome.result
-    witness = sign_composition(*signed, glue, limit=tu_limit, force=args.force)
+    witness = sign_composition(*signed, glue)
     # For a TU witness W that reduces mod 2 to B, [I | W] over Q and [I | B]
     # over GF(2) are the same matroid, so this check certifies the sum regular.
     if not is_tu_signing_of(witness.body, s.B.body, limit=tu_limit, force=args.force):

@@ -9,5 +9,8 @@ class SizeGuardError(RuntimeError):
     """An input exceeds a size guard for an exponential-cost operation.
 
     Guards exist so that a desk-scale tool fails loudly instead of hanging.
-    Every guarded operation takes a ``force`` flag that lifts the guard.
+    Every guard can be lifted: ``is_totally_unimodular`` and
+    ``zmod_linear_independent`` take a ``force`` flag, and
+    ``matroids_equal`` takes a ``limit``, which the CLI's ``--force``
+    sets to ``math.inf``.
     """

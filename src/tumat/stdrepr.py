@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _gauss_jordan, from_cols
-from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal, to_matroid
+from .matroid import FiniteMatroid, Label, LabeledMatrix, to_matroid
 from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "fundamental_repr",
     "support",
     "is_regular",
-    "is_regular_witness",
     "to_binary",
 ]
 
@@ -168,22 +167,6 @@ def is_regular(
     if signing is None:
         return (False, None)
     return (True, LabeledMatrix(s.X, s.Y, signing))
-
-
-def is_regular_witness(
-    rep: LabeledMatrix,
-    m: FiniteMatroid,
-    *,
-    tu_limit: int = DEFAULT_TU_LIMIT,
-    eq_limit: int = DEFAULT_EQ_LIMIT,
-    force: bool = False,
-) -> bool:
-    """Check a claimed witness: ``rep`` is TU and represents exactly ``m``."""
-    if rep.kind != RATIONAL:
-        raise ShapeError("a regularity witness must be rational")
-    if not is_totally_unimodular(rep.body, limit=tu_limit, force=force).is_tu:
-        return False
-    return matroids_equal(to_matroid(rep), m, limit=eq_limit)
 
 
 def to_binary(

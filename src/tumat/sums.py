@@ -15,7 +15,9 @@ labels, each in stored order, glue labels dropped from the side that
 loses them.
 
 Signing constructions mirror the sums over the rationals and produce TU
-signings of the GF(2) results when the summand signings are TU.
+signings of the GF(2) results when the summand signings are TU.  They
+check neither: the composition theorem makes the result TU, and a
+caller that needs a certificate checks the result once.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` and
@@ -29,10 +31,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, from_blocks, from_cols, from_rows
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, from_blocks
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import DEFAULT_TU_LIMIT, is_totally_unimodular, scale_rows_cols, spanning_forest
+from .tu import scale_rows_cols, spanning_forest
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -409,17 +411,14 @@ def is_unit_2x2(
     raise AssertionError("an invertible 2x2 GF(2) matrix always reaches a canonical form")
 
 
-def sign_sum_1(
-    a_left: ExactMatrix,
-    a_right: ExactMatrix,
-    *,
-    limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
-) -> ExactMatrix:
-    """1-sum of two TU matrices over the rationals; the result is TU."""
-    for side, name in ((a_left, "left"), (a_right, "right")):
-        if not is_totally_unimodular(side, limit=limit, force=force).is_tu:
-            raise ShapeError(f"{name} summand signing is not totally unimodular")
+def _require_rational(signed_left, signed_right) -> None:
+    if signed_left.kind != RATIONAL or signed_right.kind != RATIONAL:
+        raise ShapeError("summand signings must be rational")
+
+
+def sign_sum_1(a_left: ExactMatrix, a_right: ExactMatrix) -> ExactMatrix:
+    """1-sum of two signings over the rationals; TU when both are, which is not checked."""
+    _require_rational(a_left, a_right)
     return matrix_sum_1(a_left, a_right)
 
 
@@ -428,19 +427,9 @@ def sign_sum_2(
     r: Sequence[Entry],
     a_right: ExactMatrix,
     c: Sequence[Entry],
-    *,
-    limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
 ) -> ExactMatrix:
-    """2-sum of TU pieces over the rationals; needs [a_left / r] and [c | a_right] TU."""
-    r_row = ExactMatrix(RATIONAL, [r], n_cols=len(r))
-    c_col = ExactMatrix(RATIONAL, [[v] for v in c], n_cols=1)
-    stacked = from_rows(a_left, r_row)
-    joined = from_cols(c_col, a_right)
-    if not is_totally_unimodular(stacked, limit=limit, force=force).is_tu:
-        raise ShapeError("the left summand signing stacked with r is not totally unimodular")
-    if not is_totally_unimodular(joined, limit=limit, force=force).is_tu:
-        raise ShapeError("c joined with the right summand signing is not totally unimodular")
+    """2-sum of signed pieces over the rationals; TU when [a_left / r] and [c | a_right] are (not checked)."""
+    _require_rational(a_left, a_right)
     return matrix_sum_2(a_left, r, a_right, c)
 
 
@@ -492,24 +481,18 @@ def canonical_signing_sum3(
     signed_left: LabeledMatrix,
     signed_right: LabeledMatrix,
     labels: Sum3Labels,
-    *,
-    limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
 ) -> LabeledMatrix:
-    """TU signing of a 3-sum built from TU signings of its summands.
+    """Signing of a 3-sum built from TU signings of its summands.
 
     Both signings are re-signed so their shared 3x3 connector submatrix
     (rows x2, x0, x1 by columns y0, y1, y2, taken in the order that
     brings the connector to its canonical form) equals a fixed target,
     then the sum is assembled over the rationals with exact bottom-left
     block D'r * (D'0)^-1 * D'l.  The output is labeled like the Valid
-    outcome of ``standard_repr_sum_3`` on the summand supports.
+    outcome of ``standard_repr_sum_3`` on the summand supports.  It is
+    TU when both summand signings are; nothing here checks either.
     """
-    if signed_left.kind != RATIONAL or signed_right.kind != RATIONAL:
-        raise ShapeError("summand signings must be rational")
-    for side, name in ((signed_left, "left"), (signed_right, "right")):
-        if not is_totally_unimodular(side.body, limit=limit, force=force).is_tu:
-            raise ShapeError(f"{name} summand signing is not totally unimodular")
+    _require_rational(signed_left, signed_right)
     connector = ([labels.x0, labels.x1], [labels.y0, labels.y1])
     d0_supp_left = support(signed_left.select(*connector)).body
     d0_supp_right = support(signed_right.select(*connector)).body
@@ -555,22 +538,23 @@ def sign_composition(
     signed_left: LabeledMatrix,
     signed_right: LabeledMatrix,
     glue: None | tuple[Label, Label] | Sum3Labels,
-    *,
-    limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
 ) -> LabeledMatrix:
-    """TU signing of a sum from TU signings of its summands, labeled like ``compose``'s result."""
+    """Signing of a sum from TU signings of its summands, labeled like ``compose``'s result.
+
+    The summand signings must already be certified TU (``is_regular``
+    does so); the result is then TU, and is not checked here.
+    """
     if glue is None:
-        body = sign_sum_1(signed_left.body, signed_right.body, limit=limit, force=force)
+        body = sign_sum_1(signed_left.body, signed_right.body)
         return LabeledMatrix(
             signed_left.row_labels + signed_right.row_labels,
             signed_left.col_labels + signed_right.col_labels,
             body,
         )
     if isinstance(glue, Sum3Labels):
-        return canonical_signing_sum3(signed_left, signed_right, glue, limit=limit, force=force)
+        return canonical_signing_sum3(signed_left, signed_right, glue)
     a_left, r, a_right, c, rows, cols = _sum2_pieces(signed_left, signed_right, *_pair(glue))
-    return LabeledMatrix(rows, cols, sign_sum_2(a_left, r, a_right, c, limit=limit, force=force))
+    return LabeledMatrix(rows, cols, sign_sum_2(a_left, r, a_right, c))
 
 
 def verify_is_sum_k_of(

@@ -133,6 +133,11 @@ def is_signing_of(a: ExactMatrix, u: ExactMatrix) -> bool:
 def is_tu_signing_of(
     a: ExactMatrix, u: ExactMatrix, *, limit: int = DEFAULT_TU_LIMIT, force: bool = False
 ) -> bool:
+    """Certify ``a`` as a TU signing of ``u``: a signing of ``u`` that is TU.
+
+    Then [I | a] over Q and [I | u] over GF(2) represent the same matroid,
+    so the check certifies that matroid regular.
+    """
     return is_signing_of(a, u) and is_totally_unimodular(a, limit=limit, force=force).is_tu
 
 

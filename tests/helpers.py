@@ -21,6 +21,7 @@ from tumat import (
     StandardRepr,
     is_totally_unimodular,
     scale_rows_cols,
+    to_matroid,
 )
 from tumat.tu import DEFAULT_TU_LIMIT
 
@@ -92,6 +93,14 @@ def naive_matroids_equal(m1, m2):
     ground = sorted(m1.ground)
     return all(m1.indep(c) == m2.indep(c)
                for k in range(len(ground) + 1) for c in combinations(ground, k))
+
+
+def is_regular_witness(rep, m):
+    """Check a claimed regularity witness: ``rep`` is a rational TU matrix
+    whose column matroid is ``m``, by the naive TU and matroid oracles."""
+    if rep.kind != RATIONAL:
+        raise ShapeError("a regularity witness must be rational")
+    return naive_tu_verdict(rep.body) is None and naive_matroids_equal(to_matroid(rep), m)
 
 
 def incidence(n_nodes, arcs):

@@ -11,7 +11,6 @@ from tumat import (
     ExactMatrix,
     LabeledMatrix,
     StandardRepr,
-    is_regular_witness,
     is_totally_unimodular,
     is_tu_signing_of,
     parse_matrix_document,
@@ -19,11 +18,11 @@ from tumat import (
     render_matrix_document,
     render_standard_repr_document,
 )
-from tumat import cli
+from tumat import cli, matroid, stdrepr, sums, tu
 from tumat.cli import main
 from tumat.fixtures import incidence_matrix
 
-from helpers import labels, make_repr, random_standard_repr
+from helpers import is_regular_witness, labels, make_repr, random_standard_repr
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
@@ -417,6 +416,34 @@ def test_verify_composition_rejects_corrupted_witness(capsys, monkeypatch, corru
     assert (code, out, err) == (1, "", "composition check failed: witness does not certify the sum\n")
     if corrupt is _flip_in_nonzero_2x2:
         assert not is_totally_unimodular(corrupted[0].body).is_tu
+
+
+ROUTE_CASES = {
+    **VERIFY_CASES,
+    "k3-d0-1101": (["-k", "3", *K3_FLAGS], "sum3/d0-1101-left.json", "sum3/d0-1101-right.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTE_CASES))
+def test_verify_composition_checks_each_matrix_once(capsys, monkeypatch, tmp_path, case):
+    # one TU check per summand signing (in is_regular) and one on the sum's
+    # witness; the signing construction itself checks nothing
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return is_totally_unimodular(a, *args, **kwargs)
+
+    for module in (tu, cli, matroid, stdrepr, sums):
+        if hasattr(module, "is_totally_unimodular"):
+            monkeypatch.setattr(module, "is_totally_unimodular", counting)
+    flags, left, right = ROUTE_CASES[case]
+    code, out, _ = run(capsys, "verify", "composition", *flags, "--out-dir", tmp_path,
+                       FIXTURES / left, FIXTURES / right)
+    assert code == 0, out
+    summands = [parse_standard_repr_document((FIXTURES / name).read_text()) for name in (left, right)]
+    s = parse_standard_repr_document((tmp_path / "sum.json").read_text())
+    assert shapes == [summands[0].B.body.shape, summands[1].B.body.shape, s.B.body.shape]
 
 
 def test_verify_composition_rejects_irregular_summand(capsys):

@@ -1,5 +1,6 @@
 """Every imported name in the package and the tests is used, and so is
-every private module-level helper of the package.
+every private module-level helper and every function parameter of the
+package.
 
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
@@ -71,3 +72,26 @@ def test_no_dead_private_helpers():
             ):
                 dead.append(f"{path}:{node.lineno}: {name}")
     assert not dead
+
+
+def unread_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}: {p.arg}"
+                  for p in params if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+def test_no_unused_parameters():
+    # Every parameter of a package function is read in its body, so a
+    # leftover knob (a limit or force flag nothing honours) cannot linger.
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
+    assert [hit for p in paths for hit in unread_parameters(p)] == []

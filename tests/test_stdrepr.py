@@ -13,7 +13,6 @@ from tumat import (
     from_cols,
     fundamental_repr,
     is_regular,
-    is_regular_witness,
     is_totally_unimodular,
     is_tu_signing_of,
     standardize,
@@ -25,6 +24,7 @@ from tumat import (
 from tumat.fixtures import fano_standard_repr, network_example, r10_standard_repr
 
 from helpers import (
+    is_regular_witness,
     labels,
     make_repr,
     naive_matroids_equal,

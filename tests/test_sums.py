@@ -409,8 +409,12 @@ def test_sign_sum_1():
     out = sign_sum_1(a, b)
     assert is_totally_unimodular(out).is_tu
     assert out.to_lists() == [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
+    # the construction does not check its summands: a non-TU summand
+    # gives a non-TU sum, which the certificate on the result rejects
+    bad = sign_sum_1(ExactMatrix(RATIONAL, [[2]]), b)
+    assert is_totally_unimodular(bad).witness == ((0,), (0,), 2)
     with pytest.raises(ShapeError):
-        sign_sum_1(ExactMatrix(RATIONAL, [[2]]), b)
+        sign_sum_1(ExactMatrix(GF2, [[1]]), ExactMatrix(GF2, [[1]]))
 
 
 def test_sign_sum_2():
@@ -419,8 +423,10 @@ def test_sign_sum_2():
     out = sign_sum_2(a_left, [0, 1], a_right, [1, -1])
     assert is_totally_unimodular(out).is_tu
     assert out.to_lists() == [[1, -1, 0], [0, 1, 1], [0, -1, 0]]
+    bad = sign_sum_2(a_left, [1, 1], a_right, [1, -1])  # [a_left / r] is not TU
+    assert is_totally_unimodular(bad).witness == ((0, 1), (0, 1), 2)
     with pytest.raises(ShapeError):
-        sign_sum_2(a_left, [1, 1], a_right, [1, -1])  # stacked block is not TU
+        sign_sum_2(ExactMatrix(GF2, [[1, 1]]), [0, 1], ExactMatrix(GF2, [[1], [0]]), [1, 1])
 
 
 def test_resign_to_target_already_there():
@@ -477,12 +483,18 @@ def test_canonical_signing_all_connectors():
 def test_canonical_signing_rejects_non_tu():
     left, right, glue = identity_pair()
     signed_right = LabeledMatrix(right.X, right.Y, find_tu_signing(right.B.body))
+    # a signing with a 2 at (xa, ya): the construction does not check its
+    # summands, and the 2 lands at (xa, ya) of the sum
     not_tu = LabeledMatrix(
         left.X, left.Y,
-        ExactMatrix(RATIONAL, mutate(LEFT3, 0, 0, 2)),
+        ExactMatrix(RATIONAL, mutate(find_tu_signing(left.B.body).to_lists(), 0, 0, 2)),
     )
-    with pytest.raises(ShapeError):
-        canonical_signing_sum3(not_tu, signed_right, glue)
+    out = canonical_signing_sum3(not_tu, signed_right, glue)
+    assert is_totally_unimodular(out.body).witness == ((0,), (0,), 2)
+    # the unsigned 0/1 summand cannot be re-signed to the connector target
+    unsigned = LabeledMatrix(left.X, left.Y, ExactMatrix(RATIONAL, LEFT3))
+    with pytest.raises(ShapeError, match="no row/column sign scaling reaches the target"):
+        canonical_signing_sum3(unsigned, signed_right, glue)
 
 
 def test_verify_is_sum_k_of():
