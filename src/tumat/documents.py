@@ -6,7 +6,9 @@ of entry strings).  A standard representation document has exactly the
 keys ``field``, ``X``, ``Y``, and ``B``, where ``B`` is the grid for the
 X-by-Y matrix.  GF(2) entries are "0" or "1"; rational entries are
 integers or reduced "p/q" strings.  Rendering is deterministic, so
-parse and render round-trip byte for byte.
+parse and render round-trip byte for byte: a rendered document is
+``json.dumps(doc, indent=2) + "\n"``, written out directly rather than
+through the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix
+from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
 from .matroid import LabeledMatrix
 from .stdrepr import StandardRepr
 
@@ -86,20 +88,47 @@ def _parse_entry(kind: str, s) -> object:
 def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != n_rows:
         raise DocumentError(f"data must be a list of {n_rows} rows")
+    decoded: dict[str, object] = {}  # entry string -> its value, only strings go in
     rows = []
     for row in value:
         if not isinstance(row, list) or len(row) != n_cols:
             raise DocumentError(f"each data row must be a list of {n_cols} entries")
-        rows.append([_parse_entry(kind, s) for s in row])
-    return ExactMatrix(kind, rows, n_cols=n_cols)
+        try:
+            rows.append([decoded[s] for s in row])
+        except (KeyError, TypeError):  # an entry not seen before, or not a string
+            for s in row:
+                if not isinstance(s, str) or s not in decoded:
+                    decoded[s] = _parse_entry(kind, s)
+            rows.append([decoded[s] for s in row])
+    return _exact(kind, rows, n_cols)
 
 
-def _grid(m: ExactMatrix) -> list[list[str]]:
-    return [[str(v) for v in row] for row in m.rows]
+def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatrix) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for the document with keys ``field`` and ``names``."""
+    enc = json.encoder.encode_basestring_ascii
+
+    def block(items: list[str], pad: str) -> str:
+        if not items:
+            return "[]"
+        return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + "]"
+
+    # entry strings are digits, "-" and "/", which JSON writes as they are
+    text = ("0", "1").__getitem__ if body.kind == GF2 else str
+    grid = [
+        '[\n      "' + '",\n      "'.join(map(text, row)) + '"\n    ]' if row else "[]"
+        for row in body.rows
+    ]
+    h, t, d = names
+    return (
+        '{\n  "field": ' + enc(field)
+        + ',\n  "' + h + '": ' + block([enc(x) for x in head], "    ")
+        + ',\n  "' + t + '": ' + block([enc(x) for x in tail], "    ")
+        + ',\n  "' + d + '": ' + block(grid, "    ")
+        + "\n}\n"
+    )
 
 
-def parse_matrix_document(text: str) -> LabeledMatrix:
-    obj = _load_object(text)
+def _matrix_from(obj: dict) -> LabeledMatrix:
     _check_keys(obj, {"field", "rows", "cols", "data"})
     kind = _parse_field(obj["field"])
     rows = _parse_labels(obj["rows"], "rows")
@@ -111,18 +140,15 @@ def parse_matrix_document(text: str) -> LabeledMatrix:
         raise DocumentError(str(exc)) from None
 
 
+def parse_matrix_document(text: str) -> LabeledMatrix:
+    return _matrix_from(_load_object(text))
+
+
 def render_matrix_document(m: LabeledMatrix) -> str:
-    doc = {
-        "field": m.kind,
-        "rows": list(m.row_labels),
-        "cols": list(m.col_labels),
-        "data": _grid(m.body),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _render(m.kind, ("rows", "cols", "data"), m.row_labels, m.col_labels, m.body)
 
 
-def parse_standard_repr_document(text: str) -> StandardRepr:
-    obj = _load_object(text)
+def _standard_repr_from(obj: dict) -> StandardRepr:
     _check_keys(obj, {"field", "X", "Y", "B"})
     kind = _parse_field(obj["field"])
     x = _parse_labels(obj["X"], "X")
@@ -134,23 +160,21 @@ def parse_standard_repr_document(text: str) -> StandardRepr:
         raise DocumentError(str(exc)) from None
 
 
+def parse_standard_repr_document(text: str) -> StandardRepr:
+    return _standard_repr_from(_load_object(text))
+
+
 def render_standard_repr_document(s: StandardRepr) -> str:
-    doc = {
-        "field": s.kind,
-        "X": list(s.X),
-        "Y": list(s.Y),
-        "B": _grid(s.B.body),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _render(s.kind, ("X", "Y", "B"), s.X, s.Y, s.B.body)
 
 
 def parse_document(text: str):
     """Parse either document type, telling them apart by their keys."""
     obj = _load_object(text)
     if set(obj) == {"field", "rows", "cols", "data"}:
-        return parse_matrix_document(text)
+        return _matrix_from(obj)
     if set(obj) == {"field", "X", "Y", "B"}:
-        return parse_standard_repr_document(text)
+        return _standard_repr_from(obj)
     raise DocumentError(
         "expected a matrix document (field/rows/cols/data) "
         "or a standard representation document (field/X/Y/B)"

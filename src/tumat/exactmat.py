@@ -5,6 +5,13 @@ for the rational kind, so all arithmetic is exact.  Matrices are
 immutable values: every operation returns a new matrix.  Empty matrices
 (zero rows and/or zero columns) are legal everywhere; the determinant of
 the 0x0 matrix is 1.
+
+The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
+every entry.  Operations on matrices (transpose, submatrix, pivot,
+inverse, products, block assembly) and the document parser build their
+results with ``_exact``, which shares the already exact entries without
+coercing them again; each such operation keeps the entry types exact
+itself (``tests/test_exactmat.py`` checks this invariant).
 """
 
 from __future__ import annotations
@@ -49,6 +56,31 @@ def _coerce_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ShapeError(f"cannot use {value!r} as a rational entry") from exc
     raise ShapeError(f"cannot use {value!r} as a rational entry")
+
+
+def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMatrix":
+    """A matrix of ``kind`` over rows of ``n_cols`` entries that are already exact.
+
+    Nothing is coerced or checked: each entry must be an int 0/1 (GF(2))
+    or a ``Fraction`` (rational), and every row must have ``n_cols`` entries.
+    """
+    m = object.__new__(ExactMatrix)
+    m.kind = kind
+    m.rows = tuple(map(tuple, rows))
+    m.n_rows = len(m.rows)
+    m.n_cols = n_cols
+    return m
+
+
+_UNITS = {GF2: (0, 1), RATIONAL: (Fraction(0), Fraction(1))}
+
+
+def _units(kind: str) -> tuple[Entry, Entry]:
+    """The zero and the one of ``kind``."""
+    try:
+        return _UNITS[kind]
+    except KeyError:
+        raise ShapeError(f"unknown scalar kind {kind!r}") from None
 
 
 def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
@@ -205,11 +237,17 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "ExactMatrix":
-        return cls(kind, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n_cols=n)
+        zero, one = _units(kind)
+        if n < 0:
+            raise ShapeError("negative column count")
+        return _exact(kind, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, kind: str) -> "ExactMatrix":
-        return cls(kind, [[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
+        zero, _ = _units(kind)
+        if n_cols < 0:
+            raise ShapeError("negative column count")
+        return _exact(kind, [(zero,) * n_cols] * n_rows, n_cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -248,11 +286,7 @@ class ExactMatrix:
         return [list(r) for r in self.rows]
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.kind,
-            [[self.rows[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
-            n_cols=self.n_rows,
-        )
+        return _exact(self.kind, zip(*self.rows) if self.rows else [()] * self.n_cols, self.n_rows)
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "ExactMatrix":
         """Select rows and columns by position; repeated indices are allowed."""
@@ -262,11 +296,8 @@ class ExactMatrix:
         for j in col_indices:
             if not 0 <= j < self.n_cols:
                 raise ShapeError(f"column index {j} out of range for {self.n_cols} columns")
-        return ExactMatrix(
-            self.kind,
-            [[self.rows[i][j] for j in col_indices] for i in row_indices],
-            n_cols=len(col_indices),
-        )
+        rows = self.rows
+        return _exact(self.kind, [[rows[i][j] for j in col_indices] for i in row_indices], len(col_indices))
 
     def determinant(self) -> Entry:
         """Exact determinant of a square matrix; the 0x0 determinant is 1."""
@@ -307,16 +338,17 @@ class ExactMatrix:
             raise ShapeError(f"zero pivot entry at ({i}, {j})")
         rows = list(self.rows)
         _pivot_rows(self.kind, rows, i, j)
-        return ExactMatrix(self.kind, rows, n_cols=self.n_cols)
+        return _exact(self.kind, rows, self.n_cols)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse of a square nonsingular matrix (Gauss-Jordan on [A | I])."""
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
-        work = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(self.rows)]
+        zero, one = _units(self.kind)
+        work = [list(row) + [one if i == k else zero for k in range(n)] for i, row in enumerate(self.rows)]
         pivots = _gauss_jordan(self.kind, work, range(n))
-        return ExactMatrix(self.kind, [work[r][n:] for r in pivots], n_cols=n)
+        return _exact(self.kind, [work[r][n:] for r in pivots], n)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -327,18 +359,21 @@ class ExactMatrix:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
             )
-        cols = [other.col(j) for j in range(other.n_cols)]
-        if self.kind == GF2:
-            rows = [
-                [sum(a & b for a, b in zip(row, col)) & 1 for col in cols]
-                for row in self.rows
-            ]
-        else:
-            rows = [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ]
-        return ExactMatrix(self.kind, rows, n_cols=other.n_cols)
+        # row i of the product adds up a * (row k of other) over the nonzero a = A[i][k]
+        gf2 = self.kind == GF2
+        zero = _units(self.kind)[0]
+        rows = []
+        for row in self.rows:
+            acc = (zero,) * other.n_cols
+            for a, b_row in zip(row, other.rows):
+                if not a:
+                    continue
+                if gf2:
+                    acc = [x ^ y for x, y in zip(acc, b_row)]
+                else:
+                    acc = [x + a * y for x, y in zip(acc, b_row)]
+            rows.append(acc)
+        return _exact(self.kind, rows, other.n_cols)
 
 
 def _require_same_kind(*matrices: ExactMatrix) -> str:
@@ -355,9 +390,9 @@ def from_blocks(a11: ExactMatrix, a12: ExactMatrix, a21: ExactMatrix, a22: Exact
         raise ShapeError("block row counts disagree")
     if a11.n_cols != a21.n_cols or a12.n_cols != a22.n_cols:
         raise ShapeError("block column counts disagree")
-    top = [list(r1) + list(r2) for r1, r2 in zip(a11.rows, a12.rows)]
-    bottom = [list(r1) + list(r2) for r1, r2 in zip(a21.rows, a22.rows)]
-    return ExactMatrix(kind, top + bottom, n_cols=a11.n_cols + a12.n_cols)
+    top = [r1 + r2 for r1, r2 in zip(a11.rows, a12.rows)]
+    bottom = [r1 + r2 for r1, r2 in zip(a21.rows, a22.rows)]
+    return _exact(kind, top + bottom, a11.n_cols + a12.n_cols)
 
 
 def from_rows(upper: ExactMatrix, lower: ExactMatrix) -> ExactMatrix:
@@ -365,7 +400,7 @@ def from_rows(upper: ExactMatrix, lower: ExactMatrix) -> ExactMatrix:
     kind = _require_same_kind(upper, lower)
     if upper.n_cols != lower.n_cols:
         raise ShapeError(f"column counts differ: {upper.n_cols} vs {lower.n_cols}")
-    return ExactMatrix(kind, list(upper.rows) + list(lower.rows), n_cols=upper.n_cols)
+    return _exact(kind, upper.rows + lower.rows, upper.n_cols)
 
 
 def from_cols(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
@@ -373,5 +408,5 @@ def from_cols(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     kind = _require_same_kind(left, right)
     if left.n_rows != right.n_rows:
         raise ShapeError(f"row counts differ: {left.n_rows} vs {right.n_rows}")
-    rows = [list(r1) + list(r2) for r1, r2 in zip(left.rows, right.rows)]
-    return ExactMatrix(kind, rows, n_cols=left.n_cols + right.n_cols)
+    rows = [r1 + r2 for r1, r2 in zip(left.rows, right.rows)]
+    return _exact(kind, rows, left.n_cols + right.n_cols)

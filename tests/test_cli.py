@@ -1,3 +1,4 @@
+import os
 import pathlib
 import random
 import subprocess
@@ -35,7 +36,10 @@ K3_FLAGS = [
 
 
 def run(capsys, *argv):
-    code = main([str(a) for a in argv])
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -477,3 +481,68 @@ def test_console_entry_process_exit_code():
         cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "TU\n"
+
+
+def _fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "tumat.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_calls_match_fresh_processes(capsys, monkeypatch, tmp_path):
+    """A mixed run of in-process calls, one parser for all, answers as fresh processes do."""
+    network = str(FIXTURES / "network_uv.json")
+    r10 = str(FIXTURES / "r10.json")
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width on both sides
+    calls = [
+        (None, ["tu", "check", network]),
+        ("1", ["tu", "check", network]),
+        ("1", ["tu", "check", network, "--force"]),
+        (None, ["tu", "check", str(DATA / "not_tu.json")]),
+        (None, ["tu", "sign", r10]),
+        (None, ["tu", "sign", r10, "-o", "{out}"]),
+        ("many", ["tu", "check", network]),
+        (None, ["sum", "-k", "2", "--x", "x2", "--y", "y2",
+                str(FIXTURES / "sum2_left.json"), str(FIXTURES / "sum2_right.json")]),
+        (None, ["tu", "check", str(DATA / "bad.json")]),
+        (None, ["sum", "-k", "3", *K3_FLAGS,
+                str(FIXTURES / "sum3/d0-1001-left.json"), str(FIXTURES / "sum3/d0-1001-right.json")]),
+        (None, ["tu", "check"]),
+        ("1", ["tu", "sign", r10, "--force"]),
+        (None, ["tu", "check", network]),
+    ]
+    for n, (limit, argv) in enumerate(calls):
+        if limit is None:
+            monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("TUMAT_TU_LIMIT", limit)
+        outs = [tmp_path / f"{n}-{side}.json" for side in ("in", "fresh")]
+        got = run(capsys, *[a.replace("{out}", str(outs[0])) for a in argv])
+        want = _fresh_process([a.replace("{out}", str(outs[1])) for a in argv])
+        assert got == want, argv
+        if "{out}" in argv:
+            assert outs[0].read_text() == outs[1].read_text() == golden("golden_r10_signing.json")
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(5):
+            assert main(["tu", "check", str(FIXTURES / "network_uv.json")]) == 0
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert main(["tu", "check", str(FIXTURES / "network_uv.json")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1

@@ -4,10 +4,25 @@ from fractions import Fraction
 
 import pytest
 
-from tumat import GF2, RATIONAL, ExactMatrix, ShapeError, from_blocks, from_cols, from_rows
+from tumat import (
+    GF2,
+    RATIONAL,
+    ExactMatrix,
+    LabeledMatrix,
+    ShapeError,
+    find_tu_signing,
+    from_blocks,
+    from_cols,
+    from_rows,
+    parse_matrix_document,
+    parse_standard_repr_document,
+    render_matrix_document,
+    render_standard_repr_document,
+    scale_rows_cols,
+)
 from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
 
-from helpers import UNIT_D0S, cofactor_det, random_rational_matrix, random_gf2_matrix
+from helpers import UNIT_D0S, cofactor_det, labels, make_repr, random_rational_matrix, random_gf2_matrix
 
 
 def test_construction_coerces_entries():
@@ -277,3 +292,68 @@ def test_block_assembly():
         from_rows(i2, ExactMatrix(GF2, [[1, 0, 1]]))
     with pytest.raises(ShapeError):
         from_cols(i2, ExactMatrix(RATIONAL, [[1], [0]]))
+
+
+def assert_exact(m: ExactMatrix) -> None:
+    """Rows are tuples of the declared shape; entries are int 0/1 over GF(2), Fraction over Q."""
+    assert type(m.rows) is tuple and len(m.rows) == m.n_rows
+    for row in m.rows:
+        assert type(row) is tuple and len(row) == m.n_cols
+        for v in row:
+            if m.kind == GF2:
+                assert type(v) is int and v in (0, 1), (m, v)
+            else:
+                assert type(v) is Fraction, (m, v)
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_every_operation_keeps_entries_exact(kind):
+    rng = random.Random(91 if kind == GF2 else 92)
+    make = random_gf2_matrix if kind == GF2 else random_rational_matrix
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
+    shapes += [(0, 0), (0, 3), (3, 0), (1, 1)]
+    for m, n in shapes:
+        a = make(rng, m, n)
+        rows = [rng.randrange(m) for _ in range(rng.randint(0, 4))] if m else []
+        cols = [rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else []
+        results = [
+            a,
+            a.transpose(),
+            a.submatrix(rows, cols),
+            a @ make(rng, n, rng.randint(0, 4)),
+            from_blocks(a, a, a, a),
+            from_rows(a, a),
+            from_cols(a, a),
+            ExactMatrix.identity(m, kind),
+            ExactMatrix.identity(m, kind).inverse(),
+            ExactMatrix.zeros(m, n, kind),
+        ]
+        nonzero = [(i, j) for i in range(m) for j in range(n) if a[i, j]]
+        if nonzero:
+            results.append(a.pivot(*rng.choice(nonzero)))
+        if m == n:
+            try:
+                results.append(a.inverse())
+            except ShapeError:  # singular
+                pass
+        if kind == RATIONAL:
+            results.append(scale_rows_cols(
+                a, [rng.choice((1, -1)) for _ in range(m)], [rng.choice((1, -1)) for _ in range(n)]))
+        else:
+            signing = find_tu_signing(a)
+            if signing is not None:
+                assert signing.kind == RATIONAL
+                results.append(signing)
+        lm = LabeledMatrix(labels("r", m), labels("c", n), a)
+        results.append(parse_matrix_document(render_matrix_document(lm)).body)
+        s = make_repr(labels("x", m), labels("y", n), a)
+        results.append(parse_standard_repr_document(render_standard_repr_document(s)).B.body)
+        for r in results:
+            assert_exact(r)
+
+
+def test_empty_inner_product_is_exact():
+    for kind in (GF2, RATIONAL):
+        p = ExactMatrix(kind, [[], []], n_cols=0) @ ExactMatrix(kind, [], n_cols=3)
+        assert p.shape == (2, 3) and p == ExactMatrix.zeros(2, 3, kind)
+        assert_exact(p)
