@@ -93,13 +93,13 @@ def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     for row in value:
         if not isinstance(row, list) or len(row) != n_cols:
             raise DocumentError(f"each data row must be a list of {n_cols} entries")
-        try:
-            rows.append([decoded[s] for s in row])
-        except (KeyError, TypeError):  # an entry not seen before, or not a string
-            for s in row:
-                if not isinstance(s, str) or s not in decoded:
-                    decoded[s] = _parse_entry(kind, s)
-            rows.append([decoded[s] for s in row])
+        values = []
+        for s in row:
+            v = decoded.get(s) if type(s) is str else None
+            if v is None:
+                v = decoded[s] = _parse_entry(kind, s)
+            values.append(v)
+        rows.append(values)
     return _exact(kind, rows, n_cols)
 
 

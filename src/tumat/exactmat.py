@@ -72,17 +72,6 @@ def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMat
     return m
 
 
-_UNITS = {GF2: (0, 1), RATIONAL: (Fraction(0), Fraction(1))}
-
-
-def _units(kind: str) -> tuple[Entry, Entry]:
-    """The zero and the one of ``kind``."""
-    try:
-        return _UNITS[kind]
-    except KeyError:
-        raise ShapeError(f"unknown scalar kind {kind!r}") from None
-
-
 def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
     """Rank over GF(2) of a family of bit-packed vectors."""
     pivots: dict[int, int] = {}
@@ -237,17 +226,11 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "ExactMatrix":
-        zero, one = _units(kind)
-        if n < 0:
-            raise ShapeError("negative column count")
-        return _exact(kind, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        return cls(kind, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n_cols=n)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, kind: str) -> "ExactMatrix":
-        zero, _ = _units(kind)
-        if n_cols < 0:
-            raise ShapeError("negative column count")
-        return _exact(kind, [(zero,) * n_cols] * n_rows, n_cols)
+        return cls(kind, [[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -345,7 +328,7 @@ class ExactMatrix:
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
-        zero, one = _units(self.kind)
+        zero, one = (0, 1) if self.kind == GF2 else (Fraction(0), Fraction(1))
         work = [list(row) + [one if i == k else zero for k in range(n)] for i, row in enumerate(self.rows)]
         pivots = _gauss_jordan(self.kind, work, range(n))
         return _exact(self.kind, [work[r][n:] for r in pivots], n)
@@ -359,20 +342,18 @@ class ExactMatrix:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
             )
-        # row i of the product adds up a * (row k of other) over the nonzero a = A[i][k]
-        gf2 = self.kind == GF2
-        zero = _units(self.kind)[0]
-        rows = []
-        for row in self.rows:
-            acc = (zero,) * other.n_cols
-            for a, b_row in zip(row, other.rows):
-                if not a:
-                    continue
-                if gf2:
-                    acc = [x ^ y for x, y in zip(acc, b_row)]
-                else:
-                    acc = [x + a * y for x, y in zip(acc, b_row)]
-            rows.append(acc)
+        cols = [other.col(j) for j in range(other.n_cols)]
+        if self.kind == GF2:
+            rows = [
+                [sum(a & b for a, b in zip(row, col)) & 1 for col in cols]
+                for row in self.rows
+            ]
+        else:
+            zero = Fraction(0)  # an empty inner dimension still sums to a Fraction
+            rows = [
+                [sum((a * b for a, b in zip(row, col)), zero) for col in cols]
+                for row in self.rows
+            ]
         return _exact(self.kind, rows, other.n_cols)
 
 

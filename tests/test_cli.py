@@ -36,10 +36,7 @@ K3_FLAGS = [
 
 
 def run(capsys, *argv):
-    try:
-        code = main([str(a) for a in argv])
-    except SystemExit as exc:  # argparse rejected the command line
-        code = exc.code
+    code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -519,7 +516,11 @@ def test_shared_parser_calls_match_fresh_processes(capsys, monkeypatch, tmp_path
         else:
             monkeypatch.setenv("TUMAT_TU_LIMIT", limit)
         outs = [tmp_path / f"{n}-{side}.json" for side in ("in", "fresh")]
-        got = run(capsys, *[a.replace("{out}", str(outs[0])) for a in argv])
+        try:
+            got = run(capsys, *[a.replace("{out}", str(outs[0])) for a in argv])
+        except SystemExit as exc:  # argparse rejected the command line, as in `tu check`
+            captured = capsys.readouterr()
+            got = (exc.code, captured.out, captured.err)
         want = _fresh_process([a.replace("{out}", str(outs[1])) for a in argv])
         assert got == want, argv
         if "{out}" in argv:
