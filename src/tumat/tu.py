@@ -3,9 +3,28 @@
 A rational matrix is totally unimodular (TU) when every square submatrix,
 including those selected with repeated row or column indices, has
 determinant -1, 0, or 1.  Repeats force a zero determinant, so checking
-strictly increasing index lists suffices.  After an entry scan, the
-checker expands each order-k minor along its first row over the stored,
-already checked order-(k-1) minors of the other rows.
+strictly increasing index lists suffices.  The check returns the
+lexicographically first violator of minimal order, in the input's
+indices.  After an entry scan, a polynomial pre-pass shrinks the matrix
+without changing that witness:
+
+- Zero lines and unit lines (one nonzero) go.  A violator through a
+  unit line expands along it to a violator of smaller order.
+- Of two lines that are equal, or equal up to sign, the later goes.  A
+  violator through the later one but not the earlier keeps its order and
+  its |det| when the earlier replaces it, and that index list is
+  lexicographically smaller; through both, its determinant is 0.
+- The rest splits into the blocks of a 1-sum, the components of its
+  support graph.  A block-diagonal determinant factors, so a minimal
+  violator lies inside one block; the witness is the least block witness
+  by (order, rows, columns).
+- A block whose rows, or whose columns, scale by signs to a digraph
+  incidence matrix (at most one +1 and one -1 per line) is TU.
+
+Removed lines keep their indices.  On each block left, the checker
+expands each order-k minor along its first row over the stored, already
+checked order-(k-1) minors of the other rows, and stops at an order
+with no nonzero minor.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -24,9 +43,11 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix
+from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
 
 DEFAULT_TU_LIMIT = 8
+
+_SIGNS = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
 
 __all__ = [
     "TuVerdict",
@@ -69,52 +90,193 @@ def is_totally_unimodular(
     row lists and column lists in lexicographic order, so a failing check
     returns the lexicographically first violating pair of minimal size.
     Matrices with min(m, n) > ``limit`` are refused with
-    ``SizeGuardError`` unless ``force`` is set (the submatrix count is
-    exponential in min(m, n)).  Row lists whose tail rows have no nonzero
-    minor are skipped; memory peaks at one order's nonzero minors, at
-    worst C(m,k)*C(n,k) of them.
+    ``SizeGuardError`` unless ``force`` is set.
+
+    After the scan, a polynomial pre-pass drops zero lines, unit lines
+    and later copies of a line up to sign, splits what is left into the
+    blocks of a 1-sum, and certifies every block that scales to a digraph
+    incidence matrix or its transpose; none of this changes the witness
+    (see the module docstring).  The minor DP runs on each remaining
+    block; its cost and memory follow the block's nonzero minors, at
+    worst C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
     m, n = a.shape
+    # +1 and -1 positions of each row (column bits) and column (row bits)
+    rpos, rneg, cpos, cneg = [0] * m, [0] * m, [0] * n, [0] * n
     for i in range(m):
         row = a.rows[i]
         for j in range(n):
             v = row[j]
-            if v != 0 and v != 1 and v != -1:
-                return TuVerdict(False, ((i,), (j,), Fraction(v)))
+            if v:
+                if v == 1:
+                    rpos[i] |= 1 << j
+                    cpos[j] |= 1 << i
+                elif v == -1:
+                    rneg[i] |= 1 << j
+                    cneg[j] |= 1 << i
+                else:
+                    return TuVerdict(False, ((i,), (j,), Fraction(v)))
     if min(m, n) > limit and not force:
         raise SizeGuardError(
             f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit}); "
             "pass force=True to run anyway"
         )
+    # drop zero, unit and repeated lines until every line left is needed
+    rows, cols = (1 << m) - 1, (1 << n) - 1
+    while True:
+        kept_rows = _distinct_lines(rpos, rneg, rows, cols)
+        kept_cols = _distinct_lines(cpos, cneg, cols, kept_rows)
+        if (kept_rows, kept_cols) == (rows, cols):
+            break
+        rows, cols = kept_rows, kept_cols
+    witnesses = [
+        witness
+        for block_rows, block_cols in _blocks(rpos, rneg, cpos, cneg, rows, cols)
+        if not _scales_to_incidence(cpos, cneg, block_cols, block_rows)
+        and not _scales_to_incidence(rpos, rneg, block_rows, block_cols)
+        and (witness := _first_violator(rpos, rneg, block_rows, block_cols))
+    ]
+    if not witnesses:
+        return TuVerdict(True)
+    rs, cs, d = min(witnesses, key=lambda w: (len(w[0]), w[0], w[1]))
+    return TuVerdict(False, (rs, cs, Fraction(d)))
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _distinct_lines(pos: list[int], neg: list[int], lines: int, other: int) -> int:
+    """The lines in mask ``lines`` with two or more nonzeros within
+    ``other``, less every later copy of a line, equal or negated.
+
+    ``pos[i]`` and ``neg[i]`` mask the +1 and -1 entries of line i.
+    """
+    kept, seen = 0, set()
+    for i in _bits(lines):
+        p, q = pos[i] & other, neg[i] & other
+        s = p | q
+        if s & (s - 1):
+            key = (q, p) if q & s & -s else (p, q)  # first nonzero +1
+            if key not in seen:
+                seen.add(key)
+                kept |= 1 << i
+    return kept
+
+
+def _blocks(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> list[tuple[int, int]]:
+    """Row and column masks of the connected components of the support
+    graph on ``rows`` and ``cols``; every line there has a nonzero."""
+    blocks = []
+    while rows:
+        block_rows, block_cols, todo = 0, 0, rows & -rows
+        while todo:
+            block_rows |= todo
+            reach = 0
+            for i in _bits(todo):
+                reach |= rpos[i] | rneg[i]
+            new_cols = reach & cols & ~block_cols
+            block_cols |= new_cols
+            reach = 0
+            for j in _bits(new_cols):
+                reach |= cpos[j] | cneg[j]
+            todo = reach & rows & ~block_rows
+        blocks.append((block_rows, block_cols))
+        rows &= ~block_rows
+        cols &= ~block_cols
+    return blocks
+
+
+def _scales_to_incidence(pos: list[int], neg: list[int], lines: int, other: int) -> bool:
+    """Whether the ``other`` lines can be scaled by signs so that every
+    line in ``lines`` has at most one +1 and at most one -1 among them.
+
+    The scaled matrix is then a digraph incidence matrix, a network
+    matrix at a star tree, hence TU.  A line with two nonzeros asks its
+    ends to be scaled alike (entries of opposite sign) or apart (equal
+    entries); the test 2-colours the ends under these constraints.
+    """
+    links: dict[int, list[tuple[int, bool]]] = {}
+    for j in _bits(lines):
+        p, q = pos[j] & other, neg[j] & other
+        s = p | q
+        rest = s & (s - 1)
+        if rest & (rest - 1):
+            return False
+        if rest:
+            x, y = (s ^ rest).bit_length() - 1, rest.bit_length() - 1
+            apart = p == s or q == s
+            links.setdefault(x, []).append((y, apart))
+            links.setdefault(y, []).append((x, apart))
+    colour: dict[int, bool] = {}
+    for start in links:
+        if start in colour:
+            continue
+        colour[start] = False
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, apart in links[v]:
+                c = colour[v] ^ apart
+                if w not in colour:
+                    colour[w] = c
+                    stack.append(w)
+                elif colour[w] != c:
+                    return False
+    return True
+
+
+def _first_violator(
+    rpos: list[int], rneg: list[int], rows: int, cols: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The lexicographically first violator of minimal order inside the
+    block on ``rows`` and ``cols``, in original indices, or None."""
     # Each row's nonzeros as (column bit, mask of the columns left of it,
     # entry); minors maps a row tuple to {column mask: det} for the nonzero
     # minors of the previous order.  Along the first row, the entry in the
     # t-th chosen column has cofactor sign (-1)^t: t columns lie left of it.
-    nonzeros = [[(1 << j, (1 << j) - 1, int(v)) for j, v in enumerate(row) if v] for row in a.rows]
-    minors = {(i,): {bit: v for bit, _, v in nz} for i, nz in enumerate(nonzeros)}
-    for k in range(2, min(m, n) + 1):
-        last, found = k == min(m, n), {}
-        for rs in combinations(range(m), k):
+    order = _bits(rows)
+    nonzeros = {
+        i: [(1 << j, (1 << j) - 1, v) for mask, v in ((rpos[i], 1), (rneg[i], -1))
+            for j in _bits(mask & cols)]
+        for i in order
+    }
+    minors = {(i,): {bit: v for bit, _, v in nz} for i, nz in nonzeros.items()}
+    top = min(len(order), cols.bit_count())
+    for k in range(2, top + 1):
+        found = {}
+        for rs in combinations(order, k):
             tail, first = minors.get(rs[1:]), nonzeros[rs[0]]
-            if not tail or not first:
+            if not tail:
                 continue
             dets: dict[int, int] = {}
-            for cols, d in tail.items():
+            for cs, d in tail.items():
                 for bit, lower, v in first:
-                    if not cols & bit:
-                        term = -v * d if (cols & lower).bit_count() & 1 else v * d
-                        dets[cols | bit] = dets.get(cols | bit, 0) + term
-            bad = [(tuple(j for j in range(n) if key >> j & 1), d)
-                   for key, d in dets.items() if d > 1 or d < -1]
-            if bad:
-                cs, d = min(bad)
-                return TuVerdict(False, (rs, cs, Fraction(d)))
-            if not last:
-                found[rs] = {key: d for key, d in dets.items() if d}
+                    if not cs & bit:
+                        key = cs | bit
+                        term = -v * d if (cs & lower).bit_count() & 1 else v * d
+                        dets[key] = dets.get(key, 0) + term
+            if dets and (max(dets.values()) > 1 or min(dets.values()) < -1):
+                cs, d = min((tuple(_bits(key)), d) for key, d in dets.items() if d > 1 or d < -1)
+                return rs, cs, d
+            if k < top:
+                nonzero = {key: d for key, d in dets.items() if d}
+                if nonzero:
+                    found[rs] = nonzero
+        if not found:
+            return None
         minors = found
-    return TuVerdict(True)
+    return None
 
 
 def is_signing_of(a: ExactMatrix, u: ExactMatrix) -> bool:
@@ -153,10 +315,10 @@ def scale_rows_cols(
         if s != 1 and s != -1:
             raise ShapeError(f"sign must be +1 or -1, got {s!r}")
     rows = [
-        [x * rs * cs for x, cs in zip(row, col_signs)]
+        [x if rs == cs else -x for x, cs in zip(row, col_signs)]
         for row, rs in zip(a.rows, row_signs)
     ]
-    return ExactMatrix(RATIONAL, rows, n_cols=a.n_cols)
+    return _exact(RATIONAL, rows, a.n_cols)
 
 
 def _adjacency(
@@ -243,6 +405,6 @@ def find_tu_signing(
                         sign[c, w] = sign[w, c] = 1 if total[w] % 4 == 3 else -1
                         todo.append(w)
         seen[c] = True
-    rows = [[sign.get((i, m + j), 0) for j in range(n)] for i in range(m)]
-    cand = ExactMatrix(RATIONAL, rows, n_cols=n)
+    rows = [[_SIGNS[sign.get((i, m + j), 0)] for j in range(n)] for i in range(m)]
+    cand = _exact(RATIONAL, rows, n)
     return cand if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu else None

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from tumat import (
     verify_matroid_axioms,
     zmod_linear_independent,
 )
-from tumat.fixtures import fano_columns
+from tumat.fixtures import fano_columns, incidence_matrix
 from tumat.matroid import DEFAULT_EQ_LIMIT
 
 from helpers import (
@@ -176,6 +177,23 @@ def test_matroids_equal_guard():
     big_gf2 = to_matroid(lm(labels("r", 9), labels("e", 18), GF2, parallel))
     with pytest.raises(SizeGuardError, match="exhaustive matroid comparison over 18 elements"):
         matroids_equal(big_q, big_gf2, limit=17)
+
+
+def test_dense_incidence_side_is_known_binary_quickly():
+    # 40 random arcs on 8 nodes, less one row: B at the shared base is a
+    # 7x33 network matrix with many parallel arcs, which the minor DP alone
+    # took seconds over; repeated lines drop out before it runs
+    rng = random.Random(0)
+    arcs = []
+    while len(arcs) < 40:
+        t, h = rng.randrange(8), rng.randrange(8)
+        if t != h:
+            arcs.append((t, h))
+    rows = incidence_matrix(8, arcs).to_lists()[:7]
+    q, gf2 = _matrix_matroid(RATIONAL, rows), _matrix_matroid(GF2, _support(rows))
+    start = time.perf_counter()
+    assert matroids_equal(q, gf2, limit=0) and matroids_equal(gf2, q, limit=0)
+    assert time.perf_counter() - start < 2.0
 
 
 def _row_mixed(kind, rows, rng):

@@ -1,8 +1,11 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+
+import tumat.tu as tu_module
 
 from tumat import (
     GF2,
@@ -12,6 +15,7 @@ from tumat import (
     SizeGuardError,
     TuVerdict,
     find_tu_signing,
+    from_blocks,
     is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,
@@ -287,3 +291,146 @@ def test_forced_9x11_check_is_fast():
     verdict = is_totally_unimodular(a, force=True)
     assert time.perf_counter() - start < 1.0
     assert verdict.is_tu
+
+
+def cycle_block(rng, k):
+    """A k x k chordless cycle with determinant +-2, rows shuffled and sign-scaled."""
+    rows = [[0] * k for _ in range(k)]
+    for t in range(k):
+        rows[t][t] = 1
+        rows[t][(t + 1) % k] = -1 if t == 0 and k % 2 == 0 else 1
+    rng.shuffle(rows)
+    signs = [rng.choice((1, -1)) for _ in range(k)]
+    return [[s * v for v in row] for s, row in zip(signs, rows)]
+
+
+def planted_matrix(rng):
+    """A {0, +-1} matrix built to exercise every step before the minor DP.
+
+    One or two random blocks are joined as a 1-sum; when there are two,
+    both may hold a violator of one shared order, so the witness is
+    decided between blocks.  Equal and negated copies of rows and
+    columns, unit lines and zero lines are planted on top, then rows and
+    columns are shuffled.  Returns the rows, the column count and
+    whether two blocks had violators of the same minimal order.
+    """
+    # two order-3 cycles make a 6x6 matrix, slow for the naive oracle
+    k, n_blocks = 3 if rng.random() < 0.15 else 2, rng.choice((1, 2, 2))
+    blocks = []
+    for _ in range(n_blocks):
+        m, n = rng.randrange(1, 6 - n_blocks), rng.randrange(1, 6 - n_blocks)
+        density = rng.random()
+        block = [[rng.choice((-1, 1)) if rng.random() < density else 0 for _ in range(n)]
+                 for _ in range(m)]
+        if rng.random() < 0.7:
+            block = cycle_block(rng, k) if rng.random() < 0.8 else random_tu_matrix(rng, 2, k).to_lists()
+        blocks.append(block)
+    orders = [naive_tu_verdict(ExactMatrix(RATIONAL, b)) for b in blocks]
+    tie = len(blocks) == 2 and None not in orders and len(orders[0][0]) == len(orders[1][0])
+    n = sum(len(b[0]) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [[0] * offset + row + [0] * (n - offset - len(row)) for row in b]
+        offset += len(b[0])
+    for _ in range(rng.randrange(4)):
+        m, sign, plant = len(rows), rng.choice((1, -1)), rng.randrange(6)
+        if plant == 0 and m < 5:
+            rows.append([sign * v for v in rng.choice(rows)])
+        elif plant == 1 and n < 5:
+            j = rng.randrange(n)
+            for row in rows:
+                row.append(sign * row[j])
+            n += 1
+        elif plant == 2 and m < 5:
+            unit = rng.randrange(n)
+            rows.append([sign if j == unit else 0 for j in range(n)])
+        elif plant == 3 and n < 5:
+            i = rng.randrange(m)
+            for t, row in enumerate(rows):
+                row.append(sign if t == i else 0)
+            n += 1
+        elif plant == 4 and m < 5:
+            rows.append([0] * n)
+        elif plant == 5 and n < 5:
+            for row in rows:
+                row.append(0)
+            n += 1
+    rng.shuffle(rows)
+    perm = rng.sample(range(n), n)
+    return [[row[j] for j in perm] for row in rows], n, tie
+
+
+def test_witness_contract_survives_reduction_and_splitting():
+    rng = random.Random(71)
+    seen = {"tu": 0, "not tu": 0, "tie": 0}
+    for _ in range(2400):
+        rows, n, tie = planted_matrix(rng)
+        a = ExactMatrix(RATIONAL, rows, n_cols=n)
+        got = is_totally_unimodular(a)
+        assert got == oracle_verdict(a), rows
+        seen["tu" if got.is_tu else "not tu"] += 1
+        seen["tie"] += tie
+    assert min(seen["tu"], seen["not tu"]) >= 400 and seen["tie"] >= 200, seen
+
+
+def test_same_support_other_signs_are_not_merged():
+    # column 2 repeats column 0 and goes; columns 0 and 1 share a support
+    # but not a sign pattern, and so do the two rows: both stay
+    a = ExactMatrix(RATIONAL, [[1, 1, 1], [1, -1, 1]])
+    assert is_totally_unimodular(a).witness == ((0, 1), (0, 1), Fraction(-2))
+    # row 1 negates row 0 and goes; row 2 shares row 0's support but not
+    # its sign pattern and stays
+    a = ExactMatrix(RATIONAL, [[1, -1], [-1, 1], [1, 1]])
+    assert is_totally_unimodular(a).witness == ((0, 2), (0, 1), Fraction(2))
+
+
+def kn_incidence(n):
+    return incidence_matrix(n, list(combinations(range(n), 2)))
+
+
+def refuse_dp(rpos, rneg, rows, cols):
+    raise AssertionError("an incidence-like block reached the minor DP")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kn_incidence(10),
+    lambda: kn_incidence(10).transpose(),
+], ids=["K10 incidence 10x45", "K10 incidence transposed"])
+def test_incidence_blocks_are_certified_without_the_dp(build, monkeypatch):
+    a = build()
+    assert a.rank() == 9
+    monkeypatch.setattr(tu_module, "_first_violator", refuse_dp)
+    start = time.perf_counter()
+    verdict = is_totally_unimodular(a, force=True)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.is_tu
+
+
+def test_forced_one_sum_of_two_tu_blocks_is_fast():
+    rng = random.Random(73)
+    left, right = random_tu_matrix(rng, 6, 7), random_tu_matrix(rng, 6, 7)
+    a = from_blocks(left, ExactMatrix.zeros(6, 7, RATIONAL), ExactMatrix.zeros(6, 7, RATIONAL), right)
+    start = time.perf_counter()
+    verdict = is_totally_unimodular(a, force=True)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.is_tu
+
+
+def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
+    # every line has two equal entries, so both sign-scaling tests meet an
+    # odd cycle of "scale apart" constraints and the block goes to the DP
+    a = ExactMatrix(RATIONAL, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    calls = []
+    first_violator = tu_module._first_violator
+
+    def record(*args):
+        calls.append(args[2:])
+        return first_violator(*args)
+
+    monkeypatch.setattr(tu_module, "_first_violator", record)
+    assert is_totally_unimodular(a).witness == ((0, 1, 2), (0, 1, 2), Fraction(2))
+    assert calls == [(0b111, 0b111)]
+    # a TU block that neither scaling test certifies: K4 at a path
+    calls.clear()
+    k4 = ExactMatrix(RATIONAL, [[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
+    assert is_totally_unimodular(k4).is_tu and calls
