@@ -26,7 +26,7 @@ from .documents import (
     render_standard_repr_document,
 )
 from .errors import ShapeError, SizeGuardError
-from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, matroids_equal, to_matroid
+from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, _labeled, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular
 from .sums import Sum3Labels, compose, sign_composition
 from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular, is_tu_signing_of
@@ -42,9 +42,12 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise DocumentError(f"environment variable {name} must be an integer, got {raw!r}")
+    if value < 0:
+        raise DocumentError(f"environment variable {name} must not be negative, got {raw!r}")
+    return value
 
 
 def _tu_limit() -> int:
@@ -134,7 +137,7 @@ def cmd_tu_sign(args) -> int:
     if signing is None:
         print("no TU signing", file=sys.stderr)
         return EXIT_NEGATIVE
-    _write_out(render_matrix_document(LabeledMatrix(m.row_labels, m.col_labels, signing)), args.output)
+    _write_out(render_matrix_document(_labeled(m.row_labels, m.col_labels, signing)), args.output)
     return EXIT_OK
 
 

@@ -103,6 +103,9 @@ def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     return _exact(kind, rows, n_cols)
 
 
+_GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatrix) -> str:
     """``json.dumps(doc, indent=2) + "\n"`` for the document with keys ``field`` and ``names``."""
     enc = json.encoder.encode_basestring_ascii
@@ -112,10 +115,12 @@ def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatr
             return "[]"
         return "[\n" + pad + (",\n" + pad).join(items) + "\n" + pad[2:] + "]"
 
-    # entry strings are digits, "-" and "/", which JSON writes as they are
-    text = ("0", "1").__getitem__ if body.kind == GF2 else str
+    # entry strings are digits, "-" and "/", which JSON writes as they are;
+    # a GF(2) row becomes one string of its digits, which join takes apart
+    gf2, sep = body.kind == GF2, '",\n      "'
     grid = [
-        '[\n      "' + '",\n      "'.join(map(text, row)) + '"\n    ]' if row else "[]"
+        '[\n      "' + sep.join(bytes(row).translate(_GF2_DIGITS).decode() if gf2 else map(str, row))
+        + '"\n    ]' if row else "[]"
         for row in body.rows
     ]
     h, t, d = names

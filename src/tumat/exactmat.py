@@ -8,10 +8,11 @@ the 0x0 matrix is 1.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry.  Operations on matrices (transpose, submatrix, pivot,
-inverse, products, block assembly) and the document parser build their
-results with ``_exact``, which shares the already exact entries without
-coercing them again; each such operation keeps the entry types exact
-itself (``tests/test_exactmat.py`` checks this invariant).
+inverse, products, block assembly), the document parser and the sums,
+which assemble their rows directly, build their results with ``_exact``,
+which shares the already exact entries without coercing them again; each
+such operation keeps the entry types exact itself (``tests/test_exactmat.py``
+and ``tests/test_sums.py`` check this invariant).
 """
 
 from __future__ import annotations

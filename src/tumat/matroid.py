@@ -92,7 +92,10 @@ class LabeledMatrix:
         """Submatrix by labels, in the requested order (no repeats)."""
         rs = [self.row_position(lbl) for lbl in row_labels]
         cs = [self.col_position(lbl) for lbl in col_labels]
-        return LabeledMatrix(row_labels, col_labels, self.body.submatrix(rs, cs))
+        for pos, what in ((rs, "row"), (cs, "column")):
+            if len(set(pos)) != len(pos):
+                raise ShapeError(f"duplicate {what} labels")
+        return _labeled(row_labels, col_labels, self.body.submatrix(rs, cs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledMatrix):
@@ -108,6 +111,15 @@ class LabeledMatrix:
 
     def __repr__(self) -> str:
         return f"LabeledMatrix({self.kind}, rows={list(self.row_labels)}, cols={list(self.col_labels)})"
+
+
+def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: ExactMatrix) -> LabeledMatrix:
+    """A ``LabeledMatrix`` over already checked labels, one per body row or column; no checks."""
+    m = object.__new__(LabeledMatrix)
+    m.row_labels, m.col_labels, m.body = tuple(row_labels), tuple(col_labels), body
+    m._row_pos = {lbl: i for i, lbl in enumerate(m.row_labels)}
+    m._col_pos = {lbl: j for j, lbl in enumerate(m.col_labels)}
+    return m
 
 
 def _int_column(col: Sequence[Fraction]) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _gauss_jordan, from_cols
-from .matroid import FiniteMatroid, Label, LabeledMatrix, to_matroid
+from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, to_matroid
 from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
 __all__ = [
@@ -55,7 +55,7 @@ class StandardRepr:
     def to_full(self) -> LabeledMatrix:
         """The matrix [I | B] with columns labeled X then Y."""
         eye = ExactMatrix.identity(len(self.X), self.kind)
-        return LabeledMatrix(self.X, self.ground, from_cols(eye, self.B.body))
+        return _labeled(self.X, self.ground, from_cols(eye, self.B.body))
 
     def to_matroid(self) -> FiniteMatroid:
         return to_matroid(self.to_full())
@@ -100,7 +100,7 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     y_positions = [rep.col_position(y) for y in y_order]
     b_rows = [[work[r][j] for j in y_positions] for r in pivots]
     b = ExactMatrix(rep.kind, b_rows, n_cols=len(y_order))
-    return StandardRepr(x_order, y_order, LabeledMatrix(x_order, y_order, b))
+    return StandardRepr(x_order, y_order, _labeled(x_order, y_order, b))
 
 
 def standardize_tu(
@@ -146,7 +146,7 @@ def support(rep: LabeledMatrix) -> LabeledMatrix:
     """GF(2) matrix marking the nonzero entries of ``rep``."""
     rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]
     body = ExactMatrix(GF2, rows, n_cols=rep.body.n_cols)
-    return LabeledMatrix(rep.row_labels, rep.col_labels, body)
+    return _labeled(rep.row_labels, rep.col_labels, body)
 
 
 def is_regular(
@@ -166,7 +166,7 @@ def is_regular(
     signing = find_tu_signing(s.B.body, tu_limit=tu_limit, force=force)
     if signing is None:
         return (False, None)
-    return (True, LabeledMatrix(s.X, s.Y, signing))
+    return (True, _labeled(s.X, s.Y, signing))
 
 
 def to_binary(

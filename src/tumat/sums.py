@@ -28,11 +28,13 @@ functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, from_blocks
-from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, matroids_equal
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, from_cols
+from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import scale_rows_cols, spanning_forest
 
@@ -166,17 +168,28 @@ class MatrixSum3Blocks:
             raise ShapeError("a_right must have the x0, x1 rows above the d_right rows")
 
 
+def _stacked(kind: str, top, coeffs, basis, tail, n_left: int, n_right: int) -> ExactMatrix:
+    """The matrix [[top, 0], [coeffs * basis, tail]] from exact rows, with up to two basis rows.
+
+    Zero block rows are shared tuples; over GF(2) coeffs pick basis rows to XOR, with no product.
+    """
+    zero = 0 if kind == GF2 else Fraction(0)
+    pad, blank = (zero,) * n_right, (zero,) * n_left
+    if kind == GF2:
+        picks = ([b for c, b in zip(cs, basis) if c] for cs in coeffs)
+        heads = [tuple(map(xor, *p)) if len(p) == 2 else p[0] if p else blank for p in picks]
+    else:
+        heads = [tuple(sum(map(mul, cs, col), zero) for col in zip(*basis)) if any(cs) else blank
+                 for cs in coeffs]
+    return _exact(kind, [row + pad for row in top] + [h + t for h, t in zip(heads, tail)], n_left + n_right)
+
+
 def matrix_sum_1(a_left: ExactMatrix, a_right: ExactMatrix) -> ExactMatrix:
-    """Block-diagonal join of two matrices of one kind."""
+    """Block-diagonal join of two matrices of one kind, assembled row by row."""
     if a_left.kind != a_right.kind:
         raise ShapeError("summands must share one scalar kind")
-    kind = a_left.kind
-    return from_blocks(
-        a_left,
-        ExactMatrix.zeros(a_left.n_rows, a_right.n_cols, kind),
-        ExactMatrix.zeros(a_right.n_rows, a_left.n_cols, kind),
-        a_right,
-    )
+    coeffs = [()] * a_right.n_rows
+    return _stacked(a_left.kind, a_left.rows, coeffs, [], a_right.rows, a_left.n_cols, a_right.n_cols)
 
 
 def matrix_sum_2(
@@ -185,35 +198,32 @@ def matrix_sum_2(
     a_right: ExactMatrix,
     c: Sequence[Entry],
 ) -> ExactMatrix:
-    """Join with rank-one bottom-left block c * r."""
+    """Join with rank-one bottom-left block c * r; bottom row i starts with c[i] * r."""
     if a_left.kind != a_right.kind:
         raise ShapeError("summands must share one scalar kind")
     kind = a_left.kind
-    r_row = ExactMatrix(kind, [r], n_cols=len(r))
-    c_col = ExactMatrix(kind, [[v] for v in c], n_cols=1)
-    if r_row.n_cols != a_left.n_cols:
+    (r_row,) = ExactMatrix(kind, [r], n_cols=len(r)).rows
+    (c_row,) = ExactMatrix(kind, [c], n_cols=len(c)).rows
+    if len(r_row) != a_left.n_cols:
         raise ShapeError("r must have one entry per a_left column")
-    if c_col.n_rows != a_right.n_rows:
+    if len(c_row) != a_right.n_rows:
         raise ShapeError("c must have one entry per a_right row")
-    outer = c_col @ r_row
-    return from_blocks(
-        a_left,
-        ExactMatrix.zeros(a_left.n_rows, a_right.n_cols, kind),
-        outer,
-        a_right,
-    )
+    return _stacked(kind, a_left.rows, zip(c_row), [r_row], a_right.rows, a_left.n_cols, a_right.n_cols)
 
 
 def matrix_sum_3(blocks: MatrixSum3Blocks) -> ExactMatrix:
-    """Assemble the 3-sum matrix; the connector block must be invertible."""
-    try:
-        dlr = blocks.d_right @ blocks.d0_left.inverse() @ blocks.d_left
-    except ShapeError:  # the block shapes are checked, so only inverse() can fail
+    """Assemble the 3-sum matrix row by row; the connector block must be invertible.
+
+    A bottom row whose connector columns hold d starts with d * D0^-1 * [Dl | D0]:
+    the row of [Dl | D0] itself for the rows x0, x1, and [Dr * D0^-1 * Dl | Dr] below.
+    """
+    try:  # the block shapes are checked, so only inverse() can fail
+        m = (blocks.d0_left.inverse() @ from_cols(blocks.d_left, blocks.d0_left)).rows
+    except ShapeError:
         raise ShapeError("the connector block is singular") from None
-    bottom_left = from_blocks(blocks.d_left, blocks.d0_left, dlr, blocks.d_right)
-    kind = blocks.a_left.kind
-    top_right = ExactMatrix.zeros(blocks.a_left.n_rows, blocks.a_right.n_cols, kind)
-    return from_blocks(blocks.a_left, top_right, bottom_left, blocks.a_right)
+    coeffs = blocks.d0_left.rows + blocks.d_right.rows
+    return _stacked(blocks.a_left.kind, blocks.a_left.rows, coeffs, m, blocks.a_right.rows,
+                    blocks.a_left.n_cols, blocks.a_right.n_cols)
 
 
 def blocks_from_summands(
@@ -262,7 +272,7 @@ def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     body = matrix_sum_1(left.B.body, right.B.body)
     x_out = list(left.X) + list(right.X)
     y_out = list(left.Y) + list(right.Y)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, LabeledMatrix(x_out, y_out, body)))
+    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
 
 
 def standard_repr_sum_2(
@@ -286,7 +296,7 @@ def standard_repr_sum_2(
     if not any(c):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {y!r} of the right summand is zero")
     body = matrix_sum_2(a_left, r, a_right, c)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, LabeledMatrix(x_out, y_out, body)))
+    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
 
 
 def _sum2_pieces(b_left: LabeledMatrix, b_right: LabeledMatrix, x: Label, y: Label):
@@ -352,30 +362,29 @@ def standard_repr_sum_3(
                 f"right summand row {labels.x2!r} must be zero at column {v!r}",
             )
 
-    b_out = _assemble_sum3(left.B, right.B, labels)
-    return SumOutcome.ok(StandardRepr(b_out.row_labels, b_out.col_labels, b_out))
+    x_out, y_out, body = _assemble_sum3(left.B, right.B, labels)
+    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
 
 
-def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Labels) -> LabeledMatrix:
-    """The 3-sum matrix of two labeled summands, cut into blocks at ``cut``.
+def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Labels):
+    """Row labels, column labels and body of the 3-sum of two labeled summands at ``cut``.
 
     Rows are the left rows without x0, x1, then the right rows without
     x2; columns are the left columns without y2, then the right columns
     without y0, y1.  Swapping x0 with x1 or y0 with y1 in ``cut`` leaves
-    these labels unchanged.
+    these labels unchanged.  Rows are written in this order as in ``matrix_sum_3``,
+    with the left rows x0, x1 as [Dl | D0]; both summands must hold that D0.
     """
-    body = matrix_sum_3(blocks_from_summands(b_left, b_right, cut))
-    xs = set(cut.xs)
-    ys = set(cut.ys)
-    block_rows = [u for u in b_left.row_labels if u not in xs] + [cut.x2, cut.x0, cut.x1] + \
-        [u for u in b_right.row_labels if u not in xs]
-    block_cols = [v for v in b_left.col_labels if v not in ys] + [cut.y0, cut.y1, cut.y2] + \
-        [v for v in b_right.col_labels if v not in ys]
-    x_out = [u for u in b_left.row_labels if u not in (cut.x0, cut.x1)] + \
-        [u for u in b_right.row_labels if u != cut.x2]
-    y_out = [v for v in b_left.col_labels if v != cut.y2] + \
-        [v for v in b_right.col_labels if v not in (cut.y0, cut.y1)]
-    return LabeledMatrix(block_rows, block_cols, body).select(x_out, y_out)
+    x01, y01 = [cut.x0, cut.x1], [cut.y0, cut.y1]
+    x_top = [u for u in b_left.row_labels if u not in x01]
+    x_bottom = [u for u in b_right.row_labels if u != cut.x2]
+    y_left = [v for v in b_left.col_labels if v != cut.y2]
+    y_right = [v for v in b_right.col_labels if v not in y01]
+    m = (b_left.select(x01, y01).body.inverse() @ b_left.select(x01, y_left).body).rows
+    top, tail = b_left.select(x_top, y_left).body.rows, b_right.select(x_bottom, y_right).body.rows
+    coeffs = b_right.select(x_bottom, y01).body.rows
+    return x_top + x_bottom, y_left + y_right, _stacked(
+        b_left.kind, top, coeffs, m, tail, len(y_left), len(y_right))
 
 
 _PERM_PAIRS = (
@@ -509,11 +518,9 @@ def canonical_signing_sum3(
     def resign(side: LabeledMatrix) -> LabeledMatrix:
         rows = [side.row_position(u) for u in (cut.x2, cut.x0, cut.x1)]
         cols = [side.col_position(v) for v in cut.ys]
-        return LabeledMatrix(
-            side.row_labels, side.col_labels, resign_to_target(side.body, rows, cols, target)
-        )
+        return _labeled(side.row_labels, side.col_labels, resign_to_target(side.body, rows, cols, target))
 
-    return _assemble_sum3(resign(signed_left), resign(signed_right), cut)
+    return LabeledMatrix(*_assemble_sum3(resign(signed_left), resign(signed_right), cut))
 
 
 def _pair(glue) -> tuple[Label, Label]:

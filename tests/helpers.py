@@ -299,3 +299,118 @@ def random_sum2_pair(rng: random.Random):
         glue_y = right.Y[0]
         if glue_y in left.Y and any(right.B.body.col(right.B.col_position(glue_y))):
             return left, right, glue_x, glue_y
+
+
+def assert_exact(m: ExactMatrix) -> None:
+    """Rows are tuples of the declared shape; entries are int 0/1 over GF(2), Fraction over Q."""
+    assert type(m.rows) is tuple and len(m.rows) == m.n_rows
+    for row in m.rows:
+        assert type(row) is tuple and len(row) == m.n_cols
+        for v in row:
+            if m.kind == GF2:
+                assert type(v) is int and v in (0, 1), (m, v)
+            else:
+                assert type(v) is Fraction, (m, v)
+
+
+def _plain_reduce(kind, grid):
+    return [[int(v) % 2 if kind == GF2 else Fraction(v) for v in row] for row in grid]
+
+
+def _plain_product(kind, a, b, n_cols):
+    """Textbook triple loop over plain lists; ``n_cols`` is the width of ``b``."""
+    out = [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(len(b))), Fraction(0))
+             for j in range(n_cols)] for i in range(len(a))]
+    return _plain_reduce(kind, out)
+
+
+def _plain_inverse_2x2(kind, d):
+    """The adjugate over the determinant; mod 2, the adjugate itself."""
+    (a, b), (c, e) = [[Fraction(v) for v in row] for row in d]
+    det = a * e - b * c
+    assert det % 2 if kind == GF2 else det, "singular connector"
+    adj = [[e, -b], [-c, a]]
+    return _plain_reduce(kind, adj if kind == GF2 else [[v / det for v in row] for row in adj])
+
+
+def _plain_blocks(kind, a_left, bottom_left, a_right, n_right):
+    """[[a_left, 0], [bottom_left, a_right]] over plain lists."""
+    zero = 0 if kind == GF2 else Fraction(0)
+    rows = [list(row) + [zero] * n_right for row in a_left]
+    rows += [list(bl) + list(ar) for bl, ar in zip(bottom_left, a_right)]
+    return _plain_reduce(kind, rows)
+
+
+def plain_matrix_sum_1(a_left: ExactMatrix, a_right: ExactMatrix):
+    """Oracle for ``matrix_sum_1``: the block-diagonal join, as plain lists."""
+    bottom_left = [[0] * a_left.n_cols for _ in range(a_right.n_rows)]
+    return _plain_blocks(a_left.kind, a_left.to_lists(), bottom_left, a_right.to_lists(), a_right.n_cols)
+
+
+def plain_matrix_sum_2(a_left: ExactMatrix, r, a_right: ExactMatrix, c):
+    """Oracle for ``matrix_sum_2``: bottom-left entry (i, j) is c[i] * r[j]."""
+    kind = a_left.kind
+    outer = _plain_product(kind, [[v] for v in c], [list(r)], len(r))
+    return _plain_blocks(kind, a_left.to_lists(), outer, a_right.to_lists(), a_right.n_cols)
+
+
+def plain_matrix_sum_3(blocks):
+    """Oracle for ``matrix_sum_3``: bottom-left block [[Dl, D0], [Dr * D0^-1 * Dl, Dr]]."""
+    kind = blocks.a_left.kind
+    d_left, d0, d_right = blocks.d_left.to_lists(), blocks.d0_left.to_lists(), blocks.d_right.to_lists()
+    n = blocks.d_left.n_cols
+    dlr = _plain_product(kind, _plain_product(kind, d_right, _plain_inverse_2x2(kind, d0), 2), d_left, n)
+    bottom_left = [dl + dz for dl, dz in zip(d_left + dlr, d0 + d_right)]
+    return _plain_blocks(kind, blocks.a_left.to_lists(), bottom_left, blocks.a_right.to_lists(),
+                         blocks.a_right.n_cols)
+
+
+def plain_sum_3_entries(b_left: LabeledMatrix, b_right: LabeledMatrix, blocks, cut) -> dict:
+    """Oracle for a labeled 3-sum: (row label, column label) -> entry of ``plain_matrix_sum_3``.
+
+    ``blocks`` are the six blocks cut from the summands at ``cut``; the
+    block rows are the left rest rows, x2, x0, x1, then the right rest
+    rows, and the block columns the left rest columns, y0, y1, y2, then
+    the right rest columns.
+    """
+    xs, ys = cut[:3], cut[3:]
+    rows = [u for u in b_left.row_labels if u not in xs] + [xs[2], xs[0], xs[1]]
+    rows += [u for u in b_right.row_labels if u not in xs]
+    cols = [v for v in b_left.col_labels if v not in ys] + list(ys)
+    cols += [v for v in b_right.col_labels if v not in ys]
+    grid = plain_matrix_sum_3(blocks)
+    return {(u, v): grid[i][j] for i, u in enumerate(rows) for j, v in enumerate(cols)}
+
+
+def random_valid_sum3_pair(rng: random.Random, d0, max_rest: int = 4):
+    """Two GF(2) summands that form a valid 3-sum at ``SUM3_LABELS`` with connector ``d0``.
+
+    Each side has 0 to ``max_rest`` rest rows and columns besides the glue
+    labels, which sit at random positions; every guard of the 3-sum holds.
+    """
+    x0, x1, x2, y0, y1, y2 = SUM3_LABELS
+    sides = []
+    for row_prefix, col_prefix in (("a", "b"), ("c", "d")):
+        xs = labels(row_prefix, rng.randint(0, max_rest))
+        ys = labels(col_prefix, rng.randint(0, max_rest))
+        for glue, names in (((x0, x1, x2), xs), ((y0, y1, y2), ys)):
+            for g in glue:
+                names.insert(rng.randrange(len(names) + 1), g)
+        grid = [[rng.randint(0, 1) for _ in ys] for _ in xs]
+        at = {(u, v): (i, j) for i, u in enumerate(xs) for j, v in enumerate(ys)}
+        for a, u in enumerate((x0, x1)):
+            for b, v in enumerate((y0, y1)):
+                i, j = at[u, v]
+                grid[i][j] = d0[a][b]
+        for u, v in ((x0, y2), (x1, y2), (x2, y0), (x2, y1)):
+            i, j = at[u, v]
+            grid[i][j] = 1
+        sides.append((xs, ys, grid))
+    (lx, ly, lg), (rx, ry, rg) = sides
+    for i, u in enumerate(lx):
+        if u not in (x0, x1):
+            lg[i][ly.index(y2)] = 0
+    for j, v in enumerate(ry):
+        if v not in (y0, y1):
+            rg[rx.index(x2)][j] = 0
+    return tuple(make_repr(xs, ys, ExactMatrix(GF2, grid, n_cols=len(ys))) for xs, ys, grid in sides)

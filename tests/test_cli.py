@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import random
@@ -78,6 +79,40 @@ def test_tu_check_bad_env_value(capsys, monkeypatch):
     code, _, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
     assert code == 2
     assert "TUMAT_TU_LIMIT" in err
+
+
+@pytest.mark.parametrize("name", ["TUMAT_TU_LIMIT", "TUMAT_EQ_LIMIT"])
+def test_negative_guard_limit_rejected(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "-1")
+    argv = {
+        "TUMAT_TU_LIMIT": ("tu", "check", FIXTURES / "network_uv.json"),
+        "TUMAT_EQ_LIMIT": ("matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json"),
+    }[name]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: environment variable {name} must not be negative, got '-1'\n"
+    monkeypatch.setenv(name, "0")
+    assert run(capsys, *argv)[0] != 2
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"field": "gf2", "rows": ["u", "u"], "cols": ["a"], "data": [["1"], ["0"]]},
+     "duplicate labels in rows"),
+    ({"field": "gf2", "rows": ["u"], "cols": ["a", "a"], "data": [["1", "0"]]},
+     "duplicate labels in cols"),
+    ({"field": "gf2", "rows": ["u", ""], "cols": ["a"], "data": [["1"], ["0"]]},
+     "rows must be a list of nonempty strings"),
+    ({"field": "gf2", "rows": ["u", 3], "cols": ["a"], "data": [["1"], ["0"]]},
+     "rows must be a list of nonempty strings"),
+    ({"field": "gf2", "X": ["u", "u"], "Y": ["a"], "B": [["1"], ["1"]]},
+     "duplicate labels in X"),
+    ({"field": "gf2", "X": ["u"], "Y": ["u"], "B": [["1"]]},
+     "X and Y must be disjoint"),
+])
+def test_malformed_label_documents_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "tu", "check", path) == (2, "", f"error: {message}\n")
 
 
 def test_tu_sign_r10_golden(capsys):

@@ -22,7 +22,15 @@ from tumat import (
 )
 from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
 
-from helpers import UNIT_D0S, cofactor_det, labels, make_repr, random_rational_matrix, random_gf2_matrix
+from helpers import (
+    UNIT_D0S,
+    assert_exact,
+    cofactor_det,
+    labels,
+    make_repr,
+    random_gf2_matrix,
+    random_rational_matrix,
+)
 
 
 def test_construction_coerces_entries():
@@ -292,18 +300,6 @@ def test_block_assembly():
         from_rows(i2, ExactMatrix(GF2, [[1, 0, 1]]))
     with pytest.raises(ShapeError):
         from_cols(i2, ExactMatrix(RATIONAL, [[1], [0]]))
-
-
-def assert_exact(m: ExactMatrix) -> None:
-    """Rows are tuples of the declared shape; entries are int 0/1 over GF(2), Fraction over Q."""
-    assert type(m.rows) is tuple and len(m.rows) == m.n_rows
-    for row in m.rows:
-        assert type(row) is tuple and len(row) == m.n_cols
-        for v in row:
-            if m.kind == GF2:
-                assert type(v) is int and v in (0, 1), (m, v)
-            else:
-                assert type(v) is Fraction, (m, v)
 
 
 @pytest.mark.parametrize("kind", [GF2, RATIONAL])

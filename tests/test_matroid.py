@@ -63,6 +63,21 @@ def test_labeled_matrix_access():
         a.select(["u"], ["z"])
 
 
+def test_select_rejects_unknown_and_repeated_labels():
+    a = lm(["u", "v"], ["a", "b", "c"], RATIONAL, [[1, -1, 0], [0, 1, -1]])
+    with pytest.raises(ShapeError, match="^no row labeled 'w'$"):
+        a.select(["u", "w"], ["a"])
+    with pytest.raises(ShapeError, match="^no column labeled 'z'$"):
+        a.select(["u"], ["a", "z"])
+    with pytest.raises(ShapeError, match="^duplicate row labels$"):
+        a.select(["v", "v"], ["a", "a"])
+    with pytest.raises(ShapeError, match="^duplicate column labels$"):
+        a.select(["u", "v"], ["c", "a", "c"])
+    s = a.select(["v", "u"], ["c", "a"])
+    assert s == lm(["v", "u"], ["c", "a"], RATIONAL, [[-1, 0], [0, 1]])
+    assert s.row_position("u") == 1 and s.col_position("a") == 1
+
+
 def test_labeled_matrix_equality():
     a = lm(["r"], ["c"], GF2, [[1]])
     assert a == lm(["r"], ["c"], GF2, [[1]])

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -41,7 +43,23 @@ from tumat import (
     verify_is_sum_k_of,
 )
 
-from helpers import make_repr, naive_matroids_equal, random_sum2_pair, sum3_corpus, sum3_pair
+from helpers import (
+    SUM3_LABELS,
+    UNIT_D0S,
+    assert_exact,
+    make_repr,
+    naive_matroids_equal,
+    plain_matrix_sum_1,
+    plain_matrix_sum_2,
+    plain_matrix_sum_3,
+    plain_sum_3_entries,
+    random_gf2_matrix,
+    random_rational_matrix,
+    random_sum2_pair,
+    random_valid_sum3_pair,
+    sum3_corpus,
+    sum3_pair,
+)
 
 GLUE = Sum3Labels("x0", "x1", "x2", "y0", "y1", "y2")
 
@@ -551,3 +569,89 @@ def test_sum2_random_pairs_have_regular_summands():
         assert out.valid
         assert find_tu_signing(left.B.body) is not None
         assert find_tu_signing(right.B.body) is not None
+
+
+RATIONAL_ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), "2/3")
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_matrix_sums_match_plain_list_oracle(kind):
+    # 600 seeded sums per kind, k = 1, 2, 3 in turn, summands down to 0 rows or 0 columns
+    rng = random.Random(1100 if kind == GF2 else 1101)
+    make = random_gf2_matrix if kind == GF2 else random_rational_matrix
+    # r and c are caller input: any int over GF(2), ints, Fractions and strings over Q
+    entry = (lambda: rng.randint(0, 3)) if kind == GF2 else (lambda: rng.choice(RATIONAL_ENTRIES))
+    seen, connectors = Counter(), Counter()
+    for t in range(600):
+        m_l, n_l, m_r, n_r = (rng.randint(0, 4) for _ in range(4))
+        seen["empty"] += 0 in (m_l, n_l, m_r, n_r)
+        k = t % 3 + 1
+        if k == 1:
+            a_left, a_right = make(rng, m_l, n_l), make(rng, m_r, n_r)
+            out, expected = matrix_sum_1(a_left, a_right), plain_matrix_sum_1(a_left, a_right)
+            shape = (m_l + m_r, n_l + n_r)
+        elif k == 2:
+            a_left, a_right = make(rng, m_l, n_l), make(rng, m_r, n_r)
+            r = [entry() for _ in range(n_l)]
+            c = [entry() for _ in range(m_r)]
+            nonzero = [Fraction(v) % 2 != 0 if kind == GF2 else Fraction(v) != 0 for v in c]
+            seen["c zero"] += not all(nonzero)
+            seen["c nonzero"] += any(nonzero)
+            out, expected = matrix_sum_2(a_left, r, a_right, c), plain_matrix_sum_2(a_left, r, a_right, c)
+            shape = (m_l + m_r, n_l + n_r)
+        else:
+            if kind == GF2:
+                d0 = UNIT_D0S[t // 3 % len(UNIT_D0S)]
+            else:
+                d0 = [[rng.choice(RATIONAL_ENTRIES) for _ in range(2)] for _ in range(2)]
+                while ExactMatrix(RATIONAL, d0).determinant() == 0:
+                    d0 = [[rng.choice(RATIONAL_ENTRIES) for _ in range(2)] for _ in range(2)]
+            connector = ExactMatrix(kind, d0)
+            connectors[connector.rows] += 1
+            blocks = MatrixSum3Blocks(
+                a_left=make(rng, m_l + 1, n_l + 2),
+                d_left=make(rng, 2, n_l),
+                d0_left=connector,
+                d0_right=connector,
+                d_right=make(rng, m_r, 2),
+                a_right=make(rng, m_r + 2, n_r + 1),
+            )
+            out, expected = matrix_sum_3(blocks), plain_matrix_sum_3(blocks)
+            shape = (m_l + m_r + 3, n_l + n_r + 3)
+        assert out.kind == kind and out.shape == shape
+        assert out.to_lists() == expected
+        assert_exact(out)
+    assert seen["empty"] and seen["c zero"] and seen["c nonzero"]
+    if kind == GF2:
+        assert all(connectors[ExactMatrix(GF2, d0).rows] for d0 in UNIT_D0S)
+    else:
+        assert sum(connectors.values()) - connectors[ExactMatrix.identity(2, RATIONAL).rows] > 100
+
+
+def test_labeled_3_sums_match_plain_list_oracle():
+    # compose assembles a 3-sum straight in its output label order
+    rng = random.Random(1102)
+    glue = Sum3Labels(*SUM3_LABELS)
+    for t in range(300):
+        left, right = random_valid_sum3_pair(rng, UNIT_D0S[t % len(UNIT_D0S)])
+        outcome = compose(left, right, glue)
+        assert outcome.valid
+        s = outcome.result
+        expected = plain_sum_3_entries(left.B, right.B, blocks_from_summands(left.B, right.B, glue), SUM3_LABELS)
+        assert {(u, v): s.B.entry(u, v) for u in s.X for v in s.Y} == expected
+        assert_exact(s.B.body)
+
+
+def test_sum_results_carry_checked_labels():
+    # results wrapped without re-checking their labels equal the checked construction
+    rng = random.Random(1103)
+    glue = Sum3Labels(*SUM3_LABELS)
+    outcomes = [compose(*random_valid_sum3_pair(rng, d0), glue) for d0 in UNIT_D0S]
+    left, right, x, y = random_sum2_pair(rng)
+    outcomes += [compose(left, right, (x, y))]
+    outcomes += [compose(make_repr(["a"], ["b"], ExactMatrix(GF2, [[1]])), left, None)]
+    for outcome in outcomes:
+        s = outcome.result
+        assert s.B == LabeledMatrix(s.X, s.Y, s.B.body)
+        assert [s.B.row_position(u) for u in s.X] == list(range(len(s.X)))
+        assert [s.B.col_position(v) for v in s.Y] == list(range(len(s.Y)))
