@@ -9,13 +9,12 @@ from .documents import (
     render_standard_repr_document,
 )
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix, from_blocks, from_cols, from_rows
+from .exactmat import GF2, RATIONAL, ExactMatrix, from_cols
 from .matroid import (
     AxiomReport,
     FiniteMatroid,
     LabeledMatrix,
     disjoint_sum,
-    indep_cols,
     matroids_equal,
     to_matroid,
     verify_matroid_axioms,
@@ -28,7 +27,6 @@ from .stdrepr import (
     standardize,
     standardize_tu,
     support,
-    to_binary,
 )
 from .sums import (
     FORM_IDENTITY,
@@ -42,17 +40,11 @@ from .sums import (
     REASON_Y_OVERLAP,
     REASON_ZERO_COL,
     REASON_ZERO_ROW,
-    MatrixSum3Blocks,
     Sum3Labels,
     SumOutcome,
-    blocks_from_summands,
     canonical_signing_sum3,
     compose,
     is_unit_2x2,
-    matrix_sum_1,
-    matrix_sum_2,
-    matrix_sum_3,
-    resign_to_target,
     sign_composition,
     sign_sum_1,
     sign_sum_2,

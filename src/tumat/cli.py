@@ -26,6 +26,7 @@ from .documents import (
     render_standard_repr_document,
 )
 from .errors import ShapeError, SizeGuardError
+from .exactmat import GF2
 from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, _labeled, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular
 from .sums import Sum3Labels, compose, sign_composition
@@ -131,7 +132,7 @@ def cmd_tu_check(args) -> int:
 
 def cmd_tu_sign(args) -> int:
     m = _load_matrix(args.input)
-    if m.kind != "gf2":
+    if m.kind != GF2:
         raise ShapeError("tu sign takes a GF(2) document")
     signing = find_tu_signing(m.body, tu_limit=_tu_limit(), force=args.force)
     if signing is None:

@@ -8,7 +8,7 @@ the 0x0 matrix is 1.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry.  Operations on matrices (transpose, submatrix, pivot,
-inverse, products, block assembly), the document parser and the sums,
+inverse, products, ``from_cols``), the document parser and the sums,
 which assemble their rows directly, build their results with ``_exact``,
 which shares the already exact entries without coercing them again; each
 such operation keeps the entry types exact itself (``tests/test_exactmat.py``
@@ -33,8 +33,6 @@ __all__ = [
     "RATIONAL",
     "Entry",
     "ExactMatrix",
-    "from_blocks",
-    "from_rows",
     "from_cols",
     "gf2_rank_of_ints",
 ]
@@ -358,37 +356,11 @@ class ExactMatrix:
         return _exact(self.kind, rows, other.n_cols)
 
 
-def _require_same_kind(*matrices: ExactMatrix) -> str:
-    kinds = {m.kind for m in matrices}
-    if len(kinds) != 1:
-        raise ShapeError(f"mixed scalar kinds {sorted(kinds)}")
-    return matrices[0].kind
-
-
-def from_blocks(a11: ExactMatrix, a12: ExactMatrix, a21: ExactMatrix, a22: ExactMatrix) -> ExactMatrix:
-    """Assemble [[A11, A12], [A21, A22]]; block shapes must be consistent."""
-    kind = _require_same_kind(a11, a12, a21, a22)
-    if a11.n_rows != a12.n_rows or a21.n_rows != a22.n_rows:
-        raise ShapeError("block row counts disagree")
-    if a11.n_cols != a21.n_cols or a12.n_cols != a22.n_cols:
-        raise ShapeError("block column counts disagree")
-    top = [r1 + r2 for r1, r2 in zip(a11.rows, a12.rows)]
-    bottom = [r1 + r2 for r1, r2 in zip(a21.rows, a22.rows)]
-    return _exact(kind, top + bottom, a11.n_cols + a12.n_cols)
-
-
-def from_rows(upper: ExactMatrix, lower: ExactMatrix) -> ExactMatrix:
-    """Stack two matrices with equal column counts."""
-    kind = _require_same_kind(upper, lower)
-    if upper.n_cols != lower.n_cols:
-        raise ShapeError(f"column counts differ: {upper.n_cols} vs {lower.n_cols}")
-    return _exact(kind, upper.rows + lower.rows, upper.n_cols)
-
-
 def from_cols(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     """Join two matrices with equal row counts side by side."""
-    kind = _require_same_kind(left, right)
+    if left.kind != right.kind:
+        raise ShapeError(f"mixed scalar kinds {sorted((left.kind, right.kind))}")
     if left.n_rows != right.n_rows:
         raise ShapeError(f"row counts differ: {left.n_rows} vs {right.n_rows}")
     rows = [r1 + r2 for r1, r2 in zip(left.rows, right.rows)]
-    return _exact(kind, rows, left.n_cols + right.n_cols)
+    return _exact(left.kind, rows, left.n_cols + right.n_cols)

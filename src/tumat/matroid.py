@@ -33,7 +33,6 @@ __all__ = [
     "FiniteMatroid",
     "AxiomReport",
     "to_matroid",
-    "indep_cols",
     "matroids_equal",
     "disjoint_sum",
     "verify_matroid_axioms",
@@ -226,16 +225,6 @@ class FiniteMatroid:
 def to_matroid(rep: LabeledMatrix) -> FiniteMatroid:
     """Column matroid of a labeled matrix over GF(2) or the rationals."""
     return FiniteMatroid.from_matrix(rep)
-
-
-def indep_cols(rep: LabeledMatrix, subset: Iterable[Label]) -> bool:
-    """True when ``subset`` names columns of full column rank."""
-    s = frozenset(subset)
-    if not s <= set(rep.col_labels):
-        return False
-    positions = [rep.col_position(lbl) for lbl in s]
-    sub = rep.body.submatrix(range(rep.body.n_rows), positions)
-    return sub.rank() == len(s)
 
 
 def matroids_equal(

@@ -22,7 +22,6 @@ __all__ = [
     "fundamental_repr",
     "support",
     "is_regular",
-    "to_binary",
 ]
 
 
@@ -167,14 +166,3 @@ def is_regular(
     if signing is None:
         return (False, None)
     return (True, _labeled(s.X, s.Y, signing))
-
-
-def to_binary(
-    rep: LabeledMatrix, *, limit: int = DEFAULT_TU_LIMIT, force: bool = False
-) -> LabeledMatrix:
-    """Reduce a TU matrix mod 2; the result represents the same matroid over GF(2)."""
-    if rep.kind != RATIONAL:
-        raise ShapeError("to_binary takes a rational matrix")
-    if not is_totally_unimodular(rep.body, limit=limit, force=force).is_tu:
-        raise ShapeError("to_binary needs a totally unimodular input")
-    return support(rep)

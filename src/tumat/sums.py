@@ -33,7 +33,7 @@ from operator import mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, from_cols
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import scale_rows_cols, spanning_forest
@@ -59,18 +59,12 @@ _CONNECTOR_TARGETS = {
 __all__ = [
     "SumOutcome",
     "Sum3Labels",
-    "MatrixSum3Blocks",
-    "matrix_sum_1",
-    "matrix_sum_2",
-    "matrix_sum_3",
-    "blocks_from_summands",
     "standard_repr_sum_1",
     "standard_repr_sum_2",
     "standard_repr_sum_3",
     "is_unit_2x2",
     "sign_sum_1",
     "sign_sum_2",
-    "resign_to_target",
     "canonical_signing_sum3",
     "compose",
     "sign_composition",
@@ -130,49 +124,12 @@ class Sum3Labels:
         return (self.y0, self.y1, self.y2)
 
 
-@dataclass(frozen=True)
-class MatrixSum3Blocks:
-    """The six blocks feeding a 3-sum.
-
-    ``a_left`` has the left-summand rows (rest, then x2) by columns
-    (rest, then y0, y1); ``d_left`` is rows (x0, x1) by the left rest
-    columns; the connector blocks ``d0_left`` and ``d0_right`` are rows
-    (x0, x1) by columns (y0, y1); ``d_right`` is the right rest rows by
-    columns (y0, y1); ``a_right`` has rows (x0, x1, then rest) by
-    columns (y2, then rest).
-    """
-
-    a_left: ExactMatrix
-    d_left: ExactMatrix
-    d0_left: ExactMatrix
-    d0_right: ExactMatrix
-    d_right: ExactMatrix
-    a_right: ExactMatrix
-
-    def __post_init__(self):
-        kinds = {
-            self.a_left.kind, self.d_left.kind, self.d0_left.kind,
-            self.d0_right.kind, self.d_right.kind, self.a_right.kind,
-        }
-        if len(kinds) != 1:
-            raise ShapeError("all blocks must share one scalar kind")
-        if self.d0_left.shape != (2, 2) or self.d0_right.shape != (2, 2):
-            raise ShapeError("connector blocks must be 2x2")
-        if self.a_left.n_rows < 1 or self.a_left.n_cols < 2:
-            raise ShapeError("a_left must contain the x2 row and the y0, y1 columns")
-        if self.d_left.n_rows != 2 or self.d_left.n_cols != self.a_left.n_cols - 2:
-            raise ShapeError("d_left must be 2 by (a_left columns - 2)")
-        if self.d_right.n_cols != 2:
-            raise ShapeError("d_right must have two columns")
-        if self.a_right.n_rows != self.d_right.n_rows + 2 or self.a_right.n_cols < 1:
-            raise ShapeError("a_right must have the x0, x1 rows above the d_right rows")
-
-
-def _stacked(kind: str, top, coeffs, basis, tail, n_left: int, n_right: int) -> ExactMatrix:
-    """The matrix [[top, 0], [coeffs * basis, tail]] from exact rows, with up to two basis rows.
+def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
+    """The matrix [[top, 0], [coeffs * basis, tail]] of top's kind, with up to two exact basis rows.
 
     Zero block rows are shared tuples; over GF(2) coeffs pick basis rows to XOR, with no product.
     """
+    kind, n_left, n_right = top.kind, top.n_cols, tail.n_cols
     zero = 0 if kind == GF2 else Fraction(0)
     pad, blank = (zero,) * n_right, (zero,) * n_left
     if kind == GF2:
@@ -181,75 +138,8 @@ def _stacked(kind: str, top, coeffs, basis, tail, n_left: int, n_right: int) -> 
     else:
         heads = [tuple(sum(map(mul, cs, col), zero) for col in zip(*basis)) if any(cs) else blank
                  for cs in coeffs]
-    return _exact(kind, [row + pad for row in top] + [h + t for h, t in zip(heads, tail)], n_left + n_right)
-
-
-def matrix_sum_1(a_left: ExactMatrix, a_right: ExactMatrix) -> ExactMatrix:
-    """Block-diagonal join of two matrices of one kind, assembled row by row."""
-    if a_left.kind != a_right.kind:
-        raise ShapeError("summands must share one scalar kind")
-    coeffs = [()] * a_right.n_rows
-    return _stacked(a_left.kind, a_left.rows, coeffs, [], a_right.rows, a_left.n_cols, a_right.n_cols)
-
-
-def matrix_sum_2(
-    a_left: ExactMatrix,
-    r: Sequence[Entry],
-    a_right: ExactMatrix,
-    c: Sequence[Entry],
-) -> ExactMatrix:
-    """Join with rank-one bottom-left block c * r; bottom row i starts with c[i] * r."""
-    if a_left.kind != a_right.kind:
-        raise ShapeError("summands must share one scalar kind")
-    kind = a_left.kind
-    (r_row,) = ExactMatrix(kind, [r], n_cols=len(r)).rows
-    (c_row,) = ExactMatrix(kind, [c], n_cols=len(c)).rows
-    if len(r_row) != a_left.n_cols:
-        raise ShapeError("r must have one entry per a_left column")
-    if len(c_row) != a_right.n_rows:
-        raise ShapeError("c must have one entry per a_right row")
-    return _stacked(kind, a_left.rows, zip(c_row), [r_row], a_right.rows, a_left.n_cols, a_right.n_cols)
-
-
-def matrix_sum_3(blocks: MatrixSum3Blocks) -> ExactMatrix:
-    """Assemble the 3-sum matrix row by row; the connector block must be invertible.
-
-    A bottom row whose connector columns hold d starts with d * D0^-1 * [Dl | D0]:
-    the row of [Dl | D0] itself for the rows x0, x1, and [Dr * D0^-1 * Dl | Dr] below.
-    """
-    try:  # the block shapes are checked, so only inverse() can fail
-        m = (blocks.d0_left.inverse() @ from_cols(blocks.d_left, blocks.d0_left)).rows
-    except ShapeError:
-        raise ShapeError("the connector block is singular") from None
-    coeffs = blocks.d0_left.rows + blocks.d_right.rows
-    return _stacked(blocks.a_left.kind, blocks.a_left.rows, coeffs, m, blocks.a_right.rows,
-                    blocks.a_left.n_cols, blocks.a_right.n_cols)
-
-
-def blocks_from_summands(
-    b_left: LabeledMatrix, b_right: LabeledMatrix, labels: Sum3Labels
-) -> MatrixSum3Blocks:
-    """Cut the six blocks out of two labeled summand matrices."""
-    for lbl in labels.xs:
-        if lbl not in b_left.row_labels or lbl not in b_right.row_labels:
-            raise ShapeError(f"row label {lbl!r} must appear in both summands")
-    for lbl in labels.ys:
-        if lbl not in b_left.col_labels or lbl not in b_right.col_labels:
-            raise ShapeError(f"column label {lbl!r} must appear in both summands")
-    xs = set(labels.xs)
-    ys = set(labels.ys)
-    x_left_rest = [u for u in b_left.row_labels if u not in xs]
-    y_left_rest = [v for v in b_left.col_labels if v not in ys]
-    x_right_rest = [u for u in b_right.row_labels if u not in xs]
-    y_right_rest = [v for v in b_right.col_labels if v not in ys]
-    return MatrixSum3Blocks(
-        a_left=b_left.select(x_left_rest + [labels.x2], y_left_rest + [labels.y0, labels.y1]).body,
-        d_left=b_left.select([labels.x0, labels.x1], y_left_rest).body,
-        d0_left=b_left.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body,
-        d0_right=b_right.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body,
-        d_right=b_right.select(x_right_rest, [labels.y0, labels.y1]).body,
-        a_right=b_right.select([labels.x0, labels.x1] + x_right_rest, [labels.y2] + y_right_rest).body,
-    )
+    return _exact(kind, [row + pad for row in top.rows] + [h + t for h, t in zip(heads, tail.rows)],
+                  n_left + n_right)
 
 
 def _require_gf2(left: StandardRepr, right: StandardRepr) -> None:
@@ -269,7 +159,7 @@ def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     y_shared = set(left.Y) & set(right.Y)
     if y_shared:
         return SumOutcome.invalid(REASON_Y_OVERLAP, f"shared column labels {sorted(y_shared)}")
-    body = matrix_sum_1(left.B.body, right.B.body)
+    body = _stacked(left.B.body, [()] * right.B.body.n_rows, [], right.B.body)
     x_out = list(left.X) + list(right.X)
     y_out = list(left.Y) + list(right.Y)
     return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
@@ -295,7 +185,7 @@ def standard_repr_sum_2(
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {x!r} of the left summand is zero")
     if not any(c):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {y!r} of the right summand is zero")
-    body = matrix_sum_2(a_left, r, a_right, c)
+    body = _stacked(a_left, zip(c), [r], a_right)
     return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
 
 
@@ -372,8 +262,9 @@ def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Label
     Rows are the left rows without x0, x1, then the right rows without
     x2; columns are the left columns without y2, then the right columns
     without y0, y1.  Swapping x0 with x1 or y0 with y1 in ``cut`` leaves
-    these labels unchanged.  Rows are written in this order as in ``matrix_sum_3``,
-    with the left rows x0, x1 as [Dl | D0]; both summands must hold that D0.
+    these labels unchanged.  The bottom row whose connector columns hold d
+    starts with d * D0^-1 * [Dl | D0]: the left row itself for x0, x1, and
+    [Dr * D0^-1 * Dl | Dr] below; both summands must hold that D0.
     """
     x01, y01 = [cut.x0, cut.x1], [cut.y0, cut.y1]
     x_top = [u for u in b_left.row_labels if u not in x01]
@@ -381,10 +272,9 @@ def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Label
     y_left = [v for v in b_left.col_labels if v != cut.y2]
     y_right = [v for v in b_right.col_labels if v not in y01]
     m = (b_left.select(x01, y01).body.inverse() @ b_left.select(x01, y_left).body).rows
-    top, tail = b_left.select(x_top, y_left).body.rows, b_right.select(x_bottom, y_right).body.rows
+    top, tail = b_left.select(x_top, y_left).body, b_right.select(x_bottom, y_right).body
     coeffs = b_right.select(x_bottom, y01).body.rows
-    return x_top + x_bottom, y_left + y_right, _stacked(
-        b_left.kind, top, coeffs, m, tail, len(y_left), len(y_right))
+    return x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, m, tail)
 
 
 _PERM_PAIRS = (
@@ -428,7 +318,7 @@ def _require_rational(signed_left, signed_right) -> None:
 def sign_sum_1(a_left: ExactMatrix, a_right: ExactMatrix) -> ExactMatrix:
     """1-sum of two signings over the rationals; TU when both are, which is not checked."""
     _require_rational(a_left, a_right)
-    return matrix_sum_1(a_left, a_right)
+    return _stacked(a_left, [()] * a_right.n_rows, [], a_right)
 
 
 def sign_sum_2(
@@ -439,10 +329,16 @@ def sign_sum_2(
 ) -> ExactMatrix:
     """2-sum of signed pieces over the rationals; TU when [a_left / r] and [c | a_right] are (not checked)."""
     _require_rational(a_left, a_right)
-    return matrix_sum_2(a_left, r, a_right, c)
+    (r_row,) = ExactMatrix(RATIONAL, [r], n_cols=len(r)).rows
+    (c_row,) = ExactMatrix(RATIONAL, [c], n_cols=len(c)).rows
+    if len(r_row) != a_left.n_cols:
+        raise ShapeError("r must have one entry per a_left column")
+    if len(c_row) != a_right.n_rows:
+        raise ShapeError("c must have one entry per a_right row")
+    return _stacked(a_left, zip(c_row), [r_row], a_right)
 
 
-def resign_to_target(
+def _resign_to_target(
     a: ExactMatrix,
     row_positions: Sequence[int],
     col_positions: Sequence[int],
@@ -518,7 +414,7 @@ def canonical_signing_sum3(
     def resign(side: LabeledMatrix) -> LabeledMatrix:
         rows = [side.row_position(u) for u in (cut.x2, cut.x0, cut.x1)]
         cols = [side.col_position(v) for v in cut.ys]
-        return _labeled(side.row_labels, side.col_labels, resign_to_target(side.body, rows, cols, target))
+        return _labeled(side.row_labels, side.col_labels, _resign_to_target(side.body, rows, cols, target))
 
     return LabeledMatrix(*_assemble_sum3(resign(signed_left), resign(signed_right), cut))
 

@@ -324,15 +324,6 @@ def _plain_product(kind, a, b, n_cols):
     return _plain_reduce(kind, out)
 
 
-def _plain_inverse_2x2(kind, d):
-    """The adjugate over the determinant; mod 2, the adjugate itself."""
-    (a, b), (c, e) = [[Fraction(v) for v in row] for row in d]
-    det = a * e - b * c
-    assert det % 2 if kind == GF2 else det, "singular connector"
-    adj = [[e, -b], [-c, a]]
-    return _plain_reduce(kind, adj if kind == GF2 else [[v / det for v in row] for row in adj])
-
-
 def _plain_blocks(kind, a_left, bottom_left, a_right, n_right):
     """[[a_left, 0], [bottom_left, a_right]] over plain lists."""
     zero = 0 if kind == GF2 else Fraction(0)
@@ -342,44 +333,16 @@ def _plain_blocks(kind, a_left, bottom_left, a_right, n_right):
 
 
 def plain_matrix_sum_1(a_left: ExactMatrix, a_right: ExactMatrix):
-    """Oracle for ``matrix_sum_1``: the block-diagonal join, as plain lists."""
+    """Oracle for the 1-sum [[a_left, 0], [0, a_right]], as plain lists."""
     bottom_left = [[0] * a_left.n_cols for _ in range(a_right.n_rows)]
     return _plain_blocks(a_left.kind, a_left.to_lists(), bottom_left, a_right.to_lists(), a_right.n_cols)
 
 
 def plain_matrix_sum_2(a_left: ExactMatrix, r, a_right: ExactMatrix, c):
-    """Oracle for ``matrix_sum_2``: bottom-left entry (i, j) is c[i] * r[j]."""
+    """Oracle for the 2-sum [[a_left, 0], [c * r, a_right]]: entry (i, j) of c * r is c[i] * r[j]."""
     kind = a_left.kind
     outer = _plain_product(kind, [[v] for v in c], [list(r)], len(r))
     return _plain_blocks(kind, a_left.to_lists(), outer, a_right.to_lists(), a_right.n_cols)
-
-
-def plain_matrix_sum_3(blocks):
-    """Oracle for ``matrix_sum_3``: bottom-left block [[Dl, D0], [Dr * D0^-1 * Dl, Dr]]."""
-    kind = blocks.a_left.kind
-    d_left, d0, d_right = blocks.d_left.to_lists(), blocks.d0_left.to_lists(), blocks.d_right.to_lists()
-    n = blocks.d_left.n_cols
-    dlr = _plain_product(kind, _plain_product(kind, d_right, _plain_inverse_2x2(kind, d0), 2), d_left, n)
-    bottom_left = [dl + dz for dl, dz in zip(d_left + dlr, d0 + d_right)]
-    return _plain_blocks(kind, blocks.a_left.to_lists(), bottom_left, blocks.a_right.to_lists(),
-                         blocks.a_right.n_cols)
-
-
-def plain_sum_3_entries(b_left: LabeledMatrix, b_right: LabeledMatrix, blocks, cut) -> dict:
-    """Oracle for a labeled 3-sum: (row label, column label) -> entry of ``plain_matrix_sum_3``.
-
-    ``blocks`` are the six blocks cut from the summands at ``cut``; the
-    block rows are the left rest rows, x2, x0, x1, then the right rest
-    rows, and the block columns the left rest columns, y0, y1, y2, then
-    the right rest columns.
-    """
-    xs, ys = cut[:3], cut[3:]
-    rows = [u for u in b_left.row_labels if u not in xs] + [xs[2], xs[0], xs[1]]
-    rows += [u for u in b_right.row_labels if u not in xs]
-    cols = [v for v in b_left.col_labels if v not in ys] + list(ys)
-    cols += [v for v in b_right.col_labels if v not in ys]
-    grid = plain_matrix_sum_3(blocks)
-    return {(u, v): grid[i][j] for i, u in enumerate(rows) for j, v in enumerate(cols)}
 
 
 def random_valid_sum3_pair(rng: random.Random, d0, max_rest: int = 4):

@@ -506,20 +506,24 @@ def test_argparse_rejects_unknown_command():
     assert exc.value.code == 2
 
 
+def _src_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH, for child processes."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
 def test_console_entry_process_exit_code():
     proc = subprocess.run(
         [sys.executable, "-c",
          "from tumat.cli import main; raise SystemExit(main(['tu', 'check', 'fixtures/network_uv.json']))"],
-        cwd=ROOT, capture_output=True, text=True)
+        cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "TU\n"
 
 
 def _fresh_process(argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "tumat.cli", *argv],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+                          cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -51,13 +51,11 @@ def loaded_names(node):
     }
 
 
-def test_no_dead_private_helpers():
-    # A module-level _name (function, class or constant) must be read
-    # somewhere in the package outside its own definition.
+def module_level_definitions():
+    """(path, name, line, names read everywhere else in the package) per module-level definition."""
     nodes = [(p.relative_to(ROOT), node) for p in sorted((ROOT / "src" / "tumat").rglob("*.py"))
              for node in ast.parse(p.read_text(encoding="utf-8")).body]
     reads = [loaded_names(node) for _, node in nodes]
-    dead = []
     for k, (path, node) in enumerate(nodes):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -66,12 +64,43 @@ def test_no_dead_private_helpers():
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
+        elsewhere = set().union(*(r for i, r in enumerate(reads) if i != k))
         for name in names:
-            if name.startswith("_") and not name.startswith("__") and not any(
-                name in r for i, r in enumerate(reads) if i != k
-            ):
-                dead.append(f"{path}:{node.lineno}: {name}")
+            yield path, name, node.lineno, elsewhere
+
+
+def test_no_dead_private_helpers():
+    # A module-level _name (function, class or constant) must be read
+    # somewhere in the package outside its own definition.
+    dead = [f"{path}:{line}: {name}" for path, name, line, elsewhere in module_level_definitions()
+            if name.startswith("_") and not name.startswith("__") and name not in elsewhere]
     assert not dead
+
+
+def test_every_public_name_has_a_caller(monkeypatch):
+    # A name in a module's __all__ must be read in the package outside its
+    # own definition, imported by the acceptance tests, or wrapped by the
+    # benchmark tracer.  fixtures.py holds test data and is exempt.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    import tumat
+    import tumat.cli  # noqa: F401  (targets() reaches every submodule through the package)
+
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    used = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    used |= {attr for _, attr, _ in tracer.targets(tumat)}
+    exported = {}
+    for path in sorted((ROOT / "src" / "tumat").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.name != "fixtures.py" and isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported.update((name, path.relative_to(ROOT)) for name in ast.literal_eval(node.value))
+    uncalled = [f"{path}:{line}: {name}" for path, name, line, elsewhere in module_level_definitions()
+                if exported.get(name) == path and name not in elsewhere and name not in used]
+    assert not uncalled
 
 
 def unread_parameters(path):

@@ -15,8 +15,6 @@ from tumat import (
     ShapeError,
     SizeGuardError,
     disjoint_sum,
-    from_blocks,
-    indep_cols,
     matroids_equal,
     to_matroid,
     verify_matroid_axioms,
@@ -151,20 +149,6 @@ def test_from_bases_matches_vector_matroid():
             continue
         m2 = FiniteMatroid.from_bases(m.ground, m.bases())
         assert naive_matroids_equal(m, m2)
-
-
-def test_indep_cols_matches_matroid():
-    rng = random.Random(9)
-    for _ in range(10):
-        grid = random_rational_matrix(rng, 3, 4)
-        a = lm(labels("r", 3), labels("e", 4), RATIONAL, grid.to_lists())
-        m = to_matroid(a)
-        from itertools import combinations
-
-        for k in range(5):
-            for combo in combinations(a.col_labels, k):
-                assert indep_cols(a, combo) == m.indep(combo)
-    assert not indep_cols(a, ["nope"])
 
 
 def test_matroids_equal_guard():
@@ -374,15 +358,8 @@ def test_disjoint_sum_gf2_matches_block_diagonal():
         b_body = random_gf2_matrix(rng, 2, 2)
         a = lm(labels("r", 2), labels("a", 3), GF2, a_body.to_lists())
         b = lm(labels("s", 2), labels("b", 2), GF2, b_body.to_lists())
-        blocks = from_blocks(
-            a_body,
-            ExactMatrix.zeros(2, 2, GF2),
-            ExactMatrix.zeros(2, 3, GF2),
-            b_body,
-        )
-        direct = to_matroid(
-            lm(labels("r", 2) + labels("s", 2), labels("a", 3) + labels("b", 2), GF2, blocks.to_lists())
-        )
+        grid = [row + [0, 0] for row in a_body.to_lists()] + [[0, 0, 0] + row for row in b_body.to_lists()]
+        direct = to_matroid(lm(labels("r", 2) + labels("s", 2), labels("a", 3) + labels("b", 2), GF2, grid))
         assert naive_matroids_equal(disjoint_sum(to_matroid(a), to_matroid(b)), direct)
 
 

@@ -18,7 +18,6 @@ from tumat import (
     standardize,
     standardize_tu,
     support,
-    to_binary,
     to_matroid,
 )
 from tumat.fixtures import fano_standard_repr, network_example, r10_standard_repr
@@ -174,18 +173,10 @@ def test_is_regular_witness():
         is_regular_witness(fano_standard_repr().B, r10.to_matroid())
 
 
-def test_to_binary():
-    rep = network_example()
-    assert to_binary(rep) == support(rep)
-    with pytest.raises(ShapeError):
-        to_binary(LabeledMatrix(["r"], ["a"], ExactMatrix(RATIONAL, [[2]])))
-    with pytest.raises(ShapeError):
-        to_binary(LabeledMatrix(["r"], ["a"], ExactMatrix(GF2, [[1]])))
-
-
 def test_to_binary_preserves_matroid():
+    # the support of a TU matrix, read over GF(2), represents the same matroid
     rng = random.Random(17)
     for _ in range(10):
         a = random_tu_matrix(rng, 3, 4)
         rep = LabeledMatrix(labels("r", 3), labels("e", 4), a)
-        assert naive_matroids_equal(to_matroid(to_binary(rep)), to_matroid(rep))
+        assert naive_matroids_equal(to_matroid(support(rep)), to_matroid(rep))

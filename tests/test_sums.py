@@ -1,3 +1,4 @@
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,10 +21,8 @@ from tumat import (
     REASON_ZERO_ROW,
     ExactMatrix,
     LabeledMatrix,
-    MatrixSum3Blocks,
     ShapeError,
     Sum3Labels,
-    blocks_from_summands,
     canonical_signing_sum3,
     compose,
     disjoint_sum,
@@ -31,10 +30,6 @@ from tumat import (
     is_totally_unimodular,
     is_tu_signing_of,
     is_unit_2x2,
-    matrix_sum_1,
-    matrix_sum_2,
-    matrix_sum_3,
-    resign_to_target,
     sign_sum_1,
     sign_sum_2,
     standard_repr_sum_1,
@@ -42,17 +37,17 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
+from tumat.sums import _resign_to_target
 
 from helpers import (
     SUM3_LABELS,
     UNIT_D0S,
     assert_exact,
+    labels,
     make_repr,
     naive_matroids_equal,
     plain_matrix_sum_1,
     plain_matrix_sum_2,
-    plain_matrix_sum_3,
-    plain_sum_3_entries,
     random_gf2_matrix,
     random_rational_matrix,
     random_sum2_pair,
@@ -60,6 +55,8 @@ from helpers import (
     sum3_corpus,
     sum3_pair,
 )
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 GLUE = Sum3Labels("x0", "x1", "x2", "y0", "y1", "y2")
 
@@ -80,133 +77,65 @@ def identity_pair(left_data=LEFT3, right_data=RIGHT3):
 
 
 def test_matrix_sum_1():
-    a = ExactMatrix(GF2, [[1, 0], [1, 1]])
-    b = ExactMatrix(GF2, [[1]])
-    assert matrix_sum_1(a, b).to_lists() == [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+    a = make_repr(["r1", "r2"], ["c1", "c2"], ExactMatrix(GF2, [[1, 0], [1, 1]]))
+    b = make_repr(["r3"], ["c3"], ExactMatrix(GF2, [[1]]))
+    assert compose(a, b, None).result.B.body.to_lists() == [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
     with pytest.raises(ShapeError):
-        matrix_sum_1(a, ExactMatrix(RATIONAL, [[1]]))
+        sign_sum_1(ExactMatrix(RATIONAL, [[1, 0], [1, 1]]), ExactMatrix(GF2, [[1]]))
 
 
 def test_matrix_sum_2():
-    out = matrix_sum_2(
+    out = sign_sum_2(
         ExactMatrix(RATIONAL, [[1]]), [1], ExactMatrix(RATIONAL, [[1]]), [1]
     )
     assert out.to_lists() == [[1, 0], [1, 1]]
-    out = matrix_sum_2(
+    out = sign_sum_2(
         ExactMatrix(RATIONAL, [[1, -1]]), [1, 0],
         ExactMatrix(RATIONAL, [[1], [0]]), [1, -1],
     )
     assert out.to_lists() == [[1, -1, 0], [1, 0, 1], [-1, 0, 0]]
-    with pytest.raises(ShapeError):
-        matrix_sum_2(ExactMatrix(RATIONAL, [[1]]), [1, 1], ExactMatrix(RATIONAL, [[1]]), [1])
-    with pytest.raises(ShapeError):
-        matrix_sum_2(ExactMatrix(RATIONAL, [[1]]), [1], ExactMatrix(RATIONAL, [[1]]), [1, 1])
-
-
-def test_matrix_sum_3_rational():
-    blocks = MatrixSum3Blocks(
-        a_left=ExactMatrix(RATIONAL, [[1, 0, 0]]),
-        d_left=ExactMatrix(RATIONAL, [[1], [-1]]),
-        d0_left=ExactMatrix(RATIONAL, [[1, 1], [0, 1]]),
-        d0_right=ExactMatrix(RATIONAL, [[1, 1], [0, 1]]),
-        d_right=ExactMatrix(RATIONAL, [[1, -1]]),
-        a_right=ExactMatrix(RATIONAL, [[1], [0], [1]]),
-    )
-    out = matrix_sum_3(blocks)
-    assert out.to_lists() == [
-        [1, 0, 0, 0],
-        [1, 1, 1, 1],
-        [-1, 0, 1, 0],
-        [3, 1, -1, 1],
-    ]
+    with pytest.raises(ShapeError, match="r must have one entry per a_left column"):
+        sign_sum_2(ExactMatrix(RATIONAL, [[1]]), [1, 1], ExactMatrix(RATIONAL, [[1]]), [1])
+    with pytest.raises(ShapeError, match="c must have one entry per a_right row"):
+        sign_sum_2(ExactMatrix(RATIONAL, [[1]]), [1], ExactMatrix(RATIONAL, [[1]]), [1, 1])
 
 
 def test_matrix_sum_3_coupling_block():
-    base = dict(
-        a_left=ExactMatrix(GF2, [[1, 1, 1, 0]]),
-        d_left=ExactMatrix(GF2, [[1, 0], [1, 1]]),
-        d0_left=ExactMatrix.identity(2, GF2),
-        d0_right=ExactMatrix.identity(2, GF2),
-        d_right=ExactMatrix.identity(2, GF2),
-        a_right=ExactMatrix(GF2, [[1], [0], [1], [1]]),
-    )
-    # identity connector and identity d_right pass d_left straight through
-    out = matrix_sum_3(MatrixSum3Blocks(**base))
-    assert out.submatrix([3, 4], [0, 1]).to_lists() == [[1, 0], [1, 1]]
-    zero = dict(base, d_left=ExactMatrix.zeros(2, 2, GF2))
-    out = matrix_sum_3(MatrixSum3Blocks(**zero))
-    assert out.submatrix([3, 4], [0, 1]).to_lists() == [[0, 0], [0, 0]]
+    # identity connector and identity Dr pass Dl = [[1, 0], [1, 1]] straight
+    # through to the bottom-left block, rows (c1, c2) by columns (b1, b2)
+    left_x, left_y = ["x2", "x0", "x1"], ["b1", "b2", "y0", "y1", "y2"]
+    right = make_repr(["x0", "x1", "x2", "c1", "c2"], ["y0", "y1", "y2", "d1"], ExactMatrix(GF2, [
+        [1, 0, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 1], [0, 1, 1, 0],
+    ]))
+    for d_left in ([[1, 0], [1, 1]], [[0, 0], [0, 0]]):
+        left = make_repr(left_x, left_y, ExactMatrix(GF2, [
+            [1, 1, 1, 1, 0], d_left[0] + [1, 0, 1], d_left[1] + [0, 1, 1],
+        ]))
+        s = compose(left, right, GLUE).result
+        assert [[s.B.entry(u, v) for v in ("b1", "b2")] for u in ("c1", "c2")] == d_left
 
 
 def test_matrix_sum_3_gf2_inverse():
-    blocks = MatrixSum3Blocks(
-        a_left=ExactMatrix(GF2, [[1, 1, 0]]),
-        d_left=ExactMatrix(GF2, [[1], [1]]),
-        d0_left=ExactMatrix(GF2, [[1, 1], [0, 1]]),
-        d0_right=ExactMatrix(GF2, [[1, 1], [0, 1]]),
-        d_right=ExactMatrix(GF2, [[1, 0]]),
-        a_right=ExactMatrix(GF2, [[1], [1], [0]]),
-    )
-    # [1,0] @ inv([[1,1],[0,1]]) @ [[1],[1]] over GF(2) is [0]
-    assert matrix_sum_3(blocks)[3, 0] == 0
+    # Dr * D0^-1 * Dl = [1, 1] @ inv([[0, 1], [1, 1]]) @ [[1], [0]] is 0 over GF(2);
+    # D0 in place of its inverse, or no connector at all, would give 1
+    left = make_repr(["x2", "x0", "x1"], ["b1", "y0", "y1", "y2"], ExactMatrix(GF2, [
+        [1, 1, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1],
+    ]))
+    right = make_repr(["x0", "x1", "x2", "c1"], ["y0", "y1", "y2"], ExactMatrix(GF2, [
+        [0, 1, 1], [1, 1, 1], [1, 1, 0], [1, 1, 0],
+    ]))
+    assert compose(left, right, GLUE).result.B.entry("c1", "b1") == 0
 
 
 def test_matrix_sum_3_singular_connector():
-    blocks = MatrixSum3Blocks(
-        a_left=ExactMatrix(GF2, [[1, 1, 0]]),
-        d_left=ExactMatrix(GF2, [[1], [0]]),
-        d0_left=ExactMatrix(GF2, [[1, 1], [1, 1]]),
-        d0_right=ExactMatrix(GF2, [[1, 1], [1, 1]]),
-        d_right=ExactMatrix(GF2, [[1, 1]]),
-        a_right=ExactMatrix(GF2, [[1], [1], [0]]),
-    )
-    with pytest.raises(ShapeError):
-        matrix_sum_3(blocks)
-
-
-def test_blocks_validation():
-    good = dict(
-        a_left=ExactMatrix(GF2, [[1, 1, 0]]),
-        d_left=ExactMatrix(GF2, [[1], [0]]),
-        d0_left=ExactMatrix(GF2, [[1, 0], [0, 1]]),
-        d0_right=ExactMatrix(GF2, [[1, 0], [0, 1]]),
-        d_right=ExactMatrix(GF2, [[1, 1]]),
-        a_right=ExactMatrix(GF2, [[1], [1], [0]]),
-    )
-    MatrixSum3Blocks(**good)
-    bad = dict(good, d0_left=ExactMatrix(GF2, [[1]]))
-    with pytest.raises(ShapeError):
-        MatrixSum3Blocks(**bad)
-    bad = dict(good, d_left=ExactMatrix(GF2, [[1, 0], [0, 1]]))
-    with pytest.raises(ShapeError):
-        MatrixSum3Blocks(**bad)
-    bad = dict(good, a_right=ExactMatrix(GF2, [[1], [1]]))
-    with pytest.raises(ShapeError):
-        MatrixSum3Blocks(**bad)
-    bad = dict(good, a_left=ExactMatrix(RATIONAL, [[1, 1, 0]]))
-    with pytest.raises(ShapeError):
-        MatrixSum3Blocks(**bad)
-
-
-def test_blocks_from_summands():
-    left, right, glue = identity_pair()
-    blocks = blocks_from_summands(left.B, right.B, glue)
-    assert blocks.d0_left.to_lists() == [[1, 0], [0, 1]]
-    assert blocks.d_left.to_lists() == [[1], [0]]
-    assert blocks.a_left.to_lists() == [[1, 1, 0], [0, 1, 1]]
-    assert blocks.d_right.to_lists() == [[1, 1]]
-    assert blocks.a_right.to_lists() == [[1, 0], [1, 1], [0, 1]]
-    with pytest.raises(ShapeError):
-        blocks_from_summands(left.B, right.B, Sum3Labels("nope", "x1", "x2", "y0", "y1", "y2"))
-
-
-def test_blocks_degenerate_left():
-    b_left = LabeledMatrix(["x2", "x0", "x1"], ["y0", "y1", "y2"],
-                           ExactMatrix(GF2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]]))
-    _, right, glue = identity_pair()
-    blocks = blocks_from_summands(b_left, right.B, glue)
-    assert blocks.a_left.shape == (1, 2)
-    assert blocks.d_left.shape == (2, 0)
+    # the 3-sum of signings refuses a connector whose support is singular
+    left_bad = mutate(mutate(LEFT3, 2, 2, 1), 3, 1, 1)   # d0 -> all ones
+    right_bad = mutate(mutate(RIGHT3, 0, 1, 1), 1, 0, 1)
+    left, right, glue = identity_pair(left_bad, right_bad)
+    signed_left = LabeledMatrix(left.X, left.Y, ExactMatrix(RATIONAL, left_bad))
+    signed_right = LabeledMatrix(right.X, right.Y, ExactMatrix(RATIONAL, right_bad))
+    with pytest.raises(ShapeError, match="connector block is singular"):
+        canonical_signing_sum3(signed_left, signed_right, glue)
 
 
 def test_sum_1_valid():
@@ -306,9 +235,8 @@ RIGHT3Z = [[1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0]]
 
 def test_sum_3_zero_coupling():
     left, right, glue = identity_pair(LEFT3Z, RIGHT3Z)
-    blocks = blocks_from_summands(left.B, right.B, glue)
-    assert blocks.d_left == ExactMatrix.zeros(2, 1, GF2)
-    assert blocks.d_right == ExactMatrix.zeros(1, 2, GF2)
+    assert left.B.select(["x0", "x1"], ["ya"]).body == ExactMatrix.zeros(2, 1, GF2)
+    assert right.B.select(["xb"], ["y0", "y1"]).body == ExactMatrix.zeros(1, 2, GF2)
     out = standard_repr_sum_3(left, right, glue)
     assert out.valid
     s = out.result
@@ -449,17 +377,17 @@ def test_sign_sum_2():
 
 def test_resign_to_target_already_there():
     a = ExactMatrix(RATIONAL, [[1, 1, 0], [1, 0, 1], [0, -1, 1]])
-    assert resign_to_target(a, [0, 1, 2], [0, 1, 2], a) == a
+    assert _resign_to_target(a, [0, 1, 2], [0, 1, 2], a) == a
 
 
 def test_resign_to_target():
     a = ExactMatrix(RATIONAL, [[1, -1], [1, 1]])
     target = ExactMatrix(RATIONAL, [[1, 1], [1, -1]])
-    out = resign_to_target(a, [0, 1], [0, 1], target)
+    out = _resign_to_target(a, [0, 1], [0, 1], target)
     assert out.submatrix([0, 1], [0, 1]) == target
     # scaling acts on whole rows and columns; untouched ones keep their signs
     b = ExactMatrix(RATIONAL, [[1, -1, 1], [1, 1, 0], [0, 1, 1]])
-    out = resign_to_target(b, [0, 1], [0, 1], target)
+    out = _resign_to_target(b, [0, 1], [0, 1], target)
     assert out.submatrix([0, 1], [0, 1]) == target
     assert out.row(2)[2] == 1
 
@@ -468,13 +396,13 @@ def test_resign_to_target_errors():
     a = ExactMatrix(RATIONAL, [[1, 1], [1, 1]])
     unreachable = ExactMatrix(RATIONAL, [[1, 1], [1, -1]])
     with pytest.raises(ShapeError):
-        resign_to_target(a, [0, 1], [0, 1], unreachable)
+        _resign_to_target(a, [0, 1], [0, 1], unreachable)
     with pytest.raises(ShapeError):
-        resign_to_target(a, [0, 1], [0, 1], ExactMatrix(RATIONAL, [[1, 0], [1, 1]]))
+        _resign_to_target(a, [0, 1], [0, 1], ExactMatrix(RATIONAL, [[1, 0], [1, 1]]))
     with pytest.raises(ShapeError):
-        resign_to_target(a, [0, 0], [0, 1], unreachable)
+        _resign_to_target(a, [0, 0], [0, 1], unreachable)
     with pytest.raises(ShapeError):
-        resign_to_target(a, [0, 2], [0, 1], unreachable)
+        _resign_to_target(a, [0, 2], [0, 1], unreachable)
 
 
 def test_canonical_signing_identity_connector():
@@ -571,75 +499,81 @@ def test_sum2_random_pairs_have_regular_summands():
         assert find_tu_signing(right.B.body) is not None
 
 
+def compose_blocks(a_left, a_right, r=None, c=None):
+    """Body of ``compose`` on GF(2) blocks: the 1-sum, or the 2-sum [[a_left, 0], [c * r, a_right]].
+
+    The glue row x closes the left summand under a_left; the glue column y
+    is the last left column and opens the right summand before a_right.
+    """
+    xs, ys = labels("a", a_left.n_rows), labels("b", a_left.n_cols)
+    xs_right, ys_right = labels("c", a_right.n_rows), labels("d", a_right.n_cols)
+    if r is None:
+        left, right, glue = make_repr(xs, ys, a_left), make_repr(xs_right, ys_right, a_right), None
+    else:
+        left = make_repr(xs + ["x"], ys[:-1] + ["y"], ExactMatrix(GF2, a_left.to_lists() + [r]))
+        right = make_repr(["x"] + xs_right[1:], ["y"] + ys_right,
+                          ExactMatrix(GF2, [[ci, *row] for ci, row in zip(c, a_right.rows)]))
+        glue = ("x", "y")
+    return compose(left, right, glue).result.B.body
+
+
 RATIONAL_ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), "2/3")
 
 
 @pytest.mark.parametrize("kind", [GF2, RATIONAL])
 def test_matrix_sums_match_plain_list_oracle(kind):
-    # 600 seeded sums per kind, k = 1, 2, 3 in turn, summands down to 0 rows or 0 columns
+    # 400 seeded sums per kind, k = 1, 2 in turn, summands down to 0 rows or 0 columns;
+    # over Q through sign_sum_1/2, over GF(2) through compose
     rng = random.Random(1100 if kind == GF2 else 1101)
     make = random_gf2_matrix if kind == GF2 else random_rational_matrix
-    # r and c are caller input: any int over GF(2), ints, Fractions and strings over Q
-    entry = (lambda: rng.randint(0, 3)) if kind == GF2 else (lambda: rng.choice(RATIONAL_ENTRIES))
-    seen, connectors = Counter(), Counter()
-    for t in range(600):
+    # over Q r and c are caller input: ints, Fractions and strings
+    entry = (lambda: rng.randint(0, 1)) if kind == GF2 else (lambda: rng.choice(RATIONAL_ENTRIES))
+    seen = Counter()
+    for t in range(400):
         m_l, n_l, m_r, n_r = (rng.randint(0, 4) for _ in range(4))
+        if t % 2 and kind == GF2:  # a GF(2) 2-sum needs the glue column y and the glue row x
+            n_l, m_r = max(n_l, 1), max(m_r, 1)
         seen["empty"] += 0 in (m_l, n_l, m_r, n_r)
-        k = t % 3 + 1
-        if k == 1:
-            a_left, a_right = make(rng, m_l, n_l), make(rng, m_r, n_r)
-            out, expected = matrix_sum_1(a_left, a_right), plain_matrix_sum_1(a_left, a_right)
-            shape = (m_l + m_r, n_l + n_r)
-        elif k == 2:
-            a_left, a_right = make(rng, m_l, n_l), make(rng, m_r, n_r)
-            r = [entry() for _ in range(n_l)]
-            c = [entry() for _ in range(m_r)]
-            nonzero = [Fraction(v) % 2 != 0 if kind == GF2 else Fraction(v) != 0 for v in c]
+        a_left, a_right = make(rng, m_l, n_l), make(rng, m_r, n_r)
+        if t % 2 == 0:
+            expected = plain_matrix_sum_1(a_left, a_right)
+            out = sign_sum_1(a_left, a_right) if kind == RATIONAL else compose_blocks(a_left, a_right)
+        else:
+            r, c = [entry() for _ in range(n_l)], [entry() for _ in range(m_r)]
+            while kind == GF2 and not (any(r) and any(c)):  # compose refuses a zero r or c
+                r, c = [entry() for _ in range(n_l)], [entry() for _ in range(m_r)]
+            nonzero = [Fraction(v) != 0 for v in c]
             seen["c zero"] += not all(nonzero)
             seen["c nonzero"] += any(nonzero)
-            out, expected = matrix_sum_2(a_left, r, a_right, c), plain_matrix_sum_2(a_left, r, a_right, c)
-            shape = (m_l + m_r, n_l + n_r)
-        else:
-            if kind == GF2:
-                d0 = UNIT_D0S[t // 3 % len(UNIT_D0S)]
-            else:
-                d0 = [[rng.choice(RATIONAL_ENTRIES) for _ in range(2)] for _ in range(2)]
-                while ExactMatrix(RATIONAL, d0).determinant() == 0:
-                    d0 = [[rng.choice(RATIONAL_ENTRIES) for _ in range(2)] for _ in range(2)]
-            connector = ExactMatrix(kind, d0)
-            connectors[connector.rows] += 1
-            blocks = MatrixSum3Blocks(
-                a_left=make(rng, m_l + 1, n_l + 2),
-                d_left=make(rng, 2, n_l),
-                d0_left=connector,
-                d0_right=connector,
-                d_right=make(rng, m_r, 2),
-                a_right=make(rng, m_r + 2, n_r + 1),
-            )
-            out, expected = matrix_sum_3(blocks), plain_matrix_sum_3(blocks)
-            shape = (m_l + m_r + 3, n_l + n_r + 3)
-        assert out.kind == kind and out.shape == shape
+            expected = plain_matrix_sum_2(a_left, r, a_right, c)
+            out = (sign_sum_2(a_left, r, a_right, c) if kind == RATIONAL
+                   else compose_blocks(a_left, a_right, r, c))
+        assert out.kind == kind and out.shape == (m_l + m_r, n_l + n_r)
         assert out.to_lists() == expected
         assert_exact(out)
     assert seen["empty"] and seen["c zero"] and seen["c nonzero"]
-    if kind == GF2:
-        assert all(connectors[ExactMatrix(GF2, d0).rows] for d0 in UNIT_D0S)
-    else:
-        assert sum(connectors.values()) - connectors[ExactMatrix.identity(2, RATIONAL).rows] > 100
 
 
-def test_labeled_3_sums_match_plain_list_oracle():
-    # compose assembles a 3-sum straight in its output label order
+def test_labeled_3_sums_match_plain_list_oracle(monkeypatch):
+    # compose assembles a 3-sum straight in its output label order; the
+    # benchmark's tumat-free assembly is the oracle, as in acceptance 8
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import oracles
+
     rng = random.Random(1102)
     glue = Sum3Labels(*SUM3_LABELS)
+    glue_only = 0  # left summands with no rows or columns besides the glue labels
     for t in range(300):
         left, right = random_valid_sum3_pair(rng, UNIT_D0S[t % len(UNIT_D0S)])
+        glue_only += left.B.body.shape == (3, 3)
         outcome = compose(left, right, glue)
         assert outcome.valid
         s = outcome.result
-        expected = plain_sum_3_entries(left.B, right.B, blocks_from_summands(left.B, right.B, glue), SUM3_LABELS)
-        assert {(u, v): s.B.entry(u, v) for u in s.X for v in s.Y} == expected
+        sides = [(side.X, side.Y, side.B.body.to_lists()) for side in (left, right)]
+        expected = oracles.sum_labels_and_body(3, *sides, SUM3_LABELS)
+        assert (list(s.X), list(s.Y), s.B.body.to_lists()) == expected
         assert_exact(s.B.body)
+    assert glue_only
 
 
 def test_sum_results_carry_checked_labels():

@@ -15,11 +15,11 @@ from tumat import (
     SizeGuardError,
     TuVerdict,
     find_tu_signing,
-    from_blocks,
     is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,
     scale_rows_cols,
+    sign_sum_1,
 )
 from tumat.fixtures import fano_b, incidence_matrix, network_example
 
@@ -409,7 +409,7 @@ def test_incidence_blocks_are_certified_without_the_dp(build, monkeypatch):
 def test_forced_one_sum_of_two_tu_blocks_is_fast():
     rng = random.Random(73)
     left, right = random_tu_matrix(rng, 6, 7), random_tu_matrix(rng, 6, 7)
-    a = from_blocks(left, ExactMatrix.zeros(6, 7, RATIONAL), ExactMatrix.zeros(6, 7, RATIONAL), right)
+    a = sign_sum_1(left, right)
     start = time.perf_counter()
     verdict = is_totally_unimodular(a, force=True)
     assert time.perf_counter() - start < 1.0
