@@ -204,6 +204,7 @@ def cmd_matroid_eq(args) -> int:
 def cmd_verify_composition(args) -> int:
     left = _load_standard_repr(args.left)
     right = _load_standard_repr(args.right)
+    glue = _glue(args)
     tu_limit = _tu_limit()
     signed = []
     for name, summand in (("left", left), ("right", right)):
@@ -212,7 +213,6 @@ def cmd_verify_composition(args) -> int:
             print(f"{name} summand not regular", file=sys.stderr)
             return EXIT_NEGATIVE
         signed.append(signing)
-    glue = _glue(args)
     outcome = compose(left, right, glue)
     if not outcome.valid:
         print(f"invalid {args.k}-sum [{outcome.reason}]: {outcome.message}", file=sys.stderr)
@@ -313,7 +313,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SizeGuardError as exc:
-        print(f"size guard: {exc}", file=sys.stderr)
+        print(f"size guard: {exc}; pass --force to run anyway", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -5,10 +5,14 @@ A matrix document is an object with exactly the keys ``field`` ("gf2" or
 of entry strings).  A standard representation document has exactly the
 keys ``field``, ``X``, ``Y``, and ``B``, where ``B`` is the grid for the
 X-by-Y matrix.  GF(2) entries are "0" or "1"; rational entries are
-integers or reduced "p/q" strings.  Rendering is deterministic, so
-parse and render round-trip byte for byte: a rendered document is
-``json.dumps(doc, indent=2) + "\n"``, written out directly rather than
-through the pure-Python encoder that ``indent`` selects.
+integers or reduced "p/q" strings.  Both kinds are read by one reader,
+which checks every rule on a document once: keys, field, labels
+(nonempty, distinct strings), grid shape and entries, and a standard
+representation's disjoint X and Y; nothing built from it re-checks
+them.  Rendering is deterministic, so parse and render round-trip byte
+for byte: a rendered document is ``json.dumps(doc, indent=2) + "\n"``,
+written out directly rather than through the pure-Python encoder that
+``indent`` selects.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
-from .matroid import LabeledMatrix
+from .matroid import LabeledMatrix, _labeled
 from .stdrepr import StandardRepr
 
 __all__ = [
@@ -103,6 +107,9 @@ def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     return _exact(kind, rows, n_cols)
 
 
+_MATRIX_KEYS = ("rows", "cols", "data")
+_STANDARD_REPR_KEYS = ("X", "Y", "B")
+
 _GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -133,53 +140,44 @@ def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatr
     )
 
 
-def _matrix_from(obj: dict) -> LabeledMatrix:
-    _check_keys(obj, {"field", "rows", "cols", "data"})
+def _read(obj: dict, names: tuple[str, str, str]):
+    """The document of ``obj`` keyed by ``names``: a ``LabeledMatrix`` or a ``StandardRepr``."""
+    h, t, d = names
+    _check_keys(obj, {"field", *names})
     kind = _parse_field(obj["field"])
-    rows = _parse_labels(obj["rows"], "rows")
-    cols = _parse_labels(obj["cols"], "cols")
-    body = _parse_grid(kind, obj["data"], len(rows), len(cols))
+    head = _parse_labels(obj[h], h)
+    tail = _parse_labels(obj[t], t)
+    body = _labeled(head, tail, _parse_grid(kind, obj[d], len(head), len(tail)))
+    if names == _MATRIX_KEYS:
+        return body
     try:
-        return LabeledMatrix(rows, cols, body)
+        return StandardRepr(head, tail, body)
     except ShapeError as exc:
         raise DocumentError(str(exc)) from None
 
 
 def parse_matrix_document(text: str) -> LabeledMatrix:
-    return _matrix_from(_load_object(text))
+    return _read(_load_object(text), _MATRIX_KEYS)
 
 
 def render_matrix_document(m: LabeledMatrix) -> str:
-    return _render(m.kind, ("rows", "cols", "data"), m.row_labels, m.col_labels, m.body)
-
-
-def _standard_repr_from(obj: dict) -> StandardRepr:
-    _check_keys(obj, {"field", "X", "Y", "B"})
-    kind = _parse_field(obj["field"])
-    x = _parse_labels(obj["X"], "X")
-    y = _parse_labels(obj["Y"], "Y")
-    body = _parse_grid(kind, obj["B"], len(x), len(y))
-    try:
-        return StandardRepr(x, y, LabeledMatrix(x, y, body))
-    except ShapeError as exc:
-        raise DocumentError(str(exc)) from None
+    return _render(m.kind, _MATRIX_KEYS, m.row_labels, m.col_labels, m.body)
 
 
 def parse_standard_repr_document(text: str) -> StandardRepr:
-    return _standard_repr_from(_load_object(text))
+    return _read(_load_object(text), _STANDARD_REPR_KEYS)
 
 
 def render_standard_repr_document(s: StandardRepr) -> str:
-    return _render(s.kind, ("X", "Y", "B"), s.X, s.Y, s.B.body)
+    return _render(s.kind, _STANDARD_REPR_KEYS, s.X, s.Y, s.B.body)
 
 
 def parse_document(text: str):
     """Parse either document type, telling them apart by their keys."""
     obj = _load_object(text)
-    if set(obj) == {"field", "rows", "cols", "data"}:
-        return _matrix_from(obj)
-    if set(obj) == {"field", "X", "Y", "B"}:
-        return _standard_repr_from(obj)
+    for names in (_MATRIX_KEYS, _STANDARD_REPR_KEYS):
+        if set(obj) == {"field", *names}:
+            return _read(obj, names)
     raise DocumentError(
         "expected a matrix document (field/rows/cols/data) "
         "or a standard representation document (field/X/Y/B)"

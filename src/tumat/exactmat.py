@@ -7,12 +7,13 @@ immutable values: every operation returns a new matrix.  Empty matrices
 the 0x0 matrix is 1.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
-every entry.  Operations on matrices (transpose, submatrix, pivot,
-inverse, products, ``from_cols``), the document parser and the sums,
-which assemble their rows directly, build their results with ``_exact``,
-which shares the already exact entries without coercing them again; each
-such operation keeps the entry types exact itself (``tests/test_exactmat.py``
-and ``tests/test_sums.py`` check this invariant).
+every entry.  Every matrix the package computes from exact entries is
+built with ``_exact``, which shares them without coercing them again:
+``identity``, the operations on matrices (transpose, submatrix, pivot,
+inverse, products, ``from_cols``), the document parser, the sums, the
+signings, ``standardize`` and ``support``.  Each keeps the entry types
+exact itself (``tests/test_exactmat.py`` and ``tests/test_sums.py``
+check this invariant).
 """
 
 from __future__ import annotations
@@ -225,7 +226,10 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "ExactMatrix":
-        return cls(kind, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n_cols=n)
+        if kind not in (GF2, RATIONAL):
+            raise ShapeError(f"unknown scalar kind {kind!r}")
+        zero, one = (0, 1) if kind == GF2 else (Fraction(0), Fraction(1))
+        return _exact(kind, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, kind: str) -> "ExactMatrix":
@@ -327,8 +331,7 @@ class ExactMatrix:
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
-        zero, one = (0, 1) if self.kind == GF2 else (Fraction(0), Fraction(1))
-        work = [list(row) + [one if i == k else zero for k in range(n)] for i, row in enumerate(self.rows)]
+        work = [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(n, self.kind).rows)]
         pivots = _gauss_jordan(self.kind, work, range(n))
         return _exact(self.kind, [work[r][n:] for r in pivots], n)
 

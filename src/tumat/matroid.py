@@ -19,7 +19,7 @@ from typing import Callable, FrozenSet, Iterable, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, gf2_rank_of_ints
-from .exactmat import _gauss_jordan, _int_rows_rank
+from .exactmat import _exact, _gauss_jordan, _int_rows_rank
 from .tu import is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
@@ -293,7 +293,7 @@ def _scales_to_tu(b: list[list[Fraction]], n: int) -> bool:
         scale[c] = 1 / abs(b[i][j] * scale[p])
     rows = [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]
     try:
-        return is_totally_unimodular(ExactMatrix(RATIONAL, rows, n_cols=n)).is_tu
+        return is_totally_unimodular(_exact(RATIONAL, rows, n)).is_tu
     except SizeGuardError:
         return False
 

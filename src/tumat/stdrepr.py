@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _gauss_jordan, from_cols
+from .exactmat import GF2, RATIONAL, ExactMatrix, _exact, _gauss_jordan, from_cols
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, to_matroid
 from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
@@ -86,19 +86,19 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
 
     Each non-base column is written in coordinates over the base columns
     by exact Gauss-Jordan elimination; B[x][y] is the coordinate of
-    column y on base column x.  The base must really be a base of the
-    column matroid.
+    column y on base column x.  The labels form a base of the column
+    matroid when each of their columns pivots and no nonzero row is left.
     """
     x_order, y_order = _split_by_base(rep, base_labels)
-    if not to_matroid(rep).is_base(x_order):
-        raise ShapeError("the given label set is not a base of the column matroid")
     work = list(rep.body.rows)
-    pivots = _gauss_jordan(rep.kind, work, [rep.col_position(x) for x in x_order])
-    if any(any(row) for r, row in enumerate(work) if r not in pivots):
-        raise ShapeError("residual rows are nonzero; inconsistent matrix")
+    try:
+        pivots = _gauss_jordan(rep.kind, work, [rep.col_position(x) for x in x_order])
+    except ShapeError:
+        pivots = None
+    if pivots is None or any(any(row) for r, row in enumerate(work) if r not in pivots):
+        raise ShapeError("the given label set is not a base of the column matroid")
     y_positions = [rep.col_position(y) for y in y_order]
-    b_rows = [[work[r][j] for j in y_positions] for r in pivots]
-    b = ExactMatrix(rep.kind, b_rows, n_cols=len(y_order))
+    b = _exact(rep.kind, [[work[r][j] for j in y_positions] for r in pivots], len(y_order))
     return StandardRepr(x_order, y_order, _labeled(x_order, y_order, b))
 
 
@@ -137,15 +137,13 @@ def fundamental_repr(m: FiniteMatroid, base_labels: Iterable[Label]) -> Standard
     for x in x_order:
         rest = g - {x}
         rows.append([1 if m.indep(rest | {y}) else 0 for y in y_order])
-    b = ExactMatrix(GF2, rows, n_cols=len(y_order))
-    return StandardRepr(x_order, y_order, LabeledMatrix(x_order, y_order, b))
+    return StandardRepr(x_order, y_order, _labeled(x_order, y_order, _exact(GF2, rows, len(y_order))))
 
 
 def support(rep: LabeledMatrix) -> LabeledMatrix:
     """GF(2) matrix marking the nonzero entries of ``rep``."""
     rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]
-    body = ExactMatrix(GF2, rows, n_cols=rep.body.n_cols)
-    return _labeled(rep.row_labels, rep.col_labels, body)
+    return _labeled(rep.row_labels, rep.col_labels, _exact(GF2, rows, rep.body.n_cols))
 
 
 def is_regular(

@@ -142,17 +142,25 @@ def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
                   n_left + n_right)
 
 
-def _require_gf2(left: StandardRepr, right: StandardRepr) -> None:
+def _check_glue(left: StandardRepr, right: StandardRepr, *shared: tuple[set, str]) -> None:
+    """Raise unless a sum's summands are GF(2), meet in exactly the glue labels, and collide nowhere.
+
+    ``shared`` is empty for a 1-sum, else the glue row labels and then
+    the glue column labels, each with the name the message gives them.
+    """
     for s, who in ((left, "left"), (right, "right")):
         if s.kind != GF2:
             raise ShapeError(f"{who} summand must be a GF(2) standard representation")
+    for what, a, b, (glue, name) in zip(("row", "column"), (left.X, left.Y), (right.X, right.Y), shared):
+        if set(a) & set(b) != glue:
+            raise ShapeError(f"{what} label sets must intersect in exactly {name}")
+    if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
+        raise ShapeError("row labels of one summand collide with column labels of the other")
 
 
 def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     """1-sum: block-diagonal standard representation on disjoint labels."""
-    _require_gf2(left, right)
-    if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
-        raise ShapeError("row labels of one summand collide with column labels of the other")
+    _check_glue(left, right)
     x_shared = set(left.X) & set(right.X)
     if x_shared:
         return SumOutcome.invalid(REASON_X_OVERLAP, f"shared row labels {sorted(x_shared)}")
@@ -173,13 +181,7 @@ def standard_repr_sum_2(
     r is row x of the left matrix and c is column y of the right matrix;
     either being all zero makes the sum Invalid.
     """
-    _require_gf2(left, right)
-    if set(left.X) & set(right.X) != {x}:
-        raise ShapeError("row label sets must intersect in exactly the glue label x")
-    if set(left.Y) & set(right.Y) != {y}:
-        raise ShapeError("column label sets must intersect in exactly the glue label y")
-    if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
-        raise ShapeError("row labels of one summand collide with column labels of the other")
+    _check_glue(left, right, ({x}, "the glue label x"), ({y}, "the glue label y"))
     a_left, r, a_right, c, x_out, y_out = _sum2_pieces(left.B, right.B, x, y)
     if not any(r):
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {x!r} of the left summand is zero")
@@ -212,15 +214,8 @@ def standard_repr_sum_3(
     outside rows x0, x1 and row x2 of the right is zero outside columns
     y0, y1.
     """
-    _require_gf2(left, right)
-    xs = set(labels.xs)
-    ys = set(labels.ys)
-    if set(left.X) & set(right.X) != xs:
-        raise ShapeError("row label sets must intersect in exactly the three glue labels")
-    if set(left.Y) & set(right.Y) != ys:
-        raise ShapeError("column label sets must intersect in exactly the three glue labels")
-    if set(left.X) & set(right.Y) or set(left.Y) & set(right.X):
-        raise ShapeError("row labels of one summand collide with column labels of the other")
+    xs, ys = set(labels.xs), set(labels.ys)
+    _check_glue(left, right, (xs, "the three glue labels"), (ys, "the three glue labels"))
 
     if len(xs) < 3 or len(ys) < 3:
         return SumOutcome.invalid(REASON_LABELS_NOT_DISTINCT, "glue labels must be six distinct names")
@@ -228,7 +223,7 @@ def standard_repr_sum_3(
     d0_right = right.B.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body
     if d0_left != d0_right:
         return SumOutcome.invalid(REASON_D0_MISMATCH, "connector blocks of the two summands differ")
-    if d0_left.determinant() == 0:
+    if is_unit_2x2(d0_left) is None:
         return SumOutcome.invalid(REASON_D0_SINGULAR, "connector block is singular")
     one_entries = (
         (labels.x0, labels.y2), (labels.x1, labels.y2), (labels.x2, labels.y0), (labels.x2, labels.y1)
@@ -297,17 +292,16 @@ def is_unit_2x2(
 
     Returns (row permutation, column permutation, form) with
     a[f[i]][g[j]] equal to the canonical form, trying the identity form
-    first and the identity permutations first; None when singular.
+    first and the identity permutations first; None when singular, since
+    permuting the two forms reaches exactly the six invertible matrices.
     """
     if a.kind != GF2 or a.shape != (2, 2):
         raise ShapeError("is_unit_2x2 takes a 2x2 GF(2) matrix")
-    if a.determinant() == 0:
-        return None
     for form, tgt in _UNIT_FORMS:
         for f, g in _PERM_PAIRS:
             if all(a[f[i], g[j]] == tgt[i][j] for i in range(2) for j in range(2)):
                 return (f, g, form)
-    raise AssertionError("an invertible 2x2 GF(2) matrix always reaches a canonical form")
+    return None
 
 
 def _require_rational(signed_left, signed_right) -> None:
@@ -416,7 +410,7 @@ def canonical_signing_sum3(
         cols = [side.col_position(v) for v in cut.ys]
         return _labeled(side.row_labels, side.col_labels, _resign_to_target(side.body, rows, cols, target))
 
-    return LabeledMatrix(*_assemble_sum3(resign(signed_left), resign(signed_right), cut))
+    return _labeled(*_assemble_sum3(resign(signed_left), resign(signed_right), cut))
 
 
 def _pair(glue) -> tuple[Label, Label]:
@@ -445,11 +439,12 @@ def sign_composition(
     """Signing of a sum from TU signings of its summands, labeled like ``compose``'s result.
 
     The summand signings must already be certified TU (``is_regular``
-    does so); the result is then TU, and is not checked here.
+    does so) and labeled like summands whose ``compose`` is Valid; the
+    result is then TU, and neither it nor its labels are checked here.
     """
     if glue is None:
         body = sign_sum_1(signed_left.body, signed_right.body)
-        return LabeledMatrix(
+        return _labeled(
             signed_left.row_labels + signed_right.row_labels,
             signed_left.col_labels + signed_right.col_labels,
             body,
@@ -457,7 +452,7 @@ def sign_composition(
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
     a_left, r, a_right, c, rows, cols = _sum2_pieces(signed_left, signed_right, *_pair(glue))
-    return LabeledMatrix(rows, cols, sign_sum_2(a_left, r, a_right, c))
+    return _labeled(rows, cols, sign_sum_2(a_left, r, a_right, c))
 
 
 def verify_is_sum_k_of(

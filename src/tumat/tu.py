@@ -119,10 +119,7 @@ def is_totally_unimodular(
                 else:
                     return TuVerdict(False, ((i,), (j,), Fraction(v)))
     if min(m, n) > limit and not force:
-        raise SizeGuardError(
-            f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit}); "
-            "pass force=True to run anyway"
-        )
+        raise SizeGuardError(f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit})")
     # drop zero, unit and repeated lines until every line left is needed
     rows, cols = (1 << m) - 1, (1 << n) - 1
     while True:

@@ -4,6 +4,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -20,7 +21,7 @@ from tumat import (
     render_matrix_document,
     render_standard_repr_document,
 )
-from tumat import cli, matroid, stdrepr, sums, tu
+from tumat import cli, exactmat, matroid, stdrepr, sums, tu
 from tumat.cli import main
 from tumat.fixtures import incidence_matrix
 
@@ -69,7 +70,10 @@ def test_tu_check_guard_and_force(capsys, monkeypatch):
     monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
     code, _, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
     assert code == 3
-    assert err.startswith("size guard:")
+    assert err == (
+        "size guard: TU check on a 2x3 matrix exceeds the size guard (min dim > 1); "
+        "pass --force to run anyway\n"
+    )
     code, out, _ = run(capsys, "tu", "check", FIXTURES / "network_uv.json", "--force")
     assert (code, out) == (0, "TU\n")
 
@@ -245,7 +249,10 @@ def test_matroid_eq_guard(capsys, monkeypatch, tmp_path):
     fano_q.write_text((FIXTURES / "fano.json").read_text().replace('"gf2"', '"rational"'))
     code, out, err = run(capsys, "matroid", "eq", fano_q, fano_q)
     assert (code, out) == (3, "")
-    assert err.startswith("size guard:")
+    assert err == (
+        "size guard: exhaustive matroid comparison over 7 elements exceeds the guard (3); "
+        "pass --force to run anyway\n"
+    )
     code, out, _ = run(capsys, "matroid", "eq", fano_q, fano_q, "--force")
     assert (code, out) == (0, "equal\n")
     code, out, _ = run(capsys, "matroid", "eq", fano_q, FIXTURES / "fano.json", "--force")
@@ -405,6 +412,53 @@ def test_verify_composition_reads_no_eq_limit_and_force_lifts_tu_guard(capsys, m
     assert err.startswith("size guard:")
     code, out, _ = run(capsys, *argv, "--force")
     assert (code, out) == (0, "verified 1-sum composition: regular\n")
+
+
+def test_verify_composition_reads_glue_flags_first(capsys, monkeypatch):
+    # a missing glue flag is a usage error even when a summand is not regular
+    code, out, err = run(capsys, "verify", "composition", "-k", "2",
+                         FIXTURES / "fano.json", FIXTURES / "r10.json")
+    assert (code, out, err) == (2, "", "error: --k 2 needs --x and --y\n")
+
+    def no_regularity_check(*args, **kwargs):
+        raise AssertionError("is_regular called before the glue flags were read")
+
+    monkeypatch.setattr(cli, "is_regular", no_regularity_check)
+    code, out, err = run(capsys, "verify", "composition", "-k", "2",
+                         FIXTURES / "sum2_left.json", FIXTURES / "sum2_right.json")
+    assert (code, out, err) == (2, "", "error: --k 2 needs --x and --y\n")
+
+
+RECHECK_CASES = {
+    "tu check": ["tu", "check", FIXTURES / "network_uv.json"],
+    "regular check": ["regular", "check", FIXTURES / "r10.json"],
+    "tu sign": ["tu", "sign", FIXTURES / "r10.json"],
+    "matroid info": ["matroid", "info", FIXTURES / "fano.json"],
+    "matroid eq": ["matroid", "eq", FIXTURES / "r10.json", FIXTURES / "r10.json"],
+    "sum k1": ["sum", "-k", "1", FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"],
+    "sum k3": ["sum", "-k", "3", *K3_FLAGS,
+               FIXTURES / "sum3/d0-1101-left.json", FIXTURES / "sum3/d0-1101-right.json"],
+    **{f"verify {case}": ["verify", "composition", *VERIFY_CASES[case][0],
+                          FIXTURES / VERIFY_CASES[case][1], FIXTURES / VERIFY_CASES[case][2]]
+       for case in ("k1-sum1", "k2-sum2", "k3-d0-0110")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECHECK_CASES))
+def test_parsed_inputs_are_checked_once(capsys, monkeypatch, case):
+    # labels and entries are checked where a document is read; nothing after that re-checks them
+    calls = Counter()
+    for module, name in ((matroid, "_check_labels"), (exactmat, "_coerce_gf2"),
+                         (exactmat, "_coerce_rational")):
+        def counted(*args, _real=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, err = run(capsys, *RECHECK_CASES[case])
+    assert (code, err) == (0, "")
+    # sign_sum_2 still coerces the caller's r and c, one row and one column of the signing
+    assert calls == (Counter(_coerce_rational=4) if case == "verify k2-sum2" else Counter())
 
 
 def test_verify_composition_19_elements_needs_no_guard_widening(capsys, monkeypatch, tmp_path):

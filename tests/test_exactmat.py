@@ -17,7 +17,11 @@ from tumat import (
     render_matrix_document,
     render_standard_repr_document,
     scale_rows_cols,
+    standardize,
+    support,
+    to_matroid,
 )
+from tumat.stdrepr import fundamental_repr
 from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
 
 from helpers import (
@@ -66,6 +70,8 @@ def test_empty_matrices():
 def test_identity_and_zeros():
     i3 = ExactMatrix.identity(3, RATIONAL)
     assert i3.determinant() == 1
+    with pytest.raises(ShapeError, match="^unknown scalar kind 'real'$"):
+        ExactMatrix.identity(2, "real")
     assert ExactMatrix.zeros(2, 3, GF2).to_lists() == [[0, 0, 0], [0, 0, 0]]
 
 
@@ -335,6 +341,9 @@ def test_every_operation_keeps_entries_exact(kind):
         results.append(parse_matrix_document(render_matrix_document(lm)).body)
         s = make_repr(labels("x", m), labels("y", n), a)
         results.append(parse_standard_repr_document(render_standard_repr_document(s)).B.body)
+        results += [s.to_full().body, standardize(s.to_full(), s.X).B.body, support(lm).body]
+        if kind == GF2:
+            results.append(fundamental_repr(to_matroid(s.to_full()), s.X).B.body)
         for r in results:
             assert_exact(r)
 

@@ -79,14 +79,24 @@ def test_standardize_preserves_matroid_every_base():
 
 
 def test_standardize_rejects_non_base():
+    not_base = "^the given label set is not a base of the column matroid$"
     rep = LabeledMatrix(["r"], ["a", "b"], ExactMatrix(RATIONAL, [[1, 2]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=not_base):
         standardize(rep, ["a", "b"])  # too big
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^labels \['z'\] are not columns of the matrix$"):
         standardize(rep, ["z"])  # not a column
     dep = LabeledMatrix(["r", "s"], ["a", "b"], ExactMatrix(RATIONAL, [[1, 2], [2, 4]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=not_base):
         standardize(dep, ["a", "b"])  # dependent pair
+    # an independent set that does not span fails with the same message, over both kinds
+    for kind in (RATIONAL, GF2):
+        eye = LabeledMatrix(["r", "s"], ["a", "b", "c"], ExactMatrix(kind, [[1, 0, 1], [0, 1, 1]]))
+        with pytest.raises(ShapeError, match=not_base):
+            standardize(eye, ["a"])
+        with pytest.raises(ShapeError, match=not_base):
+            standardize(eye, ["c"])
+        with pytest.raises(ShapeError, match=not_base):
+            standardize(eye, [])
 
 
 def test_standardize_tu_matches_independent_oracles():

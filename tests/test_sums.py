@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -207,17 +208,41 @@ def test_sum_2_invalid_reasons():
     assert out.reason == REASON_ZERO_ROW
 
 
+def exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
+NOT_GF2 = "{} summand must be a GF(2) standard representation"
+COLLIDE = "row labels of one summand collide with column labels of the other"
+
+
 def test_sum_2_shape_preconditions():
     left = make_repr(["x1", "x2"], ["y1", "y2"], ExactMatrix(GF2, [[1, 1], [0, 1]]))
     right = make_repr(["x2", "x3"], ["y2", "y3"], ExactMatrix(GF2, [[1, 0], [1, 1]]))
-    with pytest.raises(ShapeError):
+    rows = "row label sets must intersect in exactly the glue label x"
+    cols = "column label sets must intersect in exactly the glue label y"
+    with pytest.raises(ShapeError, match=exactly(rows)):
         standard_repr_sum_2(left, right, "x1", "y2")  # intersection is {x2}, not {x1}
     two_shared = make_repr(["x1", "x2"], ["y2", "y3"], ExactMatrix(GF2, [[1, 0], [1, 1]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=exactly(rows)):
         standard_repr_sum_2(left, two_shared, "x2", "y2")
+    with pytest.raises(ShapeError, match=exactly(cols)):
+        standard_repr_sum_2(left, right, "x2", "y1")
     cross = make_repr(["x2", "x3"], ["y2", "x1"], ExactMatrix(GF2, [[1, 0], [1, 1]]))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=exactly(COLLIDE)):
         standard_repr_sum_2(left, cross, "x2", "y2")
+    rational = make_repr(["x2", "x3"], ["y2", "y3"], ExactMatrix(RATIONAL, [[1, 0], [1, 1]]))
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("right"))):
+        standard_repr_sum_2(left, rational, "x2", "y2")
+    # two failed preconditions: the first in the order kinds, rows, columns, collisions is raised
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("left"))):
+        standard_repr_sum_2(rational, rational, "x1", "y1")
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("right"))):
+        standard_repr_sum_2(left, rational, "x1", "y1")
+    with pytest.raises(ShapeError, match=exactly(rows)):
+        standard_repr_sum_2(left, right, "x1", "y1")
+    with pytest.raises(ShapeError, match=exactly(cols)):
+        standard_repr_sum_2(left, cross, "x2", "y1")
 
 
 def test_sum_3_valid_layout():
@@ -312,12 +337,30 @@ def test_sum_3_guard_order():
 
 def test_sum_3_shape_preconditions():
     left, right, glue = identity_pair()
-    with pytest.raises(ShapeError):
-        standard_repr_sum_3(left, right, Sum3Labels("xa", "x1", "x2", "y0", "y1", "y2"))
+    rows = "row label sets must intersect in exactly the three glue labels"
+    cols = "column label sets must intersect in exactly the three glue labels"
+    bad_x = Sum3Labels("xa", "x1", "x2", "y0", "y1", "y2")
+    bad_y = Sum3Labels("x0", "x1", "x2", "y0", "y1", "ya")
+    with pytest.raises(ShapeError, match=exactly(rows)):
+        standard_repr_sum_3(left, right, bad_x)
+    with pytest.raises(ShapeError, match=exactly(cols)):
+        standard_repr_sum_3(left, right, bad_y)
     bad_right = make_repr(["x0", "x1", "xb", "x2"], ["y0", "y1", "y2", "xa"],
                           ExactMatrix(GF2, RIGHT3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=exactly(COLLIDE)):
         standard_repr_sum_3(left, bad_right, glue)
+    rational = make_repr(list(right.X), list(right.Y), ExactMatrix(RATIONAL, RIGHT3))
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("right"))):
+        standard_repr_sum_3(left, rational, glue)
+    # two failed preconditions: the first in the order kinds, rows, columns, collisions is raised
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("left"))):
+        standard_repr_sum_3(rational, rational, bad_x)
+    with pytest.raises(ShapeError, match=exactly(NOT_GF2.format("right"))):
+        standard_repr_sum_3(left, rational, bad_x)
+    with pytest.raises(ShapeError, match=exactly(rows)):
+        standard_repr_sum_3(left, right, Sum3Labels("xa", "x1", "x2", "y0", "y1", "ya"))
+    with pytest.raises(ShapeError, match=exactly(cols)):
+        standard_repr_sum_3(left, bad_right, bad_y)
 
 
 def test_is_unit_2x2_exhaustive():
