@@ -5,7 +5,7 @@ Exit codes: 0 on success or a positive verdict, 1 on a negative verdict
 shape errors, 3 when a size guard trips.  Guards can be lifted with
 ``--force`` or widened with the environment variables TUMAT_TU_LIMIT
 (every TU check) and TUMAT_EQ_LIMIT (``matroid eq`` only, and there only
-the subset-by-subset comparison of matroids not known to be binary).
+the base comparison of matroids not known to be binary).
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Entries are plain ints 0/1 for the GF(2) kind and ``fractions.Fraction``
 for the rational kind, so all arithmetic is exact.  Matrices are
 immutable values: every operation returns a new matrix.  Empty matrices
 (zero rows and/or zero columns) are legal everywhere; the determinant of
-the 0x0 matrix is 1.
+the 0x0 matrix is 1.  Over the rationals, determinant and rank share one
+fraction-free (Bareiss) elimination of the rows with denominators
+cleared; over GF(2), both come from the rank of the bit-packed rows.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry.  Every matrix the package computes from exact entries is
@@ -19,7 +21,7 @@ check this invariant).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -86,66 +88,46 @@ def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
     return len(pivots)
 
 
-def _int_bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            mi = m[i]
-            mk = m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * piv - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
-
-
-def _int_rows_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as rows (fraction-free Bareiss elimination).
+def _bareiss(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
+    """Rank and signed last pivot of an integer matrix given as rows (fraction-free Bareiss).
 
     Each step scales the rows below the pivot by pivot/previous pivot, so every
-    entry stays a minor of the input up to sign and the division is exact.  A
-    row whose factor is zero is skipped when that ratio is +-1 (a sign change).
+    entry stays a minor of the row-swapped input and the division is exact; a
+    row is skipped only when that leaves it unchanged.  The sign follows the
+    row swaps, so for a square matrix of full rank the signed last pivot is its
+    determinant (1 for the 0x0 matrix).
     """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for c in range(n):
         for piv in range(rank, m):
             if work[piv][c]:
                 break
         else:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            sign = -sign
         pr = work[rank]
         pv = pr[c]
         for r in range(rank + 1, m):
             wr = work[r]
             f = wr[c]
-            if f or abs(pv) != abs(prev):
+            if f or pv != prev:
                 for j in range(c + 1, n):
                     wr[j] = (wr[j] * pv - pr[j] * f) // prev
         prev = pv
         rank += 1
         if rank == m:
             break
-    return rank
+    return rank, sign * prev
+
+
+def _int_rows_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix given as rows."""
+    return _bareiss(rows)[0]
 
 
 def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
@@ -289,27 +271,16 @@ class ExactMatrix:
         """Exact determinant of a square matrix; the 0x0 determinant is 1."""
         if self.n_rows != self.n_cols:
             raise ShapeError(f"determinant of non-square {self.n_rows}x{self.n_cols} matrix")
-        n = self.n_rows
         if self.kind == GF2:
-            if n == 0:
-                return 1
-            masks = [sum(bit << j for j, bit in enumerate(row)) for row in self.rows]
-            return 1 if gf2_rank_of_ints(masks) == n else 0
-        if n == 0:
-            return Fraction(1)
+            return int(self.rank() == self.n_rows)
         ints, scales = _scaled_int_rows(self.rows)
-        det = _int_bareiss_det(ints)
-        denom = 1
-        for s in scales:
-            denom *= s
-        return Fraction(det, denom)
+        rank, det = _bareiss(ints)
+        return Fraction(det if rank == self.n_rows else 0, prod(scales))
 
     def rank(self) -> int:
         if self.kind == GF2:
-            masks = [sum(bit << j for j, bit in enumerate(row)) for row in self.rows]
-            return gf2_rank_of_ints(masks)
-        ints, _ = _scaled_int_rows(self.rows)
-        return _int_rows_rank(ints)
+            return gf2_rank_of_ints(sum(bit << j for j, bit in enumerate(row)) for row in self.rows)
+        return _int_rows_rank(_scaled_int_rows(self.rows)[0])
 
     def pivot(self, i: int, j: int) -> "ExactMatrix":
         """Gaussian pivot at (i, j): column j becomes the i-th unit column.

@@ -5,8 +5,8 @@ column matroid of a labeled matrix over GF(2) or the rationals: a set of
 column labels is independent when the selected columns have full column
 rank.  All queries are exact.  Equality of two matroids known to be
 binary compares their standard representations at one shared base;
-other pairs, and the remaining queries, are exhaustive; sizes are desk
-scale.
+other pairs compare their bases, and the remaining queries are
+exhaustive too; sizes are desk scale.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 from typing import Callable, FrozenSet, Iterable, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, gf2_rank_of_ints
-from .exactmat import _exact, _gauss_jordan, _int_rows_rank
+from .exactmat import _exact, _gauss_jordan, _int_rows_rank, _scaled_int_rows
 from .tu import is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
@@ -121,12 +120,6 @@ def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: Exa
     return m
 
 
-def _int_column(col: Sequence[Fraction]) -> tuple[int, ...]:
-    # scaling a column by a positive integer does not change independence
-    d = lcm(*(x.denominator for x in col)) if col else 1
-    return tuple(int(x * d) for x in col)
-
-
 class FiniteMatroid:
     """A finite matroid, backed by a column representation or a base family."""
 
@@ -151,9 +144,8 @@ class FiniteMatroid:
                 for j, lbl in enumerate(rep.col_labels)
             }
             return cls(rep.col_labels, GF2, _cols=cols, _n_rows=body.n_rows)
-        cols = {
-            lbl: _int_column(body.col(j)) for j, lbl in enumerate(rep.col_labels)
-        }
+        # scaling a column by a positive integer does not change independence
+        cols = dict(zip(rep.col_labels, map(tuple, _scaled_int_rows(body.transpose().rows)[0])))
         return cls(rep.col_labels, RATIONAL, _cols=cols, _n_rows=body.n_rows)
 
     @classmethod
@@ -237,14 +229,15 @@ def matroids_equal(
     standardized to [I | B] at X.  A binary matroid is determined by B,
     so when both sides are known binary (GF(2)-backed, or rational with a
     B that scales to a TU matrix) equality is equality of the supports
-    of their Bs.  Otherwise all 2^n subsets are compared; only this
-    fallback is guarded, and grounds larger than ``limit`` raise
-    ``SizeGuardError`` rather than silently approximating.
+    of their Bs.  Otherwise the ranks, then the C(n, r) size-r subsets
+    are compared.  Only this fallback is guarded: grounds larger than
+    ``limit`` raise ``SizeGuardError``.  Within the guard, the TU check of
+    a rational B is forced, since B has C(n, r) square submatrices.
     """
     if m1._ground_set != m2._ground_set:
         return False
     if m1._mode == "bases" or m2._mode == "bases":
-        return _subsets_equal(m1, m2, limit)
+        return _bases_equal(m1, m2, limit)
     base: list[Label] = []
     for e in sorted(m1._ground_set):
         if m1.indep(base + [e]):
@@ -252,14 +245,15 @@ def matroids_equal(
     if not m2.is_base(base):
         return False
     rest = sorted(m1._ground_set - set(base))
-    supports = [_binary_support(m, base, rest) for m in (m1, m2)]
+    n = len(m1._ground_set)
+    supports = [_binary_support(m, base, rest, n <= limit) for m in (m1, m2)]
     if None in supports:
-        return _subsets_equal(m1, m2, limit)
+        return _bases_equal(m1, m2, limit)
     return supports[0] == supports[1]
 
 
 def _binary_support(
-    m: FiniteMatroid, base: list[Label], rest: list[Label]
+    m: FiniteMatroid, base: list[Label], rest: list[Label], force: bool
 ) -> Optional[list[list[bool]]]:
     """Support of B in the standard form [I | B] of ``m`` at ``base``.
 
@@ -274,16 +268,16 @@ def _binary_support(
     else:
         rows = [[Fraction(m._cols[e][i]) for e in order] for i in range(m._n_rows)]
     b = [rows[r][len(base):] for r in _gauss_jordan(m._mode, rows, range(len(base)))]
-    if m._mode == RATIONAL and not _scales_to_tu(b, len(rest)):
+    if m._mode == RATIONAL and not _scales_to_tu(b, len(rest), force):
         return None
     return [[v != 0 for v in row] for row in b]
 
 
-def _scales_to_tu(b: list[list[Fraction]], n: int) -> bool:
+def _scales_to_tu(b: list[list[Fraction]], n: int, force: bool) -> bool:
     """Whether B is TU once scaled so every entry on a spanning forest of its
     support is +-1.  Row and column scaling keep the matroid of [I | B], and
-    any TU scaling of B differs from this one only by signs.  A check past
-    the default TU guard counts as not TU.
+    any TU scaling of B differs from this one only by signs.  Unless
+    ``force`` is set, a check past the default TU guard counts as not TU.
     """
     m = len(b)
     edges = [(i, j) for i in range(m) for j in range(n) if b[i][j]]
@@ -293,23 +287,22 @@ def _scales_to_tu(b: list[list[Fraction]], n: int) -> bool:
         scale[c] = 1 / abs(b[i][j] * scale[p])
     rows = [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]
     try:
-        return is_totally_unimodular(_exact(RATIONAL, rows, n)).is_tu
+        return is_totally_unimodular(_exact(RATIONAL, rows, n), force=force).is_tu
     except SizeGuardError:
         return False
 
 
-def _subsets_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
+def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
+    """Same rank and the same bases, compared subset by subset in ``bases()`` order."""
     n = len(m1._ground_set)
     if n > limit:
         raise SizeGuardError(
             f"exhaustive matroid comparison over {n} elements exceeds the guard ({limit})"
         )
-    ground = sorted(m1._ground_set)
-    for k in range(n + 1):
-        for combo in combinations(ground, k):
-            if m1.indep(combo) != m2.indep(combo):
-                return False
-    return True
+    r = m1.rank
+    return r == m2.rank and all(
+        m1.indep(combo) == m2.indep(combo) for combo in combinations(sorted(m1._ground_set), r)
+    )
 
 
 def disjoint_sum(m1: FiniteMatroid, m2: FiniteMatroid) -> FiniteMatroid:
@@ -328,14 +321,8 @@ def disjoint_sum(m1: FiniteMatroid, m2: FiniteMatroid) -> FiniteMatroid:
         cols = {lbl: vec + pad1 for lbl, vec in m1._cols.items()}
         cols.update({lbl: pad2 + vec for lbl, vec in m2._cols.items()})
         return FiniteMatroid(ground, RATIONAL, _cols=cols, _n_rows=m1._n_rows + m2._n_rows)
-    fam = [b1 | b2 for b1 in _base_family(m1) for b2 in _base_family(m2)]
+    fam = [b1 + b2 for b1 in m1.bases() for b2 in m2.bases()]
     return FiniteMatroid.from_bases(ground, fam)
-
-
-def _base_family(m: FiniteMatroid) -> list[FrozenSet[Label]]:
-    if m._mode == "bases":
-        return list(m._bases)
-    return [frozenset(b) for b in m.bases()]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from operator import mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import scale_rows_cols, spanning_forest
@@ -259,14 +259,17 @@ def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Label
     without y0, y1.  Swapping x0 with x1 or y0 with y1 in ``cut`` leaves
     these labels unchanged.  The bottom row whose connector columns hold d
     starts with d * D0^-1 * [Dl | D0]: the left row itself for x0, x1, and
-    [Dr * D0^-1 * Dl | Dr] below; both summands must hold that D0.
+    [Dr * D0^-1 * Dl | Dr] below; both summands must hold that D0.  The two
+    rows of D0^-1 * [Dl | D0] are the left rows x0, x1 after Gauss-Jordan
+    pivoting at columns y0, y1.
     """
     x01, y01 = [cut.x0, cut.x1], [cut.y0, cut.y1]
     x_top = [u for u in b_left.row_labels if u not in x01]
     x_bottom = [u for u in b_right.row_labels if u != cut.x2]
     y_left = [v for v in b_left.col_labels if v != cut.y2]
     y_right = [v for v in b_right.col_labels if v not in y01]
-    m = (b_left.select(x01, y01).body.inverse() @ b_left.select(x01, y_left).body).rows
+    work = list(b_left.select(x01, y_left).body.rows)
+    m = [tuple(work[r]) for r in _gauss_jordan(b_left.kind, work, map(y_left.index, y01))]
     top, tail = b_left.select(x_top, y_left).body, b_right.select(x_bottom, y_right).body
     coeffs = b_right.select(x_bottom, y01).body.rows
     return x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, m, tail)
@@ -451,8 +454,9 @@ def sign_composition(
         )
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
+    _require_rational(signed_left, signed_right)
     a_left, r, a_right, c, rows, cols = _sum2_pieces(signed_left, signed_right, *_pair(glue))
-    return _labeled(rows, cols, sign_sum_2(a_left, r, a_right, c))
+    return _labeled(rows, cols, _stacked(a_left, zip(c), [r], a_right))
 
 
 def verify_is_sum_k_of(

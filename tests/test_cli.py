@@ -319,6 +319,34 @@ def test_matroid_eq_tu_rational_against_gf2_past_the_exhaustive_size(
     assert _eq(capsys, tmp_path, rep, _gf2_row_mixed(rng, rep)) == (0, "equal\n")
 
 
+def test_matroid_eq_force_lifts_the_tu_guard_before_comparing_bases(capsys, monkeypatch, tmp_path):
+    # [I | N] over Q and over GF(2), N a 22-arc network matrix on 11 nodes
+    # less one row: B at the shared base is N, 10x22, past the default TU
+    # guard.  Without --force the base comparison of 32 elements is refused;
+    # with it, the forced TU check decides the pair and no subset is visited.
+    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    rng = random.Random(11)
+    arcs = [(v, v + 1) for v in range(10)]
+    while len(arcs) < 22:
+        arcs.append(tuple(rng.sample(range(11), 2)))
+    n = incidence_matrix(11, arcs).to_lists()[1:]
+    rows = [[int(i == j) for j in range(10)] + row for i, row in enumerate(n)]
+    paths = [tmp_path / "q.json", tmp_path / "gf2.json"]
+    for path, kind in zip(paths, (RATIONAL, GF2)):
+        body = ExactMatrix(kind, rows, n_cols=32)
+        path.write_text(render_matrix_document(LabeledMatrix(labels("r", 10), labels("e", 32, 10), body)))
+    assert run(capsys, "matroid", "eq", *paths) == (
+        3, "", "size guard: exhaustive matroid comparison over 32 elements exceeds the guard (18); "
+               "pass --force to run anyway\n")
+
+    def no_base_comparison(*args):
+        raise AssertionError("compared bases although the TU check was allowed to run")
+
+    monkeypatch.setattr(matroid, "_bases_equal", no_base_comparison)
+    assert run(capsys, "matroid", "eq", *paths, "--force") == (0, "equal\n", "")
+
+
 def test_verify_composition_k1(capsys):
     code, out, _ = run(capsys, "verify", "composition", "-k", "1",
                        FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json")
@@ -457,8 +485,7 @@ def test_parsed_inputs_are_checked_once(capsys, monkeypatch, case):
         monkeypatch.setattr(module, name, counted)
     code, _, err = run(capsys, *RECHECK_CASES[case])
     assert (code, err) == (0, "")
-    # sign_sum_2 still coerces the caller's r and c, one row and one column of the signing
-    assert calls == (Counter(_coerce_rational=4) if case == "verify k2-sum2" else Counter())
+    assert calls == Counter()
 
 
 def test_verify_composition_19_elements_needs_no_guard_widening(capsys, monkeypatch, tmp_path):

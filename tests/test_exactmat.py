@@ -125,9 +125,23 @@ def test_known_determinants():
 def test_determinant_matches_cofactor_expansion():
     rng = random.Random(11)
     for _ in range(60):
-        n = rng.randrange(1, 5)
+        n = rng.randrange(0, 7)
         a = random_rational_matrix(rng, n, n)
         assert a.determinant() == cofactor_det(a.to_lists())
+    for trial in range(120):
+        n = rng.randrange(0, 7)
+        if trial % 2:
+            # signed permutations: row swaps, and pivots of both signs with
+            # zeros below them, where the elimination must still negate rows
+            perm = rng.sample(range(n), n)
+            rows = [[rng.choice([1, -1]) * (j == perm[i]) for j in range(n)] for i in range(n)]
+        else:
+            # small integers, zero in the leading column except in the last row
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            for row in rows[:-1]:
+                row[0] = 0
+        a = ExactMatrix(RATIONAL, rows, n_cols=n)
+        assert a.determinant() == cofactor_det(rows), rows
 
 
 def test_gf2_determinant_is_parity_of_integer_determinant():

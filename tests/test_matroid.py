@@ -265,10 +265,17 @@ def _pair_non_regular_q(rng, n_rows, n_cols):
     return RATIONAL, a, RATIONAL, _row_mixed(RATIONAL, a, rng)
 
 
-@pytest.mark.parametrize("family", [
-    _pair_gf2_gf2, _pair_tu_q_gf2, _pair_q_q, _pair_scaled_column, _pair_non_regular_q, "bases",
+_FAMILIES = [_pair_gf2_gf2, _pair_tu_q_gf2, _pair_q_q, _pair_scaled_column, _pair_non_regular_q, "bases"]
+
+
+@pytest.mark.parametrize("family, route", [
+    pytest.param(f, route, id=getattr(f, "__name__", f) + suffix)
+    for route, suffix in (("any", ""), ("base-comparison", "-base-comparison")) for f in _FAMILIES
 ])
-def test_matroids_equal_agrees_with_subset_oracle(family):
+def test_matroids_equal_agrees_with_subset_oracle(monkeypatch, family, route):
+    # the base-comparison route sends every pair, of equal rank or not, through _bases_equal
+    if route == "base-comparison":
+        monkeypatch.setattr(matroid_module, "_binary_support", lambda *args: None)
     rng = random.Random(23)
     verdicts = []
     for _ in range(60):
@@ -297,7 +304,7 @@ def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
     def refuse(m1, m2, limit):
         raise AssertionError("fell back to the subset loop")
 
-    monkeypatch.setattr(matroid_module, "_subsets_equal", refuse)
+    monkeypatch.setattr(matroid_module, "_bases_equal", refuse)
     rng = random.Random(29)
     verdicts = []
     for _ in range(60):
@@ -314,13 +321,13 @@ def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
 
 def test_fano_over_q_falls_back_and_differs_from_fano_over_gf2(monkeypatch):
     calls = []
-    subsets_equal = matroid_module._subsets_equal
+    bases_equal = matroid_module._bases_equal
 
     def record(m1, m2, limit):
         calls.append(limit)
-        return subsets_equal(m1, m2, limit)
+        return bases_equal(m1, m2, limit)
 
-    monkeypatch.setattr(matroid_module, "_subsets_equal", record)
+    monkeypatch.setattr(matroid_module, "_bases_equal", record)
     fano = fano_columns()
     over_q = to_matroid(lm(fano.row_labels, fano.col_labels, RATIONAL, fano.body.to_lists()))
     # same fundamental circuits at the shared base, different matroids

@@ -1,6 +1,8 @@
 """The benchmark's tracer must find every function it wraps, and its corpora must pass."""
 
+import ast
 import contextlib
+import importlib
 import io
 import pathlib
 
@@ -46,3 +48,15 @@ def test_corpus_round_replays_correctly(monkeypatch, tmp_path, workload, seed):
         if reason is not None:
             wrong.append(f"{req.tag}: {reason}")
     assert not wrong
+
+
+def test_baselines_imports_resolve():
+    # perfbench/baselines.py imports from tumat inside its functions, so a
+    # renamed name would only fail when that baseline runs
+    tree = ast.parse((PERFBENCH / "baselines.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "tumat"]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert not missing
