@@ -42,7 +42,7 @@ class DocumentError(ValueError):
 def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
@@ -84,6 +84,8 @@ def _parse_entry(kind: str, s) -> object:
             raise DocumentError(f'GF(2) entries must be "0" or "1", got {s!r}')
         return int(s)
     try:
+        if "e" in s.lower():  # an exponent can name a number of any size in a few bytes
+            raise ValueError
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise DocumentError(f"malformed rational entry {s!r}") from None

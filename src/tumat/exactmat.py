@@ -163,19 +163,19 @@ def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
             rows[k] = [x - f * b for x, b in zip(row, base)]
 
 
-def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> list[int]:
-    """Pivot each of ``cols`` in turn, in place; returns their pivot rows.
+def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> dict[int, int]:
+    """Pivot each of ``cols`` in turn, in place; returns {column: pivot row} for those that pivot.
 
     Each column pivots on the first unused row with a nonzero entry.  A
-    column with none depends on the earlier ones: the matrix is singular.
+    column with none depends on the earlier ones and is skipped, so over an
+    ordered column list the pivot columns are the greedy base.
     """
-    pivots: list[int] = []
+    pivots: dict[int, int] = {}
     for j in cols:
-        r = next((r for r in range(len(rows)) if rows[r][j] and r not in pivots), None)
-        if r is None:
-            raise ShapeError("matrix is singular")
-        _pivot_rows(kind, rows, r, j)
-        pivots.append(r)
+        r = next((r for r in range(len(rows)) if rows[r][j] and r not in pivots.values()), None)
+        if r is not None:
+            _pivot_rows(kind, rows, r, j)
+            pivots[j] = r
     return pivots
 
 
@@ -304,7 +304,9 @@ class ExactMatrix:
         n = self.n_rows
         work = [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(n, self.kind).rows)]
         pivots = _gauss_jordan(self.kind, work, range(n))
-        return _exact(self.kind, [work[r][n:] for r in pivots], n)
+        if len(pivots) < n:
+            raise ShapeError("matrix is singular")
+        return _exact(self.kind, [work[r][n:] for r in pivots.values()], n)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):

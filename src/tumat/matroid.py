@@ -3,10 +3,10 @@
 Ground elements are nonempty strings.  A vector-backed matroid is the
 column matroid of a labeled matrix over GF(2) or the rationals: a set of
 column labels is independent when the selected columns have full column
-rank.  All queries are exact.  Equality of two matroids known to be
-binary compares their standard representations at one shared base;
-other pairs compare their bases, and the remaining queries are
-exhaustive too; sizes are desk scale.
+rank.  All queries are exact.  Equality reduces each vector-backed side
+once, to its greedy base and standard form there; known-binary pairs
+compare those, other pairs compare their bases, and the remaining
+queries are exhaustive too; sizes are desk scale.
 """
 
 from __future__ import annotations
@@ -224,53 +224,51 @@ def matroids_equal(
 ) -> bool:
     """Equality: same ground set and same independent sets.
 
-    Two vector-backed matroids are compared at the greedy base X of ``m1``
-    over the sorted ground: X must be a base of ``m2``, and both are
-    standardized to [I | B] at X.  A binary matroid is determined by B,
-    so when both sides are known binary (GF(2)-backed, or rational with a
-    B that scales to a TU matrix) equality is equality of the supports
-    of their Bs.  Otherwise the ranks, then the C(n, r) size-r subsets
-    are compared.  Only this fallback is guarded: grounds larger than
-    ``limit`` raise ``SizeGuardError``.  Within the guard, the TU check of
-    a rational B is forced, since B has C(n, r) square submatrices.
+    Two vector-backed matroids are each reduced once, over the sorted
+    ground, to their greedy base X and the standard form [I | B] at X.
+    Equal matroids have the same greedy base, so different ones answer
+    "not equal".  A binary matroid is determined by B, so when both sides
+    are known binary (GF(2)-backed, or rational with a B that scales to a
+    TU matrix) equality is equality of the supports of their Bs.
+    Otherwise the ranks, then the C(n, r) size-r subsets are compared.
+    Only this fallback is guarded: grounds larger than ``limit`` raise
+    ``SizeGuardError``.  Within the guard, the TU check of a rational B is
+    forced, since B has C(n, r) square submatrices.
     """
     if m1._ground_set != m2._ground_set:
         return False
     if m1._mode == "bases" or m2._mode == "bases":
         return _bases_equal(m1, m2, limit)
-    base: list[Label] = []
-    for e in sorted(m1._ground_set):
-        if m1.indep(base + [e]):
-            base.append(e)
-    if not m2.is_base(base):
+    order = sorted(m1._ground_set)
+    (base1, b1), (base2, b2) = (_standard_form(m, order, len(order) <= limit) for m in (m1, m2))
+    if base1 != base2:
         return False
-    rest = sorted(m1._ground_set - set(base))
-    n = len(m1._ground_set)
-    supports = [_binary_support(m, base, rest, n <= limit) for m in (m1, m2)]
-    if None in supports:
+    if b1 is None or b2 is None:
         return _bases_equal(m1, m2, limit)
-    return supports[0] == supports[1]
+    return b1 == b2
 
 
-def _binary_support(
-    m: FiniteMatroid, base: list[Label], rest: list[Label], force: bool
-) -> Optional[list[list[bool]]]:
-    """Support of B in the standard form [I | B] of ``m`` at ``base``.
+def _standard_form(
+    m: FiniteMatroid, order: list[Label], force: bool
+) -> tuple[list[Label], Optional[list[list[bool]]]]:
+    """Greedy base X of ``m`` over ``order`` and the support of B in the standard form [I | B] at X.
 
-    None when ``m`` is not known to be binary: it is rational and B does
-    not scale to a TU matrix.  A TU B has every minor of [I | B] in
-    {-1, 0, 1}, equal mod 2 to the matching minor of its support, so
-    then ``m`` is the binary matroid of [I | support].
+    The support is None when ``m`` is not known to be binary: it is
+    rational and B does not scale to a TU matrix.  A TU B has every minor
+    of [I | B] in {-1, 0, 1}, equal mod 2 to the matching minor of its
+    support, so then ``m`` is the binary matroid of [I | support].
     """
-    order = base + rest
     if m._mode == GF2:
         rows = [[m._cols[e] >> i & 1 for e in order] for i in range(m._n_rows)]
     else:
         rows = [[Fraction(m._cols[e][i]) for e in order] for i in range(m._n_rows)]
-    b = [rows[r][len(base):] for r in _gauss_jordan(m._mode, rows, range(len(base)))]
+    pivots = _gauss_jordan(m._mode, rows, range(len(order)))
+    rest = [j for j in range(len(order)) if j not in pivots]
+    b = [[rows[r][j] for j in rest] for r in pivots.values()]
+    base = [order[j] for j in pivots]
     if m._mode == RATIONAL and not _scales_to_tu(b, len(rest), force):
-        return None
-    return [[v != 0 for v in row] for row in b]
+        return base, None
+    return base, [[v != 0 for v in row] for row in b]
 
 
 def _scales_to_tu(b: list[list[Fraction]], n: int, force: bool) -> bool:
@@ -294,14 +292,15 @@ def _scales_to_tu(b: list[list[Fraction]], n: int, force: bool) -> bool:
 
 def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
     """Same rank and the same bases, compared subset by subset in ``bases()`` order."""
+    if m1.rank != m2.rank:
+        return False
     n = len(m1._ground_set)
     if n > limit:
         raise SizeGuardError(
             f"exhaustive matroid comparison over {n} elements exceeds the guard ({limit})"
         )
-    r = m1.rank
-    return r == m2.rank and all(
-        m1.indep(combo) == m2.indep(combo) for combo in combinations(sorted(m1._ground_set), r)
+    return all(
+        m1.indep(combo) == m2.indep(combo) for combo in combinations(sorted(m1._ground_set), m1.rank)
     )
 
 

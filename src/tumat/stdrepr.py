@@ -71,34 +71,27 @@ class StandardRepr:
         return f"StandardRepr({self.kind}, X={list(self.X)}, Y={list(self.Y)})"
 
 
-def _split_by_base(rep: LabeledMatrix, base_labels: Iterable[Label]) -> tuple[list[Label], list[Label]]:
+def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRepr:
+    """Standard representation of the column matroid at a given base.
+
+    Each non-base column is written in coordinates over the base columns
+    by exact Gauss-Jordan elimination; B[x][y] is the coordinate of
+    column y on base column x.  Reducing the base columns, then the
+    others, the labels form a base exactly when the pivot columns are the
+    base columns.
+    """
     g = frozenset(base_labels)
     missing = g - set(rep.col_labels)
     if missing:
         raise ShapeError(f"labels {sorted(missing)} are not columns of the matrix")
     x_order = [lbl for lbl in rep.col_labels if lbl in g]
     y_order = [lbl for lbl in rep.col_labels if lbl not in g]
-    return x_order, y_order
-
-
-def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRepr:
-    """Standard representation of the column matroid at a given base.
-
-    Each non-base column is written in coordinates over the base columns
-    by exact Gauss-Jordan elimination; B[x][y] is the coordinate of
-    column y on base column x.  The labels form a base of the column
-    matroid when each of their columns pivots and no nonzero row is left.
-    """
-    x_order, y_order = _split_by_base(rep, base_labels)
+    cols = [rep.col_position(v) for v in x_order + y_order]
     work = list(rep.body.rows)
-    try:
-        pivots = _gauss_jordan(rep.kind, work, [rep.col_position(x) for x in x_order])
-    except ShapeError:
-        pivots = None
-    if pivots is None or any(any(row) for r, row in enumerate(work) if r not in pivots):
+    pivots = _gauss_jordan(rep.kind, work, cols)
+    if list(pivots) != cols[: len(x_order)]:
         raise ShapeError("the given label set is not a base of the column matroid")
-    y_positions = [rep.col_position(y) for y in y_order]
-    b = _exact(rep.kind, [[work[r][j] for j in y_positions] for r in pivots], len(y_order))
+    b = _exact(rep.kind, [[work[r][j] for j in cols[len(x_order):]] for r in pivots.values()], len(y_order))
     return StandardRepr(x_order, y_order, _labeled(x_order, y_order, b))
 
 

@@ -20,9 +20,10 @@ check neither: the composition theorem makes the result TU, and a
 caller that needs a certificate checks the result once.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
-a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` and
-``sign_composition`` read k off the glue and delegate to the per-k
-functions.
+a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
+glue and delegates to the per-k functions.  One assembly builds every
+sum of either kind, after the guards of ``standard_repr_sum_k`` or the
+re-signing of a 3-sum signing.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ class SumOutcome:
         return self.result is not None
 
     @staticmethod
-    def ok(result: StandardRepr) -> "SumOutcome":
-        return SumOutcome(result)
+    def ok(b: LabeledMatrix) -> "SumOutcome":
+        return SumOutcome(StandardRepr(b.row_labels, b.col_labels, b))
 
     @staticmethod
     def invalid(reason: str, message: str) -> "SumOutcome":
@@ -167,10 +168,7 @@ def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     y_shared = set(left.Y) & set(right.Y)
     if y_shared:
         return SumOutcome.invalid(REASON_Y_OVERLAP, f"shared column labels {sorted(y_shared)}")
-    body = _stacked(left.B.body, [()] * right.B.body.n_rows, [], right.B.body)
-    x_out = list(left.X) + list(right.X)
-    y_out = list(left.Y) + list(right.Y)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
+    return SumOutcome.ok(_assemble(left.B, right.B, None))
 
 
 def standard_repr_sum_2(
@@ -182,24 +180,11 @@ def standard_repr_sum_2(
     either being all zero makes the sum Invalid.
     """
     _check_glue(left, right, ({x}, "the glue label x"), ({y}, "the glue label y"))
-    a_left, r, a_right, c, x_out, y_out = _sum2_pieces(left.B, right.B, x, y)
-    if not any(r):
+    if not any(left.B.body.row(left.B.row_position(x))):
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {x!r} of the left summand is zero")
-    if not any(c):
+    if not any(right.B.body.col(right.B.col_position(y))):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {y!r} of the right summand is zero")
-    body = _stacked(a_left, zip(c), [r], a_right)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
-
-
-def _sum2_pieces(b_left: LabeledMatrix, b_right: LabeledMatrix, x: Label, y: Label):
-    """Cut a 2-sum into a_left, r, a_right, c and the row and column labels of the sum."""
-    x_keep = [u for u in b_left.row_labels if u != x]
-    y_keep = [v for v in b_right.col_labels if v != y]
-    r = b_left.body.row(b_left.row_position(x))
-    c = b_right.body.col(b_right.col_position(y))
-    a_left = b_left.select(x_keep, b_left.col_labels).body
-    a_right = b_right.select(b_right.row_labels, y_keep).body
-    return a_left, r, a_right, c, x_keep + list(b_right.row_labels), list(b_left.col_labels) + y_keep
+    return SumOutcome.ok(_assemble(left.B, right.B, (x, y)))
 
 
 def standard_repr_sum_3(
@@ -247,32 +232,48 @@ def standard_repr_sum_3(
                 f"right summand row {labels.x2!r} must be zero at column {v!r}",
             )
 
-    x_out, y_out, body = _assemble_sum3(left.B, right.B, labels)
-    return SumOutcome.ok(StandardRepr(x_out, y_out, _labeled(x_out, y_out, body)))
+    return SumOutcome.ok(_assemble(left.B, right.B, labels))
 
 
-def _assemble_sum3(b_left: LabeledMatrix, b_right: LabeledMatrix, cut: Sum3Labels):
-    """Row labels, column labels and body of the 3-sum of two labeled summands at ``cut``.
+def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMatrix:
+    """The 1-, 2- or 3-sum of two labeled matrices of one kind at ``glue``; nothing is checked.
 
-    Rows are the left rows without x0, x1, then the right rows without
-    x2; columns are the left columns without y2, then the right columns
-    without y0, y1.  Swapping x0 with x1 or y0 with y1 in ``cut`` leaves
-    these labels unchanged.  The bottom row whose connector columns hold d
-    starts with d * D0^-1 * [Dl | D0]: the left row itself for x0, x1, and
-    [Dr * D0^-1 * Dl | Dr] below; both summands must hold that D0.  The two
-    rows of D0^-1 * [Dl | D0] are the left rows x0, x1 after Gauss-Jordan
-    pivoting at columns y0, y1.
+    The glue names the left rows X that span the bottom-left block (x, or
+    x0 and x1), the right columns Y that weigh them (y, or y0 and y1), and
+    for a 3-sum the right row x2 and left column y2 the sum drops.  Rows
+    are the left rows without X, then the right rows without x2; columns
+    are the left columns without y2, then the right columns without Y, so
+    swapping x0 with x1 or y0 with y1 leaves them unchanged.  The bottom
+    row whose Y columns hold d starts with d * [r] for a 2-sum, r the left
+    row x, and with d * D0^-1 * [Dl | D0] for a 3-sum, where both summands
+    hold the unit D0 at X by Y: the rows of D0^-1 * [Dl | D0] are the left
+    rows X after Gauss-Jordan pivoting at columns Y.
     """
-    x01, y01 = [cut.x0, cut.x1], [cut.y0, cut.y1]
-    x_top = [u for u in b_left.row_labels if u not in x01]
-    x_bottom = [u for u in b_right.row_labels if u != cut.x2]
-    y_left = [v for v in b_left.col_labels if v != cut.y2]
-    y_right = [v for v in b_right.col_labels if v not in y01]
-    work = list(b_left.select(x01, y_left).body.rows)
-    m = [tuple(work[r]) for r in _gauss_jordan(b_left.kind, work, map(y_left.index, y01))]
-    top, tail = b_left.select(x_top, y_left).body, b_right.select(x_bottom, y_right).body
-    coeffs = b_right.select(x_bottom, y01).body.rows
-    return x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, m, tail)
+    if glue is None:
+        xs = ys = drop_x = drop_y = ()
+    elif isinstance(glue, Sum3Labels):
+        xs, ys, drop_x, drop_y = (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
+    else:
+        x, y = _pair(glue)
+        xs, ys, drop_x, drop_y = (x,), (y,), (), ()
+    x_top = [u for u in b_left.row_labels if u not in xs]
+    x_bottom = [u for u in b_right.row_labels if u not in drop_x]
+    y_left = [v for v in b_left.col_labels if v not in drop_y]
+    y_right = [v for v in b_right.col_labels if v not in ys]
+    basis = list(b_left.select(xs, y_left).body.rows)
+    if isinstance(glue, Sum3Labels):
+        pivots = _gauss_jordan(b_left.kind, basis, map(y_left.index, ys))
+        basis = [tuple(basis[r]) for r in pivots.values()]
+    top, tail = _cut(b_left, xs, drop_y), _cut(b_right, drop_x, ys)
+    coeffs = b_right.select(x_bottom, ys).body.rows
+    return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
+
+
+def _cut(b: LabeledMatrix, rows: tuple, cols: tuple) -> ExactMatrix:
+    """``b``'s body less the rows ``rows`` and columns ``cols``; rows stay shared if no column goes."""
+    keep = [j for j, v in enumerate(b.col_labels) if v not in cols]
+    kept = [row for u, row in zip(b.row_labels, b.body.rows) if u not in rows]
+    return _exact(b.kind, [tuple(row[j] for j in keep) for row in kept] if cols else kept, len(keep))
 
 
 _PERM_PAIRS = (
@@ -413,7 +414,7 @@ def canonical_signing_sum3(
         cols = [side.col_position(v) for v in cut.ys]
         return _labeled(side.row_labels, side.col_labels, _resign_to_target(side.body, rows, cols, target))
 
-    return _labeled(*_assemble_sum3(resign(signed_left), resign(signed_right), cut))
+    return _assemble(resign(signed_left), resign(signed_right), cut)
 
 
 def _pair(glue) -> tuple[Label, Label]:
@@ -445,18 +446,10 @@ def sign_composition(
     does so) and labeled like summands whose ``compose`` is Valid; the
     result is then TU, and neither it nor its labels are checked here.
     """
-    if glue is None:
-        body = sign_sum_1(signed_left.body, signed_right.body)
-        return _labeled(
-            signed_left.row_labels + signed_right.row_labels,
-            signed_left.col_labels + signed_right.col_labels,
-            body,
-        )
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
     _require_rational(signed_left, signed_right)
-    a_left, r, a_right, c, rows, cols = _sum2_pieces(signed_left, signed_right, *_pair(glue))
-    return _labeled(rows, cols, _stacked(a_left, zip(c), [r], a_right))
+    return _assemble(signed_left, signed_right, glue)
 
 
 def verify_is_sum_k_of(

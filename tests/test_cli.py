@@ -319,6 +319,22 @@ def test_matroid_eq_tu_rational_against_gf2_past_the_exhaustive_size(
     assert _eq(capsys, tmp_path, rep, _gf2_row_mixed(rng, rep)) == (0, "equal\n")
 
 
+def test_matroid_eq_different_greedy_bases_answer_past_the_guard(capsys, monkeypatch, tmp_path):
+    # Two rank-2 matroids over Q on 20 elements, neither binary, with columns
+    # (1, k) for e03..e20.  e02 is parallel to e01 on the left only, so the
+    # greedy bases {e01, e03} and {e01, e02} differ and no subset is compared.
+    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
+        monkeypatch.delenv(name, raising=False)
+    ground = [f"e{i:02d}" for i in range(1, 21)]
+    tail = [(1, k) for k in range(3, 21)]
+    left, right = (
+        LabeledMatrix(["r", "s"], ground, ExactMatrix(RATIONAL, list(zip(*head, *tail)), n_cols=20))
+        for head in ([(1, 1), (2, 2)], [(1, 1), (1, 2)])
+    )
+    assert not matroid.matroids_equal(matroid.to_matroid(left), matroid.to_matroid(right))
+    assert _eq(capsys, tmp_path, left, right) == (1, "not equal\n")
+
+
 def test_matroid_eq_force_lifts_the_tu_guard_before_comparing_bases(capsys, monkeypatch, tmp_path):
     # [I | N] over Q and over GF(2), N a 22-arc network matrix on 11 nodes
     # less one row: B at the shared base is N, 10x22, past the default TU
@@ -579,6 +595,22 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "tu", "check", DATA / "no_such_file.json")
     assert code == 2 and "cannot read" in err
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe",
+    b"[" * 200_000,
+    json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["1e5000"]]}).encode(),
+    json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["1e5000000"]]}).encode(),
+    json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["2E-3"]]}).encode(),
+], ids=["not-utf8", "deep-nesting", "exponent", "huge-exponent", "small-exponent"])
+def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, text):
+    # exit 1 would read as a negative verdict
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    code, out, err = run(capsys, "tu", "check", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_argparse_rejects_unknown_command():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import tumat.exactmat as exactmat
 import tumat.matroid as matroid_module
 
 from tumat import (
@@ -176,6 +177,10 @@ def test_matroids_equal_guard():
     big_gf2 = to_matroid(lm(labels("r", 9), labels("e", 18), GF2, parallel))
     with pytest.raises(SizeGuardError, match="exhaustive matroid comparison over 18 elements"):
         matroids_equal(big_q, big_gf2, limit=17)
+    # base families of different ranks answer before the guard
+    ground = labels("e", 20)
+    rank_1, rank_2 = (FiniteMatroid.from_bases(ground, [ground[:r]]) for r in (1, 2))
+    assert not matroids_equal(rank_1, rank_2)
 
 
 def test_dense_incidence_side_is_known_binary_quickly():
@@ -273,9 +278,11 @@ _FAMILIES = [_pair_gf2_gf2, _pair_tu_q_gf2, _pair_q_q, _pair_scaled_column, _pai
     for route, suffix in (("any", ""), ("base-comparison", "-base-comparison")) for f in _FAMILIES
 ])
 def test_matroids_equal_agrees_with_subset_oracle(monkeypatch, family, route):
-    # the base-comparison route sends every pair, of equal rank or not, through _bases_equal
+    # the base-comparison route keeps the greedy bases but drops the supports, so every pair
+    # with equal greedy bases goes through _bases_equal
     if route == "base-comparison":
-        monkeypatch.setattr(matroid_module, "_binary_support", lambda *args: None)
+        standard_form = matroid_module._standard_form
+        monkeypatch.setattr(matroid_module, "_standard_form", lambda *args: (standard_form(*args)[0], None))
     rng = random.Random(23)
     verdicts = []
     for _ in range(60):
@@ -301,10 +308,15 @@ def test_matroids_equal_agrees_with_subset_oracle(monkeypatch, family, route):
 
 
 def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
-    def refuse(m1, m2, limit):
-        raise AssertionError("fell back to the subset loop")
+    # one reduction per side decides: no subset loop, no independence or base query, no rank
+    def refuse(*args):
+        raise AssertionError("queried the matroid beyond its one reduction")
 
     monkeypatch.setattr(matroid_module, "_bases_equal", refuse)
+    monkeypatch.setattr(FiniteMatroid, "indep", refuse)
+    monkeypatch.setattr(FiniteMatroid, "is_base", refuse)
+    for module in (exactmat, matroid_module):
+        monkeypatch.setattr(module, "_int_rows_rank", refuse)
     rng = random.Random(29)
     verdicts = []
     for _ in range(60):

@@ -26,7 +26,7 @@ def test_tracer_targets_resolve(monkeypatch):
     assert not missing
 
 
-@pytest.mark.parametrize("workload", ["doc-sum", "compose-verify"])
+@pytest.mark.parametrize("workload", ["tu-check", "signing", "compose-verify", "doc-sum"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_corpus_round_replays_correctly(monkeypatch, tmp_path, workload, seed):
     # round 0 of the benchmark corpus, each request checked by its own expectation

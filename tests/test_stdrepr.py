@@ -97,6 +97,14 @@ def test_standardize_rejects_non_base():
             standardize(eye, ["c"])
         with pytest.raises(ShapeError, match=not_base):
             standardize(eye, [])
+        # a zero row drops out of B; non-spanning and dependent sets are still refused
+        zero_row = LabeledMatrix(["r", "z", "s"], ["a", "b", "c", "d"],
+                                 ExactMatrix(kind, [[1, 0, 3, 1], [0, 0, 0, 0], [0, 1, 0, 1]]))
+        assert standardize(zero_row, ["b", "a"]) == make_repr(
+            ["a", "b"], ["c", "d"], ExactMatrix(kind, [[3, 1], [0, 1]]))
+        for bad in (["a"], ["a", "c"], ["a", "b", "d"]):
+            with pytest.raises(ShapeError, match=not_base):
+                standardize(zero_row, bad)
 
 
 def test_standardize_tu_matches_independent_oracles():
