@@ -81,14 +81,21 @@ def _parse_entry(kind: str, s) -> object:
         raise DocumentError(f"entries must be strings, got {s!r}")
     if kind == GF2:
         if s not in ("0", "1"):
-            raise DocumentError(f'GF(2) entries must be "0" or "1", got {s!r}')
+            raise DocumentError(f'GF(2) entries must be "0" or "1", got {_shown(s)}')
         return int(s)
     try:
         if "e" in s.lower():  # an exponent can name a number of any size in a few bytes
             raise ValueError
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"malformed rational entry {s!r}") from None
+        raise DocumentError(f"malformed rational entry {_shown(s)}") from None
+
+
+def _shown(entry: str) -> str:
+    """The entry quoted, or its first 40 characters and its length when longer."""
+    if len(entry) > 40:
+        return f"{entry[:40]!r}... ({len(entry)} characters)"
+    return repr(entry)
 
 
 def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:

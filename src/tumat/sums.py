@@ -260,12 +260,13 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     x_bottom = [u for u in b_right.row_labels if u not in drop_x]
     y_left = [v for v in b_left.col_labels if v not in drop_y]
     y_right = [v for v in b_right.col_labels if v not in ys]
-    basis = list(b_left.select(xs, y_left).body.rows)
+    # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
+    basis = list(b_left.select(xs, y_left).body.rows) if xs else []
     if isinstance(glue, Sum3Labels):
         pivots = _gauss_jordan(b_left.kind, basis, map(y_left.index, ys))
         basis = [tuple(basis[r]) for r in pivots.values()]
     top, tail = _cut(b_left, xs, drop_y), _cut(b_right, drop_x, ys)
-    coeffs = b_right.select(x_bottom, ys).body.rows
+    coeffs = b_right.select(x_bottom, ys).body.rows if ys else [()] * len(x_bottom)
     return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
 
 

@@ -18,8 +18,14 @@ without changing that witness:
   support graph.  A block-diagonal determinant factors, so a minimal
   violator lies inside one block; the witness is the least block witness
   by (order, rows, columns).
-- A block whose rows, or whose columns, scale by signs to a digraph
-  incidence matrix (at most one +1 and one -1 per line) is TU.
+- A network matrix has a row for each edge of a directed tree and a
+  column for each path in it, +1 or -1 as the path passes the edge
+  forwards or backwards; it is TU.  By Camion, a block whose support a
+  tree realizes this way, its columns or its rows as paths, is TU exactly
+  when it is that network matrix up to scaling by signs.  A graph
+  realization search finds the tree; lines of at most two nonzeros are
+  paths of a star (an incidence matrix) and need none.  A block whose
+  signs do not match goes on to the DP for its witness.
 
 Removed lines keep their indices.  On each block left, the checker
 expands each order-k minor along its first row over the stored, already
@@ -40,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
@@ -94,11 +100,12 @@ def is_totally_unimodular(
 
     After the scan, a polynomial pre-pass drops zero lines, unit lines
     and later copies of a line up to sign, splits what is left into the
-    blocks of a 1-sum, and certifies every block that scales to a digraph
-    incidence matrix or its transpose; none of this changes the witness
-    (see the module docstring).  The minor DP runs on each remaining
-    block; its cost and memory follow the block's nonzero minors, at
-    worst C(m,k)*C(n,k) of them at order k.
+    blocks of a 1-sum, and certifies every block that scales to a network
+    matrix or its transpose; none of this changes the witness (see the
+    module docstring).  The minor DP runs on each remaining block, such
+    as R10, any block with a Fano minor, or a network block whose signs
+    do not match; its cost and memory follow the block's nonzero minors,
+    at worst C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
@@ -131,8 +138,7 @@ def is_totally_unimodular(
     witnesses = [
         witness
         for block_rows, block_cols in _blocks(rpos, rneg, cpos, cneg, rows, cols)
-        if not _scales_to_incidence(cpos, cneg, block_cols, block_rows)
-        and not _scales_to_incidence(rpos, rneg, block_rows, block_cols)
+        if not _is_network_matrix(rpos, rneg, cpos, cneg, block_rows, block_cols)
         and (witness := _first_violator(rpos, rneg, block_rows, block_cols))
     ]
     if not witnesses:
@@ -194,43 +200,174 @@ def _blocks(
     return blocks
 
 
-def _scales_to_incidence(pos: list[int], neg: list[int], lines: int, other: int) -> bool:
-    """Whether the ``other`` lines can be scaled by signs so that every
-    line in ``lines`` has at most one +1 and at most one -1 among them.
+def _is_network_matrix(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> bool:
+    """Whether the block on ``rows`` and ``cols``, or its transpose, scales
+    by signs to a network matrix, and so is TU.
 
-    The scaled matrix is then a digraph incidence matrix, a network
-    matrix at a star tree, hence TU.  A line with two nonzeros asks its
-    ends to be scaled alike (entries of opposite sign) or apart (equal
-    entries); the test 2-colours the ends under these constraints.
+    A tree whose paths are the block's columns (or rows) decides the block
+    either way (Camion; see the module docstring).  A TU block's lines have
+    distinct supports of two edges or more, so tree and lines would form a
+    simple graph of minimum degree 3: a side whose k edges have fewer than
+    (k + 3) / 2 or more than k(k - 1) / 2 lines is skipped.
     """
-    links: dict[int, list[tuple[int, bool]]] = {}
-    for j in _bits(lines):
-        p, q = pos[j] & other, neg[j] & other
-        s = p | q
-        rest = s & (s - 1)
-        if rest & (rest - 1):
+    sides = []
+    for pos, neg, tpos, tneg, lines, edges in (
+        (cpos, cneg, rpos, rneg, cols, rows), (rpos, rneg, cpos, cneg, rows, cols)
+    ):
+        paths = {j: (pos[j] | neg[j]) & edges for j in _bits(lines)}
+        if max(map(int.bit_count, paths.values())) <= 2:
+            # paths of the star tree, whose network signs need no search: rooted
+            # at the centre, a line on edges x < y passes x upwards, y downwards
+            rules = [(s, pos[j] & (s & (s - 1)) | neg[j] & s & -s) for j, s in paths.items()]
+            return _colourings(edges, rules) is not None
+        k = edges.bit_count()
+        if k + 3 <= 2 * len(paths) <= k * (k - 1):
+            sides.append((pos, neg, paths, {e: (tpos[e] | tneg[e]) & lines for e in _bits(edges)}))
+    for pos, neg, paths, on in sides:
+        stars = _tree(paths, on)
+        if stars is not None:
+            return _fits(pos, neg, paths, stars)
+    return False
+
+
+def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
+    """A tree on the edges of ``on`` in which each mask of ``paths`` is the
+    edge set of a path, as the mask of the edges at each vertex; None when
+    there is none.  ``on[e]`` masks the paths through edge e.
+
+    Graph realization one edge at a time: each edge splits a vertex v of
+    the tree so far, in which the edges not yet placed are contracted.
+    Every path through the new edge must meet v, and a path with two edges
+    at v keeps them on one side of the new edge, or on both sides when it
+    passes it.  Every such vertex and 2-colouring is tried, backtracking on
+    a dead end, so no tree is missed unless the search gives up after 4
+    moves (a split or a step back) per edge.  The next edge is the one on
+    most paths met so far, so the order and each step's constraints depend
+    only on the edges placed before it.
+    """
+    n, todo, lines = len(on), list(on), list(paths.values())
+    steps: list[tuple[int, list[int], list[tuple[int, int]]]] = []
+    done = met = 0
+
+    def step() -> None:
+        nonlocal done, met
+        best = -1
+        for f in todo:
+            count = (on[f] & met).bit_count()
+            if count > best:
+                best, e = count, f
+        todo.remove(e)
+        bit, through, rules = 1 << e, [], []
+        for p in lines:
+            c = p & done
+            if c and p & bit:
+                through.append(c)
+            if c & (c - 1):
+                rules.append((c, p & bit))
+        steps.append((bit, through, rules))
+        done |= bit
+        met |= on[e]
+
+    def splits(stars: list[int], k: int) -> Iterator[list[int]]:
+        """Each tree that places edge k by splitting a vertex of ``stars``."""
+        if k == len(steps):
+            step()
+        bit, through, rules = steps[k]
+        for v, star in enumerate(stars):
+            for c in through:
+                if not star & c:
+                    break
+            else:
+                pairs = []
+                for c, apart in rules:
+                    s = c & star
+                    if s & (s - 1):
+                        pairs.append((s, s & -s if apart else 0))
+                groups = _colourings(star, pairs)
+                if groups is None:
+                    continue
+                moves = [groups[0][1]]
+                for kept, moved in groups[1:]:
+                    moves = [m | kept for m in moves] + [m | moved for m in moves]
+                for moved in moves:
+                    yield stars[:v] + [star & ~moved | bit] + stars[v + 1:] + [moved | bit]
+
+    for _ in range(2):  # the first two edges share a vertex in any tree on them alone
+        step()
+    first, second = steps[0][0], steps[1][0]
+    # depth first, without recursion: frame i holds the trees on i + 3 edges
+    frames = [splits([first | second, first, second], 2)]
+    for _ in range(4 * n):
+        stars = next(frames[-1], None)
+        if stars is None:
+            frames.pop()
+            if not frames:
+                return None
+        elif len(frames) + 2 == n:
+            return stars
+        else:
+            frames.append(splits(stars, len(frames) + 2))
+    return None
+
+
+def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: list[int]) -> bool:
+    """Whether every line is a path of the tree with vertex stars ``stars``,
+    checked here rather than trusted to the search, and the lines scale by
+    signs to the tree's network matrix.  Rooted at vertex 0, the tree has a
+    path from a to b pass a's way to the root upwards, b's way downwards.
+    """
+    ends, edges = [0] * max(stars).bit_length(), 0
+    for v, star in enumerate(stars):
+        edges |= star
+        for e in _bits(star):
+            ends[e] |= 1 << v
+    up, todo = [0] * len(stars), [0]
+    while todo:
+        v = todo.pop()
+        for e in _bits(stars[v] & ~up[v]):
+            w = (ends[e] ^ 1 << v).bit_length() - 1
+            up[w] = up[v] | 1 << e
+            todo.append(w)
+    rules = []  # each line's support and where its signs differ from the network matrix
+    for j, s in paths.items():
+        odd = 0
+        for e in _bits(s):
+            odd ^= ends[e]
+        low = odd & -odd
+        a, b = up[low.bit_length() - 1], up[(odd ^ low).bit_length() - 1]
+        if a ^ b != s:
             return False
-        if rest:
-            x, y = (s ^ rest).bit_length() - 1, rest.bit_length() - 1
-            apart = p == s or q == s
-            links.setdefault(x, []).append((y, apart))
-            links.setdefault(y, []).append((x, apart))
-    colour: dict[int, bool] = {}
-    for start in links:
-        if start in colour:
-            continue
-        colour[start] = False
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, apart in links[v]:
-                c = colour[v] ^ apart
-                if w not in colour:
-                    colour[w] = c
-                    stack.append(w)
-                elif colour[w] != c:
-                    return False
-    return True
+        rules.append((s, (pos[j] & b | neg[j] & a) & s))
+    return _colourings(edges, rules) is not None
+
+
+def _colourings(nodes: int, rules: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
+    """The 2-colourings of the bits of ``nodes`` in which each rule (s, d)
+    gives all bits of s one colour once the bits of d flip, or None: each
+    group of bits the rules tie comes back as the masks of its two colours.
+    """
+    groups = []
+    while nodes:
+        seen, ones = nodes & -nodes, 0
+        while True:
+            rest = []
+            for s, d in rules:
+                if not s & seen:
+                    rest.append((s, d))
+                    continue
+                odd = (ones ^ d) & s & seen
+                if odd and odd != s & seen:
+                    return None
+                ones |= (d ^ s if odd else d) & s & ~seen
+                seen |= s
+            if len(rest) == len(rules):
+                break
+            rules = rest
+        groups.append((seen & ~ones, ones))
+        nodes &= ~seen
+    return groups
 
 
 def _first_violator(
@@ -378,30 +515,31 @@ def find_tu_signing(
     m, n = u.shape
     edges = [(i, j) for i in range(m) for j in range(n) if u.rows[i][j]]
     adj = _adjacency(m, n, edges)
-    sign: dict[tuple[int, int], int] = {}  # both orientations of each vertex pair
+    sign: list[dict[int, int]] = [{} for _ in range(m + n)]  # sign[v][w] of the edge vw, once set
     seen = [False] * (m + n)
     for p, c in spanning_forest(m, n, edges):
         seen[p] = True
         near = {r for r in adj[c] if seen[r]}
-        sign[c, p] = sign[p, c] = 1
+        at_c = sign[c]
+        at_c[p] = sign[p][c] = 1
         todo = [p]
         while todo:
             s = todo.pop()
             # path sums from s over seen vertices, stopping at neighbours of c
-            total = {s: sign[c, s]}
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
+            total = {s: at_c[s]}
+            queue = [s]
+            for v in queue:  # breadth first: the loop reaches what it appends
+                at_v = sign[v]
                 for w in adj[v]:
                     if not seen[w] or w in total:
                         continue
-                    total[w] = total[v] + sign[v, w]
+                    total[w] = total[v] + at_v[w]
                     if w not in near:
                         queue.append(w)
-                    elif (c, w) not in sign:
-                        sign[c, w] = sign[w, c] = 1 if total[w] % 4 == 3 else -1
+                    elif w not in at_c:
+                        at_c[w] = sign[w][c] = 1 if total[w] % 4 == 3 else -1
                         todo.append(w)
         seen[c] = True
-    rows = [[_SIGNS[sign.get((i, m + j), 0)] for j in range(n)] for i in range(m)]
+    rows = [[_SIGNS[sign[i].get(m + j, 0)] for j in range(n)] for i in range(m)]
     cand = _exact(RATIONAL, rows, n)
     return cand if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu else None

@@ -139,6 +139,35 @@ def random_tu_matrix(rng: random.Random, n_rows: int, n_cols: int) -> ExactMatri
     return scale_rows_cols(a, row_signs, col_signs)
 
 
+def random_network_matrix(rng: random.Random, n_nodes: int, n_arcs: int) -> ExactMatrix:
+    """Network matrix of a random digraph at a random spanning tree.
+
+    Node i > 0 hangs from a random earlier node by a tree arc of random
+    direction, the row i - 1.  Each of ``n_arcs`` random arcs a -> b is a
+    column: +1 on the tree arcs its tree path from a to b passes forwards,
+    -1 on those it passes backwards.  Arcs may repeat or lie along a tree
+    arc, so the checker's pre-pass sees copies and unit lines too.
+    """
+    parent = [0] + [rng.randrange(i) for i in range(1, n_nodes)]
+    towards_parent = [0] + [rng.choice((1, -1)) for _ in range(1, n_nodes)]
+    rows = [[0] * n_arcs for _ in range(n_nodes - 1)]
+    for j in range(n_arcs):
+        a, b = rng.sample(range(n_nodes), 2)
+        up_a, up_b = [a], [b]  # each node's way to the root
+        while up_a[-1]:
+            up_a.append(parent[up_a[-1]])
+        while up_b[-1]:
+            up_b.append(parent[up_b[-1]])
+        while len(up_a) > 1 and len(up_b) > 1 and up_a[-2] == up_b[-2]:
+            up_a.pop()
+            up_b.pop()
+        for v in up_a[:-1]:  # climbed from a
+            rows[v - 1][j] = towards_parent[v]
+        for v in up_b[:-1]:  # descended to b
+            rows[v - 1][j] = -towards_parent[v]
+    return ExactMatrix(RATIONAL, rows, n_cols=n_arcs)
+
+
 def support_gf2(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(
         GF2,

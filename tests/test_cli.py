@@ -119,6 +119,19 @@ def test_malformed_label_documents_exit_2(capsys, tmp_path, doc, message):
     assert run(capsys, "tu", "check", path) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("field, entry", [
+    ("rational", "1" + "0" * 5000),  # too many digits for int
+    ("gf2", "1" * 5000),
+], ids=["rational", "gf2"])
+def test_overlong_entry_is_quoted_by_a_bounded_prefix(capsys, tmp_path, field, entry):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": field, "rows": ["u"], "cols": ["a", "b"], "data": [["1", entry]]}))
+    code, out, err = run(capsys, "tu", "check", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120
+    assert err.endswith(f"'{entry[:40]}'... ({len(entry)} characters)\n")
+
+
 def test_tu_sign_r10_golden(capsys):
     code, out, _ = run(capsys, "tu", "sign", FIXTURES / "r10.json")
     assert code == 0

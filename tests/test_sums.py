@@ -163,6 +163,33 @@ def test_sum_1_matches_disjoint_sum():
         )
 
 
+def test_sum_1_selects_no_glue_blocks(monkeypatch):
+    # a 1-sum has no glue, so the assembly selects neither basis rows nor
+    # weights; a 2-sum selects its glue row x and its bottom rows' y entries
+    from helpers import random_standard_repr, random_sum2_pair
+
+    calls = []
+    select = LabeledMatrix.select
+
+    def record(self, row_labels, col_labels):
+        calls.append((tuple(row_labels), tuple(col_labels)))
+        return select(self, row_labels, col_labels)
+
+    monkeypatch.setattr(LabeledMatrix, "select", record)
+    rng = random.Random(5)
+    left = random_standard_repr(rng, 3, 4)
+    right = random_standard_repr(rng, 3, 4, x_start=5, y_start=5)
+    out = compose(left, right, None)
+    assert out.valid and calls == []
+    assert out.result.B.body.to_lists() == [
+        row + [0] * 4 for row in left.B.body.to_lists()
+    ] + [[0] * 4 + row for row in right.B.body.to_lists()]
+    left, right, x, y = random_sum2_pair(rng)
+    assert compose(left, right, (x, y)).valid
+    assert [(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)] == calls
+    assert len(calls) == 2
+
+
 def test_sum_1_overlap_reasons():
     a = make_repr(["x1"], ["y1"], ExactMatrix(GF2, [[1]]))
     b = make_repr(["x1"], ["y2"], ExactMatrix(GF2, [[1]]))

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -21,9 +22,15 @@ from tumat import (
     scale_rows_cols,
     sign_sum_1,
 )
-from tumat.fixtures import fano_b, incidence_matrix, network_example
+from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b
 
-from helpers import find_tu_signing_bruteforce, naive_tu_verdict, random_tu_matrix, support_gf2
+from helpers import (
+    find_tu_signing_bruteforce,
+    naive_tu_verdict,
+    random_network_matrix,
+    random_tu_matrix,
+    support_gf2,
+)
 
 
 def test_known_verdicts():
@@ -389,21 +396,117 @@ def kn_incidence(n):
 
 
 def refuse_dp(rpos, rneg, rows, cols):
-    raise AssertionError("an incidence-like block reached the minor DP")
+    raise AssertionError("a network block reached the minor DP")
 
 
-@pytest.mark.parametrize("build", [
-    lambda: kn_incidence(10),
-    lambda: kn_incidence(10).transpose(),
-], ids=["K10 incidence 10x45", "K10 incidence transposed"])
-def test_incidence_blocks_are_certified_without_the_dp(build, monkeypatch):
+def kn_at_a_path(n, seed):
+    """K_n's network matrix at the path 0-1-...-(n-1), sign-scaled at random.
+
+    Row i is the tree arc i -> i+1 and column (i, j), j > i + 1, the arc
+    i -> j, whose tree path passes rows i .. j-1 forwards.  The block is
+    3-connected, so the pre-pass drops nothing.
+    """
+    arcs = [(i, j) for i in range(n) for j in range(i + 2, n)]
+    rows = [[1 if i <= r < j else 0 for i, j in arcs] for r in range(n - 1)]
+    rng = random.Random(seed)
+    return scale_rows_cols(ExactMatrix(RATIONAL, rows), [rng.choice((1, -1)) for _ in rows],
+                           [rng.choice((1, -1)) for _ in arcs])
+
+
+@pytest.mark.parametrize("build, n, force", [
+    (lambda: kn_incidence(10), 10, True),
+    (lambda: kn_incidence(10).transpose(), 10, True),
+    (lambda: kn_at_a_path(7, 1), 7, False),
+    (lambda: kn_at_a_path(7, 2).transpose(), 7, False),
+    (lambda: kn_at_a_path(8, 3), 8, False),
+    (lambda: kn_at_a_path(8, 4).transpose(), 8, False),
+    (lambda: kn_at_a_path(9, 5), 9, False),
+    (lambda: kn_at_a_path(10, 6), 10, True),
+], ids=["K10 incidence 10x45", "K10 incidence transposed", "K7 at a path 6x15",
+        "K7 at a path transposed", "K8 at a path 7x21", "K8 at a path transposed",
+        "K9 at a path 8x28", "K10 at a path 9x36"])
+def test_incidence_blocks_are_certified_without_the_dp(build, n, force, monkeypatch):
+    # a star tree realizes the incidence matrices, a path tree the others;
+    # K9 at a path took seconds in the DP, and min dim 8 passes the guard
     a = build()
-    assert a.rank() == 9
+    assert a.rank() == n - 1
     monkeypatch.setattr(tu_module, "_first_violator", refuse_dp)
     start = time.perf_counter()
-    verdict = is_totally_unimodular(a, force=True)
+    verdict = is_totally_unimodular(a, force=force)
     assert time.perf_counter() - start < 1.0
     assert verdict.is_tu
+
+
+def test_network_leaf_matches_the_naive_oracle(monkeypatch):
+    # network matrices of random digraphs at random spanning trees are TU
+    # and never reach the DP, nor do their transposes; one flipped sign
+    # makes most of them not TU, and the DP then finds the oracle's witness
+    reached = []
+    first_violator, tree = tu_module._first_violator, tu_module._tree
+    trees = []
+
+    def dp(*args):
+        reached.append(args[2:])
+        return first_violator(*args)
+
+    monkeypatch.setattr(tu_module, "_first_violator", dp)
+    monkeypatch.setattr(tu_module, "_tree", lambda *args: trees.append(tree(*args)) or trees[-1])
+    rng = random.Random(79)
+    seen = {"searched": 0, "flipped tu": 0, "flipped not tu": 0}
+    for _ in range(60):
+        a = random_network_matrix(rng, rng.randrange(4, 8), rng.randrange(4, 10))
+        for b in (a, a.transpose()):
+            reached.clear()
+            trees.clear()
+            assert is_totally_unimodular(b) == TuVerdict(True)  # TU by construction
+            assert not reached
+            seen["searched"] += sum(t is not None for t in trees)
+            grid = b.to_lists()
+            i, j = rng.choice([(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v])
+            grid[i][j] = -grid[i][j]
+            flipped = ExactMatrix(RATIONAL, grid, n_cols=b.n_cols)
+            got = is_totally_unimodular(flipped)
+            assert got == oracle_verdict(flipped), grid
+            seen["flipped tu" if got.is_tu else "flipped not tu"] += 1
+    assert seen["searched"] >= 25 and min(seen.values()) >= 20, seen
+    # neither graphic nor cographic: R10 and blocks with a Fano minor
+    f7 = ExactMatrix(RATIONAL, fano_b().body.to_lists())
+    candidates = []
+    check = tu_module.is_totally_unimodular
+    monkeypatch.setattr(tu_module, "is_totally_unimodular",
+                        lambda cand, **kw: candidates.append(cand) or check(cand, **kw))
+    # F7 2-summed with K4 at a path, along F7's last row and K4's first column
+    fano_2sum = ExactMatrix(GF2, [[1, 1, 0, 1, 0, 0], [1, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 0],
+                                  [0, 1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1]])
+    assert find_tu_signing(fano_2sum) is None
+    for a in (find_tu_signing(r10_b().body), f7, f7.transpose(), candidates[0]):
+        reached.clear()
+        assert check(a) == oracle_verdict(a) and reached
+
+
+def test_network_search_takes_no_stack_frame_per_edge(monkeypatch):
+    # an interval matrix is a network matrix at a path; this one keeps a
+    # block of about 290 edges, which a recursive search would need as
+    # many stack frames for
+    rng = random.Random(83)
+    spans = [(a, rng.randrange(a + 1, min(300, a + 40))) for a in (rng.randrange(299) for _ in range(600))]
+    a = ExactMatrix(RATIONAL, [[1 if lo <= i <= hi else 0 for lo, hi in spans] for i in range(300)])
+    monkeypatch.setattr(tu_module, "_first_violator", refuse_dp)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        assert is_totally_unimodular(a, force=True).is_tu
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_network_signs_need_every_line_to_be_a_path():
+    # the sign step checks each line against the tree it is handed, so no
+    # tree the search might get wrong can certify a block
+    path = [0b001, 0b011, 0b110, 0b100]  # vertex stars of e0 - e1 - e2
+    pos, neg = [0b111, 0b011, 0b101], [0, 0, 0]
+    assert tu_module._fits(pos, neg, {0: 0b111, 1: 0b011}, path)
+    assert not tu_module._fits(pos, neg, {0: 0b111, 2: 0b101}, path)
 
 
 def test_forced_one_sum_of_two_tu_blocks_is_fast():
@@ -417,8 +520,9 @@ def test_forced_one_sum_of_two_tu_blocks_is_fast():
 
 
 def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
-    # every line has two equal entries, so both sign-scaling tests meet an
-    # odd cycle of "scale apart" constraints and the block goes to the DP
+    # every line has two equal entries, so the star tree realizes the block
+    # but its signs meet an odd cycle of "scale apart" constraints: the
+    # block is not TU and goes to the DP for its witness
     a = ExactMatrix(RATIONAL, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     calls = []
     first_violator = tu_module._first_violator
@@ -430,7 +534,9 @@ def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
     monkeypatch.setattr(tu_module, "_first_violator", record)
     assert is_totally_unimodular(a).witness == ((0, 1, 2), (0, 1, 2), Fraction(2))
     assert calls == [(0b111, 0b111)]
-    # a TU block that neither scaling test certifies: K4 at a path
+    # K4 at a path: its unit column goes, and a line of three nonzeros is
+    # left on each side, so no star realizes it; a path tree does, and the
+    # block is certified without the DP
     calls.clear()
     k4 = ExactMatrix(RATIONAL, [[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
-    assert is_totally_unimodular(k4).is_tu and calls
+    assert is_totally_unimodular(k4).is_tu and calls == []
