@@ -183,11 +183,10 @@ def cmd_matroid_info(args) -> int:
     m = to_matroid(_load_matrix(args.input))
     print(f"elements: {len(m.ground)}")
     print(f"rank: {m.rank}")
-    bases = m.bases()
-    print(f"bases: {len(bases)}")
-    if len(bases) <= args.max_bases:
-        for b in bases:
-            print("  " + " ".join(b))
+    count = m.count_bases()
+    print(f"bases: {count}")
+    for b in m.bases() if count <= args.max_bases else ():
+        print("  " + " ".join(b))
     return EXIT_OK
 
 

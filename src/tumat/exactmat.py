@@ -21,7 +21,7 @@ check this invariant).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ShapeError
@@ -177,6 +177,33 @@ def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> dict[int, int]:
             _pivot_rows(kind, rows, r, j)
             pivots[j] = r
     return pivots
+
+
+def _echelon(kind: str, cols: list, n_rows: int) -> list:
+    """Row-space basis of the columns (bit-packed, or integer tuples), reduced by ``_eliminate``
+    to one row per last nonzero column, in that order; GF(2) rows bit-packed (bit j: column j)."""
+    ends = {}
+    for y in zip(*([format(c, f"0{n_rows}b") for c in cols] if kind == GF2 else cols)):
+        y = int("".join(y)[::-1], 2) if kind == GF2 else y
+        while (e := _supports(kind, [y])[0].bit_length() - 1) >= 0 and e in ends:
+            y = _eliminate(kind, [ends[e], y], e)[0]
+        ends[e] = y
+    return [ends[e] for e in sorted(ends) if e >= 0]
+
+
+def _supports(kind: str, rows: list) -> list[int]:
+    """Bit masks of the nonzero columns of ``_echelon`` rows."""
+    return rows if kind == GF2 else [sum(1 << j for j, x in enumerate(y) if x) for y in rows]
+
+
+def _eliminate(kind: str, rows: list, j: int) -> list:
+    """``_echelon`` rows less the first one nonzero at column j, once it has cleared column j below."""
+    if kind == GF2:
+        p = [y >> j & 1 for y in rows].index(1)
+        return rows[:p] + [y ^ rows[p] if y >> j & 1 else y for y in rows[p + 1:]]
+    p, q = next((k, y) for k, y in enumerate(rows) if y[j])
+    out = ([x * q[j] - y[j] * b for x, b in zip(y, q)] if y[j] else y for y in rows[p + 1:])
+    return rows[:p] + [[x // g for x in y] if (g := gcd(*y)) > 1 else y for y in out]
 
 
 class ExactMatrix:

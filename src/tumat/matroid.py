@@ -3,22 +3,24 @@
 Ground elements are nonempty strings.  A vector-backed matroid is the
 column matroid of a labeled matrix over GF(2) or the rationals: a set of
 column labels is independent when the selected columns have full column
-rank.  All queries are exact.  Equality reduces each vector-backed side
-once, to its greedy base and standard form there; known-binary pairs
-compare those, other pairs compare their bases, and the remaining
-queries are exhaustive too; sizes are desk scale.
+rank.  All queries are exact.  A depth-first search lists and counts the
+bases, visiting only independent sets that extend to one, so its cost
+follows them, not C(n, r).  Equality reduces each vector-backed side once,
+to its greedy base and standard form; known-binary pairs compare those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence
+from operator import or_
+from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix, gf2_rank_of_ints
-from .exactmat import _exact, _gauss_jordan, _int_rows_rank, _scaled_int_rows
+from .exactmat import GF2, RATIONAL, ExactMatrix, _echelon, _eliminate, gf2_rank_of_ints
+from .exactmat import _exact, _gauss_jordan, _int_rows_rank, _scaled_int_rows, _supports
 from .tu import is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
@@ -205,13 +207,47 @@ class FiniteMatroid:
     def bases(self) -> list[tuple[Label, ...]]:
         """All bases, lexicographic by sorted label tuple."""
         if self._mode == "bases":
-            return [tuple(sorted(b)) for b in sorted(self._bases, key=lambda b: tuple(sorted(b)))]
-        r = self.rank
-        out = []
-        for combo in combinations(sorted(self.ground), r):
-            if self.indep(combo):
-                out.append(combo)
-        return out
+            return [tuple(sorted(b)) for b in self._bases]
+        order = sorted(self.ground)
+        walk = _prefixes(self._mode, _echelon(self._mode, [self._cols[e] for e in order], self._n_rows), 0)
+        return [tuple(order[p] for p in base) for base, _, _ in walk]
+
+    def count_bases(self) -> int:
+        """The number of bases, counted short of each: two elements over GF(2), one over Q."""
+        if self._mode == "bases":
+            return len(self._bases)
+        kind = self._mode
+        rows = _echelon(kind, [self._cols[e] for e in sorted(self.ground)], self._n_rows)
+        walk = _prefixes(kind, rows, 2 if kind == GF2 else 1)
+        return sum(_completions(kind, y, start) for _, y, start in walk)
+
+
+def _prefixes(kind: str, rows: list, k: int) -> Iterator[tuple[tuple[int, ...], list, int]]:
+    """Depth-first search, in lexicographic order, over the sets P of positions that extend to a
+    base.  P carries Y, the ``_echelon`` basis of the row-space vectors vanishing on P; P + j
+    extends to a base when a row of Y is nonzero at j and j is at most the end of Y's first
+    row, and carries ``_eliminate(Y, j)``.  Yields (P, Y, first position past P) if len(Y) <= k."""
+    stack = [((), rows)]
+    while stack:
+        prefix, rows = stack.pop()
+        start = prefix[-1] + 1 if prefix else 0
+        if len(rows) <= k:
+            yield prefix, rows, start
+            continue
+        masks = _supports(kind, rows)
+        window = reduce(or_, masks)
+        ends = [j for j in range(start, masks[0].bit_length()) if window >> j & 1]
+        stack.extend((prefix + (j,), _eliminate(kind, rows, j) if rows[1:] else []) for j in reversed(ends))
+
+
+def _completions(kind: str, rows: list, start: int) -> int:
+    """How many ways a ``_prefixes`` node of at most one row, or two GF(2) rows, completes: two
+    columns from ``start`` on complete it when they are nonzero and unequal, (1, 0), (0, 1) or (1, 1)."""
+    if len(rows) < 2:
+        return (_supports(kind, rows)[0] >> start).bit_count() if rows else 1
+    y, z = rows[0] >> start, rows[1] >> start
+    a, b, c = (y & ~z).bit_count(), (z & ~y).bit_count(), (y & z).bit_count()
+    return a * b + a * c + b * c
 
 
 def to_matroid(rep: LabeledMatrix) -> FiniteMatroid:
@@ -230,7 +266,7 @@ def matroids_equal(
     "not equal".  A binary matroid is determined by B, so when both sides
     are known binary (GF(2)-backed, or rational with a B that scales to a
     TU matrix) equality is equality of the supports of their Bs.
-    Otherwise the ranks, then the C(n, r) size-r subsets are compared.
+    Otherwise the ranks, the base counts and then the bases are compared.
     Only this fallback is guarded: grounds larger than ``limit`` raise
     ``SizeGuardError``.  Within the guard, the TU check of a rational B is
     forced, since B has C(n, r) square submatrices.
@@ -291,7 +327,7 @@ def _scales_to_tu(b: list[list[Fraction]], n: int, force: bool) -> bool:
 
 
 def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
-    """Same rank and the same bases, compared subset by subset in ``bases()`` order."""
+    """Same rank, then the same number of bases, then the same ``bases()`` lists."""
     if m1.rank != m2.rank:
         return False
     n = len(m1._ground_set)
@@ -299,9 +335,7 @@ def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
         raise SizeGuardError(
             f"exhaustive matroid comparison over {n} elements exceeds the guard ({limit})"
         )
-    return all(
-        m1.indep(combo) == m2.indep(combo) for combo in combinations(sorted(m1._ground_set), m1.rank)
-    )
+    return m1.count_bases() == m2.count_bases() and m1.bases() == m2.bases()
 
 
 def disjoint_sum(m1: FiniteMatroid, m2: FiniteMatroid) -> FiniteMatroid:

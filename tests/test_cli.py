@@ -245,6 +245,68 @@ def test_matroid_info_max_bases(capsys):
     assert out == "elements: 7\nrank: 3\nbases: 28\n"
 
 
+@pytest.mark.parametrize("max_bases, listed", [(28, True), (27, False), (0, False), (-1, False)])
+def test_matroid_info_lists_bases_up_to_max_bases(capsys, max_bases, listed):
+    # the Fano matroid has 28 bases
+    code, out, _ = run(capsys, "matroid", "info", FIXTURES / "fano.json", "--max-bases", max_bases)
+    assert code == 0
+    assert out == (golden("golden_matroid_info_fano.txt") if listed else "elements: 7\nrank: 3\nbases: 28\n")
+
+
+@pytest.mark.parametrize("kind, n_rows", [(GF2, 2), (RATIONAL, 3), (GF2, 0)])
+def test_matroid_info_rank_zero_has_the_empty_base(capsys, tmp_path, kind, n_rows):
+    doc = tmp_path / "zero.json"
+    doc.write_text(render_matrix_document(
+        LabeledMatrix(labels("r", n_rows), ["a", "b", "c"], ExactMatrix.zeros(n_rows, 3, kind))))
+    code, out, _ = run(capsys, "matroid", "info", doc)
+    assert (code, out) == (0, "elements: 3\nrank: 0\nbases: 1\n  \n")
+
+
+def test_matroid_info_makes_no_independence_queries(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("matroid info called FiniteMatroid.indep")
+
+    monkeypatch.setattr(matroid.FiniteMatroid, "indep", refuse)
+    arcs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    doc = tmp_path / "k4.json"
+    rep = LabeledMatrix(labels("v", 4), labels("a", 6), incidence_matrix(4, arcs))
+    doc.write_text(render_matrix_document(rep))
+    for path in (FIXTURES / "fano.json", doc):
+        code, out, _ = run(capsys, "matroid", "info", path)
+        assert code == 0
+    assert out.splitlines()[2] == "bases: 16"  # Cayley: K4 has 4^2 spanning trees
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_matroid_info_counts_the_spanning_trees_of_k7(capsys, tmp_path, kind):
+    arcs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    body = incidence_matrix(7, arcs)
+    if kind == GF2:
+        body = ExactMatrix(GF2, [[abs(x) for x in row] for row in body.rows])
+    doc = tmp_path / "k7.json"
+    doc.write_text(render_matrix_document(LabeledMatrix(labels("v", 7), labels("a", 21), body)))
+    code, out, _ = run(capsys, "matroid", "info", doc)
+    assert (code, out) == (0, "elements: 21\nrank: 6\nbases: 16807\n")  # Cayley: 7^5
+
+
+def test_matroid_info_search_takes_no_stack_frame_per_element(capsys, tmp_path):
+    # the identity has one base, of all 400 elements; under a recursion limit
+    # of 250 a search that recursed once per element would raise RecursionError
+    n = 400
+    cols = [f"e{j}" for j in range(n)]
+    rows = ",".join("[" + ",".join('"1"' if i == j else '"0"' for j in range(n)) + "]" for i in range(n))
+    doc = tmp_path / "identity.json"
+    doc.write_text(f'{{"field": "gf2", "rows": {json.dumps(labels("r", n))}, "cols": {json.dumps(cols)}, '
+                   f'"data": [{rows}]}}')
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code, out, _ = run(capsys, "matroid", "info", doc)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (0, f"elements: {n}\nrank: {n}\nbases: 1\n  {' '.join(sorted(cols))}\n")
+
+
 def test_matroid_eq(capsys):
     code, out, _ = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
     assert (code, out) == (0, "equal\n")

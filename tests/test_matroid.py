@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,8 @@ from tumat import (
     verify_matroid_axioms,
     zmod_linear_independent,
 )
+from tumat.cli import main as cli_main
+from tumat.documents import render_matrix_document
 from tumat.fixtures import fano_columns, incidence_matrix
 from tumat.matroid import DEFAULT_EQ_LIMIT
 
@@ -150,6 +153,76 @@ def test_from_bases_matches_vector_matroid():
             continue
         m2 = FiniteMatroid.from_bases(m.ground, m.bases())
         assert naive_matroids_equal(m, m2)
+
+
+def _oracle_rank(kind, columns):
+    """Rank of a family of columns by plain Gaussian elimination: XOR over GF(2), Fractions over Q."""
+    rows = [list(col) for col in columns]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][j]:
+                if kind == GF2:
+                    rows[r] = [(x + y) % 2 for x, y in zip(rows[r], rows[rank])]
+                else:
+                    f = rows[r][j] / rows[rank][j]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_bases(kind, names, data):
+    """Every size-r subset of the sorted column names whose columns have rank r."""
+    columns = {name: [Fraction(row[j]) for row in data] for j, name in enumerate(names)}
+    r = _oracle_rank(kind, columns.values())
+    return [c for c in combinations(sorted(names), r) if _oracle_rank(kind, [columns[e] for e in c]) == r]
+
+
+def _oracle_corpus(rng, kind, count):
+    """Small matrices with zero columns, parallel columns, dependent rows, no rows and no columns."""
+    values = [0, 1] if kind == GF2 else [0, 0, 1, -1, 2, -3, Fraction(1, 2)]
+    for t in range(count):
+        n_rows, n_cols = rng.randint(0, 5), rng.randint(0, 9) if t % 25 else 0
+        data = [[rng.choice(values) for _ in range(n_cols)] for _ in range(n_rows)]
+        if n_rows and n_cols > 2 and t % 3 == 0:  # column k parallel to column j, column z zero
+            j, k, z = rng.sample(range(n_cols), 3)
+            f = rng.choice([v for v in values if v])
+            for row in data:
+                row[k], row[z] = (row[j] * f) % 2 if kind == GF2 else row[j] * f, 0
+        if n_rows > 1 and t % 4 == 0:  # a dependent row
+            data[-1] = [(x + y) % 2 if kind == GF2 else x - 2 * y for x, y in zip(data[0], data[1])]
+        names = [f"e{rng.randrange(100)}_{j}" for j in range(n_cols)]
+        yield names, data
+
+
+def test_bases_match_subset_oracle(capsys, tmp_path):
+    rng = random.Random(41)
+    corpus = [(GF2, case) for case in _oracle_corpus(rng, GF2, 200)]
+    corpus += [(RATIONAL, case) for case in _oracle_corpus(rng, RATIONAL, 100)]
+    shapes = set()
+    doc = tmp_path / "m.json"
+    for kind, (names, data) in corpus:
+        rep = lm(labels("r", len(data)), names, kind, data)
+        m = to_matroid(rep)
+        expected = _oracle_bases(kind, names, data)
+        assert m.bases() == expected, (kind, names, data)
+        assert m.count_bases() == len(expected)
+        doc.write_text(render_matrix_document(rep))
+        head = f"elements: {len(names)}\nrank: {m.rank}\nbases: {len(expected)}\n"
+        for cut in (len(expected) - 1, len(expected)):
+            assert cli_main(["matroid", "info", str(doc), "--max-bases", str(cut)]) == 0
+            listed = "".join("  " + " ".join(b) + "\n" for b in expected) if cut == len(expected) else ""
+            assert capsys.readouterr().out == head + listed
+        from_bases = FiniteMatroid.from_bases(m.ground, expected)
+        assert (from_bases.bases(), from_bases.count_bases()) == (expected, len(expected))
+        shapes.add((len(data) > 0, len(names) > 0, m.rank < len(data)))
+    # (has rows, has columns, rows dependent)
+    assert shapes >= {(True, True, True), (True, True, False), (True, False, True),
+                      (False, True, False), (False, False, False)}
 
 
 def test_matroids_equal_guard():
