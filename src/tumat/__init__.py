@@ -43,6 +43,7 @@ from .sums import (
     Sum3Labels,
     SumOutcome,
     canonical_signing_sum3,
+    certifies_sum,
     compose,
     is_unit_2x2,
     sign_composition,

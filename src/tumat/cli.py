@@ -5,7 +5,9 @@ Exit codes: 0 on success or a positive verdict, 1 on a negative verdict
 shape errors, 3 when a size guard trips.  Guards can be lifted with
 ``--force`` or widened with the environment variables TUMAT_TU_LIMIT
 (every TU check) and TUMAT_EQ_LIMIT (``matroid eq`` only, and there only
-the base comparison of matroids not known to be binary).
+the base comparison of matroids not known to be binary).  ``verify
+composition`` TU-checks its two summands only: the sum's witness is
+certified by its blocks (``tumat.sums.certifies_sum``).
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2
 from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, _labeled, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular
-from .sums import Sum3Labels, compose, sign_composition
-from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular, is_tu_signing_of
+from .sums import Sum3Labels, certifies_sum, compose, sign_composition
+from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -218,9 +220,10 @@ def cmd_verify_composition(args) -> int:
         return EXIT_NEGATIVE
     s = outcome.result
     witness = sign_composition(*signed, glue)
-    # For a TU witness W that reduces mod 2 to B, [I | W] over Q and [I | B]
-    # over GF(2) are the same matroid, so this check certifies the sum regular.
-    if not is_tu_signing_of(witness.body, s.B.body, limit=tu_limit, force=args.force):
+    # W's blocks hold the two certified summand signings, joined as the sum
+    # joins them, so W is TU; a TU W that reduces mod 2 to B makes [I | W]
+    # over Q and [I | B] over GF(2) the same matroid: the sum is regular.
+    if not certifies_sum(witness, s.B, *signed, glue):
         print("composition check failed: witness does not certify the sum", file=sys.stderr)
         return EXIT_NEGATIVE
     if args.out_dir is not None:

@@ -144,9 +144,9 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
 def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
     """Gauss-Jordan step in place: column j becomes the i-th unit column.
 
-    Row i is divided by its entry in column j, then subtracted (XORed over
-    GF(2)) from every other row that is nonzero there.  Rows are replaced,
-    never mutated, so they may be tuples.
+    Row i is divided by its entry in column j (negated for -1, so int rows
+    stay int), then subtracted (XORed over GF(2)) from every other row that
+    is nonzero there.  Rows are replaced, never mutated, so they may be tuples.
     """
     base = rows[i]
     if kind == GF2:
@@ -155,7 +155,9 @@ def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
                 rows[k] = [x ^ y for x, y in zip(row, base)]
         return
     a = base[j]
-    if a != 1:
+    if a == -1:
+        base = rows[i] = [-x for x in base]
+    elif a != 1:
         base = rows[i] = [x / a for x in base]
     for k, row in enumerate(rows):
         f = row[j]

@@ -66,20 +66,23 @@ class LabeledMatrix:
                 f"{len(self.row_labels)}x{len(self.col_labels)}"
             )
         self.body = body
-        self._row_pos = {lbl: i for i, lbl in enumerate(self.row_labels)}
-        self._col_pos = {lbl: j for j, lbl in enumerate(self.col_labels)}
+        self._row_pos = self._col_pos = None
 
     @property
     def kind(self) -> str:
         return self.body.kind
 
     def row_position(self, label: Label) -> int:
+        if self._row_pos is None:  # built on the first lookup: most matrices are never looked up
+            self._row_pos = {lbl: i for i, lbl in enumerate(self.row_labels)}
         try:
             return self._row_pos[label]
         except KeyError:
             raise ShapeError(f"no row labeled {label!r}") from None
 
     def col_position(self, label: Label) -> int:
+        if self._col_pos is None:
+            self._col_pos = {lbl: j for j, lbl in enumerate(self.col_labels)}
         try:
             return self._col_pos[label]
         except KeyError:
@@ -117,8 +120,7 @@ def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: Exa
     """A ``LabeledMatrix`` over already checked labels, one per body row or column; no checks."""
     m = object.__new__(LabeledMatrix)
     m.row_labels, m.col_labels, m.body = tuple(row_labels), tuple(col_labels), body
-    m._row_pos = {lbl: i for i, lbl in enumerate(m.row_labels)}
-    m._col_pos = {lbl: j for j, lbl in enumerate(m.col_labels)}
+    m._row_pos = m._col_pos = None
     return m
 
 

@@ -16,8 +16,12 @@ loses them.
 
 Signing constructions mirror the sums over the rationals and produce TU
 signings of the GF(2) results when the summand signings are TU.  They
-check neither: the composition theorem makes the result TU, and a
-caller that needs a certificate checks the result once.
+check neither: the composition theorem makes the result TU.  A 2- or
+3-sum of signings is built on the signs as ints, each output entry then
+mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
+sum by its blocks, with no TU check: each summand's certified signing
+must sit in the sum, up to row and column signs, joined as the sum joins
+its summands.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -30,14 +34,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, xor
+from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import scale_rows_cols, spanning_forest
+from .tu import _SIGNS, is_signing_of, scale_rows_cols
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -52,9 +56,12 @@ REASON_NONZERO_OUTSIDE = "nonzero-outside"
 FORM_IDENTITY = "identity"
 FORM_UPPER_TRIANGULAR = "upper-triangular-11"
 
+# the kind of a signing held as ints -1, 0, 1 while a sum of signings is built
+_SIGNED = "signed"
+
 _CONNECTOR_TARGETS = {
-    FORM_IDENTITY: ExactMatrix(RATIONAL, [[1, 1, 0], [1, 0, 1], [0, -1, 1]]),
-    FORM_UPPER_TRIANGULAR: ExactMatrix(RATIONAL, [[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+    FORM_IDENTITY: _exact(_SIGNED, [[1, 1, 0], [1, 0, 1], [0, -1, 1]], 3),
+    FORM_UPPER_TRIANGULAR: _exact(_SIGNED, [[1, 1, 0], [1, 1, 1], [0, 1, 1]], 3),
 }
 
 __all__ = [
@@ -69,6 +76,7 @@ __all__ = [
     "canonical_signing_sum3",
     "compose",
     "sign_composition",
+    "certifies_sum",
     "verify_is_sum_k_of",
     "FORM_IDENTITY",
     "FORM_UPPER_TRIANGULAR",
@@ -131,7 +139,7 @@ def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
     Zero block rows are shared tuples; over GF(2) coeffs pick basis rows to XOR, with no product.
     """
     kind, n_left, n_right = top.kind, top.n_cols, tail.n_cols
-    zero = 0 if kind == GF2 else Fraction(0)
+    zero = Fraction(0) if kind == RATIONAL else 0
     pad, blank = (zero,) * n_right, (zero,) * n_left
     if kind == GF2:
         picks = ([b for c, b in zip(cs, basis) if c] for cs in coeffs)
@@ -249,17 +257,8 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     hold the unit D0 at X by Y: the rows of D0^-1 * [Dl | D0] are the left
     rows X after Gauss-Jordan pivoting at columns Y.
     """
-    if glue is None:
-        xs = ys = drop_x = drop_y = ()
-    elif isinstance(glue, Sum3Labels):
-        xs, ys, drop_x, drop_y = (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
-    else:
-        x, y = _pair(glue)
-        xs, ys, drop_x, drop_y = (x,), (y,), (), ()
-    x_top = [u for u in b_left.row_labels if u not in xs]
-    x_bottom = [u for u in b_right.row_labels if u not in drop_x]
-    y_left = [v for v in b_left.col_labels if v not in drop_y]
-    y_right = [v for v in b_right.col_labels if v not in ys]
+    xs, ys, drop_x, drop_y = _glue_parts(glue)
+    x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
     # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
     basis = list(b_left.select(xs, y_left).body.rows) if xs else []
     if isinstance(glue, Sum3Labels):
@@ -270,24 +269,42 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
 
 
+def _glue_parts(glue) -> tuple[tuple, tuple, tuple, tuple]:
+    """The left rows X and right columns Y of ``_assemble``, then the right row and left column it drops."""
+    if glue is None:
+        return (), (), (), ()
+    if isinstance(glue, Sum3Labels):
+        return (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
+    x, y = _pair(glue)
+    return (x,), (y,), (), ()
+
+
+def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[list, list, list, list]:
+    """A sum's top and bottom row labels and its left and right column labels, as ``_assemble`` orders them."""
+    xs, ys, drop_x, drop_y = _glue_parts(glue)
+    return ([u for u in b_left.row_labels if u not in xs], [u for u in b_right.row_labels if u not in drop_x],
+            [v for v in b_left.col_labels if v not in drop_y], [v for v in b_right.col_labels if v not in ys])
+
+
 def _cut(b: LabeledMatrix, rows: tuple, cols: tuple) -> ExactMatrix:
     """``b``'s body less the rows ``rows`` and columns ``cols``; rows stay shared if no column goes."""
     keep = [j for j, v in enumerate(b.col_labels) if v not in cols]
     kept = [row for u, row in zip(b.row_labels, b.body.rows) if u not in rows]
-    return _exact(b.kind, [tuple(row[j] for j in keep) for row in kept] if cols else kept, len(keep))
+    if cols:
+        pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[j] for j in keep)
+        kept = list(map(pick, kept))
+    return _exact(b.kind, kept, len(keep))
 
 
-_PERM_PAIRS = (
-    ((0, 1), (0, 1)),
-    ((1, 0), (0, 1)),
-    ((0, 1), (1, 0)),
-    ((1, 0), (1, 0)),
-)
-
-_UNIT_FORMS = (
-    (FORM_IDENTITY, ((1, 0), (0, 1))),
-    (FORM_UPPER_TRIANGULAR, ((1, 1), (0, 1))),
-)
+# the six invertible 2x2 GF(2) matrices, by their rows, and what ``is_unit_2x2`` returns for each
+_UNITS = {
+    ((1, 0), (0, 1)): ((0, 1), (0, 1), FORM_IDENTITY),
+    ((0, 1), (1, 0)): ((1, 0), (0, 1), FORM_IDENTITY),
+    ((1, 1), (0, 1)): ((0, 1), (0, 1), FORM_UPPER_TRIANGULAR),
+    ((0, 1), (1, 1)): ((1, 0), (0, 1), FORM_UPPER_TRIANGULAR),
+    ((1, 1), (1, 0)): ((0, 1), (1, 0), FORM_UPPER_TRIANGULAR),
+    ((1, 0), (1, 1)): ((1, 0), (1, 0), FORM_UPPER_TRIANGULAR),
+}
 
 
 def is_unit_2x2(
@@ -302,11 +319,7 @@ def is_unit_2x2(
     """
     if a.kind != GF2 or a.shape != (2, 2):
         raise ShapeError("is_unit_2x2 takes a 2x2 GF(2) matrix")
-    for form, tgt in _UNIT_FORMS:
-        for f, g in _PERM_PAIRS:
-            if all(a[f[i], g[j]] == tgt[i][j] for i in range(2) for j in range(2)):
-                return (f, g, form)
-    return None
+    return _UNITS.get(a.rows)
 
 
 def _require_rational(signed_left, signed_right) -> None:
@@ -337,6 +350,47 @@ def sign_sum_2(
     return _stacked(a_left, zip(c_row), [r_row], a_right)
 
 
+def _ints(m: LabeledMatrix) -> LabeledMatrix:
+    """A rational signing as a ``_SIGNED`` matrix of ints; its entries must be integers."""
+    rows = [[x.numerator for x in row] for row in m.body.rows]
+    return _labeled(m.row_labels, m.col_labels, _exact(_SIGNED, rows, m.body.n_cols))
+
+
+def _rational(m: LabeledMatrix) -> LabeledMatrix:
+    """A ``_SIGNED`` matrix over the rationals, each entry mapped once to a shared Fraction."""
+    try:
+        rows = [tuple(map(_SIGNS.__getitem__, row)) for row in m.body.rows]
+    except KeyError:  # an entry past +-1 comes only from summand signings that are not TU
+        rows = [tuple(map(Fraction, row)) for row in m.body.rows]
+    return _labeled(m.row_labels, m.col_labels, _exact(RATIONAL, rows, m.body.n_cols))
+
+
+def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list, list]]:
+    """Row signs s and column signs t with s[i] * t[j] * a[i][j] == b[i][j] everywhere, or None.
+
+    Signs spread along ``b``'s nonzero entries, which are +-1, from each
+    row not yet reached; a zero of ``a`` there leaves a 2, which fails.
+    """
+    m, n = len(b), len(b[0]) if b else 0
+    s, t = [0] * m, [0] * n
+    for root in range(m):
+        if s[root]:
+            continue
+        s[root], reached = 1, [root]
+        for i in reached:
+            for j, y in enumerate(b[i]):
+                if y and not t[j]:
+                    t[j] = a[i][j] * y * s[i] or 2
+                    for k in range(m):
+                        if b[k][j] and not s[k]:
+                            s[k] = a[k][j] * b[k][j] * t[j] or 2
+                            reached.append(k)
+    t = [tj or 1 for tj in t]
+    if [[si * tj * x for tj, x in zip(t, ra)] for si, ra in zip(s, a)] == list(map(list, b)):
+        return s, t
+    return None
+
+
 def _resign_to_target(
     a: ExactMatrix,
     row_positions: Sequence[int],
@@ -345,40 +399,19 @@ def _resign_to_target(
 ) -> ExactMatrix:
     """Scale whole rows and columns by +-1 so a designated submatrix hits a target.
 
-    The submatrix of ``a`` at the given positions must have the same
-    support as ``target``.  Signs propagate over a spanning forest of
-    the target support graph, then every position is swept to confirm
-    consistency; an unreachable target raises.
+    ``a`` holds a signing as Fractions or as ints, ``target`` entries
+    -1, 0, 1; a target that no scaling reaches raises.
     """
-    if a.kind != RATIONAL or target.kind != RATIONAL:
-        raise ShapeError("resigning works on rational matrices")
     k_rows, k_cols = target.shape
     if len(row_positions) != k_rows or len(col_positions) != k_cols:
         raise ShapeError("position counts must match the target shape")
     if len(set(row_positions)) != k_rows or len(set(col_positions)) != k_cols:
         raise ShapeError("designated positions must be distinct")
-    sub = a.submatrix(row_positions, col_positions)
-    for i in range(k_rows):
-        for j in range(k_cols):
-            if (sub[i, j] == 0) != (target[i, j] == 0):
-                raise ShapeError("designated submatrix support differs from the target support")
-    edges = [(i, j) for i in range(k_rows) for j in range(k_cols) if target[i, j] != 0]
-    sign = [1] * (k_rows + k_cols)
-    for parent, child in spanning_forest(k_rows, k_cols, edges):
-        i, j = (parent, child - k_rows) if parent < k_rows else (child, parent - k_rows)
-        sign[child] = int(target[i, j] / sub[i, j]) * sign[parent]
-    row_sign, col_sign = sign[:k_rows], sign[k_rows:]
-    for i in range(k_rows):
-        for j in range(k_cols):
-            if target[i, j] != 0 and row_sign[i] * col_sign[j] * sub[i, j] != target[i, j]:
-                raise ShapeError("no row/column sign scaling reaches the target")
-    full_rows = [1] * a.n_rows
-    full_cols = [1] * a.n_cols
-    for i, pos in enumerate(row_positions):
-        full_rows[pos] = row_sign[i]
-    for j, pos in enumerate(col_positions):
-        full_cols[pos] = col_sign[j]
-    return scale_rows_cols(a, full_rows, full_cols)
+    signs = _signs_between(a.submatrix(row_positions, col_positions).rows, target.rows)
+    if signs is None:
+        raise ShapeError("no row/column sign scaling reaches the target")
+    rs, cs = dict(zip(row_positions, signs[0])), dict(zip(col_positions, signs[1]))
+    return scale_rows_cols(a, [rs.get(i, 1) for i in range(a.n_rows)], [cs.get(j, 1) for j in range(a.n_cols)])
 
 
 def canonical_signing_sum3(
@@ -391,31 +424,34 @@ def canonical_signing_sum3(
     Both signings are re-signed so their shared 3x3 connector submatrix
     (rows x2, x0, x1 by columns y0, y1, y2, taken in the order that
     brings the connector to its canonical form) equals a fixed target,
-    then the sum is assembled over the rationals with exact bottom-left
-    block D'r * (D'0)^-1 * D'l.  The output is labeled like the Valid
-    outcome of ``standard_repr_sum_3`` on the summand supports.  It is
-    TU when both summand signings are; nothing here checks either.
+    then the sum is assembled on int signs with exact bottom-left block
+    D'r * (D'0)^-1 * D'l: the target's D'0 has pivots +-1.  The output
+    is labeled like the Valid outcome of ``standard_repr_sum_3`` on the
+    summand supports.  It is TU when both summand signings are; nothing
+    here checks either.
     """
     _require_rational(signed_left, signed_right)
-    connector = ([labels.x0, labels.x1], [labels.y0, labels.y1])
-    d0_supp_left = support(signed_left.select(*connector)).body
-    d0_supp_right = support(signed_right.select(*connector)).body
-    if d0_supp_left != d0_supp_right:
+    left, right = _ints(signed_left), _ints(signed_right)
+    d0_left, d0_right = (support(side.select(labels.xs[:2], labels.ys[:2])).body.rows for side in (left, right))
+    if d0_left != d0_right:
         raise ShapeError("connector supports of the two signings differ")
-    unit = is_unit_2x2(d0_supp_left)
+    unit = _UNITS.get(d0_left)
     if unit is None:
         raise ShapeError("connector block is singular")
-    f, g, form = unit
-    xs, ys = labels.xs, labels.ys
-    cut = Sum3Labels(xs[f[0]], xs[f[1]], labels.x2, ys[g[0]], ys[g[1]], labels.y2)
-    target = _CONNECTOR_TARGETS[form]
+    cut, target = _canonical_cut(labels, unit)
 
     def resign(side: LabeledMatrix) -> LabeledMatrix:
         rows = [side.row_position(u) for u in (cut.x2, cut.x0, cut.x1)]
         cols = [side.col_position(v) for v in cut.ys]
         return _labeled(side.row_labels, side.col_labels, _resign_to_target(side.body, rows, cols, target))
 
-    return _assemble(resign(signed_left), resign(signed_right), cut)
+    return _rational(_assemble(resign(left), resign(right), cut))
+
+
+def _canonical_cut(labels: Sum3Labels, unit) -> tuple[Sum3Labels, ExactMatrix]:
+    """The glue with x0, x1 and y0, y1 in the order of ``is_unit_2x2``'s permutations, and its target."""
+    (f, g, form), xs, ys = unit, labels.xs, labels.ys
+    return Sum3Labels(xs[f[0]], xs[f[1]], labels.x2, ys[g[0]], ys[g[1]], labels.y2), _CONNECTOR_TARGETS[form]
 
 
 def _pair(glue) -> tuple[Label, Label]:
@@ -446,11 +482,79 @@ def sign_composition(
     The summand signings must already be certified TU (``is_regular``
     does so) and labeled like summands whose ``compose`` is Valid; the
     result is then TU, and neither it nor its labels are checked here.
+    A 2- or 3-sum reads each entry, -1, 0 or 1 in a TU signing, as an int.
     """
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
     _require_rational(signed_left, signed_right)
-    return _assemble(signed_left, signed_right, glue)
+    if glue is None:  # a 1-sum does no arithmetic: its entries are the summands' own
+        return _assemble(signed_left, signed_right, None)
+    return _rational(_assemble(_ints(signed_left), _ints(signed_right), glue))
+
+
+def certifies_sum(
+    witness: LabeledMatrix,
+    b: LabeledMatrix,
+    signed_left: LabeledMatrix,
+    signed_right: LabeledMatrix,
+    glue: None | tuple[Label, Label] | Sum3Labels,
+) -> bool:
+    """Whether ``witness`` is a TU signing of ``b``, the GF(2) sum at ``glue`` of two
+    summands with certified TU signings, judged by its blocks alone: no TU check runs.
+
+    The witness carries ``b``'s labels, reduces mod 2 to ``b`` and is zero
+    at left rows by right columns.  Each summand block read back off it
+    equals that summand's signing up to row and column signs, so it is TU,
+    and the blocks are joined so that the sum is TU: for a 1-sum the
+    bottom-left block BL is zero; for a 2-sum BL = c * r, and the blocks
+    are [A; r] and [c | A'] (Schrijver 1986, section 19.4); for a 3-sum the
+    connector is in its canonical signed form and BL = BL[:, Y] * D0^-1 *
+    BL[X, :] at X = (x0, x1), Y = (y0, y1) and D0 = BL[X, Y].
+    """
+    if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
+            or not is_signing_of(witness.body, b.body):
+        return False
+    top, bottom, left, right = _layout(signed_left, signed_right, glue)
+    if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels):
+        return False
+    rows = _ints(witness).body.rows
+
+    def block(us, vs) -> list[list[int]]:
+        cols = [witness.col_position(v) for v in vs]
+        return [[row[j] for j in cols] for row in (rows[witness.row_position(u)] for u in us)]
+
+    bl = block(bottom, left)
+    if any(map(any, block(top, right))) or glue is None and any(map(any, bl)):
+        return False
+    sides = [(block(s.row_labels, s.col_labels), _ints(s).body.rows) for s in (signed_left, signed_right)]
+    if isinstance(glue, Sum3Labels):
+        unit = _UNITS.get(tuple(tuple(map(abs, row)) for row in block(glue.xs[:2], glue.ys[:2])))
+        if unit is None:
+            return False
+        cut, target = _canonical_cut(glue, unit)
+        if block((cut.x2, cut.x0, cut.x1), cut.ys) != list(map(list, target.rows)):
+            return False
+        i0, i1, j0, j1 = bottom.index(glue.x0), bottom.index(glue.x1), left.index(glue.y0), left.index(glue.y1)
+        (a, b0), (c, d) = (bl[i0][j0], bl[i0][j1]), (bl[i1][j0], bl[i1][j1])
+        det = a * d - b0 * c  # +-1 in the canonical form, so D0^-1 = det * [[d, -b0], [-c, a]]
+        for row in bl:
+            u, v = det * (row[j0] * d - row[j1] * c), det * (row[j1] * a - row[j0] * b0)
+            if [u * p + v * q for p, q in zip(bl[i0], bl[i1])] != row:
+                return False
+    elif glue is not None:
+        x, y = glue
+        i0, j0 = next(((i, j) for i, row in enumerate(bl) for j, e in enumerate(row) if e), (0, None))
+        if j0 is None:
+            return False
+        r, c = bl[i0], [row[j0] * bl[i0][j0] for row in bl]
+        if [[ci * rj for rj in r] for ci in c] != bl:
+            return False
+        # the summand blocks are [A; r] and [c | A']: W holds c_x * r at row x and c * r_y at column y
+        sides[0][0][signed_left.row_position(x)] = r
+        j = signed_right.col_position(y)
+        for row, ci in zip(sides[1][0], c):
+            row[j] = ci
+    return all(_signs_between(held, signing) is not None for held, signing in sides)
 
 
 def verify_is_sum_k_of(

@@ -414,14 +414,14 @@ def _first_violator(
 
 
 def is_signing_of(a: ExactMatrix, u: ExactMatrix) -> bool:
-    """True when abs(a[i][j]) equals u[i][j] everywhere (a rational, u GF(2))."""
+    """True when abs(a[i][j]) equals u[i][j] everywhere (a rational, u GF(2)); no Fraction is built."""
     if a.kind != RATIONAL or u.kind != GF2:
         raise ShapeError("signing compares a rational matrix against a GF(2) matrix")
     if a.shape != u.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {u.shape}")
     for ra, ru in zip(a.rows, u.rows):
         for x, y in zip(ra, ru):
-            if abs(x) != y:
+            if abs(x.numerator) != y or x.denominator != 1:
                 return False
     return True
 
@@ -440,8 +440,8 @@ def is_tu_signing_of(
 def scale_rows_cols(
     a: ExactMatrix, row_signs: Sequence[int], col_signs: Sequence[int]
 ) -> ExactMatrix:
-    """Multiply row i by row_signs[i] and column j by col_signs[j]; signs are +-1."""
-    if a.kind != RATIONAL:
+    """Multiply row i by row_signs[i] and column j by col_signs[j]; signs are +-1, entries rational or int."""
+    if a.kind == GF2:
         raise ShapeError("sign scaling applies to rational matrices")
     if len(row_signs) != a.n_rows or len(col_signs) != a.n_cols:
         raise ShapeError("sign vector lengths must match the matrix shape")
@@ -452,7 +452,7 @@ def scale_rows_cols(
         [x if rs == cs else -x for x, cs in zip(row, col_signs)]
         for row, rs in zip(a.rows, row_signs)
     ]
-    return _exact(RATIONAL, rows, a.n_cols)
+    return _exact(a.kind, rows, a.n_cols)
 
 
 def _adjacency(

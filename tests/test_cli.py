@@ -14,12 +14,14 @@ from tumat import (
     ExactMatrix,
     LabeledMatrix,
     StandardRepr,
+    is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,
     parse_matrix_document,
     parse_standard_repr_document,
     render_matrix_document,
     render_standard_repr_document,
+    support,
 )
 from tumat import cli, exactmat, matroid, stdrepr, sums, tu
 from tumat.cli import main
@@ -605,25 +607,81 @@ def _zero_first_nonzero(rows):
     rows[i][j] = 0
 
 
-@pytest.mark.parametrize("corrupt", [_flip_in_nonzero_2x2, _zero_first_nonzero])
-def test_verify_composition_rejects_corrupted_witness(capsys, monkeypatch, corrupt):
+# the rows and columns of the d0-1101 3-sum's witness (golden_verify_k3_witness.json)
+K3_ROWS, K3_COLS = ("xa", "x2", "x0", "x1", "xb"), ("ya", "y0", "y1", "y2", "yb")
+
+
+def _flip_bottom_left_entry(rows):
+    # (xb, ya) lies off the connector rows and columns, so only the bottom-left rule sees it
+    i, j = K3_ROWS.index("xb"), K3_COLS.index("ya")
+    rows[i][j] = -rows[i][j]
+
+
+def _flip_signed_d0(rows):
+    i, j = K3_ROWS.index("x0"), K3_COLS.index("y0")
+    rows[i][j] = -rows[i][j]
+
+
+def _swap_summand_blocks(rows):
+    # the 1-sum of two 2x2 summands with its two diagonal blocks traded
+    rows[:] = [row[2:] + row[:2] for row in rows[2:] + rows[:2]]
+
+
+@pytest.mark.parametrize("corrupt", [_flip_in_nonzero_2x2, _zero_first_nonzero, _flip_bottom_left_entry,
+                                     _flip_signed_d0, _swap_summand_blocks])
+def test_verify_composition_rejects_corrupted_witness(capsys, monkeypatch, tmp_path, corrupt):
     real = cli.sign_composition
-    corrupted = []
+    built, corrupted = [], []
 
     def sign_then_corrupt(*args, **kwargs):
-        w = real(*args, **kwargs)
-        rows = w.body.to_lists()
+        built.append(real(*args, **kwargs))
+        rows = built[0].body.to_lists()
         corrupt(rows)
-        corrupted.append(LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows)))
+        corrupted.append(LabeledMatrix(built[0].row_labels, built[0].col_labels, ExactMatrix(RATIONAL, rows)))
         return corrupted[0]
 
     monkeypatch.setattr(cli, "sign_composition", sign_then_corrupt)
-    code, out, err = run(capsys, "verify", "composition", "-k", "3", *K3_FLAGS,
-                         FIXTURES / "sum3/d0-1101-left.json",
-                         FIXTURES / "sum3/d0-1101-right.json")
+    if corrupt is _swap_summand_blocks:
+        paths = [tmp_path / "left.json", tmp_path / "right.json"]
+        for path, xs, ys, grid in ((paths[0], ["x1", "x2"], ["y1", "y2"], [[1, 1], [0, 1]]),
+                                   (paths[1], ["x3", "x4"], ["y3", "y4"], [[1, 0], [1, 1]])):
+            path.write_text(render_standard_repr_document(make_repr(xs, ys, ExactMatrix(GF2, grid))))
+        argv = ["-k", "1", *paths]
+    else:
+        argv = ["-k", "3", *K3_FLAGS, FIXTURES / "sum3/d0-1101-left.json", FIXTURES / "sum3/d0-1101-right.json"]
+    code, out, err = run(capsys, "verify", "composition", *argv)
     assert (code, out, err) == (1, "", "composition check failed: witness does not certify the sum\n")
-    if corrupt is _flip_in_nonzero_2x2:
+    # so a whole-W TU check of the corrupted W fails as well
+    if corrupt in (_flip_in_nonzero_2x2, _flip_bottom_left_entry, _flip_signed_d0):
         assert not is_totally_unimodular(corrupted[0].body).is_tu
+    else:
+        assert not is_signing_of(corrupted[0].body, support(built[0]).body)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_verify_composition_r10_sums_need_no_force(capsys, monkeypatch, tmp_path, k):
+    # a 10x10 (k=1) or 9x9 (k=2) witness passed the TU guard only with --force
+    # while the sum's W got a TU check; its blocks now certify it, and only the
+    # 5x5 summands meet the guard
+    monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
+    r10 = parse_standard_repr_document((FIXTURES / "r10.json").read_text())
+    # the right copy shares row x1 and column y1 with the left one in a 2-sum
+    right_x = ["x1"] + labels("x", 4, 6) if k == 2 else labels("x", 5, 6)
+    right_y = ["y1"] + labels("y", 4, 6) if k == 2 else labels("y", 5, 6)
+    paths = [tmp_path / "left.json", tmp_path / "right.json"]
+    for path, summand in zip(paths, (r10, make_repr(right_x, right_y, r10.B.body))):
+        path.write_text(render_standard_repr_document(summand))
+    argv = ["verify", "composition", "-k", str(k), *(["--x", "x1", "--y", "y1"] if k == 2 else []),
+            "--out-dir", tmp_path / "out", *paths]
+    assert run(capsys, *argv) == (0, f"verified {k}-sum composition: regular\n", "")
+    s = parse_standard_repr_document((tmp_path / "out" / "sum.json").read_text())
+    witness = parse_matrix_document((tmp_path / "out" / "witness.json").read_text())
+    assert s.B.body.shape == ((10, 10) if k == 1 else (9, 9))
+    assert is_tu_signing_of(witness.body, s.B.body, force=True)
+    monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("size guard: TU check on a 5x5 matrix exceeds the size guard")
 
 
 ROUTE_CASES = {
@@ -634,8 +692,8 @@ ROUTE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ROUTE_CASES))
 def test_verify_composition_checks_each_matrix_once(capsys, monkeypatch, tmp_path, case):
-    # one TU check per summand signing (in is_regular) and one on the sum's
-    # witness; the signing construction itself checks nothing
+    # one TU check per summand signing (in is_regular) and none on the sum's
+    # witness, which its blocks certify; the signing construction checks nothing
     shapes = []
 
     def counting(a, *args, **kwargs):
@@ -650,8 +708,7 @@ def test_verify_composition_checks_each_matrix_once(capsys, monkeypatch, tmp_pat
                        FIXTURES / left, FIXTURES / right)
     assert code == 0, out
     summands = [parse_standard_repr_document((FIXTURES / name).read_text()) for name in (left, right)]
-    s = parse_standard_repr_document((tmp_path / "sum.json").read_text())
-    assert shapes == [summands[0].B.body.shape, summands[1].B.body.shape, s.B.body.shape]
+    assert shapes == [summands[0].B.body.shape, summands[1].B.body.shape]
 
 
 def test_verify_composition_rejects_irregular_summand(capsys):

@@ -25,12 +25,15 @@ from tumat import (
     ShapeError,
     Sum3Labels,
     canonical_signing_sum3,
+    certifies_sum,
     compose,
     disjoint_sum,
     find_tu_signing,
+    is_regular,
     is_totally_unimodular,
     is_tu_signing_of,
     is_unit_2x2,
+    sign_composition,
     sign_sum_1,
     sign_sum_2,
     standard_repr_sum_1,
@@ -51,6 +54,7 @@ from helpers import (
     plain_matrix_sum_2,
     random_gf2_matrix,
     random_rational_matrix,
+    random_standard_repr,
     random_sum2_pair,
     random_valid_sum3_pair,
     sum3_corpus,
@@ -659,3 +663,112 @@ def test_sum_results_carry_checked_labels():
         assert s.B == LabeledMatrix(s.X, s.Y, s.B.body)
         assert [s.B.row_position(u) for u in s.X] == list(range(len(s.X)))
         assert [s.B.col_position(v) for v in s.Y] == list(range(len(s.Y)))
+
+
+def block_rule_corpus(rng):
+    """100 seeded sums of each k with regular summands, as (left, right, glue).
+
+    1-sums of random regular summands, 2-sums from ``random_sum2_pair``, and
+    3-sums from ``sum3_corpus`` topped up with random valid 3-sum pairs
+    whose summands are regular.
+    """
+    sums = []
+    for _ in range(100):
+        m1, n1, m2, n2 = (rng.randint(1, 4) for _ in range(4))
+        left = random_standard_repr(rng, m1, n1, regular=True)
+        right = random_standard_repr(rng, m2, n2, x_start=m1 + 1, y_start=n1 + 1, regular=True)
+        sums.append((left, right, None))
+    for _ in range(100):
+        left, right, x, y = random_sum2_pair(rng)
+        sums.append((left, right, (x, y)))
+    sums += [(left, right, glue) for left, right, glue, _ in sum3_corpus(per_unit=9)]
+    while len(sums) < 300:
+        left, right = random_valid_sum3_pair(rng, rng.choice(UNIT_D0S), max_rest=3)
+        if is_regular(left)[0] and is_regular(right)[0]:
+            sums.append((left, right, Sum3Labels(*SUM3_LABELS)))
+    return sums
+
+
+def corruptions(rng, w):
+    """Copies of the witness w, each changed once: a nonzero entry negated, zeroed,
+    or made 2 or 1/2, a zero entry made +-1, a row negated, or two rows swapped."""
+    rows = w.body.to_lists()
+    m, n = len(rows), len(rows[0])
+    nonzero = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
+    zero = [(i, j) for i in range(m) for j in range(n) if not rows[i][j]]
+    changes = [lambda r, i, j: r[i].__setitem__(j, -r[i][j]),
+               lambda r, i, j: r[i].__setitem__(j, 0),
+               lambda r, i, j: r[i].__setitem__(j, rng.choice((2, Fraction(1, 2))))]
+    out = []
+    for change in changes if nonzero else ():
+        out.append([list(row) for row in rows])
+        change(out[-1], *rng.choice(nonzero))
+    if zero:
+        out.append([list(row) for row in rows])
+        i, j = rng.choice(zero)
+        out[-1][i][j] = rng.choice((1, -1))
+    i, k = rng.randrange(m), rng.randrange(m)
+    out.append([[-x for x in row] if t == i else row for t, row in enumerate(rows)])
+    out.append([rows[k] if t == i else rows[i] if t == k else row for t, row in enumerate(rows)])
+    return [LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, r)) for r in out]
+
+
+def test_block_rule_never_certifies_what_a_whole_witness_tu_check_rejects():
+    # the block rule accepts every signed sum sign_composition builds; on
+    # corrupted witnesses it may reject more than the TU check, never less
+    rng = random.Random(18)
+    seen = Counter()
+    for left, right, glue in block_rule_corpus(rng):
+        s = compose(left, right, glue).result
+        signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+        w = sign_composition(signed_left, signed_right, glue)
+        assert certifies_sum(w, s.B, signed_left, signed_right, glue), (left, right, glue)
+        assert is_tu_signing_of(w.body, s.B.body, force=True)
+        for bad in corruptions(rng, w):
+            certified = certifies_sum(bad, s.B, signed_left, signed_right, glue)
+            tu_signing = is_tu_signing_of(bad.body, s.B.body, force=True)
+            assert tu_signing or not certified, (glue, bad.body.to_lists())
+            seen[certified, tu_signing] += 1
+    assert seen[False, False] > 1000 and seen[True, True] > 100
+
+
+def test_block_rule_reads_the_witness_not_the_sums_b():
+    # W and B that share a fault the assembly could make together: the
+    # support check alone would pass them, the block rule must not
+    left, right, x, y = random_sum2_pair(random.Random(5))
+    apart = make_repr([u + "r" for u in right.X], [v + "r" for v in right.Y], right.B.body)
+    for right, glue in ((right, (x, y)), (apart, None)):
+        signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+        s = compose(left, right, glue).result
+        w = sign_composition(signed_left, signed_right, glue)
+        assert certifies_sum(w, s.B, signed_left, signed_right, glue)
+        # a nonzero where the left rows meet the right columns (and, for a
+        # 1-sum, where the right rows meet the left columns), in W and B alike
+        spots = [(w.row_labels[0], w.col_labels[-1])]
+        spots += [(w.row_labels[-1], w.col_labels[0])] if glue is None else []
+        for u, v in spots:
+            i, j = w.row_position(u), w.col_position(v)
+            rows, supp = w.body.to_lists(), s.B.body.to_lists()
+            rows[i][j], supp[i][j] = 1, 1
+            bad_w = LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows))
+            bad_b = LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(GF2, supp))
+            assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, glue), (glue, u, v)
+        # a row that is in neither summand, in W and B alike
+        extra = w.row_labels + ("stray",)
+        bad_w = LabeledMatrix(extra, w.col_labels, ExactMatrix(RATIONAL, w.body.to_lists() + [[0] * w.body.n_cols]))
+        bad_b = LabeledMatrix(extra, w.col_labels, ExactMatrix(GF2, s.B.body.to_lists() + [[0] * w.body.n_cols]))
+        assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, glue)
+
+
+def test_block_rule_wants_the_canonical_connector():
+    # negating row x0 keeps W a TU signing of B, but its connector leaves the
+    # canonical form that sign_composition writes, and the rule refuses it
+    left, right, glue, _ = sum3_corpus(per_unit=1)[0]
+    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    s = compose(left, right, glue).result
+    w = sign_composition(signed_left, signed_right, glue)
+    i = w.row_position(glue.x0)
+    rows = [[-x for x in row] if t == i else row for t, row in enumerate(w.body.to_lists())]
+    flipped = LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows))
+    assert is_tu_signing_of(flipped.body, s.B.body)
+    assert not certifies_sum(flipped, s.B, signed_left, signed_right, glue)

@@ -108,6 +108,16 @@ def test_is_signing_of():
         is_signing_of(u, u)
 
 
+def test_is_signing_of_needs_magnitude_exactly_one_over_the_support():
+    # |x| == y exactly: 2, 1/2, -2 and -1/2 share a numerator or a
+    # denominator with 1 but are not +-1, and a nonzero entry is not 0
+    u = ExactMatrix(GF2, [[1, 0]])
+    for x in (2, Fraction(1, 2), -2, Fraction(-1, 2), Fraction(3, 3)):
+        a = ExactMatrix(RATIONAL, [[x, 0]])
+        assert is_signing_of(a, u) is (abs(x) == 1), x
+    assert not is_signing_of(ExactMatrix(RATIONAL, [[1, Fraction(1, 2)]]), u)
+
+
 def test_is_tu_signing_of():
     u = ExactMatrix(GF2, [[1, 1], [1, 1]])
     assert is_tu_signing_of(ExactMatrix(RATIONAL, [[1, 1], [-1, 1]]) , u) is False
