@@ -52,19 +52,13 @@ def _load_object(text: str) -> dict:
 def _check_keys(obj: dict, keys: set[str]) -> None:
     got = set(obj)
     if got != keys:
-        missing = sorted(keys - got)
-        extra = sorted(got - keys)
-        parts = []
-        if missing:
-            parts.append(f"missing keys {missing}")
-        if extra:
-            parts.append(f"unexpected keys {extra}")
-        raise DocumentError("; ".join(parts))
+        parts = (("missing", sorted(keys - got)), ("unexpected", sorted(got - keys)))
+        raise DocumentError("; ".join(f"{what} keys {_shown(names)}" for what, names in parts if names))
 
 
 def _parse_field(value) -> str:
     if value not in (GF2, RATIONAL):
-        raise DocumentError(f'field must be "gf2" or "rational", got {value!r}')
+        raise DocumentError(f'field must be "gf2" or "rational", got {_shown(value)}')
     return value
 
 
@@ -78,7 +72,7 @@ def _parse_labels(value, what: str) -> list[str]:
 
 def _parse_entry(kind: str, s) -> object:
     if not isinstance(s, str):
-        raise DocumentError(f"entries must be strings, got {s!r}")
+        raise DocumentError(f"entries must be strings, got {_shown(s)}")
     if kind == GF2:
         if s not in ("0", "1"):
             raise DocumentError(f'GF(2) entries must be "0" or "1", got {_shown(s)}')
@@ -91,11 +85,12 @@ def _parse_entry(kind: str, s) -> object:
         raise DocumentError(f"malformed rational entry {_shown(s)}") from None
 
 
-def _shown(entry: str) -> str:
-    """The entry quoted, or its first 40 characters and its length when longer."""
-    if len(entry) > 40:
-        return f"{entry[:40]!r}... ({len(entry)} characters)"
-    return repr(entry)
+def _shown(value) -> str:
+    """The value quoted; past 40 characters of a string, or else of its repr, the first 40 and the length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) > 40:
+        return f"{text[:40]!r}... ({len(text)} characters)"
+    return repr(value)
 
 
 def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:

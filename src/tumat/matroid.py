@@ -139,20 +139,6 @@ class FiniteMatroid:
         self._rank = None
 
     @classmethod
-    def from_matrix(cls, rep: LabeledMatrix) -> "FiniteMatroid":
-        """Column matroid of a labeled matrix; ground = column labels."""
-        body = rep.body
-        if body.kind == GF2:
-            cols = {
-                lbl: sum(body.rows[i][j] << i for i in range(body.n_rows))
-                for j, lbl in enumerate(rep.col_labels)
-            }
-            return cls(rep.col_labels, GF2, _cols=cols, _n_rows=body.n_rows)
-        # scaling a column by a positive integer does not change independence
-        cols = dict(zip(rep.col_labels, map(tuple, _scaled_int_rows(body.transpose().rows)[0])))
-        return cls(rep.col_labels, RATIONAL, _cols=cols, _n_rows=body.n_rows)
-
-    @classmethod
     def from_bases(cls, ground: Sequence[Label], bases: Iterable[Iterable[Label]]) -> "FiniteMatroid":
         """Matroid given by an explicit nonempty family of equal-size bases."""
         ground_t = _check_labels(ground, "ground")
@@ -174,15 +160,7 @@ class FiniteMatroid:
     def indep(self, subset: Iterable[Label]) -> bool:
         """True when the subset is independent; sets outside ground are not."""
         s = frozenset(subset)
-        if not s <= self._ground_set:
-            return False
-        if self._mode == "bases":
-            return any(s <= b for b in self._bases)
-        if self._mode == GF2:
-            masks = [self._cols[lbl] for lbl in s]
-            return gf2_rank_of_ints(masks) == len(s)
-        vecs = [self._cols[lbl] for lbl in s]
-        return _int_rows_rank(vecs) == len(s)
+        return s <= self._ground_set and self.rank_of(s) == len(s)
 
     def rank_of(self, subset: Iterable[Label]) -> int:
         s = frozenset(subset)
@@ -253,8 +231,13 @@ def _completions(kind: str, rows: list, start: int) -> int:
 
 
 def to_matroid(rep: LabeledMatrix) -> FiniteMatroid:
-    """Column matroid of a labeled matrix over GF(2) or the rationals."""
-    return FiniteMatroid.from_matrix(rep)
+    """Column matroid of a labeled matrix over GF(2) or the rationals; ground = column labels."""
+    body = rep.body
+    if body.kind == GF2:
+        cols = [sum(body.rows[i][j] << i for i in range(body.n_rows)) for j in range(body.n_cols)]
+    else:  # scaling a column by a positive integer does not change independence
+        cols = map(tuple, _scaled_int_rows(body.transpose().rows)[0])
+    return FiniteMatroid(rep.col_labels, body.kind, _cols=dict(zip(rep.col_labels, cols)), _n_rows=body.n_rows)
 
 
 def matroids_equal(

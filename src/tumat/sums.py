@@ -21,7 +21,8 @@ check neither: the composition theorem makes the result TU.  A 2- or
 mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, joined as the sum joins
-its summands.
+its summands.  Signs "up to row and column signs" are solved by
+``tu._colourings``, the solver the TU check's network test uses.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -41,7 +42,7 @@ from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import _SIGNS, is_signing_of, scale_rows_cols
+from .tu import _SIGNS, _colourings, is_signing_of, scale_rows_cols
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -212,29 +213,27 @@ def standard_repr_sum_3(
 
     if len(xs) < 3 or len(ys) < 3:
         return SumOutcome.invalid(REASON_LABELS_NOT_DISTINCT, "glue labels must be six distinct names")
-    d0_left = left.B.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body
-    d0_right = right.B.select([labels.x0, labels.x1], [labels.y0, labels.y1]).body
+    # each summand's glue block, rows x0, x1, x2 by columns y0, y1, y2: D0 is its top-left 2x2
+    blocks = [side.B.select(labels.xs, labels.ys).body.rows for side in (left, right)]
+    d0_left, d0_right = ((g[0][:2], g[1][:2]) for g in blocks)
     if d0_left != d0_right:
         return SumOutcome.invalid(REASON_D0_MISMATCH, "connector blocks of the two summands differ")
-    if is_unit_2x2(d0_left) is None:
+    if d0_left not in _UNITS:
         return SumOutcome.invalid(REASON_D0_SINGULAR, "connector block is singular")
-    one_entries = (
-        (labels.x0, labels.y2), (labels.x1, labels.y2), (labels.x2, labels.y0), (labels.x2, labels.y1)
-    )
-    for side, name in ((left, "left"), (right, "right")):
-        for u, v in one_entries:
-            if side.B.entry(u, v) != 1:
+    for g, name in zip(blocks, ("left", "right")):
+        for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
+            if g[i][j] != 1:
                 return SumOutcome.invalid(
-                    REASON_MISSING_ONE, f"{name} summand entry ({u!r}, {v!r}) must be 1"
+                    REASON_MISSING_ONE, f"{name} summand entry ({labels.xs[i]!r}, {labels.ys[j]!r}) must be 1"
                 )
-    for u in left.X:
-        if u not in (labels.x0, labels.x1) and left.B.entry(u, labels.y2) != 0:
+    for u, e in zip(left.X, left.B.body.col(left.B.col_position(labels.y2))):
+        if e and u not in (labels.x0, labels.x1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
                 f"left summand column {labels.y2!r} must be zero at row {u!r}",
             )
-    for v in right.Y:
-        if v not in (labels.y0, labels.y1) and right.B.entry(labels.x2, v) != 0:
+    for v, e in zip(right.Y, right.B.body.row(right.B.row_position(labels.x2))):
+        if e and v not in (labels.y0, labels.y1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
                 f"right summand row {labels.x2!r} must be zero at column {v!r}",
@@ -257,43 +256,38 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     hold the unit D0 at X by Y: the rows of D0^-1 * [Dl | D0] are the left
     rows X after Gauss-Jordan pivoting at columns Y.
     """
-    xs, ys, drop_x, drop_y = _glue_parts(glue)
-    x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
+    xs, ys, x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
     # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
     basis = list(b_left.select(xs, y_left).body.rows) if xs else []
     if isinstance(glue, Sum3Labels):
         pivots = _gauss_jordan(b_left.kind, basis, map(y_left.index, ys))
         basis = [tuple(basis[r]) for r in pivots.values()]
-    top, tail = _cut(b_left, xs, drop_y), _cut(b_right, drop_x, ys)
+    top, tail = _cut(b_left, x_top, y_left), _cut(b_right, x_bottom, y_right)
     coeffs = b_right.select(x_bottom, ys).body.rows if ys else [()] * len(x_bottom)
     return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
 
 
-def _glue_parts(glue) -> tuple[tuple, tuple, tuple, tuple]:
-    """The left rows X and right columns Y of ``_assemble``, then the right row and left column it drops."""
-    if glue is None:
-        return (), (), (), ()
+def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple, tuple, list, list, list, list]:
+    """The left rows X and right columns Y of ``_assemble``, then the sum's top and bottom row
+    labels and its left and right column labels, as it orders them; a 3-sum drops x2 and y2."""
+    xs = ys = drop_x = drop_y = ()
     if isinstance(glue, Sum3Labels):
-        return (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
-    x, y = _pair(glue)
-    return (x,), (y,), (), ()
-
-
-def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[list, list, list, list]:
-    """A sum's top and bottom row labels and its left and right column labels, as ``_assemble`` orders them."""
-    xs, ys, drop_x, drop_y = _glue_parts(glue)
-    return ([u for u in b_left.row_labels if u not in xs], [u for u in b_right.row_labels if u not in drop_x],
+        xs, ys, drop_x, drop_y = (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
+    elif glue is not None:
+        x, y = _pair(glue)
+        xs, ys = (x,), (y,)
+    return (xs, ys, [u for u in b_left.row_labels if u not in xs], [u for u in b_right.row_labels if u not in drop_x],
             [v for v in b_left.col_labels if v not in drop_y], [v for v in b_right.col_labels if v not in ys])
 
 
-def _cut(b: LabeledMatrix, rows: tuple, cols: tuple) -> ExactMatrix:
-    """``b``'s body less the rows ``rows`` and columns ``cols``; rows stay shared if no column goes."""
-    keep = [j for j, v in enumerate(b.col_labels) if v not in cols]
-    kept = [row for u, row in zip(b.row_labels, b.body.rows) if u not in rows]
-    if cols:
+def _cut(b: LabeledMatrix, rows: list, cols: list) -> ExactMatrix:
+    """``b``'s body on the rows ``rows`` and columns ``cols``, in b's order; rows stay shared if every column stays."""
+    kept = [b.body.rows[i] for i in map(b.row_position, rows)]
+    if len(cols) < b.body.n_cols:
+        keep = list(map(b.col_position, cols))
         pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[j] for j in keep)
         kept = list(map(pick, kept))
-    return _exact(b.kind, kept, len(keep))
+    return _exact(b.kind, kept, len(cols))
 
 
 # the six invertible 2x2 GF(2) matrices, by their rows, and what ``is_unit_2x2`` returns for each
@@ -368,24 +362,18 @@ def _rational(m: LabeledMatrix) -> LabeledMatrix:
 def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list, list]]:
     """Row signs s and column signs t with s[i] * t[j] * a[i][j] == b[i][j] everywhere, or None.
 
-    Signs spread along ``b``'s nonzero entries, which are +-1, from each
-    row not yet reached; a zero of ``a`` there leaves a 2, which fails.
+    Each nonzero of ``b`` ties row i (bit i) to column j (bit m + j), apart when a[i][j] and
+    b[i][j] differ in sign; ``_colourings`` solves the ties, its second colour the sign -1, so
+    the lowest row of each component keeps +1.  The equation itself is checked after.
     """
     m, n = len(b), len(b[0]) if b else 0
-    s, t = [0] * m, [0] * n
-    for root in range(m):
-        if s[root]:
-            continue
-        s[root], reached = 1, [root]
-        for i in reached:
-            for j, y in enumerate(b[i]):
-                if y and not t[j]:
-                    t[j] = a[i][j] * y * s[i] or 2
-                    for k in range(m):
-                        if b[k][j] and not s[k]:
-                            s[k] = a[k][j] * b[k][j] * t[j] or 2
-                            reached.append(k)
-    t = [tj or 1 for tj in t]
+    rules = [(1 << i | 1 << m + j, 1 << i if (x < 0) != (y < 0) else 0)
+             for i, (ra, rb) in enumerate(zip(a, b)) for j, (x, y) in enumerate(zip(ra, rb)) if y]
+    groups = _colourings((1 << m + n) - 1, rules)
+    if groups is None:
+        return None
+    minus = sum(ones for _, ones in groups)
+    s, t = [1 - 2 * (minus >> i & 1) for i in range(m)], [1 - 2 * (minus >> m + j & 1) for j in range(n)]
     if [[si * tj * x for tj, x in zip(t, ra)] for si, ra in zip(s, a)] == list(map(list, b)):
         return s, t
     return None
@@ -514,7 +502,7 @@ def certifies_sum(
     if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
             or not is_signing_of(witness.body, b.body):
         return False
-    top, bottom, left, right = _layout(signed_left, signed_right, glue)
+    _, _, top, bottom, left, right = _layout(signed_left, signed_right, glue)
     if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels):
         return False
     rows = _ints(witness).body.rows

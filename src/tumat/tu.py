@@ -23,9 +23,9 @@ without changing that witness:
   forwards or backwards; it is TU.  By Camion, a block whose support a
   tree realizes this way, its columns or its rows as paths, is TU exactly
   when it is that network matrix up to scaling by signs.  A graph
-  realization search finds the tree; lines of at most two nonzeros are
-  paths of a star (an incidence matrix) and need none.  A block whose
-  signs do not match goes on to the DP for its witness.
+  realization search finds the tree (a star if no line has three
+  nonzeros), ``_colourings`` solves the signs, as it does for ``sums``,
+  and a block whose signs do not fit goes on to the DP for its witness.
 
 Removed lines keep their indices.  On each block left, the checker
 expands each order-k minor along its first row over the stored, already

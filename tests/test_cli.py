@@ -735,14 +735,20 @@ def test_parse_errors_exit_2(capsys):
     json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["1e5000"]]}).encode(),
     json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["1e5000000"]]}).encode(),
     json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [["2E-3"]]}).encode(),
-], ids=["not-utf8", "deep-nesting", "exponent", "huge-exponent", "small-exponent"])
+    json.dumps({"field": "rational", "rows": ["u"], "cols": ["a"], "data": [[list(range(100_000))]]}).encode(),
+    json.dumps({"field": "g" * 100_000, "rows": ["u"], "cols": ["a"], "data": [["1"]]}).encode(),
+    json.dumps({"field": "gf2", "X": ["u"], "Y": ["a"], "B": [["1"]], **{f"k{i}": 0 for i in range(50_000)}}).encode(),
+], ids=["not-utf8", "deep-nesting", "exponent", "huge-exponent", "small-exponent", "list-entry", "long-field",
+        "many-keys"])
 def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, text):
-    # exit 1 would read as a negative verdict
+    # exit 1 would read as a negative verdict; no value is echoed whole, so the line stays short
     path = tmp_path / "doc.json"
     path.write_bytes(text)
-    code, out, err = run(capsys, "tu", "check", path)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for command in (("tu", "check"), ("regular", "check")):
+        code, out, err = run(capsys, *command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert len(err.replace(str(path), "")) < 120, err
 
 
 def test_argparse_rejects_unknown_command():

@@ -3,6 +3,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -41,7 +42,7 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
-from tumat.sums import _resign_to_target
+from tumat.sums import _resign_to_target, _signs_between
 
 from helpers import (
     SUM3_LABELS,
@@ -192,6 +193,24 @@ def test_sum_1_selects_no_glue_blocks(monkeypatch):
     assert compose(left, right, (x, y)).valid
     assert [(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)] == calls
     assert len(calls) == 2
+
+
+def test_sum_3_reads_each_glue_block_once(monkeypatch):
+    # one select per summand for its 3x3 glue block, two in the assembly
+    # (basis rows and weights), and no entry read one label at a time
+    calls = {"select": 0, "entry": 0}
+    for name in calls:
+        method = getattr(LabeledMatrix, name)
+
+        def record(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(LabeledMatrix, name, record)
+    for left, right, glue, _ in sum3_corpus(per_unit=1):
+        calls.update(select=0, entry=0)
+        assert compose(left, right, glue).valid
+        assert calls == {"select": 4, "entry": 0}
 
 
 def test_sum_1_overlap_reasons():
@@ -447,6 +466,62 @@ def test_sign_sum_2():
     assert is_totally_unimodular(bad).witness == ((0, 1), (0, 1), 2)
     with pytest.raises(ShapeError):
         sign_sum_2(ExactMatrix(GF2, [[1, 1]]), [0, 1], ExactMatrix(GF2, [[1], [0]]), [1, 1])
+
+
+def _sign_solutions(a):
+    """For every b that row and column signs s, t take ``a`` to, the pairs (s, t) that do, by brute force."""
+    out = {}
+    for s in product((1, -1), repeat=len(a)):
+        for t in product((1, -1), repeat=len(a[0])):
+            b = tuple(tuple(si * tj * x for tj, x in zip(t, row)) for si, row in zip(s, a))
+            out.setdefault(b, []).append((list(s), list(t)))
+    return out
+
+
+def _assert_solver_matches_brute_force(a, b, solutions):
+    got = _signs_between(a, b)
+    assert (got is not None) == bool(solutions), (a, b)
+    if got is None:
+        return
+    assert got in solutions
+    # the lowest row of each component of b's support keeps +1, and so does every column b leaves zero
+    seen = set()
+    for root in range(len(b)):
+        if root not in seen:
+            assert got[0][root] == 1, (a, b)
+            seen.add(root)
+            todo = [root]
+            while todo:
+                row = b[todo.pop()]
+                for k, other in enumerate(b):
+                    if k not in seen and any(x and y for x, y in zip(row, other)):
+                        seen.add(k)
+                        todo.append(k)
+    assert all(tj == 1 for tj, col in zip(got[1], zip(*b)) if not any(col))
+
+
+def test_sign_solver_against_brute_force_on_every_small_pair():
+    for m, n in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
+        grids = [tuple(cells[i * n:(i + 1) * n] for i in range(m)) for cells in product((0, 1, -1), repeat=m * n)]
+        for a in grids:
+            solutions = _sign_solutions(a)
+            for b in grids:
+                _assert_solver_matches_brute_force(a, b, solutions.get(b, []))
+
+
+def test_sign_solver_against_brute_force_on_seeded_pairs():
+    rng = random.Random(41)
+    for _ in range(300):
+        m, n = rng.choice([(3, 4), (4, 4)])
+        a = [[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        solutions = _sign_solutions(a)
+        b = rng.choice(list(solutions))
+        _assert_solver_matches_brute_force(a, b, solutions[b])
+        # corruptions: a flipped sign, a zeroed entry, a filled zero
+        i, j = rng.randrange(m), rng.randrange(n)
+        for x in (-b[i][j], 0, rng.choice((1, -1))):
+            corrupted = tuple(row[:j] + (x,) + row[j + 1:] if k == i else row for k, row in enumerate(b))
+            _assert_solver_matches_brute_force(a, corrupted, solutions.get(corrupted, []))
 
 
 def test_resign_to_target_already_there():
