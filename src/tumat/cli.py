@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .documents import (
     DocumentError,
+    _shown,
     parse_document,
     parse_standard_repr_document,
     render_matrix_document,
@@ -47,9 +48,9 @@ def _env_int(name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise DocumentError(f"environment variable {name} must be an integer, got {raw!r}")
+        raise DocumentError(f"environment variable {name} must be an integer, got {_shown(raw)}")
     if value < 0:
-        raise DocumentError(f"environment variable {name} must not be negative, got {raw!r}")
+        raise DocumentError(f"environment variable {name} must not be negative, got {_shown(raw)}")
     return value
 
 

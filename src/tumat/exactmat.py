@@ -7,6 +7,8 @@ immutable values: every operation returns a new matrix.  Empty matrices
 the 0x0 matrix is 1.  Over the rationals, determinant and rank share one
 fraction-free (Bareiss) elimination of the rows with denominators
 cleared; over GF(2), both come from the rank of the bit-packed rows.
+That rank is the length of ``_echelon``, the reduced row-echelon form
+that also stores every vector matroid (``matroid.to_matroid``).
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry.  Every matrix the package computes from exact entries is
@@ -76,16 +78,7 @@ def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMat
 
 def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
     """Rank over GF(2) of a family of bit-packed vectors."""
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            h = v.bit_length() - 1
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = v
-                break
-            v ^= p
-    return len(pivots)
+    return len(_echelon(GF2, vectors))
 
 
 def _bareiss(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
@@ -181,16 +174,24 @@ def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-def _echelon(kind: str, cols: list, n_rows: int) -> list:
-    """Row-space basis of the columns (bit-packed, or integer tuples), reduced by ``_eliminate``
-    to one row per last nonzero column, in that order; GF(2) rows bit-packed (bit j: column j)."""
+def _echelon(kind: str, rows: Iterable) -> list:
+    """Reduced row-echelon basis of the span of ``rows``: one row per last nonzero column, its
+    pivot, in that order, every pivot column zero in the other rows.  GF(2) rows are bit-packed
+    (bit j: column j), rational rows integer sequences.  Canonical, over Q up to row scaling."""
+    def cleared(y, f):  # y less the multiple of row ends[f] that is zero at column f
+        return y ^ ends[f] if kind == GF2 else _eliminate(kind, [ends[f], y], f)[0]
+
     ends = {}
-    for y in zip(*([format(c, f"0{n_rows}b") for c in cols] if kind == GF2 else cols)):
-        y = int("".join(y)[::-1], 2) if kind == GF2 else y
-        while (e := _supports(kind, [y])[0].bit_length() - 1) >= 0 and e in ends:
-            y = _eliminate(kind, [ends[e], y], e)[0]
-        ends[e] = y
-    return [ends[e] for e in sorted(ends) if e >= 0]
+    for y in rows:
+        while (e := _supports(kind, [y])[0].bit_length() - 1) in ends:
+            y = cleared(y, e)
+        if e >= 0:
+            ends[e] = y
+    pivots = sum(1 << e for e in ends)
+    for e in sorted(ends):  # clear the lower pivot columns, whose rows are reduced already
+        while lower := _supports(kind, [ends[e]])[0] & pivots & ~(1 << e):
+            ends[e] = cleared(ends[e], lower.bit_length() - 1)
+    return [ends[e] for e in sorted(ends)]
 
 
 def _supports(kind: str, rows: list) -> list[int]:

@@ -3,10 +3,11 @@
 Ground elements are nonempty strings.  A vector-backed matroid is the
 column matroid of a labeled matrix over GF(2) or the rationals: a set of
 column labels is independent when the selected columns have full column
-rank.  All queries are exact.  A depth-first search lists and counts the
-bases, visiting only independent sets that extend to one, so its cost
-follows them, not C(n, r).  Equality reduces each vector-backed side once,
-to its greedy base and standard form; known-binary pairs compare those.
+rank.  All queries are exact, and all read one reduced row-echelon form,
+made once per matroid by ``to_matroid``.  A depth-first search over it
+lists and counts the bases, visiting only independent sets that extend
+to one, so its cost follows them, not C(n, r).  Known-binary pairs are
+equal when the supports of their forms are.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _echelon, _eliminate, gf2_rank_of_ints
-from .exactmat import _exact, _gauss_jordan, _int_rows_rank, _scaled_int_rows, _supports
+from .exactmat import _exact, _int_rows_rank, _scaled_int_rows, _supports
 from .tu import is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
@@ -125,18 +126,16 @@ def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: Exa
 
 
 class FiniteMatroid:
-    """A finite matroid, backed by a column representation or a base family."""
+    """A finite matroid, backed by a base family or by the ``_echelon`` rows of a representation."""
 
-    __slots__ = ("ground", "_ground_set", "_mode", "_cols", "_n_rows", "_bases", "_rank")
+    __slots__ = ("ground", "_pos", "_mode", "_rows", "_bases")
 
-    def __init__(self, ground, _mode, _cols=None, _n_rows=0, _bases=None):
+    def __init__(self, ground, _mode, _bases=None):
         self.ground = tuple(ground)
-        self._ground_set = frozenset(self.ground)
+        self._pos = {e: p for p, e in enumerate(sorted(self.ground))}  # column of each element
         self._mode = _mode
-        self._cols = _cols
-        self._n_rows = _n_rows
+        self._rows = None  # set by to_matroid and disjoint_sum, which need _pos first
         self._bases = _bases
-        self._rank = None
 
     @classmethod
     def from_bases(cls, ground: Sequence[Label], bases: Iterable[Iterable[Label]]) -> "FiniteMatroid":
@@ -160,27 +159,27 @@ class FiniteMatroid:
     def indep(self, subset: Iterable[Label]) -> bool:
         """True when the subset is independent; sets outside ground are not."""
         s = frozenset(subset)
-        return s <= self._ground_set and self.rank_of(s) == len(s)
+        return s <= self._pos.keys() and self.rank_of(s) == len(s)
 
     def rank_of(self, subset: Iterable[Label]) -> int:
         s = frozenset(subset)
-        if not s <= self._ground_set:
+        if not s <= self._pos.keys():
             raise ShapeError("rank_of takes a subset of the ground set")
         if self._mode == "bases":
             return max(len(b & s) for b in self._bases)
         if self._mode == GF2:
-            return gf2_rank_of_ints(self._cols[lbl] for lbl in s)
-        return _int_rows_rank([self._cols[lbl] for lbl in s])
+            mask = sum(1 << self._pos[e] for e in s)
+            return gf2_rank_of_ints(y & mask for y in self._rows)
+        cols = [self._pos[e] for e in s]
+        return _int_rows_rank([[y[j] for j in cols] for y in self._rows])
 
     @property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = self.rank_of(self.ground)
-        return self._rank
+        return len(self._bases[0] if self._mode == "bases" else self._rows)
 
     def is_base(self, subset: Iterable[Label]) -> bool:
         s = frozenset(subset)
-        if not s <= self._ground_set:
+        if not s <= self._pos.keys():
             raise ShapeError("is_base takes a subset of the ground set")
         return len(s) == self.rank and self.indep(s)
 
@@ -188,18 +187,15 @@ class FiniteMatroid:
         """All bases, lexicographic by sorted label tuple."""
         if self._mode == "bases":
             return [tuple(sorted(b)) for b in self._bases]
-        order = sorted(self.ground)
-        walk = _prefixes(self._mode, _echelon(self._mode, [self._cols[e] for e in order], self._n_rows), 0)
-        return [tuple(order[p] for p in base) for base, _, _ in walk]
+        order = list(self._pos)
+        return [tuple(order[p] for p in base) for base, _, _ in _prefixes(self._mode, self._rows, 0)]
 
     def count_bases(self) -> int:
         """The number of bases, counted short of each: two elements over GF(2), one over Q."""
         if self._mode == "bases":
             return len(self._bases)
-        kind = self._mode
-        rows = _echelon(kind, [self._cols[e] for e in sorted(self.ground)], self._n_rows)
-        walk = _prefixes(kind, rows, 2 if kind == GF2 else 1)
-        return sum(_completions(kind, y, start) for _, y, start in walk)
+        walk = _prefixes(self._mode, self._rows, 2 if self._mode == GF2 else 1)
+        return sum(_completions(self._mode, y, start) for _, y, start in walk)
 
 
 def _prefixes(kind: str, rows: list, k: int) -> Iterator[tuple[tuple[int, ...], list, int]]:
@@ -231,68 +227,71 @@ def _completions(kind: str, rows: list, start: int) -> int:
 
 
 def to_matroid(rep: LabeledMatrix) -> FiniteMatroid:
-    """Column matroid of a labeled matrix over GF(2) or the rationals; ground = column labels."""
-    body = rep.body
-    if body.kind == GF2:
-        cols = [sum(body.rows[i][j] << i for i in range(body.n_rows)) for j in range(body.n_cols)]
-    else:  # scaling a column by a positive integer does not change independence
-        cols = map(tuple, _scaled_int_rows(body.transpose().rows)[0])
-    return FiniteMatroid(rep.col_labels, body.kind, _cols=dict(zip(rep.col_labels, cols)), _n_rows=body.n_rows)
+    """Column matroid of a labeled matrix over GF(2) or the rationals; ground = column labels.
+
+    The rows, scaled to integers over Q, are reduced once by ``_echelon`` over the sorted ground.
+    """
+    m = FiniteMatroid(rep.col_labels, rep.kind)
+    at = [m._pos[e] for e in rep.col_labels]
+    rows = rep.body.rows if rep.kind == GF2 else _scaled_int_rows(rep.body.rows)[0]
+    m._rows = _echelon(rep.kind, (_placed(rep.kind, row, at, len(at)) for row in rows))
+    return m
 
 
-def matroids_equal(
-    m1: FiniteMatroid, m2: FiniteMatroid, *, limit: int = DEFAULT_EQ_LIMIT
-) -> bool:
+def _placed(kind: str, row: Sequence, at: list[int], n: int) -> int | list:
+    """``row`` with entry j moved to column ``at[j]`` of n: bit-packed over GF(2), a list over Q."""
+    if kind == GF2:
+        return sum(x << p for x, p in zip(row, at))
+    out = [0] * n
+    for x, p in zip(row, at):
+        out[p] = x
+    return out
+
+
+def matroids_equal(m1: FiniteMatroid, m2: FiniteMatroid, *, limit: int = DEFAULT_EQ_LIMIT) -> bool:
     """Equality: same ground set and same independent sets.
 
-    Two vector-backed matroids are each reduced once, over the sorted
-    ground, to their greedy base X and the standard form [I | B] at X.
-    Equal matroids have the same greedy base, so different ones answer
-    "not equal".  A binary matroid is determined by B, so when both sides
-    are known binary (GF(2)-backed, or rational with a B that scales to a
-    TU matrix) equality is equality of the supports of their Bs.
-    Otherwise the ranks, the base counts and then the bases are compared.
-    Only this fallback is guarded: grounds larger than ``limit`` raise
-    ``SizeGuardError``.  Within the guard, the TU check of a rational B is
-    forced, since B has C(n, r) square submatrices.
+    A binary matroid determines the reduced row-echelon form of its
+    GF(2) representation, so when both vector-backed sides are known
+    binary (GF(2)-backed, or rational with rows that scale to a TU
+    matrix) equality is equality of the supports of their stored rows.
+    Otherwise equal matroids have the same greedy base over the sorted
+    ground, so different ones answer "not equal"; past that the ranks,
+    the base counts and then the bases are compared.  Only this fallback
+    is guarded: grounds larger than ``limit`` raise ``SizeGuardError``.
+    Within the guard, the TU check of a rational side's B is forced, since
+    B has C(n, r) square submatrices.
     """
-    if m1._ground_set != m2._ground_set:
+    if m1._pos.keys() != m2._pos.keys():
         return False
     if m1._mode == "bases" or m2._mode == "bases":
         return _bases_equal(m1, m2, limit)
-    order = sorted(m1._ground_set)
-    (base1, b1), (base2, b2) = (_standard_form(m, order, len(order) <= limit) for m in (m1, m2))
-    if base1 != base2:
-        return False
-    if b1 is None or b2 is None:
-        return _bases_equal(m1, m2, limit)
-    return b1 == b2
+    order = list(m1._pos)
+    supports = [_binary_supports(m, len(order) <= limit) for m in (m1, m2)]
+    if None not in supports:
+        return supports[0] == supports[1]
+    if any(m1.rank_of(order[:j]) != m2.rank_of(order[:j]) for j in range(1, len(order))):
+        return False  # the prefix ranks step up at the greedy base
+    return _bases_equal(m1, m2, limit)
 
 
-def _standard_form(
-    m: FiniteMatroid, order: list[Label], force: bool
-) -> tuple[list[Label], Optional[list[list[bool]]]]:
-    """Greedy base X of ``m`` over ``order`` and the support of B in the standard form [I | B] at X.
+def _binary_supports(m: FiniteMatroid, force: bool) -> Optional[list[int]]:
+    """Bit masks of the supports of ``m``'s rows, or None when ``m`` is not known to be binary.
 
-    The support is None when ``m`` is not known to be binary: it is
-    rational and B does not scale to a TU matrix.  A TU B has every minor
-    of [I | B] in {-1, 0, 1}, equal mod 2 to the matching minor of its
-    support, so then ``m`` is the binary matroid of [I | support].
+    A rational ``m`` is binary when B, the non-pivot part of its rows, scales
+    to a TU matrix (row scaling is free).  Every minor of [I | B] is then in
+    {-1, 0, 1} and equal mod 2 to the matching minor of its support, so the
+    supports are the GF(2) form of ``m``.
     """
+    masks = _supports(m._mode, m._rows)
     if m._mode == GF2:
-        rows = [[m._cols[e] >> i & 1 for e in order] for i in range(m._n_rows)]
-    else:
-        rows = [[Fraction(m._cols[e][i]) for e in order] for i in range(m._n_rows)]
-    pivots = _gauss_jordan(m._mode, rows, range(len(order)))
-    rest = [j for j in range(len(order)) if j not in pivots]
-    b = [[rows[r][j] for j in rest] for r in pivots.values()]
-    base = [order[j] for j in pivots]
-    if m._mode == RATIONAL and not _scales_to_tu(b, len(rest), force):
-        return base, None
-    return base, [[v != 0 for v in row] for row in b]
+        return masks
+    pivots = {y.bit_length() - 1 for y in masks}
+    rest = [j for j in range(len(m._pos)) if j not in pivots]
+    return masks if _scales_to_tu([[y[j] for j in rest] for y in m._rows], len(rest), force) else None
 
 
-def _scales_to_tu(b: list[list[Fraction]], n: int, force: bool) -> bool:
+def _scales_to_tu(b: list[list[int]], n: int, force: bool) -> bool:
     """Whether B is TU once scaled so every entry on a spanning forest of its
     support is +-1.  Row and column scaling keep the matroid of [I | B], and
     any TU scaling of B differs from this one only by signs.  Unless
@@ -315,7 +314,7 @@ def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
     """Same rank, then the same number of bases, then the same ``bases()`` lists."""
     if m1.rank != m2.rank:
         return False
-    n = len(m1._ground_set)
+    n = len(m1.ground)
     if n > limit:
         raise SizeGuardError(
             f"exhaustive matroid comparison over {n} elements exceeds the guard ({limit})"
@@ -325,22 +324,20 @@ def _bases_equal(m1: FiniteMatroid, m2: FiniteMatroid, limit: float) -> bool:
 
 def disjoint_sum(m1: FiniteMatroid, m2: FiniteMatroid) -> FiniteMatroid:
     """Direct sum of two matroids on disjoint ground sets."""
-    if m1._ground_set & m2._ground_set:
+    if m1._pos.keys() & m2._pos.keys():
         raise ShapeError("disjoint_sum needs disjoint ground sets")
     ground = m1.ground + m2.ground
-    if m1._mode == m2._mode == GF2:
-        shift = m1._n_rows
-        cols = dict(m1._cols)
-        cols.update({lbl: mask << shift for lbl, mask in m2._cols.items()})
-        return FiniteMatroid(ground, GF2, _cols=cols, _n_rows=shift + m2._n_rows)
-    if m1._mode == m2._mode == RATIONAL:
-        pad1 = (0,) * m2._n_rows
-        pad2 = (0,) * m1._n_rows
-        cols = {lbl: vec + pad1 for lbl, vec in m1._cols.items()}
-        cols.update({lbl: pad2 + vec for lbl, vec in m2._cols.items()})
-        return FiniteMatroid(ground, RATIONAL, _cols=cols, _n_rows=m1._n_rows + m2._n_rows)
-    fam = [b1 + b2 for b1 in m1.bases() for b2 in m2.bases()]
-    return FiniteMatroid.from_bases(ground, fam)
+    if m1._mode != m2._mode or m1._mode == "bases":
+        return FiniteMatroid.from_bases(ground, [b1 + b2 for b1 in m1.bases() for b2 in m2.bases()])
+    m = FiniteMatroid(ground, m1._mode)
+    rows = []
+    for side in (m1, m2):
+        at = [m._pos[e] for e in side._pos]
+        bits = range(len(at))
+        rows += [_placed(m._mode, [y >> j & 1 for j in bits] if m._mode == GF2 else y, at, len(ground))
+                 for y in side._rows]
+    m._rows = _echelon(m._mode, rows)
+    return m
 
 
 @dataclass(frozen=True)

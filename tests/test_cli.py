@@ -85,6 +85,12 @@ def test_tu_check_bad_env_value(capsys, monkeypatch):
     code, _, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
     assert code == 2
     assert "TUMAT_TU_LIMIT" in err
+    # a 100,000-character value is quoted by a bounded prefix, as document entries are
+    monkeypatch.setenv("TUMAT_TU_LIMIT", "many" * 25_000)
+    code, out, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: environment variable TUMAT_TU_LIMIT must be an integer, got 'many")
+    assert err.count("\n") == 1 and len(err) < 140 and err.endswith("'... (100000 characters)\n")
 
 
 @pytest.mark.parametrize("name", ["TUMAT_TU_LIMIT", "TUMAT_EQ_LIMIT"])
@@ -277,6 +283,29 @@ def test_matroid_info_makes_no_independence_queries(capsys, monkeypatch, tmp_pat
         code, out, _ = run(capsys, "matroid", "info", path)
         assert code == 0
     assert out.splitlines()[2] == "bases: 16"  # Cayley: K4 has 4^2 spanning trees
+
+
+def test_matroid_info_and_eq_reduce_each_document_once(capsys, monkeypatch, tmp_path):
+    # to_matroid reduces a document once; rank, bases, counts and equality read that form
+    calls = []
+    echelon = matroid._echelon
+
+    def counted(*args):
+        calls.append(args[0])
+        return echelon(*args)
+
+    monkeypatch.setattr(matroid, "_echelon", counted)
+    fano_q = tmp_path / "fano_q.json"
+    fano_q.write_text((FIXTURES / "fano.json").read_text().replace('"gf2"', '"rational"'))
+    for path in (FIXTURES / "fano.json", FIXTURES / "network_uv.json", fano_q):
+        calls.clear()
+        assert run(capsys, "matroid", "info", path)[0] == 0
+        assert len(calls) == 1
+    for left, right in ((FIXTURES / "fano.json",) * 2, (FIXTURES / "network_uv.json",) * 2,
+                        (fano_q, FIXTURES / "fano.json")):
+        calls.clear()
+        assert run(capsys, "matroid", "eq", left, right)[0] in (0, 1)
+        assert len(calls) == 2
 
 
 @pytest.mark.parametrize("kind", [GF2, RATIONAL])

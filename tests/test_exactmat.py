@@ -22,7 +22,7 @@ from tumat import (
     to_matroid,
 )
 from tumat.stdrepr import fundamental_repr
-from tumat.exactmat import _int_rows_rank, gf2_rank_of_ints
+from tumat.exactmat import _echelon, _int_rows_rank, _supports, gf2_rank_of_ints
 
 from helpers import (
     UNIT_D0S,
@@ -227,6 +227,50 @@ def test_gf2_rank_of_ints():
     assert gf2_rank_of_ints([]) == 0
     assert gf2_rank_of_ints([0b101, 0b011, 0b110]) == 2
     assert gf2_rank_of_ints([1, 2, 4]) == 3
+
+
+def _same_span(rng, kind, rows):
+    """``rows`` after random swaps and additions of a multiple of one row to another."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randint(0, 3 * len(rows))):
+        i, k = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if rng.random() < 0.3:
+            rows[i], rows[k] = rows[k], rows[i]
+        elif i != k:
+            c = 1 if kind == GF2 else rng.choice([-2, -1, 1, 3])
+            rows[i] = [(x + c * y) % 2 if kind == GF2 else x + c * y for x, y in zip(rows[i], rows[k])]
+    return rows
+
+
+def _packed(rows):
+    return [sum(x << j for j, x in enumerate(r)) for r in rows]
+
+
+def test_echelon_is_the_canonical_reduced_form_of_the_row_space():
+    # over GF(2) the form depends only on the span; over Q only up to row scaling,
+    # so its supports depend only on the span
+    rng = random.Random(43)
+    for trial in range(200):
+        kind = (GF2, RATIONAL)[trial % 2]
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        rows = [[rng.randint(0, 1) if kind == GF2 else rng.choice([0, 0, 1, -1, 2]) for _ in range(n)]
+                for _ in range(m)]
+        if kind == GF2:
+            out = _echelon(GF2, _packed(rows))
+            assert _echelon(GF2, _packed(_same_span(rng, GF2, rows))) == out
+            span = {0}
+            for y in _packed(rows):
+                span |= {y ^ z for z in span}
+            assert 2 ** len(out) == len(span) and set(out) <= span
+        else:
+            out = _echelon(RATIONAL, rows)
+            assert _supports(RATIONAL, _echelon(RATIONAL, _same_span(rng, RATIONAL, rows))) == \
+                _supports(RATIONAL, out)
+            assert len(out) == fraction_rank(rows) == fraction_rank(rows + [list(y) for y in out])
+        masks = _supports(kind, out)
+        ends = [y.bit_length() - 1 for y in masks]
+        assert ends == sorted(set(ends)) and min(ends, default=0) >= 0
+        assert all(not y >> e & 1 for e in ends for y in masks if y.bit_length() - 1 != e)
 
 
 def test_pivot_known_values():

@@ -124,3 +124,19 @@ def test_no_unused_parameters():
     # leftover knob (a limit or force flag nothing honours) cannot linger.
     paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
     assert [hit for p in paths for hit in unread_parameters(p)] == []
+
+
+def test_every_slot_is_read():
+    # Every __slots__ name of a package class is read as an attribute
+    # somewhere in the package, so a dropped field cannot linger.
+    trees = {p.relative_to(ROOT): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "tumat").rglob("*.py"))}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    slots = [(f"{path}:{stmt.lineno}: {cls.name}", name)
+             for path, tree in trees.items() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for stmt in cls.body if isinstance(stmt, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+             for name in ast.literal_eval(stmt.value)]
+    assert slots
+    assert [f"{where}.{name}" for where, name in slots if name not in read] == []
