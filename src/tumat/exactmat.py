@@ -7,8 +7,8 @@ immutable values: every operation returns a new matrix.  Empty matrices
 the 0x0 matrix is 1.  Over the rationals, determinant and rank share one
 fraction-free (Bareiss) elimination of the rows with denominators
 cleared; over GF(2), both come from the rank of the bit-packed rows.
-That rank is the length of ``_echelon``, the reduced row-echelon form
-that also stores every vector matroid (``matroid.to_matroid``).
+That rank is the length of the forward pass of ``_echelon``, the reduced
+row-echelon form that also stores every vector matroid (``matroid.to_matroid``).
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry.  Every matrix the package computes from exact entries is
@@ -77,8 +77,8 @@ def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMat
 
 
 def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
-    """Rank over GF(2) of a family of bit-packed vectors."""
-    return len(_echelon(GF2, vectors))
+    """Rank over GF(2) of a family of bit-packed vectors, by ``_echelon``'s forward pass alone."""
+    return len(_forward(GF2, vectors))
 
 
 def _bareiss(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
@@ -178,20 +178,30 @@ def _echelon(kind: str, rows: Iterable) -> list:
     """Reduced row-echelon basis of the span of ``rows``: one row per last nonzero column, its
     pivot, in that order, every pivot column zero in the other rows.  GF(2) rows are bit-packed
     (bit j: column j), rational rows integer sequences.  Canonical, over Q up to row scaling."""
-    def cleared(y, f):  # y less the multiple of row ends[f] that is zero at column f
-        return y ^ ends[f] if kind == GF2 else _eliminate(kind, [ends[f], y], f)[0]
-
-    ends = {}
-    for y in rows:
-        while (e := _supports(kind, [y])[0].bit_length() - 1) in ends:
-            y = cleared(y, e)
-        if e >= 0:
-            ends[e] = y
+    ends = _forward(kind, rows)
     pivots = sum(1 << e for e in ends)
     for e in sorted(ends):  # clear the lower pivot columns, whose rows are reduced already
         while lower := _supports(kind, [ends[e]])[0] & pivots & ~(1 << e):
-            ends[e] = cleared(ends[e], lower.bit_length() - 1)
+            f = lower.bit_length() - 1
+            ends[e] = _cleared(kind, ends[e], ends[f], f)
     return [ends[e] for e in sorted(ends)]
+
+
+def _forward(kind: str, rows: Iterable) -> dict:
+    """``_echelon``'s forward pass: a basis of the span of ``rows`` keyed by each row's last
+    nonzero column, all distinct; its length is the rank."""
+    ends = {}
+    for y in rows:
+        while (e := _supports(kind, [y])[0].bit_length() - 1) in ends:
+            y = _cleared(kind, y, ends[e], e)
+        if e >= 0:
+            ends[e] = y
+    return ends
+
+
+def _cleared(kind: str, y, p, f: int):
+    """``y`` less the multiple of ``p`` that leaves it zero at column f, p's last nonzero column."""
+    return y ^ p if kind == GF2 else _eliminate(kind, [p, y], f)[0]
 
 
 def _supports(kind: str, rows: list) -> list[int]:

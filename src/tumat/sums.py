@@ -20,9 +20,11 @@ check neither: the composition theorem makes the result TU.  A 2- or
 3-sum of signings is built on the signs as ints, each output entry then
 mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
-must sit in the sum, up to row and column signs, joined as the sum joins
-its summands.  Signs "up to row and column signs" are solved by
-``tu._colourings``, the solver the TU check's network test uses.
+must sit in the sum, up to row and column signs, and the bottom-left
+block must have rank k - 1, one rank test for every k.  Signs "up to row
+and column signs" are solved by ``tu._colourings``, the solver the TU
+check's network test uses.  Every block read off a labeled matrix whose
+labels are already checked goes through one reader, ``_cut``.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -39,7 +41,7 @@ from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan, _int_rows_rank
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import _SIGNS, _colourings, is_signing_of, scale_rows_cols
@@ -214,7 +216,7 @@ def standard_repr_sum_3(
     if len(xs) < 3 or len(ys) < 3:
         return SumOutcome.invalid(REASON_LABELS_NOT_DISTINCT, "glue labels must be six distinct names")
     # each summand's glue block, rows x0, x1, x2 by columns y0, y1, y2: D0 is its top-left 2x2
-    blocks = [side.B.select(labels.xs, labels.ys).body.rows for side in (left, right)]
+    blocks = [_cut(side.B, labels.xs, labels.ys).rows for side in (left, right)]
     d0_left, d0_right = ((g[0][:2], g[1][:2]) for g in blocks)
     if d0_left != d0_right:
         return SumOutcome.invalid(REASON_D0_MISMATCH, "connector blocks of the two summands differ")
@@ -258,12 +260,12 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     """
     xs, ys, x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
     # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
-    basis = list(b_left.select(xs, y_left).body.rows) if xs else []
+    basis = list(_cut(b_left, xs, y_left).rows) if xs else []
     if isinstance(glue, Sum3Labels):
         pivots = _gauss_jordan(b_left.kind, basis, map(y_left.index, ys))
         basis = [tuple(basis[r]) for r in pivots.values()]
     top, tail = _cut(b_left, x_top, y_left), _cut(b_right, x_bottom, y_right)
-    coeffs = b_right.select(x_bottom, ys).body.rows if ys else [()] * len(x_bottom)
+    coeffs = _cut(b_right, x_bottom, ys).rows if ys else [()] * len(x_bottom)
     return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
 
 
@@ -280,10 +282,11 @@ def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple,
             [v for v in b_left.col_labels if v not in drop_y], [v for v in b_right.col_labels if v not in ys])
 
 
-def _cut(b: LabeledMatrix, rows: list, cols: list) -> ExactMatrix:
-    """``b``'s body on the rows ``rows`` and columns ``cols``, in b's order; rows stay shared if every column stays."""
+def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> ExactMatrix:
+    """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
+    checked for repeats.  Rows stay shared when ``cols`` are b's own column labels."""
     kept = [b.body.rows[i] for i in map(b.row_position, rows)]
-    if len(cols) < b.body.n_cols:
+    if tuple(cols) != b.col_labels:
         keep = list(map(b.col_position, cols))
         pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[j] for j in keep)
         kept = list(map(pick, kept))
@@ -379,29 +382,6 @@ def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tup
     return None
 
 
-def _resign_to_target(
-    a: ExactMatrix,
-    row_positions: Sequence[int],
-    col_positions: Sequence[int],
-    target: ExactMatrix,
-) -> ExactMatrix:
-    """Scale whole rows and columns by +-1 so a designated submatrix hits a target.
-
-    ``a`` holds a signing as Fractions or as ints, ``target`` entries
-    -1, 0, 1; a target that no scaling reaches raises.
-    """
-    k_rows, k_cols = target.shape
-    if len(row_positions) != k_rows or len(col_positions) != k_cols:
-        raise ShapeError("position counts must match the target shape")
-    if len(set(row_positions)) != k_rows or len(set(col_positions)) != k_cols:
-        raise ShapeError("designated positions must be distinct")
-    signs = _signs_between(a.submatrix(row_positions, col_positions).rows, target.rows)
-    if signs is None:
-        raise ShapeError("no row/column sign scaling reaches the target")
-    rs, cs = dict(zip(row_positions, signs[0])), dict(zip(col_positions, signs[1]))
-    return scale_rows_cols(a, [rs.get(i, 1) for i in range(a.n_rows)], [cs.get(j, 1) for j in range(a.n_cols)])
-
-
 def canonical_signing_sum3(
     signed_left: LabeledMatrix,
     signed_right: LabeledMatrix,
@@ -416,24 +396,32 @@ def canonical_signing_sum3(
     D'r * (D'0)^-1 * D'l: the target's D'0 has pivots +-1.  The output
     is labeled like the Valid outcome of ``standard_repr_sum_3`` on the
     summand supports.  It is TU when both summand signings are; nothing
-    here checks either.
+    here checks either.  Glue labels that are not six distinct names, and
+    connectors whose supports differ or are singular, raise.
     """
     _require_rational(signed_left, signed_right)
-    left, right = _ints(signed_left), _ints(signed_right)
-    d0_left, d0_right = (support(side.select(labels.xs[:2], labels.ys[:2])).body.rows for side in (left, right))
+    if len(set(labels.xs)) < 3 or len(set(labels.ys)) < 3:
+        raise ShapeError("glue labels must be six distinct names")
+    d0_left, d0_right = (_cut(support(side), labels.xs[:2], labels.ys[:2]).rows
+                         for side in (signed_left, signed_right))
     if d0_left != d0_right:
         raise ShapeError("connector supports of the two signings differ")
     unit = _UNITS.get(d0_left)
     if unit is None:
         raise ShapeError("connector block is singular")
     cut, target = _canonical_cut(labels, unit)
+    xs = (cut.x2, cut.x0, cut.x1)
 
-    def resign(side: LabeledMatrix) -> LabeledMatrix:
-        rows = [side.row_position(u) for u in (cut.x2, cut.x0, cut.x1)]
-        cols = [side.col_position(v) for v in cut.ys]
-        return _labeled(side.row_labels, side.col_labels, _resign_to_target(side.body, rows, cols, target))
+    def resign(side: LabeledMatrix) -> LabeledMatrix:  # scale whole rows and columns so the connector is target
+        signs = _signs_between(_cut(side, xs, cut.ys).rows, target.rows)
+        if signs is None:
+            raise ShapeError("no row/column sign scaling reaches the target")
+        rs, cs = dict(zip(xs, signs[0])), dict(zip(cut.ys, signs[1]))
+        body = scale_rows_cols(side.body, [rs.get(u, 1) for u in side.row_labels],
+                               [cs.get(v, 1) for v in side.col_labels])
+        return _labeled(side.row_labels, side.col_labels, body)
 
-    return _rational(_assemble(resign(left), resign(right), cut))
+    return _rational(_assemble(resign(_ints(signed_left)), resign(_ints(signed_right)), cut))
 
 
 def _canonical_cut(labels: Sum3Labels, unit) -> tuple[Sum3Labels, ExactMatrix]:
@@ -493,53 +481,40 @@ def certifies_sum(
     The witness carries ``b``'s labels, reduces mod 2 to ``b`` and is zero
     at left rows by right columns.  Each summand block read back off it
     equals that summand's signing up to row and column signs, so it is TU,
-    and the blocks are joined so that the sum is TU: for a 1-sum the
-    bottom-left block BL is zero; for a 2-sum BL = c * r, and the blocks
-    are [A; r] and [c | A'] (Schrijver 1986, section 19.4); for a 3-sum the
-    connector is in its canonical signed form and BL = BL[:, Y] * D0^-1 *
-    BL[X, :] at X = (x0, x1), Y = (y0, y1) and D0 = BL[X, Y].
+    and the blocks are joined so that the sum is TU: the bottom-left block
+    BL has rank k - 1, the exact k-separation (Seymour 1980).  For a
+    2-sum BL = c * r, and the blocks are [A; r] and [c | A'] (Schrijver
+    1986, section 19.4); for a 3-sum the connector is in its canonical
+    signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1) is a unit
+    and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].
     """
     if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
             or not is_signing_of(witness.body, b.body):
         return False
-    _, _, top, bottom, left, right = _layout(signed_left, signed_right, glue)
+    xs, ys, top, bottom, left, right = _layout(signed_left, signed_right, glue)
     if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels):
         return False
-    rows = _ints(witness).body.rows
-
-    def block(us, vs) -> list[list[int]]:
-        cols = [witness.col_position(v) for v in vs]
-        return [[row[j] for j in cols] for row in (rows[witness.row_position(u)] for u in us)]
-
-    bl = block(bottom, left)
-    if any(map(any, block(top, right))) or glue is None and any(map(any, bl)):
+    w = _ints(witness)
+    bl = _cut(w, bottom, left).rows
+    if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):
         return False
-    sides = [(block(s.row_labels, s.col_labels), _ints(s).body.rows) for s in (signed_left, signed_right)]
+    sides = [([list(row) for row in _cut(w, s.row_labels, s.col_labels).rows], _ints(s).body.rows)
+             for s in (signed_left, signed_right)]
     if isinstance(glue, Sum3Labels):
-        unit = _UNITS.get(tuple(tuple(map(abs, row)) for row in block(glue.xs[:2], glue.ys[:2])))
+        unit = _UNITS.get(tuple(tuple(map(abs, row)) for row in _cut(w, xs, ys).rows))
         if unit is None:
             return False
         cut, target = _canonical_cut(glue, unit)
-        if block((cut.x2, cut.x0, cut.x1), cut.ys) != list(map(list, target.rows)):
+        if _cut(w, (cut.x2, cut.x0, cut.x1), cut.ys).rows != target.rows:
             return False
-        i0, i1, j0, j1 = bottom.index(glue.x0), bottom.index(glue.x1), left.index(glue.y0), left.index(glue.y1)
-        (a, b0), (c, d) = (bl[i0][j0], bl[i0][j1]), (bl[i1][j0], bl[i1][j1])
-        det = a * d - b0 * c  # +-1 in the canonical form, so D0^-1 = det * [[d, -b0], [-c, a]]
-        for row in bl:
-            u, v = det * (row[j0] * d - row[j1] * c), det * (row[j1] * a - row[j0] * b0)
-            if [u * p + v * q for p, q in zip(bl[i0], bl[i1])] != row:
-                return False
     elif glue is not None:
-        x, y = glue
-        i0, j0 = next(((i, j) for i, row in enumerate(bl) for j, e in enumerate(row) if e), (0, None))
-        if j0 is None:
-            return False
-        r, c = bl[i0], [row[j0] * bl[i0][j0] for row in bl]
-        if [[ci * rj for rj in r] for ci in c] != bl:
-            return False
+        # rank 1: every row of BL is c_i times the first nonzero row r, c_i read at its first nonzero column
+        r = next(row for row in bl if any(row))
+        j0 = next(j for j, e in enumerate(r) if e)
+        c = [row[j0] * r[j0] for row in bl]
         # the summand blocks are [A; r] and [c | A']: W holds c_x * r at row x and c * r_y at column y
-        sides[0][0][signed_left.row_position(x)] = r
-        j = signed_right.col_position(y)
+        sides[0][0][signed_left.row_position(xs[0])] = r
+        j = signed_right.col_position(ys[0])
         for row, ci in zip(sides[1][0], c):
             row[j] = ci
     return all(_signs_between(held, signing) is not None for held, signing in sides)

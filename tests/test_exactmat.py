@@ -273,6 +273,17 @@ def test_echelon_is_the_canonical_reduced_form_of_the_row_space():
         assert all(not y >> e & 1 for e in ends for y in masks if y.bit_length() - 1 != e)
 
 
+def test_gf2_rank_is_the_length_of_the_echelon_form():
+    # the rank stops after the forward pass; the back-reduction changes rows, not their number
+    rng = random.Random(44)
+    for _ in range(300):
+        rows = [rng.getrandbits(rng.randint(1, 10)) for _ in range(rng.randint(0, 7))]
+        span = {0}
+        for y in rows:
+            span |= {y ^ z for z in span}
+        assert 2 ** gf2_rank_of_ints(rows) == 2 ** len(_echelon(GF2, rows)) == len(span)
+
+
 def test_pivot_known_values():
     a = ExactMatrix(RATIONAL, [[-1, 1], [1, 1]])
     assert a.pivot(0, 0).to_lists() == [[1, -1], [0, 2]]

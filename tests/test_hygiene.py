@@ -140,3 +140,19 @@ def test_every_slot_is_read():
              for name in ast.literal_eval(stmt.value)]
     assert slots
     assert [f"{where}.{name}" for where, name in slots if name not in read] == []
+
+
+# the functions that build a sum, a signing or a TU verdict
+PRODUCERS = {
+    "_assemble", "_stacked", "_gauss_jordan", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
+    "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3", "scale_rows_cols",
+    "is_totally_unimodular", "find_tu_signing",
+}
+
+
+def test_certificate_runs_no_producer():
+    # certifies_sum checks a signed sum by its blocks; naming a producer in
+    # its body would let it re-run the construction it is meant to check
+    tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
+    (cert,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certifies_sum"]
+    assert sorted(loaded_names(cert) & PRODUCERS) == []

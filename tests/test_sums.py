@@ -42,7 +42,7 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
-from tumat.sums import _resign_to_target, _signs_between
+from tumat.sums import _cut, _signs_between
 
 from helpers import (
     SUM3_LABELS,
@@ -169,37 +169,39 @@ def test_sum_1_matches_disjoint_sum():
 
 
 def test_sum_1_selects_no_glue_blocks(monkeypatch):
-    # a 1-sum has no glue, so the assembly selects neither basis rows nor
-    # weights; a 2-sum selects its glue row x and its bottom rows' y entries
+    # a 1-sum has no glue, so the assembly reads the two summand bodies and
+    # neither basis rows nor weights; a 2-sum also reads its glue row x and
+    # its bottom rows' y entries
     from helpers import random_standard_repr, random_sum2_pair
 
     calls = []
-    select = LabeledMatrix.select
 
-    def record(self, row_labels, col_labels):
-        calls.append((tuple(row_labels), tuple(col_labels)))
-        return select(self, row_labels, col_labels)
+    def record(b, rows, cols):
+        calls.append((tuple(rows), tuple(cols)))
+        return _cut(b, rows, cols)
 
-    monkeypatch.setattr(LabeledMatrix, "select", record)
+    monkeypatch.setattr("tumat.sums._cut", record)
     rng = random.Random(5)
     left = random_standard_repr(rng, 3, 4)
     right = random_standard_repr(rng, 3, 4, x_start=5, y_start=5)
     out = compose(left, right, None)
-    assert out.valid and calls == []
+    assert out.valid and calls == [(left.X, left.Y), (right.X, right.Y)]
     assert out.result.B.body.to_lists() == [
         row + [0] * 4 for row in left.B.body.to_lists()
     ] + [[0] * 4 + row for row in right.B.body.to_lists()]
+    calls.clear()
     left, right, x, y = random_sum2_pair(rng)
     assert compose(left, right, (x, y)).valid
-    assert [(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)] == calls
-    assert len(calls) == 2
+    assert len([(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)]) == 2
+    assert len(calls) == 4
 
 
 def test_sum_3_reads_each_glue_block_once(monkeypatch):
-    # one select per summand for its 3x3 glue block, two in the assembly
-    # (basis rows and weights), and no entry read one label at a time
-    calls = {"select": 0, "entry": 0}
-    for name in calls:
+    # one read per summand for its 3x3 glue block and four in the assembly
+    # (basis rows, weights and the two bodies), all through ``_cut``: no
+    # select, and no entry read one label at a time
+    calls = {"select": 0, "entry": 0, "_cut": 0}
+    for name in ("select", "entry"):
         method = getattr(LabeledMatrix, name)
 
         def record(self, *args, _name=name, _method=method):
@@ -207,10 +209,16 @@ def test_sum_3_reads_each_glue_block_once(monkeypatch):
             return _method(self, *args)
 
         monkeypatch.setattr(LabeledMatrix, name, record)
+
+    def record_cut(*args):
+        calls["_cut"] += 1
+        return _cut(*args)
+
+    monkeypatch.setattr("tumat.sums._cut", record_cut)
     for left, right, glue, _ in sum3_corpus(per_unit=1):
-        calls.update(select=0, entry=0)
+        calls.update(select=0, entry=0, _cut=0)
         assert compose(left, right, glue).valid
-        assert calls == {"select": 4, "entry": 0}
+        assert calls == {"select": 0, "entry": 0, "_cut": 6}
 
 
 def test_sum_1_overlap_reasons():
@@ -524,34 +532,60 @@ def test_sign_solver_against_brute_force_on_seeded_pairs():
             _assert_solver_matches_brute_force(a, corrupted, solutions.get(corrupted, []))
 
 
-def test_resign_to_target_already_there():
-    a = ExactMatrix(RATIONAL, [[1, 1, 0], [1, 0, 1], [0, -1, 1]])
-    assert _resign_to_target(a, [0, 1, 2], [0, 1, 2], a) == a
+# the identity pair's summands signed so that their connectors, rows x2, x0, x1 by
+# columns y0, y1, y2, already equal the identity form's target [[1, 1, 0], [1, 0, 1], [0, -1, 1]]
+LEFT3_AT_TARGET = mutate(LEFT3, 3, 2, -1)
+RIGHT3_AT_TARGET = mutate(RIGHT3, 1, 1, -1)
 
 
-def test_resign_to_target():
-    a = ExactMatrix(RATIONAL, [[1, -1], [1, 1]])
-    target = ExactMatrix(RATIONAL, [[1, 1], [1, -1]])
-    out = _resign_to_target(a, [0, 1], [0, 1], target)
-    assert out.submatrix([0, 1], [0, 1]) == target
-    # scaling acts on whole rows and columns; untouched ones keep their signs
-    b = ExactMatrix(RATIONAL, [[1, -1, 1], [1, 1, 0], [0, 1, 1]])
-    out = _resign_to_target(b, [0, 1], [0, 1], target)
-    assert out.submatrix([0, 1], [0, 1]) == target
-    assert out.row(2)[2] == 1
+def signed_pair(left_data, right_data):
+    left, right, glue = identity_pair()
+    return (LabeledMatrix(left.X, left.Y, ExactMatrix(RATIONAL, left_data)),
+            LabeledMatrix(right.X, right.Y, ExactMatrix(RATIONAL, right_data)), glue)
 
 
-def test_resign_to_target_errors():
-    a = ExactMatrix(RATIONAL, [[1, 1], [1, 1]])
-    unreachable = ExactMatrix(RATIONAL, [[1, 1], [1, -1]])
-    with pytest.raises(ShapeError):
-        _resign_to_target(a, [0, 1], [0, 1], unreachable)
-    with pytest.raises(ShapeError):
-        _resign_to_target(a, [0, 1], [0, 1], ExactMatrix(RATIONAL, [[1, 0], [1, 1]]))
-    with pytest.raises(ShapeError):
-        _resign_to_target(a, [0, 0], [0, 1], unreachable)
-    with pytest.raises(ShapeError):
-        _resign_to_target(a, [0, 2], [0, 1], unreachable)
+def test_canonical_signing_already_at_target():
+    # summands whose connectors already hold the target are not re-signed:
+    # the sum's top-left and bottom-right blocks are their entries
+    signed_left, signed_right, glue = signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET)
+    out = canonical_signing_sum3(signed_left, signed_right, glue)
+    for side, rows, cols in ((signed_left, ("xa", "x2"), ("ya", "y0", "y1")),
+                             (signed_right, ("x0", "x1", "xb"), ("y2", "yb"))):
+        assert [[out.entry(u, v) for v in cols] for u in rows] == [[side.entry(u, v) for v in cols] for u in rows]
+
+
+def test_canonical_signing_resigns_to_target():
+    # negating connector lines (row x0, column y2 of the left, row x1 of the
+    # right) is undone; a line outside the connector keeps its sign, so the
+    # sum's column ya is negated whole
+    at_target = canonical_signing_sum3(*signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET))
+    left = [[-x if (i == 2) != (j == 3) else x for j, x in enumerate(row)] for i, row in enumerate(LEFT3_AT_TARGET)]
+    left = [[-x if j == 0 else x for j, x in enumerate(row)] for row in left]
+    right = [[-x for x in row] if i == 1 else row for i, row in enumerate(RIGHT3_AT_TARGET)]
+    out = canonical_signing_sum3(*signed_pair(left, right))
+    assert out.row_labels == at_target.row_labels and out.col_labels == at_target.col_labels
+    for u in out.row_labels:
+        for v in out.col_labels:
+            assert out.entry(u, v) == (-1 if v == "ya" else 1) * at_target.entry(u, v), (u, v)
+
+
+def test_canonical_signing_unreachable_target_raises():
+    # a connector no row and column signs bring to the target, on either side
+    for left, right in ((LEFT3, RIGHT3_AT_TARGET), (LEFT3_AT_TARGET, RIGHT3)):
+        with pytest.raises(ShapeError, match="no row/column sign scaling reaches the target"):
+            canonical_signing_sum3(*signed_pair(left, right))
+
+
+def test_canonical_signing_refuses_bad_glue():
+    # connector supports that differ, and glue labels that are not six distinct names
+    signed_left, signed_right, glue = signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET)
+    other = LabeledMatrix(signed_right.row_labels, signed_right.col_labels,
+                          ExactMatrix(RATIONAL, mutate(RIGHT3_AT_TARGET, 0, 1, 1)))
+    with pytest.raises(ShapeError, match="connector supports of the two signings differ"):
+        canonical_signing_sum3(signed_left, other, glue)
+    for bad in (Sum3Labels("x0", "x0", "x2", "y0", "y1", "y2"), Sum3Labels("x0", "x1", "x2", "y0", "y1", "y1")):
+        with pytest.raises(ShapeError, match="glue labels must be six distinct names"):
+            canonical_signing_sum3(signed_left, signed_right, bad)
 
 
 def test_canonical_signing_identity_connector():
@@ -847,3 +881,40 @@ def test_block_rule_wants_the_canonical_connector():
     flipped = LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows))
     assert is_tu_signing_of(flipped.body, s.B.body)
     assert not certifies_sum(flipped, s.B, signed_left, signed_right, glue)
+
+
+def zeroed_alike(w, b, spots):
+    """The witness w and the sum's B with the entries at the (row, column) labels ``spots`` zeroed in both."""
+    rows, supp = w.body.to_lists(), b.body.to_lists()
+    for u, v in spots:
+        i, j = w.row_position(u), w.col_position(v)
+        rows[i][j] = supp[i][j] = 0
+    return (LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows)),
+            LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(GF2, supp)))
+
+
+def test_block_rule_refuses_a_singular_connector():
+    # zeroing (x0, y0) in W and B alike leaves D0 = [[0, 1], [0, 1]] singular,
+    # while the bottom-left block keeps rank 2 through column ya
+    left, right, glue, _ = next(c for c in sum3_corpus(per_unit=1) if c[3] == ((1, 1), (0, 1)))
+    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    s = compose(left, right, glue).result
+    w = sign_composition(signed_left, signed_right, glue)
+    assert certifies_sum(w, s.B, signed_left, signed_right, glue)
+    bad_w, bad_b = zeroed_alike(w, s.B, [("x0", "y0")])
+    bottom_left = bad_w.select(["x0", "x1", "xb"], ["ya", "y0", "y1"]).body
+    assert bottom_left.rank() == 2 and bad_w.select(["x0", "x1"], ["y0", "y1"]).body.determinant() == 0
+    assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, glue)
+
+
+def test_block_rule_refuses_a_2_sum_with_zero_bottom_left():
+    # a 2-sum's bottom-left block c * r has rank 1; zeroed in W and B alike it has rank 0
+    left, right, x, y = random_sum2_pair(random.Random(5))
+    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    s = compose(left, right, (x, y)).result
+    w = sign_composition(signed_left, signed_right, (x, y))
+    assert certifies_sum(w, s.B, signed_left, signed_right, (x, y))
+    spots = [(u, v) for u in right.X for v in left.Y]
+    assert any(w.entry(u, v) for u, v in spots)
+    bad_w, bad_b = zeroed_alike(w, s.B, spots)
+    assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, (x, y))
