@@ -42,7 +42,6 @@ Decomposition*, 1992).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -482,9 +481,8 @@ def spanning_forest(
         if seen[root]:
             continue
         seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        queue = [root]
+        for v in queue:  # breadth first: the loop reaches what it appends
             for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
@@ -500,12 +498,13 @@ def find_tu_signing(
 
     Signs along a spanning forest of the support graph are pinned to +1,
     which any signing reaches by row/column scaling.  The vertices are
-    then added in the forest's discovery order; each new vertex c signs
-    its edge to every earlier neighbour r so that a cycle through c, r
-    and an already signed neighbour sums to 0 mod 4.  That cycle closes
-    a shortest path whose interior avoids the neighbours of c, so it is
-    chordless in the whole support graph, and every chordless cycle of a
-    TU matrix sums to 0 mod 4.  Each sign is therefore forced: by
+    then added in the forest's discovery order.  One breadth-first pass
+    from each new vertex c's parent, over the vertices added before c,
+    signs c's edge to each neighbour w so that c closes a cycle summing
+    to 0 mod 4 with the pass's path to w from the last neighbour on it.
+    That path is a shortest one with no neighbour of c inside, so the
+    cycle is chordless in the whole support graph, and every chordless
+    cycle of a TU matrix sums to 0 mod 4.  Each sign is forced: by
     Camion's theorem a TU signing is unique up to row/column scaling,
     hence unique once the forest is +1, and the propagated matrix is that
     signing whenever one exists.  One TU check decides.
@@ -519,26 +518,21 @@ def find_tu_signing(
     seen = [False] * (m + n)
     for p, c in spanning_forest(m, n, edges):
         seen[p] = True
-        near = {r for r in adj[c] if seen[r]}
+        near = set(adj[c])
         at_c = sign[c]
         at_c[p] = sign[p][c] = 1
-        todo = [p]
-        while todo:
-            s = todo.pop()
-            # path sums from s over seen vertices, stopping at neighbours of c
-            total = {s: at_c[s]}
-            queue = [s]
-            for v in queue:  # breadth first: the loop reaches what it appends
-                at_v = sign[v]
-                for w in adj[v]:
-                    if not seen[w] or w in total:
-                        continue
-                    total[w] = total[v] + at_v[w]
-                    if w not in near:
-                        queue.append(w)
-                    elif w not in at_c:
-                        at_c[w] = sign[w][c] = 1 if total[w] % 4 == 3 else -1
-                        todo.append(w)
+        # path sums over seen vertices from the last neighbour of c passed
+        total = {p: 1}
+        queue = [p]
+        for v in queue:  # breadth first: the loop reaches what it appends
+            at_v = sign[v]
+            for w in adj[v]:
+                if seen[w] and w not in total:
+                    t = total[v] + at_v[w]
+                    if w in near:
+                        t = at_c[w] = sign[w][c] = 1 if t % 4 == 3 else -1
+                    total[w] = t
+                    queue.append(w)
         seen[c] = True
     rows = [[_SIGNS[sign[i].get(m + j, 0)] for j in range(n)] for i in range(m)]
     cand = _exact(RATIONAL, rows, n)

@@ -23,6 +23,7 @@ from tumat import (
     sign_sum_1,
 )
 from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b
+from tumat.sums import _signs_between
 
 from helpers import (
     find_tu_signing_bruteforce,
@@ -174,6 +175,15 @@ def test_searches_agree_on_random_supports():
         m = rng.randrange(1, 4)
         n = rng.randrange(1, 5)
         supports.append([[1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(m)])
+    while len(supports) < 175:  # larger supports, up to 10 nonzeros; one has no signing
+        m, n, density = rng.randrange(2, 5), rng.randrange(3, 6), rng.uniform(0.4, 0.8)
+        rows = [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        if sum(map(sum, rows)) <= 10:
+            supports.append(rows)
+    # column 3 joins the forest under row 1; the pass from row 1 reaches
+    # row 2 through column 0 before row 0, then row 3 through row 2, where
+    # the path sum restarts
+    supports.append([[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 1], [0, 0, 1, 1]])
     # propagating each sign along a shortest path over the edges signed so
     # far closes a cycle with a chord here and wrongly finds no signing
     supports.append([[0, 0, 0, 1, 1, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]])
@@ -185,6 +195,8 @@ def test_searches_agree_on_random_supports():
         if fast is not None:
             assert is_tu_signing_of(fast, u)
             assert is_tu_signing_of(slow, u)
+            # Camion: a TU signing is unique up to row and column signs
+            assert _signs_between(fast.rows, slow.rows) is not None
     assert fast is not None  # the fixed support above has a TU signing
 
 
@@ -308,6 +320,16 @@ def test_forced_9x11_check_is_fast():
     verdict = is_totally_unimodular(a, force=True)
     assert time.perf_counter() - start < 1.0
     assert verdict.is_tu
+
+
+def test_forced_signing_of_all_ones_120x120_is_fast():
+    # a breadth-first search per signed neighbour of each new vertex, not
+    # one pass per vertex, takes about 5 s on this input (2-core host)
+    ones = [[1] * 120 for _ in range(120)]
+    start = time.perf_counter()
+    signing = find_tu_signing(ExactMatrix(GF2, ones), force=True)
+    assert time.perf_counter() - start < 1.0
+    assert signing == ExactMatrix(RATIONAL, ones)
 
 
 def cycle_block(rng, k):
