@@ -22,9 +22,9 @@ mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  Signs "up to row
-and column signs" are solved by ``tu._colourings``, the solver the TU
-check's network test uses.  Every block read off a labeled matrix whose
-labels are already checked goes through one reader, ``_cut``.
+and column signs" are set along ``tu.spanning_forest`` of the support,
+as the signing search sets its own.  Every block read off a labeled
+matrix whose labels are already checked goes through one reader, ``_cut``.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -44,7 +44,7 @@ from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan, _int_rows_rank
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import _SIGNS, _colourings, is_signing_of, scale_rows_cols
+from .tu import _SIGNS, is_signing_of, scale_rows_cols, spanning_forest
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -365,18 +365,16 @@ def _rational(m: LabeledMatrix) -> LabeledMatrix:
 def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list, list]]:
     """Row signs s and column signs t with s[i] * t[j] * a[i][j] == b[i][j] everywhere, or None.
 
-    Each nonzero of ``b`` ties row i (bit i) to column j (bit m + j), apart when a[i][j] and
-    b[i][j] differ in sign; ``_colourings`` solves the ties, its second colour the sign -1, so
-    the lowest row of each component keeps +1.  The equation itself is checked after.
+    The signs are set along a spanning forest of ``b``'s support, each root +1: the edge from
+    p to c gives c the sign of p, negated where a and b differ in sign.  Any solution equals
+    this one up to the sign of each component, so the equation, checked after, decides.
     """
     m, n = len(b), len(b[0]) if b else 0
-    rules = [(1 << i | 1 << m + j, 1 << i if (x < 0) != (y < 0) else 0)
-             for i, (ra, rb) in enumerate(zip(a, b)) for j, (x, y) in enumerate(zip(ra, rb)) if y]
-    groups = _colourings((1 << m + n) - 1, rules)
-    if groups is None:
-        return None
-    minus = sum(ones for _, ones in groups)
-    s, t = [1 - 2 * (minus >> i & 1) for i in range(m)], [1 - 2 * (minus >> m + j & 1) for j in range(n)]
+    sign = [1] * (m + n)  # rows, then columns
+    for p, c in spanning_forest(m, n, [(i, j) for i, row in enumerate(b) for j, y in enumerate(row) if y]):
+        i, j = (p, c - m) if c >= m else (c, p - m)
+        sign[c] = sign[p] if (a[i][j] < 0) == (b[i][j] < 0) else -sign[p]
+    s, t = sign[:m], sign[m:]
     if [[si * tj * x for tj, x in zip(t, ra)] for si, ra in zip(s, a)] == list(map(list, b)):
         return s, t
     return None

@@ -24,8 +24,8 @@ without changing that witness:
   tree realizes this way, its columns or its rows as paths, is TU exactly
   when it is that network matrix up to scaling by signs.  A graph
   realization search finds the tree (a star if no line has three
-  nonzeros), ``_colourings`` solves the signs, as it does for ``sums``,
-  and a block whose signs do not fit goes on to the DP for its witness.
+  nonzeros), ``_colourings`` solves the signs, and a block whose signs
+  do not fit goes on to the DP for its witness.
 
 Removed lines keep their indices.  On each block left, the checker
 expands each order-k minor along its first row over the stored, already
@@ -240,9 +240,10 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
     the tree so far, in which the edges not yet placed are contracted.
     Every path through the new edge must meet v, and a path with two edges
     at v keeps them on one side of the new edge, or on both sides when it
-    passes it.  Every such vertex and 2-colouring is tried, backtracking on
-    a dead end, so no tree is missed unless the search gives up after 4
-    moves (a split or a step back) per edge.  The next edge is the one on
+    passes it.  Every such vertex is tried with the one 2-colouring of
+    ``_colourings``, backtracking on a dead end, and the search gives up
+    after 4 moves (a split or a step back) per edge; a block it misses goes
+    on to the DP, so no verdict depends on it.  The next edge is the one on
     most paths met so far, so the order and each step's constraints depend
     only on the edges placed before it.
     """
@@ -270,7 +271,7 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
         met |= on[e]
 
     def splits(stars: list[int], k: int) -> Iterator[list[int]]:
-        """Each tree that places edge k by splitting a vertex of ``stars``."""
+        """The trees that place edge k by splitting a vertex of ``stars``, at most one per vertex."""
         if k == len(steps):
             step()
         bit, through, rules = steps[k]
@@ -284,13 +285,8 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
                     s = c & star
                     if s & (s - 1):
                         pairs.append((s, s & -s if apart else 0))
-                groups = _colourings(star, pairs)
-                if groups is None:
-                    continue
-                moves = [groups[0][1]]
-                for kept, moved in groups[1:]:
-                    moves = [m | kept for m in moves] + [m | moved for m in moves]
-                for moved in moves:
+                moved = _colourings(star, pairs)
+                if moved is not None:
                     yield stars[:v] + [star & ~moved | bit] + stars[v + 1:] + [moved | bit]
 
     for _ in range(2):  # the first two edges share a vertex in any tree on them alone
@@ -342,14 +338,15 @@ def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: list[int
     return _colourings(edges, rules) is not None
 
 
-def _colourings(nodes: int, rules: list[tuple[int, int]]) -> Optional[list[tuple[int, int]]]:
-    """The 2-colourings of the bits of ``nodes`` in which each rule (s, d)
-    gives all bits of s one colour once the bits of d flip, or None: each
-    group of bits the rules tie comes back as the masks of its two colours.
+def _colourings(nodes: int, rules: list[tuple[int, int]]) -> Optional[int]:
+    """A 2-colouring of the bits of ``nodes`` in which each rule (s, d) gives
+    all bits of s one colour once the bits of d flip, as the mask of the
+    bits coloured second, or None when there is none.  The lowest bit of
+    each group of bits the rules tie keeps the first colour.
     """
-    groups = []
+    ones = 0
     while nodes:
-        seen, ones = nodes & -nodes, 0
+        seen = nodes & -nodes
         while True:
             rest = []
             for s, d in rules:
@@ -364,9 +361,8 @@ def _colourings(nodes: int, rules: list[tuple[int, int]]) -> Optional[list[tuple
             if len(rest) == len(rules):
                 break
             rules = rest
-        groups.append((seen & ~ones, ones))
         nodes &= ~seen
-    return groups
+    return ones
 
 
 def _first_violator(

@@ -156,6 +156,11 @@ def test_tu_sign_fano_negative(capsys):
     assert err == "no TU signing\n"
 
 
+def test_tu_sign_rational_document_exits_2(capsys):
+    code, out, err = run(capsys, "tu", "sign", FIXTURES / "network_uv.json")
+    assert (code, out, err) == (2, "", "error: tu sign takes a GF(2) document\n")
+
+
 def test_tu_sign_output_file(capsys, tmp_path):
     target = tmp_path / "w.json"
     code, out, _ = run(capsys, "tu", "sign", FIXTURES / "r10.json", "-o", target)

@@ -152,7 +152,14 @@ PRODUCERS = {
 
 def test_certificate_runs_no_producer():
     # certifies_sum checks a signed sum by its blocks; naming a producer in
-    # its body would let it re-run the construction it is meant to check
+    # its body, or in any private sums.py helper it reaches, would let it
+    # re-run the construction it is meant to check
     tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
-    (cert,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certifies_sum"]
-    assert sorted(loaded_names(cert) & PRODUCERS) == []
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached = ["certifies_sum"]
+    for name in reached:  # breadth first: the loop reaches what it appends
+        reached += sorted(n for n in loaded_names(defs[name]) & defs.keys()
+                          if n.startswith("_") and n not in reached)
+    assert {"_layout", "_pair", "_cut", "_ints", "_canonical_cut", "_signs_between"} <= set(reached)
+    assert [(name, sorted(loaded_names(defs[name]) & PRODUCERS)) for name in reached
+            if loaded_names(defs[name]) & PRODUCERS] == []

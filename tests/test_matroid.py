@@ -49,6 +49,8 @@ def test_labeled_matrix_validation():
         lm(["r"], [""], GF2, [[1]])
     with pytest.raises(ShapeError):
         lm(["r"], ["c"], GF2, [[1, 0]])
+    with pytest.raises(ShapeError, match="^body is 1x2 but labels say 1x1$"):
+        LabeledMatrix(["r"], ["c"], ExactMatrix(GF2, [[1, 0]]))
 
 
 def test_labeled_matrix_access():
@@ -101,6 +103,8 @@ def test_vector_matroid_gf2():
     assert not m.is_base({"a"})
     with pytest.raises(ShapeError):
         m.rank_of({"z"})
+    with pytest.raises(ShapeError, match="^is_base takes a subset of the ground set$"):
+        m.is_base({"a", "z"})
 
 
 def test_gf2_and_rational_matroids_differ():

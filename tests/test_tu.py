@@ -572,3 +572,86 @@ def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
     calls.clear()
     k4 = ExactMatrix(RATIONAL, [[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
     assert is_totally_unimodular(k4).is_tu and calls == []
+
+
+def colour_groups(nodes, rules):
+    """The bits of ``nodes`` the rules' supports tie together, one mask per group."""
+    groups = []
+    while nodes:
+        group, grown = nodes & -nodes, True
+        while grown:
+            grown = False
+            for s, _ in rules:
+                if s & group and s & ~group:
+                    group, grown = group | s, True
+        groups.append(group)
+        nodes &= ~group
+    return groups
+
+
+def test_colourings_flip_the_one_colouring_that_keeps_each_lowest_bit():
+    # against every 2-colouring of up to 6 bits: the mask returned is the
+    # only valid colouring in which the lowest bit of each group keeps the
+    # first colour, and None means no colouring is valid
+    rng = random.Random(89)
+    seen = {"none": 0, "several groups": 0, "lone bits": 0}
+    for _ in range(1500):
+        width = rng.randint(1, 6)
+        nodes = rng.randrange(1, 1 << width)
+        hidden = rng.randrange(1 << width)
+        rules = []
+        for _ in range(rng.randrange(5)):
+            s = rng.randrange(1, 1 << width) & nodes
+            if not s:
+                continue
+            if rng.random() < 0.7:  # consistent with the hidden colouring
+                d = (hidden if rng.random() < 0.5 else ~hidden) & s
+            else:
+                d = rng.randrange(1 << width) & s
+            rules.append((s, d))
+        groups = colour_groups(nodes, rules)
+        lowest = sum(g & -g for g in groups)
+        valid = [c for c in range(1 << width) if not c & ~nodes
+                 and all((c ^ d) & s in (0, s) for s, d in rules)]
+        got = tu_module._colourings(nodes, rules)
+        if not valid:
+            assert got is None
+            seen["none"] += 1
+            continue
+        assert [c for c in valid if not c & lowest] == [got]
+        seen["several groups"] += len(groups) > 1
+        seen["lone bits"] += any(not g & (g - 1) for g in groups)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_tree_realizes_a_path_system_whose_split_meets_two_groups(monkeypatch):
+    # each vertex split moves one colouring's mask; on this system the last
+    # split's vertex holds two colour groups, and the one move still
+    # realizes every path
+    paths = {0: 0b11, 1: 0b10111, 2: 0b1001100, 3: 0b10100000, 4: 0b11011}
+    on = {e: sum(1 << j for j, p in paths.items() if p >> e & 1) for e in range(8)}
+    calls = []
+    colourings = tu_module._colourings
+    monkeypatch.setattr(tu_module, "_colourings",
+                        lambda nodes, rules: calls.append((nodes, rules)) or colourings(nodes, rules))
+    stars = tu_module._tree(paths, on)
+    assert stars is not None and len(stars) == 9
+    assert any(len(colour_groups(*call)) >= 2 and colourings(*call) is not None for call in calls)
+    # the stars form a tree on edges 0-7: root it at vertex 0, and read each
+    # path off the edges from its two ends up to the root
+    ends = {e: [v for v, star in enumerate(stars) if star >> e & 1] for e in range(8)}
+    assert all(len(vs) == 2 for vs in ends.values())
+    up, queue = {0: 0}, [0]
+    for v in queue:  # breadth first: the loop reaches what it appends
+        for e in range(8):
+            w = sum(ends[e]) - v
+            if v in ends[e] and w not in up:
+                up[w] = up[v] | 1 << e
+                queue.append(w)
+    assert len(up) == 9
+    pos, neg = {}, {}
+    for j, p in paths.items():
+        a, b = [v for v in up if sum(p >> e & 1 for e in range(8) if v in ends[e]) == 1]
+        assert up[a] ^ up[b] == p
+        pos[j], neg[j] = up[a] & p, up[b] & p  # up from a, then down to b
+    assert tu_module._fits(pos, neg, paths, stars)
