@@ -8,6 +8,11 @@ shape errors, 3 when a size guard trips.  Guards can be lifted with
 the base comparison of matroids not known to be binary).  ``verify
 composition`` TU-checks its two summands only: the sum's witness is
 certified by its blocks (``tumat.sums.certifies_sum``).
+
+Each command line is parsed by its command's own parser, which its
+leading words pick.  Usage errors read as the nested parse writes them:
+a missing or unknown word is reported by the parser that owns it, and
+leftover arguments by the top parser.
 """
 
 from __future__ import annotations
@@ -308,8 +313,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, read by the parser that argv's leading command words pick."""
+    top = parser = _parser()
+    i = 0
+    while i < len(argv) and (sub := _commands(parser).get(argv[i])) is not None:
+        parser, i = sub, i + 1
+    args, extras = parser.parse_known_args(argv[i:])
+    if extras:
+        top.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+@functools.cache
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """The sub-parsers of ``parser`` by command word (none for a command's own parser)."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (DocumentError, ShapeError) as exc:

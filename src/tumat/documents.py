@@ -9,10 +9,13 @@ integers or reduced "p/q" strings.  Both kinds are read by one reader,
 which checks every rule on a document once: keys, field, labels
 (nonempty, distinct strings), grid shape and entries, and a standard
 representation's disjoint X and Y; nothing built from it re-checks
-them.  Rendering is deterministic, so parse and render round-trip byte
-for byte: a rendered document is ``json.dumps(doc, indent=2) + "\n"``,
-written out directly rather than through the pure-Python encoder that
-``indent`` selects.
+them.  A grid row is decoded by lookups in a cache seeded with "0" and
+"1" (and "-1" over Q, as the shared sign Fractions); a row with a string
+not seen yet or a non-string entry is read entry by entry, which caches
+each new string and reports the first bad entry.  Rendering is
+deterministic, so parse and render round-trip byte for byte: a rendered
+document is ``json.dumps(doc, indent=2) + "\n"``, written out directly
+rather than through the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from fractions import Fraction
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
+from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _exact
 from .matroid import LabeledMatrix, _labeled
 from .stdrepr import StandardRepr
 
@@ -93,21 +96,27 @@ def _shown(value) -> str:
     return repr(value)
 
 
+_KNOWN = {GF2: {"0": 0, "1": 1}, RATIONAL: {"0": _SIGNS[0], "1": _SIGNS[1], "-1": _SIGNS[-1]}}
+
+
 def _parse_grid(kind: str, value, n_rows: int, n_cols: int) -> ExactMatrix:
     if not isinstance(value, list) or len(value) != n_rows:
         raise DocumentError(f"data must be a list of {n_rows} rows")
-    decoded: dict[str, object] = {}  # entry string -> its value, only strings go in
+    decoded = dict(_KNOWN[kind])  # entry string -> its value, only strings go in
     rows = []
     for row in value:
         if not isinstance(row, list) or len(row) != n_cols:
             raise DocumentError(f"each data row must be a list of {n_cols} entries")
-        values = []
-        for s in row:
-            v = decoded.get(s) if type(s) is str else None
-            if v is None:
-                v = decoded[s] = _parse_entry(kind, s)
-            values.append(v)
-        rows.append(values)
+        try:
+            rows.append(tuple(map(decoded.__getitem__, row)))
+        except (KeyError, TypeError):  # a string not seen yet, or an unhashable entry
+            values = []
+            for s in row:
+                v = decoded.get(s) if type(s) is str else None
+                if v is None:
+                    v = decoded[s] = _parse_entry(kind, s)
+                values.append(v)
+            rows.append(values)
     return _exact(kind, rows, n_cols)
 
 

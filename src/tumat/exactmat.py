@@ -33,6 +33,8 @@ RATIONAL = "rational"
 
 Entry = Union[int, Fraction]
 
+_SIGNS = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}  # one shared Fraction per sign
+
 __all__ = [
     "GF2",
     "RATIONAL",

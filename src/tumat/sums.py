@@ -41,10 +41,10 @@ from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _exact, _gauss_jordan, _int_rows_rank
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _gauss_jordan, _int_rows_rank
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import _SIGNS, is_signing_of, scale_rows_cols, spanning_forest
+from .tu import is_signing_of, scale_rows_cols, spanning_forest
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"

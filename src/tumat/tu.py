@@ -48,11 +48,9 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _exact
+from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _exact
 
 DEFAULT_TU_LIMIT = 8
-
-_SIGNS = {1: Fraction(1), -1: Fraction(-1), 0: Fraction(0)}
 
 __all__ = [
     "TuVerdict",

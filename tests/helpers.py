@@ -23,6 +23,8 @@ from tumat import (
     scale_rows_cols,
     to_matroid,
 )
+from tumat.documents import DocumentError, _parse_entry
+from tumat.exactmat import _exact
 from tumat.tu import DEFAULT_TU_LIMIT
 
 DEFAULT_ORACLE_MAX_NONZEROS = 16
@@ -406,3 +408,22 @@ def random_valid_sum3_pair(rng: random.Random, d0, max_rest: int = 4):
         if v not in (y0, y1):
             rg[rx.index(x2)][j] = 0
     return tuple(make_repr(xs, ys, ExactMatrix(GF2, grid, n_cols=len(ys))) for xs, ys, grid in sides)
+
+
+def plain_parse_grid(kind, value, n_rows: int, n_cols: int) -> ExactMatrix:
+    """The document grid decoded entry by entry, each new string parsed once: the reference for ``_parse_grid``."""
+    if not isinstance(value, list) or len(value) != n_rows:
+        raise DocumentError(f"data must be a list of {n_rows} rows")
+    decoded = {}
+    rows = []
+    for row in value:
+        if not isinstance(row, list) or len(row) != n_cols:
+            raise DocumentError(f"each data row must be a list of {n_cols} entries")
+        values = []
+        for s in row:
+            v = decoded.get(s) if type(s) is str else None
+            if v is None:
+                v = decoded[s] = _parse_entry(kind, s)
+            values.append(v)
+        rows.append(values)
+    return _exact(kind, rows, n_cols)

@@ -871,3 +871,84 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
         cli._parser.cache_clear()
     capsys.readouterr()
     assert len(built) == 1
+
+
+def _usage_lines():
+    network = str(FIXTURES / "network_uv.json")
+    left, right = str(FIXTURES / "sum1_left.json"), str(FIXTURES / "sum1_right.json")
+    k3 = [str(FIXTURES / "sum3/d0-1101-left.json"), str(FIXTURES / "sum3/d0-1101-right.json")]
+    return {
+        "no arguments": [],
+        "tu": ["tu"],
+        "tu check": ["tu", "check"],
+        "unknown sub-command": ["tu", "chek", network],
+        "unknown command": ["frobnicate", network],
+        "extra positional": ["tu", "check", network, network],
+        "unknown option": ["tu", "check", network, "--bogus"],
+        "unknown option first": ["--bogus", "tu", "check", network],
+        "unknown option between words": ["tu", "--bogus", "check", network],
+        "unknown option and extra": ["--bogus", "tu", "check", network, "extra"],
+        "--forc": ["tu", "check", network, "--forc"],
+        "--he": ["tu", "check", "--he"],
+        "--he at the top": ["--he"],
+        "-h at the top": ["-h"],
+        "-h after tu": ["tu", "-h"],
+        "-h after tu check": ["tu", "check", "-h"],
+        "-- before the command": ["--", "tu", "check", network],
+        "-- before the input": ["tu", "check", "--", network],
+        "--force=1": ["tu", "check", network, "--force=1"],
+        "-k 4": ["sum", "-k", "4", left, right],
+        "-k x": ["sum", "-k", "x", left, right],
+        "-o without a value": ["tu", "sign", network, "-o"],
+        "--x0 without a value": ["verify", "composition", "-k", "3", *k3, "--x0"],
+        "missing summand": ["verify", "composition", "-k", "1", left],
+        "well-formed tu check": ["tu", "check", network, "--force"],
+        "well-formed verify -k 3": ["verify", "composition", "-k", "3", *K3_FLAGS, *k3],
+    }
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", sorted(_usage_lines()))
+def test_command_parse_matches_the_nested_parse(capsys, monkeypatch, case):
+    """``main`` answers every line, usage errors and help included, as a plain nested parse does."""
+    argv = _usage_lines()[case]
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width on both sides
+    got = _outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        want = _outcome(capsys, argv)
+    assert got == want
+    try:
+        walked = vars(cli._parse(argv))
+    except SystemExit:
+        return
+    # the line parses: the command reads the values the nested parse gives, less the command words
+    nested = vars(cli.build_parser().parse_args(argv))
+    assert walked == {k: v for k, v in nested.items() if k not in ("command", "sub")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tu", "check", str(FIXTURES / "network_uv.json")],
+    ["verify", "composition", "-k", "3", *K3_FLAGS,
+     str(FIXTURES / "sum3/d0-1101-left.json"), str(FIXTURES / "sum3/d0-1101-right.json")],
+])
+def test_well_formed_lines_are_parsed_by_the_command_parser_alone(capsys, monkeypatch, argv):
+    parsed = []
+    stack = [cli._parser()]
+    while stack:
+        parser = stack.pop()
+        real = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *a, _real=real, _prog=parser.prog, **kw: parsed.append(_prog) or _real(*a, **kw))
+        stack.extend(cli._commands(parser).values())
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert parsed == ["tumat " + " ".join(argv[:2])]

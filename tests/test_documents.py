@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import plain_parse_grid
 from tumat import (
     GF2,
     RATIONAL,
@@ -17,6 +18,7 @@ from tumat import (
     render_matrix_document,
     render_standard_repr_document,
 )
+from tumat.documents import _parse_grid
 
 MATRIX_DOC = {
     "field": "rational",
@@ -205,3 +207,45 @@ def test_first_bad_entry_in_row_order_is_reported():
     doc = dict(REPR_DOC, B=[["1", "1", "0"], ["0", "1", "01"]])
     with pytest.raises(DocumentError, match="""^GF\\(2\\) entries must be "0" or "1", got '01'$"""):
         parse_standard_repr_document(json.dumps(doc))
+
+
+_GRID_FAULTS = [7, ["1"], None, {}, "2", "1e5", "", "1/0", "x" * 100]
+_LATE_RATIONALS = ["2/4", "01", "-0"]
+
+
+def _grid_cases(seed: int):
+    """Seeded grids up to 40x40, some with a fault or new rational strings planted in a late row."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        kind = rng.choice((GF2, RATIONAL))
+        n_rows, n_cols = rng.randint(1, 40), rng.randint(1, 40)
+        pool = ["0", "1"] if kind == GF2 else ["0", "1", "-1", "0", "1", "3", "-1/2"]
+        grid = [[rng.choice(pool) for _ in range(n_cols)] for _ in range(n_rows)]
+        late = rng.randrange(n_rows // 2, n_rows)
+        plant = rng.choice(("fault", "new", "fault and new", "none"))
+        if "new" in plant and kind == RATIONAL:
+            for s in _LATE_RATIONALS:
+                grid[rng.randrange(late, n_rows)][rng.randrange(n_cols)] = s
+        if "fault" in plant:
+            grid[late][rng.randrange(n_cols)] = rng.choice(_GRID_FAULTS)
+        yield kind, grid, n_rows, n_cols
+
+
+def _decoded(kind, grid, n_rows, n_cols, parse):
+    try:
+        rows = parse(kind, grid, n_rows, n_cols).rows
+    except DocumentError as exc:
+        return "error", str(exc)
+    return rows, [[type(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grid_decoder_matches_the_per_entry_loop(seed):
+    outcomes = set()
+    for kind, grid, n_rows, n_cols in _grid_cases(seed):
+        want = _decoded(kind, grid, n_rows, n_cols, plain_parse_grid)
+        assert _decoded(kind, grid, n_rows, n_cols, _parse_grid) == want
+        if want[0] != "error":
+            assert {t for row in want[1] for t in row} <= {int if kind == GF2 else Fraction}
+        outcomes.add((kind, want[0] == "error"))
+    assert len(outcomes) == 4  # both fields, decoded and refused
