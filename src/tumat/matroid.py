@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _echelon, _eliminate, gf2_rank_of_ints
 from .exactmat import _exact, _int_rows_rank, _scaled_int_rows, _supports
-from .tu import is_totally_unimodular, spanning_forest
+from .tu import _support_graph, is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
 DEFAULT_ZMOD_ENUM_LIMIT = 10**6
@@ -298,9 +298,8 @@ def _scales_to_tu(b: list[list[int]], n: int, force: bool) -> bool:
     ``force`` is set, a check past the default TU guard counts as not TU.
     """
     m = len(b)
-    edges = [(i, j) for i in range(m) for j in range(n) if b[i][j]]
     scale = [Fraction(1)] * (m + n)  # rows, then columns
-    for p, c in spanning_forest(m, n, edges):
+    for p, c in spanning_forest(_support_graph(b)):
         i, j = (p, c - m) if c >= m else (c, p - m)
         scale[c] = 1 / abs(b[i][j] * scale[p])
     rows = [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]

@@ -95,13 +95,7 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     return StandardRepr(x_order, y_order, _labeled(x_order, y_order, b))
 
 
-def standardize_tu(
-    rep: LabeledMatrix,
-    base_labels: Iterable[Label],
-    *,
-    limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
-) -> StandardRepr:
+def standardize_tu(rep: LabeledMatrix, base_labels: Iterable[Label], *, force: bool = False) -> StandardRepr:
     """Standardize a TU matrix by repeated unit pivots; B stays TU.
 
     Pivots land on nonzero entries of the base columns, which are +-1 in
@@ -110,7 +104,7 @@ def standardize_tu(
     """
     if rep.kind != RATIONAL:
         raise ShapeError("standardize_tu takes a rational matrix")
-    if not is_totally_unimodular(rep.body, limit=limit, force=force).is_tu:
+    if not is_totally_unimodular(rep.body, force=force).is_tu:
         raise ShapeError("standardize_tu needs a totally unimodular input")
     return standardize(rep, base_labels)
 

@@ -22,9 +22,9 @@ mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  Signs "up to row
-and column signs" are set along ``tu.spanning_forest`` of the support,
-as the signing search sets its own.  Every block read off a labeled
-matrix whose labels are already checked goes through one reader, ``_cut``.
+and column signs" are set along ``tu.spanning_forest`` of the support
+graph ``tu._support_graph``, as the signing search sets its own.  Every
+block read off a checked labeled matrix goes through one reader, ``_cut``.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -44,7 +44,7 @@ from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _gauss_jordan, _int_rows_rank
 from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import is_signing_of, scale_rows_cols, spanning_forest
+from .tu import _support_graph, is_signing_of, scale_rows_cols, spanning_forest
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -371,7 +371,7 @@ def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tup
     """
     m, n = len(b), len(b[0]) if b else 0
     sign = [1] * (m + n)  # rows, then columns
-    for p, c in spanning_forest(m, n, [(i, j) for i, row in enumerate(b) for j, y in enumerate(row) if y]):
+    for p, c in spanning_forest(_support_graph(b)):
         i, j = (p, c - m) if c >= m else (c, p - m)
         sign[c] = sign[p] if (a[i][j] < 0) == (b[i][j] < 0) else -sign[p]
     s, t = sign[:m], sign[m:]

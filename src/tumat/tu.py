@@ -22,10 +22,12 @@ without changing that witness:
   column for each path in it, +1 or -1 as the path passes the edge
   forwards or backwards; it is TU.  By Camion, a block whose support a
   tree realizes this way, its columns or its rows as paths, is TU exactly
-  when it is that network matrix up to scaling by signs.  A graph
-  realization search finds the tree (a star if no line has three
-  nonzeros), ``_colourings`` solves the signs, and a block whose signs
-  do not fit goes on to the DP for its witness.
+  when it is that network matrix up to scaling by signs.  The star
+  tree realizes a side whose lines have two nonzeros each, and a graph
+  realization search looks for a tree on any other side.  Every tree is
+  checked by ``_fits``: each line must be a path of it, and
+  ``_colourings`` solves the signs.  A block whose signs do not fit goes
+  on to the DP for its witness.
 
 Removed lines keep their indices.  On each block left, the checker
 expands each order-k minor along its first row over the stored, already
@@ -204,21 +206,20 @@ def _is_network_matrix(
     by signs to a network matrix, and so is TU.
 
     A tree whose paths are the block's columns (or rows) decides the block
-    either way (Camion; see the module docstring).  A TU block's lines have
-    distinct supports of two edges or more, so tree and lines would form a
-    simple graph of minimum degree 3: a side whose k edges have fewer than
-    (k + 3) / 2 or more than k(k - 1) / 2 lines is skipped.
+    either way (Camion; see the module docstring), and ``_fits`` checks
+    every tree.  A side whose lines have two nonzeros each is the star
+    tree's paths; for the others ``_tree`` searches.  A TU block's lines
+    have distinct supports of two edges or more, so tree and lines would
+    form a simple graph of minimum degree 3: a side whose k edges have
+    fewer than (k + 3) / 2 or more than k(k - 1) / 2 lines is skipped.
     """
     sides = []
     for pos, neg, tpos, tneg, lines, edges in (
         (cpos, cneg, rpos, rneg, cols, rows), (rpos, rneg, cpos, cneg, rows, cols)
     ):
         paths = {j: (pos[j] | neg[j]) & edges for j in _bits(lines)}
-        if max(map(int.bit_count, paths.values())) <= 2:
-            # paths of the star tree, whose network signs need no search: rooted
-            # at the centre, a line on edges x < y passes x upwards, y downwards
-            rules = [(s, pos[j] & (s & (s - 1)) | neg[j] & s & -s) for j, s in paths.items()]
-            return _colourings(edges, rules) is not None
+        if max(map(int.bit_count, paths.values())) <= 2:  # paths of the star tree
+            return _fits(pos, neg, paths, [edges] + [1 << e for e in _bits(edges)])
         k = edges.bit_count()
         if k + 3 <= 2 * len(paths) <= k * (k - 1):
             sides.append((pos, neg, paths, {e: (tpos[e] | tneg[e]) & lines for e in _bits(edges)}))
@@ -241,21 +242,16 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
     passes it.  Every such vertex is tried with the one 2-colouring of
     ``_colourings``, backtracking on a dead end, and the search gives up
     after 4 moves (a split or a step back) per edge; a block it misses goes
-    on to the DP, so no verdict depends on it.  The next edge is the one on
-    most paths met so far, so the order and each step's constraints depend
-    only on the edges placed before it.
+    on to the DP, so no verdict depends on it.  The order is fixed before
+    the search: each edge is the first of those left on the most paths
+    through the edges before it, and its split's constraints depend only
+    on those edges.
     """
     n, todo, lines = len(on), list(on), list(paths.values())
     steps: list[tuple[int, list[int], list[tuple[int, int]]]] = []
     done = met = 0
-
-    def step() -> None:
-        nonlocal done, met
-        best = -1
-        for f in todo:
-            count = (on[f] & met).bit_count()
-            if count > best:
-                best, e = count, f
+    while todo:
+        e = max(todo, key=lambda f: (on[f] & met).bit_count())
         todo.remove(e)
         bit, through, rules = 1 << e, [], []
         for p in lines:
@@ -270,8 +266,6 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
 
     def splits(stars: list[int], k: int) -> Iterator[list[int]]:
         """The trees that place edge k by splitting a vertex of ``stars``, at most one per vertex."""
-        if k == len(steps):
-            step()
         bit, through, rules = steps[k]
         for v, star in enumerate(stars):
             for c in through:
@@ -287,8 +281,7 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
                 if moved is not None:
                     yield stars[:v] + [star & ~moved | bit] + stars[v + 1:] + [moved | bit]
 
-    for _ in range(2):  # the first two edges share a vertex in any tree on them alone
-        step()
+    # the first two edges share a vertex in any tree on them alone
     first, second = steps[0][0], steps[1][0]
     # depth first, without recursion: frame i holds the trees on i + 3 edges
     frames = [splits([first | second, first, second], 2)]
@@ -419,15 +412,13 @@ def is_signing_of(a: ExactMatrix, u: ExactMatrix) -> bool:
     return True
 
 
-def is_tu_signing_of(
-    a: ExactMatrix, u: ExactMatrix, *, limit: int = DEFAULT_TU_LIMIT, force: bool = False
-) -> bool:
+def is_tu_signing_of(a: ExactMatrix, u: ExactMatrix, *, force: bool = False) -> bool:
     """Certify ``a`` as a TU signing of ``u``: a signing of ``u`` that is TU.
 
     Then [I | a] over Q and [I | u] over GF(2) represent the same matroid,
     so the check certifies that matroid regular.
     """
-    return is_signing_of(a, u) and is_totally_unimodular(a, limit=limit, force=force).is_tu
+    return is_signing_of(a, u) and is_totally_unimodular(a, force=force).is_tu
 
 
 def scale_rows_cols(
@@ -448,27 +439,28 @@ def scale_rows_cols(
     return _exact(a.kind, rows, a.n_cols)
 
 
-def _adjacency(
-    n_rows: int, n_cols: int, edges: Sequence[tuple[int, int]]
-) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n_rows + n_cols)]
-    for i, j in edges:
-        adj[i].append(n_rows + j)
-        adj[n_rows + j].append(i)
+def _support_graph(grid: Sequence[Sequence]) -> list[list[int]]:
+    """Adjacency lists of the bipartite support graph of the rows ``grid``:
+    vertex i is row i and vertex m + j is column j, for m rows, and each
+    nonzero entry joins its row and its column, in row-major order."""
+    m = len(grid)
+    adj: list[list[int]] = [[] for _ in range(m + (len(grid[0]) if grid else 0))]
+    for i, row in enumerate(grid):
+        for j, x in enumerate(row):
+            if x:
+                adj[i].append(m + j)
+                adj[m + j].append(i)
     return adj
 
 
-def spanning_forest(
-    n_rows: int, n_cols: int, edges: Sequence[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Breadth-first spanning forest of a bipartite row/column graph.
+def spanning_forest(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """Breadth-first spanning forest of the graph with adjacency lists ``adj``,
+    such as a ``_support_graph``.
 
-    Vertex i is row i and vertex n_rows + j is column j; edge (i, j)
-    joins row i and column j.  Roots are taken in vertex order, and the
-    forest comes back as (parent, child) vertex pairs in discovery order,
-    so every parent is reached before its children.
+    Roots are taken in vertex order, and the forest comes back as
+    (parent, child) vertex pairs in discovery order, so every parent is
+    reached before its children.
     """
-    adj = _adjacency(n_rows, n_cols, edges)
     seen = [False] * len(adj)
     pairs = []
     for root in range(len(adj)):
@@ -506,11 +498,10 @@ def find_tu_signing(
     if u.kind != GF2:
         raise ShapeError("the signing search takes a GF(2) matrix")
     m, n = u.shape
-    edges = [(i, j) for i in range(m) for j in range(n) if u.rows[i][j]]
-    adj = _adjacency(m, n, edges)
+    adj = _support_graph(u.rows)
     sign: list[dict[int, int]] = [{} for _ in range(m + n)]  # sign[v][w] of the edge vw, once set
     seen = [False] * (m + n)
-    for p, c in spanning_forest(m, n, edges):
+    for p, c in spanning_forest(adj):
         seen[p] = True
         near = set(adj[c])
         at_c = sign[c]

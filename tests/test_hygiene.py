@@ -163,3 +163,13 @@ def test_certificate_runs_no_producer():
     assert {"_layout", "_pair", "_cut", "_ints", "_canonical_cut", "_signs_between"} <= set(reached)
     assert [(name, sorted(loaded_names(defs[name]) & PRODUCERS)) for name in reached
             if loaded_names(defs[name]) & PRODUCERS] == []
+
+
+def test_tree_signs_are_solved_in_one_place():
+    # every tree, the star included, goes through _fits, so the network
+    # signs are solved by _colourings only there and in the search's splits
+    readers = sorted({(str(path.relative_to(ROOT)), getattr(node, "name", node.lineno))
+                      for path in sorted((ROOT / "src" / "tumat").rglob("*.py"))
+                      for node in ast.parse(path.read_text(encoding="utf-8")).body
+                      if "_colourings" in loaded_names(node)})
+    assert readers == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]

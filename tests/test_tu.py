@@ -501,6 +501,33 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
             assert got == oracle_verdict(flipped), grid
             seen["flipped tu" if got.is_tu else "flipped not tu"] += 1
     assert seen["searched"] >= 25 and min(seen.values()) >= 20, seen
+    # signed incidence matrices of random digraphs: every column has two
+    # nonzeros, so the star tree realizes the block with no search, and
+    # _fits alone decides its signs, with one sign flipped too
+    fits, fitted = tu_module._fits, []
+    monkeypatch.setattr(tu_module, "_fits", lambda *args: fitted.append(args) or fits(*args))
+    star = {"unflipped": 0, "flipped tu": 0, "flipped not tu": 0}
+    for _ in range(60):
+        n = rng.randrange(4, 7)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(6, 10))]
+        a = scale_rows_cols(incidence_matrix(n, arcs), [rng.choice((1, -1)) for _ in range(n)],
+                            [rng.choice((1, -1)) for _ in arcs])
+        reached.clear()
+        trees.clear()
+        fitted.clear()
+        assert is_totally_unimodular(a) == oracle_verdict(a) == TuVerdict(True)
+        assert not reached and not trees
+        star["unflipped"] += bool(fitted)
+        grid = a.to_lists()
+        i, j = rng.choice([(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v])
+        grid[i][j] = -grid[i][j]
+        flipped = ExactMatrix(RATIONAL, grid, n_cols=a.n_cols)
+        trees.clear()
+        got = is_totally_unimodular(flipped)
+        assert got == oracle_verdict(flipped), grid
+        assert not trees
+        star["flipped tu" if got.is_tu else "flipped not tu"] += 1
+    assert star["unflipped"] >= 45 and min(star.values()) >= 5, star
     # neither graphic nor cographic: R10 and blocks with a Fano minor
     f7 = ExactMatrix(RATIONAL, fano_b().body.to_lists())
     candidates = []
