@@ -21,10 +21,9 @@ rather than through the pure-Python encoder that ``indent`` selects.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _exact
+from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _coerce_rational, _exact
 from .matroid import LabeledMatrix, _labeled
 from .stdrepr import StandardRepr
 
@@ -81,10 +80,8 @@ def _parse_entry(kind: str, s) -> object:
             raise DocumentError(f'GF(2) entries must be "0" or "1", got {_shown(s)}')
         return int(s)
     try:
-        if "e" in s.lower():  # an exponent can name a number of any size in a few bytes
-            raise ValueError
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        return _coerce_rational(s)
+    except ShapeError:
         raise DocumentError(f"malformed rational entry {_shown(s)}") from None
 
 

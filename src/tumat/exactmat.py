@@ -56,7 +56,8 @@ def _coerce_gf2(value) -> int:
 
 
 def _coerce_rational(value) -> Fraction:
-    if isinstance(value, (int, str, Fraction)):
+    # a string exponent can name a number of any size in a few bytes
+    if isinstance(value, (int, Fraction)) or isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

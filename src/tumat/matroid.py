@@ -344,18 +344,23 @@ class AxiomReport:
     """Result of checking the finite matroid axioms by brute force.
 
     ``base_nonempty``: some maximal independent set exists.
-    ``exchange_ok``: every non-maximal independent set can borrow an
-    element from every maximal one (augmentation); counterexample is a
-    pair (I, B) where no element of B extends I.
-    ``maximality_ok``: independence is closed downward; counterexample is
-    a pair (I, J) with I independent, J a subset of I, J dependent.
+    ``exchange_counterexample``: a pair (I, B), B maximal, where no element
+    of B extends I (augmentation fails); ``exchange_ok`` when None.
+    ``maximality_counterexample``: a pair (I, J) with I independent, J a
+    subset of I, J dependent; ``maximality_ok`` (closed downward) when None.
     """
 
     base_nonempty: bool
-    exchange_ok: bool
-    maximality_ok: bool
     exchange_counterexample: Optional[tuple[FrozenSet[Label], FrozenSet[Label]]] = None
     maximality_counterexample: Optional[tuple[FrozenSet[Label], FrozenSet[Label]]] = None
+
+    @property
+    def exchange_ok(self) -> bool:
+        return self.exchange_counterexample is None
+
+    @property
+    def maximality_ok(self) -> bool:
+        return self.maximality_counterexample is None
 
     @property
     def is_matroid(self) -> bool:
@@ -387,40 +392,10 @@ def verify_matroid_axioms(
         if not any(e not in s and (s | {e}) in family_set for e in ordered)
     ]
     maximal_set = set(maximal)
-    base_nonempty = bool(maximal)
-
-    maximality_ok = True
-    maximality_cex = None
-    for s in family:
-        for e in sorted(s):
-            smaller = s - {e}
-            if smaller not in family_set:
-                maximality_ok = False
-                maximality_cex = (s, smaller)
-                break
-        if not maximality_ok:
-            break
-
-    exchange_ok = True
-    exchange_cex = None
-    for s in family:
-        if s in maximal_set:
-            continue
-        for b in maximal:
-            if not any((s | {x}) in family_set for x in sorted(b - s)):
-                exchange_ok = False
-                exchange_cex = (s, b)
-                break
-        if not exchange_ok:
-            break
-
-    return AxiomReport(
-        base_nonempty=base_nonempty,
-        exchange_ok=exchange_ok,
-        maximality_ok=maximality_ok,
-        exchange_counterexample=exchange_cex,
-        maximality_counterexample=maximality_cex,
-    )
+    exchange = ((s, b) for s in family if s not in maximal_set for b in maximal
+                if not any((s | {x}) in family_set for x in sorted(b - s)))
+    maximality = ((s, s - {e}) for s in family for e in sorted(s) if s - {e} not in family_set)
+    return AxiomReport(bool(maximal), next(exchange, None), next(maximality, None))
 
 
 def zmod_linear_independent(

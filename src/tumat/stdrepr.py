@@ -1,9 +1,9 @@
 """Standard representations [I | B] of vector matroids.
 
-A standard representation stores disjoint label sets X (rows, one per
-identity column) and Y, plus an X-by-Y matrix B.  The represented
-matroid is the column matroid of the full matrix [I | B] with columns
-labeled X then Y; the set X is always a base of it.
+A standard representation stores a labeled matrix B whose row labels X
+(one per identity column) and column labels Y are disjoint.  The
+represented matroid is the column matroid of the full matrix [I | B]
+with columns labeled X then Y; the set X is always a base of it.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ __all__ = [
 
 
 class StandardRepr:
-    """Disjoint row labels X, column labels Y, and the matrix B of [I | B]."""
+    """The matrix B of [I | B]; its row labels are X and its column labels Y."""
 
-    __slots__ = ("X", "Y", "B")
+    __slots__ = ("B",)
 
     def __init__(self, x_labels: Sequence[Label], y_labels: Sequence[Label], b: LabeledMatrix):
         x = tuple(x_labels)
@@ -39,9 +39,15 @@ class StandardRepr:
             raise ShapeError("B row labels must equal X in order")
         if b.col_labels != y:
             raise ShapeError("B column labels must equal Y in order")
-        self.X = x
-        self.Y = y
         self.B = b
+
+    @property
+    def X(self) -> tuple[Label, ...]:
+        return self.B.row_labels
+
+    @property
+    def Y(self) -> tuple[Label, ...]:
+        return self.B.col_labels
 
     @property
     def kind(self) -> str:
@@ -62,10 +68,10 @@ class StandardRepr:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardRepr):
             return NotImplemented
-        return self.X == other.X and self.Y == other.Y and self.B == other.B
+        return self.B == other.B
 
     def __hash__(self) -> int:
-        return hash((self.X, self.Y, self.B))
+        return hash(self.B)
 
     def __repr__(self) -> str:
         return f"StandardRepr({self.kind}, X={list(self.X)}, Y={list(self.Y)})"

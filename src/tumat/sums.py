@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _gauss_jordan, _int_rows_rank
-from .matroid import DEFAULT_EQ_LIMIT, FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
+from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import _support_graph, is_signing_of, scale_rows_cols, spanning_forest
 
@@ -525,8 +525,6 @@ def verify_is_sum_k_of(
     s_left: StandardRepr,
     s_right: StandardRepr,
     glue: None | tuple[Label, Label] | Sum3Labels,
-    *,
-    eq_limit: int = DEFAULT_EQ_LIMIT,
 ) -> bool:
     """Certify a k-sum relation between three matroids.
 
@@ -538,7 +536,7 @@ def verify_is_sum_k_of(
     if not outcome.valid:
         return False
     return (
-        matroids_equal(outcome.result.to_matroid(), m, limit=eq_limit)
-        and matroids_equal(s_left.to_matroid(), m_left, limit=eq_limit)
-        and matroids_equal(s_right.to_matroid(), m_right, limit=eq_limit)
+        matroids_equal(outcome.result.to_matroid(), m)
+        and matroids_equal(s_left.to_matroid(), m_left)
+        and matroids_equal(s_right.to_matroid(), m_right)
     )

@@ -68,22 +68,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TuVerdict:
-    """Outcome of a TU check; a failing check carries a violating submatrix."""
+    """Outcome of a TU check: its violating submatrix (rows, columns,
+    determinant), or None when the matrix is TU."""
 
-    is_tu: bool
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...], Fraction]] = None
 
     def __post_init__(self):
-        if self.is_tu and self.witness is not None:
-            raise ShapeError("a TU verdict cannot carry a witness")
-        if not self.is_tu:
-            if self.witness is None:
-                raise ShapeError("a non-TU verdict needs a witness")
+        if self.witness is not None:
             rows, cols, det = self.witness
             if len(rows) != len(cols):
                 raise ShapeError("witness must select a square submatrix")
             if det == 0 or det == 1 or det == -1:
                 raise ShapeError("witness determinant must lie outside {-1, 0, 1}")
+
+    @property
+    def is_tu(self) -> bool:
+        return self.witness is None
 
 
 def is_totally_unimodular(
@@ -123,7 +123,7 @@ def is_totally_unimodular(
                     rneg[i] |= 1 << j
                     cneg[j] |= 1 << i
                 else:
-                    return TuVerdict(False, ((i,), (j,), Fraction(v)))
+                    return TuVerdict(((i,), (j,), Fraction(v)))
     if min(m, n) > limit and not force:
         raise SizeGuardError(f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit})")
     # drop zero, unit and repeated lines until every line left is needed
@@ -141,9 +141,9 @@ def is_totally_unimodular(
         and (witness := _first_violator(rpos, rneg, block_rows, block_cols))
     ]
     if not witnesses:
-        return TuVerdict(True)
+        return TuVerdict()
     rs, cs, d = min(witnesses, key=lambda w: (len(w[0]), w[0], w[1]))
-    return TuVerdict(False, (rs, cs, Fraction(d)))
+    return TuVerdict((rs, cs, Fraction(d)))
 
 
 def _bits(mask: int) -> list[int]:
@@ -396,7 +396,6 @@ def _first_violator(
         if not found:
             return None
         minors = found
-    return None
 
 
 def is_signing_of(a: ExactMatrix, u: ExactMatrix) -> bool:

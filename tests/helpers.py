@@ -25,6 +25,7 @@ from tumat import (
 )
 from tumat.documents import DocumentError, _parse_entry
 from tumat.exactmat import _exact
+from tumat.fixtures import incidence_matrix
 from tumat.tu import DEFAULT_TU_LIMIT
 
 DEFAULT_ORACLE_MAX_NONZEROS = 16
@@ -105,14 +106,6 @@ def is_regular_witness(rep, m):
     return naive_tu_verdict(rep.body) is None and naive_matroids_equal(to_matroid(rep), m)
 
 
-def incidence(n_nodes, arcs):
-    rows = [[0] * len(arcs) for _ in range(n_nodes)]
-    for j, (t, h) in enumerate(arcs):
-        rows[t][j] = 1
-        rows[h][j] = -1
-    return ExactMatrix(RATIONAL, rows, n_cols=len(arcs))
-
-
 def random_tu_matrix(rng: random.Random, n_rows: int, n_cols: int) -> ExactMatrix:
     """A random TU matrix of the exact requested shape.
 
@@ -128,7 +121,7 @@ def random_tu_matrix(rng: random.Random, n_rows: int, n_cols: int) -> ExactMatri
         if h >= t:
             h += 1
         arcs.append((t, h))
-    a = incidence(n_nodes, arcs).submatrix(range(n_rows), range(n_cols))
+    a = incidence_matrix(n_nodes, arcs).submatrix(range(n_rows), range(n_cols))
     for _ in range(rng.randrange(3)):
         nz = [(i, j) for i in range(n_rows) for j in range(n_cols)
               if a[i, j] in (1, -1)]

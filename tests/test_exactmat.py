@@ -38,9 +38,11 @@ from helpers import (
 def test_construction_coerces_entries():
     a = ExactMatrix(GF2, [[2, 3], [0, -1]])
     assert a.to_lists() == [[0, 1], [0, 1]]
-    b = ExactMatrix(RATIONAL, [[1, "2/3"], [Fraction(1, 2), -4]])
+    assert ExactMatrix(GF2, [[True, False]]).to_lists() == [[1, 0]]
+    b = ExactMatrix(RATIONAL, [[1, "2/3"], [Fraction(1, 2), -4], ["-0.25", "3"]])
     assert b[0, 1] == Fraction(2, 3)
     assert b[1, 1] == Fraction(-4)
+    assert b.to_lists()[2] == [Fraction(-1, 4), 3]
 
 
 def test_construction_rejects_bad_input():
@@ -54,11 +56,18 @@ def test_construction_rejects_bad_input():
         ExactMatrix(GF2, [[Fraction(1, 2)]])
     with pytest.raises(ShapeError):
         ExactMatrix(RATIONAL, [[1.5]])
+    # an exponent names a huge number in a few bytes: refused before Fraction expands it
+    for s in ("1e5000000", "2E-5000000", "1.5e3"):
+        start = time.perf_counter()
+        with pytest.raises(ShapeError):
+            ExactMatrix(RATIONAL, [[s]])
+        assert time.perf_counter() - start < 0.5
 
 
 def test_empty_matrices():
     a = ExactMatrix(RATIONAL, [], n_cols=3)
     assert a.shape == (0, 3)
+    assert ExactMatrix(GF2, []).shape == ExactMatrix(RATIONAL, []).shape == (0, 0)
     b = ExactMatrix(GF2, [], n_cols=0)
     assert b.determinant() == 1
     assert ExactMatrix(RATIONAL, [], n_cols=0).determinant() == Fraction(1)

@@ -2,6 +2,9 @@
 every private module-level helper and every function parameter of the
 package.
 
+The result types store each deciding fact once: ``TuVerdict`` its
+witness, ``AxiomReport`` its counterexamples, ``StandardRepr`` its B.
+
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
 a name listed in a module's ``__all__`` counts as used.
@@ -9,6 +12,9 @@ a name listed in a module's ``__all__`` counts as used.
 
 import ast
 import pathlib
+from dataclasses import fields
+
+from tumat import AxiomReport, StandardRepr, TuVerdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -124,6 +130,15 @@ def test_no_unused_parameters():
     # leftover knob (a limit or force flag nothing honours) cannot linger.
     paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
     assert [hit for p in paths for hit in unread_parameters(p)] == []
+
+
+def test_each_result_stores_its_deciding_fact_once():
+    # a verdict's flag is read off its witness, an axiom report's flags off
+    # its counterexamples, and a standard representation's labels off B, so
+    # no two stored copies of one fact can disagree
+    assert [f.name for f in fields(TuVerdict)] == ["witness"]
+    assert [f.name for f in fields(AxiomReport) if f.name.endswith("_ok")] == []
+    assert StandardRepr.__slots__ == ("B",)
 
 
 def test_every_slot_is_read():

@@ -62,7 +62,8 @@ def test_standardize_round_trip():
     rng = random.Random(5)
     for _ in range(20):
         s = random_standard_repr(rng, rng.randrange(1, 4), rng.randrange(1, 4))
-        assert standardize(s.to_full(), s.X) == s
+        again = standardize(s.to_full(), s.X)
+        assert again == s and hash(again) == hash(s) and len({again, s}) == 1
 
 
 def test_standardize_preserves_matroid_every_base():

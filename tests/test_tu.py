@@ -87,15 +87,11 @@ def test_matches_naive_oracle_including_witness():
 
 def test_verdict_validation():
     with pytest.raises(ShapeError):
-        TuVerdict(True, ((0,), (0,), Fraction(2)))
+        TuVerdict(((0, 1), (0,), Fraction(2)))
     with pytest.raises(ShapeError):
-        TuVerdict(False, None)
-    with pytest.raises(ShapeError):
-        TuVerdict(False, ((0, 1), (0,), Fraction(2)))
-    with pytest.raises(ShapeError):
-        TuVerdict(False, ((0,), (0,), Fraction(1)))
-    TuVerdict(False, ((0,), (0,), Fraction(1, 2)))  # fractional witness is legal
-    TuVerdict(True)
+        TuVerdict(((0,), (0,), Fraction(1)))
+    TuVerdict(((0,), (0,), Fraction(1, 2)))  # fractional witness is legal
+    TuVerdict()
 
 
 def test_is_signing_of():
@@ -240,11 +236,12 @@ def test_incidence_matrices_are_tu():
             arcs.append((t, h + 1 if h >= t else h))
         a = incidence_matrix(n, arcs)
         assert is_totally_unimodular(a).is_tu
+    with pytest.raises(ValueError, match="loops"):
+        incidence_matrix(2, [(0, 1), (1, 1)])
 
 
 def oracle_verdict(a):
-    expected = naive_tu_verdict(a)
-    return TuVerdict(True) if expected is None else TuVerdict(False, expected)
+    return TuVerdict(naive_tu_verdict(a))
 
 
 def test_matches_naive_oracle_on_shapes_up_to_6x6():
@@ -490,7 +487,7 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         for b in (a, a.transpose()):
             reached.clear()
             trees.clear()
-            assert is_totally_unimodular(b) == TuVerdict(True)  # TU by construction
+            assert is_totally_unimodular(b) == TuVerdict()  # TU by construction
             assert not reached
             seen["searched"] += sum(t is not None for t in trees)
             grid = b.to_lists()
@@ -515,7 +512,7 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         reached.clear()
         trees.clear()
         fitted.clear()
-        assert is_totally_unimodular(a) == oracle_verdict(a) == TuVerdict(True)
+        assert is_totally_unimodular(a) == oracle_verdict(a) == TuVerdict()
         assert not reached and not trees
         star["unflipped"] += bool(fitted)
         grid = a.to_lists()
