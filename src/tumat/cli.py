@@ -27,13 +27,12 @@ from typing import Optional, Sequence
 
 from .documents import (
     DocumentError,
-    _shown,
     parse_document,
     parse_standard_repr_document,
     render_matrix_document,
     render_standard_repr_document,
 )
-from .errors import ShapeError, SizeGuardError
+from .errors import ShapeError, SizeGuardError, _shown
 from .exactmat import GF2
 from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, _labeled, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular

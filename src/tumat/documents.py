@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ShapeError
+from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _coerce_rational, _exact
 from .matroid import LabeledMatrix, _labeled
 from .stdrepr import StandardRepr
@@ -44,7 +44,7 @@ class DocumentError(ValueError):
 def _load_object(text: str) -> dict:
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also a number past the int digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
@@ -83,14 +83,6 @@ def _parse_entry(kind: str, s) -> object:
         return _coerce_rational(s)
     except ShapeError:
         raise DocumentError(f"malformed rational entry {_shown(s)}") from None
-
-
-def _shown(value) -> str:
-    """The value quoted; past 40 characters of a string, or else of its repr, the first 40 and the length."""
-    text = value if isinstance(value, str) else repr(value)
-    if len(text) > 40:
-        return f"{text[:40]!r}... ({len(text)} characters)"
-    return repr(value)
 
 
 _KNOWN = {GF2: {"0": 0, "1": 1}, RATIONAL: {"0": _SIGNS[0], "1": _SIGNS[1], "-1": _SIGNS[-1]}}

@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the one way their messages quote a value."""
 
 
 class ShapeError(ValueError):
@@ -14,3 +14,14 @@ class SizeGuardError(RuntimeError):
     ``zmod_linear_independent`` take a ``force`` flag, and ``matroids_equal``
     takes a ``limit``, which the CLI's ``--force`` sets to ``math.inf``.
     """
+
+
+def _shown(value) -> str:
+    """The value quoted; past 40 characters of a string, or else of its repr, the first 40 and the length."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # an int past the digit limit has no repr
+        return f"a {type(value).__name__} too large to show"
+    if len(text) > 40:
+        return f"{text[:40]!r}... ({len(text)} characters)"
+    return repr(value)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
-from .errors import ShapeError
+from .errors import ShapeError, _shown
 
 GF2 = "gf2"
 RATIONAL = "rational"
@@ -52,7 +52,7 @@ def _coerce_gf2(value) -> int:
         return value & 1
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator & 1
-    raise ShapeError(f"cannot use {value!r} as a GF(2) entry")
+    raise ShapeError(f"cannot use {_shown(value)} as a GF(2) entry")
 
 
 def _coerce_rational(value) -> Fraction:
@@ -61,8 +61,8 @@ def _coerce_rational(value) -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ShapeError(f"cannot use {value!r} as a rational entry") from exc
-    raise ShapeError(f"cannot use {value!r} as a rational entry")
+            raise ShapeError(f"cannot use {_shown(value)} as a rational entry") from exc
+    raise ShapeError(f"cannot use {_shown(value)} as a rational entry")
 
 
 def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMatrix":
@@ -229,7 +229,7 @@ class ExactMatrix:
 
     def __init__(self, kind: str, rows: Iterable[Iterable[Entry]], n_cols: int | None = None):
         if kind not in (GF2, RATIONAL):
-            raise ShapeError(f"unknown scalar kind {kind!r}")
+            raise ShapeError(f"unknown scalar kind {_shown(kind)}")
         coerce = _coerce_gf2 if kind == GF2 else _coerce_rational
         grid = tuple(tuple(coerce(v) for v in row) for row in rows)
         if grid:
@@ -252,7 +252,7 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int, kind: str) -> "ExactMatrix":
         if kind not in (GF2, RATIONAL):
-            raise ShapeError(f"unknown scalar kind {kind!r}")
+            raise ShapeError(f"unknown scalar kind {_shown(kind)}")
         zero, one = (0, 1) if kind == GF2 else (Fraction(0), Fraction(1))
         return _exact(kind, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 

@@ -27,12 +27,15 @@ without changing that witness:
   realization search looks for a tree on any other side.  Every tree is
   checked by ``_fits``: each line must be a path of it, and
   ``_colourings`` solves the signs.  A block whose signs do not fit goes
-  on to the DP for its witness.
+  on to the screens and the DP for its witness.
 
-Removed lines keep their indices.  On each block left, the checker
-expands each order-k minor along its first row over the stored, already
-checked order-(k-1) minors of the other rows, and stops at an order
-with no nonzero minor.
+Removed lines keep their indices.  On each block left, bit masks decide
+orders 2 and 3: a 2x2 violator is a 4-cycle whose entries multiply to
+-1, and with none, a 3x3 one is a 6-cycle whose entries multiply to +1
+(see ``_first_violator``).  On a block of 4 rows and 4 columns or more,
+the checker then expands each order-k minor along its first row over
+the stored order-(k-1) minors of the other rows, tests from order 4, and
+stops at an order with no nonzero minor.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -101,10 +104,10 @@ def is_totally_unimodular(
     and later copies of a line up to sign, splits what is left into the
     blocks of a 1-sum, and certifies every block that scales to a network
     matrix or its transpose; none of this changes the witness (see the
-    module docstring).  The minor DP runs on each remaining block, such
-    as R10, any block with a Fano minor, or a network block whose signs
-    do not match; its cost and memory follow the block's nonzero minors,
-    at worst C(m,k)*C(n,k) of them at order k.
+    module docstring).  Screens and the minor DP run on each remaining
+    block, such as R10, any block with a Fano minor, or a network block
+    whose signs do not match; the DP's cost and memory follow the block's
+    nonzero minors, at worst C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
@@ -360,7 +363,42 @@ def _first_violator(
     rpos: list[int], rneg: list[int], rows: int, cols: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The lexicographically first violator of minimal order inside the
-    block on ``rows`` and ``cols``, in original indices, or None."""
+    block on ``rows`` and ``cols``, in original indices, or None.
+
+    A 2x2 violator is two rows that agree in sign on one column and
+    differ on another.  With none, every 3x3 violator is a 6-cycle (the
+    tests check all 3^9 {0, +-1} matrices): for row supports s1, s2, s3,
+    a column in each of s1&s2&~s3, s1&s3&~s2 and s2&s3&~s1, its six
+    entries multiplying to +1.  Two columns of one mask agree or differ
+    alike on its rows, so all choices violate or none do, and the sorted
+    minima come first.  ``_minor_dp`` decides orders 4 and up.
+    """
+    order = _bits(rows)
+    pos, neg = {i: rpos[i] & cols for i in order}, {i: rneg[i] & cols for i in order}
+    for i, h in combinations(order, 2):
+        same, diff = pos[i] & pos[h] | neg[i] & neg[h], pos[i] & neg[h] | neg[i] & pos[h]
+        if same and diff:  # det = 2 a[i][lo] a[h][hi], hi the first column of the other kind
+            lo = (same | diff) & -(same | diff)
+            hi = diff if same & lo else same
+            hi &= -hi
+            return (i, h), tuple(_bits(lo | hi)), -2 if bool(neg[i] & lo) != bool(neg[h] & hi) else 2
+    sup = {i: pos[i] | neg[i] for i in order}
+    for i, h, g in combinations(order, 3):
+        a, b, c = sup[i] & sup[h] & ~sup[g], sup[i] & sup[g] & ~sup[h], sup[h] & sup[g] & ~sup[i]
+        if a and b and c:
+            a, b, c = a & -a, b & -b, c & -c
+            if not sum((neg[x] & (a | b | c)).bit_count() for x in (i, h, g)) & 1:
+                # det = 2 s a[i][a] a[h][c] a[g][b], s = +1 when a, c, b rotate the sorted columns
+                odd = ((a < c) + (c < b) + (b < a) != 2) + bool(neg[i] & a) + bool(neg[h] & c) + bool(neg[g] & b)
+                return (i, h, g), tuple(_bits(a | b | c)), -2 if odd & 1 else 2
+    return _minor_dp(rpos, rneg, rows, cols) if len(order) > 3 and cols.bit_count() > 3 else None
+
+
+def _minor_dp(
+    rpos: list[int], rneg: list[int], rows: int, cols: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """``_first_violator`` from order 4 on, for a block with no violator of
+    order 2 or 3 and at least 4 rows and 4 columns."""
     # Each row's nonzeros as (column bit, mask of the columns left of it,
     # entry); minors maps a row tuple to {column mask: det} for the nonzero
     # minors of the previous order.  Along the first row, the entry in the
@@ -386,7 +424,7 @@ def _first_violator(
                         key = cs | bit
                         term = -v * d if (cs & lower).bit_count() & 1 else v * d
                         dets[key] = dets.get(key, 0) + term
-            if dets and (max(dets.values()) > 1 or min(dets.values()) < -1):
+            if k > 3 and dets and (max(dets.values()) > 1 or min(dets.values()) < -1):
                 cs, d = min((tuple(_bits(key)), d) for key, d in dets.items() if d > 1 or d < -1)
                 return rs, cs, d
             if k < top:

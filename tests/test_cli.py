@@ -785,6 +785,17 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, text):
         assert len(err.replace(str(path), "")) < 120, err
 
 
+def test_number_past_the_int_digit_limit_exits_2(capsys, tmp_path):
+    # json turns a bare number into an int, which refuses more than 4300
+    # digits with a ValueError; that is a parse error, not a negative verdict
+    path = tmp_path / "doc.json"
+    path.write_text('{"field": "rational", "rows": ["u"], "cols": ["a"], "data": [[1' + "0" * 5000 + ']]}')
+    for command in (("tu", "check"), ("regular", "check")):
+        code, out, err = run(capsys, *command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: not valid JSON: ") and err.count("\n") == 1 and len(err) < 200, err
+
+
 def test_argparse_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -64,6 +64,19 @@ def test_construction_rejects_bad_input():
         assert time.perf_counter() - start < 0.5
 
 
+def test_rejected_entries_are_quoted_by_a_bounded_prefix():
+    # the constructor quotes a value as the document reader does, and a
+    # number whose repr passes the int digit limit still gives ShapeError
+    with pytest.raises(ShapeError) as exc:
+        ExactMatrix(RATIONAL, [["9" * 100_000]])
+    assert str(exc.value) == f"cannot use '{'9' * 40}'... (100000 characters) as a rational entry"
+    with pytest.raises(ShapeError) as exc:
+        ExactMatrix(GF2, [[Fraction(10**5000, 3)]])
+    assert str(exc.value) == "cannot use a Fraction too large to show as a GF(2) entry"
+    with pytest.raises(ShapeError, match="^unknown scalar kind 'real'$"):
+        ExactMatrix("real", [[1]])
+
+
 def test_empty_matrices():
     a = ExactMatrix(RATIONAL, [], n_cols=3)
     assert a.shape == (0, 3)

@@ -188,3 +188,17 @@ def test_tree_signs_are_solved_in_one_place():
                       for node in ast.parse(path.read_text(encoding="utf-8")).body
                       if "_colourings" in loaded_names(node)})
     assert readers == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
+
+
+def test_values_are_quoted_only_through_shown():
+    # a value formatted with !r echoes an input of any size into a message;
+    # errors._shown quotes a bounded prefix, and is the only f-string that
+    # uses !r in the modules that quote user input
+    found = []
+    for name in ("errors.py", "exactmat.py", "documents.py", "cli.py"):
+        tree = ast.parse((ROOT / "src" / "tumat" / name).read_text(encoding="utf-8"))
+        shown = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_shown"
+                 for n in ast.walk(f)}
+        found += [f"src/tumat/{name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.FormattedValue) and n.conversion == ord("r") and id(n) not in shown]
+    assert found == []

@@ -1,8 +1,10 @@
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -26,6 +28,7 @@ from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b
 from tumat.sums import _signs_between
 
 from helpers import (
+    cofactor_det,
     find_tu_signing_bruteforce,
     naive_tu_verdict,
     random_network_matrix,
@@ -679,3 +682,118 @@ def test_tree_realizes_a_path_system_whose_split_meets_two_groups(monkeypatch):
         assert up[a] ^ up[b] == p
         pos[j], neg[j] = up[a] & p, up[b] & p  # up from a, then down to b
     assert tu_module._fits(pos, neg, paths, stars)
+
+
+
+def test_every_3x3_violator_past_order_2_is_a_6_cycle():
+    # the order-3 screen's premise, over all 3^9 {0, +-1} matrices: once
+    # every 2x2 minor lies in {-1, 0, 1}, |det| >= 2 needs two nonzeros in
+    # each row and column, multiplying to +1, and then det is +-2; the
+    # checker returns that witness, or else the first 2x2 violator
+    seen = Counter()
+    for entries in product((0, 1, -1), repeat=9):
+        g = [entries[:3], entries[3:6], entries[6:]]
+        minors = [((r, s), (c, d), g[r][c] * g[s][d] - g[r][d] * g[s][c])
+                  for r, s in combinations(range(3), 2) for c, d in combinations(range(3), 2)]
+        det = sum(g[0][j] * (g[1][(j + 1) % 3] * g[2][(j + 2) % 3] - g[1][(j + 2) % 3] * g[2][(j + 1) % 3])
+                  for j in range(3))
+        got = is_totally_unimodular(ExactMatrix(RATIONAL, g)).witness
+        first = next(((rs, cs, d) for rs, cs, d in minors if abs(d) > 1), None)
+        if first:
+            assert got == first, g
+            seen[2] += 1
+        elif abs(det) > 1:
+            assert all(sum(map(abs, line)) == 2 for line in (*g, *zip(*g))), g
+            assert prod(v for row in g for v in row if v) == 1 and abs(det) == 2, g
+            assert got == ((0, 1, 2), (0, 1, 2), det), g
+            seen[3] += 1
+        else:
+            assert got is None, g
+            seen[0] += 1
+    assert seen[3] == 192 and seen[2] > 5000 and seen[0] > 5000, seen
+
+
+def camion_candidates(monkeypatch, supports):
+    """The matrices ``find_tu_signing`` TU-checks for the GF(2) ``supports``."""
+    candidates = []
+    check = tu_module.is_totally_unimodular
+    monkeypatch.setattr(tu_module, "is_totally_unimodular",
+                        lambda cand, **kw: candidates.append(cand) or check(cand, **kw))
+    for u in supports:
+        find_tu_signing(u)
+    monkeypatch.setattr(tu_module, "is_totally_unimodular", check)
+    return candidates
+
+
+def random_supports(rng, count, max_rows, max_cols):
+    supports = []
+    for _ in range(count):
+        m, n, density = rng.randrange(2, max_rows + 1), rng.randrange(2, max_cols + 1), rng.uniform(0.4, 0.9)
+        supports.append(ExactMatrix(GF2, [[int(rng.random() < density) for _ in range(n)] for _ in range(m)]))
+    return supports
+
+
+def test_screens_match_the_naive_oracle_on_camion_candidates(monkeypatch):
+    seen = Counter()
+    for a in camion_candidates(monkeypatch, random_supports(random.Random(89), 300, 6, 7)):
+        got = is_totally_unimodular(a)
+        assert got == oracle_verdict(a), a.to_lists()
+        seen[len(got.witness[0]) if got.witness else 0] += 1
+    assert seen[2] >= 3 and seen[3] >= 40 and seen[0] >= 150, seen
+
+
+def test_screens_match_the_naive_oracle_on_planted_cycles():
+    # one chordless cycle of order 2 or 3 under TU rows, its own block
+    rng = random.Random(97)
+    seen = Counter()
+    for trial in range(480):
+        k = 2 + trial % 2
+        a, block_rows, block_cols = planted_cycle(rng, k + 1 + rng.randrange(6 - k), k + rng.randrange(8 - k), k)
+        got = is_totally_unimodular(a)
+        assert got == oracle_verdict(a), a.to_lists()
+        assert got.witness[:2] == (block_rows, block_cols)
+        seen[k] += 1
+    assert min(seen[2], seen[3]) >= 200, seen
+
+
+def small_violator(rpos, rneg, rows, cols):
+    """A square submatrix of order 2 or 3 in the block on masks ``rows``
+    and ``cols`` whose determinant leaves {-1, 0, 1}, by cofactor
+    expansion over its +1 masks ``rpos`` and -1 masks ``rneg``; or None."""
+    ii = [i for i in range(len(rpos)) if rows >> i & 1]
+    jj = [j for j in range(cols.bit_length()) if cols >> j & 1]
+    return next(((rs, cs) for k in (2, 3) for rs in combinations(ii, k) for cs in combinations(jj, k)
+                 if abs(cofactor_det([[(rpos[i] >> j & 1) - (rneg[i] >> j & 1) for j in cs] for i in rs])) > 1),
+                None)
+
+
+def test_no_violator_of_order_2_or_3_reaches_the_minor_dp(monkeypatch):
+    # the screens decide orders 2 and 3 in full: the DP after them only
+    # sees blocks whose minimal violators, if any, have order 4 or more
+    rng = random.Random(101)
+    candidates = camion_candidates(monkeypatch, random_supports(rng, 400, 6, 7))
+    planted = [planted_cycle(rng, 6, 7, k)[0] for k in (2, 3, 4, 5) for _ in range(20)]
+    # F7 2-summed with K4 at a path, as in the network leaf test, rows and
+    # columns shuffled: each Camion candidate has an order-3 violator
+    fano_2sum = [[1, 1, 0, 1, 0, 0], [1, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 0],
+                 [0, 1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1]]
+    shuffled = [(rng.sample(range(5), 5), rng.sample(range(6), 6)) for _ in range(40)]
+    fano = camion_candidates(monkeypatch, [ExactMatrix(GF2, [[fano_2sum[i][j] for j in cols] for i in rows])
+                                           for rows, cols in shuffled])
+    reached = Counter()
+    minor_dp = tu_module._minor_dp
+
+    def dp(rpos, rneg, rows, cols):
+        assert small_violator(rpos, rneg, rows, cols) is None
+        got = minor_dp(rpos, rneg, rows, cols)
+        reached[len(got[0]) if got else 0] += 1
+        return got
+
+    monkeypatch.setattr(tu_module, "_minor_dp", dp)
+    for a in candidates:
+        is_totally_unimodular(a)
+    for a in fano:
+        assert len(is_totally_unimodular(a).witness[0]) == 3
+    for a in planted + fano + [find_tu_signing(r10_b().body)]:
+        assert is_totally_unimodular(a) == oracle_verdict(a)
+    assert reached[0] >= 1 and reached[4] >= 20 and reached[5] >= 20, reached
