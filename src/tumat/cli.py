@@ -176,8 +176,8 @@ def cmd_sum(args) -> int:
 
 def cmd_regular_check(args) -> int:
     s = _load_standard_repr(args.input)
-    flag, witness = is_regular(s, tu_limit=_tu_limit(), force=args.force)
-    if not flag:
+    witness = is_regular(s, tu_limit=_tu_limit(), force=args.force)
+    if witness is None:
         print("not regular")
         return EXIT_NEGATIVE
     print("regular")
@@ -214,8 +214,8 @@ def cmd_verify_composition(args) -> int:
     tu_limit = _tu_limit()
     signed = []
     for name, summand in (("left", left), ("right", right)):
-        flag, signing = is_regular(summand, tu_limit=tu_limit, force=args.force)
-        if not flag:
+        signing = is_regular(summand, tu_limit=tu_limit, force=args.force)
+        if signing is None:
             print(f"{name} summand not regular", file=sys.stderr)
             return EXIT_NEGATIVE
         signed.append(signing)

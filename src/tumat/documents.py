@@ -115,8 +115,8 @@ _STANDARD_REPR_KEYS = ("X", "Y", "B")
 _GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatrix) -> str:
-    """``json.dumps(doc, indent=2) + "\n"`` for the document with keys ``field`` and ``names``."""
+def _render(names: tuple[str, str, str], m: LabeledMatrix) -> str:
+    """``json.dumps(doc, indent=2) + "\n"`` for the document of ``m`` with keys ``field`` and ``names``."""
     enc = json.encoder.encode_basestring_ascii
 
     def block(items: list[str], pad: str) -> str:
@@ -126,17 +126,17 @@ def _render(field: str, names: tuple[str, str, str], head, tail, body: ExactMatr
 
     # entry strings are digits, "-" and "/", which JSON writes as they are;
     # a GF(2) row becomes one string of its digits, which join takes apart
-    gf2, sep = body.kind == GF2, '",\n      "'
+    gf2, sep = m.kind == GF2, '",\n      "'
     grid = [
         '[\n      "' + sep.join(bytes(row).translate(_GF2_DIGITS).decode() if gf2 else map(str, row))
         + '"\n    ]' if row else "[]"
-        for row in body.rows
+        for row in m.body.rows
     ]
     h, t, d = names
     return (
-        '{\n  "field": ' + enc(field)
-        + ',\n  "' + h + '": ' + block([enc(x) for x in head], "    ")
-        + ',\n  "' + t + '": ' + block([enc(x) for x in tail], "    ")
+        '{\n  "field": ' + enc(m.kind)
+        + ',\n  "' + h + '": ' + block([enc(x) for x in m.row_labels], "    ")
+        + ',\n  "' + t + '": ' + block([enc(x) for x in m.col_labels], "    ")
         + ',\n  "' + d + '": ' + block(grid, "    ")
         + "\n}\n"
     )
@@ -147,13 +147,12 @@ def _read(obj: dict, names: tuple[str, str, str]):
     h, t, d = names
     _check_keys(obj, {"field", *names})
     kind = _parse_field(obj["field"])
-    head = _parse_labels(obj[h], h)
-    tail = _parse_labels(obj[t], t)
+    head, tail = _parse_labels(obj[h], h), _parse_labels(obj[t], t)
     body = _labeled(head, tail, _parse_grid(kind, obj[d], len(head), len(tail)))
     if names == _MATRIX_KEYS:
         return body
     try:
-        return StandardRepr(head, tail, body)
+        return StandardRepr(body)
     except ShapeError as exc:
         raise DocumentError(str(exc)) from None
 
@@ -163,7 +162,7 @@ def parse_matrix_document(text: str) -> LabeledMatrix:
 
 
 def render_matrix_document(m: LabeledMatrix) -> str:
-    return _render(m.kind, _MATRIX_KEYS, m.row_labels, m.col_labels, m.body)
+    return _render(_MATRIX_KEYS, m)
 
 
 def parse_standard_repr_document(text: str) -> StandardRepr:
@@ -171,7 +170,7 @@ def parse_standard_repr_document(text: str) -> StandardRepr:
 
 
 def render_standard_repr_document(s: StandardRepr) -> str:
-    return _render(s.kind, _STANDARD_REPR_KEYS, s.X, s.Y, s.B.body)
+    return _render(_STANDARD_REPR_KEYS, s.B)
 
 
 def parse_document(text: str):

@@ -74,7 +74,6 @@ def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMat
     m = object.__new__(ExactMatrix)
     m.kind = kind
     m.rows = tuple(map(tuple, rows))
-    m.n_rows = len(m.rows)
     m.n_cols = n_cols
     return m
 
@@ -225,13 +224,16 @@ def _eliminate(kind: str, rows: list, j: int) -> list:
 class ExactMatrix:
     """Immutable exact matrix; ``kind`` is ``"gf2"`` or ``"rational"``."""
 
-    __slots__ = ("kind", "n_rows", "n_cols", "rows")
+    __slots__ = ("kind", "n_cols", "rows")
 
     def __init__(self, kind: str, rows: Iterable[Iterable[Entry]], n_cols: int | None = None):
         if kind not in (GF2, RATIONAL):
             raise ShapeError(f"unknown scalar kind {_shown(kind)}")
         coerce = _coerce_gf2 if kind == GF2 else _coerce_rational
-        grid = tuple(tuple(coerce(v) for v in row) for row in rows)
+        try:
+            grid = tuple(tuple(coerce(v) for v in row) for row in rows)
+        except TypeError:  # the rows, or one of them, is not iterable
+            raise ShapeError(f"rows must be an iterable of rows of entries, got {_shown(rows)}") from None
         if grid:
             width = len(grid[0])
             if any(len(r) != width for r in grid):
@@ -239,13 +241,10 @@ class ExactMatrix:
             if n_cols is not None and n_cols != width:
                 raise ShapeError(f"n_cols={n_cols} but rows have width {width}")
         else:
-            if n_cols is None:
-                n_cols = 0
-            if n_cols < 0:
+            width = n_cols or 0
+            if width < 0:
                 raise ShapeError("negative column count")
-            width = n_cols
         self.kind = kind
-        self.n_rows = len(grid)
         self.n_cols = width
         self.rows = grid
 
@@ -261,12 +260,18 @@ class ExactMatrix:
         return cls(kind, [[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
 
     @property
+    def n_rows(self) -> int:
+        return len(self.rows)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
     def __getitem__(self, pos: tuple[int, int]) -> Entry:
         i, j = pos
-        return self.rows[i][j]
+        if not 0 <= j < self.n_cols:
+            raise ShapeError(f"column {j} out of range")
+        return self.row(i)[j]
 
     def row(self, i: int) -> tuple[Entry, ...]:
         if not 0 <= i < self.n_rows:

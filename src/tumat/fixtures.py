@@ -43,8 +43,7 @@ def fano_b() -> LabeledMatrix:
 
 
 def fano_standard_repr() -> StandardRepr:
-    b = fano_b()
-    return StandardRepr(b.row_labels, b.col_labels, b)
+    return StandardRepr(fano_b())
 
 
 def fano_columns() -> LabeledMatrix:
@@ -61,8 +60,7 @@ def r10_b() -> LabeledMatrix:
 
 
 def r10_standard_repr() -> StandardRepr:
-    b = r10_b()
-    return StandardRepr(b.row_labels, b.col_labels, b)
+    return StandardRepr(r10_b())
 
 
 def incidence_matrix(n_nodes: int, arcs: Sequence[tuple[int, int]]) -> ExactMatrix:

@@ -19,7 +19,7 @@ from itertools import combinations, product
 from operator import or_
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
-from .errors import ShapeError, SizeGuardError
+from .errors import ShapeError, SizeGuardError, _shown
 from .exactmat import GF2, RATIONAL, ExactMatrix, _echelon, _eliminate, gf2_rank_of_ints
 from .exactmat import _exact, _int_rows_rank, _scaled_int_rows, _supports
 from .tu import _support_graph, is_totally_unimodular, spanning_forest
@@ -61,6 +61,8 @@ class LabeledMatrix:
     def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], body: ExactMatrix):
         self.row_labels = _check_labels(row_labels, "row")
         self.col_labels = _check_labels(col_labels, "column")
+        if not isinstance(body, ExactMatrix):
+            raise ShapeError(f"body must be an ExactMatrix, got {_shown(body)}")
         if body.shape != (len(self.row_labels), len(self.col_labels)):
             raise ShapeError(
                 f"body is {body.n_rows}x{body.n_cols} but labels say "

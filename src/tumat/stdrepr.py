@@ -8,7 +8,7 @@ with columns labeled X then Y; the set X is always a base of it.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _exact, _gauss_jordan, from_cols
@@ -30,15 +30,9 @@ class StandardRepr:
 
     __slots__ = ("B",)
 
-    def __init__(self, x_labels: Sequence[Label], y_labels: Sequence[Label], b: LabeledMatrix):
-        x = tuple(x_labels)
-        y = tuple(y_labels)
-        if set(x) & set(y):
+    def __init__(self, b: LabeledMatrix):
+        if not set(b.row_labels).isdisjoint(b.col_labels):
             raise ShapeError("X and Y must be disjoint")
-        if b.row_labels != x:
-            raise ShapeError("B row labels must equal X in order")
-        if b.col_labels != y:
-            raise ShapeError("B column labels must equal Y in order")
         self.B = b
 
     @property
@@ -98,7 +92,7 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     if list(pivots) != cols[: len(x_order)]:
         raise ShapeError("the given label set is not a base of the column matroid")
     b = _exact(rep.kind, [[work[r][j] for j in cols[len(x_order):]] for r in pivots.values()], len(y_order))
-    return StandardRepr(x_order, y_order, _labeled(x_order, y_order, b))
+    return StandardRepr(_labeled(x_order, y_order, b))
 
 
 def standardize_tu(rep: LabeledMatrix, base_labels: Iterable[Label], *, force: bool = False) -> StandardRepr:
@@ -130,7 +124,7 @@ def fundamental_repr(m: FiniteMatroid, base_labels: Iterable[Label]) -> Standard
     for x in x_order:
         rest = g - {x}
         rows.append([1 if m.indep(rest | {y}) else 0 for y in y_order])
-    return StandardRepr(x_order, y_order, _labeled(x_order, y_order, _exact(GF2, rows, len(y_order))))
+    return StandardRepr(_labeled(x_order, y_order, _exact(GF2, rows, len(y_order))))
 
 
 def support(rep: LabeledMatrix) -> LabeledMatrix:
@@ -144,16 +138,13 @@ def is_regular(
     *,
     tu_limit: int = DEFAULT_TU_LIMIT,
     force: bool = False,
-) -> tuple[bool, Optional[LabeledMatrix]]:
-    """Whether the represented binary matroid is regular, with a witness.
+) -> Optional[LabeledMatrix]:
+    """A TU signing of B, labeled like B, or None when there is none.
 
-    Regular means representable over the rationals by a TU matrix, which
-    holds exactly when B has a TU signing; the witness is that signing,
-    labeled like B.
+    The represented binary matroid is regular (representable over the
+    rationals by a TU matrix) exactly when B has a TU signing.
     """
     if s.kind != GF2:
         raise ShapeError("regularity queries take a GF(2) standard representation")
     signing = find_tu_signing(s.B.body, tu_limit=tu_limit, force=force)
-    if signing is None:
-        return (False, None)
-    return (True, _labeled(s.X, s.Y, signing))
+    return None if signing is None else _labeled(s.X, s.Y, signing)

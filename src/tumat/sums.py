@@ -6,10 +6,14 @@ the 3-sum glues along three shared row labels x0, x1, x2 and three
 shared column labels y0, y1, y2 through an invertible 2x2 connector
 block D0, with bottom-left block Dr * D0^-1 * Dl.
 
-Each ``standard_repr_sum_k`` first checks the label-overlap shape
-preconditions (violations raise), then evaluates the validity guards in
-a fixed order and returns an Invalid outcome naming the first failed
-guard.  Valid outcomes carry the assembled standard representation with
+Each ``standard_repr_sum_k`` raises ``ShapeError`` unless both summands
+are GF(2), no row label of one is a column label of the other and, for
+k = 2 or 3, their row and column labels meet in exactly the glue labels.
+It then returns an Invalid outcome naming the first failed validity
+guard: shared row labels (x-overlap), then shared column labels
+(y-overlap) for a 1-sum; a zero r, then a zero c for a 2-sum; the
+guards on ``standard_repr_sum_3``, in order, for a 3-sum.  Valid
+outcomes carry the assembled standard representation with
 a deterministic label order: left-side labels first, then right-side
 labels, each in stored order, glue labels dropped from the side that
 loses them.
@@ -109,7 +113,7 @@ class SumOutcome:
 
     @staticmethod
     def ok(b: LabeledMatrix) -> "SumOutcome":
-        return SumOutcome(StandardRepr(b.row_labels, b.col_labels, b))
+        return SumOutcome(StandardRepr(b))
 
     @staticmethod
     def invalid(reason: str, message: str) -> "SumOutcome":

@@ -195,7 +195,7 @@ def labels(prefix: str, n: int, start: int = 1):
 
 
 def make_repr(x, y, body: ExactMatrix) -> StandardRepr:
-    return StandardRepr(x, y, LabeledMatrix(x, y, body))
+    return StandardRepr(LabeledMatrix(x, y, body))
 
 
 def random_standard_repr(rng: random.Random, n_rows: int, n_cols: int,

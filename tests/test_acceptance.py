@@ -169,9 +169,10 @@ def test_criterion_06_regularity_bridge():
         if nnz > 12:
             continue
         s = make_repr(labels("x", n_rows), labels("y", n_cols), body)
-        flag, witness = is_regular(s)
-        if flag:
-            signed = StandardRepr(s.X, s.Y, witness)
+        witness = is_regular(s)
+        if witness is not None:
+            signed = StandardRepr(witness)
+            assert (signed.X, signed.Y) == (s.X, s.Y)
             assert is_regular_witness(signed.to_full(), s.to_matroid())
         else:
             assert find_tu_signing_bruteforce(s.B.body) is None
@@ -209,9 +210,8 @@ def test_criterion_08_composition_preserves_regularity(monkeypatch):
                                     regular=True)
         right = random_standard_repr(rng, rng.randint(2, 3), rng.randint(2, 3),
                                      x_start=6, y_start=6, regular=True)
-        flag_l, w_l = is_regular(left)
-        flag_r, w_r = is_regular(right)
-        assert flag_l and flag_r
+        w_l, w_r = is_regular(left), is_regular(right)
+        assert w_l is not None and w_r is not None
         outcome = standard_repr_sum_1(left, right)
         assert outcome.valid
         s = outcome.result
@@ -227,9 +227,8 @@ def test_criterion_08_composition_preserves_regularity(monkeypatch):
         outcome = standard_repr_sum_2(left, right, x, y)
         assert outcome.valid
         s = outcome.result
-        flag_l, w_l = is_regular(left)
-        flag_r, w_r = is_regular(right)
-        assert flag_l and flag_r
+        w_l, w_r = is_regular(left), is_regular(right)
+        assert w_l is not None and w_r is not None
         xi = w_l.row_position(x)
         r = w_l.body.row(xi)
         yi = w_r.col_position(y)

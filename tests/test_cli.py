@@ -518,7 +518,8 @@ def assert_witness_represents_sum(out_dir):
     s = parse_standard_repr_document((out_dir / "sum.json").read_text())
     w = parse_matrix_document((out_dir / "witness.json").read_text())
     assert len(s.ground) <= 10
-    assert is_regular_witness(StandardRepr(s.X, s.Y, w).to_full(), s.to_matroid())
+    assert (w.row_labels, w.col_labels) == (s.X, s.Y)
+    assert is_regular_witness(StandardRepr(w).to_full(), s.to_matroid())
 
 
 def test_verify_composition_k3_golden(capsys, tmp_path):

@@ -167,7 +167,7 @@ def test_render_equals_json_dumps_indent_2():
         text = render_matrix_document(lm)
         assert text == json.dumps({"field": kind, "rows": rows, "cols": cols, "data": grid}, indent=2) + "\n"
         assert parse_matrix_document(text) == lm
-        s = StandardRepr(rows, cols, lm)
+        s = StandardRepr(lm)
         text = render_standard_repr_document(s)
         assert text == json.dumps({"field": kind, "X": rows, "Y": cols, "B": grid}, indent=2) + "\n"
         assert render_standard_repr_document(parse_standard_repr_document(text)) == text

@@ -56,6 +56,14 @@ def test_construction_rejects_bad_input():
         ExactMatrix(GF2, [[Fraction(1, 2)]])
     with pytest.raises(ShapeError):
         ExactMatrix(RATIONAL, [[1.5]])
+    # rows that are not iterable are a broken precondition, not a TypeError
+    with pytest.raises(ShapeError, match=r"^rows must be an iterable of rows of entries, got \[1, 0\]$"):
+        ExactMatrix(GF2, [1, 0])
+    with pytest.raises(ShapeError, match="^rows must be an iterable of rows of entries, got 5$"):
+        ExactMatrix(GF2, 5)
+    with pytest.raises(ShapeError) as exc:  # quoted through errors._shown, so bounded
+        ExactMatrix(RATIONAL, [[0] * 10_000, 1])
+    assert str(exc.value).endswith("got '[[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,'... (30005 characters)")
     # an exponent names a huge number in a few bytes: refused before Fraction expands it
     for s in ("1e5000000", "2E-5000000", "1.5e3"):
         start = time.perf_counter()
@@ -106,6 +114,23 @@ def test_indexing_and_views():
         a.row(2)
     with pytest.raises(ShapeError):
         a.col(-1)
+
+
+@pytest.mark.parametrize("pos, message", [
+    ((0, -1), "column -1 out of range"), ((0, 3), "column 3 out of range"),
+    ((-1, 0), "row -1 out of range"), ((2, 0), "row 2 out of range"),
+])
+def test_indexing_checks_both_indices_as_row_and_col_do(pos, message):
+    # a negative index would otherwise count from the end
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        ExactMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6]])[pos]
+
+
+def test_row_count_is_read_off_the_rows():
+    a = ExactMatrix(GF2, [[1, 0], [0, 1], [1, 1]])
+    assert a.n_rows == len(a.rows) == 3 and a.transpose().n_rows == 2
+    with pytest.raises(AttributeError):
+        a.n_rows = 4
 
 
 def test_equality_and_hash():

@@ -2,8 +2,9 @@
 every private module-level helper and every function parameter of the
 package.
 
-The result types store each deciding fact once: ``TuVerdict`` its
-witness, ``AxiomReport`` its counterexamples, ``StandardRepr`` its B.
+The result types store each deciding fact once and are built from it:
+``TuVerdict`` its witness, ``AxiomReport`` its counterexamples,
+``StandardRepr`` its B; an ``ExactMatrix`` reads its row count off its rows.
 
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
@@ -11,10 +12,11 @@ a name listed in a module's ``__all__`` counts as used.
 """
 
 import ast
+import inspect
 import pathlib
 from dataclasses import fields
 
-from tumat import AxiomReport, StandardRepr, TuVerdict
+from tumat import AxiomReport, ExactMatrix, StandardRepr, TuVerdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -135,10 +137,14 @@ def test_no_unused_parameters():
 def test_each_result_stores_its_deciding_fact_once():
     # a verdict's flag is read off its witness, an axiom report's flags off
     # its counterexamples, and a standard representation's labels off B, so
-    # no two stored copies of one fact can disagree
+    # no two stored copies of one fact can disagree; a standard
+    # representation is built from B alone, so no caller states its labels
+    # twice, and a matrix's row count is the length of its rows
     assert [f.name for f in fields(TuVerdict)] == ["witness"]
     assert [f.name for f in fields(AxiomReport) if f.name.endswith("_ok")] == []
     assert StandardRepr.__slots__ == ("B",)
+    assert list(inspect.signature(StandardRepr.__init__).parameters) == ["self", "b"]
+    assert "n_rows" not in ExactMatrix.__slots__
 
 
 def test_every_slot_is_read():

@@ -51,6 +51,8 @@ def test_labeled_matrix_validation():
         lm(["r"], ["c"], GF2, [[1, 0]])
     with pytest.raises(ShapeError, match="^body is 1x2 but labels say 1x1$"):
         LabeledMatrix(["r"], ["c"], ExactMatrix(GF2, [[1, 0]]))
+    with pytest.raises(ShapeError, match=r"^body must be an ExactMatrix, got \[\[1\]\]$"):
+        LabeledMatrix(["a"], ["b"], [[1]])
 
 
 def test_labeled_matrix_access():

@@ -34,13 +34,11 @@ from helpers import (
 
 
 def test_standard_repr_validation():
-    b = LabeledMatrix(["x1"], ["y1"], ExactMatrix(GF2, [[1]]))
-    with pytest.raises(ShapeError):
-        StandardRepr(["x1"], ["x1"], b)
-    with pytest.raises(ShapeError):
-        StandardRepr(["x2"], ["y1"], b)
-    with pytest.raises(ShapeError):
-        StandardRepr(["x1"], ["y2"], b)
+    # X and Y are B's labels, so the one rule left is that they are disjoint
+    with pytest.raises(ShapeError, match="X and Y must be disjoint"):
+        StandardRepr(LabeledMatrix(["x1", "x2"], ["y1", "x2"], ExactMatrix(GF2, [[1, 0], [0, 1]])))
+    s = StandardRepr(LabeledMatrix(["x1", "x2"], ["y1"], ExactMatrix(GF2, [[1], [0]])))
+    assert (s.X, s.Y) == (("x1", "x2"), ("y1",))
 
 
 def test_to_full_layout():
@@ -162,11 +160,9 @@ def test_support():
 
 
 def test_is_regular_fano_and_r10():
-    flag, witness = is_regular(fano_standard_repr())
-    assert flag is False and witness is None
+    assert is_regular(fano_standard_repr()) is None
     r10 = r10_standard_repr()
-    flag, witness = is_regular(r10)
-    assert flag is True
+    witness = is_regular(r10)
     assert witness.row_labels == r10.X and witness.col_labels == r10.Y
     assert is_tu_signing_of(witness.body, r10.B.body)
     with pytest.raises(ShapeError):
@@ -175,8 +171,8 @@ def test_is_regular_fano_and_r10():
 
 def test_is_regular_witness():
     r10 = r10_standard_repr()
-    flag, witness = is_regular(r10)
-    assert flag
+    witness = is_regular(r10)
+    assert witness is not None
     eye = ExactMatrix.identity(5, RATIONAL)
     full = LabeledMatrix(r10.X, r10.ground, from_cols(eye, witness.body))
     assert is_regular_witness(full, r10.to_matroid())

@@ -793,7 +793,7 @@ def block_rule_corpus(rng):
     sums += [(left, right, glue) for left, right, glue, _ in sum3_corpus(per_unit=9)]
     while len(sums) < 300:
         left, right = random_valid_sum3_pair(rng, rng.choice(UNIT_D0S), max_rest=3)
-        if is_regular(left)[0] and is_regular(right)[0]:
+        if is_regular(left) is not None and is_regular(right) is not None:
             sums.append((left, right, Sum3Labels(*SUM3_LABELS)))
     return sums
 
@@ -829,7 +829,7 @@ def test_block_rule_never_certifies_what_a_whole_witness_tu_check_rejects():
     seen = Counter()
     for left, right, glue in block_rule_corpus(rng):
         s = compose(left, right, glue).result
-        signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+        signed_left, signed_right = is_regular(left), is_regular(right)
         w = sign_composition(signed_left, signed_right, glue)
         assert certifies_sum(w, s.B, signed_left, signed_right, glue), (left, right, glue)
         assert is_tu_signing_of(w.body, s.B.body, force=True)
@@ -847,7 +847,7 @@ def test_block_rule_reads_the_witness_not_the_sums_b():
     left, right, x, y = random_sum2_pair(random.Random(5))
     apart = make_repr([u + "r" for u in right.X], [v + "r" for v in right.Y], right.B.body)
     for right, glue in ((right, (x, y)), (apart, None)):
-        signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+        signed_left, signed_right = is_regular(left), is_regular(right)
         s = compose(left, right, glue).result
         w = sign_composition(signed_left, signed_right, glue)
         assert certifies_sum(w, s.B, signed_left, signed_right, glue)
@@ -873,7 +873,7 @@ def test_block_rule_wants_the_canonical_connector():
     # negating row x0 keeps W a TU signing of B, but its connector leaves the
     # canonical form that sign_composition writes, and the rule refuses it
     left, right, glue, _ = sum3_corpus(per_unit=1)[0]
-    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    signed_left, signed_right = is_regular(left), is_regular(right)
     s = compose(left, right, glue).result
     w = sign_composition(signed_left, signed_right, glue)
     i = w.row_position(glue.x0)
@@ -897,7 +897,7 @@ def test_block_rule_refuses_a_singular_connector():
     # zeroing (x0, y0) in W and B alike leaves D0 = [[0, 1], [0, 1]] singular,
     # while the bottom-left block keeps rank 2 through column ya
     left, right, glue, _ = next(c for c in sum3_corpus(per_unit=1) if c[3] == ((1, 1), (0, 1)))
-    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    signed_left, signed_right = is_regular(left), is_regular(right)
     s = compose(left, right, glue).result
     w = sign_composition(signed_left, signed_right, glue)
     assert certifies_sum(w, s.B, signed_left, signed_right, glue)
@@ -910,7 +910,7 @@ def test_block_rule_refuses_a_singular_connector():
 def test_block_rule_refuses_a_2_sum_with_zero_bottom_left():
     # a 2-sum's bottom-left block c * r has rank 1; zeroed in W and B alike it has rank 0
     left, right, x, y = random_sum2_pair(random.Random(5))
-    signed_left, signed_right = is_regular(left)[1], is_regular(right)[1]
+    signed_left, signed_right = is_regular(left), is_regular(right)
     s = compose(left, right, (x, y)).result
     w = sign_composition(signed_left, signed_right, (x, y))
     assert certifies_sum(w, s.B, signed_left, signed_right, (x, y))

@@ -797,3 +797,66 @@ def test_no_violator_of_order_2_or_3_reaches_the_minor_dp(monkeypatch):
     for a in planted + fano + [find_tu_signing(r10_b().body)]:
         assert is_totally_unimodular(a) == oracle_verdict(a)
     assert reached[0] >= 1 and reached[4] >= 20 and reached[5] >= 20, reached
+
+
+def network_block(rng):
+    """A random network matrix on 12-21 nodes and 25-44 arcs, or its transpose."""
+    a = random_network_matrix(rng, rng.randint(12, 21), rng.randint(25, 44))
+    return a.transpose() if rng.random() < 0.5 else a
+
+
+def with_line(a, line, as_column):
+    """``a`` with ``line`` appended as its last row, or as its last column."""
+    if as_column:
+        return with_line(a.transpose(), line, False).transpose()
+    return ExactMatrix(RATIONAL, a.to_lists() + [line], n_cols=a.n_cols)
+
+
+def verdict_keeping_extensions(rng, a):
+    """``a`` with lines appended that leave its TU verdict as it is: for rows
+    and for columns a zero line, a unit line and a later copy of a line, equal
+    or negated; and a network block 1-summed after it."""
+    out = [sign_sum_1(a, network_block(rng))]
+    for as_column in (False, True):
+        lines = a.transpose().to_lists() if as_column else a.to_lists()
+        unit = [0] * len(lines[0])
+        unit[rng.randrange(len(unit))] = rng.choice((1, -1))
+        sign = rng.choice((1, -1))
+        copy = [sign * v for v in rng.choice(lines)]
+        out += [with_line(a, line, as_column) for line in ([0] * len(unit), unit, copy)]
+    return out
+
+
+def reported_det_is_recomputed(a, verdict):
+    rows, cols, det = verdict.witness
+    return cofactor_det([[a.rows[i][j] for j in cols] for i in rows]) == det
+
+
+def test_verdicts_are_metamorphic_on_one_sums_of_network_blocks(monkeypatch):
+    # 1-sums of network blocks, half with a planted order-2 or order-3 cycle
+    # block between them: the network leaf and the screens decide all of
+    # them, so nothing reaches the minor DP.  Lines that cannot take part in
+    # a lex-first minimal violator leave the verdict as it is; permuting and
+    # transposing keep TU-ness and the order of a minimal violator
+    monkeypatch.setattr(tu_module, "_minor_dp", refuse_dp)
+    rng = random.Random(103)
+    for trial in range(24):
+        k = (2, 3, 0, 0)[trial % 4]  # the planted violator's order, 0 for none
+        blocks = [network_block(rng), network_block(rng)]
+        if k:
+            blocks.insert(1, planted_cycle(rng, k + 1 + rng.randrange(2), k + rng.randrange(2), k)[0])
+        a = blocks[0]
+        for b in blocks[1:]:
+            a = sign_sum_1(a, b)
+        verdict = is_totally_unimodular(a, force=True)
+        assert verdict.is_tu == (k == 0)
+        if k:
+            assert len(verdict.witness[0]) == k and reported_det_is_recomputed(a, verdict)
+        for b in verdict_keeping_extensions(rng, a):
+            assert is_totally_unimodular(b, force=True) == verdict, a.to_lists()
+        row_order, col_order = rng.sample(range(a.n_rows), a.n_rows), rng.sample(range(a.n_cols), a.n_cols)
+        for b in (a.submatrix(row_order, col_order), a.transpose()):
+            got = is_totally_unimodular(b, force=True)
+            assert got.is_tu == verdict.is_tu, a.to_lists()
+            if k:
+                assert len(got.witness[0]) == k and reported_det_is_recomputed(b, got)
