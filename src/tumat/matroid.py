@@ -47,7 +47,7 @@ def _check_labels(labels: Sequence[Label], what: str) -> tuple[Label, ...]:
     out = tuple(labels)
     for lbl in out:
         if not isinstance(lbl, str) or not lbl:
-            raise ShapeError(f"{what} labels must be nonempty strings, got {lbl!r}")
+            raise ShapeError(f"{what} labels must be nonempty strings, got {_shown(lbl)}")
     if len(set(out)) != len(out):
         raise ShapeError(f"duplicate {what} labels")
     return out
@@ -81,7 +81,7 @@ class LabeledMatrix:
         try:
             return self._row_pos[label]
         except KeyError:
-            raise ShapeError(f"no row labeled {label!r}") from None
+            raise ShapeError(f"no row labeled {_shown(label)}") from None
 
     def col_position(self, label: Label) -> int:
         if self._col_pos is None:
@@ -89,7 +89,7 @@ class LabeledMatrix:
         try:
             return self._col_pos[label]
         except KeyError:
-            raise ShapeError(f"no column labeled {label!r}") from None
+            raise ShapeError(f"no column labeled {_shown(label)}") from None
 
     def entry(self, row_label: Label, col_label: Label):
         return self.body[self.row_position(row_label), self.col_position(col_label)]

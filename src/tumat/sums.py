@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
-from .errors import ShapeError
+from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _gauss_jordan, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
@@ -196,9 +196,9 @@ def standard_repr_sum_2(
     """
     _check_glue(left, right, ({x}, "the glue label x"), ({y}, "the glue label y"))
     if not any(left.B.body.row(left.B.row_position(x))):
-        return SumOutcome.invalid(REASON_ZERO_ROW, f"row {x!r} of the left summand is zero")
+        return SumOutcome.invalid(REASON_ZERO_ROW, f"row {_shown(x)} of the left summand is zero")
     if not any(right.B.body.col(right.B.col_position(y))):
-        return SumOutcome.invalid(REASON_ZERO_COL, f"column {y!r} of the right summand is zero")
+        return SumOutcome.invalid(REASON_ZERO_COL, f"column {_shown(y)} of the right summand is zero")
     return SumOutcome.ok(_assemble(left.B, right.B, (x, y)))
 
 
@@ -230,19 +230,20 @@ def standard_repr_sum_3(
         for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
             if g[i][j] != 1:
                 return SumOutcome.invalid(
-                    REASON_MISSING_ONE, f"{name} summand entry ({labels.xs[i]!r}, {labels.ys[j]!r}) must be 1"
+                    REASON_MISSING_ONE,
+                    f"{name} summand entry ({_shown(labels.xs[i])}, {_shown(labels.ys[j])}) must be 1",
                 )
     for u, e in zip(left.X, left.B.body.col(left.B.col_position(labels.y2))):
         if e and u not in (labels.x0, labels.x1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
-                f"left summand column {labels.y2!r} must be zero at row {u!r}",
+                f"left summand column {_shown(labels.y2)} must be zero at row {_shown(u)}",
             )
     for v, e in zip(right.Y, right.B.body.row(right.B.row_position(labels.x2))):
         if e and v not in (labels.y0, labels.y1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
-                f"right summand row {labels.x2!r} must be zero at column {v!r}",
+                f"right summand row {_shown(labels.x2)} must be zero at column {_shown(v)}",
             )
 
     return SumOutcome.ok(_assemble(left.B, right.B, labels))

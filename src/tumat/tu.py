@@ -26,16 +26,19 @@ without changing that witness:
   tree realizes a side whose lines have two nonzeros each, and a graph
   realization search looks for a tree on any other side.  Every tree is
   checked by ``_fits``: each line must be a path of it, and
-  ``_colourings`` solves the signs.  A block whose signs do not fit goes
-  on to the screens and the DP for its witness.
+  ``_colourings`` solves the signs.
 
-Removed lines keep their indices.  On each block left, bit masks decide
-orders 2 and 3: a 2x2 violator is a 4-cycle whose entries multiply to
--1, and with none, a 3x3 one is a 6-cycle whose entries multiply to +1
-(see ``_first_violator``).  On a block of 4 rows and 4 columns or more,
-the checker then expands each order-k minor along its first row over
-the stored order-(k-1) minors of the other rows, tests from order 4, and
-stops at an order with no nonzero minor.
+Removed lines keep their indices.  Bit masks decide orders 2 and 3: a
+2x2 violator is a 4-cycle whose entries multiply to -1, and with none, a
+3x3 one is a 6-cycle whose entries multiply to +1 (``_first_violator``).
+A block whose shorter side has at most 8 lines meets these screens
+first, on that side (a matrix and its transpose share the orders of
+their violators) and row-wise on a hit; with none, fewer than 4 rows or
+columns leave it TU.  Every other block meets the network leaf, a longer
+one before its screens, which would cost the cube of its side.  The rest
+go to a DP that expands each order-k minor along its first row over the
+stored order-(k-1) minors of the other rows, from order 4, and stops at
+an order with no nonzero minor.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -52,7 +55,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import ShapeError, SizeGuardError
+from .errors import ShapeError, SizeGuardError, _shown
 from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _exact
 
 DEFAULT_TU_LIMIT = 8
@@ -102,12 +105,12 @@ def is_totally_unimodular(
 
     After the scan, a polynomial pre-pass drops zero lines, unit lines
     and later copies of a line up to sign, splits what is left into the
-    blocks of a 1-sum, and certifies every block that scales to a network
-    matrix or its transpose; none of this changes the witness (see the
-    module docstring).  Screens and the minor DP run on each remaining
-    block, such as R10, any block with a Fano minor, or a network block
-    whose signs do not match; the DP's cost and memory follow the block's
-    nonzero minors, at worst C(m,k)*C(n,k) of them at order k.
+    blocks of a 1-sum, none of which changes the witness (see the module
+    docstring).  Each block then meets the order-2/3 screens and the
+    network leaf, the cheaper first, and the minor DP only when both miss,
+    as on R10 or a network block whose signs do not match; the DP's cost
+    and memory follow the block's nonzero minors, at worst
+    C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
@@ -137,16 +140,29 @@ def is_totally_unimodular(
         if (kept_rows, kept_cols) == (rows, cols):
             break
         rows, cols = kept_rows, kept_cols
-    witnesses = [
-        witness
-        for block_rows, block_cols in _blocks(rpos, rneg, cpos, cneg, rows, cols)
-        if not _is_network_matrix(rpos, rneg, cpos, cneg, block_rows, block_cols)
-        and (witness := _first_violator(rpos, rneg, block_rows, block_cols))
-    ]
+    blocks = _blocks(rpos, rneg, cpos, cneg, rows, cols)
+    witnesses = [w for r, c in blocks if (w := _block_violator(rpos, rneg, cpos, cneg, r, c))]
     if not witnesses:
         return TuVerdict()
     rs, cs, d = min(witnesses, key=lambda w: (len(w[0]), w[0], w[1]))
     return TuVerdict((rs, cs, Fraction(d)))
+
+
+def _block_violator(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The block's lexicographically first violator of minimal order, or
+    None, found by the cheapest exact test first (see the module docstring)."""
+    short = min(rows.bit_count(), cols.bit_count())
+    if short > 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
+        return None
+    if (short > 8 or rows.bit_count() == short or _first_violator(cpos, cneg, cols, rows)) and (
+        witness := _first_violator(rpos, rneg, rows, cols)
+    ):
+        return witness
+    if short < 4 or short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
+        return None
+    return _minor_dp(rpos, rneg, rows, cols)
 
 
 def _bits(mask: int) -> list[int]:
@@ -362,7 +378,7 @@ def _colourings(nodes: int, rules: list[tuple[int, int]]) -> Optional[int]:
 def _first_violator(
     rpos: list[int], rneg: list[int], rows: int, cols: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """The lexicographically first violator of minimal order inside the
+    """The lexicographically first violator of order 2 or 3 inside the
     block on ``rows`` and ``cols``, in original indices, or None.
 
     A 2x2 violator is two rows that agree in sign on one column and
@@ -371,7 +387,7 @@ def _first_violator(
     a column in each of s1&s2&~s3, s1&s3&~s2 and s2&s3&~s1, its six
     entries multiplying to +1.  Two columns of one mask agree or differ
     alike on its rows, so all choices violate or none do, and the sorted
-    minima come first.  ``_minor_dp`` decides orders 4 and up.
+    minima come first.
     """
     order = _bits(rows)
     pos, neg = {i: rpos[i] & cols for i in order}, {i: rneg[i] & cols for i in order}
@@ -387,17 +403,17 @@ def _first_violator(
         a, b, c = sup[i] & sup[h] & ~sup[g], sup[i] & sup[g] & ~sup[h], sup[h] & sup[g] & ~sup[i]
         if a and b and c:
             a, b, c = a & -a, b & -b, c & -c
-            if not sum((neg[x] & (a | b | c)).bit_count() for x in (i, h, g)) & 1:
+            if not ((neg[i] ^ neg[h] ^ neg[g]) & (a | b | c)).bit_count() & 1:
                 # det = 2 s a[i][a] a[h][c] a[g][b], s = +1 when a, c, b rotate the sorted columns
                 odd = ((a < c) + (c < b) + (b < a) != 2) + bool(neg[i] & a) + bool(neg[h] & c) + bool(neg[g] & b)
                 return (i, h, g), tuple(_bits(a | b | c)), -2 if odd & 1 else 2
-    return _minor_dp(rpos, rneg, rows, cols) if len(order) > 3 and cols.bit_count() > 3 else None
+    return None
 
 
 def _minor_dp(
     rpos: list[int], rneg: list[int], rows: int, cols: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
-    """``_first_violator`` from order 4 on, for a block with no violator of
+    """The first violator from order 4 on, for a block with no violator of
     order 2 or 3 and at least 4 rows and 4 columns."""
     # Each row's nonzeros as (column bit, mask of the columns left of it,
     # entry); minors maps a row tuple to {column mask: det} for the nonzero
@@ -468,7 +484,7 @@ def scale_rows_cols(
         raise ShapeError("sign vector lengths must match the matrix shape")
     for s in (*row_signs, *col_signs):
         if s != 1 and s != -1:
-            raise ShapeError(f"sign must be +1 or -1, got {s!r}")
+            raise ShapeError(f"sign must be +1 or -1, got {_shown(s)}")
     rows = [
         [x if rs == cs else -x for x, cs in zip(row, col_signs)]
         for row, rs in zip(a.rows, row_signs)
@@ -524,13 +540,14 @@ def find_tu_signing(
     then added in the forest's discovery order.  One breadth-first pass
     from each new vertex c's parent, over the vertices added before c,
     signs c's edge to each neighbour w so that c closes a cycle summing
-    to 0 mod 4 with the pass's path to w from the last neighbour on it.
-    That path is a shortest one with no neighbour of c inside, so the
-    cycle is chordless in the whole support graph, and every chordless
-    cycle of a TU matrix sums to 0 mod 4.  Each sign is forced: by
-    Camion's theorem a TU signing is unique up to row/column scaling,
-    hence unique once the forest is +1, and the propagated matrix is that
-    signing whenever one exists.  One TU check decides.
+    to 0 mod 4 with the pass's path to w from the last neighbour on it,
+    and stops once every such w is signed.  That path is a shortest one
+    with no neighbour of c inside, so the cycle is chordless in the whole
+    support graph, and every chordless cycle of a TU matrix sums to 0 mod
+    4.  Each sign is forced: by Camion's theorem a TU signing is unique up
+    to row/column scaling, hence unique once the forest is +1, and the
+    propagated matrix is that signing whenever one exists.  One TU check
+    decides.
     """
     if u.kind != GF2:
         raise ShapeError("the signing search takes a GF(2) matrix")
@@ -540,19 +557,23 @@ def find_tu_signing(
     seen = [False] * (m + n)
     for p, c in spanning_forest(adj):
         seen[p] = True
-        near = set(adj[c])
+        near = {w for w in adj[c] if seen[w]}
+        left = len(near) - 1  # edges from c to seen vertices, less p's, still unsigned
         at_c = sign[c]
         at_c[p] = sign[p][c] = 1
         # path sums over seen vertices from the last neighbour of c passed
         total = {p: 1}
         queue = [p]
         for v in queue:  # breadth first: the loop reaches what it appends
+            if not left:
+                break
             at_v = sign[v]
             for w in adj[v]:
                 if seen[w] and w not in total:
                     t = total[v] + at_v[w]
                     if w in near:
                         t = at_c[w] = sign[w][c] = 1 if t % 4 == 3 else -1
+                        left -= 1
                     total[w] = t
                     queue.append(w)
         seen[c] = True

@@ -16,7 +16,10 @@ import inspect
 import pathlib
 from dataclasses import fields
 
-from tumat import AxiomReport, ExactMatrix, StandardRepr, TuVerdict
+import pytest
+
+from tumat import GF2, AxiomReport, ExactMatrix, LabeledMatrix, ShapeError, StandardRepr, TuVerdict
+from tumat.sums import REASON_ZERO_ROW, standard_repr_sum_2
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -199,12 +202,33 @@ def test_tree_signs_are_solved_in_one_place():
 def test_values_are_quoted_only_through_shown():
     # a value formatted with !r echoes an input of any size into a message;
     # errors._shown quotes a bounded prefix, and is the only f-string that
-    # uses !r in the modules that quote user input
+    # uses !r in the package
     found = []
-    for name in ("errors.py", "exactmat.py", "documents.py", "cli.py"):
-        tree = ast.parse((ROOT / "src" / "tumat" / name).read_text(encoding="utf-8"))
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         shown = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_shown"
                  for n in ast.walk(f)}
-        found += [f"src/tumat/{name}:{n.lineno}" for n in ast.walk(tree)
+        found += [f"{path.relative_to(ROOT)}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.FormattedValue) and n.conversion == ord("r") and id(n) not in shown]
     assert found == []
+
+
+def test_a_huge_label_gives_a_short_message():
+    huge = "x" * 100_000
+    m = LabeledMatrix(["r"], ["c"], ExactMatrix(GF2, [[1]]))
+    messages = []
+    for call in (lambda: m.entry(huge, "c"), lambda: m.entry("r", huge),
+                 lambda: LabeledMatrix([[0] * 100_000], ["c"], ExactMatrix(GF2, [[1]]))):
+        with pytest.raises(ShapeError) as info:
+            call()
+        messages.append(str(info.value))
+    # a 2-sum glued at the huge row label, whose row in the left summand is zero
+    left = StandardRepr(LabeledMatrix(["x1", huge], ["y1", "y2"], ExactMatrix(GF2, [[1, 1], [0, 0]])))
+    right = StandardRepr(LabeledMatrix([huge, "x3"], ["y2", "y3"], ExactMatrix(GF2, [[1, 0], [1, 1]])))
+    out = standard_repr_sum_2(left, right, huge, "y2")
+    assert out.reason == REASON_ZERO_ROW
+    messages.append(out.message)
+    assert all(len(message) < 200 for message in messages), [len(message) for message in messages]
+    assert messages[0] == f"no row labeled {'x' * 40!r}... (100000 characters)"
