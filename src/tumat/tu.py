@@ -27,6 +27,16 @@ without changing that witness:
   realization search looks for a tree on any other side.  Every tree is
   checked by ``_fits``: each line must be a path of it, and
   ``_colourings`` solves the signs.
+- Seymour builds every regular matroid from graphic, cographic and R10
+  pieces.  R10's 162 bases give two 5x5 supports up to line order: (a)
+  three nonzeros in each line, the zeros one 10-cycle; (b) one full row
+  and one full column, the other 4x4 one 8-cycle.  Each has a TU signing,
+  so by Camion a signing of it is TU exactly when each chordless cycle of
+  its support graph sums to 0 mod 4.  Those are 4- and 6-cycles in (a)
+  and 4-cycles and the 8-cycle in (b) (the tests check all 162 bases);
+  each 8-cycle entry is the product of the other three of its 4-cycle
+  through the full lines, so the 8-cycle passes when those do.  Past the
+  screens below, a block of either support is TU (``_is_r10``).
 
 Removed lines keep their indices.  Bit masks decide orders 2 and 3: a
 2x2 violator is a 4-cycle whose entries multiply to -1, and with none, a
@@ -34,11 +44,12 @@ Removed lines keep their indices.  Bit masks decide orders 2 and 3: a
 A block whose shorter side has at most 8 lines meets these screens
 first, on that side (a matrix and its transpose share the orders of
 their violators) and row-wise on a hit; with none, fewer than 4 rows or
-columns leave it TU.  Every other block meets the network leaf, a longer
-one before its screens, which would cost the cube of its side.  The rest
-go to a DP that expands each order-k minor along its first row over the
-stored order-(k-1) minors of the other rows, from order 4, and stops at
-an order with no nonzero minor.
+columns leave it TU.  Every other block meets the R10 leaf, then the
+network leaf, which a longer one meets before its screens, as those
+would cost the cube of its side.  The rest go to a DP that expands each
+order-k minor along its first row over the stored order-(k-1) minors of
+the other rows, from order 4, and stops at an order with no nonzero
+minor.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -106,40 +117,44 @@ def is_totally_unimodular(
     After the scan, a polynomial pre-pass drops zero lines, unit lines
     and later copies of a line up to sign, splits what is left into the
     blocks of a 1-sum, none of which changes the witness (see the module
-    docstring).  Each block then meets the order-2/3 screens and the
-    network leaf, the cheaper first, and the minor DP only when both miss,
-    as on R10 or a network block whose signs do not match; the DP's cost
-    and memory follow the block's nonzero minors, at worst
+    docstring).  Each block then meets the order-2/3 screens and the R10
+    and network leaves, the cheaper first, and the minor DP only when all
+    miss, as on a block no tree realizes or whose signs do not match; the
+    DP's cost and memory follow the block's nonzero minors, at worst
     C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
     m, n = a.shape
-    # +1 and -1 positions of each row (column bits) and column (row bits)
+    # +1 and -1 positions of each row (column bits) and column (row bits);
+    # the shared sign Fractions are told apart by identity, others compared
     rpos, rneg, cpos, cneg = [0] * m, [0] * m, [0] * n, [0] * n
+    zero, one, minus = _SIGNS[0], _SIGNS[1], _SIGNS[-1]
     for i in range(m):
         row = a.rows[i]
         for j in range(n):
             v = row[j]
-            if v:
-                if v == 1:
-                    rpos[i] |= 1 << j
-                    cpos[j] |= 1 << i
-                elif v == -1:
-                    rneg[i] |= 1 << j
-                    cneg[j] |= 1 << i
-                else:
-                    return TuVerdict(((i,), (j,), Fraction(v)))
+            if v is zero:
+                continue
+            if v is one or v is not minus and v == 1:
+                rpos[i] |= 1 << j
+                cpos[j] |= 1 << i
+            elif v is minus or v == -1:
+                rneg[i] |= 1 << j
+                cneg[j] |= 1 << i
+            elif v:
+                return TuVerdict(((i,), (j,), Fraction(v)))
     if min(m, n) > limit and not force:
         raise SizeGuardError(f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit})")
-    # drop zero, unit and repeated lines until every line left is needed
+    # drop zero, unit and repeated lines until every line left is needed;
+    # once the column pass keeps every column, the row pass would too
     rows, cols = (1 << m) - 1, (1 << n) - 1
     while True:
-        kept_rows = _distinct_lines(rpos, rneg, rows, cols)
-        kept_cols = _distinct_lines(cpos, cneg, cols, kept_rows)
-        if (kept_rows, kept_cols) == (rows, cols):
+        rows = _distinct_lines(rpos, rneg, rows, cols)
+        kept_cols = _distinct_lines(cpos, cneg, cols, rows)
+        if kept_cols == cols:
             break
-        rows, cols = kept_rows, kept_cols
+        cols = kept_cols
     blocks = _blocks(rpos, rneg, cpos, cneg, rows, cols)
     witnesses = [w for r, c in blocks if (w := _block_violator(rpos, rneg, cpos, cneg, r, c))]
     if not witnesses:
@@ -160,7 +175,9 @@ def _block_violator(
         witness := _first_violator(rpos, rneg, rows, cols)
     ):
         return witness
-    if short < 4 or short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
+    if short < 4 or _is_r10(rpos, rneg, cpos, cneg, rows, cols) or (
+        short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols)
+    ):
         return None
     return _minor_dp(rpos, rneg, rows, cols)
 
@@ -216,6 +233,22 @@ def _blocks(
         rows &= ~block_rows
         cols &= ~block_cols
     return blocks
+
+
+def _is_r10(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> bool:
+    """Whether the block on ``rows`` and ``cols`` has one of R10's two
+    supports, and so is TU past the screens (see the module docstring): 5x5,
+    rows of distinct supports, 3 nonzeros each or one full row, and the same
+    counts on the columns.  Distinct supports rule out zeros on a 4-cycle
+    and a 6-cycle in (a), and two 4-cycles in place of (b)'s 8-cycle."""
+    if rows.bit_count() != 5 or cols.bit_count() != 5:
+        return False
+    sups = {(rpos[i] | rneg[i]) & cols for i in _bits(rows)}  # a repeat leaves 4
+    counts = sorted(map(int.bit_count, sups))
+    return counts in ([3, 3, 3, 3, 3], [3, 3, 3, 3, 5]) and counts == sorted(
+        ((cpos[j] | cneg[j]) & rows).bit_count() for j in _bits(cols))
 
 
 def _is_network_matrix(

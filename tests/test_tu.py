@@ -23,8 +23,10 @@ from tumat import (
     is_tu_signing_of,
     scale_rows_cols,
     sign_sum_1,
+    standardize,
+    to_matroid,
 )
-from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b
+from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b, r10_standard_repr
 from tumat.sums import _signs_between
 
 from helpers import (
@@ -442,6 +444,12 @@ FANO_2SUM = [[1, 1, 0, 1, 0, 0], [1, 0, 1, 1, 0, 0], [0, 1, 1, 1, 1, 0],
              [0, 1, 1, 1, 1, 1], [0, 0, 0, 0, 1, 1]]
 
 
+# R10 2-summed with K4 at a path, along R10's last row and K4's first column
+R10_2SUM = [[1, 1, 0, 0, 1, 0, 0], [1, 1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0, 0],
+            [0, 0, 1, 1, 1, 0, 0], [1, 0, 0, 1, 1, 1, 0], [1, 0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 0, 0, 1, 1]]
+
+
 def shuffled_fano_2sums(rng, count):
     """``count`` copies of the ``FANO_2SUM`` support, rows and columns shuffled."""
     shuffled = [(rng.sample(range(5), 5), rng.sample(range(6), 6)) for _ in range(count)]
@@ -546,9 +554,9 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         assert not trees
         star["flipped tu" if got.is_tu else "flipped not tu"] += 1
     assert star["unflipped"] >= 30 and min(star.values()) >= 5, star
-    # neither graphic nor cographic: R10, with no small violator, goes to
-    # the DP after the leaf; blocks with a Fano minor have an order-3
-    # violator, which the screens find before any tree is searched
+    # neither graphic nor cographic: R10, with no small violator, is
+    # certified by its own leaf; blocks with a Fano minor have an order-3
+    # violator, which the screens find; neither searches for a tree
     f7 = ExactMatrix(RATIONAL, fano_b().body.to_lists())
     candidates = []
     check = tu_module.is_totally_unimodular
@@ -560,7 +568,7 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         trees.clear()
         verdict = check(a)
         assert verdict == oracle_verdict(a)
-        assert bool(reached) == verdict.is_tu == bool(trees), a.to_lists()
+        assert not reached and not trees, a.to_lists()
 
 
 def test_network_search_takes_no_stack_frame_per_edge(monkeypatch):
@@ -820,7 +828,10 @@ def test_no_violator_of_order_2_or_3_reaches_the_minor_dp(monkeypatch):
         is_totally_unimodular(a)
     for a in fano:
         assert len(is_totally_unimodular(a).witness[0]) == 3
-    for a in planted + fano + [find_tu_signing(r10_b().body)]:
+    # R10 ⊕2 K4 is TU, yet neither a network matrix nor R10, so the DP
+    # certifies it
+    r10_sum = camion_candidates(monkeypatch, [ExactMatrix(GF2, R10_2SUM)])
+    for a in planted + fano + r10_sum + [find_tu_signing(r10_b().body)]:
         assert is_totally_unimodular(a) == oracle_verdict(a)
     assert reached[0] >= 1 and reached[4] >= 20 and reached[5] >= 20, reached
 
@@ -898,6 +909,142 @@ def test_fano_2sum_candidates_are_decided_before_any_tree_search(monkeypatch):
     for a in candidates:
         got = is_totally_unimodular(a)
         assert got == oracle_verdict(a) and len(got.witness[0]) == 3, a.to_lists()
+
+
+def chordless_cycle_lengths(grid):
+    """The lengths of the chordless cycles of the bipartite support graph
+    of ``grid``, by brute force: each k rows and k columns whose nonzeros
+    there form one cycle through all 2k of them."""
+    m, n = len(grid), len(grid[0])
+    lengths = set()
+    for k in range(2, min(m, n) + 1):
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                near = {("r", i): [("c", j) for j in cs if grid[i][j]] for i in rs}
+                near.update({("c", j): [("r", i) for i in rs if grid[i][j]] for j in cs})
+                if any(len(w) != 2 for w in near.values()):
+                    continue
+                reached, todo = {("r", rs[0])}, [("r", rs[0])]
+                while todo:
+                    for w in near[todo.pop()]:
+                        if w not in reached:
+                            reached.add(w)
+                            todo.append(w)
+                if len(reached) == 2 * k:
+                    lengths.add(2 * k)
+    return lengths
+
+
+def r10_form(grid):
+    """"a" when the 5x5 support of ``grid`` has its zeros on one 10-cycle,
+    "b" when it has one full row and one full column and the rest is one
+    8-cycle, and None otherwise."""
+    if 10 in chordless_cycle_lengths([[not x for x in row] for row in grid]):
+        return "a"
+    full_rows = [i for i, row in enumerate(grid) if all(row)]
+    full_cols = [j for j in range(5) if all(row[j] for row in grid)]
+    if len(full_rows) == len(full_cols) == 1:
+        rest = [[x for j, x in enumerate(row) if j != full_cols[0]] for i, row in enumerate(grid) if i != full_rows[0]]
+        if 8 in chordless_cycle_lengths(rest):
+            return "b"
+    return None
+
+
+def r10_supports():
+    """The support of B at each of R10's 162 bases, as rows of ints."""
+    full = r10_standard_repr().to_full()
+    return [[[int(x) for x in row] for row in standardize(full, base).B.body.to_lists()]
+            for base in to_matroid(full).bases()]
+
+
+def leaf_masks(grid):
+    """``tu._is_r10``'s arguments for the whole of the {0, +-1} ``grid``."""
+    m, n = len(grid), len(grid[0])
+    rpos = [sum(1 << j for j in range(n) if grid[i][j] == 1) for i in range(m)]
+    rneg = [sum(1 << j for j in range(n) if grid[i][j] == -1) for i in range(m)]
+    cpos = [sum(1 << i for i in range(m) if grid[i][j] == 1) for j in range(n)]
+    cneg = [sum(1 << i for i in range(m) if grid[i][j] == -1) for j in range(n)]
+    return rpos, rneg, cpos, cneg, (1 << m) - 1, (1 << n) - 1
+
+
+def sign_classes(grid):
+    """Every signing of the support ``grid`` with its spanning forest at +1,
+    one per class up to scaling rows and columns by signs."""
+    free = [(i, j) for i, row in enumerate(grid) for j, x in enumerate(row) if x]
+    m = len(grid)
+    for p, c in tu_module.spanning_forest(tu_module._support_graph(grid)):
+        free.remove((min(p, c), max(p, c) - m))
+    for signs in product((1, -1), repeat=len(free)):
+        signed = [row[:] for row in grid]
+        for (i, j), s in zip(free, signs):
+            signed[i][j] = s
+        yield signed
+
+
+def test_every_r10_support_is_one_of_two_forms_with_short_chordless_cycles():
+    # the R10 leaf rests on these facts: by Camion a signing of either form
+    # is TU once its 4- and 6-cycles pass the screens and, in form (b), its
+    # one 8-cycle sums to 0 mod 4
+    seen = Counter()
+    for grid in r10_supports():
+        form = r10_form(grid)
+        assert chordless_cycle_lengths(grid) == {"a": {4, 6}, "b": {4, 8}}[form], grid
+        seen[form] += 1
+    assert seen == {"a": 72, "b": 90}
+
+
+def test_r10_tu_signings_are_certified_without_a_tree_or_the_dp(monkeypatch):
+    # the TU signing of each of the 162 supports, rows and columns shuffled
+    # and scaled by random signs
+    monkeypatch.setattr(tu_module, "_tree", refuse("_tree"))
+    monkeypatch.setattr(tu_module, "_minor_dp", refuse("_minor_dp"))
+    rng = random.Random(127)
+    for grid in r10_supports():
+        signing = find_tu_signing(ExactMatrix(GF2, grid))
+        rows, cols = rng.sample(range(5), 5), rng.sample(range(5), 5)
+        a = scale_rows_cols(signing.submatrix(rows, cols), [rng.choice((1, -1)) for _ in range(5)],
+                            [rng.choice((1, -1)) for _ in range(5)])
+        assert is_totally_unimodular(a) == oracle_verdict(a) == TuVerdict(), a.to_lists()
+
+
+def test_r10_leaf_matches_the_naive_oracle_on_every_sign_class(monkeypatch):
+    # by Camion one class is TU, and only the leaf decides it; every other
+    # class has a violator of order 2 or 3, so the screens decide it before
+    # the leaf.  In form (b) no class fails on its 8-cycle alone
+    reached = []
+    minor_dp, tree = tu_module._minor_dp, tu_module._tree
+    monkeypatch.setattr(tu_module, "_minor_dp", lambda *args: reached.append("dp") or minor_dp(*args))
+    monkeypatch.setattr(tu_module, "_tree", lambda *args: reached.append("tree") or tree(*args))
+    circulant = [[int(x) for x in row] for row in r10_b().body.to_lists()]
+    full_row = next(grid for grid in r10_supports() if r10_form(grid) == "b")
+    for grid, count in ((circulant, 64), (full_row, 256)):
+        seen = Counter()
+        for signed in sign_classes(grid):
+            reached.clear()
+            a = ExactMatrix(RATIONAL, signed)
+            got = is_totally_unimodular(a)
+            assert got == oracle_verdict(a) and not reached, signed
+            seen[len(got.witness[0]) if got.witness else 0] += 1
+            if got.is_tu:
+                assert tu_module._is_r10(*leaf_masks(signed))
+        assert sum(seen.values()) == count and seen[0] == 1 and set(seen) <= {0, 2, 3}, seen
+
+
+def test_r10_leaf_refuses_near_misses():
+    # a 4-cycle and a 6-cycle of zeros; two 4-cycles beside the full row and
+    # column; and a full row with no full column.  Each has the right number
+    # of nonzeros in its rows, and is not R10, so no signing is certified
+    near_misses = [
+        [[0, 0, 1, 1, 1], [0, 0, 1, 1, 1], [1, 1, 0, 0, 1], [1, 1, 1, 0, 0], [1, 1, 0, 1, 0]],
+        [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 1, 0, 0], [1, 0, 0, 1, 1], [1, 0, 0, 1, 1]],
+        [[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 1, 0, 1, 0], [0, 0, 1, 1, 1], [0, 1, 0, 1, 1]],
+    ]
+    for grid in near_misses:
+        assert r10_form(grid) is None
+        for signed in sign_classes(grid):
+            assert not tu_module._is_r10(*leaf_masks(signed)), signed
+            a = ExactMatrix(RATIONAL, signed)
+            assert is_totally_unimodular(a) == oracle_verdict(a), signed
 
 
 def test_blocks_of_fewer_than_4_rows_or_columns_skip_the_network_leaf(monkeypatch):
