@@ -2,12 +2,12 @@
 
 Exit codes: 0 on success or a positive verdict, 1 on a negative verdict
 (not TU, no signing, not regular, not equal, Invalid sum), 2 on parse or
-shape errors, 3 when a size guard trips.  Guards can be lifted with
-``--force`` or widened with the environment variables TUMAT_TU_LIMIT
-(every TU check) and TUMAT_EQ_LIMIT (``matroid eq`` only, and there only
-the base comparison of matroids not known to be binary).  ``verify
-composition`` TU-checks its two summands only: the sum's witness is
-certified by its blocks (``tumat.sums.certifies_sum``).
+shape errors, 3 when a size guard trips.  Each guard is a module
+constant (``tumat.tu.DEFAULT_TU_LIMIT`` for every TU check,
+``tumat.matroid.DEFAULT_EQ_LIMIT`` for ``matroid eq``'s base comparison
+of matroids not known to be binary), and ``--force`` lifts every guard.
+``verify composition`` TU-checks its two summands only: the sum's witness
+is certified by its blocks (``tumat.sums.certifies_sum``).
 
 Each command line is parsed by its command's own parser, which its
 leading words pick.  Usage errors read as the nested parse writes them:
@@ -32,39 +32,17 @@ from .documents import (
     render_matrix_document,
     render_standard_repr_document,
 )
-from .errors import ShapeError, SizeGuardError, _shown
+from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2
 from .matroid import DEFAULT_EQ_LIMIT, LabeledMatrix, _labeled, matroids_equal, to_matroid
 from .stdrepr import StandardRepr, is_regular
 from .sums import Sum3Labels, certifies_sum, compose, sign_composition
-from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
+from .tu import find_tu_signing, is_totally_unimodular
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_GUARD = 3
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise DocumentError(f"environment variable {name} must be an integer, got {_shown(raw)}")
-    if value < 0:
-        raise DocumentError(f"environment variable {name} must not be negative, got {_shown(raw)}")
-    return value
-
-
-def _tu_limit() -> int:
-    return _env_int("TUMAT_TU_LIMIT", DEFAULT_TU_LIMIT)
-
-
-def _eq_limit(force: bool) -> float:
-    limit = _env_int("TUMAT_EQ_LIMIT", DEFAULT_EQ_LIMIT)
-    return math.inf if force else limit
 
 
 def _read(path: str) -> str:
@@ -122,7 +100,7 @@ def _fmt_labels(labels) -> str:
 
 def cmd_tu_check(args) -> int:
     m = _load_matrix(args.input)
-    verdict = is_totally_unimodular(m.body, limit=_tu_limit(), force=args.force)
+    verdict = is_totally_unimodular(m.body, force=args.force)
     if verdict.is_tu:
         print("TU")
         return EXIT_OK
@@ -141,7 +119,7 @@ def cmd_tu_sign(args) -> int:
     m = _load_matrix(args.input)
     if m.kind != GF2:
         raise ShapeError("tu sign takes a GF(2) document")
-    signing = find_tu_signing(m.body, tu_limit=_tu_limit(), force=args.force)
+    signing = find_tu_signing(m.body, force=args.force)
     if signing is None:
         print("no TU signing", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -176,7 +154,7 @@ def cmd_sum(args) -> int:
 
 def cmd_regular_check(args) -> int:
     s = _load_standard_repr(args.input)
-    witness = is_regular(s, tu_limit=_tu_limit(), force=args.force)
+    witness = is_regular(s, force=args.force)
     if witness is None:
         print("not regular")
         return EXIT_NEGATIVE
@@ -200,7 +178,7 @@ def cmd_matroid_info(args) -> int:
 def cmd_matroid_eq(args) -> int:
     left = to_matroid(_load_matrix(args.left))
     right = to_matroid(_load_matrix(args.right))
-    if matroids_equal(left, right, limit=_eq_limit(args.force)):
+    if matroids_equal(left, right, limit=math.inf if args.force else DEFAULT_EQ_LIMIT):
         print("equal")
         return EXIT_OK
     print("not equal")
@@ -211,10 +189,9 @@ def cmd_verify_composition(args) -> int:
     left = _load_standard_repr(args.left)
     right = _load_standard_repr(args.right)
     glue = _glue(args)
-    tu_limit = _tu_limit()
     signed = []
     for name, summand in (("left", left), ("right", right)):
-        signing = is_regular(summand, tu_limit=tu_limit, force=args.force)
+        signing = is_regular(summand, force=args.force)
         if signing is None:
             print(f"{name} summand not regular", file=sys.stderr)
             return EXIT_NEGATIVE

@@ -400,18 +400,12 @@ def verify_matroid_axioms(
     return AxiomReport(bool(maximal), next(exchange, None), next(maximality, None))
 
 
-def zmod_linear_independent(
-    n: int,
-    vectors: Sequence[Sequence[int]],
-    *,
-    enum_limit: int = DEFAULT_ZMOD_ENUM_LIMIT,
-    force: bool = False,
-) -> bool:
+def zmod_linear_independent(n: int, vectors: Sequence[Sequence[int]], *, force: bool = False) -> bool:
     """Linear independence over the integers mod n, by full enumeration.
 
     Vectors are independent when no coefficient tuple other than all
     zeros combines them to the zero vector.  Enumeration visits n^k
-    tuples, guarded by ``enum_limit``.
+    tuples, guarded by ``DEFAULT_ZMOD_ENUM_LIMIT`` unless ``force`` is set.
     """
     if n < 2:
         raise ShapeError("modulus must be at least 2")
@@ -419,9 +413,9 @@ def zmod_linear_independent(
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise ShapeError("vectors must share one length")
-    if n**k > enum_limit and not force:
+    if n**k > DEFAULT_ZMOD_ENUM_LIMIT and not force:
         raise SizeGuardError(
-            f"enumerating {n}^{k} coefficient tuples exceeds the guard ({enum_limit})"
+            f"enumerating {n}^{k} coefficient tuples exceeds the guard ({DEFAULT_ZMOD_ENUM_LIMIT})"
         )
     dim = dims.pop() if dims else 0
     vecs = [tuple(int(x) % n for x in v) for v in vectors]

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _exact, _gauss_jordan, from_cols
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, to_matroid
-from .tu import DEFAULT_TU_LIMIT, find_tu_signing, is_totally_unimodular
+from .tu import find_tu_signing, is_totally_unimodular
 
 __all__ = [
     "StandardRepr",
@@ -133,12 +133,7 @@ def support(rep: LabeledMatrix) -> LabeledMatrix:
     return _labeled(rep.row_labels, rep.col_labels, _exact(GF2, rows, rep.body.n_cols))
 
 
-def is_regular(
-    s: StandardRepr,
-    *,
-    tu_limit: int = DEFAULT_TU_LIMIT,
-    force: bool = False,
-) -> Optional[LabeledMatrix]:
+def is_regular(s: StandardRepr, *, force: bool = False) -> Optional[LabeledMatrix]:
     """A TU signing of B, labeled like B, or None when there is none.
 
     The represented binary matroid is regular (representable over the
@@ -146,5 +141,5 @@ def is_regular(
     """
     if s.kind != GF2:
         raise ShapeError("regularity queries take a GF(2) standard representation")
-    signing = find_tu_signing(s.B.body, tu_limit=tu_limit, force=force)
+    signing = find_tu_signing(s.B.body, force=force)
     return None if signing is None else _labeled(s.X, s.Y, signing)

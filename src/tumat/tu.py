@@ -103,15 +103,13 @@ class TuVerdict:
         return self.witness is None
 
 
-def is_totally_unimodular(
-    a: ExactMatrix, *, limit: int = DEFAULT_TU_LIMIT, force: bool = False
-) -> TuVerdict:
+def is_totally_unimodular(a: ExactMatrix, *, force: bool = False) -> TuVerdict:
     """Exact TU check over the rationals.
 
     Entries are scanned first, then square submatrices by increasing size,
     row lists and column lists in lexicographic order, so a failing check
     returns the lexicographically first violating pair of minimal size.
-    Matrices with min(m, n) > ``limit`` are refused with
+    Matrices with min(m, n) > ``DEFAULT_TU_LIMIT`` are refused with
     ``SizeGuardError`` unless ``force`` is set.
 
     After the scan, a polynomial pre-pass drops zero lines, unit lines
@@ -144,8 +142,10 @@ def is_totally_unimodular(
                 cneg[j] |= 1 << i
             elif v:
                 return TuVerdict(((i,), (j,), Fraction(v)))
-    if min(m, n) > limit and not force:
-        raise SizeGuardError(f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {limit})")
+    if min(m, n) > DEFAULT_TU_LIMIT and not force:
+        raise SizeGuardError(
+            f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {DEFAULT_TU_LIMIT})"
+        )
     # drop zero, unit and repeated lines until every line left is needed;
     # once the column pass keeps every column, the row pass would too
     rows, cols = (1 << m) - 1, (1 << n) - 1
@@ -563,9 +563,7 @@ def spanning_forest(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return pairs
 
 
-def find_tu_signing(
-    u: ExactMatrix, *, tu_limit: int = DEFAULT_TU_LIMIT, force: bool = False
-) -> Optional[ExactMatrix]:
+def find_tu_signing(u: ExactMatrix, *, force: bool = False) -> Optional[ExactMatrix]:
     """Find a TU signing of a GF(2) matrix; None when no signing is TU.
 
     Signs along a spanning forest of the support graph are pinned to +1,
@@ -612,4 +610,4 @@ def find_tu_signing(
         seen[c] = True
     rows = [[_SIGNS[sign[i].get(m + j, 0)] for j in range(n)] for i in range(m)]
     cand = _exact(RATIONAL, rows, n)
-    return cand if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu else None
+    return cand if is_totally_unimodular(cand, force=force).is_tu else None

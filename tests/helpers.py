@@ -26,7 +26,6 @@ from tumat import (
 from tumat.documents import DocumentError, _parse_entry
 from tumat.exactmat import _exact
 from tumat.fixtures import incidence_matrix
-from tumat.tu import DEFAULT_TU_LIMIT
 
 DEFAULT_ORACLE_MAX_NONZEROS = 16
 
@@ -68,8 +67,7 @@ def naive_tu_verdict(a):
     return None
 
 
-def find_tu_signing_bruteforce(u, *, tu_limit=DEFAULT_TU_LIMIT,
-                               max_nonzeros=DEFAULT_ORACLE_MAX_NONZEROS, force=False):
+def find_tu_signing_bruteforce(u, *, max_nonzeros=DEFAULT_ORACLE_MAX_NONZEROS, force=False):
     """Reference search enumerating all 2^(#nonzeros) sign assignments."""
     if u.kind != GF2:
         raise ShapeError("the signing search takes a GF(2) matrix")
@@ -84,7 +82,7 @@ def find_tu_signing_bruteforce(u, *, tu_limit=DEFAULT_TU_LIMIT,
         for b, (i, j) in enumerate(edges):
             rows[i][j] = -1 if (bits >> b) & 1 else 1
         cand = ExactMatrix(RATIONAL, rows, n_cols=u.n_cols)
-        if is_totally_unimodular(cand, limit=tu_limit, force=force).is_tu:
+        if is_totally_unimodular(cand, force=force).is_tu:
             return cand
     return None
 

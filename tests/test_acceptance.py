@@ -27,6 +27,7 @@ from tumat import (
     is_unit_2x2,
     parse_matrix_document,
     parse_standard_repr_document,
+    render_matrix_document,
     render_standard_repr_document,
     sign_sum_1,
     sign_sum_2,
@@ -460,10 +461,10 @@ def test_criterion_13_cli_golden_files(capsys, tmp_path):
     full = parse_standard_repr_document((FIXTURES / "r10.json").read_text()).to_full()
     assert is_tu_signing_of(parsed.body, full.body)
 
-    import os
-    os.environ["TUMAT_TU_LIMIT"] = "1"
-    try:
-        code, _, err = run("tu", "check", FIXTURES / "network_uv.json")
-        assert code == 3 and err.startswith("size guard:")
-    finally:
-        del os.environ["TUMAT_TU_LIMIT"]
+    big = tmp_path / "identity9.json"
+    big.write_text(render_matrix_document(
+        LabeledMatrix(labels("r", 9), labels("c", 9), ExactMatrix.identity(9, RATIONAL))))
+    code, _, err = run("tu", "check", big)
+    assert code == 3 and err.startswith("size guard:")
+    code, out, _ = run("tu", "check", big, "--force")
+    assert (code, out) == (0, "TU\n")

@@ -68,43 +68,47 @@ def test_tu_check_reads_standard_repr_as_full_matrix(capsys):
     assert (code, out) == (0, "TU\n")
 
 
-def test_tu_check_guard_and_force(capsys, monkeypatch):
-    monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
-    code, _, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
+def identity9(tmp_path, kind):
+    """The 9x9 identity over ``kind`` as a matrix document: one line past the default TU guard of 8."""
+    path = tmp_path / f"identity9_{kind}.json"
+    body = ExactMatrix.identity(9, kind)
+    path.write_text(render_matrix_document(LabeledMatrix(labels("r", 9), labels("c", 9), body)))
+    return path
+
+
+def identity9_repr(tmp_path):
+    """[I | I] over GF(2) as a standard representation document, rows x10..x18
+    and columns y10..y18: its B is one line past the default TU guard."""
+    path = tmp_path / "identity9_repr.json"
+    body = ExactMatrix.identity(9, GF2)
+    path.write_text(render_standard_repr_document(make_repr(labels("x", 9, 10), labels("y", 9, 10), body)))
+    return path
+
+
+TU_GUARD_9X9 = (
+    "size guard: TU check on a 9x9 matrix exceeds the size guard (min dim > 8); "
+    "pass --force to run anyway\n"
+)
+
+
+def test_tu_check_guard_and_force(capsys, tmp_path):
+    doc = identity9(tmp_path, RATIONAL)
+    code, _, err = run(capsys, "tu", "check", doc)
     assert code == 3
-    assert err == (
-        "size guard: TU check on a 2x3 matrix exceeds the size guard (min dim > 1); "
-        "pass --force to run anyway\n"
-    )
-    code, out, _ = run(capsys, "tu", "check", FIXTURES / "network_uv.json", "--force")
+    assert err == TU_GUARD_9X9
+    code, out, _ = run(capsys, "tu", "check", doc, "--force")
     assert (code, out) == (0, "TU\n")
 
 
-def test_tu_check_bad_env_value(capsys, monkeypatch):
-    monkeypatch.setenv("TUMAT_TU_LIMIT", "many")
-    code, _, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
-    assert code == 2
-    assert "TUMAT_TU_LIMIT" in err
-    # a 100,000-character value is quoted by a bounded prefix, as document entries are
-    monkeypatch.setenv("TUMAT_TU_LIMIT", "many" * 25_000)
-    code, out, err = run(capsys, "tu", "check", FIXTURES / "network_uv.json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: environment variable TUMAT_TU_LIMIT must be an integer, got 'many")
-    assert err.count("\n") == 1 and len(err) < 140 and err.endswith("'... (100000 characters)\n")
-
-
-@pytest.mark.parametrize("name", ["TUMAT_TU_LIMIT", "TUMAT_EQ_LIMIT"])
-def test_negative_guard_limit_rejected(capsys, monkeypatch, name):
-    monkeypatch.setenv(name, "-1")
-    argv = {
-        "TUMAT_TU_LIMIT": ("tu", "check", FIXTURES / "network_uv.json"),
-        "TUMAT_EQ_LIMIT": ("matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json"),
-    }[name]
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err == f"error: environment variable {name} must not be negative, got '-1'\n"
-    monkeypatch.setenv(name, "0")
-    assert run(capsys, *argv)[0] != 2
+def test_tu_sign_and_regular_check_guard_and_force(capsys, tmp_path):
+    doc = identity9(tmp_path, GF2)
+    assert run(capsys, "tu", "sign", doc) == (3, "", TU_GUARD_9X9)
+    code, out, err = run(capsys, "tu", "sign", doc, "--force")
+    assert (code, err) == (0, "")
+    assert parse_matrix_document(out).body == ExactMatrix.identity(9, RATIONAL)
+    rep = identity9_repr(tmp_path)
+    assert run(capsys, "regular", "check", rep) == (3, "", TU_GUARD_9X9)
+    assert run(capsys, "regular", "check", rep, "--force") == (0, "regular\n", "")
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -350,29 +354,28 @@ def test_matroid_eq(capsys):
     assert (code, out) == (1, "not equal\n")
 
 
-def test_matroid_eq_guard(capsys, monkeypatch, tmp_path):
-    # GF(2) sides compare at a shared base, so the guard no longer applies;
-    # Fano over Q is not binary and takes the guarded subset-by-subset path.
-    monkeypatch.setenv("TUMAT_EQ_LIMIT", "3")
-    code, out, _ = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
+def test_matroid_eq_guard(capsys, tmp_path):
+    # GF(2) sides compare at a shared base, so the guard does not apply;
+    # U(2,19) over Q (columns (1, k)) is not binary, its greedy bases agree,
+    # and it takes the guarded comparison of bases, past the guard of 18.
+    u219_gf2, u219_q = (tmp_path / "u219_gf2.json", tmp_path / "u219_q.json")
+    columns = [(1, k) for k in range(1, 20)]
+    for path, kind in ((u219_gf2, GF2), (u219_q, RATIONAL)):
+        rows = [[c[i] % 2 if kind == GF2 else c[i] for c in columns] for i in range(2)]
+        body = ExactMatrix(kind, rows, n_cols=19)
+        path.write_text(render_matrix_document(LabeledMatrix(["r", "s"], labels("e", 19), body)))
+    code, out, _ = run(capsys, "matroid", "eq", u219_gf2, u219_gf2)
     assert (code, out) == (0, "equal\n")
-    fano_q = tmp_path / "fano_q.json"
-    fano_q.write_text((FIXTURES / "fano.json").read_text().replace('"gf2"', '"rational"'))
-    code, out, err = run(capsys, "matroid", "eq", fano_q, fano_q)
+    code, out, err = run(capsys, "matroid", "eq", u219_q, u219_q)
     assert (code, out) == (3, "")
     assert err == (
-        "size guard: exhaustive matroid comparison over 7 elements exceeds the guard (3); "
+        "size guard: exhaustive matroid comparison over 19 elements exceeds the guard (18); "
         "pass --force to run anyway\n"
     )
-    code, out, _ = run(capsys, "matroid", "eq", fano_q, fano_q, "--force")
+    code, out, _ = run(capsys, "matroid", "eq", u219_q, u219_q, "--force")
     assert (code, out) == (0, "equal\n")
-    code, out, _ = run(capsys, "matroid", "eq", fano_q, FIXTURES / "fano.json", "--force")
+    code, out, _ = run(capsys, "matroid", "eq", u219_q, u219_gf2, "--force")
     assert (code, out) == (1, "not equal\n")
-    # a malformed limit is still rejected, though the GF(2) pair never reads it
-    monkeypatch.setenv("TUMAT_EQ_LIMIT", "many")
-    code, out, err = run(capsys, "matroid", "eq", FIXTURES / "fano.json", FIXTURES / "fano.json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: environment variable TUMAT_EQ_LIMIT must be an integer")
 
 
 def _gf2_row_mixed(rng, rep):
@@ -398,10 +401,8 @@ def _eq(capsys, tmp_path, left, right):
 
 
 @pytest.mark.parametrize("n_rows, n_cols", [(6, 13), (10, 30)])
-def test_matroid_eq_gf2_past_the_exhaustive_size(capsys, monkeypatch, tmp_path, n_rows, n_cols):
+def test_matroid_eq_gf2_past_the_exhaustive_size(capsys, tmp_path, n_rows, n_cols):
     # 19 and 40 elements, past the subset loop's default guard of 18
-    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     rng = random.Random(n_rows + n_cols)
     s = random_standard_repr(rng, n_rows, n_cols)
     assert _eq(capsys, tmp_path, s, _gf2_row_mixed(rng, s.to_full())) == (0, "equal\n")
@@ -417,11 +418,9 @@ def test_matroid_eq_gf2_past_the_exhaustive_size(capsys, monkeypatch, tmp_path, 
 
 @pytest.mark.parametrize("n_nodes, n_arcs", [(7, 19), (8, 40)])
 def test_matroid_eq_tu_rational_against_gf2_past_the_exhaustive_size(
-        capsys, monkeypatch, tmp_path, n_nodes, n_arcs):
+        capsys, tmp_path, n_nodes, n_arcs):
     # An incidence matrix (a path plus arcs out of node 0) less one row is
     # TU, and a TU matrix has the same matroid as its reduction mod 2.
-    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     arcs = [(v, v + 1) for v in range(n_nodes - 1)]
     arcs += [(0, 1 + k % (n_nodes - 1)) for k in range(n_arcs - len(arcs))]
     body = incidence_matrix(n_nodes, arcs).submatrix(range(n_nodes - 1), range(n_arcs))
@@ -430,12 +429,10 @@ def test_matroid_eq_tu_rational_against_gf2_past_the_exhaustive_size(
     assert _eq(capsys, tmp_path, rep, _gf2_row_mixed(rng, rep)) == (0, "equal\n")
 
 
-def test_matroid_eq_different_greedy_bases_answer_past_the_guard(capsys, monkeypatch, tmp_path):
+def test_matroid_eq_different_greedy_bases_answer_past_the_guard(capsys, tmp_path):
     # Two rank-2 matroids over Q on 20 elements, neither binary, with columns
     # (1, k) for e03..e20.  e02 is parallel to e01 on the left only, so the
     # greedy bases {e01, e03} and {e01, e02} differ and no subset is compared.
-    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     ground = [f"e{i:02d}" for i in range(1, 21)]
     tail = [(1, k) for k in range(3, 21)]
     left, right = (
@@ -451,8 +448,6 @@ def test_matroid_eq_force_lifts_the_tu_guard_before_comparing_bases(capsys, monk
     # less one row: B at the shared base is N, 10x22, past the default TU
     # guard.  Without --force the base comparison of 32 elements is refused;
     # with it, the forced TU check decides the pair and no subset is visited.
-    for name in ("TUMAT_EQ_LIMIT", "TUMAT_TU_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     rng = random.Random(11)
     arcs = [(v, v + 1) for v in range(10)]
     while len(arcs) < 22:
@@ -555,14 +550,13 @@ def test_verify_composition_goldens(capsys, tmp_path, case):
     assert_witness_represents_sum(tmp_path)
 
 
-def test_verify_composition_reads_no_eq_limit_and_force_lifts_tu_guard(capsys, monkeypatch):
+def test_verify_composition_reads_no_eq_limit_and_force_lifts_tu_guard(capsys, monkeypatch, tmp_path):
     argv = ["verify", "composition", "-k", "1",
             FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"]
     monkeypatch.setenv("TUMAT_EQ_LIMIT", "5")
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, "verified 1-sum composition: regular\n")
-    monkeypatch.delenv("TUMAT_EQ_LIMIT")
-    monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
+    argv = ["verify", "composition", "-k", "1", FIXTURES / "sum1_left.json", identity9_repr(tmp_path)]
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("size guard:")
@@ -616,9 +610,7 @@ def test_parsed_inputs_are_checked_once(capsys, monkeypatch, case):
     assert calls == Counter()
 
 
-def test_verify_composition_19_elements_needs_no_guard_widening(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("TUMAT_EQ_LIMIT", raising=False)
-    monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
+def test_verify_composition_19_elements_needs_no_guard_widening(capsys, tmp_path):
     rng = random.Random(19)
     left = random_standard_repr(rng, 2, 7, regular=True)
     right = random_standard_repr(rng, 2, 8, x_start=3, y_start=8, regular=True)
@@ -694,11 +686,10 @@ def test_verify_composition_rejects_corrupted_witness(capsys, monkeypatch, tmp_p
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_verify_composition_r10_sums_need_no_force(capsys, monkeypatch, tmp_path, k):
+def test_verify_composition_r10_sums_need_no_force(capsys, tmp_path, k):
     # a 10x10 (k=1) or 9x9 (k=2) witness passed the TU guard only with --force
     # while the sum's W got a TU check; its blocks now certify it, and only the
-    # 5x5 summands meet the guard
-    monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
+    # summands meet the guard
     r10 = parse_standard_repr_document((FIXTURES / "r10.json").read_text())
     # the right copy shares row x1 and column y1 with the left one in a 2-sum
     right_x = ["x1"] + labels("x", 4, 6) if k == 2 else labels("x", 5, 6)
@@ -713,10 +704,15 @@ def test_verify_composition_r10_sums_need_no_force(capsys, monkeypatch, tmp_path
     witness = parse_matrix_document((tmp_path / "out" / "witness.json").read_text())
     assert s.B.body.shape == ((10, 10) if k == 1 else (9, 9))
     assert is_tu_signing_of(witness.body, s.B.body, force=True)
-    monkeypatch.setenv("TUMAT_TU_LIMIT", "1")
+    # a 9x9 right summand, R10 beside the 4x4 identity, meets the guard
+    body = ExactMatrix(GF2, [row + [0] * 4 for row in r10.B.body.to_lists()]
+                       + [[0] * 5 + [int(i == j) for j in range(4)] for i in range(4)])
+    paths[1].write_text(render_standard_repr_document(
+        make_repr(right_x + labels("x", 4, 11), right_y + labels("y", 4, 11), body)))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("size guard: TU check on a 5x5 matrix exceeds the size guard")
+    assert err.startswith("size guard: TU check on a 9x9 matrix exceeds the size guard")
+    assert run(capsys, *argv, "--force") == (0, f"verified {k}-sum composition: regular\n", "")
 
 
 ROUTE_CASES = {
@@ -828,29 +824,26 @@ def test_shared_parser_calls_match_fresh_processes(capsys, monkeypatch, tmp_path
     """A mixed run of in-process calls, one parser for all, answers as fresh processes do."""
     network = str(FIXTURES / "network_uv.json")
     r10 = str(FIXTURES / "r10.json")
+    big_q, big_gf2 = (str(identity9(tmp_path, kind)) for kind in (RATIONAL, GF2))
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width on both sides
     calls = [
-        (None, ["tu", "check", network]),
-        ("1", ["tu", "check", network]),
-        ("1", ["tu", "check", network, "--force"]),
-        (None, ["tu", "check", str(DATA / "not_tu.json")]),
-        (None, ["tu", "sign", r10]),
-        (None, ["tu", "sign", r10, "-o", "{out}"]),
-        ("many", ["tu", "check", network]),
-        (None, ["sum", "-k", "2", "--x", "x2", "--y", "y2",
-                str(FIXTURES / "sum2_left.json"), str(FIXTURES / "sum2_right.json")]),
-        (None, ["tu", "check", str(DATA / "bad.json")]),
-        (None, ["sum", "-k", "3", *K3_FLAGS,
-                str(FIXTURES / "sum3/d0-1001-left.json"), str(FIXTURES / "sum3/d0-1001-right.json")]),
-        (None, ["tu", "check"]),
-        ("1", ["tu", "sign", r10, "--force"]),
-        (None, ["tu", "check", network]),
+        ["tu", "check", network],
+        ["tu", "check", big_q],
+        ["tu", "check", big_q, "--force"],
+        ["tu", "check", str(DATA / "not_tu.json")],
+        ["tu", "sign", r10],
+        ["tu", "sign", r10, "-o", "{out}"],
+        ["tu", "sign", big_gf2],
+        ["sum", "-k", "2", "--x", "x2", "--y", "y2",
+         str(FIXTURES / "sum2_left.json"), str(FIXTURES / "sum2_right.json")],
+        ["tu", "check", str(DATA / "bad.json")],
+        ["sum", "-k", "3", *K3_FLAGS,
+         str(FIXTURES / "sum3/d0-1001-left.json"), str(FIXTURES / "sum3/d0-1001-right.json")],
+        ["tu", "check"],
+        ["tu", "sign", big_gf2, "--force"],
+        ["tu", "check", network],
     ]
-    for n, (limit, argv) in enumerate(calls):
-        if limit is None:
-            monkeypatch.delenv("TUMAT_TU_LIMIT", raising=False)
-        else:
-            monkeypatch.setenv("TUMAT_TU_LIMIT", limit)
+    for n, argv in enumerate(calls):
         outs = [tmp_path / f"{n}-{side}.json" for side in ("in", "fresh")]
         try:
             got = run(capsys, *[a.replace("{out}", str(outs[0])) for a in argv])

@@ -5,6 +5,7 @@ package.
 The result types store each deciding fact once and are built from it:
 ``TuVerdict`` its witness, ``AxiomReport`` its counterexamples,
 ``StandardRepr`` its B; an ``ExactMatrix`` reads its row count off its rows.
+No module of the package reads the environment.
 
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
@@ -212,6 +213,23 @@ def test_values_are_quoted_only_through_shown():
                  for n in ast.walk(f)}
         found += [f"{path.relative_to(ROOT)}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.FormattedValue) and n.conversion == ord("r") and id(n) not in shown]
+    assert found == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # every guard is a module constant that force lifts, so no setting
+    # reaches a verdict from outside the command line
+    found = []
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({a.name for a in n.names} if isinstance(n, ast.ImportFrom) and n.module == "os"
+                     else {n.attr} if isinstance(n, ast.Attribute) else set())
+            found += [f"{path.relative_to(ROOT)}:{n.lineno}: {name}" for name in sorted(names & ENVIRONMENT_READERS)]
     assert found == []
 
 
