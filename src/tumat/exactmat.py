@@ -4,26 +4,33 @@ Entries are plain ints 0/1 for the GF(2) kind and ``fractions.Fraction``
 for the rational kind, so all arithmetic is exact.  Matrices are
 immutable values: every operation returns a new matrix.  Empty matrices
 (zero rows and/or zero columns) are legal everywhere; the determinant of
-the 0x0 matrix is 1.  Over the rationals, determinant and rank share one
-fraction-free (Bareiss) elimination of the rows with denominators
-cleared; over GF(2), both come from the rank of the bit-packed rows.
-That rank is the length of the forward pass of ``_echelon``, the reduced
-row-echelon form that also stores every vector matroid (``matroid.to_matroid``).
+the 0x0 matrix is 1.
+
+Fraction-free elimination is one row step, ``_cleared``: over Q, on rows
+with denominators cleared, y becomes y·p[f] − y[f]·p divided by its gcd;
+over GF(2), on bit-packed rows, y XOR p.  Only ``_forward``, ``_echelon``
+(the reduced row-echelon form that stores every vector matroid,
+``matroid.to_matroid``) and the base walk's ``_eliminate``, which XORs
+GF(2) rows inline, call it.  The rank is the length of the forward pass;
+the determinant over Q runs that pass on the rows [e_k | row k], and
+over GF(2) it is 1 at full rank.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
-every entry.  Every matrix the package computes from exact entries is
-built with ``_exact``, which shares them without coercing them again:
-``identity``, the operations on matrices (transpose, submatrix, pivot,
-inverse, products, ``from_cols``), the document parser, the sums, the
-signings, ``standardize`` and ``support``.  Each keeps the entry types
-exact itself (``tests/test_exactmat.py`` and ``tests/test_sums.py``
+every entry, and ``_checked`` every size and index a method takes.
+Every matrix the package computes from exact entries is built with
+``_exact``, which shares them without coercing them again: ``identity``,
+the operations on matrices (transpose, submatrix, pivot, inverse,
+products, ``from_cols``), the document parser, the sums, the signings,
+``standardize`` and ``support``.  Each keeps the entry types exact
+itself (``tests/test_exactmat.py`` and ``tests/test_sums.py``
 check this invariant).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import combinations
+from math import gcd, inf, lcm, prod
 from typing import Iterable, Sequence, Union
 
 from .errors import ShapeError, _shown
@@ -65,6 +72,15 @@ def _coerce_rational(value) -> Fraction:
     raise ShapeError(f"cannot use {_shown(value)} as a rational entry")
 
 
+def _checked(value, what: str, bound: float = inf) -> int:
+    """``value`` if it is an int, not a bool, in [0, bound): a size, or an index below ``bound``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ShapeError(f"{what} must be an int, got {_shown(value)}")
+    if not 0 <= value < bound:
+        raise ShapeError(f"{what} {_shown(value)} out of range")
+    return value
+
+
 def _exact(kind: str, rows: Iterable[Sequence[Entry]], n_cols: int) -> "ExactMatrix":
     """A matrix of ``kind`` over rows of ``n_cols`` entries that are already exact.
 
@@ -83,57 +99,15 @@ def gf2_rank_of_ints(vectors: Iterable[int]) -> int:
     return len(_forward(GF2, vectors))
 
 
-def _bareiss(rows: Iterable[Sequence[int]]) -> tuple[int, int]:
-    """Rank and signed last pivot of an integer matrix given as rows (fraction-free Bareiss).
-
-    Each step scales the rows below the pivot by pivot/previous pivot, so every
-    entry stays a minor of the row-swapped input and the division is exact; a
-    row is skipped only when that leaves it unchanged.  The sign follows the
-    row swaps, so for a square matrix of full rank the signed last pivot is its
-    determinant (1 for the 0x0 matrix).
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    rank, prev, sign = 0, 1, 1
-    for c in range(n):
-        for piv in range(rank, m):
-            if work[piv][c]:
-                break
-        else:
-            continue
-        if piv != rank:
-            work[rank], work[piv] = work[piv], work[rank]
-            sign = -sign
-        pr = work[rank]
-        pv = pr[c]
-        for r in range(rank + 1, m):
-            wr = work[r]
-            f = wr[c]
-            if f or pv != prev:
-                for j in range(c + 1, n):
-                    wr[j] = (wr[j] * pv - pr[j] * f) // prev
-        prev = pv
-        rank += 1
-        if rank == m:
-            break
-    return rank, sign * prev
-
-
 def _int_rows_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix given as rows."""
-    return _bareiss(rows)[0]
+    """Rank of an integer matrix given as rows, by ``_echelon``'s forward pass alone."""
+    return len(_forward(RATIONAL, rows))
 
 
 def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns integer rows and the scale factors."""
-    out = []
-    scales = []
-    for row in rows:
-        d = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * d) for x in row])
-        scales.append(d)
-    return out, scales
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    return [[int(x * d) for x in row] for row, d in zip(rows, scales)], scales
 
 
 def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
@@ -191,19 +165,35 @@ def _echelon(kind: str, rows: Iterable) -> list:
 
 def _forward(kind: str, rows: Iterable) -> dict:
     """``_echelon``'s forward pass: a basis of the span of ``rows`` keyed by each row's last
-    nonzero column, all distinct; its length is the rank."""
+    nonzero column, all distinct, in the order of the rows that gave them; its length is the rank."""
     ends = {}
     for y in rows:
-        while (e := _supports(kind, [y])[0].bit_length() - 1) in ends:
+        while (e := _last(kind, y)) in ends:
             y = _cleared(kind, y, ends[e], e)
         if e >= 0:
             ends[e] = y
     return ends
 
 
+def _last(kind: str, y) -> int:
+    """The last nonzero column of an ``_echelon`` row, by a reverse scan; -1 for a zero row."""
+    if kind == GF2:
+        return y.bit_length() - 1
+    e = len(y) - 1
+    while e >= 0 and not y[e]:
+        e -= 1
+    return e
+
+
 def _cleared(kind: str, y, p, f: int):
-    """``y`` less the multiple of ``p`` that leaves it zero at column f, p's last nonzero column."""
-    return y ^ p if kind == GF2 else _eliminate(kind, [p, y], f)[0]
+    """The one fraction-free row step: ``y`` less the multiple of ``p`` that leaves it zero at
+    column f, where p is nonzero.  Over Q that is y·p[f] − y[f]·p divided by its gcd."""
+    if kind == GF2:
+        return y ^ p
+    a, b = p[f], y[f]
+    out = [x * a - b * z for x, z in zip(y, p)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def _supports(kind: str, rows: list) -> list[int]:
@@ -216,9 +206,8 @@ def _eliminate(kind: str, rows: list, j: int) -> list:
     if kind == GF2:
         p = [y >> j & 1 for y in rows].index(1)
         return rows[:p] + [y ^ rows[p] if y >> j & 1 else y for y in rows[p + 1:]]
-    p, q = next((k, y) for k, y in enumerate(rows) if y[j])
-    out = ([x * q[j] - y[j] * b for x, b in zip(y, q)] if y[j] else y for y in rows[p + 1:])
-    return rows[:p] + [[x // g for x in y] if (g := gcd(*y)) > 1 else y for y in out]
+    p = next(k for k, y in enumerate(rows) if y[j])
+    return rows[:p] + [_cleared(kind, y, rows[p], j) if y[j] else y for y in rows[p + 1:]]
 
 
 class ExactMatrix:
@@ -238,12 +227,10 @@ class ExactMatrix:
             width = len(grid[0])
             if any(len(r) != width for r in grid):
                 raise ShapeError("ragged rows")
-            if n_cols is not None and n_cols != width:
+            if n_cols is not None and _checked(n_cols, "n_cols") != width:
                 raise ShapeError(f"n_cols={n_cols} but rows have width {width}")
         else:
-            width = n_cols or 0
-            if width < 0:
-                raise ShapeError("negative column count")
+            width = 0 if n_cols is None else _checked(n_cols, "n_cols")
         self.kind = kind
         self.n_cols = width
         self.rows = grid
@@ -253,11 +240,12 @@ class ExactMatrix:
         if kind not in (GF2, RATIONAL):
             raise ShapeError(f"unknown scalar kind {_shown(kind)}")
         zero, one = (0, 1) if kind == GF2 else (Fraction(0), Fraction(1))
+        n = _checked(n, "n")
         return _exact(kind, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int, kind: str) -> "ExactMatrix":
-        return cls(kind, [[0] * n_cols for _ in range(n_rows)], n_cols=n_cols)
+        return cls(kind, [[0] * _checked(n_cols, "n_cols")] * _checked(n_rows, "n_rows"), n_cols=n_cols)
 
     @property
     def n_rows(self) -> int:
@@ -268,19 +256,16 @@ class ExactMatrix:
         return (self.n_rows, self.n_cols)
 
     def __getitem__(self, pos: tuple[int, int]) -> Entry:
+        if not isinstance(pos, tuple) or len(pos) != 2:
+            raise ShapeError(f"an entry is read at a (row, column) pair, got {_shown(pos)}")
         i, j = pos
-        if not 0 <= j < self.n_cols:
-            raise ShapeError(f"column {j} out of range")
-        return self.row(i)[j]
+        return self.row(i)[_checked(j, "column", self.n_cols)]
 
     def row(self, i: int) -> tuple[Entry, ...]:
-        if not 0 <= i < self.n_rows:
-            raise ShapeError(f"row {i} out of range")
-        return self.rows[i]
+        return self.rows[_checked(i, "row", self.n_rows)]
 
     def col(self, j: int) -> tuple[Entry, ...]:
-        if not 0 <= j < self.n_cols:
-            raise ShapeError(f"column {j} out of range")
+        j = _checked(j, "column", self.n_cols)
         return tuple(r[j] for r in self.rows)
 
     def __eq__(self, other) -> bool:
@@ -307,11 +292,9 @@ class ExactMatrix:
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "ExactMatrix":
         """Select rows and columns by position; repeated indices are allowed."""
         for i in row_indices:
-            if not 0 <= i < self.n_rows:
-                raise ShapeError(f"row index {i} out of range for {self.n_rows} rows")
+            _checked(i, "row index", self.n_rows)
         for j in col_indices:
-            if not 0 <= j < self.n_cols:
-                raise ShapeError(f"column index {j} out of range for {self.n_cols} columns")
+            _checked(j, "column index", self.n_cols)
         rows = self.rows
         return _exact(self.kind, [[rows[i][j] for j in col_indices] for i in row_indices], len(col_indices))
 
@@ -321,9 +304,18 @@ class ExactMatrix:
             raise ShapeError(f"determinant of non-square {self.n_rows}x{self.n_cols} matrix")
         if self.kind == GF2:
             return int(self.rank() == self.n_rows)
+        # Of the rows [e_k | row k], the forward pass keeps c_k·[e_k | row k] plus earlier rows,
+        # c_k its entry at column k.  A key in the unit block means singular; else the right halves
+        # sorted by key are triangular: det = sign of the key order · pivots / c_k / row scales.
+        n = self.n_rows
         ints, scales = _scaled_int_rows(self.rows)
-        rank, det = _bareiss(ints)
-        return Fraction(det if rank == self.n_rows else 0, prod(scales))
+        ends = _forward(RATIONAL, ([0] * k + [1] + [0] * (n - 1 - k) + row for k, row in enumerate(ints)))
+        if min(ends, default=n) < n:
+            return Fraction(0)
+        inversions = sum(e > f for e, f in combinations(ends, 2))
+        pivots = prod(y[e] for e, y in ends.items())
+        coefficients = prod(y[k] for k, y in enumerate(ends.values()))
+        return Fraction((-1) ** inversions * pivots, coefficients * prod(scales))
 
     def rank(self) -> int:
         if self.kind == GF2:
@@ -337,9 +329,7 @@ class ExactMatrix:
         by ``row_k - A[k][j] * new_row_i``.  Labels and positions are kept,
         nothing is swapped.  The pivot entry must be nonzero.
         """
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise ShapeError(f"pivot position ({i}, {j}) out of range")
-        if self.rows[i][j] == 0:
+        if self[i, j] == 0:
             raise ShapeError(f"zero pivot entry at ({i}, {j})")
         rows = list(self.rows)
         _pivot_rows(self.kind, rows, i, j)

@@ -407,21 +407,28 @@ def zmod_linear_independent(n: int, vectors: Sequence[Sequence[int]], *, force: 
     zeros combines them to the zero vector.  Enumeration visits n^k
     tuples, guarded by ``DEFAULT_ZMOD_ENUM_LIMIT`` unless ``force`` is set.
     """
-    if n < 2:
-        raise ShapeError("modulus must be at least 2")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ShapeError(f"modulus must be an int of at least 2, got {_shown(n)}")
     k = len(vectors)
     dims = {len(v) for v in vectors}
     if len(dims) > 1:
         raise ShapeError("vectors must share one length")
+    vecs = [tuple(_residue(x, n) for x in v) for v in vectors]
     if n**k > DEFAULT_ZMOD_ENUM_LIMIT and not force:
         raise SizeGuardError(
             f"enumerating {n}^{k} coefficient tuples exceeds the guard ({DEFAULT_ZMOD_ENUM_LIMIT})"
         )
     dim = dims.pop() if dims else 0
-    vecs = [tuple(int(x) % n for x in v) for v in vectors]
     for coeffs in product(range(n), repeat=k):
         if not any(coeffs):
             continue
         if all(sum(c * v[d] for c, v in zip(coeffs, vecs)) % n == 0 for d in range(dim)):
             return False
     return True
+
+
+def _residue(x, n: int) -> int:
+    """An integer entry, an int or an integral ``Fraction``, reduced mod n."""
+    if isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1:
+        return int(x) % n
+    raise ShapeError(f"cannot use {_shown(x)} as an entry mod {n}")

@@ -1,6 +1,8 @@
+import pathlib
 import random
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +22,7 @@ from tumat import (
     standardize,
     support,
     to_matroid,
+    zmod_linear_independent,
 )
 from tumat.stdrepr import fundamental_repr
 from tumat.exactmat import _echelon, _int_rows_rank, _supports, gf2_rank_of_ints
@@ -33,6 +36,8 @@ from helpers import (
     random_gf2_matrix,
     random_rational_matrix,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_construction_coerces_entries():
@@ -126,6 +131,40 @@ def test_indexing_checks_both_indices_as_row_and_col_do(pos, message):
         ExactMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6]])[pos]
 
 
+TWO_BY_THREE = ExactMatrix(RATIONAL, [[1, 2, 3], [4, 5, 6]])
+
+
+ENTRY_CHECKS = {
+    "identity-negative": (lambda: ExactMatrix.identity(-1, GF2), r"n -1 out of range"),
+    "identity-bool": (lambda: ExactMatrix.identity(True, GF2), r"n must be an int, got True"),
+    "zeros-negative-rows": (lambda: ExactMatrix.zeros(-2, 3, RATIONAL), r"n_rows -2 out of range"),
+    "zeros-negative-cols": (lambda: ExactMatrix.zeros(2, -3, RATIONAL), r"n_cols -3 out of range"),
+    "n_cols-str": (lambda: ExactMatrix(RATIONAL, [], n_cols="3"), r"n_cols must be an int, got '3'"),
+    "n_cols-float": (lambda: ExactMatrix(RATIONAL, [], n_cols=2.5), r"n_cols must be an int, got 2\.5"),
+    "n_cols-huge": (lambda: ExactMatrix(GF2, [], n_cols="x" * 100_000),
+                    r"n_cols must be an int, got 'x{40}'\.\.\. \(100000 characters\)"),
+    "index-not-a-pair": (lambda: TWO_BY_THREE[0], r"an entry is read at a \(row, column\) pair, got 0"),
+    "index-str-row": (lambda: TWO_BY_THREE["0", 0], r"row must be an int, got '0'"),
+    "index-float-col": (lambda: TWO_BY_THREE[0, 1.0], r"column must be an int, got 1\.0"),
+    "submatrix-bool": (lambda: TWO_BY_THREE.submatrix([0], [True]), r"column index must be an int, got True"),
+    "pivot-past-end": (lambda: TWO_BY_THREE.pivot(0, 3), r"column 3 out of range"),
+    "zmod-fraction": (lambda: zmod_linear_independent(3, [[Fraction(1, 2)]]),
+                      r"cannot use Fraction\(1, 2\) as an entry mod 3"),
+    "zmod-float": (lambda: zmod_linear_independent(3, [[2.7]]), r"cannot use 2\.7 as an entry mod 3"),
+    "zmod-str": (lambda: zmod_linear_independent(3, [["1"]]), r"cannot use '1' as an entry mod 3"),
+    "zmod-float-modulus": (lambda: zmod_linear_independent(2.5, [[1]]),
+                           r"modulus must be an int of at least 2, got 2\.5"),
+}
+
+
+@pytest.mark.parametrize("case", ENTRY_CHECKS)
+def test_sizes_indices_and_entries_are_checked_where_they_enter(case):
+    # a bool, a float or a string is neither truncated nor passed on to fail later as a TypeError
+    call, message = ENTRY_CHECKS[case]
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        call()
+
+
 def test_row_count_is_read_off_the_rows():
     a = ExactMatrix(GF2, [[1, 0], [0, 1], [1, 1]])
     assert a.n_rows == len(a.rows) == 3 and a.transpose().n_rows == 2
@@ -191,6 +230,34 @@ def test_determinant_matches_cofactor_expansion():
         assert a.determinant() == cofactor_det(rows), rows
 
 
+def test_permutation_determinants_are_their_signs():
+    # the determinant reads its sign off the order in which the forward pass keys the rows
+    for n in range(6):
+        for perm in permutations(range(n)):
+            cycles, seen = 0, set()
+            for i in range(n):
+                if i not in seen:
+                    cycles += 1
+                    while i not in seen:
+                        seen.add(i)
+                        i = perm[i]
+            a = ExactMatrix(RATIONAL, [[int(j == perm[i]) for j in range(n)] for i in range(n)], n_cols=n)
+            assert a.determinant() == (-1) ** (n - cycles), perm
+
+
+def test_determinant_30x30_is_polynomial(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import oracles
+
+    rng = random.Random(31)
+    rows = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)]
+    a = ExactMatrix(RATIONAL, rows)
+    start = time.perf_counter()
+    det = a.determinant()
+    assert time.perf_counter() - start < 1.0
+    assert det == oracles.det_fraction(rows) != 0
+
+
 def test_gf2_determinant_is_parity_of_integer_determinant():
     rng = random.Random(13)
     for _ in range(60):
@@ -254,8 +321,8 @@ def test_int_rows_rank_matches_fraction_elimination():
 
 
 def test_int_rows_rank_30x30_is_polynomial():
-    # without exact division by the previous pivot the entries grow
-    # exponentially and this rank takes minutes
+    # without dividing each cleared row by its gcd the entries double in
+    # length at every step, and the time grows exponentially with the order
     rng = random.Random(30)
     rows = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)]
     start = time.perf_counter()

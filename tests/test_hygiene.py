@@ -200,6 +200,19 @@ def test_tree_signs_are_solved_in_one_place():
     assert readers == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
 
 
+def test_fraction_free_elimination_is_one_row_step():
+    # rank, determinant, echelon forms and the base walk over Q all clear a
+    # row by exactmat._cleared, the one place that divides a row by its gcd
+    def readers(name):
+        return sorted({(str(path.relative_to(ROOT)), getattr(node, "name", node.lineno))
+                       for path in sorted((ROOT / "src" / "tumat").rglob("*.py"))
+                       for node in ast.parse(path.read_text(encoding="utf-8")).body
+                       if name in loaded_names(node)})
+    assert readers("gcd") == [("src/tumat/exactmat.py", "_cleared")]
+    assert readers("_cleared") == [("src/tumat/exactmat.py", name)
+                                   for name in ("_echelon", "_eliminate", "_forward")]
+
+
 def test_values_are_quoted_only_through_shown():
     # a value formatted with !r echoes an input of any size into a message;
     # errors._shown quotes a bounded prefix, and is the only f-string that

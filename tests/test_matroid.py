@@ -132,6 +132,24 @@ def test_rational_matroid_with_fractions():
     assert m.indep(["a"])
 
 
+def test_row_scaling_changes_no_vector_query():
+    # the base walk leaves the rows it does not clear unscaled, so every
+    # query must read supports and ranks alone, never the size of an entry
+    rng = random.Random(53)
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        rows = random_rational_matrix(rng, m, n).to_lists()
+        rows[-1] = list(rows[0]) if rng.random() < 0.4 else rows[-1]  # a repeated row
+        xs, ys = labels("x", m), labels("y", n)
+        subsets = [rng.sample(ys, rng.randint(0, n)) for _ in range(4)]
+        plain = to_matroid(lm(xs, ys, RATIONAL, rows))
+        for c in (2, 6, -3):
+            scaled = to_matroid(lm(xs, ys, RATIONAL, [[c * x for x in row] for row in rows]))
+            assert scaled.bases() == plain.bases()
+            assert scaled.count_bases() == plain.count_bases()
+            assert [scaled.rank_of(s) for s in subsets] == [plain.rank_of(s) for s in subsets]
+
+
 def test_from_bases():
     m = FiniteMatroid.from_bases(["a", "b", "c"], [("a", "b"), ("b", "c")])
     assert m.rank == 2
