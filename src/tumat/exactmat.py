@@ -107,7 +107,7 @@ def _int_rows_rank(rows: Iterable[Sequence[int]]) -> int:
 def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns integer rows and the scale factors."""
     scales = [lcm(*(x.denominator for x in row)) for row in rows]
-    return [[int(x * d) for x in row] for row, d in zip(rows, scales)], scales
+    return [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)], scales
 
 
 def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
@@ -291,10 +291,11 @@ class ExactMatrix:
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "ExactMatrix":
         """Select rows and columns by position; repeated indices are allowed."""
-        for i in row_indices:
-            _checked(i, "row index", self.n_rows)
-        for j in col_indices:
-            _checked(j, "column index", self.n_cols)
+        for what, indices, bound in (("row", row_indices, self.n_rows), ("column", col_indices, self.n_cols)):
+            if not isinstance(indices, Sequence):
+                raise ShapeError(f"{what} indices must be a sequence, got {_shown(indices)}")
+            for i in indices:
+                _checked(i, f"{what} index", bound)
         rows = self.rows
         return _exact(self.kind, [[rows[i][j] for j in col_indices] for i in row_indices], len(col_indices))
 
@@ -372,6 +373,9 @@ class ExactMatrix:
 
 def from_cols(left: ExactMatrix, right: ExactMatrix) -> ExactMatrix:
     """Join two matrices with equal row counts side by side."""
+    for side in (left, right):
+        if not isinstance(side, ExactMatrix):
+            raise ShapeError(f"from_cols joins two ExactMatrix values, got {_shown(side)}")
     if left.kind != right.kind:
         raise ShapeError(f"mixed scalar kinds {sorted((left.kind, right.kind))}")
     if left.n_rows != right.n_rows:

@@ -20,9 +20,9 @@ from operator import or_
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError, _shown
-from .exactmat import GF2, RATIONAL, ExactMatrix, _echelon, _eliminate, gf2_rank_of_ints
-from .exactmat import _exact, _int_rows_rank, _scaled_int_rows, _supports
-from .tu import _support_graph, is_totally_unimodular, spanning_forest
+from .exactmat import GF2, ExactMatrix, _echelon, _eliminate, _int_rows_rank, _scaled_int_rows
+from .exactmat import _supports, gf2_rank_of_ints
+from .tu import _mask_verdict, _support_graph, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
 DEFAULT_ZMOD_ENUM_LIMIT = 10**6
@@ -296,17 +296,26 @@ def _binary_supports(m: FiniteMatroid, force: bool) -> Optional[list[int]]:
 def _scales_to_tu(b: list[list[int]], n: int, force: bool) -> bool:
     """Whether B is TU once scaled so every entry on a spanning forest of its
     support is +-1.  Row and column scaling keep the matroid of [I | B], and
-    any TU scaling of B differs from this one only by signs.  Unless
-    ``force`` is set, a check past the default TU guard counts as not TU.
+    any TU scaling of B differs from this one only by signs.  Line k scales
+    by num[k] / den[k]: an entry v that does not scale to +-1 (|v| num_i
+    num_j != den_i den_j) answers False, and the TU check runs on the sign
+    masks of the rest.  Unless ``force`` is set, a check past the default TU
+    guard counts as not TU.
     """
     m = len(b)
-    scale = [Fraction(1)] * (m + n)  # rows, then columns
+    num, den = [1] * (m + n), [1] * (m + n)  # rows, then columns
     for p, c in spanning_forest(_support_graph(b)):
         i, j = (p, c - m) if c >= m else (c, p - m)
-        scale[c] = 1 / abs(b[i][j] * scale[p])
-    rows = [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]
+        num[c], den[c] = den[p], abs(b[i][j]) * num[p]
+    rows = [0] * m, [0] * m  # +1 masks, then -1 masks
+    for i, row in enumerate(b):
+        for j, v in enumerate(row):
+            if v:
+                if abs(v) * num[i] * num[m + j] != den[i] * den[m + j]:
+                    return False
+                rows[v < 0][i] |= 1 << j
     try:
-        return is_totally_unimodular(_exact(RATIONAL, rows, n), force=force).is_tu
+        return _mask_verdict(*rows, m, n, force).is_tu
     except SizeGuardError:
         return False
 
@@ -409,8 +418,10 @@ def zmod_linear_independent(n: int, vectors: Sequence[Sequence[int]], *, force: 
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         raise ShapeError(f"modulus must be an int of at least 2, got {_shown(n)}")
-    k = len(vectors)
-    dims = {len(v) for v in vectors}
+    try:
+        k, dims = len(vectors), {len(v) for v in vectors}
+    except TypeError:  # the vectors, or one of them, have no length
+        raise ShapeError(f"vectors must be a sequence of sequences, got {_shown(vectors)}") from None
     if len(dims) > 1:
         raise ShapeError("vectors must share one length")
     vecs = [tuple(_residue(x, n) for x in v) for v in vectors]

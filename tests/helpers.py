@@ -26,6 +26,7 @@ from tumat import (
 from tumat.documents import DocumentError, _parse_entry
 from tumat.exactmat import _exact
 from tumat.fixtures import incidence_matrix
+from tumat.tu import _support_graph, spanning_forest
 
 DEFAULT_ORACLE_MAX_NONZEROS = 16
 
@@ -94,6 +95,26 @@ def naive_matroids_equal(m1, m2):
     ground = sorted(m1.ground)
     return all(m1.indep(c) == m2.indep(c)
                for k in range(len(ground) + 1) for c in combinations(ground, k))
+
+
+def fraction_scaled(b, n):
+    """The integer rows ``b`` (n columns) scaled by Fractions so that every
+    entry on a spanning forest of their support is +-1."""
+    m = len(b)
+    scale = [Fraction(1)] * (m + n)  # rows, then columns
+    for p, c in spanning_forest(_support_graph(b)):
+        i, j = (p, c - m) if c >= m else (c, p - m)
+        scale[c] = 1 / abs(b[i][j] * scale[p])
+    return [[v * scale[i] * scale[m + j] for j, v in enumerate(row)] for i, row in enumerate(b)]
+
+
+def fraction_scales_to_tu(b, n, force):
+    """Reference for ``matroid._scales_to_tu``: a rational TU check of
+    ``fraction_scaled(b, n)``, a ``SizeGuardError`` counting as not TU."""
+    try:
+        return is_totally_unimodular(_exact(RATIONAL, fraction_scaled(b, n), n), force=force).is_tu
+    except SizeGuardError:
+        return False
 
 
 def is_regular_witness(rep, m):

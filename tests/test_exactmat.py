@@ -25,7 +25,7 @@ from tumat import (
     zmod_linear_independent,
 )
 from tumat.stdrepr import fundamental_repr
-from tumat.exactmat import _echelon, _int_rows_rank, _supports, gf2_rank_of_ints
+from tumat.exactmat import _echelon, _int_rows_rank, _scaled_int_rows, _supports, gf2_rank_of_ints
 
 from helpers import (
     UNIT_D0S,
@@ -154,6 +154,11 @@ ENTRY_CHECKS = {
     "zmod-str": (lambda: zmod_linear_independent(3, [["1"]]), r"cannot use '1' as an entry mod 3"),
     "zmod-float-modulus": (lambda: zmod_linear_independent(2.5, [[1]]),
                            r"modulus must be an int of at least 2, got 2\.5"),
+    "zmod-int-vector": (lambda: zmod_linear_independent(3, [5]),
+                        r"vectors must be a sequence of sequences, got \[5\]"),
+    "zmod-none": (lambda: zmod_linear_independent(3, None), r"vectors must be a sequence of sequences, got None"),
+    "submatrix-int": (lambda: TWO_BY_THREE.submatrix(5, [0]), r"row indices must be a sequence, got 5"),
+    "from-cols-list": (lambda: from_cols(TWO_BY_THREE, [[1]]), r"from_cols joins two ExactMatrix values, got \[\[1\]\]"),
 }
 
 
@@ -318,6 +323,19 @@ def test_int_rows_rank_matches_fraction_elimination():
         else:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         assert _int_rows_rank(rows) == fraction_rank(rows), rows
+
+
+def test_scaled_int_rows_match_the_fraction_products():
+    # each entry is cleared by an integer quotient of the row's lcm, which
+    # must equal the Fraction product it replaced
+    rng = random.Random(131)
+    for _ in range(500):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        rows = [[Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 7, 12, 35))) for _ in range(n)]
+                for _ in range(m)]
+        ints, scales = _scaled_int_rows(rows)
+        assert ints == [[int(x * d) for x in row] for row, d in zip(rows, scales)], rows
+        assert all(d % x.denominator == 0 for row, d in zip(rows, scales) for x in row)
 
 
 def test_int_rows_rank_30x30_is_polynomial():

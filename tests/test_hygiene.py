@@ -171,7 +171,7 @@ def test_every_slot_is_read():
 PRODUCERS = {
     "_assemble", "_stacked", "_gauss_jordan", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
     "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3", "scale_rows_cols",
-    "is_totally_unimodular", "find_tu_signing",
+    "is_totally_unimodular", "_mask_verdict", "find_tu_signing",
 }
 
 
@@ -190,27 +190,34 @@ def test_certificate_runs_no_producer():
             if loaded_names(defs[name]) & PRODUCERS] == []
 
 
+def readers(name):
+    """(module path, top-level definition) of each reader of ``name`` in the package."""
+    return sorted({(str(path.relative_to(ROOT)), getattr(node, "name", node.lineno))
+                   for path in sorted((ROOT / "src" / "tumat").rglob("*.py"))
+                   for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if name in loaded_names(node)})
+
+
 def test_tree_signs_are_solved_in_one_place():
     # every tree, the star included, goes through _fits, so the network
     # signs are solved by _colourings only there and in the search's splits
-    readers = sorted({(str(path.relative_to(ROOT)), getattr(node, "name", node.lineno))
-                      for path in sorted((ROOT / "src" / "tumat").rglob("*.py"))
-                      for node in ast.parse(path.read_text(encoding="utf-8")).body
-                      if "_colourings" in loaded_names(node)})
-    assert readers == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
+    assert readers("_colourings") == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
 
 
 def test_fraction_free_elimination_is_one_row_step():
     # rank, determinant, echelon forms and the base walk over Q all clear a
     # row by exactmat._cleared, the one place that divides a row by its gcd
-    def readers(name):
-        return sorted({(str(path.relative_to(ROOT)), getattr(node, "name", node.lineno))
-                       for path in sorted((ROOT / "src" / "tumat").rglob("*.py"))
-                       for node in ast.parse(path.read_text(encoding="utf-8")).body
-                       if name in loaded_names(node)})
     assert readers("gcd") == [("src/tumat/exactmat.py", "_cleared")]
     assert readers("_cleared") == [("src/tumat/exactmat.py", name)
                                    for name in ("_echelon", "_eliminate", "_forward")]
+
+
+def test_mask_core_is_read_by_its_three_callers():
+    # the mask core trusts its masks: the entry scan, the signing search
+    # and matroid equality's binary test build them, and nothing else may
+    assert readers("_mask_verdict") == [("src/tumat/matroid.py", "_scales_to_tu"),
+                                        ("src/tumat/tu.py", "find_tu_signing"),
+                                        ("src/tumat/tu.py", "is_totally_unimodular")]
 
 
 def test_values_are_quoted_only_through_shown():

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,6 +29,8 @@ from tumat.fixtures import fano_columns, incidence_matrix
 from tumat.matroid import DEFAULT_EQ_LIMIT
 
 from helpers import (
+    fraction_scaled,
+    fraction_scales_to_tu,
     labels,
     naive_matroids_equal,
     random_gf2_matrix,
@@ -425,6 +428,36 @@ def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
         m1, m2 = _matrix_matroid(kind1, a1), _matrix_matroid(kind2, a2)
         verdicts.append(matroids_equal(m1, m2, limit=0))
     assert True in verdicts and False in verdicts
+
+
+def test_integer_scales_match_the_fraction_reference(monkeypatch):
+    # _scales_to_tu keeps each scale as a pair of ints and hands the TU check
+    # sign masks; forced or not it answers as the Fraction reference does,
+    # and an entry that does not scale to +-1 answers False before the
+    # guard, without a TU check.  Entries lie in {0, +-1, +-2, +-3, +-6}:
+    # drawn at random, or +-1 rows (TU or random) scaled by 1 or 2 and
+    # columns by 1 or 3; one matrix in eight is 9x9 or larger
+    rng = random.Random(139)
+    core, reached = matroid_module._mask_verdict, []
+    monkeypatch.setattr(matroid_module, "_mask_verdict", lambda *masks: reached.append(masks) or core(*masks))
+    seen = Counter()
+    for t in range(2400):
+        m, n = (rng.randint(9, 11), rng.randint(9, 12)) if t % 8 == 0 else (rng.randint(1, 7), rng.randint(1, 8))
+        if t % 3 == 0:
+            b = [[rng.choice((0, 0, 1, -1, 2, -2, 3, -3, 6, -6)) for _ in range(n)] for _ in range(m)]
+        else:
+            signs = (random_tu_matrix(rng, m, n).to_lists() if t % 3 == 1 else
+                     [[rng.choice((0, 1, -1)) for _ in range(n)] for _ in range(m)])
+            r, c = [rng.choice((1, 2)) for _ in range(m)], [rng.choice((1, 3)) for _ in range(n)]
+            b = [[int(v) * r[i] * c[j] for j, v in enumerate(row)] for i, row in enumerate(signs)]
+        off = any(abs(x) not in (0, 1) for row in fraction_scaled(b, n) for x in row)
+        for force in (False, True):
+            reached.clear()
+            got = matroid_module._scales_to_tu(b, n, force)
+            assert got == fraction_scales_to_tu(b, n, force), (b, force)
+            assert len(reached) == (not off), (b, force)
+            seen["off" if off else "guard" if min(m, n) > 8 and not force else got] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 100, seen
 
 
 def test_fano_over_q_falls_back_and_differs_from_fano_over_gf2(monkeypatch):
