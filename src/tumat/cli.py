@@ -9,6 +9,10 @@ of matroids not known to be binary), and ``--force`` lifts every guard.
 ``verify composition`` TU-checks its two summands only: the sum's witness
 is certified by its blocks (``tumat.sums.certifies_sum``).
 
+Each input file is read as bytes and decoded from UTF-8 once, with the
+universal newlines of text mode kept: ``\\r\\n`` and a lone ``\\r`` read
+as ``\\n``.
+
 Each command line is parsed by its command's own parser, which its
 leading words pick.  Usage errors read as the nested parse writes them:
 a missing or unknown word is reported by the parser that owns it, and
@@ -46,11 +50,13 @@ EXIT_GUARD = 3
 
 
 def _read(path: str) -> str:
+    """The file's text as text mode reads it: UTF-8 decoded once, universal newlines kept."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _write_out(text: str, path: Optional[str]) -> None:

@@ -76,28 +76,32 @@ class LabeledMatrix:
         return self.body.kind
 
     def row_position(self, label: Label) -> int:
-        if self._row_pos is None:  # built on the first lookup: most matrices are never looked up
-            self._row_pos = {lbl: i for i, lbl in enumerate(self.row_labels)}
-        try:
-            return self._row_pos[label]
-        except KeyError:
-            raise ShapeError(f"no row labeled {_shown(label)}") from None
+        return self._positions((label,), True)[0]
 
     def col_position(self, label: Label) -> int:
-        if self._col_pos is None:
-            self._col_pos = {lbl: j for j, lbl in enumerate(self.col_labels)}
+        return self._positions((label,), False)[0]
+
+    def _positions(self, labels: Iterable[Label], rows: bool) -> list[int]:
+        """The row (``rows``) or column position of each label, in order, by one lookup pass; the
+        first missing label raises."""
+        pos = self._row_pos if rows else self._col_pos
+        if pos is None:  # built on the first lookup: most matrices are never looked up
+            pos = {lbl: i for i, lbl in enumerate(self.row_labels if rows else self.col_labels)}
+            if rows:
+                self._row_pos = pos
+            else:
+                self._col_pos = pos
         try:
-            return self._col_pos[label]
-        except KeyError:
-            raise ShapeError(f"no column labeled {_shown(label)}") from None
+            return list(map(pos.__getitem__, labels))
+        except KeyError as exc:
+            raise ShapeError(f"no {'row' if rows else 'column'} labeled {_shown(exc.args[0])}") from None
 
     def entry(self, row_label: Label, col_label: Label):
         return self.body[self.row_position(row_label), self.col_position(col_label)]
 
     def select(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "LabeledMatrix":
         """Submatrix by labels, in the requested order (no repeats)."""
-        rs = [self.row_position(lbl) for lbl in row_labels]
-        cs = [self.col_position(lbl) for lbl in col_labels]
+        rs, cs = self._positions(row_labels, True), self._positions(col_labels, False)
         for pos, what in ((rs, "row"), (cs, "column")):
             if len(set(pos)) != len(pos):
                 raise ShapeError(f"duplicate {what} labels")

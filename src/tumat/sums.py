@@ -28,7 +28,10 @@ must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  Signs "up to row
 and column signs" are set along ``tu.spanning_forest`` of the support
 graph ``tu._support_graph``, as the signing search sets its own.  Every
-block read off a checked labeled matrix goes through one reader, ``_cut``.
+block read off a checked labeled matrix goes through one reader, ``_cut``,
+which looks up each axis's labels in one call.  The assembly forms each
+distinct weight vector's combination of basis rows once and shares it
+among the bottom rows that carry it.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -143,18 +146,22 @@ class Sum3Labels:
 def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
     """The matrix [[top, 0], [coeffs * basis, tail]] of top's kind, with up to two exact basis rows.
 
-    Zero block rows are shared tuples; over GF(2) coeffs pick basis rows to XOR, with no product.
+    ``coeffs`` holds one weight vector per tail row and is read once, so it may be an iterator.
+    Each distinct weight vector's head, its combination of basis rows, is formed once and shared
+    by the bottom rows that carry it: over GF(2) at most 2^b heads for b basis rows, each picking
+    basis rows to XOR with no product.  Zero block rows are shared tuples.
     """
     kind, n_left, n_right = top.kind, top.n_cols, tail.n_cols
     zero = Fraction(0) if kind == RATIONAL else 0
     pad, blank = (zero,) * n_right, (zero,) * n_left
-    if kind == GF2:
-        picks = ([b for c, b in zip(cs, basis) if c] for cs in coeffs)
-        heads = [tuple(map(xor, *p)) if len(p) == 2 else p[0] if p else blank for p in picks]
-    else:
-        heads = [tuple(sum(map(mul, cs, col), zero) for col in zip(*basis)) if any(cs) else blank
-                 for cs in coeffs]
-    return _exact(kind, [row + pad for row in top.rows] + [h + t for h, t in zip(heads, tail.rows)],
+    coeffs, heads = list(coeffs), {}
+    for cs in set(coeffs):
+        if kind == GF2:
+            p = [b for c, b in zip(cs, basis) if c]
+            heads[cs] = tuple(map(xor, *p)) if len(p) == 2 else p[0] if p else blank
+        else:
+            heads[cs] = tuple(sum(map(mul, cs, col), zero) for col in zip(*basis)) if any(cs) else blank
+    return _exact(kind, [row + pad for row in top.rows] + [heads[cs] + t for cs, t in zip(coeffs, tail.rows)],
                   n_left + n_right)
 
 
@@ -289,12 +296,17 @@ def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple,
 
 def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> ExactMatrix:
     """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
-    checked for repeats.  Rows stay shared when ``cols`` are b's own column labels."""
-    kept = [b.body.rows[i] for i in map(b.row_position, rows)]
+    checked for repeats.  Each axis's labels are looked up in one ``LabeledMatrix._positions``
+    call, so a missing one raises as ``row_position`` or ``col_position`` does.  Rows stay shared
+    when ``cols`` are b's own column labels."""
+    body_rows = b.body.rows
+    kept = [body_rows[i] for i in b._positions(rows, True)]
     if tuple(cols) != b.col_labels:
-        keep = list(map(b.col_position, cols))
-        pick = itemgetter(*keep) if len(keep) > 1 else lambda row: tuple(row[j] for j in keep)
-        kept = list(map(pick, kept))
+        keep = b._positions(cols, False)
+        if len(keep) > 1:
+            kept = list(map(itemgetter(*keep), kept))
+        else:  # itemgetter of one index returns a bare entry, and of none raises
+            kept = [(row[keep[0]],) for row in kept] if keep else [()] * len(kept)
     return _exact(b.kind, kept, len(cols))
 
 
@@ -405,7 +417,8 @@ def canonical_signing_sum3(
     _require_rational(signed_left, signed_right)
     if len(set(labels.xs)) < 3 or len(set(labels.ys)) < 3:
         raise ShapeError("glue labels must be six distinct names")
-    d0_left, d0_right = (_cut(support(side), labels.xs[:2], labels.ys[:2]).rows
+    x01, y01 = labels.xs[:2], labels.ys[:2]  # each connector's support, off its 2x2 cut
+    d0_left, d0_right = (support(_labeled(x01, y01, _cut(side, x01, y01))).body.rows
                          for side in (signed_left, signed_right))
     if d0_left != d0_right:
         raise ShapeError("connector supports of the two signings differ")

@@ -11,6 +11,7 @@ import pytest
 from tumat import (
     GF2,
     RATIONAL,
+    DocumentError,
     ExactMatrix,
     LabeledMatrix,
     StandardRepr,
@@ -759,6 +760,57 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
     code, _, err = run(capsys, "tu", "check", DATA / "no_such_file.json")
     assert code == 2 and "cannot read" in err
+
+
+def _text_mode_read(path):
+    """The text that ``open(path, encoding="utf-8").read()`` returns, or the message ``cli._read`` gives its error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return f"cannot read {path}: {exc}"
+
+
+READER_INPUTS = {
+    "crlf": b'{"field": "gf2",\r\n "rows": []}\r\n',
+    "lone-cr": b"a\rb\r",
+    "mixed": b"a\r\nb\rc\nd\r\r\n\n\r\r",
+    "crlf-across-8192": b"x" * 8191 + b"\r\n" + b"y\r",
+    "cr-at-8192": b"x" * 8192 + b"\r" + b"z",
+    "bom": b"\xef\xbb\xbf{}\r\n",
+    "invalid-at-0": b"\xff{}",
+    "invalid-past-8k": b"a" * 9000 + b"\xfe" + b"b",
+    "truncated-at-end": b"abc\xe2\x82",
+    "truncated-mid": b"abc\xe2\x82x",
+    "char-across-8192": b"a" * 8191 + "€".encode() + b"\r\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_INPUTS) + ["directory", "missing"])
+def test_reader_returns_what_text_mode_reads(tmp_path, name):
+    # _read decodes the bytes once and keeps universal newlines, so it must
+    # return exactly the text-mode text, or fail with its error message
+    path = tmp_path / "doc.json"
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(READER_INPUTS[name])
+    expected = _text_mode_read(str(path))
+    try:
+        got = cli._read(str(path))
+    except DocumentError as exc:
+        got = str(exc)
+    assert type(got) is str and got == expected
+
+
+def test_crlf_document_json_error_counts_translated_newlines(capsys, tmp_path):
+    # the JSON error's offset counts each CRLF as one character, as text mode reads it
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"field": "gf2",\r\n "rows": ["u"],\r\n "cols": ["a"],\r\n "data": [[1,]]}\r\n')
+    code, out, err = run(capsys, "tu", "check", path)
+    assert (code, out) == (2, "")
+    assert err == "error: not valid JSON: Expecting value: line 4 column 14 (char 62)\n"
 
 
 @pytest.mark.parametrize("text", [

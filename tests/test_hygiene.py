@@ -220,6 +220,37 @@ def test_mask_core_is_read_by_its_three_callers():
                                         ("src/tumat/tu.py", "is_totally_unimodular")]
 
 
+def file_reads():
+    """(module path, top-level definition, mode) of each call in the package that opens a file
+    to read it: ``open`` with no mode or a mode without w, a or x, and any ``read_text``/``read_bytes``."""
+    found = []
+    for path in sorted((ROOT / "src" / "tumat").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                if name in ("read_text", "read_bytes"):
+                    found.append((str(path.relative_to(ROOT)), getattr(node, "name", node.lineno), name))
+                if name != "open":
+                    continue
+                modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+                mode = ast.literal_eval(modes[0]) if modes else "r"
+                if not set(mode) & set("wax"):
+                    found.append((str(path.relative_to(ROOT)), getattr(node, "name", node.lineno), mode))
+    return found
+
+
+def test_documents_are_read_in_one_place_in_binary():
+    # cli._read decodes each file once and keeps universal newlines itself,
+    # so no other reader can drift from it; LabeledMatrix's position maps
+    # are touched only in matroid.py, by the class and its builder _labeled,
+    # so every label lookup raises the one missing-label message
+    assert file_reads() == [("src/tumat/cli.py", "_read", "rb")]
+    for name in ("_row_pos", "_col_pos"):
+        assert readers(name) == [("src/tumat/matroid.py", "LabeledMatrix"), ("src/tumat/matroid.py", "_labeled")]
+
+
 def test_values_are_quoted_only_through_shown():
     # a value formatted with !r echoes an input of any size into a message;
     # errors._shown quotes a bounded prefix, and is the only f-string that

@@ -42,7 +42,8 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
-from tumat.sums import _cut, _signs_between
+from tumat.exactmat import _exact
+from tumat.sums import _SIGNED, _cut, _signs_between, _stacked
 
 from helpers import (
     SUM3_LABELS,
@@ -219,6 +220,90 @@ def test_sum_3_reads_each_glue_block_once(monkeypatch):
         calls.update(select=0, entry=0, _cut=0)
         assert compose(left, right, glue).valid
         assert calls == {"select": 0, "entry": 0, "_cut": 6}
+
+
+def test_block_readers_report_the_first_missing_label_as_the_lookups_do():
+    # _cut and select look up each axis's labels in one pass; a missing
+    # label, the first one in order and rows before columns, raises the
+    # message row_position or col_position gives it, a tuple label included
+    def fresh():  # a matrix whose position maps are not built yet
+        return LabeledMatrix(["r1", "r2", "r3"], ["c1", "c2"], ExactMatrix(GF2, [[1, 0], [0, 1], [1, 1]]))
+
+    def message(call):
+        with pytest.raises(ShapeError) as info:
+            call()
+        return str(info.value)
+
+    cases = [
+        (["r1", "zz", "yy"], ["c1"], "row", "zz"),
+        (["r3", ("r", 9), "r2"], ["c1", "c2"], "row", ("r", 9)),
+        (["r1"], ["c2", "qq", "pp"], "column", "qq"),
+        (["r1"], ["c2", ("c", 7)], "column", ("c", 7)),
+        (["zz"], ["qq"], "row", "zz"),
+        ([4], [], "row", 4),
+    ]
+    for rows, cols, axis, missing in cases:
+        lookup = fresh().row_position if axis == "row" else fresh().col_position
+        expected = message(lambda: lookup(missing))
+        assert expected.startswith(f"no {axis} labeled ")
+        assert message(lambda: _cut(fresh(), rows, cols)) == expected
+        assert message(lambda: fresh().select(rows, cols)) == expected
+        warm = fresh()  # and once the maps are built
+        warm.row_position("r1"), warm.col_position("c1")
+        assert message(lambda: _cut(warm, rows, cols)) == message(lambda: warm.select(rows, cols)) == expected
+
+
+def test_one_and_zero_column_cuts_match_select():
+    rng = random.Random(35)
+    for body in (random_gf2_matrix(rng, 4, 5), random_rational_matrix(rng, 4, 5)):
+        m = LabeledMatrix(labels("r", 4), labels("c", 5), body)
+        for rows in (["r3", "r1"], labels("r", 4), ["r2"], []):
+            for cols in ([], ["c4"], ("c1",), ["c5", "c1"], labels("c", 5)):
+                cut = _cut(m, rows, cols)
+                assert_exact(cut)
+                assert cut == m.select(rows, cols).body and cut.shape == (len(rows), len(cols))
+
+
+def per_row_stacked(top, coeffs, basis, tail):
+    """[[top, 0], [coeffs * basis, tail]] as plain lists, each bottom row's head summed on its own."""
+    zero = Fraction(0) if top.kind == RATIONAL else 0
+    rows = [list(row) + [zero] * tail.n_cols for row in top.rows]
+    for cs, t in zip(coeffs, tail.rows):
+        head = [sum((c * b[j] for c, b in zip(cs, basis)), zero) for j in range(top.n_cols)]
+        rows.append([x % 2 for x in head] + list(t) if top.kind == GF2 else head + list(t))
+    return rows
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL, _SIGNED])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_shares_heads_and_matches_a_per_row_reference(kind, k):
+    # _stacked forms each distinct weight vector's head once; every bottom
+    # row must still be its own head plus its tail row, however the weights
+    # repeat and however they are passed, a one-shot iterator included
+    rng = random.Random(f"stacked {kind} {k}")
+    pool = {GF2: [0, 1], RATIONAL: [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)],
+            _SIGNED: [0, 1, -1]}[kind]
+
+    def matrix(m, n):
+        return _exact(kind, [[rng.choice(pool) for _ in range(n)] for _ in range(m)], n)
+
+    repeated = 0
+    for _ in range(25):
+        n_left, n_right, n_bottom = rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 12)
+        top, tail, basis = matrix(rng.randint(0, 3), n_left), matrix(n_bottom, n_right), matrix(k - 1, n_left).rows
+        weights = matrix(3, k - 1).rows  # few weight vectors, so the bottom rows repeat them
+        coeffs = [rng.choice(weights) for _ in range(n_bottom)]
+        repeated += len(set(coeffs)) < len(coeffs)
+        expected = per_row_stacked(top, coeffs, basis, tail)
+        passes = [coeffs, iter(coeffs), (cs for cs in coeffs)]
+        if k == 2:  # as sign_sum_2 passes its column c
+            passes.append(zip([cs[0] for cs in coeffs]))
+        for passed in passes:
+            got = _stacked(top, passed, list(basis), tail)
+            assert (got.kind, got.n_cols, len(got.rows)) == (kind, n_left + n_right, top.n_rows + n_bottom)
+            assert [list(row) for row in got.rows] == expected
+            assert all(type(x) is (Fraction if kind == RATIONAL else int) for row in got.rows for x in row)
+    assert repeated >= 10
 
 
 def test_sum_1_overlap_reasons():
