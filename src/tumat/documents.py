@@ -6,16 +6,17 @@ of entry strings).  A standard representation document has exactly the
 keys ``field``, ``X``, ``Y``, and ``B``, where ``B`` is the grid for the
 X-by-Y matrix.  GF(2) entries are "0" or "1"; rational entries are
 integers or reduced "p/q" strings.  Both kinds are read by one reader,
-which checks every rule on a document once: keys, field, labels
-(nonempty, distinct strings), grid shape and entries, and a standard
-representation's disjoint X and Y; nothing built from it re-checks
-them.  A grid row is decoded by lookups in a cache seeded with "0" and
-"1" (and "-1" over Q, as the shared sign Fractions); a row with a string
-not seen yet or a non-string entry is read entry by entry, which caches
-each new string and reports the first bad entry.  Rendering is
-deterministic, so parse and render round-trip byte for byte: a rendered
-document is ``json.dumps(doc, indent=2) + "\n"``, written out directly
-rather than through the pure-Python encoder that ``indent`` selects.
+which checks every rule on a document once: keys (no object repeats
+one), field, labels (nonempty, distinct strings), grid shape and
+entries, and a standard representation's disjoint X and Y; nothing
+built from it re-checks them.  A grid row is decoded by lookups in a
+cache seeded with "0" and "1" (and "-1" over Q, as the shared sign
+Fractions); a row with a string not seen yet or a non-string entry is
+read entry by entry, which caches each new string and reports the first
+bad entry.  Rendering is deterministic, so parse and render round-trip
+byte for byte: a rendered document is
+``json.dumps(doc, indent=2) + "\n"``, written out directly rather than
+through the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
@@ -41,9 +42,19 @@ class DocumentError(ValueError):
     """The text is not a well-formed document."""
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises instead of keeping its last value."""
+    obj, seen = dict(pairs), set()
+    if len(obj) < len(pairs):
+        raise DocumentError(f"repeated key {_shown(next(k for k, _ in pairs if k in seen or seen.add(k)))}")
+    return obj
+
+
 def _load_object(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except DocumentError:
+        raise
     except (ValueError, RecursionError) as exc:  # ValueError: also a number past the int digit limit
         raise DocumentError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict):

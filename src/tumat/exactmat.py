@@ -9,11 +9,12 @@ the 0x0 matrix is 1.
 Fraction-free elimination is one row step, ``_cleared``: over Q, on rows
 with denominators cleared, y becomes y·p[f] − y[f]·p divided by its gcd;
 over GF(2), on bit-packed rows, y XOR p.  Only ``_forward``, ``_echelon``
-(the reduced row-echelon form that stores every vector matroid,
-``matroid.to_matroid``) and the base walk's ``_eliminate``, which XORs
-GF(2) rows inline, call it.  The rank is the length of the forward pass;
-the determinant over Q runs that pass on the rows [e_k | row k], and
-over GF(2) it is 1 at full rank.
+and the base walk's ``_eliminate``, which XORs GF(2) rows inline, call it.
+The one reduction is ``_echelon``'s reduced row-echelon form: it stores
+every vector matroid (``matroid.to_matroid``), and ``_coordinates`` reads
+standard representations (``stdrepr.standardize``) and inverses off it.
+The rank is the length of its forward pass; the determinant over Q runs
+that pass on the rows [e_k | row k], and over GF(2) it is 1 at full rank.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry, and ``_checked`` every size and index a method takes.
@@ -110,44 +111,21 @@ def _scaled_int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(rows, scales)], scales
 
 
-def _pivot_rows(kind: str, rows: list, i: int, j: int) -> None:
-    """Gauss-Jordan step in place: column j becomes the i-th unit column.
-
-    Row i is divided by its entry in column j (negated for -1, so int rows
-    stay int), then subtracted (XORed over GF(2)) from every other row that
-    is nonzero there.  Rows are replaced, never mutated, so they may be tuples.
-    """
-    base = rows[i]
+def _coordinates(kind: str, rows: Sequence[Sequence[Entry]], base: Sequence[int], rest: Sequence[int]) -> list | None:
+    """Each ``rest`` column of ``rows`` in coordinates over the ``base`` columns, one row per base
+    column in order; None unless the base columns are a base.  One ``_echelon`` pass runs on the
+    columns rest then base: each pivot is a row's last nonzero column, so the pivots are the base
+    columns exactly when they form a base, and row k, pivot p, gives column j the coordinate
+    y[j] / y[p] on base column k (over GF(2), the bit j)."""
+    order, n = [*rest, *base], len(rest)
+    picked = [[row[j] for j in order] for row in rows]
+    reduced = _echelon(kind, (sum(x << k for k, x in enumerate(row)) for row in picked) if kind == GF2
+                       else _scaled_int_rows(picked)[0])
+    if [_last(kind, y) for y in reduced] != list(range(n, len(order))):
+        return None
     if kind == GF2:
-        for k, row in enumerate(rows):
-            if k != i and row[j]:
-                rows[k] = [x ^ y for x, y in zip(row, base)]
-        return
-    a = base[j]
-    if a == -1:
-        base = rows[i] = [-x for x in base]
-    elif a != 1:
-        base = rows[i] = [x / a for x in base]
-    for k, row in enumerate(rows):
-        f = row[j]
-        if k != i and f:
-            rows[k] = [x - f * b for x, b in zip(row, base)]
-
-
-def _gauss_jordan(kind: str, rows: list, cols: Iterable[int]) -> dict[int, int]:
-    """Pivot each of ``cols`` in turn, in place; returns {column: pivot row} for those that pivot.
-
-    Each column pivots on the first unused row with a nonzero entry.  A
-    column with none depends on the earlier ones and is skipped, so over an
-    ordered column list the pivot columns are the greedy base.
-    """
-    pivots: dict[int, int] = {}
-    for j in cols:
-        r = next((r for r in range(len(rows)) if rows[r][j] and r not in pivots.values()), None)
-        if r is not None:
-            _pivot_rows(kind, rows, r, j)
-            pivots[j] = r
-    return pivots
+        return [[y >> j & 1 for j in range(n)] for y in reduced]
+    return [[Fraction(x, y[p]) for x in y[:n]] for p, y in enumerate(reduced, n)]
 
 
 def _echelon(kind: str, rows: Iterable) -> list:
@@ -332,20 +310,25 @@ class ExactMatrix:
         """
         if self[i, j] == 0:
             raise ShapeError(f"zero pivot entry at ({i}, {j})")
-        rows = list(self.rows)
-        _pivot_rows(self.kind, rows, i, j)
+        p = self.rows[i]
+        if self.kind == GF2:
+            rows = [[x ^ y for x, y in zip(row, p)] if row[j] and k != i else row for k, row in enumerate(self.rows)]
+        else:
+            p = [x / p[j] for x in p]
+            rows = [p if k == i else [x - row[j] * y for x, y in zip(row, p)] if row[j] else row
+                    for k, row in enumerate(self.rows)]
         return _exact(self.kind, rows, self.n_cols)
 
     def inverse(self) -> "ExactMatrix":
-        """Inverse of a square nonsingular matrix (Gauss-Jordan on [A | I])."""
+        """Inverse of a square nonsingular matrix: in [A | I], the coordinates of I's columns over A's."""
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
         work = [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(n, self.kind).rows)]
-        pivots = _gauss_jordan(self.kind, work, range(n))
-        if len(pivots) < n:
+        inverse = _coordinates(self.kind, work, range(n), range(n, 2 * n))
+        if inverse is None:
             raise ShapeError("matrix is singular")
-        return _exact(self.kind, [work[r][n:] for r in pivots.values()], n)
+        return _exact(self.kind, inverse, n)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):

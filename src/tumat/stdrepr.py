@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import ShapeError
-from .exactmat import GF2, RATIONAL, ExactMatrix, _exact, _gauss_jordan, from_cols
+from .exactmat import GF2, RATIONAL, ExactMatrix, _coordinates, _exact, from_cols
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, to_matroid
 from .tu import find_tu_signing, is_totally_unimodular
 
@@ -75,10 +75,9 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     """Standard representation of the column matroid at a given base.
 
     Each non-base column is written in coordinates over the base columns
-    by exact Gauss-Jordan elimination; B[x][y] is the coordinate of
-    column y on base column x.  Reducing the base columns, then the
-    others, the labels form a base exactly when the pivot columns are the
-    base columns.
+    by one fraction-free reduction, ``exactmat._coordinates``; B[x][y] is
+    the coordinate of column y on base column x.  The reduction refuses
+    a label set that is not a base.
     """
     g = frozenset(base_labels)
     missing = g - set(rep.col_labels)
@@ -87,20 +86,18 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
     x_order = [lbl for lbl in rep.col_labels if lbl in g]
     y_order = [lbl for lbl in rep.col_labels if lbl not in g]
     cols = [rep.col_position(v) for v in x_order + y_order]
-    work = list(rep.body.rows)
-    pivots = _gauss_jordan(rep.kind, work, cols)
-    if list(pivots) != cols[: len(x_order)]:
+    b = _coordinates(rep.kind, rep.body.rows, cols[: len(x_order)], cols[len(x_order):])
+    if b is None:
         raise ShapeError("the given label set is not a base of the column matroid")
-    b = _exact(rep.kind, [[work[r][j] for j in cols[len(x_order):]] for r in pivots.values()], len(y_order))
-    return StandardRepr(_labeled(x_order, y_order, b))
+    return StandardRepr(_labeled(x_order, y_order, _exact(rep.kind, b, len(y_order))))
 
 
 def standardize_tu(rep: LabeledMatrix, base_labels: Iterable[Label], *, force: bool = False) -> StandardRepr:
-    """Standardize a TU matrix by repeated unit pivots; B stays TU.
+    """Standardize a TU matrix; B stays TU.
 
-    Pivots land on nonzero entries of the base columns, which are +-1 in
-    a TU matrix, and every pivot keeps the whole working matrix TU, so
-    the extracted B is TU as well.
+    [I | B] is what unit pivots at the base columns reach: their nonzero
+    entries are +-1 in a TU matrix, and every such pivot keeps the whole
+    matrix TU, so B is TU as well.  ``standardize`` computes it.
     """
     if rep.kind != RATIONAL:
         raise ShapeError("standardize_tu takes a rational matrix")

@@ -48,7 +48,7 @@ from operator import itemgetter, mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError, _shown
-from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _gauss_jordan, _int_rows_rank
+from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import _support_graph, is_signing_of, scale_rows_cols, spanning_forest
@@ -147,22 +147,26 @@ def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
     """The matrix [[top, 0], [coeffs * basis, tail]] of top's kind, with up to two exact basis rows.
 
     ``coeffs`` holds one weight vector per tail row and is read once, so it may be an iterator.
-    Each distinct weight vector's head, its combination of basis rows, is formed once and shared
-    by the bottom rows that carry it: over GF(2) at most 2^b heads for b basis rows, each picking
-    basis rows to XOR with no product.  Zero block rows are shared tuples.
+    Each distinct weight vector's head, its ``_head`` combination of basis rows, is formed once
+    and shared by the bottom rows that carry it: over GF(2) at most 2^b heads for b basis rows.
+    Zero block rows are shared tuples.
     """
     kind, n_left, n_right = top.kind, top.n_cols, tail.n_cols
     zero = Fraction(0) if kind == RATIONAL else 0
     pad, blank = (zero,) * n_right, (zero,) * n_left
-    coeffs, heads = list(coeffs), {}
-    for cs in set(coeffs):
-        if kind == GF2:
-            p = [b for c, b in zip(cs, basis) if c]
-            heads[cs] = tuple(map(xor, *p)) if len(p) == 2 else p[0] if p else blank
-        else:
-            heads[cs] = tuple(sum(map(mul, cs, col), zero) for col in zip(*basis)) if any(cs) else blank
+    coeffs = list(coeffs)
+    heads = {cs: _head(kind, cs, basis) if any(cs) else blank for cs in set(coeffs)}
     return _exact(kind, [row + pad for row in top.rows] + [heads[cs] + t for cs, t in zip(coeffs, tail.rows)],
                   n_left + n_right)
+
+
+def _head(kind: str, cs: Sequence, basis: Sequence[tuple]) -> tuple:
+    """The combination of up to two basis rows with the weights ``cs``, not all zero: over GF(2)
+    the picked rows XORed, with no product; over Q and on int signs, a sum of products."""
+    if kind == GF2:
+        p = [b for c, b in zip(cs, basis) if c]
+        return tuple(map(xor, *p)) if len(p) == 2 else p[0]
+    return tuple(sum(map(mul, cs, col)) for col in zip(*basis))
 
 
 def _check_glue(left: StandardRepr, right: StandardRepr, *shared: tuple[set, str]) -> None:
@@ -267,15 +271,16 @@ def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMat
     swapping x0 with x1 or y0 with y1 leaves them unchanged.  The bottom
     row whose Y columns hold d starts with d * [r] for a 2-sum, r the left
     row x, and with d * D0^-1 * [Dl | D0] for a 3-sum, where both summands
-    hold the unit D0 at X by Y: the rows of D0^-1 * [Dl | D0] are the left
-    rows X after Gauss-Jordan pivoting at columns Y.
+    hold the unit D0 at X by Y: D0^-1 = det * adj(D0), det = +-1, weighs
+    the left rows X by ``_head`` into the rows of D0^-1 * [Dl | D0].
     """
     xs, ys, x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
     # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
-    basis = list(_cut(b_left, xs, y_left).rows) if xs else []
+    basis = _cut(b_left, xs, y_left).rows if xs else []
     if isinstance(glue, Sum3Labels):
-        pivots = _gauss_jordan(b_left.kind, basis, map(y_left.index, ys))
-        basis = [tuple(basis[r]) for r in pivots.values()]
+        (a, b), (c, d) = ([row[y_left.index(y)] for y in ys] for row in basis)
+        det = a * d - b * c
+        basis = [_head(b_left.kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]
     top, tail = _cut(b_left, x_top, y_left), _cut(b_right, x_bottom, y_right)
     coeffs = _cut(b_right, x_bottom, ys).rows if ys else [()] * len(x_bottom)
     return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
@@ -408,11 +413,12 @@ def canonical_signing_sum3(
     (rows x2, x0, x1 by columns y0, y1, y2, taken in the order that
     brings the connector to its canonical form) equals a fixed target,
     then the sum is assembled on int signs with exact bottom-left block
-    D'r * (D'0)^-1 * D'l: the target's D'0 has pivots +-1.  The output
-    is labeled like the Valid outcome of ``standard_repr_sum_3`` on the
-    summand supports.  It is TU when both summand signings are; nothing
-    here checks either.  Glue labels that are not six distinct names, and
-    connectors whose supports differ or are singular, raise.
+    D'r * (D'0)^-1 * D'l: the target's D'0 has determinant +-1, so its
+    inverse is det * adj(D'0), an int matrix.  The output is labeled like
+    the Valid outcome of ``standard_repr_sum_3`` on the summand supports.
+    It is TU when both summand signings are; nothing here checks either.
+    Glue labels that are not six distinct names, and connectors whose
+    supports differ or are singular, raise.
     """
     _require_rational(signed_left, signed_right)
     if len(set(labels.xs)) < 3 or len(set(labels.ys)) < 3:

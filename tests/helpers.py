@@ -48,6 +48,22 @@ def cofactor_det(grid):
     return total
 
 
+def plain_rank(kind, rows):
+    """Rank of ``rows`` by plain Gaussian elimination with row swaps over Fractions, mod 2 over GF(2)."""
+    work = [[Fraction(x) % 2 if kind == GF2 else Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for r in range(rank + 1, len(work)):
+            f = work[r][c] / work[rank][c]
+            work[r] = [(a - f * b) % 2 if kind == GF2 else a - f * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def naive_tu_verdict(a):
     """Enumerate every square submatrix, same order the checker promises.
 

@@ -132,6 +132,19 @@ def test_malformed_label_documents_exit_2(capsys, tmp_path, doc, message):
     assert run(capsys, "tu", "check", path) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, text, key", [
+    (["tu", "check"], '{"field":"gf2","field":"rational","rows":["a"],"cols":["b"],"data":[["2"]]}', "'field'"),
+    (["regular", "check"], '{"field":"gf2","X":["a"],"Y":["b"],"B":[["1"]],"Y":["c"]}', "'Y'"),
+])
+def test_repeated_key_documents_exit_2(capsys, tmp_path, argv, text, key):
+    # read with its last value, the first document's "2" would be a rational
+    # entry and tu check would answer "not TU" with exit 1; both kinds are refused
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert run(capsys, *argv, path) == (2, "", f"error: repeated key {key}\n")
+    assert _fresh_process([*argv, str(path)]) == (2, "", f"error: repeated key {key}\n")
+
+
 @pytest.mark.parametrize("field, entry", [
     ("rational", "1" + "0" * 5000),  # too many digits for int
     ("gf2", "1" * 5000),

@@ -74,6 +74,27 @@ def test_non_json_and_non_object():
         parse_matrix_document("[1, 2]")
 
 
+# a key given twice, which json.loads would read with its last value
+REPEATED_KEYS = [
+    ('{"field": "gf2", "field": "rational", "rows": ["a"], "cols": ["b"], "data": [["2"]]}', "'field'"),
+    ('{"field": "gf2", "rows": ["a"], "cols": ["b"], "data": [["1"]], "data": [["0"]]}', "'data'"),
+    ('{"field": "gf2", "X": ["a"], "Y": ["b"], "B": [["1"]], "Y": ["c"]}', "'Y'"),
+    ('{"field": "gf2", "X": ["a"], "X": ["a"], "Y": ["b"], "B": [["1"]]}', "'X'"),
+    # in any object of the text, and a long key quoted by a bounded prefix
+    ('{"field": "gf2", "rows": [{"a": 1, "a": 2}], "cols": [], "data": [[]]}', "'a'"),
+    ('{"field": "gf2", "%s": 1, "%s": 2}' % ("k" * 50, "k" * 50), "'%s'... (50 characters)" % ("k" * 40)),
+]
+
+
+@pytest.mark.parametrize("text, key", REPEATED_KEYS)
+def test_repeated_keys_are_refused(text, key):
+    parsers = [parse_document, parse_standard_repr_document if '"X"' in text else parse_matrix_document]
+    for parse in parsers:
+        with pytest.raises(DocumentError) as exc:
+            parse(text)
+        assert str(exc.value) == f"repeated key {key}"
+
+
 def test_key_set_errors():
     doc = dict(MATRIX_DOC)
     del doc["data"]

@@ -33,6 +33,7 @@ from helpers import (
     cofactor_det,
     labels,
     make_repr,
+    plain_rank,
     random_gf2_matrix,
     random_rational_matrix,
 )
@@ -293,22 +294,6 @@ def test_rank_against_nonsingular_submatrix_search():
         assert a.rank() == best
 
 
-def fraction_rank(rows):
-    """Rank by plain Gauss elimination over the rationals (test oracle)."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for c in range(len(work[0]) if work else 0):
-        piv = next((r for r in range(rank, len(work)) if work[r][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        for r in range(rank + 1, len(work)):
-            f = work[r][c] / work[rank][c]
-            work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 def test_int_rows_rank_matches_fraction_elimination():
     rng = random.Random(23)
     for trial in range(400):
@@ -322,7 +307,7 @@ def test_int_rows_rank_matches_fraction_elimination():
                 rows.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(n)])
         else:
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
-        assert _int_rows_rank(rows) == fraction_rank(rows), rows
+        assert _int_rows_rank(rows) == plain_rank(RATIONAL, rows), rows
 
 
 def test_scaled_int_rows_match_the_fraction_products():
@@ -346,7 +331,7 @@ def test_int_rows_rank_30x30_is_polynomial():
     start = time.perf_counter()
     rank = _int_rows_rank(rows)
     assert time.perf_counter() - start < 1.0
-    assert rank == fraction_rank(rows)
+    assert rank == plain_rank(RATIONAL, rows)
 
 
 def test_gf2_rank_differs_from_rational_rank():
@@ -398,7 +383,7 @@ def test_echelon_is_the_canonical_reduced_form_of_the_row_space():
             out = _echelon(RATIONAL, rows)
             assert _supports(RATIONAL, _echelon(RATIONAL, _same_span(rng, RATIONAL, rows))) == \
                 _supports(RATIONAL, out)
-            assert len(out) == fraction_rank(rows) == fraction_rank(rows + [list(y) for y in out])
+            assert len(out) == plain_rank(RATIONAL, rows) == plain_rank(RATIONAL, rows + [list(y) for y in out])
         masks = _supports(kind, out)
         ends = [y.bit_length() - 1 for y in masks]
         assert ends == sorted(set(ends)) and min(ends, default=0) >= 0
@@ -478,6 +463,59 @@ def test_inverse_round_trip():
         ExactMatrix(RATIONAL, [[1, "1/2", 0], [2, 1, 3], [0, 0, 1]]).inverse()
     with pytest.raises(ShapeError, match="inverse of non-square matrix"):
         ExactMatrix(RATIONAL, [[1, 0, 0], [0, 1, 0]]).inverse()
+
+
+def _nonsingular(rng, kind, n):
+    """P * L * D * U: a row permutation, unit triangular L and U, and over Q a nonzero diagonal D."""
+    pool = [0, 1] if kind == GF2 else [0, 1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]
+    order = rng.sample(range(n), n)
+    factors = [[[int(order[i] == j) for j in range(n)] for i in range(n)],
+               [[1 if i == j else rng.choice(pool) if j < i else 0 for j in range(n)] for i in range(n)],
+               [[rng.choice(pool[1:]) if i == j and kind == RATIONAL else int(i == j) for j in range(n)]
+                for i in range(n)],
+               [[1 if i == j else rng.choice(pool) if j > i else 0 for j in range(n)] for i in range(n)]]
+    a = ExactMatrix.identity(n, kind)
+    for f in factors:
+        a = a @ ExactMatrix(kind, f, n_cols=n)
+    return a
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_inverse_is_certified_by_its_products(kind):
+    # orders 0-8, with no second reduction in the test: a product of unit
+    # triangular factors (and a nonzero diagonal over Q) is nonsingular and
+    # its inverse must give the identity both ways; replacing one row by a
+    # zero row, a copy of another or a combination of the others makes it
+    # singular, and so does any small matrix of cofactor determinant 0
+    rng = random.Random(f"inverse {kind}")
+    pool = [0, 1] if kind == GF2 else [0, 1, -1, 2, Fraction(-3, 2)]
+    for n in range(9):
+        for trial in range(6):
+            a = _nonsingular(rng, kind, n)
+            inv = a.inverse()
+            assert_exact(inv)
+            assert a @ inv == inv @ a == ExactMatrix.identity(n, kind)
+            if not n:
+                continue
+            rows, i = a.to_lists(), rng.randrange(n)
+            others = [k for k in range(n) if k != i]
+            if trial % 3 == 0 or not others:
+                rows[i] = [0] * n
+            elif trial % 3 == 1:
+                rows[i] = list(rows[rng.choice(others)])
+            else:
+                cs = {k: rng.choice(pool) for k in others}
+                rows[i] = [sum((cs[k] * rows[k][j] for k in others), Fraction(0)) for j in range(n)]
+            with pytest.raises(ShapeError, match="^matrix is singular$"):
+                ExactMatrix(kind, rows, n_cols=n).inverse()
+        for _ in range(12 if n <= 4 else 0):
+            a = ExactMatrix(kind, [[rng.choice(pool) for _ in range(n)] for _ in range(n)], n_cols=n)
+            det = cofactor_det(a.to_lists())
+            if (det % 2 if kind == GF2 else det) == 0:
+                with pytest.raises(ShapeError, match="^matrix is singular$"):
+                    a.inverse()
+            else:
+                assert a @ a.inverse() == a.inverse() @ a == ExactMatrix.identity(n, kind)
 
 
 def test_matmul():

@@ -169,7 +169,7 @@ def test_every_slot_is_read():
 
 # the functions that build a sum, a signing or a TU verdict
 PRODUCERS = {
-    "_assemble", "_stacked", "_gauss_jordan", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
+    "_assemble", "_stacked", "_head", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
     "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3", "scale_rows_cols",
     "is_totally_unimodular", "_mask_verdict", "find_tu_signing",
 }
@@ -210,6 +210,16 @@ def test_fraction_free_elimination_is_one_row_step():
     assert readers("gcd") == [("src/tumat/exactmat.py", "_cleared")]
     assert readers("_cleared") == [("src/tumat/exactmat.py", name)
                                    for name in ("_echelon", "_eliminate", "_forward")]
+
+
+def test_echelon_is_the_one_reduction():
+    # Gauss-Jordan elimination is retired: every vector matroid reads the
+    # reduced row-echelon form itself, and standard representations and
+    # inverses read their coordinates off it
+    assert readers("_echelon") == [("src/tumat/exactmat.py", "_coordinates"),
+                                   ("src/tumat/matroid.py", "disjoint_sum"), ("src/tumat/matroid.py", "to_matroid")]
+    assert readers("_coordinates") == [("src/tumat/exactmat.py", "ExactMatrix"),
+                                       ("src/tumat/stdrepr.py", "standardize")]
 
 
 def test_mask_core_is_read_by_its_three_callers():

@@ -33,6 +33,7 @@ from helpers import (
     fraction_scales_to_tu,
     labels,
     naive_matroids_equal,
+    plain_rank,
     random_gf2_matrix,
     random_rational_matrix,
     random_tu_matrix,
@@ -182,31 +183,11 @@ def test_from_bases_matches_vector_matroid():
         assert naive_matroids_equal(m, m2)
 
 
-def _oracle_rank(kind, columns):
-    """Rank of a family of columns by plain Gaussian elimination: XOR over GF(2), Fractions over Q."""
-    rows = [list(col) for col in columns]
-    rank = 0
-    for j in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][j]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][j]:
-                if kind == GF2:
-                    rows[r] = [(x + y) % 2 for x, y in zip(rows[r], rows[rank])]
-                else:
-                    f = rows[r][j] / rows[rank][j]
-                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _oracle_bases(kind, names, data):
     """Every size-r subset of the sorted column names whose columns have rank r."""
     columns = {name: [Fraction(row[j]) for row in data] for j, name in enumerate(names)}
-    r = _oracle_rank(kind, columns.values())
-    return [c for c in combinations(sorted(names), r) if _oracle_rank(kind, [columns[e] for e in c]) == r]
+    r = plain_rank(kind, columns.values())
+    return [c for c in combinations(sorted(names), r) if plain_rank(kind, [columns[e] for e in c]) == r]
 
 
 def _oracle_corpus(rng, kind, count):

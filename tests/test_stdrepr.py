@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +25,8 @@ from tumat import (
 from tumat.fixtures import fano_standard_repr, network_example, r10_standard_repr
 
 from helpers import (
+    assert_exact,
+    cofactor_det,
     is_regular_witness,
     labels,
     make_repr,
@@ -104,6 +108,64 @@ def test_standardize_rejects_non_base():
         for bad in (["a"], ["a", "c"], ["a", "b", "d"]):
             with pytest.raises(ShapeError, match=not_base):
                 standardize(zero_row, bad)
+
+
+def _rank_r_matrix(rng, kind, m, n, r):
+    """An m x n matrix M * G of rank r, and the labels of G's r unit columns, a base of it.
+
+    G is r x n with its unit columns at random positions; M holds the r
+    unit rows, so its columns are independent, among zero rows, repeated
+    rows and combinations of the unit rows."""
+    pool = [0, 1] if kind == GF2 else [0, 0, 1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]
+    m_rows = [[int(i == k) for k in range(r)] for i in range(r)]
+    for pick in (rng.randrange(3) for _ in range(m - r)):
+        m_rows.append([0] * r if pick == 0 or not m_rows else list(rng.choice(m_rows)) if pick == 1
+                      else [rng.choice(pool) for _ in range(r)])
+    rng.shuffle(m_rows)
+    unit_at = sorted(rng.sample(range(n), r))
+    g = [[int(j == at) if j in unit_at else rng.choice(pool) for j in range(n)] for at in unit_at]
+    body = ExactMatrix(kind, m_rows, n_cols=r) @ ExactMatrix(kind, g, n_cols=n)
+    return LabeledMatrix([f"r{i}" for i in range(m)], labels("c", n, 0), body), [f"c{j}" for j in unit_at]
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_standardize_is_certified_by_its_columns(kind):
+    # no second reduction in the test: standardize(rep, X) must satisfy
+    # rep[:, Y] == rep[:, X] @ B exactly, and with rank(rep) = r known by
+    # construction, X is a base exactly when |X| = r and some r x r minor
+    # of rep[:, X] has a nonzero cofactor determinant; every other label
+    # set is refused with one message.  Inputs of up to 6 columns try every
+    # label set, wider ones the known base and a sample
+    not_base = "^the given label set is not a base of the column matroid$"
+    rng = random.Random(f"standardize {kind}")
+    tried = {True: 0, False: 0}
+    for trial in range(80):
+        m, n = rng.randint(0, 6), rng.randint(0, 10)
+        r = 0 if trial % 10 == 0 else rng.randint(0, min(m, n))
+        rep, known = _rank_r_matrix(rng, kind, m, n, r)
+        cols = rep.col_labels
+        if n <= 6:
+            sets = [list(x) for k in range(n + 1) for x in combinations(cols, k)]
+        else:
+            sets = [known] + [rng.sample(cols, r) for _ in range(12)] + [rng.sample(cols, rng.randint(0, n))
+                                                                         for _ in range(4)]
+        for x in sets:
+            at = [rep.col_position(v) for v in x]
+            minors = (cofactor_det([[rep.body.rows[i][j] for j in at] for i in rows])
+                      for rows in combinations(range(m), len(x)))
+            is_base = len(x) == r and any(d % 2 if kind == GF2 else d for d in minors)
+            assert is_base or set(x) != set(known)
+            tried[is_base] += 1
+            if not is_base:
+                with pytest.raises(ShapeError, match=not_base):
+                    standardize(rep, x)
+                continue
+            s = standardize(rep, x)
+            assert set(s.X) == set(x) and s.X + s.Y == tuple(v for v in cols if v in x) + tuple(
+                v for v in cols if v not in x)
+            assert_exact(s.B.body)
+            assert rep.select(rep.row_labels, s.Y).body == rep.select(rep.row_labels, s.X).body @ s.B.body
+    assert min(tried.values()) >= 300
 
 
 def test_standardize_tu_matches_independent_oracles():

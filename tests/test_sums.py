@@ -43,7 +43,7 @@ from tumat import (
     verify_is_sum_k_of,
 )
 from tumat.exactmat import _exact
-from tumat.sums import _SIGNED, _cut, _signs_between, _stacked
+from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _signs_between, _stacked
 
 from helpers import (
     SUM3_LABELS,
@@ -279,7 +279,8 @@ def per_row_stacked(top, coeffs, basis, tail):
 def test_stacked_shares_heads_and_matches_a_per_row_reference(kind, k):
     # _stacked forms each distinct weight vector's head once; every bottom
     # row must still be its own head plus its tail row, however the weights
-    # repeat and however they are passed, a one-shot iterator included
+    # repeat and however they are passed, a one-shot iterator included, and
+    # _head alone must give each nonzero weight vector's head
     rng = random.Random(f"stacked {kind} {k}")
     pool = {GF2: [0, 1], RATIONAL: [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)],
             _SIGNED: [0, 1, -1]}[kind]
@@ -295,6 +296,9 @@ def test_stacked_shares_heads_and_matches_a_per_row_reference(kind, k):
         coeffs = [rng.choice(weights) for _ in range(n_bottom)]
         repeated += len(set(coeffs)) < len(coeffs)
         expected = per_row_stacked(top, coeffs, basis, tail)
+        heads = [_head(kind, cs, basis) for cs in coeffs if any(cs)]
+        assert [list(h) for h in heads] == [row[:n_left] for row, cs in zip(expected[top.n_rows:], coeffs) if any(cs)]
+        assert all(type(x) is (Fraction if kind == RATIONAL else int) for h in heads for x in h)
         passes = [coeffs, iter(coeffs), (cs for cs in coeffs)]
         if k == 2:  # as sign_sum_2 passes its column c
             passes.append(zip([cs[0] for cs in coeffs]))
@@ -304,6 +308,68 @@ def test_stacked_shares_heads_and_matches_a_per_row_reference(kind, k):
             assert [list(row) for row in got.rows] == expected
             assert all(type(x) is (Fraction if kind == RATIONAL else int) for row in got.rows for x in row)
     assert repeated >= 10
+
+
+# D0^-1 written out by hand: for the six GF(2) units, then for the D'0 of each signed target
+D0_INVERSES = {
+    (GF2, ((1, 0), (0, 1))): ((1, 0), (0, 1)),
+    (GF2, ((0, 1), (1, 0))): ((0, 1), (1, 0)),
+    (GF2, ((1, 1), (0, 1))): ((1, 1), (0, 1)),
+    (GF2, ((1, 0), (1, 1))): ((1, 0), (1, 1)),
+    (GF2, ((0, 1), (1, 1))): ((1, 1), (1, 0)),
+    (GF2, ((1, 1), (1, 0))): ((0, 1), (1, 1)),
+    (_SIGNED, ((1, 0), (0, -1))): ((1, 0), (0, -1)),
+    (_SIGNED, ((1, 1), (0, 1))): ((1, -1), (0, 1)),
+}
+
+
+def per_row_sum3(kind, left, right, inv, glue):
+    """The 3-sum of ``_assemble`` as labels and plain rows: each bottom row u starts with
+    d_u * D0^-1 * (left rows x0, x1), its entries summed one at a time with D0^-1 given as ``inv``."""
+    xs, ys = (glue.x0, glue.x1), (glue.y0, glue.y1)
+    top, bottom = [u for u in left.row_labels if u not in xs], [u for u in right.row_labels if u != glue.x2]
+    l_cols, r_cols = [v for v in left.col_labels if v != glue.y2], [v for v in right.col_labels if v not in ys]
+    rows = [[left.entry(u, v) for v in l_cols] + [0] * len(r_cols) for u in top]
+    for u in bottom:
+        w = [sum(right.entry(u, ys[k]) * inv[k][t] for k in range(2)) for t in range(2)]
+        head = [sum(w[t] * left.entry(xs[t], v) for t in range(2)) for v in l_cols]
+        rows.append([h % 2 for h in head] if kind == GF2 else head)
+        rows[-1] += [right.entry(u, v) for v in r_cols]
+    return top + bottom, l_cols + r_cols, rows
+
+
+@pytest.mark.parametrize("kind, d0", sorted(D0_INVERSES, key=str))
+def test_sum3_basis_matches_a_per_row_reference(kind, d0):
+    # _assemble takes D0^-1 from the adjugate of the D0 it reads off the left
+    # rows x0, x1; every bottom row must equal d * D0^-1 * [Dl | D0] formed
+    # per row from the inverse written out by hand, for every GF(2) unit and
+    # both signed connectors, at random label positions and rest sizes
+    inv = D0_INVERSES[kind, d0]
+    product = [[sum(d0[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    assert ([[x % 2 for x in row] for row in product] if kind == GF2 else product) == [[1, 0], [0, 1]]
+    targets = {tuple(tuple(row[:2]) for row in t.rows[1:]) for t in _CONNECTOR_TARGETS.values()}
+    assert {d for k, d in D0_INVERSES if k == GF2} == set(_UNITS)
+    assert {d for k, d in D0_INVERSES if k == _SIGNED} == targets
+    rng = random.Random(f"sum3 basis {kind} {d0}")
+    pool = [0, 1] if kind == GF2 else [0, 1, -1]
+    glue = Sum3Labels(*SUM3_LABELS)
+    for _ in range(15):
+        sides = []
+        for row_prefix, col_prefix in (("a", "b"), ("c", "d")):
+            xs, ys = labels(row_prefix, rng.randint(0, 3)), labels(col_prefix, rng.randint(0, 3))
+            for glue_labels, names in ((glue.xs, xs), (glue.ys, ys)):
+                for g in glue_labels:
+                    names.insert(rng.randrange(len(names) + 1), g)
+            grid = [[rng.choice(pool) for _ in ys] for _ in xs]
+            for u, row in zip(glue.xs[:2], d0):
+                for v, e in zip(glue.ys[:2], row):
+                    grid[xs.index(u)][ys.index(v)] = e
+            sides.append(LabeledMatrix(xs, ys, _exact(kind, grid, len(ys))))
+        got = _assemble(*sides, glue)
+        row_labels, col_labels, rows = per_row_sum3(kind, *sides, inv, glue)
+        assert (got.row_labels, got.col_labels) == (tuple(row_labels), tuple(col_labels))
+        assert [list(row) for row in got.body.rows] == rows and got.body.kind == kind
+        assert all(type(x) is int for row in got.body.rows for x in row)
 
 
 def test_sum_1_overlap_reasons():
