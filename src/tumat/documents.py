@@ -4,8 +4,11 @@ A matrix document is an object with exactly the keys ``field`` ("gf2" or
 "rational"), ``rows`` and ``cols`` (label lists), and ``data`` (a grid
 of entry strings).  A standard representation document has exactly the
 keys ``field``, ``X``, ``Y``, and ``B``, where ``B`` is the grid for the
-X-by-Y matrix.  GF(2) entries are "0" or "1"; rational entries are
-integers or reduced "p/q" strings.  Both kinds are read by one reader,
+X-by-Y matrix.  GF(2) entries are "0" or "1"; a rational entry is any
+string ``fractions.Fraction`` reads that has no exponent (an integer,
+"p/q" or a decimal, with optional sign, underscores and surrounding
+whitespace), written back in canonical form ("2/4" as "1/2", " 5 " as
+"5", "1.5" as "3/2").  Both kinds are read by one reader,
 which checks every rule on a document once: keys (no object repeats
 one), field, labels (nonempty, distinct strings), grid shape and
 entries, and a standard representation's disjoint X and Y; nothing

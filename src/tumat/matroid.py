@@ -20,9 +20,9 @@ from operator import or_
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError, _shown
-from .exactmat import GF2, ExactMatrix, _echelon, _eliminate, _int_rows_rank, _scaled_int_rows
-from .exactmat import _supports, gf2_rank_of_ints
-from .tu import _mask_verdict, _support_graph, spanning_forest
+from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _echelon, _eliminate, _exact, _int_rows_rank
+from .exactmat import _scaled_int_rows, _supports, gf2_rank_of_ints
+from .tu import _support_graph, is_totally_unimodular, spanning_forest
 
 DEFAULT_EQ_LIMIT = 18
 DEFAULT_ZMOD_ENUM_LIMIT = 10**6
@@ -302,24 +302,23 @@ def _scales_to_tu(b: list[list[int]], n: int, force: bool) -> bool:
     support is +-1.  Row and column scaling keep the matroid of [I | B], and
     any TU scaling of B differs from this one only by signs.  Line k scales
     by num[k] / den[k]: an entry v that does not scale to +-1 (|v| num_i
-    num_j != den_i den_j) answers False, and the TU check runs on the sign
-    masks of the rest.  Unless ``force`` is set, a check past the default TU
-    guard counts as not TU.
+    num_j != den_i den_j) answers False, and otherwise the TU check runs
+    on the signs of B, as the shared sign Fractions.  Unless ``force`` is
+    set, a check past the default TU guard counts as not TU.
     """
     m = len(b)
     num, den = [1] * (m + n), [1] * (m + n)  # rows, then columns
     for p, c in spanning_forest(_support_graph(b)):
         i, j = (p, c - m) if c >= m else (c, p - m)
         num[c], den[c] = den[p], abs(b[i][j]) * num[p]
-    rows = [0] * m, [0] * m  # +1 masks, then -1 masks
+    rows = []
     for i, row in enumerate(b):
         for j, v in enumerate(row):
-            if v:
-                if abs(v) * num[i] * num[m + j] != den[i] * den[m + j]:
-                    return False
-                rows[v < 0][i] |= 1 << j
+            if v and abs(v) * num[i] * num[m + j] != den[i] * den[m + j]:
+                return False
+        rows.append([_SIGNS[(v > 0) - (v < 0)] for v in row])
     try:
-        return _mask_verdict(*rows, m, n, force).is_tu
+        return is_totally_unimodular(_exact(RATIONAL, rows, n), force=force).is_tu
     except SizeGuardError:
         return False
 

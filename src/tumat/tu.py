@@ -55,8 +55,8 @@ A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
 columns by -1, so the signing search needs no enumeration: it pins a
 spanning forest to +1, propagates every other sign from a chordless
-cycle, and runs one TU check on the result's sign masks, past the entry
-scan (Truemper, *Matroid Decomposition*, 1992).
+cycle, and runs one TU check on the result (Truemper, *Matroid
+Decomposition*, 1992).
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def is_totally_unimodular(a: ExactMatrix, *, force: bool = False) -> TuVerdict:
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
     m, n = a.shape
-    # +1 and -1 positions of each row, as column bits; the shared sign
-    # Fractions are told apart by identity, others compared
-    rpos, rneg = [0] * m, [0] * m
+    # +1 and -1 positions of each row (column bits) and column (row bits);
+    # the shared sign Fractions are told apart by identity, others compared
+    rpos, rneg, cpos, cneg = [0] * m, [0] * m, [0] * n, [0] * n
     zero, one, minus = _SIGNS[0], _SIGNS[1], _SIGNS[-1]
     for i in range(m):
         row = a.rows[i]
@@ -136,27 +136,16 @@ def is_totally_unimodular(a: ExactMatrix, *, force: bool = False) -> TuVerdict:
                 continue
             if v is one or v is not minus and v == 1:
                 rpos[i] |= 1 << j
+                cpos[j] |= 1 << i
             elif v is minus or v == -1:
                 rneg[i] |= 1 << j
+                cneg[j] |= 1 << i
             elif v:
                 return TuVerdict(((i,), (j,), Fraction(v)))
-    return _mask_verdict(rpos, rneg, m, n, force)
-
-
-def _mask_verdict(rpos: list[int], rneg: list[int], m: int, n: int, force: bool) -> TuVerdict:
-    """The TU check of the m x n {0, +-1} matrix whose +1 and -1 positions
-    in row i are the column bits ``rpos[i]`` and ``rneg[i]``, past the
-    entry scan: the size guard, the pre-pass, the blocks and their tests."""
     if min(m, n) > DEFAULT_TU_LIMIT and not force:
         raise SizeGuardError(
             f"TU check on a {m}x{n} matrix exceeds the size guard (min dim > {DEFAULT_TU_LIMIT})"
         )
-    cpos, cneg = [0] * n, [0] * n  # the same positions by column, as row bits
-    for i in range(m):
-        for j in _bits(rpos[i]):
-            cpos[j] |= 1 << i
-        for j in _bits(rneg[i]):
-            cneg[j] |= 1 << i
     # drop zero, unit and repeated lines until every line left is needed;
     # once the column pass keeps every column, the row pass would too
     rows, cols = (1 << m) - 1, (1 << n) - 1
@@ -588,8 +577,8 @@ def find_tu_signing(u: ExactMatrix, *, force: bool = False) -> Optional[ExactMat
     support graph, and every chordless cycle of a TU matrix sums to 0 mod
     4.  Each sign is forced: by Camion's theorem a TU signing is unique up
     to row/column scaling, hence unique once the forest is +1, and the
-    propagated matrix is that signing whenever one exists.  One TU check,
-    on the candidate's sign masks, decides.
+    propagated matrix is that signing whenever one exists.  One TU check
+    of that candidate decides, and a TU candidate is returned as checked.
     """
     if u.kind != GF2:
         raise ShapeError("the signing search takes a GF(2) matrix")
@@ -619,10 +608,9 @@ def find_tu_signing(u: ExactMatrix, *, force: bool = False) -> Optional[ExactMat
                     total[w] = t
                     queue.append(w)
         seen[c] = True
-    rows = [0] * m, [0] * m  # +1 masks, then -1 masks
+    rows = [[_SIGNS[0]] * n for _ in range(m)]
     for i in range(m):
         for w, s in sign[i].items():
-            rows[s < 0][i] |= 1 << w - m
-    if not _mask_verdict(*rows, m, n, force).is_tu:
-        return None
-    return _exact(RATIONAL, [[_SIGNS[sign[i].get(m + j, 0)] for j in range(n)] for i in range(m)], n)
+            rows[i][w - m] = _SIGNS[s]
+    cand = _exact(RATIONAL, rows, n)
+    return cand if is_totally_unimodular(cand, force=force).is_tu else None

@@ -740,15 +740,14 @@ def test_verify_composition_checks_each_matrix_once(capsys, monkeypatch, tmp_pat
     # one TU check per summand signing (in is_regular) and none on the sum's
     # witness, which its blocks certify; the signing construction checks nothing
     shapes = []
-    core = tu._mask_verdict
 
-    def counting(rpos, rneg, m, n, force):
-        shapes.append((m, n))
-        return core(rpos, rneg, m, n, force)
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return is_totally_unimodular(a, *args, **kwargs)
 
     for module in (tu, cli, matroid, stdrepr, sums):
-        if hasattr(module, "_mask_verdict"):
-            monkeypatch.setattr(module, "_mask_verdict", counting)
+        if hasattr(module, "is_totally_unimodular"):
+            monkeypatch.setattr(module, "is_totally_unimodular", counting)
     flags, left, right = ROUTE_CASES[case]
     code, out, _ = run(capsys, "verify", "composition", *flags, "--out-dir", tmp_path,
                        FIXTURES / left, FIXTURES / right)

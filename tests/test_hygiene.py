@@ -171,7 +171,7 @@ def test_every_slot_is_read():
 PRODUCERS = {
     "_assemble", "_stacked", "_head", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
     "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3", "scale_rows_cols",
-    "is_totally_unimodular", "_mask_verdict", "find_tu_signing",
+    "is_totally_unimodular", "find_tu_signing",
 }
 
 
@@ -222,12 +222,11 @@ def test_echelon_is_the_one_reduction():
                                        ("src/tumat/stdrepr.py", "standardize")]
 
 
-def test_mask_core_is_read_by_its_three_callers():
-    # the mask core trusts its masks: the entry scan, the signing search
-    # and matroid equality's binary test build them, and nothing else may
-    assert readers("_mask_verdict") == [("src/tumat/matroid.py", "_scales_to_tu"),
-                                        ("src/tumat/tu.py", "find_tu_signing"),
-                                        ("src/tumat/tu.py", "is_totally_unimodular")]
+def test_sign_masks_are_built_by_the_tu_check_alone():
+    # the pre-pass and the blocks trust their sign masks: the entry scan of
+    # is_totally_unimodular builds them, and nothing else may
+    for name in ("_distinct_lines", "_blocks", "_block_violator"):
+        assert readers(name) == [("src/tumat/tu.py", "is_totally_unimodular")], name
 
 
 def file_reads():

@@ -413,14 +413,16 @@ def test_known_binary_pairs_never_reach_the_subset_loop(monkeypatch):
 
 def test_integer_scales_match_the_fraction_reference(monkeypatch):
     # _scales_to_tu keeps each scale as a pair of ints and hands the TU check
-    # sign masks; forced or not it answers as the Fraction reference does,
-    # and an entry that does not scale to +-1 answers False before the
-    # guard, without a TU check.  Entries lie in {0, +-1, +-2, +-3, +-6}:
-    # drawn at random, or +-1 rows (TU or random) scaled by 1 or 2 and
-    # columns by 1 or 3; one matrix in eight is 9x9 or larger
+    # the signs of b, each one of the shared sign Fractions; forced or not it
+    # answers as the Fraction reference does, and an entry that does not
+    # scale to +-1 answers False before the guard, without a TU check.
+    # Entries lie in {0, +-1, +-2, +-3, +-6}: drawn at random, or +-1 rows
+    # (TU or random) scaled by 1 or 2 and columns by 1 or 3; one matrix in
+    # eight is 9x9 or larger
     rng = random.Random(139)
-    core, reached = matroid_module._mask_verdict, []
-    monkeypatch.setattr(matroid_module, "_mask_verdict", lambda *masks: reached.append(masks) or core(*masks))
+    check, reached = matroid_module.is_totally_unimodular, []
+    monkeypatch.setattr(matroid_module, "is_totally_unimodular", lambda a, **kw: reached.append(a) or check(a, **kw))
+    shared = tuple(exactmat._SIGNS.values())
     seen = Counter()
     for t in range(2400):
         m, n = (rng.randint(9, 11), rng.randint(9, 12)) if t % 8 == 0 else (rng.randint(1, 7), rng.randint(1, 8))
@@ -437,6 +439,7 @@ def test_integer_scales_match_the_fraction_reference(monkeypatch):
             got = matroid_module._scales_to_tu(b, n, force)
             assert got == fraction_scales_to_tu(b, n, force), (b, force)
             assert len(reached) == (not off), (b, force)
+            assert all(any(x is s for s in shared) for a in reached for row in a.rows for x in row), b
             seen["off" if off else "guard" if min(m, n) > 8 and not force else got] += 1
     assert len(seen) == 4 and min(seen.values()) >= 100, seen
 

@@ -5,6 +5,7 @@ import contextlib
 import importlib
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -24,6 +25,29 @@ def test_tracer_targets_resolve(monkeypatch):
         if not found or not callable(getattr(owner, attr)):
             missing.append(f"{op}: {getattr(owner, '__name__', owner)}.{attr}")
     assert not missing
+
+
+def test_tracer_counts_every_tu_check(monkeypatch):
+    # the signing search and matroid equality's binary test run their TU
+    # checks through is_totally_unimodular, which the tracer wraps: one check
+    # per signing search and one per rational side of an equality
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    from tumat.fixtures import fano_b, r10_b, r10_standard_repr
+
+    t = tracer.Tracer()
+    uninstall = tracer.install(t, tumat, [m for name, m in sys.modules.items() if name.partition(".")[0] == "tumat"])
+    try:
+        r10 = r10_b()
+        signing = tumat.find_tu_signing(r10.body)
+        assert signing is not None and tumat.find_tu_signing(fano_b().body) is None
+        rational = tumat.StandardRepr(tumat.LabeledMatrix(r10.row_labels, r10.col_labels, signing))
+        assert tumat.matroids_equal(rational.to_matroid(), r10_standard_repr().to_matroid())
+    finally:
+        uninstall()
+    got = t.metrics()
+    assert (got["tu.sign.calls"], got["tu.check.calls"], got["tu.sign.candidates"]) == (2, 3, 2)
 
 
 @pytest.mark.parametrize("workload", ["tu-check", "signing", "compose-verify", "doc-sum"])

@@ -619,9 +619,8 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
     # violator, which the screens find; neither searches for a tree
     f7 = ExactMatrix(RATIONAL, fano_b().body.to_lists())
     candidates = []
-    core = tu_module._mask_verdict
-    monkeypatch.setattr(tu_module, "_mask_verdict",
-                        lambda *masks: candidates.append(masked_matrix(*masks)) or core(*masks))
+    monkeypatch.setattr(tu_module, "is_totally_unimodular",
+                        lambda cand, **kw: candidates.append(cand) or is_totally_unimodular(cand, **kw))
     assert find_tu_signing(ExactMatrix(GF2, FANO_2SUM)) is None
     for a in (find_tu_signing(r10_b().body), f7, f7.transpose(), candidates[0]):
         reached.clear()
@@ -812,21 +811,16 @@ def test_every_3x3_violator_past_order_2_is_a_6_cycle():
     assert seen[3] == 192 and seen[2] > 5000 and seen[0] > 5000, seen
 
 
-def masked_matrix(rpos, rneg, m, n, force):
-    """The m x n rational matrix that ``tu._mask_verdict`` checks, from its masks."""
-    return ExactMatrix(RATIONAL, [[(rpos[i] >> j & 1) - (rneg[i] >> j & 1) for j in range(n)] for i in range(m)],
-                       n_cols=n)
-
-
 def camion_candidates(monkeypatch, supports):
-    """The matrices ``find_tu_signing`` TU-checks for the GF(2) ``supports``."""
+    """The matrices ``find_tu_signing`` TU-checks for the GF(2) ``supports``,
+    one each; a signing it finds is the very matrix it checked."""
     candidates = []
-    core = tu_module._mask_verdict
-    monkeypatch.setattr(tu_module, "_mask_verdict",
-                        lambda *masks: candidates.append(masked_matrix(*masks)) or core(*masks))
-    for u in supports:
-        find_tu_signing(u)
-    monkeypatch.setattr(tu_module, "_mask_verdict", core)
+    monkeypatch.setattr(tu_module, "is_totally_unimodular",
+                        lambda cand, **kw: candidates.append(cand) or is_totally_unimodular(cand, **kw))
+    for k, u in enumerate(supports, 1):
+        signing = find_tu_signing(u)
+        assert len(candidates) == k and (signing is None or signing is candidates[-1])
+    monkeypatch.setattr(tu_module, "is_totally_unimodular", is_totally_unimodular)
     return candidates
 
 
