@@ -20,18 +20,19 @@ loses them.
 
 Signing constructions mirror the sums over the rationals and produce TU
 signings of the GF(2) results when the summand signings are TU.  They
-check neither: the composition theorem makes the result TU.  A 2- or
-3-sum of signings is built on the signs as ints, each output entry then
-mapped once to a shared Fraction.  ``certifies_sum`` certifies a signed
+check neither: the composition theorem makes the result TU.  Every sum
+of signings is built on the signs as ints, each output entry then mapped
+once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  Signs "up to row
 and column signs" are set along ``tu.spanning_forest`` of the support
-graph ``tu._support_graph``, as the signing search sets its own.  Every
-block read off a checked labeled matrix goes through one reader, ``_cut``,
-which looks up each axis's labels in one call.  The assembly forms each
-distinct weight vector's combination of basis rows once and shares it
-among the bottom rows that carry it.
+graph ``tu._support_graph``, as the signing search sets its own.  Blocks
+read off a checked labeled matrix go through one reader, ``_cut``, which
+looks up each axis's labels in one call; the validity guards of
+``standard_repr_sum_2`` and ``standard_repr_sum_3`` read their glue
+lines by position instead, and ``certifies_sum`` patches its 2-sum
+sides by position.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -147,17 +148,14 @@ def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
     """The matrix [[top, 0], [coeffs * basis, tail]] of top's kind, with up to two exact basis rows.
 
     ``coeffs`` holds one weight vector per tail row and is read once, so it may be an iterator.
-    Each distinct weight vector's head, its ``_head`` combination of basis rows, is formed once
-    and shared by the bottom rows that carry it: over GF(2) at most 2^b heads for b basis rows.
-    Zero block rows are shared tuples.
+    Each bottom row is its weight vector's ``_head`` combination of basis rows, or the zero row,
+    followed by its tail row.  Zero block rows are shared tuples.
     """
     kind, n_left, n_right = top.kind, top.n_cols, tail.n_cols
     zero = Fraction(0) if kind == RATIONAL else 0
     pad, blank = (zero,) * n_right, (zero,) * n_left
-    coeffs = list(coeffs)
-    heads = {cs: _head(kind, cs, basis) if any(cs) else blank for cs in set(coeffs)}
-    return _exact(kind, [row + pad for row in top.rows] + [heads[cs] + t for cs, t in zip(coeffs, tail.rows)],
-                  n_left + n_right)
+    bottom = [(_head(kind, cs, basis) if any(cs) else blank) + t for cs, t in zip(coeffs, tail.rows)]
+    return _exact(kind, [row + pad for row in top.rows] + bottom, n_left + n_right)
 
 
 def _head(kind: str, cs: Sequence, basis: Sequence[tuple]) -> tuple:
@@ -480,13 +478,12 @@ def sign_composition(
     The summand signings must already be certified TU (``is_regular``
     does so) and labeled like summands whose ``compose`` is Valid; the
     result is then TU, and neither it nor its labels are checked here.
-    A 2- or 3-sum reads each entry, -1, 0 or 1 in a TU signing, as an int.
+    Every sum reads each entry, -1, 0 or 1 in a TU signing, as an int, and
+    holds each output entry as the shared Fraction of its sign.
     """
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
     _require_rational(signed_left, signed_right)
-    if glue is None:  # a 1-sum does no arithmetic: its entries are the summands' own
-        return _assemble(signed_left, signed_right, None)
     return _rational(_assemble(_ints(signed_left), _ints(signed_right), glue))
 
 

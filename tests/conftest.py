@@ -1,3 +1,13 @@
+import os
+import sys
+
+# no test run leaves a bytecode cache in the checkout: a cache under src/tumat
+# changes what the benchmark's import-from-source set-up measures.  Child
+# processes of the subprocess tests inherit the variable through os.environ
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     try:
         from test_acceptance import CRITERIA

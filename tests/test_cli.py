@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -1022,3 +1024,133 @@ def test_well_formed_lines_are_parsed_by_the_command_parser_alone(capsys, monkey
     assert main(argv) == 0
     capsys.readouterr()
     assert parsed == ["tumat " + " ".join(argv[:2])]
+
+
+# ---------------------------------------------------------------- the CLI contract on damaged documents
+
+FUZZ_ENTRIES = ("2", "1/0", "-0", "1e5", "9" * 5000, "0" * 40 + "1", 7, -1, 0.5, float("nan"), True, False, None,
+                [["1"]])
+FUZZ_SUMS = {
+    1: ([], "sum1_left.json", "sum1_right.json"),
+    2: (["--x", "x2", "--y", "y2"], "sum2_left.json", "sum2_right.json"),
+    3: (K3_FLAGS, "sum3/d0-0110-left.json", "sum3/d0-0110-right.json"),
+}
+
+
+def _fuzz_commands():
+    """(command words, flags, the unmutated inputs) of every command line; a command whose inputs
+    are None reads the mutated document alone, or, for ``matroid eq``, beside its source."""
+    lines = [(words, force, None) for words in (["tu", "check"], ["tu", "sign"], ["regular", "check"], ["matroid", "eq"])
+             for force in ([], ["--force"])]
+    lines.append((["matroid", "info"], [], None))
+    for k, (flags, left, right) in FUZZ_SUMS.items():
+        base = (FIXTURES / left, FIXTURES / right)
+        lines.append((["sum"], ["-k", str(k), *flags], base))
+        lines += [(["verify", "composition"], ["-k", str(k), *flags, *force], base) for force in ([], ["--force"])]
+    return lines
+
+
+def _fuzz_damage(rng, doc):
+    """Damage the document once: an entry, the field, a label, a key, or the grid's rows."""
+    grid = next((doc[k] for k in ("data", "B") if isinstance(doc.get(k), list)), None)
+    rows = [row for row in grid if isinstance(row, list) and row] if grid else []
+    label_keys = [k for k in ("rows", "cols", "X", "Y") if isinstance(doc.get(k), list) and doc[k]]
+    what = rng.choice(("entry", "entry", "field", "label", "key", "rows"))
+    if what == "entry" and rows:
+        row = rng.choice(rows)
+        row[rng.randrange(len(row))] = rng.choice(FUZZ_ENTRIES)
+    elif what == "field":
+        doc["field"] = rng.choice(("gf3", "GF2", "rational ", 2, None, ["gf2"]))
+    elif what == "label" and label_keys:
+        labs = doc[rng.choice(label_keys)]
+        j = rng.randrange(len(labs))
+        choice = rng.randrange(3)
+        if choice == 0:
+            labs[j] = rng.choice(("", 5, None, True, labs[-1], str(labs[0]) + " ", "é\x00\n", "y" * 10000))
+        elif choice == 1:
+            labs.pop(j)
+        else:
+            doc[rng.choice(label_keys)] = rng.choice(("x", {}, [[]]))
+    elif what == "key":
+        key = rng.choice(sorted(doc))
+        choice = rng.randrange(3)
+        if choice == 0:
+            del doc[key]
+        elif choice == 1:
+            doc[rng.choice(("extra", "rows", "X", "data", "B"))] = doc[key]
+        else:
+            doc[key.upper() if key != key.upper() else key.lower()] = doc.pop(key)
+    elif grid is not None:
+        choice = rng.randrange(4)
+        if choice == 0 and grid:
+            grid.pop(rng.randrange(len(grid)))
+        elif choice == 1 and rows:
+            row = rng.choice(rows)
+            if rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append("1")
+        elif choice == 2 and grid:
+            grid[rng.randrange(len(grid))] = []
+        else:
+            grid.clear()
+
+
+def _fuzz_mutate(rng, text):
+    """A seeded mutation of a document's text: up to two damages, then CRLF, a BOM or a repeated key,
+    and as bytes a flipped byte or a cut."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        doc = None
+    if isinstance(doc, dict):
+        for _ in range(rng.randint(0, 2)):
+            _fuzz_damage(rng, doc)
+        text = json.dumps(doc, indent=2)
+    if rng.random() < 0.25:
+        text = text.replace("\n", "\r\n")
+    if rng.random() < 0.15:
+        text = "\ufeff" + text
+    if rng.random() < 0.1:
+        text = text.replace("{", '{"field": "gf2", ', 1)
+    data = bytearray(text.encode("utf-8"))
+    if data and rng.random() < 0.1:
+        data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+    if rng.random() < 0.05:
+        del data[rng.randrange(len(data) + 1):]
+    return bytes(data)
+
+
+def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
+    # every command line, each with and without --force where it takes it, on
+    # seeded mutations of every JSON document under fixtures/ and tests/data/:
+    # main returns an exit code 0-3, raises nothing, and writes at most one line to stderr
+    docs = sorted(p for folder in (FIXTURES, DATA) for p in folder.rglob("*.json"))
+    commands = _fuzz_commands()
+    rng = random.Random(16)
+    codes = Counter()
+    for t in range(8 * len(docs)):
+        words, flags, base = commands[t % len(commands)]
+        source = docs[t % len(docs)]
+        if base is not None and t // len(commands) % 2:  # damage one of the command's own inputs
+            source = rng.choice(base)
+        path = tmp_path / f"{t}.json"
+        path.write_bytes(_fuzz_mutate(rng, source.read_text(encoding="utf-8")))
+        if base is None:
+            inputs = [path, source] if words == ["matroid", "eq"] else [path]
+        else:
+            inputs = list(base)
+            inputs[rng.randrange(2)] = path
+        line = words + [str(p) for p in inputs] + flags
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(line)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - anything escaping main breaks the contract
+            pytest.fail(f"{line} raised {exc!r} on {path.read_bytes()!r}")
+        assert code in (0, 1, 2, 3), (line, code)
+        assert len(err.getvalue().splitlines()) <= 1, (line, err.getvalue())
+        codes[code] += 1
+    assert codes[0] and codes[1] and codes[2] > 100, codes

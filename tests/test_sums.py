@@ -42,7 +42,7 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
-from tumat.exactmat import _exact
+from tumat.exactmat import _SIGNS, _exact
 from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _signs_between, _stacked
 
 from helpers import (
@@ -975,13 +975,16 @@ def corruptions(rng, w):
 
 def test_block_rule_never_certifies_what_a_whole_witness_tu_check_rejects():
     # the block rule accepts every signed sum sign_composition builds; on
-    # corrupted witnesses it may reject more than the TU check, never less
+    # corrupted witnesses it may reject more than the TU check, never less.
+    # Every entry of a built sum, for each k, is one of the shared sign Fractions
     rng = random.Random(18)
     seen = Counter()
+    shared = tuple(_SIGNS.values())
     for left, right, glue in block_rule_corpus(rng):
         s = compose(left, right, glue).result
         signed_left, signed_right = is_regular(left), is_regular(right)
         w = sign_composition(signed_left, signed_right, glue)
+        assert all(any(x is v for v in shared) for row in w.body.rows for x in row), glue
         assert certifies_sum(w, s.B, signed_left, signed_right, glue), (left, right, glue)
         assert is_tu_signing_of(w.body, s.B.body, force=True)
         for bad in corruptions(rng, w):
