@@ -22,7 +22,7 @@ from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 from .errors import ShapeError, SizeGuardError, _shown
 from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _echelon, _eliminate, _exact, _int_rows_rank
 from .exactmat import _scaled_int_rows, _supports, gf2_rank_of_ints
-from .tu import _support_graph, is_totally_unimodular, spanning_forest
+from .tu import _line_scales, is_totally_unimodular
 
 DEFAULT_EQ_LIMIT = 18
 DEFAULT_ZMOD_ENUM_LIMIT = 10**6
@@ -298,25 +298,15 @@ def _binary_supports(m: FiniteMatroid, force: bool) -> Optional[list[int]]:
 
 
 def _scales_to_tu(b: list[list[int]], n: int, force: bool) -> bool:
-    """Whether B is TU once scaled so every entry on a spanning forest of its
-    support is +-1.  Row and column scaling keep the matroid of [I | B], and
-    any TU scaling of B differs from this one only by signs.  Line k scales
-    by num[k] / den[k]: an entry v that does not scale to +-1 (|v| num_i
-    num_j != den_i den_j) answers False, and otherwise the TU check runs
-    on the signs of B, as the shared sign Fractions.  Unless ``force`` is
-    set, a check past the default TU guard counts as not TU.
+    """Whether B scales to a TU matrix, which keeps the matroid of [I | B].  A TU scaling of
+    B is its sign grid up to line signs, so B must scale to its signs (``tu._line_scales``),
+    and then the TU check runs on the signs, as the shared sign Fractions.  Unless ``force``
+    is set, a check past the default TU guard counts as not TU.
     """
-    m = len(b)
-    num, den = [1] * (m + n), [1] * (m + n)  # rows, then columns
-    for p, c in spanning_forest(_support_graph(b)):
-        i, j = (p, c - m) if c >= m else (c, p - m)
-        num[c], den[c] = den[p], abs(b[i][j]) * num[p]
-    rows = []
-    for i, row in enumerate(b):
-        for j, v in enumerate(row):
-            if v and abs(v) * num[i] * num[m + j] != den[i] * den[m + j]:
-                return False
-        rows.append([_SIGNS[(v > 0) - (v < 0)] for v in row])
+    signs = [[(v > 0) - (v < 0) for v in row] for row in b]
+    if _line_scales(b, signs) is None:
+        return False
+    rows = [[_SIGNS[s] for s in row] for row in signs]
     try:
         return is_totally_unimodular(_exact(RATIONAL, rows, n), force=force).is_tu
     except SizeGuardError:

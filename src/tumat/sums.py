@@ -25,9 +25,8 @@ of signings is built on the signs as ints, each output entry then mapped
 once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
-block must have rank k - 1, one rank test for every k.  Signs "up to row
-and column signs" are set along ``tu.spanning_forest`` of the support
-graph ``tu._support_graph``, as the signing search sets its own.  Blocks
+block must have rank k - 1, one rank test for every k.  The signs are
+solved by ``tu._line_scales``, on the forest the signing search pins.  Blocks
 read off a checked labeled matrix go through one reader, ``_cut``, which
 looks up each axis's labels in one call; the validity guards of
 ``standard_repr_sum_2`` and ``standard_repr_sum_3`` read their glue
@@ -52,7 +51,7 @@ from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import _support_graph, is_signing_of, scale_rows_cols, spanning_forest
+from .tu import _line_scales, is_signing_of, scale_rows_cols
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -382,24 +381,6 @@ def _rational(m: LabeledMatrix) -> LabeledMatrix:
     return _labeled(m.row_labels, m.col_labels, _exact(RATIONAL, rows, m.body.n_cols))
 
 
-def _signs_between(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list, list]]:
-    """Row signs s and column signs t with s[i] * t[j] * a[i][j] == b[i][j] everywhere, or None.
-
-    The signs are set along a spanning forest of ``b``'s support, each root +1: the edge from
-    p to c gives c the sign of p, negated where a and b differ in sign.  Any solution equals
-    this one up to the sign of each component, so the equation, checked after, decides.
-    """
-    m, n = len(b), len(b[0]) if b else 0
-    sign = [1] * (m + n)  # rows, then columns
-    for p, c in spanning_forest(_support_graph(b)):
-        i, j = (p, c - m) if c >= m else (c, p - m)
-        sign[c] = sign[p] if (a[i][j] < 0) == (b[i][j] < 0) else -sign[p]
-    s, t = sign[:m], sign[m:]
-    if [[si * tj * x for tj, x in zip(t, ra)] for si, ra in zip(s, a)] == list(map(list, b)):
-        return s, t
-    return None
-
-
 def canonical_signing_sum3(
     signed_left: LabeledMatrix,
     signed_right: LabeledMatrix,
@@ -433,10 +414,11 @@ def canonical_signing_sum3(
     xs = (cut.x2, cut.x0, cut.x1)
 
     def resign(side: LabeledMatrix) -> LabeledMatrix:  # scale whole rows and columns so the connector is target
-        signs = _signs_between(_cut(side, xs, cut.ys).rows, target.rows)
-        if signs is None:
+        scales = _line_scales(_cut(side, xs, cut.ys).rows, target.rows)
+        signs = scales and list(map(mul, *scales))  # a scale num / den of +-1 is num * den
+        if not signs or not {1, -1}.issuperset(signs):  # no scaling, or one not by signs
             raise ShapeError("no row/column sign scaling reaches the target")
-        rs, cs = dict(zip(xs, signs[0])), dict(zip(cut.ys, signs[1]))
+        rs, cs = dict(zip(xs, signs)), dict(zip(cut.ys, signs[3:]))
         body = scale_rows_cols(side.body, [rs.get(u, 1) for u in side.row_labels],
                                [cs.get(v, 1) for v in side.col_labels])
         return _labeled(side.row_labels, side.col_labels, body)
@@ -536,7 +518,9 @@ def certifies_sum(
         j = signed_right.col_position(ys[0])
         for row, ci in zip(sides[1][0], c):
             row[j] = ci
-    return all(_signs_between(held, signing) is not None for held, signing in sides)
+    # each block is its signing up to line signs: scales exist, and each num / den is +-1
+    return all((s := _line_scales(held, signing)) and {1, -1}.issuperset(map(mul, *s))
+               for held, signing in sides)
 
 
 def verify_is_sum_k_of(

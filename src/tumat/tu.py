@@ -56,7 +56,7 @@ Camion (1965) proved that a TU signing is unique up to scaling rows and
 columns by -1, so the signing search needs no enumeration: it pins a
 spanning forest to +1, propagates every other sign from a chordless
 cycle, and runs one TU check on the result (Truemper, *Matroid
-Decomposition*, 1992).
+Decomposition*, 1992).  ``_line_scales`` solves line scalings on it.
 """
 
 from __future__ import annotations
@@ -561,6 +561,28 @@ def spanning_forest(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
                     pairs.append((v, w))
                     queue.append(w)
     return pairs
+
+
+def _line_scales(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list[int], list[int]]]:
+    """Line scales taking ``a`` to ``b``, or None: int lists num and den, rows then columns,
+    with a[i][j] * num[i] * num[m + j] == b[i][j] * den[i] * den[m + j] for m rows.  Along
+    ``spanning_forest`` of ``b``'s support, each root 1, the edge from p to c at (i, j) sets
+    c's scale num[c] / den[c] to b[i][j] / (a[i][j] * the scale of p).  Any solution equals this
+    one up to a factor per component, so the equation, checked after, decides."""
+    m = len(b)
+    num = [1] * (m + (len(b[0]) if b else 0))  # rows, then columns
+    den = num[:]
+    for p, c in spanning_forest(_support_graph(b)):
+        i, j = (p, c - m) if c >= m else (c, p - m)
+        if not a[i][j]:
+            return None
+        num[c], den[c] = b[i][j] * den[p], a[i][j] * num[p]
+    cols = list(zip(num[m:], den[m:]))
+    for ra, rb, ni, di in zip(a, b, num, den):
+        for x, y, (nj, dj) in zip(ra, rb, cols):
+            if x * ni * nj != y * di * dj:
+                return None
+    return num, den
 
 
 def find_tu_signing(u: ExactMatrix, *, force: bool = False) -> Optional[ExactMatrix]:

@@ -1123,12 +1123,27 @@ def _fuzz_mutate(rng, text):
 
 def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
     # every command line, each with and without --force where it takes it, on
-    # seeded mutations of every JSON document under fixtures/ and tests/data/:
-    # main returns an exit code 0-3, raises nothing, and writes at most one line to stderr
+    # seeded mutations of every JSON document under fixtures/ and tests/data/,
+    # and on damaged command lines: main returns an exit code 0-3, raises
+    # nothing, and writes at most one line to stderr
     docs = sorted(p for folder in (FIXTURES, DATA) for p in folder.rglob("*.json"))
     commands = _fuzz_commands()
     rng = random.Random(16)
     codes = Counter()
+
+    def answer(line, damaged=None):
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(line)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - anything escaping main breaks the contract
+            pytest.fail(f"{line} raised {exc!r} on {damaged!r}")
+        assert code in (0, 1, 2, 3), (line, code)
+        assert len(err.getvalue().splitlines()) <= 1, (line, err.getvalue())
+        return code, err.getvalue()
+
     for t in range(8 * len(docs)):
         words, flags, base = commands[t % len(commands)]
         source = docs[t % len(docs)]
@@ -1141,16 +1156,24 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
         else:
             inputs = list(base)
             inputs[rng.randrange(2)] = path
-        line = words + [str(p) for p in inputs] + flags
-        out, err = io.StringIO(), io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(line)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:  # noqa: BLE001 - anything escaping main breaks the contract
-            pytest.fail(f"{line} raised {exc!r} on {path.read_bytes()!r}")
-        assert code in (0, 1, 2, 3), (line, code)
-        assert len(err.getvalue().splitlines()) <= 1, (line, err.getvalue())
-        codes[code] += 1
+        codes[answer(words + [str(p) for p in inputs] + flags, path.read_bytes())[0]] += 1
     assert codes[0] and codes[1] and codes[2] > 100, codes
+    # damaged command lines, each answered by one line on stderr: a missing
+    # path or a directory in place of an input, a glue label that one summand
+    # lacks, and one summand on both sides (a 1-sum of it is Invalid)
+    lines = []
+    for words, flags, base in commands:
+        for bad in (tmp_path / "missing.json", tmp_path):
+            inputs = list(base or [FIXTURES / "fano.json"] * (2 if words == ["matroid", "eq"] else 1))
+            inputs[rng.randrange(len(inputs))] = bad
+            lines.append(words + [str(p) for p in inputs] + flags)
+    for words in (["sum"], ["verify", "composition"]):
+        for k, (flags, left, right) in FUZZ_SUMS.items():
+            lines.append(words + ["-k", str(k), *flags, str(FIXTURES / left), str(FIXTURES / left)])
+        for k, swap in ((2, {"x2": "x1"}), (2, {"y2": "y3"}), (3, {"x0": "xa"}), (3, {"y2": "yb"})):
+            flags, left, right = FUZZ_SUMS[k]
+            lines.append(words + ["-k", str(k), *[swap.get(v, v) for v in flags],
+                                  str(FIXTURES / left), str(FIXTURES / right)])
+    for line in lines:
+        code, err = answer(line)
+        assert code in (1, 2) and err.count("\n") == 1, (line, code, err)

@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 import time
@@ -6,6 +7,7 @@ from itertools import permutations
 
 import pytest
 
+import tumat.exactmat as exactmat
 from tumat import (
     GF2,
     RATIONAL,
@@ -251,6 +253,22 @@ def test_permutation_determinants_are_their_signs():
             assert a.determinant() == (-1) ** (n - cycles), perm
 
 
+def bound_cleared_entries(monkeypatch, rows):
+    """Make each ``exactmat._cleared`` step fail at once if an entry it gives passes Hadamard's
+    bound for the rows [e_k | row k], which holds every minor of them.  With its gcd division the
+    entries here stay over 20 bits below it; without it they double in length at every step and
+    pass it within 40 steps, so coefficient growth fails fast instead of hanging."""
+    bound = math.prod(1 + sum(x * x for x in row) for row in rows)  # squared
+    cleared = exactmat._cleared
+
+    def checked(kind, y, p, f):
+        out = cleared(kind, y, p, f)
+        assert max(x * x for x in out) <= bound, max(map(abs, out)).bit_length()
+        return out
+
+    monkeypatch.setattr(exactmat, "_cleared", checked)
+
+
 def test_determinant_30x30_is_polynomial(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     import oracles
@@ -258,6 +276,7 @@ def test_determinant_30x30_is_polynomial(monkeypatch):
     rng = random.Random(31)
     rows = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)]
     a = ExactMatrix(RATIONAL, rows)
+    bound_cleared_entries(monkeypatch, rows)  # 2^103.5; the entries reach 2^82
     start = time.perf_counter()
     det = a.determinant()
     assert time.perf_counter() - start < 1.0
@@ -323,11 +342,12 @@ def test_scaled_int_rows_match_the_fraction_products():
         assert all(d % x.denominator == 0 for row, d in zip(rows, scales) for x in row)
 
 
-def test_int_rows_rank_30x30_is_polynomial():
+def test_int_rows_rank_30x30_is_polynomial(monkeypatch):
     # without dividing each cleared row by its gcd the entries double in
     # length at every step, and the time grows exponentially with the order
     rng = random.Random(30)
     rows = [[rng.randint(-3, 3) for _ in range(30)] for _ in range(30)]
+    bound_cleared_entries(monkeypatch, rows)  # 2^104; the entries reach 2^76
     start = time.perf_counter()
     rank = _int_rows_rank(rows)
     assert time.perf_counter() - start < 1.0

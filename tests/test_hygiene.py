@@ -177,15 +177,17 @@ PRODUCERS = {
 
 def test_certificate_runs_no_producer():
     # certifies_sum checks a signed sum by its blocks; naming a producer in
-    # its body, or in any private sums.py helper it reaches, would let it
-    # re-run the construction it is meant to check
-    tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
-    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    # its body, or in any private sums.py or tu.py helper it reaches, would
+    # let it re-run the construction it is meant to check
+    defs = {n.name: n for module in ("sums.py", "tu.py")
+            for n in ast.parse((ROOT / "src" / "tumat" / module).read_text(encoding="utf-8")).body
+            if isinstance(n, ast.FunctionDef)}
     reached = ["certifies_sum"]
     for name in reached:  # breadth first: the loop reaches what it appends
         reached += sorted(n for n in loaded_names(defs[name]) & defs.keys()
                           if n.startswith("_") and n not in reached)
-    assert {"_layout", "_pair", "_cut", "_ints", "_canonical_cut", "_signs_between"} <= set(reached)
+    assert {"_layout", "_pair", "_cut", "_ints", "_canonical_cut", "_line_scales", "_support_graph"} <= set(reached)
+    assert not loaded_names(defs["_line_scales"]) & PRODUCERS
     assert [(name, sorted(loaded_names(defs[name]) & PRODUCERS)) for name in reached
             if loaded_names(defs[name]) & PRODUCERS] == []
 
@@ -202,6 +204,17 @@ def test_tree_signs_are_solved_in_one_place():
     # every tree, the star included, goes through _fits, so the network
     # signs are solved by _colourings only there and in the search's splits
     assert readers("_colourings") == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
+
+
+def test_line_scalings_are_solved_on_one_forest():
+    # "equal up to line scalings" is settled in one place, on the forest
+    # that the signing search pins; the certificate, the 3-sum re-signing
+    # and the binary test of matroids all ask it
+    for name in ("spanning_forest", "_support_graph"):
+        assert readers(name) == [("src/tumat/tu.py", "_line_scales"), ("src/tumat/tu.py", "find_tu_signing")], name
+    assert readers("_line_scales") == [("src/tumat/matroid.py", "_scales_to_tu"),
+                                       ("src/tumat/sums.py", "canonical_signing_sum3"),
+                                       ("src/tumat/sums.py", "certifies_sum")]
 
 
 def test_fraction_free_elimination_is_one_row_step():

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -43,7 +44,8 @@ from tumat import (
     verify_is_sum_k_of,
 )
 from tumat.exactmat import _SIGNS, _exact
-from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _signs_between, _stacked
+from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _stacked
+from tumat.tu import _line_scales
 
 from helpers import (
     SUM3_LABELS,
@@ -276,11 +278,11 @@ def per_row_stacked(top, coeffs, basis, tail):
 
 @pytest.mark.parametrize("kind", [GF2, RATIONAL, _SIGNED])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_stacked_shares_heads_and_matches_a_per_row_reference(kind, k):
-    # _stacked forms each distinct weight vector's head once; every bottom
-    # row must still be its own head plus its tail row, however the weights
-    # repeat and however they are passed, a one-shot iterator included, and
-    # _head alone must give each nonzero weight vector's head
+def test_stacked_matches_a_per_row_reference(kind, k):
+    # _stacked puts each bottom row's head, its weight vector times the
+    # basis, before its tail row; each row must equal the per-row reference
+    # however the weights repeat and however they are passed, a one-shot
+    # iterator included, and _head alone must give each nonzero weight vector's head
     rng = random.Random(f"stacked {kind} {k}")
     pool = {GF2: [0, 1], RATIONAL: [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)],
             _SIGNED: [0, 1, -1]}[kind]
@@ -638,10 +640,12 @@ def _sign_solutions(a):
 
 
 def _assert_solver_matches_brute_force(a, b, solutions):
-    got = _signs_between(a, b)
-    assert (got is not None) == bool(solutions), (a, b)
-    if got is None:
+    scales = _line_scales(a, b)
+    assert (scales is not None) == bool(solutions), (a, b)
+    if scales is None:
         return
+    signs = list(map(mul, *scales))  # each scale num / den is a sign here, so it is num * den
+    got = (signs[:len(a)], signs[len(a):])
     assert got in solutions
     # the lowest row of each component of b's support keeps +1, and so does every column b leaves zero
     seen = set()
@@ -1035,6 +1039,26 @@ def test_block_rule_wants_the_canonical_connector():
     flipped = LabeledMatrix(w.row_labels, w.col_labels, ExactMatrix(RATIONAL, rows))
     assert is_tu_signing_of(flipped.body, s.B.body)
     assert not certifies_sum(flipped, s.B, signed_left, signed_right, glue)
+
+
+def test_only_scalings_by_signs_match_a_signing():
+    # a summand "signing" with row x0 or column y0 doubled is not TU; line
+    # scales still take it to its block of W, but not scales by signs alone,
+    # so the block rule refuses it and no sign scaling reaches the target
+    left, right, glue, _ = sum3_corpus(per_unit=1)[0]
+    signed_left, signed_right = is_regular(left), is_regular(right)
+    s = compose(left, right, glue).result
+    w = sign_composition(signed_left, signed_right, glue)
+    i, j = signed_left.row_position(glue.x0), signed_left.col_position(glue.y0)
+    for axis in (0, 1):
+        rows = [[2 * x if (r, c)[axis] == (i, j)[axis] else x for c, x in enumerate(row)]
+                for r, row in enumerate(signed_left.body.to_lists())]
+        doubled = LabeledMatrix(signed_left.row_labels, signed_left.col_labels, ExactMatrix(RATIONAL, rows))
+        held = w.select(signed_left.row_labels, signed_left.col_labels).body.rows
+        assert _line_scales(held, doubled.body.rows) is not None
+        assert not certifies_sum(w, s.B, doubled, signed_right, glue)
+        with pytest.raises(ShapeError, match="no row/column sign scaling reaches the target"):
+            canonical_signing_sum3(doubled, signed_right, glue)
 
 
 def zeroed_alike(w, b, spots):

@@ -27,7 +27,6 @@ from tumat import (
     to_matroid,
 )
 from tumat.fixtures import fano_b, incidence_matrix, network_example, r10_b, r10_standard_repr
-from tumat.sums import _signs_between
 
 from helpers import (
     cofactor_det,
@@ -195,7 +194,7 @@ def test_searches_agree_on_random_supports():
             assert is_tu_signing_of(fast, u)
             assert is_tu_signing_of(slow, u)
             # Camion: a TU signing is unique up to row and column signs
-            assert _signs_between(fast.rows, slow.rows) is not None
+            assert tu_module._line_scales(fast.rows, slow.rows) is not None
     assert fast is not None  # the fixed support above has a TU signing
 
 
@@ -628,6 +627,40 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         verdict = is_totally_unimodular(a)
         assert verdict == oracle_verdict(a)
         assert not reached and not trees, a.to_lists()
+
+
+def test_the_realization_search_meets_only_sides_within_the_bound(monkeypatch):
+    # no tree realizes a side whose k edges carry fewer than (k + 3) / 2 or
+    # more than k(k - 1) / 2 lines, so the network leaf skips it: _tree never
+    # receives one, though network matrices and their transposes have such
+    # sides.  The bound changes only the work, so only a hook sees it
+    is_network, tree = tu_module._is_network_matrix, tu_module._tree
+    sides, searched = Counter(), []
+
+    def network(rpos, rneg, cpos, cneg, rows, cols):
+        for pos, neg, lines, edges in ((cpos, cneg, cols, rows), (rpos, rneg, rows, cols)):
+            paths = [(pos[j] | neg[j]) & edges for j in tu_module._bits(lines)]
+            if max(map(int.bit_count, paths)) <= 2:  # the star tree's side ends the leaf
+                sides["star"] += 1
+                break
+            k = edges.bit_count()
+            sides["inside" if k + 3 <= 2 * len(paths) <= k * (k - 1) else "outside"] += 1
+        return is_network(rpos, rneg, cpos, cneg, rows, cols)
+
+    def search(paths, on):
+        k, lines = len(on), len(paths)
+        assert k + 3 <= 2 * lines <= k * (k - 1), (k, lines)
+        searched.append((k, lines))
+        return tree(paths, on)
+
+    monkeypatch.setattr(tu_module, "_is_network_matrix", network)
+    monkeypatch.setattr(tu_module, "_tree", search)
+    rng = random.Random(131)
+    for _ in range(400):
+        a = random_network_matrix(rng, rng.randrange(4, 10), rng.randrange(3, 15))
+        for b in (a, a.transpose()):
+            assert is_totally_unimodular(b, force=True).is_tu
+    assert sides["outside"] >= 10 and sides["inside"] >= 200 and len(searched) >= 150, (sides, len(searched))
 
 
 def test_network_search_takes_no_stack_frame_per_edge(monkeypatch):
