@@ -262,9 +262,10 @@ def matroids_equal(m1: FiniteMatroid, m2: FiniteMatroid, *, limit: int = DEFAULT
     binary (GF(2)-backed, or rational with rows that scale to a TU
     matrix) equality is equality of the supports of their stored rows.
     Otherwise equal matroids have the same greedy base over the sorted
-    ground, so different ones answer "not equal"; past that the ranks,
-    the base counts and then the bases are compared.  Only this fallback
-    is guarded: grounds larger than ``limit`` raise ``SizeGuardError``.
+    ground, the first base of the lexicographic walk ``_prefixes``, so
+    different ones answer "not equal"; past that the ranks, the base
+    counts and then the bases are compared.  Only this fallback is
+    guarded: grounds larger than ``limit`` raise ``SizeGuardError``.
     Within the guard, the TU check of a rational side's B is forced, since
     B has C(n, r) square submatrices.
     """
@@ -272,13 +273,11 @@ def matroids_equal(m1: FiniteMatroid, m2: FiniteMatroid, *, limit: int = DEFAULT
         return False
     if m1._mode == "bases" or m2._mode == "bases":
         return _bases_equal(m1, m2, limit)
-    order = list(m1._pos)
-    supports = [_binary_supports(m, len(order) <= limit) for m in (m1, m2)]
+    supports = [_binary_supports(m, len(m1._pos) <= limit) for m in (m1, m2)]
     if None not in supports:
         return supports[0] == supports[1]
-    if any(m1.rank_of(order[:j]) != m2.rank_of(order[:j]) for j in range(1, len(order))):
-        return False  # the prefix ranks step up at the greedy base
-    return _bases_equal(m1, m2, limit)
+    first, second = (next(_prefixes(m._mode, m._rows, 0))[0] for m in (m1, m2))
+    return first == second and _bases_equal(m1, m2, limit)
 
 
 def _binary_supports(m: FiniteMatroid, force: bool) -> Optional[list[int]]:

@@ -85,7 +85,7 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
         raise ShapeError(f"labels {sorted(missing)} are not columns of the matrix")
     x_order = [lbl for lbl in rep.col_labels if lbl in g]
     y_order = [lbl for lbl in rep.col_labels if lbl not in g]
-    cols = [rep.col_position(v) for v in x_order + y_order]
+    cols = rep._positions(x_order + y_order, False)
     b = _coordinates(rep.kind, rep.body.rows, cols[: len(x_order)], cols[len(x_order):])
     if b is None:
         raise ShapeError("the given label set is not a base of the column matroid")

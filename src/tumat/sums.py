@@ -26,12 +26,10 @@ once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  The signs are
-solved by ``tu._line_scales``, on the forest the signing search pins.  Blocks
-read off a checked labeled matrix go through one reader, ``_cut``, which
-looks up each axis's labels in one call; the validity guards of
-``standard_repr_sum_2`` and ``standard_repr_sum_3`` read their glue
-lines by position instead, and ``certifies_sum`` patches its 2-sum
-sides by position.
+solved by ``tu._line_scales``, on the forest the signing search pins.  Every
+block read off a checked labeled matrix, the glue lines of the validity
+guards and the certificate's summand blocks included, goes through one
+reader, ``_cut``, which looks up each axis's labels in one call.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -203,9 +201,9 @@ def standard_repr_sum_2(
     either being all zero makes the sum Invalid.
     """
     _check_glue(left, right, ({x}, "the glue label x"), ({y}, "the glue label y"))
-    if not any(left.B.body.row(left.B.row_position(x))):
+    if not any(_cut(left.B, (x,), left.Y).rows[0]):
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {_shown(x)} of the left summand is zero")
-    if not any(right.B.body.col(right.B.col_position(y))):
+    if not any(map(any, _cut(right.B, right.X, (y,)).rows)):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {_shown(y)} of the right summand is zero")
     return SumOutcome.ok(_assemble(left.B, right.B, (x, y)))
 
@@ -241,13 +239,13 @@ def standard_repr_sum_3(
                     REASON_MISSING_ONE,
                     f"{name} summand entry ({_shown(labels.xs[i])}, {_shown(labels.ys[j])}) must be 1",
                 )
-    for u, e in zip(left.X, left.B.body.col(left.B.col_position(labels.y2))):
+    for u, (e,) in zip(left.X, _cut(left.B, left.X, (labels.y2,)).rows):
         if e and u not in (labels.x0, labels.x1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
                 f"left summand column {_shown(labels.y2)} must be zero at row {_shown(u)}",
             )
-    for v, e in zip(right.Y, right.B.body.row(right.B.row_position(labels.x2))):
+    for v, e in zip(right.Y, _cut(right.B, (labels.x2,), right.Y).rows[0]):
         if e and v not in (labels.y0, labels.y1):
             return SumOutcome.invalid(
                 REASON_NONZERO_OUTSIDE,
@@ -485,9 +483,11 @@ def certifies_sum(
     and the blocks are joined so that the sum is TU: the bottom-left block
     BL has rank k - 1, the exact k-separation (Seymour 1980).  For a
     2-sum BL = c * r, and the blocks are [A; r] and [c | A'] (Schrijver
-    1986, section 19.4); for a 3-sum the connector is in its canonical
-    signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1) is a unit
-    and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].
+    1986, section 19.4), read off the witness by label: r at a row of BL,
+    c up to one sign at a column.  For a 3-sum the connector is in its
+    canonical signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1)
+    is a unit and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].  A
+    summand signing with an entry that is not an integer is refused.
     """
     if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
             or not is_signing_of(witness.body, b.body):
@@ -499,8 +499,7 @@ def certifies_sum(
     bl = _cut(w, bottom, left).rows
     if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):
         return False
-    sides = [([list(row) for row in _cut(w, s.row_labels, s.col_labels).rows], _ints(s).body.rows)
-             for s in (signed_left, signed_right)]
+    left_rows, right_cols = signed_left.row_labels, signed_right.col_labels
     if isinstance(glue, Sum3Labels):
         unit = _UNITS.get(tuple(tuple(map(abs, row)) for row in _cut(w, xs, ys).rows))
         if unit is None:
@@ -509,18 +508,17 @@ def certifies_sum(
         if _cut(w, (cut.x2, cut.x0, cut.x1), cut.ys).rows != target.rows:
             return False
     elif glue is not None:
-        # rank 1: every row of BL is c_i times the first nonzero row r, c_i read at its first nonzero column
-        r = next(row for row in bl if any(row))
-        j0 = next(j for j, e in enumerate(r) if e)
-        c = [row[j0] * r[j0] for row in bl]
-        # the summand blocks are [A; r] and [c | A']: W holds c_x * r at row x and c * r_y at column y
-        sides[0][0][signed_left.row_position(xs[0])] = r
-        j = signed_right.col_position(ys[0])
-        for row, ci in zip(sides[1][0], c):
-            row[j] = ci
-    # each block is its signing up to line signs: scales exist, and each num / den is +-1
-    return all((s := _line_scales(held, signing)) and {1, -1}.issuperset(map(mul, *s))
-               for held, signing in sides)
+        # rank 1, BL = c * r: W holds r at the row u of BL's first nonzero row and c * r[j0] at the column v
+        # of r's first nonzero, so [A; r] and [c | A'] are W with u for x and v for y: the summands share only x, y
+        i = next(i for i, row in enumerate(bl) if any(row))
+        u, v = bottom[i], left[next(j for j, e in enumerate(bl[i]) if e)]
+        left_rows = [u if t == xs[0] else t for t in left_rows]
+        right_cols = [v if t == ys[0] else t for t in right_cols]
+    held = _cut(w, left_rows, signed_left.col_labels), _cut(w, signed_right.row_labels, right_cols)
+    # each block is its signing, of integers, up to line signs: scales exist, and each num / den is +-1
+    return all(all(e.denominator == 1 for row in s.body.rows for e in row)
+               and (sc := _line_scales(h.rows, _ints(s).body.rows)) and {1, -1}.issuperset(map(mul, *sc))
+               for h, s in zip(held, (signed_left, signed_right)))
 
 
 def verify_is_sum_k_of(

@@ -1125,23 +1125,30 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
     # every command line, each with and without --force where it takes it, on
     # seeded mutations of every JSON document under fixtures/ and tests/data/,
     # and on damaged command lines: main returns an exit code 0-3, raises
-    # nothing, and writes at most one line to stderr
+    # nothing, and writes at most one line to stderr, except that a usage
+    # error keeps argparse's form
     docs = sorted(p for folder in (FIXTURES, DATA) for p in folder.rglob("*.json"))
     commands = _fuzz_commands()
     rng = random.Random(16)
     codes = Counter()
 
-    def answer(line, damaged=None):
+    def answer(line, damaged=None, usage=False):
         out, err = io.StringIO(), io.StringIO()
+        exited = False
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(line)
         except SystemExit as exc:
-            code = exc.code
+            code, exited = exc.code, True
         except Exception as exc:  # noqa: BLE001 - anything escaping main breaks the contract
             pytest.fail(f"{line} raised {exc!r} on {damaged!r}")
         assert code in (0, 1, 2, 3), (line, code)
-        assert len(err.getvalue().splitlines()) <= 1, (line, err.getvalue())
+        text = err.getvalue().splitlines()
+        if usage:  # SystemExit(2), the usage block, then one error line last
+            assert exited and code == 2 and text[0].startswith("usage: "), (line, code, text)
+            assert [i for i, t in enumerate(text) if ": error: " in t] == [len(text) - 1], (line, text)
+        else:
+            assert len(text) <= 1, (line, err.getvalue())
         return code, err.getvalue()
 
     for t in range(8 * len(docs)):
@@ -1177,3 +1184,20 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
     for line in lines:
         code, err = answer(line)
         assert code in (1, 2) and err.count("\n") == 1, (line, code, err)
+    # damaged flags: an unknown flag, -k 4 and a missing input are usage
+    # errors; a glue flag repeated with a label that one summand lacks, after
+    # or before the right one, is answered by the one-line rule
+    usage, repeated = [], []
+    for words, flags, base in commands:
+        inputs = [str(p) for p in base or [FIXTURES / "fano.json"] * (2 if words == ["matroid", "eq"] else 1)]
+        usage += [words + inputs + flags + ["--bogus"], words + inputs[:-1] + flags]
+        if "-k" in flags:
+            k = flags.index("-k") + 1
+            usage.append(words + inputs + flags[:k] + ["4"] + flags[k + 1:])
+            if flags[k] != "1":
+                repeated += [words + inputs + flags + [flags[k + 1], "zz"], words + inputs + [flags[k + 1], "zz"] + flags]
+    for line in usage:
+        answer(line, usage=True)
+    for line in repeated:
+        answer(line)
+    assert len(usage) == 2 * len(commands) + 9 and len(repeated) == 12

@@ -235,6 +235,19 @@ def test_echelon_is_the_one_reduction():
                                        ("src/tumat/stdrepr.py", "standardize")]
 
 
+def test_labeled_blocks_are_read_by_label():
+    # only LabeledMatrix turns one label into a position; the sum layer reads
+    # every block, glue lines included, through _cut, and the certificate
+    # reads its summand blocks off the witness with no copy and no patch
+    for name in ("row_position", "col_position"):
+        assert readers(name) == [("src/tumat/matroid.py", "LabeledMatrix")], name
+    tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("row", "col")] == []
+    certificate = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certifies_sum")
+    assert "list" not in loaded_names(certificate)
+    assert [n.lineno for n in ast.walk(certificate) if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)] == []
+
+
 def test_sign_masks_are_built_by_the_tu_check_alone():
     # the pre-pass and the blocks trust their sign masks: the entry scan of
     # is_totally_unimodular builds them, and nothing else may
@@ -323,3 +336,18 @@ def test_a_huge_label_gives_a_short_message():
     messages.append(out.message)
     assert all(len(message) < 200 for message in messages), [len(message) for message in messages]
     assert messages[0] == f"no row labeled {'x' * 40!r}... (100000 characters)"
+
+
+def test_every_catalogued_mutant_still_applies():
+    # tests/mutation_audit.py replaces one line per mutant; each line must
+    # still occur exactly once in the package, in the module the mutant
+    # names, so the catalogue cannot rot as the code moves; no mutant runs
+    from mutation_audit import MUTANTS, applied
+
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in sorted((ROOT / "src").rglob("*.py"))}
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 24
+    for m in MUTANTS:
+        assert [path for path, text in sources.items() for line in text.splitlines() if line.strip() == m.old] \
+            == [m.path], m.name
+        assert applied(sources[m.path], m) != sources[m.path], m.name
+        assert m.kind in ("verdict", "work") and m.tests and all((ROOT / t).is_file() for t in m.tests), m.name

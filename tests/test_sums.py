@@ -174,7 +174,7 @@ def test_sum_1_matches_disjoint_sum():
 def test_sum_1_selects_no_glue_blocks(monkeypatch):
     # a 1-sum has no glue, so the assembly reads the two summand bodies and
     # neither basis rows nor weights; a 2-sum also reads its glue row x and
-    # its bottom rows' y entries
+    # its bottom rows' y entries, in the assembly and in the zero-line guards
     from helpers import random_standard_repr, random_sum2_pair
 
     calls = []
@@ -195,12 +195,13 @@ def test_sum_1_selects_no_glue_blocks(monkeypatch):
     calls.clear()
     left, right, x, y = random_sum2_pair(rng)
     assert compose(left, right, (x, y)).valid
-    assert len([(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)]) == 2
-    assert len(calls) == 4
+    assert len([(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)]) == 4
+    assert len(calls) == 6
 
 
 def test_sum_3_reads_each_glue_block_once(monkeypatch):
-    # one read per summand for its 3x3 glue block and four in the assembly
+    # one read per summand for its 3x3 glue block, one each for the left
+    # column y2 and the right row x2 in the guards, and four in the assembly
     # (basis rows, weights and the two bodies), all through ``_cut``: no
     # select, and no entry read one label at a time
     calls = {"select": 0, "entry": 0, "_cut": 0}
@@ -221,7 +222,7 @@ def test_sum_3_reads_each_glue_block_once(monkeypatch):
     for left, right, glue, _ in sum3_corpus(per_unit=1):
         calls.update(select=0, entry=0, _cut=0)
         assert compose(left, right, glue).valid
-        assert calls == {"select": 0, "entry": 0, "_cut": 6}
+        assert calls == {"select": 0, "entry": 0, "_cut": 8}
 
 
 def test_block_readers_report_the_first_missing_label_as_the_lookups_do():
@@ -1096,3 +1097,24 @@ def test_block_rule_refuses_a_2_sum_with_zero_bottom_left():
     assert any(w.entry(u, v) for u, v in spots)
     bad_w, bad_b = zeroed_alike(w, s.B, spots)
     assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, (x, y))
+
+
+def test_block_rule_refuses_a_summand_entry_that_is_not_an_integer():
+    # the block rule reads each summand signing as ints, so an entry 1/2
+    # would read as its numerator 1; sign_composition, which trusts its
+    # certified signings, builds the same witness from it, and the block
+    # rule refuses the signing instead of certifying that witness
+    left, right, x, y = random_sum2_pair(random.Random(5))
+    for left, right, glue in (sum3_corpus(per_unit=1)[0][:3], (left, right, (x, y))):
+        signed = [is_regular(left), is_regular(right)]
+        s = compose(left, right, glue).result
+        w = sign_composition(*signed, glue)
+        assert certifies_sum(w, s.B, *signed, glue)
+        for side in (0, 1):
+            rows = signed[side].body.to_lists()
+            i, j = next((i, j) for i, row in enumerate(rows) for j, e in enumerate(row) if e)
+            rows[i][j] = Fraction(1, 2)
+            halved = list(signed)
+            halved[side] = LabeledMatrix(signed[side].row_labels, signed[side].col_labels, ExactMatrix(RATIONAL, rows))
+            assert sign_composition(*halved, glue) == w, (glue, side)
+            assert not certifies_sum(w, s.B, *halved, glue), (glue, side)

@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -1232,3 +1233,37 @@ def test_signing_stops_its_pass_with_the_same_candidate(monkeypatch):
         assert cand.to_lists() == full_pass_candidate(u), u.to_lists()
         seen["tu"] += is_totally_unimodular(cand).is_tu
     assert min(seen.values()) >= 600, seen
+
+
+def transpose_law_inputs(rng, per_family=300):
+    """Seeded {0, +-1} matrices up to 8x9: random ones, then ``random_tu_matrix``, then network matrices."""
+    shapes = [(rng.randint(1, 8), rng.randint(1, 9)) for _ in range(3 * per_family)]
+    random_family = [ExactMatrix(RATIONAL, [[rng.choice((0, 0, 1, -1)) for _ in range(n)] for _ in range(m)], n_cols=n)
+                     for m, n in shapes[:per_family]]
+    return (random_family + [random_tu_matrix(rng, m, n) for m, n in shapes[per_family:2 * per_family]]
+            + [random_network_matrix(rng, m + 1, n) for m, n in shapes[2 * per_family:]])
+
+
+def test_transposing_keeps_the_tu_verdict_and_the_signing():
+    # TU is closed under transposing: A and its transpose share the verdict
+    # and the witness order, a minimally non-TU {0, +-1} matrix has
+    # determinant +-2 (Camion), and the transpose's witness, transposed back,
+    # is a violator of A; a TU signing is unique up to line signs, so the
+    # signing search finds one for U exactly when it finds one for U^T, and
+    # the two agree up to row and column signs
+    seen = Counter()
+    for a in transpose_law_inputs(random.Random(12)):
+        verdict, flipped = (is_totally_unimodular(m, force=True) for m in (a, a.transpose()))
+        assert verdict.is_tu == flipped.is_tu, a.to_lists()
+        if not verdict.is_tu:
+            (rows, cols, det), (t_rows, t_cols, t_det) = verdict.witness, flipped.witness
+            assert len(rows) == len(t_rows) and abs(det) == abs(t_det) == 2, a.to_lists()
+            assert a.submatrix(t_cols, t_rows).determinant() == t_det
+        u = support_gf2(a)
+        signing, t_signing = (find_tu_signing(m, force=True) for m in (u, u.transpose()))
+        assert (signing is None) == (t_signing is None), u.to_lists()
+        if signing is not None:
+            scales = tu_module._line_scales(t_signing.transpose().rows, signing.rows)
+            assert scales and {1, -1}.issuperset(map(mul, *scales)), u.to_lists()
+        seen[verdict.is_tu, signing is not None] += 1
+    assert seen[True, True] > 300 and seen[False, True] > 20 and seen[False, False] > 20, seen
