@@ -486,14 +486,15 @@ def certifies_sum(
     1986, section 19.4), read off the witness by label: r at a row of BL,
     c up to one sign at a column.  For a 3-sum the connector is in its
     canonical signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1)
-    is a unit and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].  A
-    summand signing with an entry that is not an integer is refused.
+    is a unit and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].  A summand
+    signing that lacks its glue lines or has a non-integer entry is refused.
     """
     if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
             or not is_signing_of(witness.body, b.body):
         return False
     xs, ys, top, bottom, left, right = _layout(signed_left, signed_right, glue)
-    if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels):
+    if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels) \
+            or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:
         return False
     w = _ints(witness)
     bl = _cut(w, bottom, left).rows
@@ -508,8 +509,7 @@ def certifies_sum(
         if _cut(w, (cut.x2, cut.x0, cut.x1), cut.ys).rows != target.rows:
             return False
     elif glue is not None:
-        # rank 1, BL = c * r: W holds r at the row u of BL's first nonzero row and c * r[j0] at the column v
-        # of r's first nonzero, so [A; r] and [c | A'] are W with u for x and v for y: the summands share only x, y
+        # BL = c * r: [A; r] and [c | A'] are W with u for x, v for y, u BL's first nonzero row, v r's first nonzero
         i = next(i for i, row in enumerate(bl) if any(row))
         u, v = bottom[i], left[next(j for j, e in enumerate(bl[i]) if e)]
         left_rows = [u if t == xs[0] else t for t in left_rows]

@@ -1,6 +1,6 @@
 """A fixed catalogue of one-line mutants of ``src/tumat`` that the suite must kill.
 
-    python tests/mutation_audit.py [--timeout SECONDS] [NAME ...]
+    python tests/mutation_audit.py
 
 Each mutant names a module, one line of it (its text without the leading
 indentation, which must occur exactly once in ``src/``), the text that
@@ -8,9 +8,9 @@ replaces it, the test files that must kill it, and a kind: "verdict" when
 it changes an answer, "work" when it changes only the work done.  The
 script copies the repository once into a temporary directory and applies
 each mutant there in turn, never in the checkout.  It runs ``pytest -x`` on
-the mutant's test files with a timeout per mutant, and prints each mutant
-as killed, survived or timed out, with its time.  It exits 1 when a mutant
-is not killed.  With names, it runs only those mutants.
+the mutant's test files with a timeout of ``TIMEOUT`` seconds per mutant,
+and prints each mutant as killed, survived or timed out, with its time.
+It exits 1 when a mutant is not killed.
 
 pytest does not collect this file; ``test_hygiene.py`` checks that every
 mutant still applies, and runs none.
@@ -18,7 +18,6 @@ mutant still applies, and runs none.
 
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -29,6 +28,7 @@ import time
 from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds per mutant
 
 
 class Mutant(NamedTuple):
@@ -92,6 +92,9 @@ MUTANTS = (
     Mutant("zero-column-guard-reads-the-left", SUMS,
            "if not any(map(any, _cut(right.B, right.X, (y,)).rows)):",
            "if not any(map(any, _cut(left.B, left.X, (y,)).rows)):", (T_SUMS, T_ACCEPTANCE, T_CLI), "verdict"),
+    Mutant("certificate-skips-the-left-glue-rows", SUMS,
+           "or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:",
+           "or not {*ys} <= {*signed_right.col_labels}:", (T_SUMS,), "verdict"),
     Mutant("certificate-drops-integer-check", SUMS,
            "return all(all(e.denominator == 1 for row in s.body.rows for e in row)",
            "return all(True", (T_SUMS,), "verdict"),
@@ -124,7 +127,7 @@ def applied(text: str, mutant: Mutant) -> str:
     return "".join(lines)
 
 
-def run(mutant: Mutant, copy: pathlib.Path, timeout: float) -> tuple[str, float]:
+def run(mutant: Mutant, copy: pathlib.Path) -> tuple[str, float]:
     """Apply the mutant in ``copy``, run its test files, restore the module; (outcome, seconds)."""
     target = copy / mutant.path
     original = target.read_text(encoding="utf-8")
@@ -134,7 +137,7 @@ def run(mutant: Mutant, copy: pathlib.Path, timeout: float) -> tuple[str, float]
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
                               cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
         outcome = {0: "survived", 1: "killed"}.get(done.returncode, f"error (pytest exit {done.returncode})")
     except subprocess.TimeoutExpired:
         outcome = "timed out"
@@ -143,25 +146,17 @@ def run(mutant: Mutant, copy: pathlib.Path, timeout: float) -> tuple[str, float]
     return outcome, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per mutant (default 120)")
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     missed = 0
     with tempfile.TemporaryDirectory(prefix="mutation-audit-") as tmp:
         copy = pathlib.Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
-        for mutant in chosen:
-            outcome, seconds = run(mutant, copy, args.timeout)
+        for mutant in MUTANTS:
+            outcome, seconds = run(mutant, copy)
             missed += outcome != "killed"
             print(f"{mutant.name:40} {mutant.kind:8} {outcome:10} {seconds:6.1f} s  {' '.join(mutant.tests)}",
                   flush=True)
-    print(f"{len(chosen) - missed} of {len(chosen)} killed")
+    print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} killed")
     return 1 if missed else 0
 
 

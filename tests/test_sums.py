@@ -1118,3 +1118,52 @@ def test_block_rule_refuses_a_summand_entry_that_is_not_an_integer():
             halved[side] = LabeledMatrix(signed[side].row_labels, signed[side].col_labels, ExactMatrix(RATIONAL, rows))
             assert sign_composition(*halved, glue) == w, (glue, side)
             assert not certifies_sum(w, s.B, *halved, glue), (glue, side)
+
+
+def test_block_rule_refuses_a_summand_without_its_glue_line():
+    # the blocks take r at the left's glue rows X and c at the right's glue
+    # columns Y; a summand signing without one of them would leave that
+    # line of W unchecked.  Both 2-sums below have determinant -2 on rows
+    # b and the last row, and pass every other block test: the left
+    # signing lacks row x, then the right signing lacks column y
+    def labeled(rows, cols, body, kind=RATIONAL):
+        return LabeledMatrix(rows, cols, ExactMatrix(kind, body))
+
+    def without(m, line):
+        rows, cols = [u for u in m.row_labels if u != line], [v for v in m.col_labels if v != line]
+        return LabeledMatrix(rows, cols, _cut(m, rows, cols))
+
+    for rows, cols, body, left, right in (
+        (["a", "b"], ["p", "y"], [[1, 1], [1, -1]],
+         labeled(["a"], ["p", "y"], [[1, 1]]), labeled(["b"], ["y"], [[1]])),
+        (["a", "b", "c"], ["p", "q"], [[1, 0], [1, 1], [1, -1]],
+         labeled(["a", "x"], ["p"], [[1], [1]]), labeled(["b", "c"], ["q"], [[1], [-1]])),
+    ):
+        w, b = labeled(rows, cols, body), labeled(rows, cols, [[abs(e) for e in row] for row in body], GF2)
+        assert is_totally_unimodular(w.body).witness[2] == -2
+        assert not certifies_sum(w, b, left, right, ("x", "y"))
+    # the genuine witness of a 3-sum and a 2-sum, each glue line dropped in turn
+    left3, right3, glue3 = sum3_corpus(per_unit=1)[0][:3]
+    left2, right2, x, y = random_sum2_pair(random.Random(5))
+    for left, right, glue, xs, ys in ((left3, right3, glue3, glue3.xs[:2], glue3.ys[:2]),
+                                      (left2, right2, (x, y), (x,), (y,))):
+        signed_left, signed_right = is_regular(left), is_regular(right)
+        s = compose(left, right, glue).result
+        w = sign_composition(signed_left, signed_right, glue)
+        assert certifies_sum(w, s.B, signed_left, signed_right, glue)
+        for u in xs:
+            assert not certifies_sum(w, s.B, without(signed_left, u), signed_right, glue), (glue, u)
+        for v in ys:
+            assert not certifies_sum(w, s.B, signed_left, without(signed_right, v), glue), (glue, v)
+    # without row x0 in the left signing, W's row x0 went unchecked: of its
+    # entries set to 0 or +-1 in W and B alike, some make W not TU
+    signed_left, signed_right = is_regular(left3), is_regular(right3)
+    s, w = compose(left3, right3, glue3).result, sign_composition(signed_left, signed_right, glue3)
+    short, i, seen = without(signed_left, glue3.x0), w.row_position(glue3.x0), Counter()
+    for j, e in product(range(len(w.col_labels)), (0, 1, -1)):
+        rows, supp = w.body.to_lists(), s.B.body.to_lists()
+        rows[i][j], supp[i][j] = e, abs(e)
+        bad, bad_b = labeled(w.row_labels, w.col_labels, rows), labeled(w.row_labels, w.col_labels, supp, GF2)
+        assert not certifies_sum(bad, bad_b, short, signed_right, glue3), (j, e)
+        seen[is_totally_unimodular(bad.body, force=True).witness is None] += 1
+    assert seen[False] > 0, seen
