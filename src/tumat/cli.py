@@ -224,15 +224,24 @@ def cmd_verify_composition(args) -> int:
     return EXIT_OK
 
 
+class _Once(argparse.Action):
+    """Store the flag's value; a second use of the flag is a usage error of the command's parser."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"argument {option_string}: given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _add_sum_args(p: argparse.ArgumentParser) -> None:
-    """-k, the two summands and the glue label flags that ``_glue`` reads."""
-    p.add_argument("-k", "--k", type=int, choices=(1, 2, 3), required=True)
+    """-k, the two summands and the glue label flags that ``_glue`` reads, each given at most once."""
+    p.add_argument("-k", "--k", type=int, choices=(1, 2, 3), required=True, action=_Once)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--x", help="glue row label (k=2)")
-    p.add_argument("--y", help="glue column label (k=2)")
+    p.add_argument("--x", help="glue row label (k=2)", action=_Once)
+    p.add_argument("--y", help="glue column label (k=2)", action=_Once)
     for name in ("x0", "x1", "x2", "y0", "y1", "y2"):
-        p.add_argument(f"--{name}", help=f"glue label {name} (k=3)")
+        p.add_argument(f"--{name}", help=f"glue label {name} (k=3)", action=_Once)
 
 
 def build_parser() -> argparse.ArgumentParser:

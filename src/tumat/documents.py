@@ -53,9 +53,15 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+# built once: ``json.loads`` builds a decoder on every call that passes a hook
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_object(text: str) -> dict:
     try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # refused as ``json.loads`` refuses it; the decoder does not check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except DocumentError:
         raise
     except (ValueError, RecursionError) as exc:  # ValueError: also a number past the int digit limit

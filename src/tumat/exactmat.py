@@ -12,7 +12,7 @@ over GF(2), on bit-packed rows, y XOR p.  Only ``_forward``, ``_echelon``
 and the base walk's ``_eliminate``, which XORs GF(2) rows inline, call it.
 The one reduction is ``_echelon``'s reduced row-echelon form: it stores
 every vector matroid (``matroid.to_matroid``), and ``_coordinates`` reads
-standard representations (``stdrepr.standardize``) and inverses off it.
+standard representations (``stdrepr.standardize``), pivots and inverses off it.
 The rank is the length of its forward pass; the determinant over Q runs
 that pass on the rows [e_k | row k], and over GF(2) it is 1 at full rank.
 
@@ -305,30 +305,30 @@ class ExactMatrix:
         """Gaussian pivot at (i, j): column j becomes the i-th unit column.
 
         Row i is divided by the pivot entry; every other row k is replaced
-        by ``row_k - A[k][j] * new_row_i``.  Labels and positions are kept,
-        nothing is swapped.  The pivot entry must be nonzero.
+        by ``row_k - A[k][j] * new_row_i``.  That is A in coordinates over
+        the unit columns of [A | I] with e_i replaced by column j, which
+        ``_coordinates`` reads.  Labels and positions are kept, nothing is
+        swapped.  The pivot entry must be nonzero.
         """
         if self[i, j] == 0:
             raise ShapeError(f"zero pivot entry at ({i}, {j})")
-        p = self.rows[i]
-        if self.kind == GF2:
-            rows = [[x ^ y for x, y in zip(row, p)] if row[j] and k != i else row for k, row in enumerate(self.rows)]
-        else:
-            p = [x / p[j] for x in p]
-            rows = [p if k == i else [x - row[j] * y for x, y in zip(row, p)] if row[j] else row
-                    for k, row in enumerate(self.rows)]
-        return _exact(self.kind, rows, self.n_cols)
+        n = self.n_cols
+        base = [j if k == i else n + k for k in range(self.n_rows)]
+        return _exact(self.kind, _coordinates(self.kind, self._with_units(), base, range(n)), n)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse of a square nonsingular matrix: in [A | I], the coordinates of I's columns over A's."""
         if self.n_rows != self.n_cols:
             raise ShapeError("inverse of non-square matrix")
         n = self.n_rows
-        work = [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(n, self.kind).rows)]
-        inverse = _coordinates(self.kind, work, range(n), range(n, 2 * n))
+        inverse = _coordinates(self.kind, self._with_units(), range(n), range(n, 2 * n))
         if inverse is None:
             raise ShapeError("matrix is singular")
         return _exact(self.kind, inverse, n)
+
+    def _with_units(self) -> list:
+        """The rows of [A | I], I's columns after A's, that ``pivot`` and ``inverse`` read."""
+        return [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(self.n_rows, self.kind).rows)]
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from operator import or_
+from operator import itemgetter, or_
 from typing import Callable, FrozenSet, Iterable, Iterator, Optional, Sequence
 
 from .errors import ShapeError, SizeGuardError, _shown
@@ -101,11 +101,11 @@ class LabeledMatrix:
 
     def select(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "LabeledMatrix":
         """Submatrix by labels, in the requested order (no repeats)."""
-        rs, cs = self._positions(row_labels, True), self._positions(col_labels, False)
-        for pos, what in ((rs, "row"), (cs, "column")):
-            if len(set(pos)) != len(pos):
+        body = _cut(self, row_labels, col_labels)
+        for labels, what in ((row_labels, "row"), (col_labels, "column")):
+            if len(set(labels)) != len(labels):
                 raise ShapeError(f"duplicate {what} labels")
-        return _labeled(row_labels, col_labels, self.body.submatrix(rs, cs))
+        return _labeled(row_labels, col_labels, body)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledMatrix):
@@ -129,6 +129,22 @@ def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: Exa
     m.row_labels, m.col_labels, m.body = tuple(row_labels), tuple(col_labels), body
     m._row_pos = m._col_pos = None
     return m
+
+
+def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> ExactMatrix:
+    """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
+    checked for repeats.  Each axis's labels are looked up in one ``LabeledMatrix._positions``
+    call, so a missing one raises as ``row_position`` or ``col_position`` does.  Rows stay shared
+    when ``cols`` are b's own column labels."""
+    body_rows = b.body.rows
+    kept = [body_rows[i] for i in b._positions(rows, True)]
+    if tuple(cols) != b.col_labels:
+        keep = b._positions(cols, False)
+        if len(keep) > 1:
+            kept = list(map(itemgetter(*keep), kept))
+        else:  # itemgetter of one index returns a bare entry, and of none raises
+            kept = [(row[keep[0]],) for row in kept] if keep else [()] * len(kept)
+    return _exact(b.kind, kept, len(cols))
 
 
 class FiniteMatroid:

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from .errors import ShapeError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _coordinates, _exact, from_cols
-from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, to_matroid
+from .matroid import FiniteMatroid, Label, LabeledMatrix, _cut, _labeled, to_matroid
 from .tu import find_tu_signing, is_totally_unimodular
 
 __all__ = [
@@ -85,8 +85,8 @@ def standardize(rep: LabeledMatrix, base_labels: Iterable[Label]) -> StandardRep
         raise ShapeError(f"labels {sorted(missing)} are not columns of the matrix")
     x_order = [lbl for lbl in rep.col_labels if lbl in g]
     y_order = [lbl for lbl in rep.col_labels if lbl not in g]
-    cols = rep._positions(x_order + y_order, False)
-    b = _coordinates(rep.kind, rep.body.rows, cols[: len(x_order)], cols[len(x_order):])
+    ordered, r = _cut(rep, rep.row_labels, x_order + y_order), len(x_order)
+    b = _coordinates(rep.kind, ordered.rows, range(r), range(r, ordered.n_cols))
     if b is None:
         raise ShapeError("the given label set is not a base of the column matroid")
     return StandardRepr(_labeled(x_order, y_order, _exact(rep.kind, b, len(y_order))))

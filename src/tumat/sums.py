@@ -29,7 +29,7 @@ block must have rank k - 1, one rank test for every k.  The signs are
 solved by ``tu._line_scales``, on the forest the signing search pins.  Every
 block read off a checked labeled matrix, the glue lines of the validity
 guards and the certificate's summand blocks included, goes through one
-reader, ``_cut``, which looks up each axis's labels in one call.
+reader, ``matroid._cut``, which looks up each axis's labels in one call.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -42,12 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul, xor
+from operator import mul, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
-from .matroid import FiniteMatroid, Label, LabeledMatrix, _labeled, matroids_equal
+from .matroid import FiniteMatroid, Label, LabeledMatrix, _cut, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
 from .tu import _line_scales, is_signing_of, scale_rows_cols
 
@@ -292,22 +292,6 @@ def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple,
         xs, ys = (x,), (y,)
     return (xs, ys, [u for u in b_left.row_labels if u not in xs], [u for u in b_right.row_labels if u not in drop_x],
             [v for v in b_left.col_labels if v not in drop_y], [v for v in b_right.col_labels if v not in ys])
-
-
-def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> ExactMatrix:
-    """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
-    checked for repeats.  Each axis's labels are looked up in one ``LabeledMatrix._positions``
-    call, so a missing one raises as ``row_position`` or ``col_position`` does.  Rows stay shared
-    when ``cols`` are b's own column labels."""
-    body_rows = b.body.rows
-    kept = [body_rows[i] for i in b._positions(rows, True)]
-    if tuple(cols) != b.col_labels:
-        keep = b._positions(cols, False)
-        if len(keep) > 1:
-            kept = list(map(itemgetter(*keep), kept))
-        else:  # itemgetter of one index returns a bare entry, and of none raises
-            kept = [(row[keep[0]],) for row in kept] if keep else [()] * len(kept)
-    return _exact(b.kind, kept, len(cols))
 
 
 # the six invertible 2x2 GF(2) matrices, by their rows, and what ``is_unit_2x2`` returns for each

@@ -64,6 +64,14 @@ def plain_rank(kind, rows):
     return rank
 
 
+def gauss_jordan_pivot(kind, rows, i, j):
+    """The pivot at (i, j) by one Gauss-Jordan step on plain lists: row i divided by its entry at
+    column j, every other row k less its entry at column j times that row; mod 2 over GF(2)."""
+    p = [Fraction(x) / Fraction(rows[i][j]) for x in rows[i]]
+    out = [p if k == i else [Fraction(x) - row[j] * y for x, y in zip(row, p)] for k, row in enumerate(rows)]
+    return [[int(x) % 2 for x in row] if kind == GF2 else row for row in out]
+
+
 def naive_tu_verdict(a):
     """Enumerate every square submatrix, same order the checker promises.
 

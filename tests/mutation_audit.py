@@ -101,16 +101,24 @@ MUTANTS = (
     Mutant("assembly-weighs-by-d0-not-its-inverse", SUMS,
            "basis = [_head(b_left.kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]",
            "basis = [_head(b_left.kind, w, basis) for w in ((a, b), (c, d))]", (T_SUMS, T_ACCEPTANCE), "verdict"),
+    # item 13's second sums mutant: r placed at the wrong row of a 2-sum
+    Mutant("assembly-weighs-bottom-rows-reversed", SUMS,
+           "coeffs = _cut(b_right, x_bottom, ys).rows if ys else [()] * len(x_bottom)",
+           "coeffs = _cut(b_right, x_bottom[::-1], ys).rows if ys else [()] * len(x_bottom)",
+           (T_SUMS, T_ACCEPTANCE), "verdict"),
     Mutant("equality-guard-one-past-the-limit", MATROID, "if n > limit:", "if n > limit + 1:",
            (T_MATROID, T_CLI), "verdict"),
     Mutant("coordinates-skip-the-base-test", EXACTMAT,
            "if [_last(kind, y) for y in reduced] != list(range(n, len(order))):", "if False:",
            (T_EXACTMAT, T_STDREPR), "verdict"),
+    Mutant("pivot-base-without-column-j", EXACTMAT,
+           "base = [j if k == i else n + k for k in range(self.n_rows)]", "base = [n + k for k in range(self.n_rows)]",
+           (T_EXACTMAT,), "verdict"),
     Mutant("support-drops-minus-ones", STDREPR,
            "rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]",
            "rows = [[1 if v == 1 else 0 for v in row] for row in rep.body.rows]", (T_STDREPR, T_SUMS), "verdict"),
     Mutant("documents-keep-a-repeated-key", DOCUMENTS,
-           "obj = json.loads(text, object_pairs_hook=_unique_keys)", "obj = json.loads(text)",
+           "_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)", "_DECODER = json.JSONDecoder()",
            (T_DOCUMENTS, T_CLI), "verdict"),
     Mutant("guard-trip-exits-2", CLI, "return EXIT_GUARD", "return EXIT_PARSE", (T_CLI,), "verdict"),
 )

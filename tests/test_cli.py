@@ -244,6 +244,21 @@ def test_sum_missing_glue_flags(capsys):
     assert "--x0" in err
 
 
+@pytest.mark.parametrize("words", [["sum"], ["verify", "composition"]])
+@pytest.mark.parametrize("flags, named", [
+    (["-k", "2", "--x", "zz", "--x", "x2", "--y", "y2"], "--x"),
+    (["-k", "2", "--x", "x2", "--y", "y2", "--y", "y2"], "--y"),
+    (["-k", "3", "--k", "2", "--x", "x2", "--y", "y2"], "--k"),
+])
+def test_a_repeated_sum_flag_is_a_usage_error(capsys, words, flags, named):
+    # a second -k or glue flag would silently replace the first
+    with pytest.raises(SystemExit) as exc:
+        main([*words, *flags, str(FIXTURES / "sum2_left.json"), str(FIXTURES / "sum2_right.json")])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and captured.err.startswith("usage: tumat " + " ".join(words))
+    assert captured.err.endswith(f": error: argument {named}: given more than once\n")
+
+
 def test_sum_shape_error_exit_2(capsys):
     code, _, err = run(capsys, "sum", "-k", "2", "--x", "x9", "--y", "y2",
                        FIXTURES / "sum2_left.json", FIXTURES / "sum2_right.json")
@@ -1185,8 +1200,8 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
         code, err = answer(line)
         assert code in (1, 2) and err.count("\n") == 1, (line, code, err)
     # damaged flags: an unknown flag, -k 4 and a missing input are usage
-    # errors; a glue flag repeated with a label that one summand lacks, after
-    # or before the right one, is answered by the one-line rule
+    # errors; so are -k given twice and a glue flag repeated with a label
+    # that one summand lacks, after or before the right one
     usage, repeated = [], []
     for words, flags, base in commands:
         inputs = [str(p) for p in base or [FIXTURES / "fano.json"] * (2 if words == ["matroid", "eq"] else 1)]
@@ -1194,10 +1209,9 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
         if "-k" in flags:
             k = flags.index("-k") + 1
             usage.append(words + inputs + flags[:k] + ["4"] + flags[k + 1:])
+            repeated.append(words + inputs + ["-k", str(int(flags[k]) % 3 + 1)] + flags)
             if flags[k] != "1":
                 repeated += [words + inputs + flags + [flags[k + 1], "zz"], words + inputs + [flags[k + 1], "zz"] + flags]
-    for line in usage:
+    for line in usage + repeated:
         answer(line, usage=True)
-    for line in repeated:
-        answer(line)
-    assert len(usage) == 2 * len(commands) + 9 and len(repeated) == 12
+    assert len(usage) == 2 * len(commands) + 9 and len(repeated) == 21

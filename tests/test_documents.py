@@ -18,7 +18,7 @@ from tumat import (
     render_matrix_document,
     render_standard_repr_document,
 )
-from tumat.documents import _parse_grid
+from tumat.documents import _load_object, _parse_grid, _unique_keys
 
 MATRIX_DOC = {
     "field": "rational",
@@ -93,6 +93,38 @@ def test_repeated_keys_are_refused(text, key):
         with pytest.raises(DocumentError) as exc:
             parse(text)
         assert str(exc.value) == f"repeated key {key}"
+
+
+def json_loads_object(text):
+    """The reference for ``_load_object``: ``json.loads`` with the repeated-key hook, which
+    builds a decoder per call and refuses a leading BOM itself."""
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except DocumentError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise DocumentError(f"not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DocumentError("document must be a JSON object")
+    return obj
+
+
+@pytest.mark.parametrize("text", [
+    "\ufeff" + json.dumps(MATRIX_DOC),
+    '{"field": "gf2", "field": "gf2"}',
+    json.dumps(MATRIX_DOC)[:-7],
+    '{"data": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    '{"field": ' + "7" * 5000 + "}",
+], ids=["bom", "repeated-key", "truncated", "deep-nesting", "int-digit-limit"])
+def test_one_decoder_reads_as_json_loads(text):
+    # _load_object decodes every document through one module-level decoder;
+    # its messages are json.loads' own, the BOM refusal included
+    with pytest.raises(DocumentError) as expected:
+        json_loads_object(text)
+    with pytest.raises(DocumentError) as got:
+        _load_object(text)
+    assert str(got.value) == str(expected.value)
+    assert json_loads_object(json.dumps(MATRIX_DOC)) == _load_object(json.dumps(MATRIX_DOC)) == MATRIX_DOC
 
 
 def test_key_set_errors():

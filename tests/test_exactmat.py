@@ -33,6 +33,7 @@ from helpers import (
     UNIT_D0S,
     assert_exact,
     cofactor_det,
+    gauss_jordan_pivot,
     labels,
     make_repr,
     plain_rank,
@@ -452,6 +453,38 @@ def test_pivot_makes_unit_column():
     a = ExactMatrix(RATIONAL, [[2, 1, 0], [4, 0, 1], [6, 1, 1]]).pivot(1, 0)
     assert a.col(0) == (0, 1, 0)
     assert a.row(1) == (1, 0, Fraction(1, 4))
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_pivot_matches_the_gauss_jordan_formula(kind):
+    # pivot reads its result off [A | I] by _coordinates; the oracle is the
+    # one Gauss-Jordan step on plain lists, at every nonzero entry of seeded
+    # matrices with zero rows, repeated or combined rows, and 1xn or mx1 shapes
+    rng = random.Random(f"pivot {kind}")
+    make = random_gf2_matrix if kind == GF2 else random_rational_matrix
+    shapes = [(1, n) for n in range(1, 6)] + [(m, 1) for m in range(2, 6)]
+    shapes += [(rng.randint(2, 6), rng.randint(2, 7)) for _ in range(60)]
+    seen = {"zero row": 0, "rank deficient": 0}
+    for m, n in shapes:
+        rows = make(rng, m, n).to_lists()
+        if m > 1 and rng.random() < 0.5:
+            rows[rng.randrange(m)] = [0] * n
+        if m > 2 and rng.random() < 0.5:
+            a, b, c = rng.sample(range(m), 3)
+            rows[c] = [(x + y) % 2 if kind == GF2 else x - 2 * y for x, y in zip(rows[a], rows[b])]
+        a = ExactMatrix(kind, rows, n_cols=n)
+        seen["zero row"] += not all(map(any, rows))
+        seen["rank deficient"] += a.rank() < min(m, n)
+        for i in range(m):
+            for j in range(n):
+                if not rows[i][j]:
+                    with pytest.raises(ShapeError, match=rf"^zero pivot entry at \({i}, {j}\)$"):
+                        a.pivot(i, j)
+                    continue
+                pivoted = a.pivot(i, j)
+                assert_exact(pivoted)
+                assert pivoted.to_lists() == gauss_jordan_pivot(kind, rows, i, j), (rows, i, j)
+    assert min(seen.values()) >= 10, seen
 
 
 def test_inverse_round_trip():

@@ -177,9 +177,9 @@ PRODUCERS = {
 
 def test_certificate_runs_no_producer():
     # certifies_sum checks a signed sum by its blocks; naming a producer in
-    # its body, or in any private sums.py or tu.py helper it reaches, would
-    # let it re-run the construction it is meant to check
-    defs = {n.name: n for module in ("sums.py", "tu.py")
+    # its body, or in any private sums.py, tu.py or matroid.py helper it
+    # reaches, would let it re-run the construction it is meant to check
+    defs = {n.name: n for module in ("sums.py", "tu.py", "matroid.py")
             for n in ast.parse((ROOT / "src" / "tumat" / module).read_text(encoding="utf-8")).body
             if isinstance(n, ast.FunctionDef)}
     reached = ["certifies_sum"]
@@ -225,6 +225,14 @@ def test_fraction_free_elimination_is_one_row_step():
                                    for name in ("_echelon", "_eliminate", "_forward")]
 
 
+def test_exactmat_divides_by_no_slash():
+    # every quotient of the exact kernels is a Fraction built by _coordinates
+    # or the determinant, or a gcd step's exact floor division; a / would
+    # bring back a Gauss-Jordan step of its own
+    tree = ast.parse((ROOT / "src" / "tumat" / "exactmat.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(getattr(n, "op", None), ast.Div)] == []
+
+
 def test_echelon_is_the_one_reduction():
     # Gauss-Jordan elimination is retired: every vector matroid reads the
     # reduced row-echelon form itself, and standard representations and
@@ -233,14 +241,21 @@ def test_echelon_is_the_one_reduction():
                                    ("src/tumat/matroid.py", "disjoint_sum"), ("src/tumat/matroid.py", "to_matroid")]
     assert readers("_coordinates") == [("src/tumat/exactmat.py", "ExactMatrix"),
                                        ("src/tumat/stdrepr.py", "standardize")]
+    exactmat = ast.parse((ROOT / "src" / "tumat" / "exactmat.py").read_text(encoding="utf-8"))
+    methods = {n.name: n for n in ast.walk(exactmat) if isinstance(n, ast.FunctionDef)}
+    for name in ("pivot", "inverse"):  # each reads its result off [A | I]
+        assert "_coordinates" in loaded_names(methods[name]), name
 
 
 def test_labeled_blocks_are_read_by_label():
-    # only LabeledMatrix turns one label into a position; the sum layer reads
-    # every block, glue lines included, through _cut, and the certificate
-    # reads its summand blocks off the witness with no copy and no patch
+    # only LabeledMatrix turns one label into a position; select, standardize
+    # and the sum layer read every block, glue lines included, through _cut,
+    # and the certificate reads its summand blocks off the witness with no
+    # copy and no patch
     for name in ("row_position", "col_position"):
         assert readers(name) == [("src/tumat/matroid.py", "LabeledMatrix")], name
+    assert readers("_positions") == [("src/tumat/matroid.py", "LabeledMatrix"), ("src/tumat/matroid.py", "_cut")]
+    assert {("src/tumat/matroid.py", "LabeledMatrix"), ("src/tumat/stdrepr.py", "standardize")} <= {*readers("_cut")}
     tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in ("row", "col")] == []
     certificate = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "certifies_sum")

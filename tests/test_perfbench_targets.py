@@ -55,8 +55,6 @@ def test_tracer_counts_every_tu_check(monkeypatch):
 def test_corpus_round_replays_correctly(monkeypatch, tmp_path, workload, seed):
     # round 0 of the benchmark corpus, each request checked by its own expectation
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("TUMAT_TU_LIMIT", "TUMAT_EQ_LIMIT"):
-        monkeypatch.delenv(name, raising=False)
     import corpus
 
     wrong = []

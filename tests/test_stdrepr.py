@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,25 +13,33 @@ from tumat import (
     LabeledMatrix,
     ShapeError,
     StandardRepr,
+    Sum3Labels,
+    compose,
     from_cols,
     fundamental_repr,
     is_regular,
     is_totally_unimodular,
     is_tu_signing_of,
+    matroids_equal,
+    parse_standard_repr_document,
     standardize,
     standardize_tu,
     support,
     to_matroid,
 )
 from tumat.fixtures import fano_standard_repr, network_example, r10_standard_repr
+from tumat.sums import _layout
 
 from helpers import (
+    SUM3_LABELS,
     assert_exact,
     cofactor_det,
     is_regular_witness,
     labels,
     make_repr,
     naive_matroids_equal,
+    plain_rank,
+    random_gf2_matrix,
     random_rational_matrix,
     random_standard_repr,
     random_tu_matrix,
@@ -257,3 +266,119 @@ def test_to_binary_preserves_matroid():
         a = random_tu_matrix(rng, 3, 4)
         rep = LabeledMatrix(labels("r", 3), labels("e", 4), a)
         assert naive_matroids_equal(to_matroid(support(rep)), to_matroid(rep))
+
+
+# Pivot, deletion, contraction and connectivity on a standard representation
+# [I | B] need no kernel of their own: a pivot is standardize at the
+# exchanged base, deletion and contraction are select without the element's
+# line, and the connectivity of a split is the rank of two blocks of B.
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _random_repr(rng, kind, max_rows=5, max_cols=5):
+    m, n = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    body = random_gf2_matrix(rng, m, n) if kind == GF2 else random_rational_matrix(rng, m, n)
+    return make_repr(labels("x", m), labels("y", n), body)
+
+
+def _plain_rank_of(s):
+    """r(S) in the matroid of [I | B], for a list of labels S, by ``helpers.plain_rank``."""
+    full, ground = s.to_full().body.to_lists(), list(s.ground)
+    return lambda subset: plain_rank(s.kind, [[row[ground.index(v)] for v in subset] for row in full])
+
+
+def _exchanged(s, x, y):
+    """``s`` pivoted at (x, y): standardized at the base X - x + y."""
+    return standardize(s.to_full(), [u for u in s.X if u != x] + [y])
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_a_pivot_is_standardize_at_the_exchanged_base(kind):
+    # Truemper's pivot on [I | B] at B[x, y] = b != 0: y enters X, x enters
+    # Y, B'[y, x] = 1/b, B'[y, v] = B[x, v]/b, B'[u, x] = -B[u, y]/b and
+    # B'[u, v] = B[u, v] - B[u, y] B[x, v]/b; pivoting back at (y, x) gives
+    # B again by label, and the matroid never changes
+    rng = random.Random(f"exchange {kind}")
+    done = 0
+    while done < 40:
+        s = _random_repr(rng, kind)
+        spots = [(x, y) for x in s.X for y in s.Y if s.B.entry(x, y)]
+        if not spots:
+            continue
+        x, y = rng.choice(spots)
+        t, b = _exchanged(s, x, y), Fraction(s.B.entry(x, y))
+
+        def truemper(u, v):
+            e = s.B.entry
+            value = (1 / b if u == y and v == x else e(x, v) / b if u == y else -e(u, y) / b if v == x
+                     else e(u, v) - e(u, y) * e(x, v) / b)
+            return value % 2 if kind == GF2 else value
+
+        assert set(t.X) == set(s.X) - {x} | {y} and set(t.Y) == set(s.Y) - {y} | {x}
+        assert all(t.B.entry(u, v) == truemper(u, v) for u in t.X for v in t.Y)
+        assert _exchanged(t, y, x).B.select(s.X, s.Y) == s.B
+        assert naive_matroids_equal(t.to_matroid(), s.to_matroid())
+        done += 1
+
+
+def test_pivots_on_r10_return_b_by_label():
+    r10 = parse_standard_repr_document((FIXTURES / "r10.json").read_text(encoding="utf-8"))
+    spots = [(x, y) for x in r10.X for y in r10.Y if r10.B.entry(x, y)]
+    assert len(spots) == 15
+    for x, y in spots:
+        t = _exchanged(r10, x, y)
+        assert standardize(t.to_full(), r10.X).B.select(r10.X, r10.Y) == r10.B
+        assert matroids_equal(t.to_matroid(), r10.to_matroid())
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_deletion_and_contraction_are_select_without_the_line(kind):
+    # deleting a column element y leaves [I | B] without column y, and
+    # contracting a row element x (a unit column, so no loop) leaves it
+    # without row x: r(S) in M \ y is r(S), and in M / x it is r(S + x) - 1
+    rng = random.Random(f"minors {kind}")
+    for _ in range(40):
+        s = _random_repr(rng, kind, 4, 4)
+        x, y = rng.choice(s.X), rng.choice(s.Y)
+        rank = _plain_rank_of(s)
+        deleted = _plain_rank_of(StandardRepr(s.B.select(s.X, [v for v in s.Y if v != y])))
+        contracted = _plain_rank_of(StandardRepr(s.B.select([u for u in s.X if u != x], s.Y)))
+        for minor, e in ((deleted, y), (contracted, x)):
+            rest = [v for v in s.ground if v != e]
+            for subset in (list(c) for k in range(len(rest) + 1) for c in combinations(rest, k)):
+                assert minor(subset) == (rank(subset) if e == y else rank(subset + [x]) - rank([x]))
+
+
+@pytest.mark.parametrize("kind", [GF2, RATIONAL])
+def test_connectivity_is_the_rank_of_two_blocks(kind):
+    # for E1 = X1 + Y1 and E2 = X2 + Y2, r(E1) = |X1| + rank B[X2, Y1], so
+    # lambda(E1) = r(E1) + r(E2) - r(M) = rank B[X1, Y2] + rank B[X2, Y1]
+    rng = random.Random(f"connectivity {kind}")
+    for _ in range(60):
+        s = _random_repr(rng, kind, 6, 6)
+        x1, y1 = [u for u in s.X if rng.random() < 0.5], [v for v in s.Y if rng.random() < 0.5]
+        x2, y2 = [u for u in s.X if u not in x1], [v for v in s.Y if v not in y1]
+        rank = _plain_rank_of(s)
+        assert s.B.select(x1, y2).body.rank() + s.B.select(x2, y1).body.rank() == \
+            rank(x1 + y1) + rank(x2 + y2) - rank(list(s.ground))
+
+
+def test_connectivity_at_the_glue_split_of_the_fixture_sums():
+    # a k-sum's own split, left rows and columns against right, has
+    # lambda = k - 1: the top-right block is zero and the bottom-left one
+    # has rank k - 1, over GF(2)
+    def read(name):
+        return parse_standard_repr_document((FIXTURES / name).read_text(encoding="utf-8"))
+
+    cases = [("sum2_left.json", "sum2_right.json", ("x2", "y2"), 1)]
+    cases += [(f"sum3/{p.name[:-10]}-left.json", f"sum3/{p.name[:-10]}-right.json", Sum3Labels(*SUM3_LABELS), 2)
+              for p in sorted((FIXTURES / "sum3").glob("*-left.json"))]
+    assert len(cases) == 7
+    for left, right, glue, k_less_one in cases:
+        left, right = read(left), read(right)
+        s = compose(left, right, glue).result
+        _, _, top, bottom, left_cols, right_cols = _layout(left.B, right.B, glue)
+        rank = _plain_rank_of(s)
+        assert s.B.select(top, right_cols).body.rank() + s.B.select(bottom, left_cols).body.rank() == \
+            rank(top + left_cols) + rank(bottom + right_cols) - rank(list(s.ground)) == k_less_one
