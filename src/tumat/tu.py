@@ -23,10 +23,14 @@ without changing that witness:
   forwards or backwards; it is TU.  By Camion, a block whose support a
   tree realizes this way, its columns or its rows as paths, is TU exactly
   when it is that network matrix up to scaling by signs.  The star
-  tree realizes a side whose lines have two nonzeros each, and a graph
-  realization search looks for a tree on any other side.  Every tree is
-  checked by ``_fits``: each line must be a path of it, and
+  tree realizes a side whose lines have two nonzeros each (``_star``),
+  and a graph realization search looks for a tree on any other side.
+  Every tree is checked by ``_fits``: each line must be a path of it, and
   ``_colourings`` solves the signs.
+- Camion: a {0, +-1} matrix is TU exactly when every square Eulerian
+  submatrix, each line with an even count of nonzeros in it, has entries
+  summing to 0 mod 4.  Past the screens below, a 4x4 submatrix violates
+  exactly when it is Eulerian and sums to 2 mod 4 (``_order_4_violator``).
 - Seymour builds every regular matroid from graphic, cographic and R10
   pieces.  R10's 162 bases give two 5x5 supports up to line order: (a)
   three nonzeros in each line, the zeros one 10-cycle; (b) one full row
@@ -38,18 +42,21 @@ without changing that witness:
   through the full lines, so the 8-cycle passes when those do.  Past the
   screens below, a block of either support is TU (``_is_r10``).
 
-Removed lines keep their indices.  Bit masks decide orders 2 and 3: a
-2x2 violator is a 4-cycle whose entries multiply to -1, and with none, a
-3x3 one is a 6-cycle whose entries multiply to +1 (``_first_violator``).
-A block whose shorter side has at most 8 lines meets these screens
-first, on that side (a matrix and its transpose share the orders of
-their violators) and row-wise on a hit; with none, fewer than 4 rows or
-columns leave it TU.  Every other block meets the R10 leaf, then the
-network leaf, which a longer one meets before its screens, as those
-would cost the cube of its side.  The rest go to a DP that expands each
-order-k minor along its first row over the stored order-(k-1) minors of
-the other rows, from order 4, and stops at an order with no nonzero
-minor.
+Removed lines keep their indices.  Each block meets certificates before
+searches.  A block with a star side is decided by the star tree first;
+when it fails the block is not TU, and only the search for its witness
+follows.  Bit masks decide orders 2 and 3: a 2x2 violator is a 4-cycle
+whose entries multiply to -1, and with none, a 3x3 one is a 6-cycle
+whose entries multiply to +1 (``_first_violator``).  A block whose
+shorter side has at most 8 lines meets these screens next, on that side
+(a matrix and its transpose share the orders of their violators) and
+row-wise on a hit; with none, fewer than 4 rows or columns leave it TU,
+and a shorter side of 4 lines meets the order-4 rule, which decides it.
+Every other block meets the R10 leaf, then the network leaf, which a
+longer one meets before its screens, as those would cost the cube of its
+side.  The rest go to a DP that expands each order-k minor along its
+first row over the stored order-(k-1) minors of the other rows, from
+order 4, and stops at an order with no nonzero minor.
 
 A GF(2) matrix has a TU signing exactly when its matroid is regular.
 Camion (1965) proved that a TU signing is unique up to scaling rows and
@@ -115,11 +122,12 @@ def is_totally_unimodular(a: ExactMatrix, *, force: bool = False) -> TuVerdict:
     After the scan, a polynomial pre-pass drops zero lines, unit lines
     and later copies of a line up to sign, splits what is left into the
     blocks of a 1-sum, none of which changes the witness (see the module
-    docstring).  Each block then meets the order-2/3 screens and the R10
-    and network leaves, the cheaper first, and the minor DP only when all
-    miss, as on a block no tree realizes or whose signs do not match; the
-    DP's cost and memory follow the block's nonzero minors, at worst
-    C(m,k)*C(n,k) of them at order k.
+    docstring).  Each block then meets the star certificate, the
+    order-2/3 screens, the order-4 rule and the R10 and network leaves,
+    the cheaper first, and the minor DP only when all miss, as on a block
+    of 5 lines or more on each side that no tree realizes or whose signs
+    do not match; the DP's cost and memory follow the block's nonzero
+    minors, at worst C(m,k)*C(n,k) of them at order k.
     """
     if a.kind != RATIONAL:
         raise ShapeError("TU is defined for rational matrices only")
@@ -169,14 +177,22 @@ def _block_violator(
     """The block's lexicographically first violator of minimal order, or
     None, found by the cheapest exact test first (see the module docstring)."""
     short = min(rows.bit_count(), cols.bit_count())
-    if short > 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
+    star = _star(rpos, rneg, cpos, cneg, rows, cols)  # a star that fails leaves the block not TU
+    if star:
+        if _fits(*star):
+            return None
+    elif short > 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
         return None
     if (short > 8 or rows.bit_count() == short or _first_violator(cpos, cneg, cols, rows)) and (
         witness := _first_violator(rpos, rneg, rows, cols)
     ):
         return witness
-    if short < 4 or _is_r10(rpos, rneg, cpos, cneg, rows, cols) or (
-        short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols)
+    if short < 4:
+        return None
+    if short == 4:
+        return _order_4_violator(rpos, rneg, cpos, cneg, rows, cols)
+    if not star and (_is_r10(rpos, rneg, cpos, cneg, rows, cols) or (
+        short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols))
     ):
         return None
     return _minor_dp(rpos, rneg, rows, cols)
@@ -251,34 +267,50 @@ def _is_r10(
         ((cpos[j] | cneg[j]) & rows).bit_count() for j in _bits(cols))
 
 
+def _star(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> Optional[tuple[list[int], list[int], dict[int, int]]]:
+    """``_fits``' arguments for the star tree when a side of the block on
+    ``rows`` and ``cols``, its columns first, has two nonzeros in each
+    line: its masks and each line's support, a path of two edges of the
+    star on the other side.  None when neither side does."""
+    for pos, neg, lines, edges in ((cpos, cneg, cols, rows), (rpos, rneg, rows, cols)):
+        paths = {}
+        while lines:  # most sides stop at their first line, so no _bits list
+            j = (lines & -lines).bit_length() - 1
+            s = (pos[j] | neg[j]) & edges
+            if s.bit_count() > 2:
+                break
+            paths[j] = s
+            lines ^= 1 << j
+        else:
+            return pos, neg, paths
+    return None
+
+
 def _is_network_matrix(
     rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
 ) -> bool:
     """Whether the block on ``rows`` and ``cols``, or its transpose, scales
-    by signs to a network matrix, and so is TU.
+    by signs to a network matrix whose tree ``_tree`` finds, and so is TU;
+    for a block with no star side (see ``_star``).
 
     A tree whose paths are the block's columns (or rows) decides the block
     either way (Camion; see the module docstring), and ``_fits`` checks
-    every tree.  A side whose lines have two nonzeros each is the star
-    tree's paths; for the others ``_tree`` searches.  A TU block's lines
-    have distinct supports of two edges or more, so tree and lines would
-    form a simple graph of minimum degree 3: a side whose k edges have
-    fewer than (k + 3) / 2 or more than k(k - 1) / 2 lines is skipped.
+    it.  A TU block's lines have distinct supports of two edges or more,
+    so tree and lines would form a simple graph of minimum degree 3: a side
+    whose k edges have fewer than (k + 3) / 2 or more than k(k - 1) / 2
+    lines is skipped.
     """
-    sides = []
     for pos, neg, tpos, tneg, lines, edges in (
         (cpos, cneg, rpos, rneg, cols, rows), (rpos, rneg, cpos, cneg, rows, cols)
     ):
-        paths = {j: (pos[j] | neg[j]) & edges for j in _bits(lines)}
-        if max(map(int.bit_count, paths.values())) <= 2:  # paths of the star tree
-            return _fits(pos, neg, paths, [edges] + [1 << e for e in _bits(edges)])
         k = edges.bit_count()
-        if k + 3 <= 2 * len(paths) <= k * (k - 1):
-            sides.append((pos, neg, paths, {e: (tpos[e] | tneg[e]) & lines for e in _bits(edges)}))
-    for pos, neg, paths, on in sides:
-        stars = _tree(paths, on)
-        if stars is not None:
-            return _fits(pos, neg, paths, stars)
+        if k + 3 <= 2 * lines.bit_count() <= k * (k - 1):
+            paths = {j: (pos[j] | neg[j]) & edges for j in _bits(lines)}
+            stars = _tree(paths, {e: (tpos[e] | tneg[e]) & lines for e in _bits(edges)})
+            if stars is not None:
+                return _fits(pos, neg, paths, stars)
     return False
 
 
@@ -350,12 +382,22 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
     return None
 
 
-def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: list[int]) -> bool:
+def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: Optional[list[int]] = None) -> bool:
     """Whether every line is a path of the tree with vertex stars ``stars``,
     checked here rather than trusted to the search, and the lines scale by
     signs to the tree's network matrix.  Rooted at vertex 0, the tree has a
     path from a to b pass a's way to the root upwards, b's way downwards.
+    ``stars`` None is the star tree of ``_star``: rooted at its centre, a
+    line on edges lo < hi passes lo upwards and hi downwards.
     """
+    rules = []  # each line's support and where its signs differ from the network matrix
+    if stars is None:
+        edges = 0
+        for j, s in paths.items():
+            lo = s & -s
+            rules.append((s, pos[j] & (s ^ lo) | neg[j] & lo))
+            edges |= s
+        return _colourings(edges, rules) is not None
     ends, edges = [0] * max(stars).bit_length(), 0
     for v, star in enumerate(stars):
         edges |= star
@@ -368,7 +410,6 @@ def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: list[int
             w = (ends[e] ^ 1 << v).bit_length() - 1
             up[w] = up[v] | 1 << e
             todo.append(w)
-    rules = []  # each line's support and where its signs differ from the network matrix
     for j, s in paths.items():
         odd = 0
         for e in _bits(s):
@@ -443,11 +484,48 @@ def _first_violator(
     return None
 
 
+def _order_4_violator(
+    rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The first violator of a block whose shorter side has 4 lines and
+    which has no violator of order 2 or 3, or None.
+
+    By Camion such a 4x4 submatrix violates exactly when it is Eulerian,
+    each line with an even count of nonzeros in it, and its entries sum
+    to 2 mod 4; its determinant is then +-2.  It holds all 4 short lines,
+    so the witness is the first 4 long lines, each with 2 or 4 nonzeros on
+    the short side, that leave each short line an even count and sum to
+    2 mod 4.  The pre-pass leaves at most 20 such lines, distinct up to sign.
+    """
+    wide = rows.bit_count() == 4
+    pos, neg, lines, short = (cpos, cneg, cols, rows) if wide else (rpos, rneg, rows, cols)
+    even = []  # (line, support, entry sum) of each long line with 2 or 4 nonzeros
+    for j in _bits(lines):
+        p, q = pos[j] & short, neg[j] & short
+        if not (p | q).bit_count() & 1:
+            even.append((j, p | q, p.bit_count() - q.bit_count()))
+    for quad in combinations(even, 4):
+        (a, sa, ta), (b, sb, tb), (c, sc, tc), (d, sd, td) = quad
+        if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 4 == 2:
+            chosen = (a, b, c, d)
+            # the long lines as the rows of the 4x4: a determinant is its transpose's
+            det = _det([[(pos[j] >> e & 1) - (neg[j] >> e & 1) for e in _bits(short)] for j in chosen])
+            return (tuple(_bits(rows)), chosen, det) if wide else (chosen, tuple(_bits(cols)), det)
+    return None
+
+
+def _det(grid: list[list[int]]) -> int:
+    """The determinant of the square int ``grid``, by cofactors along its first row."""
+    if not grid:
+        return 1
+    return sum((-1) ** k * v * _det([row[:k] + row[k + 1:] for row in grid[1:]]) for k, v in enumerate(grid[0]) if v)
+
+
 def _minor_dp(
     rpos: list[int], rneg: list[int], rows: int, cols: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The first violator from order 4 on, for a block with no violator of
-    order 2 or 3 and at least 4 rows and 4 columns."""
+    order 2 or 3 and at least 5 rows and 5 columns."""
     # Each row's nonzeros as (column bit, mask of the columns left of it,
     # entry); minors maps a row tuple to {column mask: det} for the nonzero
     # minors of the previous order.  Along the first row, the entry in the

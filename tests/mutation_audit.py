@@ -56,9 +56,19 @@ MUTANTS = (
     Mutant("dp-first-order-5", TU,
            "if k > 3 and dets and (max(dets.values()) > 1 or min(dets.values()) < -1):",
            "if k > 4 and dets and (max(dets.values()) > 1 or min(dets.values()) < -1):", (T_TU,), "verdict"),
-    Mutant("blocks-under-5-lines-are-tu", TU,
-           "if short < 4 or _is_r10(rpos, rneg, cpos, cneg, rows, cols) or (",
-           "if short < 5 or _is_r10(rpos, rneg, cpos, cneg, rows, cols) or (", (T_TU,), "verdict"),
+    Mutant("blocks-under-5-lines-are-tu", TU, "if short < 4:", "if short < 5:", (T_TU,), "verdict"),
+    Mutant("order-4-accepts-sum-0-mod-4", TU,
+           "if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 4 == 2:",
+           "if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 2 == 0:", (T_TU,), "verdict"),
+    Mutant("order-4-skips-the-even-count-on-short-lines", TU,
+           "if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 4 == 2:",
+           "if (ta + tb + tc + td) % 4 == 2:", (T_TU,), "verdict"),
+    Mutant("order-4-tries-lines-of-3", TU, "if not (p | q).bit_count() & 1:", "if True:", (T_TU,), "verdict"),
+    # swapping lo and hi in the star rule keeps each rule's parity, so it is
+    # no mutant; dropping the -1 entry at lo is one
+    Mutant("star-rule-drops-the-minus-entry", TU,
+           "rules.append((s, pos[j] & (s ^ lo) | neg[j] & lo))",
+           "rules.append((s, pos[j] & (s ^ lo)))", (T_TU,), "verdict"),
     # a unit line's mask times 3 has two bits, and its lowest bit, which the key reads, is kept
     Mutant("pre-pass-keeps-unit-lines", TU, "s = p | q", "s = (p | q) * 3", (T_TU,), "verdict"),
     Mutant("pre-pass-keeps-negated-copies", TU,
@@ -79,7 +89,7 @@ MUTANTS = (
            "return m1.count_bases() == m2.count_bases()", (T_MATROID,), "verdict"),
     Mutant("line-scales-skip-final-check", TU, "if x * ni * nj != y * di * dj:", "if False:", (T_SUMS,), "verdict"),
     Mutant("network-side-bound-always-true", TU,
-           "if k + 3 <= 2 * len(paths) <= k * (k - 1):", "if True:", (T_TU,), "work"),
+           "if k + 3 <= 2 * lines.bit_count() <= k * (k - 1):", "if True:", (T_TU,), "work"),
     Mutant("cleared-without-gcd", EXACTMAT,
            "return [x // g for x in out] if g > 1 else out", "return out", (T_EXACTMAT,), "work"),
     Mutant("certificate-u-from-top", SUMS,

@@ -270,6 +270,12 @@ def test_sign_masks_are_built_by_the_tu_check_alone():
         assert readers(name) == [("src/tumat/tu.py", "is_totally_unimodular")], name
 
 
+def test_the_order_4_rule_is_asked_by_the_block_leaf_alone():
+    # the order-4 rule trusts that the screens found no violator of order 2
+    # or 3 in its block, so only _block_violator may ask it, after them
+    assert readers("_order_4_violator") == [("src/tumat/tu.py", "_block_violator")]
+
+
 def file_reads():
     """(module path, top-level definition, mode) of each call in the package that opens a file
     to read it: ``open`` with no mode or a mode without w, a or x, and any ``read_text``/``read_bytes``."""

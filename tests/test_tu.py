@@ -4,7 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import mul
 
 import pytest
@@ -553,10 +553,12 @@ def test_incidence_blocks_are_certified_without_the_dp(build, n, force, monkeypa
 
 def test_network_leaf_matches_the_naive_oracle(monkeypatch):
     # network matrices of random digraphs at random spanning trees are TU
-    # and never reach the DP, nor do their transposes; drawn from 5-9 nodes,
-    # most have a block of 4 rows or more, which the realization search
-    # certifies.  On 4-7 nodes, one flipped sign makes most of them not TU,
-    # and the screens or the DP then find the oracle's witness
+    # and never reach the DP, nor do their transposes; drawn from 7-9 nodes
+    # and 10-15 arcs, most keep a block of 5 lines or more on each side,
+    # which the realization search certifies (a block with a 4-line side
+    # meets the order-4 rule instead).  On 4-7 nodes, one flipped sign makes
+    # most of them not TU, and the screens, the order-4 rule or the DP then
+    # find the oracle's witness
     reached = []
     minor_dp, tree = tu_module._minor_dp, tu_module._tree
     trees = []
@@ -565,12 +567,17 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
         reached.append(args[2:])
         return minor_dp(*args)
 
+    def search(paths, on):
+        assert min(len(paths), len(on)) >= 5, (paths, on)
+        trees.append(tree(paths, on))
+        return trees[-1]
+
     monkeypatch.setattr(tu_module, "_minor_dp", dp)
-    monkeypatch.setattr(tu_module, "_tree", lambda *args: trees.append(tree(*args)) or trees[-1])
+    monkeypatch.setattr(tu_module, "_tree", search)
     rng, big = random.Random(79), random.Random(80)
     seen = {"searched": 0, "flipped tu": 0, "flipped not tu": 0}
     for _ in range(60):
-        large = random_network_matrix(big, big.randrange(5, 10), big.randrange(6, 14))
+        large = random_network_matrix(big, big.randrange(7, 10), big.randrange(10, 16))
         a = random_network_matrix(rng, rng.randrange(4, 8), rng.randrange(4, 10))
         for b in (large, large.transpose(), a, a.transpose()):
             reached.clear()
@@ -634,16 +641,15 @@ def test_the_realization_search_meets_only_sides_within_the_bound(monkeypatch):
     # no tree realizes a side whose k edges carry fewer than (k + 3) / 2 or
     # more than k(k - 1) / 2 lines, so the network leaf skips it: _tree never
     # receives one, though network matrices and their transposes have such
-    # sides.  The bound changes only the work, so only a hook sees it
+    # sides.  The bound changes only the work, so only a hook sees it.  A
+    # block with a star side is decided by the star before the leaf
     is_network, tree = tu_module._is_network_matrix, tu_module._tree
     sides, searched = Counter(), []
 
     def network(rpos, rneg, cpos, cneg, rows, cols):
         for pos, neg, lines, edges in ((cpos, cneg, cols, rows), (rpos, rneg, rows, cols)):
             paths = [(pos[j] | neg[j]) & edges for j in tu_module._bits(lines)]
-            if max(map(int.bit_count, paths)) <= 2:  # the star tree's side ends the leaf
-                sides["star"] += 1
-                break
+            assert max(map(int.bit_count, paths)) > 2, "a star side reached the realization search"
             k = edges.bit_count()
             sides["inside" if k + 3 <= 2 * len(paths) <= k * (k - 1) else "outside"] += 1
         return is_network(rpos, rneg, cpos, cneg, rows, cols)
@@ -701,12 +707,12 @@ def test_forced_one_sum_of_two_tu_blocks_is_fast():
 
 def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
     # every column has two nonzeros, so the star tree realizes the block,
-    # but its signs meet an odd cycle of "scale apart" constraints (three
-    # columns of two equal entries, one of two opposite): the block is not
-    # TU, has no violator of order 2 or 3, and goes to the DP for its witness
-    a = ExactMatrix(RATIONAL, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]])
+    # but its signs meet an odd cycle of "scale apart" constraints (five
+    # columns of two equal entries): the block is not TU, has no violator of
+    # order 2 or 3, and goes to the DP for its witness, with no tree search
+    a = ExactMatrix(RATIONAL, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 1]])
     calls, trees = [], []
-    minor_dp, tree, fits = tu_module._minor_dp, tu_module._tree, tu_module._fits
+    minor_dp, tree, fits, order_4 = tu_module._minor_dp, tu_module._tree, tu_module._fits, tu_module._order_4_violator
 
     def record(*args):
         calls.append(args[2:])
@@ -715,21 +721,32 @@ def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
     monkeypatch.setattr(tu_module, "_minor_dp", record)
     monkeypatch.setattr(tu_module, "_tree", lambda *args: trees.append(tree(*args)) or trees[-1])
     monkeypatch.setattr(tu_module, "_fits", lambda *args: calls.append("fits") or fits(*args))
+    monkeypatch.setattr(tu_module, "_order_4_violator", lambda *args: calls.append("order 4") or order_4(*args))
+    assert is_totally_unimodular(a).witness == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), Fraction(2))
+    assert calls == ["fits", (0b11111, 0b11111)] and trees == []
+    # of four lines (three columns of two equal entries, one of two
+    # opposite), the order-4 rule gives the witness with no DP
+    calls.clear()
+    a = ExactMatrix(RATIONAL, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]])
     assert is_totally_unimodular(a).witness == ((0, 1, 2, 3), (0, 1, 2, 3), Fraction(2))
-    assert calls == ["fits", (0b1111, 0b1111)] and trees == []
+    assert calls == ["fits", "order 4"] and trees == []
     # of three lines, such a cycle is an order-3 violator, which the
-    # screens find before the leaf and the DP
+    # screens find before the DP
     calls.clear()
     a = ExactMatrix(RATIONAL, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert is_totally_unimodular(a).witness == ((0, 1, 2), (0, 1, 2), Fraction(2))
-    assert calls == []
+    assert calls == ["fits"]
     # K4 at a path: its unit column goes, and a 3x3 block is left with no
-    # small violator, so it is TU with no tree; K5 at a path keeps a line
-    # of three nonzeros on each side, so no star realizes it, a path tree
-    # does, and the block is certified without the DP
+    # small violator, so it is TU with no tree; K5 at a path (4x6) keeps a
+    # line of three nonzeros on each side, so no star realizes it, and the
+    # order-4 rule certifies it; K6 at a path (5x10) has no star side
+    # either, a path tree realizes it, and it is certified without the DP
+    calls.clear()
     k4 = ExactMatrix(RATIONAL, [[1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 1]])
     assert is_totally_unimodular(k4).is_tu and calls == [] and trees == []
-    assert is_totally_unimodular(kn_at_a_path(5, 7)).is_tu and calls == ["fits"]
+    assert is_totally_unimodular(kn_at_a_path(5, 7)).is_tu and calls == ["order 4"] and trees == []
+    calls.clear()
+    assert is_totally_unimodular(kn_at_a_path(6, 7)).is_tu and calls == ["fits"]
     assert len(trees) == 1 and trees[0] is not None
 
 
@@ -900,12 +917,32 @@ def small_violator(rpos, rneg, rows, cols):
                 None)
 
 
+def cycle_in_a_wider_block(rng, k):
+    """``cycle_block(rng, k)`` with one more row and one more column of
+    random signs, redrawn until the (k + 1) x (k + 1) block keeps every
+    line, two nonzeros or more each and no two equal up to sign, and has no
+    violator of order 2 or 3; rows and columns shuffled.  The cycle is
+    still a violator of order k, and both sides have k + 1 lines."""
+    while True:
+        grid = [row + [rng.choice((0, 1, -1))] for row in cycle_block(rng, k)]
+        grid.append([rng.choice((0, 1, -1)) for _ in range(k + 1)])
+        sides = [[tuple(line) for line in grid], list(zip(*grid))]
+        if all(sum(map(abs, line)) >= 2 for side in sides for line in side) and all(
+                len({max(line, tuple(-v for v in line)) for line in side}) == k + 1 for side in sides) and (
+                small_violator(*leaf_masks(grid)[:2], (1 << k + 1) - 1, (1 << k + 1) - 1) is None):
+            rows, cols = rng.sample(range(k + 1), k + 1), rng.sample(range(k + 1), k + 1)
+            return ExactMatrix(RATIONAL, [[grid[i][j] for j in cols] for i in rows])
+
+
 def test_no_violator_of_order_2_or_3_reaches_the_minor_dp(monkeypatch):
     # the screens decide orders 2 and 3 in full: the DP after them only
-    # sees blocks whose minimal violators, if any, have order 4 or more
+    # sees blocks whose minimal violators, if any, have order 4 or more.
+    # A block with a 4-line side meets the order-4 rule instead, so the
+    # order-4 cycles that reach the DP lie in 5x5 blocks
     rng = random.Random(101)
     candidates = camion_candidates(monkeypatch, random_supports(rng, 400, 6, 7))
     planted = [planted_cycle(rng, 6, 7, k)[0] for k in (2, 3, 4, 5) for _ in range(20)]
+    planted += [cycle_in_a_wider_block(rng, 4) for _ in range(20)]
     # each Camion candidate of a shuffled Fano 2-sum has an order-3 violator
     fano = camion_candidates(monkeypatch, shuffled_fano_2sums(rng, 40))
     reached = Counter()
@@ -1267,3 +1304,158 @@ def test_transposing_keeps_the_tu_verdict_and_the_signing():
             assert scales and {1, -1}.issuperset(map(mul, *scales)), u.to_lists()
         seen[verdict.is_tu, signing is not None] += 1
     assert seen[True, True] > 300 and seen[False, True] > 20 and seen[False, False] > 20, seen
+
+
+def eulerian_supports():
+    """Every 4x4 0/1 grid with an even count of ones in each line: a free
+    3x3 corner, then the last column and row complete the parities."""
+    for bits in range(1 << 9):
+        grid = [[bits >> 3 * i + j & 1 for j in range(3)] for i in range(3)]
+        grid = [row + [sum(row) % 2] for row in grid]
+        yield grid + [[sum(col) % 2 for col in zip(*grid)]]
+
+
+def int_det(grid):
+    """Laplace expansion along the first row, on ints."""
+    return sum((-1) ** j * v * int_det([row[:j] + row[j + 1:] for row in grid[1:]])
+               for j, v in enumerate(grid[0]) if v) if grid else 1
+
+
+def test_order_4_rule_matches_cofactor_determinants_on_every_eulerian_class():
+    # the order-4 rule's premise (Camion), on every 4x4 sign matrix with an
+    # Eulerian support, one per class up to line signs: with no violator of
+    # order 2 or 3, |det| >= 2 exactly when the entries sum to 2 mod 4, and
+    # det is then +-2.  The checker returns the first violator by cofactor
+    # determinants
+    seen, full = Counter(), (0, 1, 2, 3)
+    for grid in eulerian_supports():
+        for signed in sign_classes(grid):
+            masks = leaf_masks(signed)
+            small = small_violator(masks[0], masks[1], masks[4], masks[5])
+            det = cofactor_det(signed)
+            if small:
+                rs, cs = small
+                expected = (rs, cs, cofactor_det([[signed[i][j] for j in cs] for i in rs]))
+            elif sum(map(sum, signed)) % 4 == 2:
+                expected = (full, full, det)
+                assert abs(det) == 2 and tu_module._order_4_violator(*masks) == expected, signed
+            else:
+                expected = None
+                assert abs(det) <= 1 and tu_module._order_4_violator(*masks) is None, signed
+            assert is_totally_unimodular(ExactMatrix(RATIONAL, signed)).witness == expected, signed
+            seen[len(expected[0]) if expected else 0] += 1
+    assert seen == {0: 416, 2: 2905, 3: 96, 4: 168}, seen  # 3,585 classes
+
+
+def test_order_4_rule_stays_silent_off_eulerian_supports():
+    # a 4x4 sign matrix with a line of odd count is never the rule's
+    # witness, and it needs none: if its determinant leaves {-1, 0, 1},
+    # a violator of order 2 or 3 lies inside it, which the checker returns
+    rng = random.Random(137)
+    seen = Counter()
+    while sum(seen.values()) < 20000:
+        grid = [[rng.choice((0, 1, -1)) for _ in range(4)] for _ in range(4)]
+        if all(sum(map(abs, line)) % 2 == 0 for line in (*grid, *zip(*grid))):
+            continue
+        masks, big = leaf_masks(grid), abs(int_det(grid)) >= 2
+        assert tu_module._order_4_violator(*masks) is None, grid
+        got = is_totally_unimodular(ExactMatrix(RATIONAL, grid)).witness
+        if big:
+            assert got and small_violator(masks[0], masks[1], masks[4], masks[5]), grid
+        assert got is None or len(got[0]) <= 3, grid
+        seen["det 2 or more" if big else "tu" if got is None else "other"] += 1
+    assert min(seen.values()) >= 2000, seen
+
+
+def with_order_4_violator(rng, n):
+    """A 4 x n block, n >= 5, whose only violators have order 4: an odd
+    4-cycle, then up to two of the columns of two nonzeros or more, in
+    random order, each kept when it copies no column up to sign and makes
+    no 2x2 or 3x3 violator with those kept (no more than two fit), then
+    copies up to sign and unit columns, which the pre-pass drops, up to n
+    columns; columns shuffled and rows scaled by signs."""
+    cols = [list(col) for col in zip(*cycle_block(rng, 4))]
+    drawn = [list(col) for col in product((0, 1, -1), repeat=4) if sum(map(abs, col)) >= 2]
+    rng.shuffle(drawn)
+    for col in drawn[:rng.randrange(len(drawn))]:
+        if len(cols) < n and col not in cols and [-v for v in col] not in cols and all(
+                abs(int_det([[c[i] for c in (col, *pair)] for i in rs])) <= 1
+                for k in (2, 3) for rs in combinations(range(4), k) for pair in combinations(cols, k - 1)):
+            cols.append(col)
+    while len(cols) < n:
+        unit = [0] * 4
+        unit[rng.randrange(4)] = 1
+        sign = rng.choice((1, -1))
+        cols.append([sign * v for v in (unit if rng.random() < 0.3 else rng.choice(cols))])
+    rng.shuffle(cols)
+    return [[sign * v for v in row] for sign, row in zip([rng.choice((1, -1)) for _ in range(4)], zip(*cols))]
+
+
+def test_blocks_with_a_4_line_side_match_the_naive_oracle_without_a_tree_or_the_dp(monkeypatch):
+    # 4 x n and n x 4 blocks, n = 5-9: TU ones, ones with a sign flipped,
+    # and ones whose only violators have order 4.  The screens and the
+    # order-4 rule decide them all
+    monkeypatch.setattr(tu_module, "_tree", refuse("_tree"))
+    monkeypatch.setattr(tu_module, "_minor_dp", refuse("_minor_dp"))
+    rng = random.Random(139)
+    seen = Counter()
+    for trial in range(150):
+        n = 5 + trial % 5
+        if trial % 3 == 0:
+            grid = with_order_4_violator(rng, n)
+        else:
+            grid = (random_network_matrix(rng, 5, n) if trial % 2 else random_tu_matrix(rng, 4, n)).to_lists()
+            for _ in range(trial % 3 - 1):
+                i, j = rng.choice([(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v])
+                grid[i][j] = -grid[i][j]
+        a = ExactMatrix(RATIONAL, grid)
+        for b in (a, a.transpose()):
+            got = is_totally_unimodular(b)
+            assert got == oracle_verdict(b), b.to_lists()
+            seen[len(got.witness[0]) if got.witness else 0] += 1
+    assert seen[4] >= 80 and seen[0] >= 100 and seen[2] >= 30, seen
+
+
+def test_the_star_certifies_incidence_blocks_before_the_screens(monkeypatch):
+    # every column of an incidence matrix has two nonzeros, so the star tree
+    # certifies it, or its transpose, before any screen, search or rule runs
+    for name in ("_first_violator", "_tree", "_order_4_violator", "_minor_dp"):
+        monkeypatch.setattr(tu_module, name, refuse(name))
+    for a, force in ((kn_incidence(5), False), (kn_incidence(6), False),
+                     (kn_incidence(10), True), (kn_incidence(10).transpose(), True)):
+        assert is_totally_unimodular(a, force=force).is_tu
+
+
+def test_the_order_4_rule_tries_only_lines_of_even_count(monkeypatch):
+    # a 4 x 36 block holds every line of two nonzeros or more, up to sign;
+    # only the 20 with 2 or 4 nonzeros can lie in an Eulerian 4x4, so the
+    # rule draws its quadruples from those alone, at most C(20, 4)
+    drawn, pools = [], []
+
+    def counted(lines, r):
+        lines = list(lines)
+        if r == 4:
+            pools.append(len(lines))
+        for quad in combinations(lines, r):
+            drawn.append(r)
+            yield quad
+
+    monkeypatch.setattr(tu_module, "combinations", counted)
+    cols = [col for col in product((0, 1, -1), repeat=4)
+            if sum(map(abs, col)) >= 2 and next(v for v in col if v) == 1]
+    grid = [list(row) for row in zip(*cols)]
+    assert len(cols) == 36
+    for block in (grid, cols):
+        pools.clear()
+        drawn.clear()
+        rs, cs, det = tu_module._order_4_violator(*leaf_masks(block))
+        assert pools == [20] and 0 < drawn.count(4) <= comb(20, 4)
+        # called past no screen, it returns an Eulerian 4x4 summing to 2 mod 4
+        sub = [[block[i][j] for j in cs] for i in rs]
+        assert all(sum(map(abs, line)) % 2 == 0 for line in (*sub, *zip(*sub))) and sum(map(sum, sub)) % 4 == 2
+        assert cofactor_det(sub) == det
+    # on a TU block the rule tries every quadruple of its even lines
+    pools.clear()
+    drawn.clear()
+    assert is_totally_unimodular(kn_at_a_path(5, 7)).is_tu
+    assert drawn.count(4) == comb(pools[0], 4) and pools[0] >= 4
