@@ -134,17 +134,18 @@ def cmd_tu_sign(args) -> int:
 
 
 def _glue(args):
-    """The glue value named by -k and the label flags (see ``tumat.sums.compose``)."""
-    if args.k == 1:
-        return None
-    if args.k == 2:
-        if args.x is None or args.y is None:
-            raise DocumentError("--k 2 needs --x and --y")
-        return (args.x, args.y)
+    """The glue value named by -k and the label flags (see ``tumat.sums.compose``);
+    a missing flag is refused first, then a flag that -k does not read."""
+    if args.k == 2 and (args.x is None or args.y is None):
+        raise DocumentError("--k 2 needs --x and --y")
     fields = (args.x0, args.x1, args.x2, args.y0, args.y1, args.y2)
-    if any(v is None for v in fields):
+    if args.k == 3 and any(v is None for v in fields):
         raise DocumentError("--k 3 needs --x0 --x1 --x2 --y0 --y1 --y2")
-    return Sum3Labels(*fields)
+    read = {1: (), 2: ("x", "y"), 3: ("x0", "x1", "x2", "y0", "y1", "y2")}
+    for name in read[2] + read[3]:
+        if name not in read[args.k] and getattr(args, name) is not None:
+            raise DocumentError(f"--k {args.k} takes no --{name}")
+    return None if args.k == 1 else (args.x, args.y) if args.k == 2 else Sum3Labels(*fields)
 
 
 def cmd_sum(args) -> int:
@@ -164,9 +165,9 @@ def cmd_regular_check(args) -> int:
     if witness is None:
         print("not regular")
         return EXIT_NEGATIVE
-    print("regular")
-    if args.output is not None:
+    if args.output is not None:  # written first, so a write error prints no verdict
         _write_out(render_matrix_document(witness), args.output)
+    print("regular")
     return EXIT_OK
 
 

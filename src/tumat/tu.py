@@ -23,10 +23,10 @@ without changing that witness:
   forwards or backwards; it is TU.  By Camion, a block whose support a
   tree realizes this way, its columns or its rows as paths, is TU exactly
   when it is that network matrix up to scaling by signs.  The star
-  tree realizes a side whose lines have two nonzeros each (``_star``),
-  and a graph realization search looks for a tree on any other side.
-  Every tree is checked by ``_fits``: each line must be a path of it, and
-  ``_colourings`` solves the signs.
+  tree realizes a side whose lines have two nonzeros each, and ``_star``
+  decides the block from those entries.  On any other side a graph
+  realization search looks for a tree, and ``_fits`` checks each tree it
+  finds: each line must be a path of it.  ``_colourings`` solves the signs.
 - Camion: a {0, +-1} matrix is TU exactly when every square Eulerian
   submatrix, each line with an even count of nonzeros in it, has entries
   summing to 0 mod 4.  Past the screens below, a 4x4 submatrix violates
@@ -176,12 +176,11 @@ def _block_violator(
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...], int]]:
     """The block's lexicographically first violator of minimal order, or
     None, found by the cheapest exact test first (see the module docstring)."""
-    short = min(rows.bit_count(), cols.bit_count())
-    star = _star(rpos, rneg, cpos, cneg, rows, cols)  # a star that fails leaves the block not TU
+    star = _star(rpos, rneg, cpos, cneg, rows, cols)  # False: the block is not TU (Camion)
     if star:
-        if _fits(*star):
-            return None
-    elif short > 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
+        return None
+    short = min(rows.bit_count(), cols.bit_count())
+    if star is None and short > 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols):
         return None
     if (short > 8 or rows.bit_count() == short or _first_violator(cpos, cneg, cols, rows)) and (
         witness := _first_violator(rpos, rneg, rows, cols)
@@ -191,7 +190,7 @@ def _block_violator(
         return None
     if short == 4:
         return _order_4_violator(rpos, rneg, cpos, cneg, rows, cols)
-    if not star and (_is_r10(rpos, rneg, cpos, cneg, rows, cols) or (
+    if star is None and (_is_r10(rpos, rneg, cpos, cneg, rows, cols) or (
         short <= 8 and _is_network_matrix(rpos, rneg, cpos, cneg, rows, cols))
     ):
         return None
@@ -269,22 +268,25 @@ def _is_r10(
 
 def _star(
     rpos: list[int], rneg: list[int], cpos: list[int], cneg: list[int], rows: int, cols: int
-) -> Optional[tuple[list[int], list[int], dict[int, int]]]:
-    """``_fits``' arguments for the star tree when a side of the block on
-    ``rows`` and ``cols``, its columns first, has two nonzeros in each
-    line: its masks and each line's support, a path of two edges of the
-    star on the other side.  None when neither side does."""
+) -> Optional[bool]:
+    """Whether the star tree certifies the block on ``rows`` and ``cols``
+    when a side of it, its columns first, has two nonzeros in each line:
+    True when the lines scale by signs to the network matrix of the star
+    on the other side, rooted at its centre (a line on edges lo < hi
+    passes lo upwards, hi downwards), so the block is TU; False when they
+    do not, so it is not (Camion); None when neither side has such lines."""
     for pos, neg, lines, edges in ((cpos, cneg, cols, rows), (rpos, rneg, rows, cols)):
-        paths = {}
+        rules = []  # each line's support and where its signs differ from the network matrix
         while lines:  # most sides stop at their first line, so no _bits list
             j = (lines & -lines).bit_length() - 1
             s = (pos[j] | neg[j]) & edges
             if s.bit_count() > 2:
                 break
-            paths[j] = s
+            lo = s & -s
+            rules.append((s, pos[j] & (s ^ lo) | neg[j] & lo))
             lines ^= 1 << j
         else:
-            return pos, neg, paths
+            return _colourings(edges, rules) is not None
     return None
 
 
@@ -382,22 +384,12 @@ def _tree(paths: dict[int, int], on: dict[int, int]) -> Optional[list[int]]:
     return None
 
 
-def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: Optional[list[int]] = None) -> bool:
-    """Whether every line is a path of the tree with vertex stars ``stars``,
-    checked here rather than trusted to the search, and the lines scale by
-    signs to the tree's network matrix.  Rooted at vertex 0, the tree has a
-    path from a to b pass a's way to the root upwards, b's way downwards.
-    ``stars`` None is the star tree of ``_star``: rooted at its centre, a
-    line on edges lo < hi passes lo upwards and hi downwards.
-    """
-    rules = []  # each line's support and where its signs differ from the network matrix
-    if stars is None:
-        edges = 0
-        for j, s in paths.items():
-            lo = s & -s
-            rules.append((s, pos[j] & (s ^ lo) | neg[j] & lo))
-            edges |= s
-        return _colourings(edges, rules) is not None
+def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: list[int]) -> bool:
+    """Whether every line is a path of the tree with vertex stars ``stars``
+    that ``_tree`` found, checked here rather than trusted to the search,
+    and the lines scale by signs to the tree's network matrix.  Rooted at
+    vertex 0, the tree has a path from a to b pass a's way to the root
+    upwards, b's way downwards."""
     ends, edges = [0] * max(stars).bit_length(), 0
     for v, star in enumerate(stars):
         edges |= star
@@ -410,6 +402,7 @@ def _fits(pos: list[int], neg: list[int], paths: dict[int, int], stars: Optional
             w = (ends[e] ^ 1 << v).bit_length() - 1
             up[w] = up[v] | 1 << e
             todo.append(w)
+    rules = []  # each line's support and where its signs differ from the network matrix
     for j, s in paths.items():
         odd = 0
         for e in _bits(s):

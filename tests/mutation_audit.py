@@ -69,6 +69,12 @@ MUTANTS = (
     Mutant("star-rule-drops-the-minus-entry", TU,
            "rules.append((s, pos[j] & (s ^ lo) | neg[j] & lo))",
            "rules.append((s, pos[j] & (s ^ lo)))", (T_TU,), "verdict"),
+    # a star that fails leaves its block not TU: certifying it, or sending it
+    # on to the R10 and network leaves, is a mutant
+    Mutant("star-certifies-a-failed-star", TU, "if star:", "if star is not None:", (T_TU,), "verdict"),
+    Mutant("failed-star-meets-the-leaves", TU,
+           "if star is None and (_is_r10(rpos, rneg, cpos, cneg, rows, cols) or (",
+           "if (_is_r10(rpos, rneg, cpos, cneg, rows, cols) or (", (T_TU,), "work"),
     # a unit line's mask times 3 has two bits, and its lowest bit, which the key reads, is kept
     Mutant("pre-pass-keeps-unit-lines", TU, "s = p | q", "s = (p | q) * 3", (T_TU,), "verdict"),
     Mutant("pre-pass-keeps-negated-copies", TU,

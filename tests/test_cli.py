@@ -280,6 +280,28 @@ def test_regular_check(capsys, tmp_path):
     assert is_tu_signing_of(witness.body, rep.B.body)
 
 
+def test_regular_check_unwritable_output_exits_2(capsys, tmp_path):
+    # the witness is written before the verdict is printed, so a failed
+    # write leaves stdout empty
+    target = tmp_path / "missing" / "w.json"
+    code, out, err = run(capsys, "regular", "check", FIXTURES / "r10.json", "-o", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_glue_flags_that_k_does_not_read_are_refused(capsys):
+    # -k 1 reads no glue flag, -k 2 only --x and --y, -k 3 only --x0 ... --y2;
+    # any other is refused by name, after a missing flag
+    for words in (["sum"], ["verify", "composition"]):
+        for k, extra in ((1, "--x"), (1, "--y2"), (2, "--x0"), (2, "--y1"), (3, "--x"), (3, "--y")):
+            flags, left, right = FUZZ_SUMS[k]
+            code, out, err = run(capsys, *words, "-k", k, *flags, extra, "g", FIXTURES / left, FIXTURES / right)
+            assert (code, out, err) == (2, "", f"error: --k {k} takes no {extra}\n")
+        flags, left, right = FUZZ_SUMS[2]
+        code, out, err = run(capsys, *words, "-k", 2, "--x", "x2", "--x0", "g", FIXTURES / left, FIXTURES / right)
+        assert (code, out, err) == (2, "", "error: --k 2 needs --x and --y\n")
+
+
 def test_matroid_info_golden(capsys):
     code, out, _ = run(capsys, "matroid", "info", FIXTURES / "fano.json")
     assert code == 0
@@ -1182,7 +1204,8 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
     assert codes[0] and codes[1] and codes[2] > 100, codes
     # damaged command lines, each answered by one line on stderr: a missing
     # path or a directory in place of an input, a glue label that one summand
-    # lacks, and one summand on both sides (a 1-sum of it is Invalid)
+    # lacks, one summand on both sides (a 1-sum of it is Invalid), and a glue
+    # flag that -k does not read
     lines = []
     for words, flags, base in commands:
         for bad in (tmp_path / "missing.json", tmp_path):
@@ -1196,6 +1219,9 @@ def test_cli_answers_damaged_documents_by_its_exit_codes(tmp_path):
             flags, left, right = FUZZ_SUMS[k]
             lines.append(words + ["-k", str(k), *[swap.get(v, v) for v in flags],
                                   str(FIXTURES / left), str(FIXTURES / right)])
+        for k, extra in ((1, "--x"), (1, "--y0"), (2, "--x2"), (3, "--y")):
+            flags, left, right = FUZZ_SUMS[k]
+            lines.append(words + ["-k", str(k), *flags, extra, "zz", str(FIXTURES / left), str(FIXTURES / right)])
     for line in lines:
         code, err = answer(line)
         assert code in (1, 2) and err.count("\n") == 1, (line, code, err)

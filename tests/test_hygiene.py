@@ -201,9 +201,22 @@ def readers(name):
 
 
 def test_tree_signs_are_solved_in_one_place():
-    # every tree, the star included, goes through _fits, so the network
-    # signs are solved by _colourings only there and in the search's splits
-    assert readers("_colourings") == [("src/tumat/tu.py", "_fits"), ("src/tumat/tu.py", "_tree")]
+    # the star leaf decides itself: _star solves the star's signs and says
+    # True, False or None, and only the leaf asks it; _fits checks only the
+    # trees that _tree finds, with no default and no star branch, so the
+    # network signs are solved by _colourings only there, in _star and in
+    # the search's splits
+    assert readers("_colourings") == [("src/tumat/tu.py", name) for name in ("_fits", "_star", "_tree")]
+    assert readers("_star") == [("src/tumat/tu.py", "_block_violator")]
+    assert readers("_fits") == [("src/tumat/tu.py", "_is_network_matrix")]
+    defs = {n.name: n for n in ast.parse((ROOT / "src" / "tumat" / "tu.py").read_text(encoding="utf-8")).body
+            if isinstance(n, ast.FunctionDef)}
+    fits, star = defs["_fits"], defs["_star"]
+    assert [a.arg for a in fits.args.args] == ["pos", "neg", "paths", "stars"] and fits.args.defaults == []
+    assert [n.lineno for n in ast.walk(fits) if isinstance(n, ast.Compare) and "stars" in loaded_names(n)] == []
+    assert ast.unparse(star.returns) == "Optional[bool]"
+    answers = sorted(ast.unparse(n.value) for n in ast.walk(star) if isinstance(n, ast.Return))
+    assert answers == ["None", "_colourings(edges, rules) is not None"]
 
 
 def test_line_scalings_are_solved_on_one_forest():

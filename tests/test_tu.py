@@ -596,9 +596,9 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
     assert seen["searched"] >= 85 and min(seen["flipped tu"], seen["flipped not tu"]) >= 20, seen
     # signed incidence matrices of random digraphs: every column has two
     # nonzeros, so the star tree realizes the block with no search, and
-    # _fits alone decides its signs, with one sign flipped too
-    fits, fitted = tu_module._fits, []
-    monkeypatch.setattr(tu_module, "_fits", lambda *args: fitted.append(args) or fits(*args))
+    # _star alone decides its signs, with one sign flipped too
+    star_of, decided = tu_module._star, []
+    monkeypatch.setattr(tu_module, "_star", lambda *args: decided.append(star_of(*args)) or decided[-1])
     star = {"unflipped": 0, "flipped tu": 0, "flipped not tu": 0}
     for _ in range(60):
         n = rng.randrange(4, 7)
@@ -607,10 +607,10 @@ def test_network_leaf_matches_the_naive_oracle(monkeypatch):
                             [rng.choice((1, -1)) for _ in arcs])
         reached.clear()
         trees.clear()
-        fitted.clear()
+        decided.clear()
         assert is_totally_unimodular(a) == oracle_verdict(a) == TuVerdict()
         assert not reached and not trees
-        star["unflipped"] += bool(fitted)
+        star["unflipped"] += True in decided
         grid = a.to_lists()
         i, j = rng.choice([(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v])
         grid[i][j] = -grid[i][j]
@@ -695,6 +695,44 @@ def test_network_signs_need_every_line_to_be_a_path():
     assert not tu_module._fits(pos, neg, {0: 0b111, 2: 0b101}, path)
 
 
+def test_star_rule_matches_the_check_of_the_star_tree(monkeypatch):
+    # _star solves the star's signs from each line's two entries; on every
+    # block the TU check hands it, that answer equals _fits' on the explicit
+    # star tree (vertex 0 its centre, then one leaf per edge), and where no
+    # side has two nonzeros in each line it is None.  Blocks come from
+    # signed incidence matrices of random digraphs, their transposes, 0-2
+    # flipped signs, and a column given a third nonzero
+    star_of, blocks = tu_module._star, []
+    monkeypatch.setattr(tu_module, "_star", lambda *args: blocks.append(args) or star_of(*args))
+    rng = random.Random(137)
+    while len(blocks) < 5000:
+        n = rng.randrange(3, 8)
+        arcs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randrange(3, 9))]
+        grid = incidence_matrix(n, arcs).to_lists()
+        for _ in range(rng.randrange(3)):
+            i, j = rng.choice([(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v])
+            grid[i][j] = -grid[i][j]
+        if rng.random() < 0.25:
+            j = rng.randrange(len(arcs))
+            i = rng.choice([i for i in range(n) if not grid[i][j]])
+            grid[i][j] = rng.choice((1, -1))
+        a = ExactMatrix(RATIONAL, grid, n_cols=len(arcs))
+        for b in (a, a.transpose()):
+            is_totally_unimodular(b)
+    seen = Counter()
+    for rpos, rneg, cpos, cneg, rows, cols in blocks:
+        expected = None
+        for pos, neg, lines, edges in ((cpos, cneg, cols, rows), (rpos, rneg, rows, cols)):
+            paths = {j: (pos[j] | neg[j]) & edges for j in tu_module._bits(lines)}
+            if all(s.bit_count() == 2 for s in paths.values()):
+                star = [edges] + [1 << e for e in tu_module._bits(edges)]
+                expected = tu_module._fits(pos, neg, paths, star)
+                break
+        assert star_of(rpos, rneg, cpos, cneg, rows, cols) is expected
+        seen[expected] += 1
+    assert min(seen[answer] for answer in (True, False, None)) >= 500, seen
+
+
 def test_forced_one_sum_of_two_tu_blocks_is_fast():
     rng = random.Random(73)
     left, right = random_tu_matrix(rng, 6, 7), random_tu_matrix(rng, 6, 7)
@@ -708,34 +746,44 @@ def test_forced_one_sum_of_two_tu_blocks_is_fast():
 def test_odd_signed_cycle_falls_through_to_the_dp(monkeypatch):
     # every column has two nonzeros, so the star tree realizes the block,
     # but its signs meet an odd cycle of "scale apart" constraints (five
-    # columns of two equal entries): the block is not TU, has no violator of
-    # order 2 or 3, and goes to the DP for its witness, with no tree search
+    # columns of two equal entries): the star fails, so the block is not
+    # TU, has no violator of order 2 or 3, and goes to the DP for its
+    # witness, with no tree search; _star's decisions are recorded as
+    # ("star", answer), and _fits' checks of searched trees as "fits"
     a = ExactMatrix(RATIONAL, [[1, 1, 0, 0, 0], [0, 1, 1, 0, 0], [0, 0, 1, 1, 0], [0, 0, 0, 1, 1], [1, 0, 0, 0, 1]])
     calls, trees = [], []
     minor_dp, tree, fits, order_4 = tu_module._minor_dp, tu_module._tree, tu_module._fits, tu_module._order_4_violator
+    star_of = tu_module._star
 
     def record(*args):
         calls.append(args[2:])
         return minor_dp(*args)
 
+    def star(*args):
+        answer = star_of(*args)
+        if answer is not None:
+            calls.append(("star", answer))
+        return answer
+
     monkeypatch.setattr(tu_module, "_minor_dp", record)
+    monkeypatch.setattr(tu_module, "_star", star)
     monkeypatch.setattr(tu_module, "_tree", lambda *args: trees.append(tree(*args)) or trees[-1])
     monkeypatch.setattr(tu_module, "_fits", lambda *args: calls.append("fits") or fits(*args))
     monkeypatch.setattr(tu_module, "_order_4_violator", lambda *args: calls.append("order 4") or order_4(*args))
     assert is_totally_unimodular(a).witness == ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4), Fraction(2))
-    assert calls == ["fits", (0b11111, 0b11111)] and trees == []
+    assert calls == [("star", False), (0b11111, 0b11111)] and trees == []
     # of four lines (three columns of two equal entries, one of two
     # opposite), the order-4 rule gives the witness with no DP
     calls.clear()
     a = ExactMatrix(RATIONAL, [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [-1, 0, 0, 1]])
     assert is_totally_unimodular(a).witness == ((0, 1, 2, 3), (0, 1, 2, 3), Fraction(2))
-    assert calls == ["fits", "order 4"] and trees == []
+    assert calls == [("star", False), "order 4"] and trees == []
     # of three lines, such a cycle is an order-3 violator, which the
     # screens find before the DP
     calls.clear()
     a = ExactMatrix(RATIONAL, [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     assert is_totally_unimodular(a).witness == ((0, 1, 2), (0, 1, 2), Fraction(2))
-    assert calls == ["fits"]
+    assert calls == [("star", False)]
     # K4 at a path: its unit column goes, and a 3x3 block is left with no
     # small violator, so it is TU with no tree; K5 at a path (4x6) keeps a
     # line of three nonzeros on each side, so no star realizes it, and the
