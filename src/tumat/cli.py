@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success or a positive verdict, 1 on a negative verdict
-(not TU, no signing, not regular, not equal, Invalid sum), 2 on parse or
-shape errors, 3 when a size guard trips.  Each guard is a module
+(not TU, no signing, not regular, not equal, Invalid sum), 2 on parse,
+shape or write errors, 3 when a size guard trips.  Each guard is a module
 constant (``tumat.tu.DEFAULT_TU_LIMIT`` for every TU check,
 ``tumat.matroid.DEFAULT_EQ_LIMIT`` for ``matroid eq``'s base comparison
 of matroids not known to be binary), and ``--force`` lifts every guard.
@@ -14,9 +14,11 @@ universal newlines of text mode kept: ``\\r\\n`` and a lone ``\\r`` read
 as ``\\n``.
 
 Each command line is parsed by its command's own parser, which its
-leading words pick.  Usage errors read as the nested parse writes them:
-a missing or unknown word is reported by the parser that owns it, and
-leftover arguments by the top parser.
+leading words pick.  A plain line (positionals, and exact option strings
+used once, each with its one value) is read off that parser's own
+actions; argparse reads any other line, so usage errors and help read as
+the nested parse writes them: a missing or unknown word is reported by
+the parser that owns it, and leftover arguments by the top parser.
 """
 
 from __future__ import annotations
@@ -306,14 +308,60 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, read by the parser that argv's leading command words pick."""
+    """``_parser().parse_args(argv)``, read by the parser that argv's leading command words pick:
+    off its own actions by ``_plain`` if the line is plain, else by argparse."""
     top = parser = _parser()
     i = 0
     while i < len(argv) and (sub := _commands(parser).get(argv[i])) is not None:
         parser, i = sub, i + 1
+    if (args := _plain(parser, argv[i:])) is not None:
+        return args
     args, extras = parser.parse_known_args(argv[i:])
     if extras:
         top.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+@functools.cache
+def _table(parser: argparse.ArgumentParser):
+    """A command parser's options by exact option string, positionals, required options, prefix characters
+    and defaults, read off its own actions; None unless each is a store, store-true or ``_Once`` action."""
+    options = {s: a for s, a in parser._option_string_actions.items() if not isinstance(a, argparse._HelpAction)}
+    positionals = [a for a in parser._actions if not a.option_strings]
+    if any(type(a) not in (argparse._StoreAction, argparse._StoreTrueAction, _Once)
+           for a in [*options.values(), *positionals]):
+        return None
+    defaults = {a.dest: a.default for a in parser._actions[::-1] if a.default is not argparse.SUPPRESS}
+    required = {a for a in options.values() if a.required}
+    return options, positionals, required, tuple(parser.prefix_chars), {**parser._defaults, **defaults}
+
+
+def _plain(parser: argparse.ArgumentParser, argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """``parser.parse_known_args(argv)``'s namespace, with no extras, if each word is a positional, an exact
+    option string used once or its one value, and only option strings start with a prefix character; else None."""
+    if (table := _table(parser)) is None:
+        return None
+    options, positionals, required, prefix, defaults = table
+    args, given, read, words = argparse.Namespace(), {}, [], iter(argv)
+    vars(args).update(defaults)
+    for word in words:
+        if not word.startswith(prefix):
+            read.append(word)
+        elif (action := options.get(word)) is None or action in given or action.nargs is None and (
+                word := next(words, word)).startswith(prefix):  # a missing value reads as the option string
+            return None
+        else:
+            given[action] = word
+    if len(read) != len(positionals) or not required.issubset(given):
+        return None
+    try:  # the type call and the choices check of argparse's own value reader
+        for action, word in [*given.items(), *zip(positionals, read)]:
+            value = action.const if action.nargs == 0 else word if action.type is None else action.type(word)
+            if action.choices is not None and value not in action.choices:
+                return None
+            setattr(args, action.dest, value)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
     return args
 
 
@@ -326,9 +374,16 @@ def _commands(parser: argparse.ArgumentParser) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write fails here, not at exit
+        return code
     except (DocumentError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # a file error is a DocumentError, so this one is stdout's
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # closed, stdout is not flushed again at exit
+            sys.stdout.close()
         return EXIT_PARSE
     except SizeGuardError as exc:
         print(f"size guard: {exc}; pass --force to run anyway", file=sys.stderr)

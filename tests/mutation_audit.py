@@ -137,6 +137,14 @@ MUTANTS = (
            "_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)", "_DECODER = json.JSONDecoder()",
            (T_DOCUMENTS, T_CLI), "verdict"),
     Mutant("guard-trip-exits-2", CLI, "return EXIT_GUARD", "return EXIT_PARSE", (T_CLI,), "verdict"),
+    # the plain command-line reader leaves to argparse a value outside its
+    # option's choices (-k 4 read as 4) and an option given twice (-k 3 -k 2
+    # read as a 2-sum)
+    Mutant("plain-reader-skips-choices", CLI,
+           "if action.choices is not None and value not in action.choices:", "if False:", (T_CLI,), "verdict"),
+    Mutant("plain-reader-keeps-a-repeated-option", CLI,
+           "elif (action := options.get(word)) is None or action in given or action.nargs is None and (",
+           "elif (action := options.get(word)) is None or action.nargs is None and (", (T_CLI,), "verdict"),
 )
 
 

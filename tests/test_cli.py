@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -287,6 +288,34 @@ def test_regular_check_unwritable_output_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "regular", "check", FIXTURES / "r10.json", "-o", target)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write raises ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", [
+    ["tu", "check", FIXTURES / "network_uv.json"],
+    ["tu", "check", DATA / "not_tu.json"],
+    ["tu", "sign", FIXTURES / "r10.json"],
+    ["sum", "-k", "1", FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"],
+    ["regular", "check", FIXTURES / "r10.json"],
+    ["regular", "check", FIXTURES / "fano.json"],
+    ["matroid", "info", FIXTURES / "fano.json"],
+    ["matroid", "eq", FIXTURES / "fano.json", FIXTURES / "r10.json"],
+    ["verify", "composition", "-k", "1", FIXTURES / "sum1_left.json", FIXTURES / "sum1_right.json"],
+])
+def test_a_stdout_write_error_exits_2_with_one_line(argv):
+    # a failed write to stdout is reported as a failed -o write is, not
+    # raised out of main, where its exit code 1 would read as a negative
+    # verdict
+    err = io.StringIO()
+    with contextlib.redirect_stdout(_FullStdout()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert (code, err.getvalue()) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
 def test_glue_flags_that_k_does_not_read_are_refused(capsys):
@@ -1050,6 +1079,10 @@ def test_command_parse_matches_the_nested_parse(capsys, monkeypatch, case):
      str(FIXTURES / "sum3/d0-1101-left.json"), str(FIXTURES / "sum3/d0-1101-right.json")],
 ])
 def test_well_formed_lines_are_parsed_by_the_command_parser_alone(capsys, monkeypatch, argv):
+    # a plain line is read off its command parser's own actions, so no
+    # parser's parse_known_args runs on it; every other line of
+    # _usage_lines still reaches argparse, which writes its usage errors
+    # and help
     parsed = []
     stack = [cli._parser()]
     while stack:
@@ -1060,7 +1093,100 @@ def test_well_formed_lines_are_parsed_by_the_command_parser_alone(capsys, monkey
         stack.extend(cli._commands(parser).values())
     assert main(argv) == 0
     capsys.readouterr()
-    assert parsed == ["tumat " + " ".join(argv[:2])]
+    assert parsed == []
+    for case, line in _usage_lines().items():
+        parsed.clear()
+        _outcome(capsys, line)
+        assert bool(parsed) != case.startswith("well-formed"), (case, parsed)
+
+
+def _leaves(parser, words=()):
+    """(command words, parser) of every command's own parser under ``parser``."""
+    subs = cli._commands(parser)
+    if not subs:
+        return [(list(words), parser)]
+    return [leaf for word, sub in subs.items() for leaf in _leaves(sub, (*words, word))]
+
+
+ODD_WORDS = ("--", "-h", "--help", "--he", "-k2", "-k3", "-k=2", "--k=3", "--x=x2", "--force=1", "--x0=x0", "-ox",
+             "--forc", "--ou", "--max", "--bogus", "-", "-1", "", " ", "x y", "-x y", "tu", "check")
+ODD_VALUES = ("1", "2", "3", "4", "x", "-1", "0", "-", "", " 3", "03", "3.0", "1_0", "\u0663", "--x", "a b")
+PLAIN_INPUTS = [str(FIXTURES / name) for name in (
+    "network_uv.json", "fano.json", "r10.json", "sum1_left.json", "sum1_right.json", "sum2_left.json",
+    "sum2_right.json", "sum3/d0-1101-left.json", "sum3/d0-1101-right.json")]
+
+
+def _plain_line(rng, parser, tmp_path):
+    """A seeded line for a command's own parser, built from its option table: every required option
+    and some others once each, with a value that the option's type and choices take, in a random
+    order among the positionals; then up to three damages (an odd word, a dropped word, an odd value,
+    a repeated option, an option string with no value)."""
+    options, positionals, _, _, _ = cli._table(parser)
+    strings = {}
+    for string, action in options.items():
+        strings.setdefault(action, []).append(string)
+
+    def value(action):
+        if action.choices is not None:
+            return str(rng.choice(list(action.choices)))
+        if action.type is int:
+            return str(rng.randrange(60))
+        if action.dest in ("output", "out_dir"):
+            return str(tmp_path / rng.choice(("a", "b")))
+        return rng.choice(("x2", "y2", action.dest, "g"))
+
+    groups = [[rng.choice(names)] + ([] if action.nargs == 0 else [value(action)])
+              for action, names in strings.items() if action.required or rng.random() < 0.4]
+    groups += [[rng.choice(PLAIN_INPUTS)] for _ in positionals]
+    rng.shuffle(groups)
+    line = [word for group in groups for word in group]
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        what = rng.randrange(5)
+        if what == 0:
+            line.insert(rng.randint(0, len(line)), rng.choice(ODD_WORDS))
+        elif what == 1 and line:
+            del line[rng.randrange(len(line))]
+        elif what == 2 and line:
+            line[rng.randrange(len(line))] = rng.choice(ODD_VALUES)
+        elif what == 3 and groups:
+            line += rng.choice(groups)
+        else:
+            line.insert(rng.randint(0, len(line)), rng.choice(sorted(options)))
+    return line
+
+
+def test_plain_lines_are_read_as_argparse_reads_them(capsys, monkeypatch, tmp_path):
+    # seeded lines for every command: wherever the plain reader answers, its
+    # namespace is the one parse_known_args returns, with no extras; on a
+    # sample of whole lines main answers, exit code and both streams, as the
+    # nested argparse parse does
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the same width on both sides
+    monkeypatch.chdir(tmp_path)  # a damaged -o value is a relative path: it is written here
+    rng = random.Random(48)
+    leaves = _leaves(cli._parser())
+    read, sample = Counter(), []
+    for t in range(6000):
+        words, parser = leaves[t % len(leaves)]
+        line = _plain_line(rng, parser, tmp_path)
+        args = cli._plain(parser, line)
+        if t % 40 == 0:
+            sample.append(words + line)
+        if args is None:
+            continue
+        read[" ".join(words)] += 1
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert parser.parse_known_args(line) == (args, []), line
+        except SystemExit:
+            pytest.fail(f"the reader read {line}, which argparse refuses")
+    assert sorted(read) == sorted(" ".join(words) for words, _ in leaves), read
+    assert 1500 < sum(read.values()) < 5000, read
+    for argv in sample:
+        got = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+            want = _outcome(capsys, argv)
+        assert got == want, argv
 
 
 # ---------------------------------------------------------------- the CLI contract on damaged documents

@@ -289,6 +289,23 @@ def test_the_order_4_rule_is_asked_by_the_block_leaf_alone():
     assert readers("_order_4_violator") == [("src/tumat/tu.py", "_block_violator")]
 
 
+def test_plain_lines_are_read_off_the_command_parsers():
+    # the plain reader answers a line only as argparse would: only _parse
+    # asks it, it declares no option of its own (no string of its starts
+    # with a dash), and argparse's private attributes are read only by its
+    # table builder and by _commands, so build_parser stays the one place
+    # where an option is declared
+    assert readers("_plain") == [("src/tumat/cli.py", "_parse")]
+    assert readers("_table") == [("src/tumat/cli.py", "_plain")]
+    tree = ast.parse((ROOT / "src" / "tumat" / "cli.py").read_text(encoding="utf-8"))
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert [n.value for name in ("_plain", "_table") for n in ast.walk(defs[name])
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.startswith("-")] == []
+    private = {(getattr(node, "name", node.lineno), n.attr) for node in tree.body for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and n.attr.startswith("_") and not n.attr.startswith("__")}
+    assert {name for name, _ in private} == {"_table", "_commands"}, sorted(private)
+
+
 def file_reads():
     """(module path, top-level definition, mode) of each call in the package that opens a file
     to read it: ``open`` with no mode or a mode without w, a or x, and any ``read_text``/``read_bytes``."""
