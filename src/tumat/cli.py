@@ -372,7 +372,14 @@ def _commands(parser: argparse.ArgumentParser) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    try:
+        return _run(sys.argv[1:] if argv is None else list(argv))
+    except OSError:  # stderr failed as well: nothing can be reported, but the exit code still can
+        return EXIT_PARSE
+
+
+def _run(argv: list[str]) -> int:
+    args = _parse(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a buffered write fails here, not at exit

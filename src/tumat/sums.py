@@ -25,8 +25,11 @@ of signings is built on the signs as ints, each output entry then mapped
 once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
-block must have rank k - 1, one rank test for every k.  The signs are
-solved by ``tu._line_scales``, on the forest the signing search pins.  Every
+block must have rank k - 1, one rank test for every k.  It reads the
+witness and each signing once, into int signs.  The signs are solved by
+``tu._line_scales``, on the forest the signing search pins, and need no
+forest where a block equals its signing: every 1-sum block, most 2-sum
+blocks, and the block of a 3-sum summand already at its target.  Every
 block read off a checked labeled matrix, the glue lines of the validity
 guards and the certificate's summand blocks included, goes through one
 reader, ``matroid._cut``, which looks up each axis's labels in one call.
@@ -49,7 +52,7 @@ from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _cut, _labeled, matroids_equal
 from .stdrepr import StandardRepr, support
-from .tu import _line_scales, is_signing_of, scale_rows_cols
+from .tu import _line_scales, scale_rows_cols
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -348,9 +351,12 @@ def sign_sum_2(
     return _stacked(a_left, zip(c_row), [r_row], a_right)
 
 
-def _ints(m: LabeledMatrix) -> LabeledMatrix:
-    """A rational signing as a ``_SIGNED`` matrix of ints; its entries must be integers."""
-    rows = [[x.numerator for x in row] for row in m.body.rows]
+def _ints(m: LabeledMatrix, strict: bool = False) -> Optional[LabeledMatrix]:
+    """A rational signing as a ``_SIGNED`` matrix of ints, each entry read as its numerator.  A
+    ``strict`` read keeps only the integer entries, in the same pass, and is None if it drops one."""
+    rows = [[x.numerator for x in row if not strict or x.denominator == 1] for row in m.body.rows]
+    if strict and any(len(row) != m.body.n_cols for row in rows):
+        return None
     return _labeled(m.row_labels, m.col_labels, _exact(_SIGNED, rows, m.body.n_cols))
 
 
@@ -372,8 +378,9 @@ def canonical_signing_sum3(
 
     Both signings are re-signed so their shared 3x3 connector submatrix
     (rows x2, x0, x1 by columns y0, y1, y2, taken in the order that
-    brings the connector to its canonical form) equals a fixed target,
-    then the sum is assembled on int signs with exact bottom-left block
+    brings the connector to its canonical form) equals a fixed target (a
+    signing already at the target is kept as it is), then the sum is
+    assembled on int signs with exact bottom-left block
     D'r * (D'0)^-1 * D'l: the target's D'0 has determinant +-1, so its
     inverse is det * adj(D'0), an int matrix.  The output is labeled like
     the Valid outcome of ``standard_repr_sum_3`` on the summand supports.
@@ -400,6 +407,8 @@ def canonical_signing_sum3(
         signs = scales and list(map(mul, *scales))  # a scale num / den of +-1 is num * den
         if not signs or not {1, -1}.issuperset(signs):  # no scaling, or one not by signs
             raise ShapeError("no row/column sign scaling reaches the target")
+        if -1 not in signs:  # the connector already is the target: the summand is kept as it is
+            return side
         rs, cs = dict(zip(xs, signs)), dict(zip(cut.ys, signs[3:]))
         body = scale_rows_cols(side.body, [rs.get(u, 1) for u in side.row_labels],
                                [cs.get(v, 1) for v in side.col_labels])
@@ -472,15 +481,20 @@ def certifies_sum(
     canonical signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1)
     is a unit and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].  A summand
     signing that lacks its glue lines or has a non-integer entry is refused.
+    The witness is read once: an entry that is not an integer, or whose
+    absolute value is not ``b``'s, refuses it.
     """
-    if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels) \
-            or not is_signing_of(witness.body, b.body):
+    if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels):
+        return False
+    if witness.body.kind != RATIONAL or b.body.kind != GF2:
+        raise ShapeError("signing compares a rational matrix against a GF(2) matrix")
+    w = _ints(witness, strict=True)  # W read once: its int signs, which must be B up to sign
+    if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.body.rows, b.body.rows)):
         return False
     xs, ys, top, bottom, left, right = _layout(signed_left, signed_right, glue)
     if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels) \
             or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:
         return False
-    w = _ints(witness)
     bl = _cut(w, bottom, left).rows
     if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):
         return False
@@ -500,8 +514,8 @@ def certifies_sum(
         right_cols = [v if t == ys[0] else t for t in right_cols]
     held = _cut(w, left_rows, signed_left.col_labels), _cut(w, signed_right.row_labels, right_cols)
     # each block is its signing, of integers, up to line signs: scales exist, and each num / den is +-1
-    return all(all(e.denominator == 1 for row in s.body.rows for e in row)
-               and (sc := _line_scales(h.rows, _ints(s).body.rows)) and {1, -1}.issuperset(map(mul, *sc))
+    return all((t := _ints(s, strict=True)) is not None
+               and (sc := _line_scales(h.rows, t.body.rows)) and {1, -1}.issuperset(map(mul, *sc))
                for h, s in zip(held, (signed_left, signed_right)))
 
 

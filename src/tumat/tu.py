@@ -636,13 +636,16 @@ def spanning_forest(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
 
 def _line_scales(a: Sequence[Sequence], b: Sequence[Sequence]) -> Optional[tuple[list[int], list[int]]]:
     """Line scales taking ``a`` to ``b``, or None: int lists num and den, rows then columns,
-    with a[i][j] * num[i] * num[m + j] == b[i][j] * den[i] * den[m + j] for m rows.  Along
-    ``spanning_forest`` of ``b``'s support, each root 1, the edge from p to c at (i, j) sets
-    c's scale num[c] / den[c] to b[i][j] / (a[i][j] * the scale of p).  Any solution equals this
-    one up to a factor per component, so the equation, checked after, decides."""
+    with a[i][j] * num[i] * num[m + j] == b[i][j] * den[i] * den[m + j] for m rows.  An equal
+    pair (``a == b``, so the same entries row for row) gets unit scales at once, with no forest.
+    Otherwise, along ``spanning_forest`` of ``b``'s support, each root 1, the edge from p to c at
+    (i, j) sets c's scale num[c] / den[c] to b[i][j] / (a[i][j] * the scale of p).  Any solution
+    equals this one up to a factor per component, so the equation, checked after, decides."""
     m = len(b)
     num = [1] * (m + (len(b[0]) if b else 0))  # rows, then columns
     den = num[:]
+    if a == b:
+        return num, den
     for p, c in spanning_forest(_support_graph(b)):
         i, j = (p, c - m) if c >= m else (c, p - m)
         if not a[i][j]:

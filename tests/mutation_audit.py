@@ -112,8 +112,16 @@ MUTANTS = (
            "or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:",
            "or not {*ys} <= {*signed_right.col_labels}:", (T_SUMS,), "verdict"),
     Mutant("certificate-drops-integer-check", SUMS,
-           "return all(all(e.denominator == 1 for row in s.body.rows for e in row)",
-           "return all(True", (T_SUMS,), "verdict"),
+           "rows = [[x.numerator for x in row if not strict or x.denominator == 1] for row in m.body.rows]",
+           "rows = [[x.numerator for x in row] for row in m.body.rows]", (T_SUMS,), "verdict"),
+    Mutant("certificate-witness-read-drops-the-b-comparison", SUMS,
+           "if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.body.rows, b.body.rows)):",
+           "if w is None:", (T_SUMS,), "verdict"),
+    Mutant("line-scales-equal-pair-compares-supports", TU, "if a == b:",
+           "if [[bool(x) for x in row] for row in a] == [[bool(y) for y in row] for row in b]:", (T_SUMS,), "verdict"),
+    Mutant("resign-rebuilds-a-summand-at-its-target", SUMS,
+           "if -1 not in signs:  # the connector already is the target: the summand is kept as it is",
+           "if False:", (T_SUMS,), "work"),
     Mutant("assembly-weighs-by-d0-not-its-inverse", SUMS,
            "basis = [_head(b_left.kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]",
            "basis = [_head(b_left.kind, w, basis) for w in ((a, b), (c, d))]", (T_SUMS, T_ACCEPTANCE), "verdict"),

@@ -318,6 +318,22 @@ def test_a_stdout_write_error_exits_2_with_one_line(argv):
     assert (code, err.getvalue()) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["tu", "check", FIXTURES / "missing.json"],  # an error message
+    ["tu", "sign", FIXTURES / "fano.json"],  # a negative verdict, written to stderr
+    ["tu", "check", None],  # a size guard trip
+])
+def test_a_stderr_write_error_exits_2(argv, tmp_path):
+    # when stderr cannot take the message, nothing is reported, and the
+    # exit code is the write error's: nothing escapes main, whose exit code
+    # 1 would read as a negative verdict
+    argv = [identity9(tmp_path, GF2) if a is None else a for a in argv]
+    out, err = io.StringIO(), _FullStdout()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert (code, out.getvalue()) == (2, "")
+
+
 def test_glue_flags_that_k_does_not_read_are_refused(capsys):
     # -k 1 reads no glue flag, -k 2 only --x and --y, -k 3 only --x0 ... --y2;
     # any other is refused by name, after a missing flag

@@ -43,6 +43,7 @@ from tumat import (
     standard_repr_sum_3,
     verify_is_sum_k_of,
 )
+from tumat import parse_standard_repr_document, sums as sums_module, tu as tu_module
 from tumat.exactmat import _SIGNS, _exact
 from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _stacked
 from tumat.tu import _line_scales
@@ -66,6 +67,7 @@ from helpers import (
 )
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURES = PERFBENCH.parent / "fixtures"
 
 GLUE = Sum3Labels("x0", "x1", "x2", "y0", "y1", "y2")
 
@@ -686,6 +688,9 @@ def test_sign_solver_against_brute_force_on_seeded_pairs():
         for x in (-b[i][j], 0, rng.choice((1, -1))):
             corrupted = tuple(row[:j] + (x,) + row[j + 1:] if k == i else row for k, row in enumerate(b))
             _assert_solver_matches_brute_force(a, corrupted, solutions.get(corrupted, []))
+        # the equal pair, each side the same tuple of tuples, which the solver answers at once
+        same = tuple(map(tuple, a))
+        _assert_solver_matches_brute_force(same, same, solutions[same])
 
 
 # the identity pair's summands signed so that their connectors, rows x2, x0, x1 by
@@ -1167,3 +1172,105 @@ def test_block_rule_refuses_a_summand_without_its_glue_line():
         assert not certifies_sum(bad, bad_b, short, signed_right, glue3), (j, e)
         seen[is_totally_unimodular(bad.body, force=True).witness is None] += 1
     assert seen[False] > 0, seen
+
+
+def fixture_sums():
+    """(witness, B, left signing, right signing, glue) of the sums of the fixture pairs, one per k."""
+    pairs = [tuple(parse_standard_repr_document((FIXTURES / f"sum{k}_{side}.json").read_text())
+                   for side in ("left", "right")) + (glue,) for k, glue in ((1, None), (2, ("x2", "y2")))]
+    built = []
+    for left, right, glue in pairs + [sum3_corpus(per_unit=1)[0][:3]]:
+        signed_left, signed_right = is_regular(left), is_regular(right)
+        w = sign_composition(signed_left, signed_right, glue)
+        built.append((w, compose(left, right, glue).result.B, signed_left, signed_right, glue))
+    return built
+
+
+def with_entry(m, u, v, e, kind=RATIONAL):
+    """A copy of the labeled matrix m of ``kind`` with entry e at row label u and column label v."""
+    rows = m.body.to_lists()
+    rows[m.row_position(u)][m.col_position(v)] = e
+    return LabeledMatrix(m.row_labels, m.col_labels, ExactMatrix(kind, rows))
+
+
+def test_certificate_refusals_are_pinned():
+    # the certificate's refusals, for each k: a witness that is not rational
+    # or a B that is not GF(2) raises; a witness entry 1/2 or 2 where B
+    # holds 1, or a summand signing entry 1/2, is refused
+    for w, b, signed_left, signed_right, glue in fixture_sums():
+        assert certifies_sum(w, b, signed_left, signed_right, glue)
+        for bad_w, bad_b in ((LabeledMatrix(w.row_labels, w.col_labels, b.body), b),
+                             (w, LabeledMatrix(b.row_labels, b.col_labels, w.body))):
+            with pytest.raises(ShapeError, match="signing compares a rational matrix against a GF"):
+                certifies_sum(bad_w, bad_b, signed_left, signed_right, glue)
+        u, v = next((u, v) for u in b.row_labels for v in b.col_labels if b.entry(u, v))
+        for e in (Fraction(1, 2), 2, Fraction(-1, 2), -2):
+            assert not certifies_sum(with_entry(w, u, v, e), b, signed_left, signed_right, glue), (glue, e)
+        for side in (0, 1):
+            signed = [signed_left, signed_right]
+            u, v = next((u, v) for u in signed[side].row_labels for v in signed[side].col_labels
+                        if signed[side].entry(u, v))
+            signed[side] = with_entry(signed[side], u, v, Fraction(1, 2) * signed[side].entry(u, v))
+            assert not certifies_sum(w, b, *signed, glue), (glue, side)
+
+
+def test_certificate_compares_the_witness_with_b_everywhere():
+    # B enters the certificate only through its labels and this comparison:
+    # a B with any one entry changed is not the witness's support
+    for w, b, signed_left, signed_right, glue in fixture_sums():
+        for u, v in product(b.row_labels, b.col_labels):
+            bad_b = with_entry(b, u, v, 1 - b.entry(u, v), GF2)
+            assert not certifies_sum(w, bad_b, signed_left, signed_right, glue), (glue, u, v)
+
+
+def recorded(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call's arguments and result go, in order, to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, real(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_certificate_walks_no_forest_on_equal_blocks(monkeypatch):
+    # each summand block of the 1-sum and the 2-sum of the fixture pairs is
+    # its signing, entry for entry, so no line scaling is solved
+    built = fixture_sums()[:2]  # the signing searches walk their forests here
+    forests = recorded(monkeypatch, tu_module, "spanning_forest")
+    for w, b, signed_left, signed_right, glue in built:
+        assert certifies_sum(w, b, signed_left, signed_right, glue)
+    assert forests == []
+
+
+def test_equal_pairs_get_unit_scales_with_no_forest(monkeypatch):
+    # an equal pair, of signs or of rationals, is answered at once; a pair
+    # with the same support and other entries still walks the forest
+    forests = recorded(monkeypatch, tu_module, "spanning_forest")
+    graphs = recorded(monkeypatch, tu_module, "_support_graph")
+    rng = random.Random(49)
+    for _ in range(100):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        for entries in ((0, 1, -1), (0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4))):
+            a = tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(m))
+            assert _line_scales(a, a) == ([1] * (m + n), [1] * (m + n)), a
+    assert forests == graphs == []
+    a = ((1, 1), (1, 1))
+    assert _line_scales(a, ((1, 1), (1, -1))) is None
+    assert _line_scales(a, ((2, 2), (2, 2))) is not None
+    assert len(forests) == len(graphs) == 2
+
+
+def test_canonical_signing_keeps_a_summand_at_its_target(monkeypatch):
+    # a summand whose connector already is the target is assembled as it
+    # was read, the very matrix; one with a negated connector line is not
+    read = recorded(monkeypatch, sums_module, "_ints")
+    assembled = recorded(monkeypatch, sums_module, "_assemble")
+    canonical_signing_sum3(*signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET))
+    flipped = [[-x for x in row] if i == 1 else row for i, row in enumerate(RIGHT3_AT_TARGET)]
+    canonical_signing_sum3(*signed_pair(LEFT3_AT_TARGET, flipped))
+    kept = [[side is summand for side, (_, summand) in zip(args[:2], read[2 * t:2 * t + 2])]
+            for t, (args, _) in enumerate(assembled)]
+    assert kept == [[True, True], [True, False]]
