@@ -14,7 +14,8 @@ The one reduction is ``_echelon``'s reduced row-echelon form: it stores
 every vector matroid (``matroid.to_matroid``), and ``_coordinates`` reads
 standard representations (``stdrepr.standardize``), pivots and inverses off it.
 The rank is the length of its forward pass; the determinant over Q runs
-that pass on the rows [e_k | row k], and over GF(2) it is 1 at full rank.
+that pass on the rows [e_k | row k], over GF(2) it is 1 at full rank, and
+the TU check's order-4 witness reads it.  The product is one loop.
 
 The public constructor ``ExactMatrix(kind, rows)`` coerces and validates
 every entry, and ``_checked`` every size and index a method takes.
@@ -326,9 +327,9 @@ class ExactMatrix:
             raise ShapeError("matrix is singular")
         return _exact(self.kind, inverse, n)
 
-    def _with_units(self) -> list:
+    def _with_units(self) -> tuple:
         """The rows of [A | I], I's columns after A's, that ``pivot`` and ``inverse`` read."""
-        return [row + unit for row, unit in zip(self.rows, ExactMatrix.identity(self.n_rows, self.kind).rows)]
+        return from_cols(self, ExactMatrix.identity(self.n_rows, self.kind)).rows
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -339,18 +340,11 @@ class ExactMatrix:
             raise ShapeError(
                 f"cannot multiply {self.n_rows}x{self.n_cols} by {other.n_rows}x{other.n_cols}"
             )
-        cols = [other.col(j) for j in range(other.n_cols)]
+        zero = 0 if self.kind == GF2 else Fraction(0)  # an empty inner dimension still sums to the kind's zero
+        cols = other.transpose().rows
+        rows = [[sum((a * b for a, b in zip(row, col)), zero) for col in cols] for row in self.rows]
         if self.kind == GF2:
-            rows = [
-                [sum(a & b for a, b in zip(row, col)) & 1 for col in cols]
-                for row in self.rows
-            ]
-        else:
-            zero = Fraction(0)  # an empty inner dimension still sums to a Fraction
-            rows = [
-                [sum((a * b for a, b in zip(row, col)), zero) for col in cols]
-                for row in self.rows
-            ]
+            rows = [[x & 1 for x in row] for row in rows]
         return _exact(self.kind, rows, other.n_cols)
 
 

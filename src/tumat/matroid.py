@@ -100,12 +100,8 @@ class LabeledMatrix:
         return self.body[self.row_position(row_label), self.col_position(col_label)]
 
     def select(self, row_labels: Sequence[Label], col_labels: Sequence[Label]) -> "LabeledMatrix":
-        """Submatrix by labels, in the requested order (no repeats)."""
-        body = _cut(self, row_labels, col_labels)
-        for labels, what in ((row_labels, "row"), (col_labels, "column")):
-            if len(set(labels)) != len(labels):
-                raise ShapeError(f"duplicate {what} labels")
-        return _labeled(row_labels, col_labels, body)
+        """Submatrix by labels, in order; ``_cut`` raises for a missing label, the constructor for a repeat."""
+        return LabeledMatrix(row_labels, col_labels, _cut(self, row_labels, col_labels))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledMatrix):

@@ -28,9 +28,9 @@ without changing that witness:
   realization search looks for a tree, and ``_fits`` checks each tree it
   finds: each line must be a path of it.  ``_colourings`` solves the signs.
 - Camion: a {0, +-1} matrix is TU exactly when every square Eulerian
-  submatrix, each line with an even count of nonzeros in it, has entries
-  summing to 0 mod 4.  Past the screens below, a 4x4 submatrix violates
-  exactly when it is Eulerian and sums to 2 mod 4 (``_order_4_violator``).
+  submatrix, each line with an even count of nonzeros, sums to 0 mod 4.
+  Past the screens, an Eulerian 4x4 violates exactly when it sums to 2 mod 4
+  (``_order_4_violator``), its determinant from ``ExactMatrix.determinant``.
 - Seymour builds every regular matroid from graphic, cographic and R10
   pieces.  R10's 162 bases give two 5x5 supports up to line order: (a)
   three nonzeros in each line, the zeros one 10-cycle; (b) one full row
@@ -489,6 +489,7 @@ def _order_4_violator(
     so the witness is the first 4 long lines, each with 2 or 4 nonzeros on
     the short side, that leave each short line an even count and sum to
     2 mod 4.  The pre-pass leaves at most 20 such lines, distinct up to sign.
+    ``ExactMatrix.determinant`` reads the witness's 4x4 of sign Fractions.
     """
     wide = rows.bit_count() == 4
     pos, neg, lines, short = (cpos, cneg, cols, rows) if wide else (rpos, rneg, rows, cols)
@@ -502,16 +503,10 @@ def _order_4_violator(
         if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 4 == 2:
             chosen = (a, b, c, d)
             # the long lines as the rows of the 4x4: a determinant is its transpose's
-            det = _det([[(pos[j] >> e & 1) - (neg[j] >> e & 1) for e in _bits(short)] for j in chosen])
+            grid = [[_SIGNS[(pos[j] >> e & 1) - (neg[j] >> e & 1)] for e in _bits(short)] for j in chosen]
+            det = int(_exact(RATIONAL, grid, 4).determinant())
             return (tuple(_bits(rows)), chosen, det) if wide else (chosen, tuple(_bits(cols)), det)
     return None
-
-
-def _det(grid: list[list[int]]) -> int:
-    """The determinant of the square int ``grid``, by cofactors along its first row."""
-    if not grid:
-        return 1
-    return sum((-1) ** k * v * _det([row[:k] + row[k + 1:] for row in grid[1:]]) for k, v in enumerate(grid[0]) if v)
 
 
 def _minor_dp(

@@ -64,6 +64,11 @@ MUTANTS = (
            "if not sa ^ sb ^ sc ^ sd and (ta + tb + tc + td) % 4 == 2:",
            "if (ta + tb + tc + td) % 4 == 2:", (T_TU,), "verdict"),
     Mutant("order-4-tries-lines-of-3", TU, "if not (p | q).bit_count() & 1:", "if True:", (T_TU,), "verdict"),
+    # the witness's 4x4 read with each -1 as +1, which gives a wrong determinant
+    Mutant("order-4-witness-grid-adds-the-minus-bit", TU,
+           "grid = [[_SIGNS[(pos[j] >> e & 1) - (neg[j] >> e & 1)] for e in _bits(short)] for j in chosen]",
+           "grid = [[_SIGNS[(pos[j] >> e & 1) + (neg[j] >> e & 1)] for e in _bits(short)] for j in chosen]",
+           (T_TU,), "verdict"),
     # swapping lo and hi in the star rule keeps each rule's parity, so it is
     # no mutant; dropping the -1 entry at lo is one
     Mutant("star-rule-drops-the-minus-entry", TU,
@@ -138,6 +143,8 @@ MUTANTS = (
     Mutant("pivot-base-without-column-j", EXACTMAT,
            "base = [j if k == i else n + k for k in range(self.n_rows)]", "base = [n + k for k in range(self.n_rows)]",
            (T_EXACTMAT,), "verdict"),
+    Mutant("matmul-keeps-gf2-sums-unreduced", EXACTMAT,
+           "rows = [[x & 1 for x in row] for row in rows]", "pass", (T_EXACTMAT,), "verdict"),
     Mutant("support-drops-minus-ones", STDREPR,
            "rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]",
            "rows = [[1 if v == 1 else 0 for v in row] for row in rep.body.rows]", (T_STDREPR, T_SUMS), "verdict"),

@@ -5,7 +5,8 @@ package.
 The result types store each deciding fact once and are built from it:
 ``TuVerdict`` its witness, ``AxiomReport`` its counterexamples,
 ``StandardRepr`` its B; an ``ExactMatrix`` reads its row count off its rows.
-No module of the package reads the environment.
+No module of the package reads the environment, and no function of it
+calls itself.
 
 A stdlib-only AST scan.  ``__future__`` imports, the re-exports in
 ``__init__.py`` files and import lines marked ``# noqa`` are skipped;
@@ -136,6 +137,39 @@ def test_no_unused_parameters():
     # leftover knob (a limit or force flag nothing honours) cannot linger.
     paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
     assert [hit for p in paths for hit in unread_parameters(p)] == []
+
+
+def self_calls(source):
+    """(line, name) of each call of a function to itself in ``source``: a function, nested or
+    not, by its own bare name, a method through ``self.`` or ``cls.``; a method that calls its
+    bare name reaches the module-level function of that name, as ``StandardRepr.to_matroid`` does."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in (n.func for n in ast.walk(fn) if isinstance(n, ast.Call)):
+            if id(fn) in methods:
+                own = (isinstance(call, ast.Attribute) and call.attr == fn.name
+                       and isinstance(call.value, ast.Name) and call.value.id in ("self", "cls"))
+            else:
+                own = isinstance(call, ast.Name) and call.id == fn.name
+            if own:
+                found.append((call.lineno, fn.name))
+    return sorted(found)
+
+
+def test_no_package_function_calls_itself():
+    # every search and expansion is a loop, so no input's size becomes a
+    # stack depth: the recursion-limit tests of the base search and the
+    # network search each check one path, and this checks every function
+    assert self_calls("def f(g):\n    def h(k):\n        return h(k - 1)\n    return f(g[1:])\n") == [(3, "h"), (4, "f")]
+    assert self_calls("class C:\n    def f(self):\n        return f(self) + self.g() + C.f(self)\n") == []
+    assert self_calls("class C:\n    def f(self):\n        return self.f()\n") == [(3, "f")]
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
+    assert [f"{p.relative_to(ROOT)}:{line}: {name}" for p in paths
+            for line, name in self_calls(p.read_text(encoding="utf-8"))] == []
 
 
 def test_each_result_stores_its_deciding_fact_once():
