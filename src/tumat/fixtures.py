@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exactmat import GF2, RATIONAL, ExactMatrix
+from .errors import ShapeError
+from .exactmat import GF2, RATIONAL, ExactMatrix, _checked
 from .matroid import LabeledMatrix
 from .stdrepr import StandardRepr
 
@@ -67,14 +68,15 @@ def incidence_matrix(n_nodes: int, arcs: Sequence[tuple[int, int]]) -> ExactMatr
     """Node-arc incidence matrix of a digraph: +1 at the tail, -1 at the head.
 
     Incidence matrices are totally unimodular, as is every submatrix of
-    one, which makes them a convenient TU test corpus.
+    one, which makes them a convenient TU test corpus.  A node count or
+    endpoint that is not an int in range, and a loop, raise ``ShapeError``.
     """
-    rows = [[0] * len(arcs) for _ in range(n_nodes)]
+    rows = [[0] * len(arcs) for _ in range(_checked(n_nodes, "n_nodes"))]
     for j, (tail, head) in enumerate(arcs):
         if tail == head:
-            raise ValueError("loops have a zero column; pick distinct endpoints")
-        rows[tail][j] = 1
-        rows[head][j] = -1
+            raise ShapeError("loops have a zero column; pick distinct endpoints")
+        rows[_checked(tail, "tail", n_nodes)][j] = 1
+        rows[_checked(head, "head", n_nodes)][j] = -1
     return ExactMatrix(RATIONAL, rows, n_cols=len(arcs))
 
 

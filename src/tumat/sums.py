@@ -38,7 +38,10 @@ A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
 glue and delegates to the per-k functions.  One assembly builds every
 sum of either kind, after the guards of ``standard_repr_sum_k`` or the
-re-signing of a 3-sum signing.
+re-signing of a 3-sum signing.  A 3-sum is signed and certified on the
+caller's own glue: each summand's connector, and the witness's, is read
+once, rows x2, x0, x1 by columns y0, y1, y2 in the order the glue names
+them, and its signed target is looked up by the support of its D0.
 """
 
 from __future__ import annotations
@@ -69,11 +72,6 @@ FORM_UPPER_TRIANGULAR = "upper-triangular-11"
 
 # the kind of a signing held as ints -1, 0, 1 while a sum of signings is built
 _SIGNED = "signed"
-
-_CONNECTOR_TARGETS = {
-    FORM_IDENTITY: _exact(_SIGNED, [[1, 1, 0], [1, 0, 1], [0, -1, 1]], 3),
-    FORM_UPPER_TRIANGULAR: _exact(_SIGNED, [[1, 1, 0], [1, 1, 1], [0, 1, 1]], 3),
-}
 
 __all__ = [
     "SumOutcome",
@@ -308,6 +306,15 @@ _UNITS = {
 }
 
 
+# each 3-sum connector's signed target, keyed by its GF(2) D0: rows x2, x0, x1 by columns y0, y1, y2 as
+# the glue names them, read off its form's target through ``is_unit_2x2``'s permutations f and g
+_SIGNED_CONNECTORS = {
+    d0: tuple(tuple(target[r][c] for c in (g[0], g[1], 2)) for r in (0, 1 + f[0], 1 + f[1]))
+    for d0, (f, g, form) in _UNITS.items()
+    for target in [((1, 1, 0), (1, 0, 1), (0, -1, 1)) if form == FORM_IDENTITY else ((1, 1, 0), (1, 1, 1), (0, 1, 1))]
+}
+
+
 def is_unit_2x2(
     a: ExactMatrix,
 ) -> Optional[tuple[tuple[int, int], tuple[int, int], str]]:
@@ -377,50 +384,43 @@ def canonical_signing_sum3(
     """Signing of a 3-sum built from TU signings of its summands.
 
     Both signings are re-signed so their shared 3x3 connector submatrix
-    (rows x2, x0, x1 by columns y0, y1, y2, taken in the order that
-    brings the connector to its canonical form) equals a fixed target (a
-    signing already at the target is kept as it is), then the sum is
-    assembled on int signs with exact bottom-left block
-    D'r * (D'0)^-1 * D'l: the target's D'0 has determinant +-1, so its
-    inverse is det * adj(D'0), an int matrix.  The output is labeled like
-    the Valid outcome of ``standard_repr_sum_3`` on the summand supports.
-    It is TU when both summand signings are; nothing here checks either.
-    Glue labels that are not six distinct names, and connectors whose
+    (rows x2, x0, x1 by columns y0, y1, y2, in the order the glue names
+    them) equals the target looked up by its D0's support (a signing
+    already at the target is kept as it is), then the sum is assembled on
+    int signs with exact bottom-left block D'r * (D'0)^-1 * D'l: the
+    target's D'0 has determinant +-1, so its inverse is det * adj(D'0), an
+    int matrix.  The output is labeled like the Valid outcome of
+    ``standard_repr_sum_3`` on the summand supports.  It is TU when both
+    summand signings are; nothing here checks either.  Glue labels that
+    are not six distinct names, a missing glue line, and connectors whose
     supports differ or are singular, raise.
     """
     _require_rational(signed_left, signed_right)
     if len(set(labels.xs)) < 3 or len(set(labels.ys)) < 3:
         raise ShapeError("glue labels must be six distinct names")
-    x01, y01 = labels.xs[:2], labels.ys[:2]  # each connector's support, off its 2x2 cut
-    d0_left, d0_right = (support(_labeled(x01, y01, _cut(side, x01, y01))).body.rows
-                         for side in (signed_left, signed_right))
+    xs, sides = (labels.x2, labels.x0, labels.x1), [_ints(signed_left), _ints(signed_right)]
+    connectors = [_cut(side, xs, labels.ys) for side in sides]  # each read once: D0 is its bottom-left 2x2
+    d0_left, d0_right = (tuple(row[:2] for row in support(_labeled(xs, labels.ys, c)).body.rows[1:])
+                         for c in connectors)
     if d0_left != d0_right:
         raise ShapeError("connector supports of the two signings differ")
-    unit = _UNITS.get(d0_left)
-    if unit is None:
+    target = _SIGNED_CONNECTORS.get(d0_left)
+    if target is None:
         raise ShapeError("connector block is singular")
-    cut, target = _canonical_cut(labels, unit)
-    xs = (cut.x2, cut.x0, cut.x1)
 
-    def resign(side: LabeledMatrix) -> LabeledMatrix:  # scale whole rows and columns so the connector is target
-        scales = _line_scales(_cut(side, xs, cut.ys).rows, target.rows)
+    def resign(side: LabeledMatrix, connector: ExactMatrix) -> LabeledMatrix:  # scale lines so connector is target
+        scales = _line_scales(connector.rows, target)
         signs = scales and list(map(mul, *scales))  # a scale num / den of +-1 is num * den
         if not signs or not {1, -1}.issuperset(signs):  # no scaling, or one not by signs
             raise ShapeError("no row/column sign scaling reaches the target")
         if -1 not in signs:  # the connector already is the target: the summand is kept as it is
             return side
-        rs, cs = dict(zip(xs, signs)), dict(zip(cut.ys, signs[3:]))
+        rs, cs = dict(zip(xs, signs)), dict(zip(labels.ys, signs[3:]))
         body = scale_rows_cols(side.body, [rs.get(u, 1) for u in side.row_labels],
                                [cs.get(v, 1) for v in side.col_labels])
         return _labeled(side.row_labels, side.col_labels, body)
 
-    return _rational(_assemble(resign(_ints(signed_left)), resign(_ints(signed_right)), cut))
-
-
-def _canonical_cut(labels: Sum3Labels, unit) -> tuple[Sum3Labels, ExactMatrix]:
-    """The glue with x0, x1 and y0, y1 in the order of ``is_unit_2x2``'s permutations, and its target."""
-    (f, g, form), xs, ys = unit, labels.xs, labels.ys
-    return Sum3Labels(xs[f[0]], xs[f[1]], labels.x2, ys[g[0]], ys[g[1]], labels.y2), _CONNECTOR_TARGETS[form]
+    return _rational(_assemble(*map(resign, sides, connectors), labels))
 
 
 def _pair(glue) -> tuple[Label, Label]:
@@ -477,9 +477,10 @@ def certifies_sum(
     BL has rank k - 1, the exact k-separation (Seymour 1980).  For a
     2-sum BL = c * r, and the blocks are [A; r] and [c | A'] (Schrijver
     1986, section 19.4), read off the witness by label: r at a row of BL,
-    c up to one sign at a column.  For a 3-sum the connector is in its
-    canonical signed form, so D0 = BL[X, Y] at X = (x0, x1), Y = (y0, y1)
-    is a unit and rank 2 means BL = BL[:, Y] * D0^-1 * BL[X, :].  A summand
+    c up to one sign at a column.  For a 3-sum the connector, read once,
+    equals the signed target of its D0's support, so D0 = BL[X, Y] at
+    X = (x0, x1), Y = (y0, y1) is a unit and rank 2 means
+    BL = BL[:, Y] * D0^-1 * BL[X, :].  A summand
     signing that lacks its glue lines or has a non-integer entry is refused.
     The witness is read once: an entry that is not an integer, or whose
     absolute value is not ``b``'s, refuses it.
@@ -500,11 +501,8 @@ def certifies_sum(
         return False
     left_rows, right_cols = signed_left.row_labels, signed_right.col_labels
     if isinstance(glue, Sum3Labels):
-        unit = _UNITS.get(tuple(tuple(map(abs, row)) for row in _cut(w, xs, ys).rows))
-        if unit is None:
-            return False
-        cut, target = _canonical_cut(glue, unit)
-        if _cut(w, (cut.x2, cut.x0, cut.x1), cut.ys).rows != target.rows:
+        connector = _cut(w, (glue.x2, *xs), glue.ys).rows  # rows x2, x0, x1: D0 is its bottom-left 2x2
+        if connector != _SIGNED_CONNECTORS.get(tuple(tuple(map(abs, row[:2])) for row in connector[1:])):
             return False
     elif glue is not None:
         # BL = c * r: [A; r] and [c | A'] are W with u for x, v for y, u BL's first nonzero row, v r's first nonzero

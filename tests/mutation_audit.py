@@ -94,7 +94,17 @@ MUTANTS = (
            "if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):",
            "if _int_rows_rank(bl) != len(xs):", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-canonical-connector", SUMS,
-           "if _cut(w, (cut.x2, cut.x0, cut.x1), cut.ys).rows != target.rows:", "if False:", (T_SUMS,), "verdict"),
+           "if connector != _SIGNED_CONNECTORS.get(tuple(tuple(map(abs, row[:2])) for row in connector[1:])):",
+           "if False:", (T_SUMS,), "verdict"),
+    # the signed connector table read with x0 and x1, or y0 and y1, the wrong way round
+    Mutant("signed-connectors-swap-the-glue-rows", SUMS,
+           "d0: tuple(tuple(target[r][c] for c in (g[0], g[1], 2)) for r in (0, 1 + f[0], 1 + f[1]))",
+           "d0: tuple(tuple(target[r][c] for c in (g[0], g[1], 2)) for r in (0, 1 + f[1], 1 + f[0]))",
+           (T_SUMS, T_CLI), "verdict"),
+    Mutant("signed-connectors-swap-the-glue-columns", SUMS,
+           "d0: tuple(tuple(target[r][c] for c in (g[0], g[1], 2)) for r in (0, 1 + f[0], 1 + f[1]))",
+           "d0: tuple(tuple(target[r][c] for c in (g[1], g[0], 2)) for r in (0, 1 + f[0], 1 + f[1]))",
+           (T_SUMS, T_CLI), "verdict"),
     Mutant("bases-equal-counts-only", MATROID,
            "return m1.count_bases() == m2.count_bases() and m1.bases() == m2.bases()",
            "return m1.count_bases() == m2.count_bases()", (T_MATROID,), "verdict"),

@@ -220,10 +220,20 @@ def test_certificate_runs_no_producer():
     for name in reached:  # breadth first: the loop reaches what it appends
         reached += sorted(n for n in loaded_names(defs[name]) & defs.keys()
                           if n.startswith("_") and n not in reached)
-    assert {"_layout", "_pair", "_cut", "_ints", "_canonical_cut", "_line_scales", "_support_graph"} <= set(reached)
+    assert {"_layout", "_pair", "_cut", "_ints", "_line_scales", "_support_graph"} <= set(reached)
     assert not loaded_names(defs["_line_scales"]) & PRODUCERS
     assert [(name, sorted(loaded_names(defs[name]) & PRODUCERS)) for name in reached
             if loaded_names(defs[name]) & PRODUCERS] == []
+
+
+def test_sums_builds_no_glue():
+    # a 3-sum is signed, assembled and certified on the caller's own
+    # Sum3Labels: sums.py reads each connector in the order the glue names
+    # it and builds no relabeled copy of the glue
+    tree = ast.parse((ROOT / "src" / "tumat" / "sums.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name) and n.func.id == "Sum3Labels"] == []
+    assert any(isinstance(n, ast.ClassDef) and n.name == "Sum3Labels" for n in tree.body)
 
 
 def readers(name):

@@ -12,6 +12,7 @@ from tumat import (
     FiniteMatroid,
     LabeledMatrix,
     ShapeError,
+    SizeGuardError,
     StandardRepr,
     Sum3Labels,
     compose,
@@ -204,6 +205,19 @@ def test_standardize_tu_rejects_bad_input():
     gf2 = LabeledMatrix(["r"], ["a"], ExactMatrix(GF2, [[1]]))
     with pytest.raises(ShapeError):
         standardize_tu(gf2, ["a"])
+
+
+def test_standardize_tu_force_lifts_the_size_guard():
+    # [I_9 | I_9] is TU but past the TU check's size guard: without force
+    # standardize_tu refuses it, and with force it returns B = I_9 at the
+    # last nine columns
+    eye = ExactMatrix.identity(9, RATIONAL)
+    rep = LabeledMatrix(labels("r", 9), labels("c", 18), from_cols(eye, eye))
+    base = rep.col_labels[9:]
+    with pytest.raises(SizeGuardError, match=r"^TU check on a 9x18 matrix exceeds the size guard \(min dim > 8\)$"):
+        standardize_tu(rep, base)
+    s = standardize_tu(rep, base, force=True)
+    assert (s.X, s.Y) == (base, rep.col_labels[:9]) and s.B.body == eye
 
 
 def test_fundamental_repr_round_trip():

@@ -45,7 +45,7 @@ from tumat import (
 )
 from tumat import parse_standard_repr_document, sums as sums_module, tu as tu_module
 from tumat.exactmat import _SIGNS, _exact
-from tumat.sums import _CONNECTOR_TARGETS, _SIGNED, _UNITS, _assemble, _cut, _head, _stacked
+from tumat.sums import _SIGNED, _SIGNED_CONNECTORS, _UNITS, _assemble, _cut, _head, _stacked
 from tumat.tu import _line_scales
 
 from helpers import (
@@ -227,6 +227,28 @@ def test_sum_3_reads_each_glue_block_once(monkeypatch):
         assert calls == {"select": 0, "entry": 0, "_cut": 8}
 
 
+def test_sum_3_signing_and_certificate_read_each_connector_once(monkeypatch):
+    # a 3-sum signing reads each summand's connector once and the assembly
+    # reads four blocks; the certificate reads the bottom-left and top-right
+    # blocks, the witness's connector once and the two summand blocks
+    calls = []
+
+    def record_cut(*args):
+        calls.append(args[1:])
+        return _cut(*args)
+
+    monkeypatch.setattr("tumat.sums._cut", record_cut)
+    for left, right, glue, d0 in sum3_corpus(per_unit=2):
+        signed_left, signed_right, b = is_regular(left), is_regular(right), compose(left, right, glue).result.B
+        calls.clear()
+        w = sign_composition(signed_left, signed_right, glue)
+        assert len(calls) == 6, d0
+        assert calls[:2] == [((glue.x2, glue.x0, glue.x1), glue.ys)] * 2
+        calls.clear()
+        assert certifies_sum(w, b, signed_left, signed_right, glue)
+        assert len(calls) == 5 and calls.count(((glue.x2, glue.x0, glue.x1), glue.ys)) == 1, d0
+
+
 def test_block_readers_report_the_first_missing_label_as_the_lookups_do():
     # _cut and select look up each axis's labels in one pass; a missing
     # label, the first one in order and rows before columns, raises the
@@ -315,7 +337,33 @@ def test_stacked_matches_a_per_row_reference(kind, k):
     assert repeated >= 10
 
 
-# D0^-1 written out by hand: for the six GF(2) units, then for the D'0 of each signed target
+# the canonical signed forms, rows x2, x0, x1 by columns y0, y1, y2 with x0, x1 and y0, y1 taken
+# in the order of ``is_unit_2x2``'s permutations
+FORM_TARGETS = {FORM_IDENTITY: [[1, 1, 0], [1, 0, 1], [0, -1, 1]],
+                FORM_UPPER_TRIANGULAR: [[1, 1, 0], [1, 1, 1], [0, 1, 1]]}
+
+
+def test_signed_connectors_are_the_form_targets_on_the_callers_glue():
+    # each unit's entry holds its form's target with rows x2, x0, x1 and
+    # columns y0, y1, y2 as the caller names them: the caller's x_i is the
+    # form's row x_k with f[k] = i, its y_j the form's column y_k with
+    # g[k] = j; the entry's D0 block has the key as its support, and
+    # sign_composition writes that entry at the connector of every 3-sum
+    assert set(_SIGNED_CONNECTORS) == set(_UNITS) == set(UNIT_D0S)
+    for d0, entry in _SIGNED_CONNECTORS.items():
+        f, g, form = is_unit_2x2(ExactMatrix(GF2, d0))
+        target = FORM_TARGETS[form]
+        rows = [0] + [1 + f.index(i) for i in (0, 1)]
+        cols = [g.index(j) for j in (0, 1)] + [2]
+        assert [list(row) for row in entry] == [[target[r][c] for c in cols] for r in rows], d0
+        assert tuple(tuple(abs(x) for x in row[:2]) for row in entry[1:]) == d0
+    for left, right, glue, d0 in sum3_corpus(per_unit=2):
+        w = sign_composition(is_regular(left), is_regular(right), glue)
+        assert w.select((glue.x2, glue.x0, glue.x1), glue.ys).body.to_lists() == \
+            [list(row) for row in _SIGNED_CONNECTORS[d0]], d0
+
+
+# D0^-1 written out by hand: for the six GF(2) units, then for the D'0 of each signed connector
 D0_INVERSES = {
     (GF2, ((1, 0), (0, 1))): ((1, 0), (0, 1)),
     (GF2, ((0, 1), (1, 0))): ((0, 1), (1, 0)),
@@ -325,6 +373,10 @@ D0_INVERSES = {
     (GF2, ((1, 1), (1, 0))): ((0, 1), (1, 1)),
     (_SIGNED, ((1, 0), (0, -1))): ((1, 0), (0, -1)),
     (_SIGNED, ((1, 1), (0, 1))): ((1, -1), (0, 1)),
+    (_SIGNED, ((0, -1), (1, 0))): ((0, 1), (-1, 0)),
+    (_SIGNED, ((0, 1), (1, 1))): ((-1, 1), (1, 0)),
+    (_SIGNED, ((1, 1), (1, 0))): ((0, 1), (1, -1)),
+    (_SIGNED, ((1, 0), (1, 1))): ((1, 0), (-1, 1)),
 }
 
 
@@ -348,11 +400,11 @@ def test_sum3_basis_matches_a_per_row_reference(kind, d0):
     # _assemble takes D0^-1 from the adjugate of the D0 it reads off the left
     # rows x0, x1; every bottom row must equal d * D0^-1 * [Dl | D0] formed
     # per row from the inverse written out by hand, for every GF(2) unit and
-    # both signed connectors, at random label positions and rest sizes
+    # all six signed connectors, at random label positions and rest sizes
     inv = D0_INVERSES[kind, d0]
     product = [[sum(d0[i][k] * inv[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
     assert ([[x % 2 for x in row] for row in product] if kind == GF2 else product) == [[1, 0], [0, 1]]
-    targets = {tuple(tuple(row[:2]) for row in t.rows[1:]) for t in _CONNECTOR_TARGETS.values()}
+    targets = {tuple(tuple(row[:2]) for row in t[1:]) for t in _SIGNED_CONNECTORS.values()}
     assert {d for k, d in D0_INVERSES if k == GF2} == set(_UNITS)
     assert {d for k, d in D0_INVERSES if k == _SIGNED} == targets
     rng = random.Random(f"sum3 basis {kind} {d0}")
@@ -493,6 +545,12 @@ def mutate(data, i, j, v):
     out = [row[:] for row in data]
     out[i][j] = v
     return out
+
+
+def without(m, line):
+    """The labeled matrix m without its row or column labeled ``line``."""
+    rows, cols = [u for u in m.row_labels if u != line], [v for v in m.col_labels if v != line]
+    return LabeledMatrix(rows, cols, _cut(m, rows, cols))
 
 
 def test_sum_3_labels_not_distinct():
@@ -747,6 +805,19 @@ def test_canonical_signing_refuses_bad_glue():
     for bad in (Sum3Labels("x0", "x0", "x2", "y0", "y1", "y2"), Sum3Labels("x0", "x1", "x2", "y0", "y1", "y1")):
         with pytest.raises(ShapeError, match="glue labels must be six distinct names"):
             canonical_signing_sum3(signed_left, signed_right, bad)
+
+
+def test_canonical_signing_reports_a_missing_glue_line_before_differing_supports():
+    # each connector is read whole, rows x2, x0, x1 by columns y0, y1, y2,
+    # before the supports are compared: a signing without row x2 or column
+    # y2 raises for that label even where the other side's D0 support differs
+    signed_left, signed_right, glue = signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET)
+    other = LabeledMatrix(signed_right.row_labels, signed_right.col_labels,
+                          ExactMatrix(RATIONAL, mutate(RIGHT3_AT_TARGET, 0, 1, 1)))
+    for line, axis in (("x2", "row"), ("y2", "column")):
+        for pair in ((without(signed_left, line), other), (signed_left, without(other, line))):
+            with pytest.raises(ShapeError, match=f"^no {axis} labeled '{line}'$"):
+                canonical_signing_sum3(*pair, glue)
 
 
 def test_canonical_signing_identity_connector():
@@ -1134,10 +1205,6 @@ def test_block_rule_refuses_a_summand_without_its_glue_line():
     def labeled(rows, cols, body, kind=RATIONAL):
         return LabeledMatrix(rows, cols, ExactMatrix(kind, body))
 
-    def without(m, line):
-        rows, cols = [u for u in m.row_labels if u != line], [v for v in m.col_labels if v != line]
-        return LabeledMatrix(rows, cols, _cut(m, rows, cols))
-
     for rows, cols, body, left, right in (
         (["a", "b"], ["p", "y"], [[1, 1], [1, -1]],
          labeled(["a"], ["p", "y"], [[1, 1]]), labeled(["b"], ["y"], [[1]])),
@@ -1221,6 +1288,22 @@ def test_certificate_compares_the_witness_with_b_everywhere():
         for u, v in product(b.row_labels, b.col_labels):
             bad_b = with_entry(b, u, v, 1 - b.entry(u, v), GF2)
             assert not certifies_sum(w, bad_b, signed_left, signed_right, glue), (glue, u, v)
+
+
+def test_certificate_refuses_a_witness_labeled_unlike_b():
+    # the certificate's first test: W must carry B's row and column labels
+    # in B's order.  A valid witness with two rows swapped, labels and rows
+    # together, one with a column relabeled, and one checked against another
+    # sum's B are each refused, for each k, and nothing raises
+    sums = fixture_sums()
+    for w, b, signed_left, signed_right, glue in sums:
+        order = [1, 0] + list(range(2, len(w.row_labels)))
+        swapped = LabeledMatrix([w.row_labels[i] for i in order], w.col_labels,
+                                ExactMatrix(RATIONAL, [w.body.rows[i] for i in order]))
+        relabeled = LabeledMatrix(w.row_labels, ("stray",) + w.col_labels[1:], w.body)
+        other_b = next(o for _, o, *_ in sums if (o.row_labels, o.col_labels) != (b.row_labels, b.col_labels))
+        for bad_w, bad_b in ((swapped, b), (relabeled, b), (w, other_b)):
+            assert not certifies_sum(bad_w, bad_b, signed_left, signed_right, glue), glue
 
 
 def recorded(monkeypatch, module, name):

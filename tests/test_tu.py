@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 from collections import Counter
@@ -241,6 +242,21 @@ def test_incidence_matrices_are_tu():
         assert is_totally_unimodular(a).is_tu
     with pytest.raises(ValueError, match="loops"):
         incidence_matrix(2, [(0, 1), (1, 1)])
+
+
+def test_incidence_matrix_checks_its_nodes():
+    # an endpoint outside range(n_nodes), a negative one included, and a
+    # node count that is not a size raise ShapeError; so does a loop, which
+    # an ``except ValueError`` still catches
+    for n_nodes, arcs, message in ((3, [(0, -1)], "head -1 out of range"), (3, [(3, 0)], "tail 3 out of range"),
+                                   (3, [(0, 1), (1, 5)], "head 5 out of range"), (-1, [], "n_nodes -1 out of range"),
+                                   (2.0, [], "n_nodes must be an int, got 2.0"),
+                                   (3, [(1, 1)], "loops have a zero column; pick distinct endpoints")):
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            incidence_matrix(n_nodes, arcs)
+    with pytest.raises(ValueError, match="loops"):
+        incidence_matrix(2, [(0, 1), (1, 1)])
+    assert incidence_matrix(3, [(0, 2)]).to_lists() == [[1], [0], [-1]]
 
 
 def oracle_verdict(a):
