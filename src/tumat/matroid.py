@@ -56,7 +56,7 @@ def _check_labels(labels: Sequence[Label], what: str) -> tuple[Label, ...]:
 class LabeledMatrix:
     """An ExactMatrix with distinct row and column labels."""
 
-    __slots__ = ("row_labels", "col_labels", "body", "_row_pos", "_col_pos")
+    __slots__ = ("row_labels", "col_labels", "body")
 
     def __init__(self, row_labels: Sequence[Label], col_labels: Sequence[Label], body: ExactMatrix):
         self.row_labels = _check_labels(row_labels, "row")
@@ -69,7 +69,6 @@ class LabeledMatrix:
                 f"{len(self.row_labels)}x{len(self.col_labels)}"
             )
         self.body = body
-        self._row_pos = self._col_pos = None
 
     @property
     def kind(self) -> str:
@@ -82,15 +81,9 @@ class LabeledMatrix:
         return self._positions((label,), False)[0]
 
     def _positions(self, labels: Iterable[Label], rows: bool) -> list[int]:
-        """The row (``rows``) or column position of each label, in order, by one lookup pass; the
-        first missing label raises."""
-        pos = self._row_pos if rows else self._col_pos
-        if pos is None:  # built on the first lookup: most matrices are never looked up
-            pos = {lbl: i for i, lbl in enumerate(self.row_labels if rows else self.col_labels)}
-            if rows:
-                self._row_pos = pos
-            else:
-                self._col_pos = pos
+        """The row (``rows``) or column position of each label, in order, by one lookup pass over
+        a label-to-position dict built for this call; the first missing label raises."""
+        pos = {lbl: i for i, lbl in enumerate(self.row_labels if rows else self.col_labels)}
         try:
             return list(map(pos.__getitem__, labels))
         except KeyError as exc:
@@ -123,15 +116,14 @@ def _labeled(row_labels: Sequence[Label], col_labels: Sequence[Label], body: Exa
     """A ``LabeledMatrix`` over already checked labels, one per body row or column; no checks."""
     m = object.__new__(LabeledMatrix)
     m.row_labels, m.col_labels, m.body = tuple(row_labels), tuple(col_labels), body
-    m._row_pos = m._col_pos = None
     return m
 
 
 def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> ExactMatrix:
     """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
     checked for repeats.  Each axis's labels are looked up in one ``LabeledMatrix._positions``
-    call, so a missing one raises as ``row_position`` or ``col_position`` does.  Rows stay shared
-    when ``cols`` are b's own column labels."""
+    call, which maps that axis afresh, so a missing one raises as ``row_position`` or
+    ``col_position`` does.  ``cols`` equal to b's own labels are not mapped, and rows stay shared."""
     body_rows = b.body.rows
     kept = [body_rows[i] for i in b._positions(rows, True)]
     if tuple(cols) != b.col_labels:

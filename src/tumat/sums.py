@@ -480,8 +480,8 @@ def certifies_sum(
     c up to one sign at a column.  For a 3-sum the connector, read once,
     equals the signed target of its D0's support, so D0 = BL[X, Y] at
     X = (x0, x1), Y = (y0, y1) is a unit and rank 2 means
-    BL = BL[:, Y] * D0^-1 * BL[X, :].  A summand
-    signing that lacks its glue lines or has a non-integer entry is refused.
+    BL = BL[:, Y] * D0^-1 * BL[X, :].  A signing without its glue lines (a 2-sum's
+    left x and right y, a 3-sum's six in both) or with a non-integer entry is refused.
     The witness is read once: an entry that is not an integer, or whose
     absolute value is not ``b``'s, refuses it.
     """
@@ -501,8 +501,9 @@ def certifies_sum(
         return False
     left_rows, right_cols = signed_left.row_labels, signed_right.col_labels
     if isinstance(glue, Sum3Labels):
-        connector = _cut(w, (glue.x2, *xs), glue.ys).rows  # rows x2, x0, x1: D0 is its bottom-left 2x2
-        if connector != _SIGNED_CONNECTORS.get(tuple(tuple(map(abs, row[:2])) for row in connector[1:])):
+        if not all({*glue.xs} <= {*s.row_labels} and {*glue.ys} <= {*s.col_labels} for s in (signed_left, signed_right)):
+            return False
+        if _cut(w, (glue.x2, *xs), glue.ys).rows not in _SIGNED_CONNECTORS.values():  # a target's D0 support is its key
             return False
     elif glue is not None:
         # BL = c * r: [A; r] and [c | A'] are W with u for x, v for y, u BL's first nonzero row, v r's first nonzero

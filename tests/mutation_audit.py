@@ -94,7 +94,10 @@ MUTANTS = (
            "if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):",
            "if _int_rows_rank(bl) != len(xs):", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-canonical-connector", SUMS,
-           "if connector != _SIGNED_CONNECTORS.get(tuple(tuple(map(abs, row[:2])) for row in connector[1:])):",
+           "if _cut(w, (glue.x2, *xs), glue.ys).rows not in _SIGNED_CONNECTORS.values():  # a target's D0 support is its key",
+           "if False:", (T_SUMS,), "verdict"),
+    Mutant("certificate-skips-the-3-sum-glue-lines", SUMS,
+           "if not all({*glue.xs} <= {*s.row_labels} and {*glue.ys} <= {*s.col_labels} for s in (signed_left, signed_right)):",
            "if False:", (T_SUMS,), "verdict"),
     # the signed connector table read with x0 and x1, or y0 and y1, the wrong way round
     Mutant("signed-connectors-swap-the-glue-rows", SUMS,

@@ -183,6 +183,7 @@ def test_each_result_stores_its_deciding_fact_once():
     assert StandardRepr.__slots__ == ("B",)
     assert list(inspect.signature(StandardRepr.__init__).parameters) == ["self", "b"]
     assert "n_rows" not in ExactMatrix.__slots__
+    assert LabeledMatrix.__slots__ == ("row_labels", "col_labels", "body")
 
 
 def test_every_slot_is_read():
@@ -373,12 +374,56 @@ def file_reads():
 
 def test_documents_are_read_in_one_place_in_binary():
     # cli._read decodes each file once and keeps universal newlines itself,
-    # so no other reader can drift from it; LabeledMatrix's position maps
-    # are touched only in matroid.py, by the class and its builder _labeled,
-    # so every label lookup raises the one missing-label message
+    # so no other reader can drift from it
     assert file_reads() == [("src/tumat/cli.py", "_read", "rb")]
-    for name in ("_row_pos", "_col_pos"):
-        assert readers(name) == [("src/tumat/matroid.py", "LabeledMatrix"), ("src/tumat/matroid.py", "_labeled")]
+
+
+def self_writes(tree):
+    """Line of each write, in a method other than ``__init__``, to an attribute of the method's
+    first parameter: ``=``, augmented or annotated assignment, ``del``, or ``setattr``/``delattr``."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__" or not method.args.args:
+                continue
+            me = method.args.args[0].arg
+            for n in ast.walk(method):
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                    owner = n.value
+                elif isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("setattr", "delattr") and n.args:
+                    owner = n.args[0]
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id == me:
+                    found.append(n.lineno)
+    return found
+
+
+def test_no_value_changes_after_it_is_built():
+    # every package value is built whole, by its constructor or a trusted
+    # builder, and no method changes it afterwards, so no hidden state
+    # (a cache filled on first use) can drift from the fields it derives from
+    found = []
+    paths = sorted((ROOT / "src" / "tumat").rglob("*.py"))
+    assert len(paths) >= 10
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.relative_to(ROOT)}:{line}" for line in self_writes(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "self.a = 1", "self.a += 1", "self.a: int = 1", "self.a, b = 1, 2", "del self.a",
+    "setattr(self, 'a', 1)", "delattr(self, 'a')", "def f():\n            self.a = 1",
+])
+def test_self_writes_sees_each_way_to_change_a_field(source):
+    # the write is the last line; __init__'s write and a write to another
+    # parameter are not changes of a built value
+    code = ("class C:\n    def __init__(self):\n        self.a = 0\n"
+            f"    def m(self, other):\n        other.a = 1\n        {source}\n")
+    assert self_writes(ast.parse(code)) == [code.count("\n")]
 
 
 def test_values_are_quoted_only_through_shown():

@@ -1241,6 +1241,24 @@ def test_block_rule_refuses_a_summand_without_its_glue_line():
     assert seen[False] > 0, seen
 
 
+def test_block_rule_refuses_a_3_sum_signing_without_any_glue_line():
+    # both signings of a 3-sum hold all six glue lines; each dropped in turn
+    # from one signing, and from W and B where they hold it, is refused
+    # before W's connector is read, so no missing-label error escapes
+    calls = Counter()
+    for left, right, glue, _ in sum3_corpus(per_unit=6):
+        signed = is_regular(left), is_regular(right)
+        s = compose(left, right, glue).result
+        w = sign_composition(*signed, glue)
+        assert certifies_sum(w, s.B, *signed, glue)
+        for line, side in product(glue.xs + glue.ys, (0, 1)):
+            short = [without(m, line) if i == side else m for i, m in enumerate(signed)]
+            held = line in w.row_labels + w.col_labels
+            bad_w, bad_b = (without(w, line), without(s.B, line)) if held else (w, s.B)
+            calls[certifies_sum(bad_w, bad_b, *short, glue)] += 1
+    assert calls == {False: 432}
+
+
 def fixture_sums():
     """(witness, B, left signing, right signing, glue) of the sums of the fixture pairs, one per k."""
     pairs = [tuple(parse_standard_repr_document((FIXTURES / f"sum{k}_{side}.json").read_text())
