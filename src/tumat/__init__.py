@@ -26,7 +26,6 @@ from .stdrepr import (
     is_regular,
     standardize,
     standardize_tu,
-    support,
 )
 from .sums import (
     FORM_IDENTITY,

@@ -123,9 +123,9 @@ def _cut(b: LabeledMatrix, rows: Sequence[Label], cols: Sequence[Label]) -> Exac
     """``b``'s body on the rows ``rows`` and columns ``cols``, in the order given; labels are not
     checked for repeats.  Each axis's labels are looked up in one ``LabeledMatrix._positions``
     call, which maps that axis afresh, so a missing one raises as ``row_position`` or
-    ``col_position`` does.  ``cols`` equal to b's own labels are not mapped, and rows stay shared."""
+    ``col_position`` does.  Labels equal to b's own on an axis are not mapped, and rows stay shared."""
     body_rows = b.body.rows
-    kept = [body_rows[i] for i in b._positions(rows, True)]
+    kept = body_rows if tuple(rows) == b.row_labels else [body_rows[i] for i in b._positions(rows, True)]
     if tuple(cols) != b.col_labels:
         keep = b._positions(cols, False)
         if len(keep) > 1:

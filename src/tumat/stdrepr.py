@@ -20,7 +20,6 @@ __all__ = [
     "standardize",
     "standardize_tu",
     "fundamental_repr",
-    "support",
     "is_regular",
 ]
 
@@ -122,12 +121,6 @@ def fundamental_repr(m: FiniteMatroid, base_labels: Iterable[Label]) -> Standard
         rest = g - {x}
         rows.append([1 if m.indep(rest | {y}) else 0 for y in y_order])
     return StandardRepr(_labeled(x_order, y_order, _exact(GF2, rows, len(y_order))))
-
-
-def support(rep: LabeledMatrix) -> LabeledMatrix:
-    """GF(2) matrix marking the nonzero entries of ``rep``."""
-    rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]
-    return _labeled(rep.row_labels, rep.col_labels, _exact(GF2, rows, rep.body.n_cols))
 
 
 def is_regular(s: StandardRepr, *, force: bool = False) -> Optional[LabeledMatrix]:

@@ -26,13 +26,17 @@ once to a shared Fraction.  ``certifies_sum`` certifies a signed
 sum by its blocks, with no TU check: each summand's certified signing
 must sit in the sum, up to row and column signs, and the bottom-left
 block must have rank k - 1, one rank test for every k.  It reads the
-witness and each signing once, into int signs.  The signs are solved by
+witness once into int signs, and a signing only where its block of the
+witness is not the signing itself.  The signs are solved by
 ``tu._line_scales``, on the forest the signing search pins, and need no
-forest where a block equals its signing: every 1-sum block, most 2-sum
-blocks, and the block of a 3-sum summand already at its target.  Every
-block read off a checked labeled matrix, the glue lines of the validity
-guards and the certificate's summand blocks included, goes through one
-reader, ``matroid._cut``, which looks up each axis's labels in one call.
+solving where a block equals its signing: every 1-sum block, most 2-sum
+blocks, and the block of a 3-sum summand already at its target.
+
+Each labeled matrix is read once, by ``matroid._cut``, which looks up
+each axis's labels in one call: ``_reads`` reads each summand, or summand
+signing, its glue lines first, and the guards, the connector and every
+block of the assembly are slices of that read.  The certificate reads
+the witness twice, for the sum's four blocks and for its summand blocks.
 
 A sum is named by its glue value: None for a 1-sum, the pair (x, y) for
 a 2-sum and a ``Sum3Labels`` for a 3-sum.  ``compose`` reads k off the
@@ -48,13 +52,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, xor
+from itertools import chain, repeat
+from operator import add, attrgetter, mul, neg, xor
 from typing import Optional, Sequence
 
 from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _cut, _labeled, matroids_equal
-from .stdrepr import StandardRepr, support
+from .stdrepr import StandardRepr
 from .tu import _line_scales, scale_rows_cols
 
 REASON_X_OVERLAP = "x-overlap"
@@ -72,6 +77,8 @@ FORM_UPPER_TRIANGULAR = "upper-triangular-11"
 
 # the kind of a signing held as ints -1, 0, 1 while a sum of signings is built
 _SIGNED = "signed"
+# a Fraction's two parts, read entry by entry by ``map`` rather than by a comprehension
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 __all__ = [
     "SumOutcome",
@@ -157,12 +164,15 @@ def _stacked(top: ExactMatrix, coeffs, basis, tail: ExactMatrix) -> ExactMatrix:
 
 
 def _head(kind: str, cs: Sequence, basis: Sequence[tuple]) -> tuple:
-    """The combination of up to two basis rows with the weights ``cs``, not all zero: over GF(2)
-    the picked rows XORed, with no product; over Q and on int signs, a sum of products."""
+    """The combination of up to two basis rows with the weights ``cs``, not all zero, row by row:
+    over GF(2) the picked rows XORed; over Q and on int signs each picked row as it is for weight
+    1, negated for -1 and scaled for any other weight, and two picked rows added."""
     if kind == GF2:
         p = [b for c, b in zip(cs, basis) if c]
         return tuple(map(xor, *p)) if len(p) == 2 else p[0]
-    return tuple(sum(map(mul, cs, col)) for col in zip(*basis))
+    p = [b if c == 1 else tuple(map(neg, b)) if c == -1 else tuple(map(mul, repeat(c), b))
+         for c, b in zip(cs, basis) if c]
+    return tuple(map(add, *p)) if len(p) == 2 else p[0]
 
 
 def _check_glue(left: StandardRepr, right: StandardRepr, *shared: tuple[set, str]) -> None:
@@ -190,7 +200,8 @@ def standard_repr_sum_1(left: StandardRepr, right: StandardRepr) -> SumOutcome:
     y_shared = set(left.Y) & set(right.Y)
     if y_shared:
         return SumOutcome.invalid(REASON_Y_OVERLAP, f"shared column labels {sorted(y_shared)}")
-    return SumOutcome.ok(_assemble(left.B, right.B, None))
+    layout, *reads = _reads(left.B, right.B, None)
+    return SumOutcome.ok(_sum_of(layout, _assemble(*reads, None)))
 
 
 def standard_repr_sum_2(
@@ -202,11 +213,12 @@ def standard_repr_sum_2(
     either being all zero makes the sum Invalid.
     """
     _check_glue(left, right, ({x}, "the glue label x"), ({y}, "the glue label y"))
-    if not any(_cut(left.B, (x,), left.Y).rows[0]):
+    layout, *reads = _reads(left.B, right.B, (x, y))  # the left's row x first, the right's column y first
+    if not any(reads[0].rows[0]):
         return SumOutcome.invalid(REASON_ZERO_ROW, f"row {_shown(x)} of the left summand is zero")
-    if not any(map(any, _cut(right.B, right.X, (y,)).rows)):
+    if not any(row[0] for row in reads[1].rows):
         return SumOutcome.invalid(REASON_ZERO_COL, f"column {_shown(y)} of the right summand is zero")
-    return SumOutcome.ok(_assemble(left.B, right.B, (x, y)))
+    return SumOutcome.ok(_sum_of(layout, _assemble(*reads, (x, y))))
 
 
 def standard_repr_sum_3(
@@ -226,65 +238,80 @@ def standard_repr_sum_3(
 
     if len(xs) < 3 or len(ys) < 3:
         return SumOutcome.invalid(REASON_LABELS_NOT_DISTINCT, "glue labels must be six distinct names")
-    # each summand's glue block, rows x0, x1, x2 by columns y0, y1, y2: D0 is its top-left 2x2
-    blocks = [_cut(side.B, labels.xs, labels.ys).rows for side in (left, right)]
-    d0_left, d0_right = ((g[0][:2], g[1][:2]) for g in blocks)
+    # each read starts with its summand's connector, rows x2, x0, x1 by columns y0, y1, y2: D0 is its bottom-left 2x2
+    layout, *reads = _reads(left.B, right.B, labels)
+    g_left, g_right = (m.rows for m in reads)
+    d0_left, d0_right = (tuple(row[:2] for row in g[1:3]) for g in (g_left, g_right))
     if d0_left != d0_right:
         return SumOutcome.invalid(REASON_D0_MISMATCH, "connector blocks of the two summands differ")
     if d0_left not in _UNITS:
         return SumOutcome.invalid(REASON_D0_SINGULAR, "connector block is singular")
-    for g, name in zip(blocks, ("left", "right")):
-        for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
+    rows = (labels.x2, labels.x0, labels.x1)
+    for g, name in ((g_left, "left"), (g_right, "right")):
+        for i, j in ((1, 2), (2, 2), (0, 0), (0, 1)):  # (x0, y2), (x1, y2), (x2, y0), (x2, y1)
             if g[i][j] != 1:
-                return SumOutcome.invalid(
-                    REASON_MISSING_ONE,
-                    f"{name} summand entry ({_shown(labels.xs[i])}, {_shown(labels.ys[j])}) must be 1",
-                )
-    for u, (e,) in zip(left.X, _cut(left.B, left.X, (labels.y2,)).rows):
-        if e and u not in (labels.x0, labels.x1):
-            return SumOutcome.invalid(
-                REASON_NONZERO_OUTSIDE,
-                f"left summand column {_shown(labels.y2)} must be zero at row {_shown(u)}",
-            )
-    for v, e in zip(right.Y, _cut(right.B, (labels.x2,), right.Y).rows[0]):
-        if e and v not in (labels.y0, labels.y1):
-            return SumOutcome.invalid(
-                REASON_NONZERO_OUTSIDE,
-                f"right summand row {_shown(labels.x2)} must be zero at column {_shown(v)}",
-            )
-
-    return SumOutcome.ok(_assemble(left.B, right.B, labels))
+                message = f"{name} summand entry ({_shown(rows[i])}, {_shown(labels.ys[j])}) must be 1"
+                return SumOutcome.invalid(REASON_MISSING_ONE, message)
+    _, _, top, _, _, right_cols = layout
+    for u, row in zip(top, g_left[3:]):  # column y2 at the left's rows but x0, x1
+        if row[2]:
+            message = f"left summand column {_shown(labels.y2)} must be zero at row {_shown(u)}"
+            return SumOutcome.invalid(REASON_NONZERO_OUTSIDE, message)
+    for v, e in zip(right_cols, g_right[0][3:]):  # row x2 at the right's columns but y0, y1
+        if e:
+            message = f"right summand row {_shown(labels.x2)} must be zero at column {_shown(v)}"
+            return SumOutcome.invalid(REASON_NONZERO_OUTSIDE, message)
+    return SumOutcome.ok(_sum_of(layout, _assemble(*reads, labels)))
 
 
-def _assemble(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> LabeledMatrix:
-    """The 1-, 2- or 3-sum of two labeled matrices of one kind at ``glue``; nothing is checked.
-
-    The glue names the left rows X that span the bottom-left block (x, or
-    x0 and x1), the right columns Y that weigh them (y, or y0 and y1), and
-    for a 3-sum the right row x2 and left column y2 the sum drops.  Rows
-    are the left rows without X, then the right rows without x2; columns
-    are the left columns without y2, then the right columns without Y, so
-    swapping x0 with x1 or y0 with y1 leaves them unchanged.  The bottom
-    row whose Y columns hold d starts with d * [r] for a 2-sum, r the left
-    row x, and with d * D0^-1 * [Dl | D0] for a 3-sum, where both summands
-    hold the unit D0 at X by Y: D0^-1 = det * adj(D0), det = +-1, weighs
-    the left rows X by ``_head`` into the rows of D0^-1 * [Dl | D0].
-    """
-    xs, ys, x_top, x_bottom, y_left, y_right = _layout(b_left, b_right, glue)
-    # a 1-sum has no glue, so no basis rows and an empty weight per bottom row
-    basis = _cut(b_left, xs, y_left).rows if xs else []
+def _reads(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple, ExactMatrix, ExactMatrix]:
+    """The ``_layout`` of the sum at ``glue``, then each summand read once by ``_cut``, glue lines
+    first: a 3-sum's connector, rows x2, x0, x1 by columns y0, y1, y2, ahead of the lines
+    ``_layout`` keeps of each summand (so a glue line the sum keeps is read twice), a 2-sum's
+    row x ahead of the left's other rows and column y ahead of the right's other columns."""
+    layout = xs, ys, top, bottom, left, right = _layout(b_left, b_right, glue)
+    rows = cols = ()
     if isinstance(glue, Sum3Labels):
-        (a, b), (c, d) = ([row[y_left.index(y)] for y in ys] for row in basis)
+        rows, cols = (glue.x2, *xs), glue.ys
+    return (layout, _cut(b_left, (*(rows or xs), *top), (*cols, *left)),
+            _cut(b_right, (*rows, *bottom), (*(cols or ys), *right)))
+
+
+def _assemble(left: ExactMatrix, right: ExactMatrix, glue) -> ExactMatrix:
+    """The body of the 1-, 2- or 3-sum at ``glue`` of two summands of one kind, cut out of their
+    ``_reads``; nothing is checked.
+
+    The left rows X that span the bottom-left block (x, or x0 and x1) are the basis rows, and
+    the right columns Y (y, or y0 and y1) weigh them: the bottom row whose Y entries are d starts
+    with d * [r] for a 2-sum, r the left row x, and with d * D0^-1 * [Dl | D0] for a 3-sum, where
+    both summands hold the unit D0 at X by Y: D0^-1 = det * adj(D0), det = +-1, weighs the basis
+    rows by ``_head`` into the rows of D0^-1 * [Dl | D0].
+    """
+    if glue is None:  # a 1-sum's reads are its diagonal blocks
+        return _stacked(left, [()] * right.n_rows, [], right)
+    n = 2 if isinstance(glue, Sum3Labels) else 1  # basis rows, and weights per bottom row
+    h = 3 if n == 2 else 0  # connector lines ahead of the left's columns and the right's rows
+    kind, l, r, g = left.kind, left.rows, right.rows, h or n  # g glue lines ahead of the left's rows, the right's columns
+    basis = [row[h:] for row in l[g - n:g]]
+    if h:  # D0 is the left's rows x0, x1 at columns y0, y1
+        (a, b), (c, d) = (row[:2] for row in l[1:3])
         det = a * d - b * c
-        basis = [_head(b_left.kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]
-    top, tail = _cut(b_left, x_top, y_left), _cut(b_right, x_bottom, y_right)
-    coeffs = _cut(b_right, x_bottom, ys).rows if ys else [()] * len(x_bottom)
-    return _labeled(x_top + x_bottom, y_left + y_right, _stacked(top, coeffs, basis, tail))
+        basis = [_head(kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]
+    top = _exact(kind, [row[h:] for row in l[g:]] if h else l[g:], left.n_cols - h)
+    tail = _exact(kind, [row[g:] for row in r[h:]], right.n_cols - g)
+    return _stacked(top, (row[:n] for row in r[h:]), basis, tail)
+
+
+def _sum_of(layout: tuple, body: ExactMatrix) -> LabeledMatrix:
+    """``body`` labeled as the sum of ``layout``: top then bottom rows, left then right columns."""
+    _, _, top, bottom, left, right = layout
+    return _labeled(top + bottom, left + right, body)
 
 
 def _layout(b_left: LabeledMatrix, b_right: LabeledMatrix, glue) -> tuple[tuple, tuple, list, list, list, list]:
     """The left rows X and right columns Y of ``_assemble``, then the sum's top and bottom row
-    labels and its left and right column labels, as it orders them; a 3-sum drops x2 and y2."""
+    labels and its left and right column labels, as it orders them; a 3-sum drops x2 and y2.
+    Swapping x0 with x1 or y0 with y1 leaves the labels unchanged."""
     xs = ys = drop_x = drop_y = ()
     if isinstance(glue, Sum3Labels):
         xs, ys, drop_x, drop_y = (glue.x0, glue.x1), (glue.y0, glue.y1), (glue.x2,), (glue.y2,)
@@ -358,22 +385,21 @@ def sign_sum_2(
     return _stacked(a_left, zip(c_row), [r_row], a_right)
 
 
-def _ints(m: LabeledMatrix, strict: bool = False) -> Optional[LabeledMatrix]:
-    """A rational signing as a ``_SIGNED`` matrix of ints, each entry read as its numerator.  A
-    ``strict`` read keeps only the integer entries, in the same pass, and is None if it drops one."""
-    rows = [[x.numerator for x in row if not strict or x.denominator == 1] for row in m.body.rows]
-    if strict and any(len(row) != m.body.n_cols for row in rows):
+def _ints(m: ExactMatrix, strict: bool = False) -> Optional[ExactMatrix]:
+    """A rational matrix as a ``_SIGNED`` matrix of ints, each entry read as its numerator.  A
+    ``strict`` read is None when an entry is not an integer."""
+    if strict and max(map(_DENOMINATOR, chain.from_iterable(m.rows)), default=1) > 1:
         return None
-    return _labeled(m.row_labels, m.col_labels, _exact(_SIGNED, rows, m.body.n_cols))
+    return _exact(_SIGNED, [tuple(map(_NUMERATOR, row)) for row in m.rows], m.n_cols)
 
 
-def _rational(m: LabeledMatrix) -> LabeledMatrix:
+def _rational(m: ExactMatrix) -> ExactMatrix:
     """A ``_SIGNED`` matrix over the rationals, each entry mapped once to a shared Fraction."""
     try:
-        rows = [tuple(map(_SIGNS.__getitem__, row)) for row in m.body.rows]
+        rows = [tuple(map(_SIGNS.__getitem__, row)) for row in m.rows]
     except KeyError:  # an entry past +-1 comes only from summand signings that are not TU
-        rows = [tuple(map(Fraction, row)) for row in m.body.rows]
-    return _labeled(m.row_labels, m.col_labels, _exact(RATIONAL, rows, m.body.n_cols))
+        rows = [tuple(map(Fraction, row)) for row in m.rows]
+    return _exact(RATIONAL, rows, m.n_cols)
 
 
 def canonical_signing_sum3(
@@ -389,7 +415,9 @@ def canonical_signing_sum3(
     already at the target is kept as it is), then the sum is assembled on
     int signs with exact bottom-left block D'r * (D'0)^-1 * D'l: the
     target's D'0 has determinant +-1, so its inverse is det * adj(D'0), an
-    int matrix.  The output is labeled like the Valid outcome of
+    int matrix.  Each signing is read once, into int signs, and the
+    connector, D0's support and the assembly's blocks all come off that
+    read.  The output is labeled like the Valid outcome of
     ``standard_repr_sum_3`` on the summand supports.  It is TU when both
     summand signings are; nothing here checks either.  Glue labels that
     are not six distinct names, a missing glue line, and connectors whose
@@ -398,29 +426,29 @@ def canonical_signing_sum3(
     _require_rational(signed_left, signed_right)
     if len(set(labels.xs)) < 3 or len(set(labels.ys)) < 3:
         raise ShapeError("glue labels must be six distinct names")
-    xs, sides = (labels.x2, labels.x0, labels.x1), [_ints(signed_left), _ints(signed_right)]
-    connectors = [_cut(side, xs, labels.ys) for side in sides]  # each read once: D0 is its bottom-left 2x2
-    d0_left, d0_right = (tuple(row[:2] for row in support(_labeled(xs, labels.ys, c)).body.rows[1:])
-                         for c in connectors)
+    # each read starts with its signing's connector, rows x2, x0, x1 by columns y0, y1, y2: D0 is its bottom-left 2x2
+    layout, *reads = _reads(signed_left, signed_right, labels)
+    sides = [_ints(m) for m in reads]
+    d0_left, d0_right = (tuple(tuple(map(bool, row[:2])) for row in side.rows[1:3]) for side in sides)  # supports
     if d0_left != d0_right:
         raise ShapeError("connector supports of the two signings differ")
     target = _SIGNED_CONNECTORS.get(d0_left)
     if target is None:
         raise ShapeError("connector block is singular")
+    _, _, top, bottom, left, right = layout
 
-    def resign(side: LabeledMatrix, connector: ExactMatrix) -> LabeledMatrix:  # scale lines so connector is target
-        scales = _line_scales(connector.rows, target)
+    def resign(side: ExactMatrix, rows: list, cols: list) -> ExactMatrix:  # scale lines so connector is target
+        scales = _line_scales(tuple(row[:3] for row in side.rows[:3]), target)
         signs = scales and list(map(mul, *scales))  # a scale num / den of +-1 is num * den
         if not signs or not {1, -1}.issuperset(signs):  # no scaling, or one not by signs
             raise ShapeError("no row/column sign scaling reaches the target")
         if -1 not in signs:  # the connector already is the target: the summand is kept as it is
             return side
-        rs, cs = dict(zip(xs, signs)), dict(zip(labels.ys, signs[3:]))
-        body = scale_rows_cols(side.body, [rs.get(u, 1) for u in side.row_labels],
-                               [cs.get(v, 1) for v in side.col_labels])
-        return _labeled(side.row_labels, side.col_labels, body)
+        rs, cs = dict(zip((labels.x2, labels.x0, labels.x1), signs)), dict(zip(labels.ys, signs[3:]))
+        return scale_rows_cols(side, [*signs[:3], *(rs.get(u, 1) for u in rows)],
+                               [*signs[3:], *(cs.get(v, 1) for v in cols)])
 
-    return _rational(_assemble(*map(resign, sides, connectors), labels))
+    return _sum_of(layout, _rational(_assemble(resign(sides[0], top, left), resign(sides[1], bottom, right), labels)))
 
 
 def _pair(glue) -> tuple[Label, Label]:
@@ -451,13 +479,15 @@ def sign_composition(
     The summand signings must already be certified TU (``is_regular``
     does so) and labeled like summands whose ``compose`` is Valid; the
     result is then TU, and neither it nor its labels are checked here.
-    Every sum reads each entry, -1, 0 or 1 in a TU signing, as an int, and
-    holds each output entry as the shared Fraction of its sign.
+    Every sum reads each signing once and each entry, -1, 0 or 1 in a TU
+    signing, as an int, and holds each output entry as the shared Fraction
+    of its sign.
     """
     if isinstance(glue, Sum3Labels):
         return canonical_signing_sum3(signed_left, signed_right, glue)
     _require_rational(signed_left, signed_right)
-    return _rational(_assemble(_ints(signed_left), _ints(signed_right), glue))
+    layout, *reads = _reads(signed_left, signed_right, glue)
+    return _sum_of(layout, _rational(_assemble(*map(_ints, reads), glue)))
 
 
 def certifies_sum(
@@ -477,45 +507,53 @@ def certifies_sum(
     BL has rank k - 1, the exact k-separation (Seymour 1980).  For a
     2-sum BL = c * r, and the blocks are [A; r] and [c | A'] (Schrijver
     1986, section 19.4), read off the witness by label: r at a row of BL,
-    c up to one sign at a column.  For a 3-sum the connector, read once,
+    c up to one sign at a column.  For a 3-sum the connector
     equals the signed target of its D0's support, so D0 = BL[X, Y] at
     X = (x0, x1), Y = (y0, y1) is a unit and rank 2 means
     BL = BL[:, Y] * D0^-1 * BL[X, :].  A signing without its glue lines (a 2-sum's
     left x and right y, a 3-sum's six in both) or with a non-integer entry is refused.
-    The witness is read once: an entry that is not an integer, or whose
-    absolute value is not ``b``'s, refuses it.
+    The witness is read once, into int signs: an entry that is not an integer, or whose
+    absolute value is not ``b``'s, refuses it.  Its blocks are then cut out of two reads: the
+    sum's four blocks out of the int signs, and the summand blocks, a 3-sum's connector ahead
+    of them, out of the witness itself, so that a block equal to its signing is told at once.
     """
     if (witness.row_labels, witness.col_labels) != (b.row_labels, b.col_labels):
         return False
     if witness.body.kind != RATIONAL or b.body.kind != GF2:
         raise ShapeError("signing compares a rational matrix against a GF(2) matrix")
-    w = _ints(witness, strict=True)  # W read once: its int signs, which must be B up to sign
-    if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.body.rows, b.body.rows)):
+    w = _ints(witness.body, strict=True)  # W read once: its int signs, which must be B up to sign
+    if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.rows, b.body.rows)):
         return False
     xs, ys, top, bottom, left, right = _layout(signed_left, signed_right, glue)
     if sorted(top + bottom) != sorted(b.row_labels) or sorted(left + right) != sorted(b.col_labels) \
             or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:
         return False
-    bl = _cut(w, bottom, left).rows
-    if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):
+    w, n = _labeled(witness.row_labels, witness.col_labels, w), len(left)
+    blocks = _cut(w, (*top, *bottom), (*left, *right)).rows  # top rows, then bottom rows, by left columns, then right
+    bl = [row[:n] for row in blocks[len(top):]]
+    if any(any(row[n:]) for row in blocks[:len(top)]) or _int_rows_rank(bl) != len(xs):
         return False
-    left_rows, right_cols = signed_left.row_labels, signed_right.col_labels
+    left_rows, right_cols, rows, cols = signed_left.row_labels, signed_right.col_labels, (), ()
     if isinstance(glue, Sum3Labels):
         if not all({*glue.xs} <= {*s.row_labels} and {*glue.ys} <= {*s.col_labels} for s in (signed_left, signed_right)):
             return False
-        if _cut(w, (glue.x2, *xs), glue.ys).rows not in _SIGNED_CONNECTORS.values():  # a target's D0 support is its key
-            return False
+        rows, cols = (glue.x2, *xs), glue.ys  # the connector, read ahead of the summand blocks
     elif glue is not None:
         # BL = c * r: [A; r] and [c | A'] are W with u for x, v for y, u BL's first nonzero row, v r's first nonzero
         i = next(i for i, row in enumerate(bl) if any(row))
         u, v = bottom[i], left[next(j for j, e in enumerate(bl[i]) if e)]
         left_rows = [u if t == xs[0] else t for t in left_rows]
         right_cols = [v if t == ys[0] else t for t in right_cols]
-    held = _cut(w, left_rows, signed_left.col_labels), _cut(w, signed_right.row_labels, right_cols)
-    # each block is its signing, of integers, up to line signs: scales exist, and each num / den is +-1
-    return all((t := _ints(s, strict=True)) is not None
-               and (sc := _line_scales(h.rows, t.body.rows)) and {1, -1}.issuperset(map(mul, *sc))
-               for h, s in zip(held, (signed_left, signed_right)))
+    blocks = _cut(witness, (*rows, *left_rows, *signed_right.row_labels), (*cols, *signed_left.col_labels, *right_cols)).rows
+    h, m, c = len(rows), len(rows) + len(left_rows), len(cols) + len(signed_left.col_labels)
+    if h and tuple(tuple(map(_NUMERATOR, row[:h])) for row in blocks[:h]) not in _SIGNED_CONNECTORS.values():
+        return False  # a target's D0 support is its key
+    held = tuple(row[h:c] for row in blocks[h:m]), tuple(row[c:] for row in blocks[m:])
+    # each block is its signing, of integers, up to line signs: a block equal to it is (W is of integers),
+    # or else scales exist, and each num / den is +-1
+    return all(block == s.body.rows or (t := _ints(s.body, strict=True)) is not None
+               and (sc := _line_scales(tuple(tuple(map(_NUMERATOR, row)) for row in block), t.rows))
+               and {1, -1}.issuperset(map(mul, *sc)) for block, s in zip(held, (signed_left, signed_right)))
 
 
 def verify_is_sum_k_of(

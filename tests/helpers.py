@@ -214,6 +214,19 @@ def support_gf2(a: ExactMatrix) -> ExactMatrix:
     )
 
 
+def support(rep: LabeledMatrix) -> LabeledMatrix:
+    """The GF(2) matrix marking the nonzero entries of ``rep``, labeled like it."""
+    return LabeledMatrix(rep.row_labels, rep.col_labels, support_gf2(rep.body))
+
+
+def head_by_products(kind: str, cs, basis) -> tuple:
+    """The weights ``cs`` times the basis rows, entry by entry as a plain sum of products from an
+    exact zero, reduced mod 2 over GF(2): the oracle of ``sums._head``."""
+    zero = Fraction(0) if kind == RATIONAL else 0
+    out = [sum((c * b[j] for c, b in zip(cs, basis)), zero) for j in range(len(basis[0]))]
+    return tuple(x % 2 for x in out) if kind == GF2 else tuple(out)
+
+
 def random_regular_b(rng: random.Random, n_rows: int, n_cols: int) -> ExactMatrix:
     """A GF(2) matrix that has a TU signing, as the support of one."""
     return support_gf2(random_tu_matrix(rng, n_rows, n_cols))

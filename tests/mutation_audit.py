@@ -41,7 +41,7 @@ class Mutant(NamedTuple):
 
 
 TU, SUMS, MATROID, EXACTMAT = "src/tumat/tu.py", "src/tumat/sums.py", "src/tumat/matroid.py", "src/tumat/exactmat.py"
-STDREPR, DOCUMENTS, CLI = "src/tumat/stdrepr.py", "src/tumat/documents.py", "src/tumat/cli.py"
+DOCUMENTS, CLI = "src/tumat/documents.py", "src/tumat/cli.py"
 T_TU, T_SUMS, T_MATROID, T_EXACTMAT = "tests/test_tu.py", "tests/test_sums.py", "tests/test_matroid.py", "tests/test_exactmat.py"
 T_STDREPR, T_DOCUMENTS, T_ACCEPTANCE, T_CLI = ("tests/test_stdrepr.py", "tests/test_documents.py",
                                                "tests/test_acceptance.py", "tests/test_cli.py")
@@ -88,13 +88,17 @@ MUTANTS = (
            "if not ((neg[i] ^ neg[h] ^ neg[g]) & (a | b | c)).bit_count() & 1:",
            "if ((neg[i] ^ neg[h] ^ neg[g]) & (a | b | c)).bit_count() & 1:", (T_TU,), "verdict"),
     Mutant("certificate-bottom-left-rank-below", SUMS,
-           "if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):",
-           "if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) > len(xs):", (T_SUMS,), "verdict"),
+           "if any(any(row[n:]) for row in blocks[:len(top)]) or _int_rows_rank(bl) != len(xs):",
+           "if any(any(row[n:]) for row in blocks[:len(top)]) or _int_rows_rank(bl) > len(xs):", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-zero-top-right", SUMS,
-           "if any(map(any, _cut(w, top, right).rows)) or _int_rows_rank(bl) != len(xs):",
+           "if any(any(row[n:]) for row in blocks[:len(top)]) or _int_rows_rank(bl) != len(xs):",
            "if _int_rows_rank(bl) != len(xs):", (T_SUMS,), "verdict"),
+    # the bottom-left block cut out of the witness's first read one column short
+    Mutant("certificate-bottom-left-one-column-short", SUMS,
+           "bl = [row[:n] for row in blocks[len(top):]]",
+           "bl = [row[:n - 1] for row in blocks[len(top):]]", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-canonical-connector", SUMS,
-           "if _cut(w, (glue.x2, *xs), glue.ys).rows not in _SIGNED_CONNECTORS.values():  # a target's D0 support is its key",
+           "if h and tuple(tuple(map(_NUMERATOR, row[:h])) for row in blocks[:h]) not in _SIGNED_CONNECTORS.values():",
            "if False:", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-the-3-sum-glue-lines", SUMS,
            "if not all({*glue.xs} <= {*s.row_labels} and {*glue.ys} <= {*s.col_labels} for s in (signed_left, signed_right)):",
@@ -120,33 +124,41 @@ MUTANTS = (
            "u, v = bottom[i], left[next(j for j, e in enumerate(bl[i]) if e)]",
            "u, v = top[i], left[next(j for j, e in enumerate(bl[i]) if e)]", (T_SUMS, T_ACCEPTANCE, T_CLI), "verdict"),
     Mutant("certificate-right-block-without-v", SUMS,
-           "held = _cut(w, left_rows, signed_left.col_labels), _cut(w, signed_right.row_labels, right_cols)",
-           "held = _cut(w, left_rows, signed_left.col_labels), _cut(w, signed_right.row_labels, signed_right.col_labels)",
+           "blocks = _cut(witness, (*rows, *left_rows, *signed_right.row_labels), (*cols, *signed_left.col_labels, *right_cols)).rows",
+           "blocks = _cut(witness, (*rows, *left_rows, *signed_right.row_labels), (*cols, *signed_left.col_labels, *signed_right.col_labels)).rows",
            (T_SUMS, T_ACCEPTANCE, T_CLI), "verdict"),
     Mutant("zero-column-guard-reads-the-left", SUMS,
-           "if not any(map(any, _cut(right.B, right.X, (y,)).rows)):",
-           "if not any(map(any, _cut(left.B, left.X, (y,)).rows)):", (T_SUMS, T_ACCEPTANCE, T_CLI), "verdict"),
+           "if not any(row[0] for row in reads[1].rows):",
+           "if not any(row[0] for row in reads[0].rows):", (T_SUMS, T_ACCEPTANCE, T_CLI), "verdict"),
+    # the left column y2 guard reads its rows one line early, off the read's connector
+    Mutant("column-y2-guard-reads-the-connector-row-x1", SUMS,
+           "for u, row in zip(top, g_left[3:]):  # column y2 at the left's rows but x0, x1",
+           "for u, row in zip(top, g_left[2:]):", (T_SUMS,), "verdict"),
     Mutant("certificate-skips-the-left-glue-rows", SUMS,
            "or not {*xs} <= {*signed_left.row_labels} or not {*ys} <= {*signed_right.col_labels}:",
            "or not {*ys} <= {*signed_right.col_labels}:", (T_SUMS,), "verdict"),
     Mutant("certificate-drops-integer-check", SUMS,
-           "rows = [[x.numerator for x in row if not strict or x.denominator == 1] for row in m.body.rows]",
-           "rows = [[x.numerator for x in row] for row in m.body.rows]", (T_SUMS,), "verdict"),
+           "if strict and max(map(_DENOMINATOR, chain.from_iterable(m.rows)), default=1) > 1:",
+           "if False:", (T_SUMS,), "verdict"),
     Mutant("certificate-witness-read-drops-the-b-comparison", SUMS,
-           "if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.body.rows, b.body.rows)):",
+           "if w is None or any(tuple(map(abs, row)) != t for row, t in zip(w.rows, b.body.rows)):",
            "if w is None:", (T_SUMS,), "verdict"),
     Mutant("line-scales-equal-pair-compares-supports", TU, "if a == b:",
            "if [[bool(x) for x in row] for row in a] == [[bool(y) for y in row] for row in b]:", (T_SUMS,), "verdict"),
     Mutant("resign-rebuilds-a-summand-at-its-target", SUMS,
            "if -1 not in signs:  # the connector already is the target: the summand is kept as it is",
            "if False:", (T_SUMS,), "work"),
+    # the 3-sum re-signing applies the connector's row signs and leaves every column as it was read
+    Mutant("resign-signs-rows-but-not-columns", SUMS,
+           "[*signs[3:], *(cs.get(v, 1) for v in cols)])",
+           "[1] * (3 + len(cols)))", (T_SUMS,), "verdict"),
     Mutant("assembly-weighs-by-d0-not-its-inverse", SUMS,
-           "basis = [_head(b_left.kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]",
-           "basis = [_head(b_left.kind, w, basis) for w in ((a, b), (c, d))]", (T_SUMS, T_ACCEPTANCE), "verdict"),
+           "basis = [_head(kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]",
+           "basis = [_head(kind, w, basis) for w in ((a, b), (c, d))]", (T_SUMS, T_ACCEPTANCE), "verdict"),
     # item 13's second sums mutant: r placed at the wrong row of a 2-sum
     Mutant("assembly-weighs-bottom-rows-reversed", SUMS,
-           "coeffs = _cut(b_right, x_bottom, ys).rows if ys else [()] * len(x_bottom)",
-           "coeffs = _cut(b_right, x_bottom[::-1], ys).rows if ys else [()] * len(x_bottom)",
+           "return _stacked(top, (row[:n] for row in r[h:]), basis, tail)",
+           "return _stacked(top, (row[:n] for row in r[h:][::-1]), basis, tail)",
            (T_SUMS, T_ACCEPTANCE), "verdict"),
     Mutant("equality-guard-one-past-the-limit", MATROID, "if n > limit:", "if n > limit + 1:",
            (T_MATROID, T_CLI), "verdict"),
@@ -158,9 +170,6 @@ MUTANTS = (
            (T_EXACTMAT,), "verdict"),
     Mutant("matmul-keeps-gf2-sums-unreduced", EXACTMAT,
            "rows = [[x & 1 for x in row] for row in rows]", "pass", (T_EXACTMAT,), "verdict"),
-    Mutant("support-drops-minus-ones", STDREPR,
-           "rows = [[0 if v == 0 else 1 for v in row] for row in rep.body.rows]",
-           "rows = [[1 if v == 1 else 0 for v in row] for row in rep.body.rows]", (T_STDREPR, T_SUMS), "verdict"),
     Mutant("documents-keep-a-repeated-key", DOCUMENTS,
            "_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)", "_DECODER = json.JSONDecoder()",
            (T_DOCUMENTS, T_CLI), "verdict"),

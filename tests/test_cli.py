@@ -25,13 +25,12 @@ from tumat import (
     parse_standard_repr_document,
     render_matrix_document,
     render_standard_repr_document,
-    support,
 )
 from tumat import cli, exactmat, matroid, stdrepr, sums, tu
 from tumat.cli import main
 from tumat.fixtures import incidence_matrix
 
-from helpers import is_regular_witness, labels, make_repr, random_standard_repr
+from helpers import is_regular_witness, labels, make_repr, random_standard_repr, support
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"

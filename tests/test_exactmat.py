@@ -22,7 +22,6 @@ from tumat import (
     render_standard_repr_document,
     scale_rows_cols,
     standardize,
-    support,
     to_matroid,
     zmod_linear_independent,
 )
@@ -39,6 +38,7 @@ from helpers import (
     plain_rank,
     random_gf2_matrix,
     random_rational_matrix,
+    support,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

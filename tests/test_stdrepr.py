@@ -25,7 +25,6 @@ from tumat import (
     parse_standard_repr_document,
     standardize,
     standardize_tu,
-    support,
     to_matroid,
 )
 from tumat.fixtures import fano_standard_repr, network_example, r10_standard_repr
@@ -44,6 +43,7 @@ from helpers import (
     random_rational_matrix,
     random_standard_repr,
     random_tu_matrix,
+    support,
 )
 
 

@@ -45,13 +45,14 @@ from tumat import (
 )
 from tumat import parse_standard_repr_document, sums as sums_module, tu as tu_module
 from tumat.exactmat import _SIGNS, _exact
-from tumat.sums import _SIGNED, _SIGNED_CONNECTORS, _UNITS, _assemble, _cut, _head, _stacked
+from tumat.sums import _SIGNED, _SIGNED_CONNECTORS, _UNITS, _assemble, _cut, _head, _reads, _stacked, _sum_of
 from tumat.tu import _line_scales
 
 from helpers import (
     SUM3_LABELS,
     UNIT_D0S,
     assert_exact,
+    head_by_products,
     labels,
     make_repr,
     naive_matroids_equal,
@@ -174,9 +175,10 @@ def test_sum_1_matches_disjoint_sum():
 
 
 def test_sum_1_selects_no_glue_blocks(monkeypatch):
-    # a 1-sum has no glue, so the assembly reads the two summand bodies and
-    # neither basis rows nor weights; a 2-sum also reads its glue row x and
-    # its bottom rows' y entries, in the assembly and in the zero-line guards
+    # a 1-sum has no glue, so it reads the two summand bodies as they are
+    # stored; a 2-sum also reads each summand once, the left's glue row x
+    # ahead of its other rows and the right's glue column y ahead of its
+    # other columns, and its zero-line guards and assembly share those reads
     from helpers import random_standard_repr, random_sum2_pair
 
     calls = []
@@ -197,15 +199,16 @@ def test_sum_1_selects_no_glue_blocks(monkeypatch):
     calls.clear()
     left, right, x, y = random_sum2_pair(rng)
     assert compose(left, right, (x, y)).valid
-    assert len([(rows, cols) for rows, cols in calls if rows == (x,) or cols == (y,)]) == 4
-    assert len(calls) == 6
+    (left_rows, left_cols), (right_rows, right_cols) = calls
+    assert (left_rows[0], left_cols, right_rows, right_cols[0]) == (x, left.Y, right.X, y)
+    assert len(calls) == 2
 
 
 def test_sum_3_reads_each_glue_block_once(monkeypatch):
-    # one read per summand for its 3x3 glue block, one each for the left
-    # column y2 and the right row x2 in the guards, and four in the assembly
-    # (basis rows, weights and the two bodies), all through ``_cut``: no
-    # select, and no entry read one label at a time
+    # one read per summand, through ``_cut``, serves its 3x3 glue block, the
+    # left column y2 and the right row x2 of the guards, and the assembly's
+    # basis rows, weights and bodies: no select, and no entry read one label
+    # at a time
     calls = {"select": 0, "entry": 0, "_cut": 0}
     for name in ("select", "entry"):
         method = getattr(LabeledMatrix, name)
@@ -224,13 +227,14 @@ def test_sum_3_reads_each_glue_block_once(monkeypatch):
     for left, right, glue, _ in sum3_corpus(per_unit=1):
         calls.update(select=0, entry=0, _cut=0)
         assert compose(left, right, glue).valid
-        assert calls == {"select": 0, "entry": 0, "_cut": 8}
+        assert calls == {"select": 0, "entry": 0, "_cut": 2}
 
 
 def test_sum_3_signing_and_certificate_read_each_connector_once(monkeypatch):
-    # a 3-sum signing reads each summand's connector once and the assembly
-    # reads four blocks; the certificate reads the bottom-left and top-right
-    # blocks, the witness's connector once and the two summand blocks
+    # a 3-sum signing reads each summand once, its connector first, and
+    # assembles from those reads; the certificate reads the witness twice:
+    # its bottom-left and top-right blocks, then its connector, once, ahead
+    # of the two summand blocks
     calls = []
 
     def record_cut(*args):
@@ -242,11 +246,29 @@ def test_sum_3_signing_and_certificate_read_each_connector_once(monkeypatch):
         signed_left, signed_right, b = is_regular(left), is_regular(right), compose(left, right, glue).result.B
         calls.clear()
         w = sign_composition(signed_left, signed_right, glue)
-        assert len(calls) == 6, d0
-        assert calls[:2] == [((glue.x2, glue.x0, glue.x1), glue.ys)] * 2
+        assert len(calls) == 2, d0
+        assert [(rows[:3], cols[:3]) for rows, cols in calls] == [((glue.x2, glue.x0, glue.x1), glue.ys)] * 2
         calls.clear()
         assert certifies_sum(w, b, signed_left, signed_right, glue)
-        assert len(calls) == 5 and calls.count(((glue.x2, glue.x0, glue.x1), glue.ys)) == 1, d0
+        heads = [(tuple(rows[:3]), tuple(cols[:3])) for rows, cols in calls]
+        assert len(calls) == 2 and heads.count(((glue.x2, glue.x0, glue.x1), glue.ys)) == 1, d0
+
+
+def test_certificate_reads_the_witness_at_most_twice(monkeypatch):
+    # for every k the certificate reads the witness's four blocks off its
+    # int signs, and its summand blocks off the witness itself
+    calls = []
+
+    def record_cut(*args):
+        calls.append(args[1:])
+        return _cut(*args)
+
+    built = fixture_sums()
+    monkeypatch.setattr("tumat.sums._cut", record_cut)
+    for w, b, signed_left, signed_right, glue in built:
+        calls.clear()
+        assert certifies_sum(w, b, signed_left, signed_right, glue)
+        assert len(calls) == 2, glue
 
 
 def test_block_readers_report_the_first_missing_label_as_the_lookups_do():
@@ -337,6 +359,36 @@ def test_stacked_matches_a_per_row_reference(kind, k):
     assert repeated >= 10
 
 
+@pytest.mark.parametrize("kind", [GF2, RATIONAL, _SIGNED])
+def test_head_matches_a_sum_of_products(kind):
+    # _head takes a basis row as it is for weight 1, negates it for -1,
+    # scales it for any other weight and adds two picked rows; each head,
+    # of one or two basis rows, must be the sum of products entry by entry,
+    # with the entry type of its kind, for every nonzero weight pair in
+    # {-1, 0, 1}^2 and, over Q, Fraction weights past +-1
+    rng = random.Random(f"head {kind}")
+    pool = {GF2: [0, 1], RATIONAL: [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)],
+            _SIGNED: [0, 1, -1]}[kind]
+    weights = [w for w in product((-1, 0, 1), repeat=2) if any(w)]
+    if kind == RATIONAL:
+        weights = [tuple(map(Fraction, w)) for w in weights]
+        weights += [(Fraction(1, 2), Fraction(0)), (Fraction(-3, 2), Fraction(2)), (Fraction(0), Fraction(5, 3))]
+    seen = 0
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        basis = [tuple(rng.choice(pool) for _ in range(n)) for _ in range(2)]
+        for cs in weights:
+            for k in (1, 2) if cs[0] else (2,):
+                got = _head(kind, cs[:k], basis[:k])
+                assert got == head_by_products(kind, cs[:k], basis[:k]), (cs, basis)
+                if kind == _SIGNED:
+                    assert all(type(x) is int for x in got)
+                else:
+                    assert_exact(_exact(kind, [got], n))
+                seen += 1
+    assert seen == 20 * {GF2: 14, RATIONAL: 19, _SIGNED: 14}[kind]
+
+
 # the canonical signed forms, rows x2, x0, x1 by columns y0, y1, y2 with x0, x1 and y0, y1 taken
 # in the order of ``is_unit_2x2``'s permutations
 FORM_TARGETS = {FORM_IDENTITY: [[1, 1, 0], [1, 0, 1], [0, -1, 1]],
@@ -422,7 +474,8 @@ def test_sum3_basis_matches_a_per_row_reference(kind, d0):
                 for v, e in zip(glue.ys[:2], row):
                     grid[xs.index(u)][ys.index(v)] = e
             sides.append(LabeledMatrix(xs, ys, _exact(kind, grid, len(ys))))
-        got = _assemble(*sides, glue)
+        layout, *reads = _reads(*sides, glue)
+        got = _sum_of(layout, _assemble(*reads, glue))
         row_labels, col_labels, rows = per_row_sum3(kind, *sides, inv, glue)
         assert (got.row_labels, got.col_labels) == (tuple(row_labels), tuple(col_labels))
         assert [list(row) for row in got.body.rows] == rows and got.body.kind == kind
@@ -560,6 +613,51 @@ def test_sum_3_labels_not_distinct():
                       ExactMatrix(GF2, [[1, 0, 1, 0], [1, 1, 0, 1], [1, 1, 0, 0]]))
     out = standard_repr_sum_3(left, right, Sum3Labels("x0", "x0", "x2", "y0", "y1", "y2"))
     assert not out.valid and out.reason == REASON_LABELS_NOT_DISTINCT
+
+
+def ones_at(rows, cols, ones):
+    """A GF(2) standard representation on ``rows`` by ``cols`` with a 1 at each (row, column) in ``ones``."""
+    return make_repr(rows, cols, ExactMatrix(GF2, [[int((u, v) in ones) for v in cols] for u in rows]))
+
+
+def test_guards_name_the_first_offending_line():
+    # each guard reads its lines off one read per summand, whose glue lines
+    # come first; with two or more offending lines it must still name the
+    # first in check order, and a nonzero-outside guard the first line in
+    # stored order, not a glue line the read put ahead of it
+    left_rows, left_cols = ["a", "x1", "u", "x2", "x0", "b"], ["p", "y2", "y0", "q", "y1"]
+    right_rows, right_cols = ["c", "x2", "x0", "d", "x1"], ["y1", "v", "y2", "w", "y0", "z"]
+    glue = Sum3Labels("x0", "x1", "x2", "y0", "y1", "y2")
+    fixed = {("x0", "y0"), ("x1", "y1"), ("x0", "y2"), ("x1", "y2"), ("x2", "y0"), ("x2", "y1")}
+    extra_left, extra_right = {("a", "p"), ("b", "q"), ("u", "y0")}, {("c", "w"), ("d", "z"), ("x0", "v")}
+    assert compose(ones_at(left_rows, left_cols, fixed | extra_left),
+                   ones_at(right_rows, right_cols, fixed | extra_right), glue).valid
+    cases = [
+        # (x1, y2) comes before (x2, y0) in check order, though row x2 is read first
+        (fixed - {("x1", "y2"), ("x2", "y0")}, fixed, REASON_MISSING_ONE, "left summand entry ('x1', 'y2') must be 1"),
+        (fixed, fixed - {("x2", "y1"), ("x0", "y2")}, REASON_MISSING_ONE,
+         "right summand entry ('x0', 'y2') must be 1"),
+        # column y2 of the left is nonzero at rows u, x2 and b: u is stored first, x2 is read first
+        (fixed | {("b", "y2"), ("x2", "y2"), ("u", "y2")}, fixed, REASON_NONZERO_OUTSIDE,
+         "left summand column 'y2' must be zero at row 'u'"),
+        # row x2 of the right is nonzero at columns v, y2 and z: v is stored first, y2 is read first
+        (fixed, fixed | {("x2", "z"), ("x2", "y2"), ("x2", "v")}, REASON_NONZERO_OUTSIDE,
+         "right summand row 'x2' must be zero at column 'v'"),
+        (fixed | {("x2", "y2"), ("b", "y2")}, fixed | {("x2", "y2")}, REASON_NONZERO_OUTSIDE,
+         "left summand column 'y2' must be zero at row 'x2'"),
+    ]
+    for left_ones, right_ones, reason, message in cases:
+        out = compose(ones_at(left_rows, left_cols, left_ones | extra_left),
+                      ones_at(right_rows, right_cols, right_ones | extra_right), glue)
+        assert (out.reason, out.message) == (reason, message)
+    # a 2-sum whose r and c are both zero names row x; with r nonzero, column y
+    left_rows, left_cols, right_rows, right_cols = ["a", "x", "b"], ["p", "y", "q"], ["c", "x", "d"], ["r", "y", "s"]
+    left_ones, right_ones = {("a", "p"), ("b", "y")}, {("c", "r"), ("d", "s")}
+    for r, reason, message in (((), REASON_ZERO_ROW, "row 'x' of the left summand is zero"),
+                               ((("x", "q"), ("x", "y")), REASON_ZERO_COL, "column 'y' of the right summand is zero")):
+        out = compose(ones_at(left_rows, left_cols, left_ones | set(r)), ones_at(right_rows, right_cols, right_ones),
+                      ("x", "y"))
+        assert (out.reason, out.message) == (reason, message)
 
 
 def test_sum_3_d0_mismatch():
