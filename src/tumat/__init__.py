@@ -59,7 +59,6 @@ from .tu import (
     is_signing_of,
     is_totally_unimodular,
     is_tu_signing_of,
-    scale_rows_cols,
 )
 
 __version__ = "0.1.0"

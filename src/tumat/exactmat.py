@@ -22,10 +22,10 @@ every entry, and ``_checked`` every size and index a method takes.
 Every matrix the package computes from exact entries is built with
 ``_exact``, which shares them without coercing them again: ``identity``,
 the operations on matrices (transpose, submatrix, pivot, inverse,
-products, ``from_cols``), the document parser, the sums, the signings,
-``standardize`` and ``support``.  Each keeps the entry types exact
-itself (``tests/test_exactmat.py`` and ``tests/test_sums.py``
-check this invariant).
+products, ``from_cols``), the document parser, the sums, the signings
+(the 3-sum re-signing among them) and ``standardize``.  Each keeps the
+entry types exact itself (``tests/test_exactmat.py`` and
+``tests/test_sums.py`` check this invariant).
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ sum of either kind, after the guards of ``standard_repr_sum_k`` or the
 re-signing of a 3-sum signing.  A 3-sum is signed and certified on the
 caller's own glue: each summand's connector, and the witness's, is read
 once, rows x2, x0, x1 by columns y0, y1, y2 in the order the glue names
-them, and its signed target is looked up by the support of its D0.
+them, and its signed target is looked up by the support of its D0.  Its
+re-signing flips the summand's own int read: ``tu`` only finds the signs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import ShapeError, _shown
 from .exactmat import GF2, RATIONAL, Entry, ExactMatrix, _SIGNS, _exact, _int_rows_rank
 from .matroid import FiniteMatroid, Label, LabeledMatrix, _cut, _labeled, matroids_equal
 from .stdrepr import StandardRepr
-from .tu import _line_scales, scale_rows_cols
+from .tu import _line_scales
 
 REASON_X_OVERLAP = "x-overlap"
 REASON_Y_OVERLAP = "y-overlap"
@@ -415,9 +416,10 @@ def canonical_signing_sum3(
     already at the target is kept as it is), then the sum is assembled on
     int signs with exact bottom-left block D'r * (D'0)^-1 * D'l: the
     target's D'0 has determinant +-1, so its inverse is det * adj(D'0), an
-    int matrix.  Each signing is read once, into int signs, and the
-    connector, D0's support and the assembly's blocks all come off that
-    read.  The output is labeled like the Valid outcome of
+    int matrix.  Each signing is read once, into int signs: the connector,
+    D0's support and the assembly's blocks come off that read, and the
+    re-signing flips it, a ``map(mul)`` per row with no ``tu`` scaler.
+    The output is labeled like the Valid outcome of
     ``standard_repr_sum_3`` on the summand supports.  It is TU when both
     summand signings are; nothing here checks either.  Glue labels that
     are not six distinct names, a missing glue line, and connectors whose
@@ -445,8 +447,10 @@ def canonical_signing_sum3(
         if -1 not in signs:  # the connector already is the target: the summand is kept as it is
             return side
         rs, cs = dict(zip((labels.x2, labels.x0, labels.x1), signs)), dict(zip(labels.ys, signs[3:]))
-        return scale_rows_cols(side, [*signs[:3], *(rs.get(u, 1) for u in rows)],
-                               [*signs[3:], *(cs.get(v, 1) for v in cols)])
+        col = [*signs[3:], *(cs.get(v, 1) for v in cols)]
+        flip, row_signs = list(map(neg, col)), [*signs[:3], *(rs.get(u, 1) for u in rows)]
+        return _exact(_SIGNED, [tuple(map(mul, row, col if r > 0 else flip))
+                                for row, r in zip(side.rows, row_signs)], side.n_cols)
 
     return _sum_of(layout, _rational(_assemble(resign(sides[0], top, left), resign(sides[1], bottom, right), labels)))
 

@@ -73,7 +73,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import ShapeError, SizeGuardError, _shown
+from .errors import ShapeError, SizeGuardError
 from .exactmat import GF2, RATIONAL, ExactMatrix, _SIGNS, _exact
 
 DEFAULT_TU_LIMIT = 8
@@ -84,7 +84,6 @@ __all__ = [
     "is_signing_of",
     "is_tu_signing_of",
     "find_tu_signing",
-    "scale_rows_cols",
     "spanning_forest",
     "DEFAULT_TU_LIMIT",
 ]
@@ -571,24 +570,6 @@ def is_tu_signing_of(a: ExactMatrix, u: ExactMatrix, *, force: bool = False) -> 
     so the check certifies that matroid regular.
     """
     return is_signing_of(a, u) and is_totally_unimodular(a, force=force).is_tu
-
-
-def scale_rows_cols(
-    a: ExactMatrix, row_signs: Sequence[int], col_signs: Sequence[int]
-) -> ExactMatrix:
-    """Multiply row i by row_signs[i] and column j by col_signs[j]; signs are +-1, entries rational or int."""
-    if a.kind == GF2:
-        raise ShapeError("sign scaling applies to rational matrices")
-    if len(row_signs) != a.n_rows or len(col_signs) != a.n_cols:
-        raise ShapeError("sign vector lengths must match the matrix shape")
-    for s in (*row_signs, *col_signs):
-        if s != 1 and s != -1:
-            raise ShapeError(f"sign must be +1 or -1, got {_shown(s)}")
-    rows = [
-        [x if rs == cs else -x for x, cs in zip(row, col_signs)]
-        for row, rs in zip(a.rows, row_signs)
-    ]
-    return _exact(a.kind, rows, a.n_cols)
 
 
 def _support_graph(grid: Sequence[Sequence]) -> list[list[int]]:

@@ -20,7 +20,6 @@ from tumat import (
     SizeGuardError,
     StandardRepr,
     is_totally_unimodular,
-    scale_rows_cols,
     to_matroid,
 )
 from tumat.documents import DocumentError, _parse_entry
@@ -147,6 +146,12 @@ def is_regular_witness(rep, m):
     if rep.kind != RATIONAL:
         raise ShapeError("a regularity witness must be rational")
     return naive_tu_verdict(rep.body) is None and naive_matroids_equal(to_matroid(rep), m)
+
+
+def scale_rows_cols(a: ExactMatrix, row_signs, col_signs) -> ExactMatrix:
+    """``a`` with row i multiplied by row_signs[i] and column j by col_signs[j], all signs +-1."""
+    return _exact(a.kind, [[x if rs == cs else -x for x, cs in zip(row, col_signs)]
+                           for row, rs in zip(a.rows, row_signs)], a.n_cols)
 
 
 def random_tu_matrix(rng: random.Random, n_rows: int, n_cols: int) -> ExactMatrix:

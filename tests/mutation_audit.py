@@ -150,8 +150,12 @@ MUTANTS = (
            "if False:", (T_SUMS,), "work"),
     # the 3-sum re-signing applies the connector's row signs and leaves every column as it was read
     Mutant("resign-signs-rows-but-not-columns", SUMS,
-           "[*signs[3:], *(cs.get(v, 1) for v in cols)])",
-           "[1] * (3 + len(cols)))", (T_SUMS,), "verdict"),
+           "col = [*signs[3:], *(cs.get(v, 1) for v in cols)]",
+           "col = [1] * (3 + len(cols))", (T_SUMS,), "verdict"),
+    # the 3-sum re-signing applies the column signs to every row and drops each row's own sign
+    Mutant("resign-negated-row-keeps-column-signs", SUMS,
+           "return _exact(_SIGNED, [tuple(map(mul, row, col if r > 0 else flip))",
+           "return _exact(_SIGNED, [tuple(map(mul, row, col))", (T_SUMS,), "verdict"),
     Mutant("assembly-weighs-by-d0-not-its-inverse", SUMS,
            "basis = [_head(kind, w, basis) for w in ((det * d, -det * b), (-det * c, det * a))]",
            "basis = [_head(kind, w, basis) for w in ((a, b), (c, d))]", (T_SUMS, T_ACCEPTANCE), "verdict"),

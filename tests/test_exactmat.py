@@ -20,7 +20,6 @@ from tumat import (
     parse_standard_repr_document,
     render_matrix_document,
     render_standard_repr_document,
-    scale_rows_cols,
     standardize,
     to_matroid,
     zmod_linear_independent,
@@ -38,6 +37,7 @@ from helpers import (
     plain_rank,
     random_gf2_matrix,
     random_rational_matrix,
+    scale_rows_cols,
     support,
 )
 

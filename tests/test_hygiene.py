@@ -205,7 +205,7 @@ def test_every_slot_is_read():
 # the functions that build a sum, a signing or a TU verdict
 PRODUCERS = {
     "_assemble", "_stacked", "_head", "compose", "standard_repr_sum_1", "standard_repr_sum_2",
-    "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3", "scale_rows_cols",
+    "standard_repr_sum_3", "sign_composition", "canonical_signing_sum3",
     "is_totally_unimodular", "find_tu_signing",
 }
 

@@ -63,6 +63,7 @@ from helpers import (
     random_standard_repr,
     random_sum2_pair,
     random_valid_sum3_pair,
+    scale_rows_cols,
     sum3_corpus,
     sum3_pair,
 )
@@ -872,18 +873,29 @@ def test_canonical_signing_already_at_target():
 
 
 def test_canonical_signing_resigns_to_target():
-    # negating connector lines (row x0, column y2 of the left, row x1 of the
-    # right) is undone; a line outside the connector keeps its sign, so the
-    # sum's column ya is negated whole
-    at_target = canonical_signing_sum3(*signed_pair(LEFT3_AT_TARGET, RIGHT3_AT_TARGET))
-    left = [[-x if (i == 2) != (j == 3) else x for j, x in enumerate(row)] for i, row in enumerate(LEFT3_AT_TARGET)]
-    left = [[-x if j == 0 else x for j, x in enumerate(row)] for row in left]
-    right = [[-x for x in row] if i == 1 else row for i, row in enumerate(RIGHT3_AT_TARGET)]
-    out = canonical_signing_sum3(*signed_pair(left, right))
-    assert out.row_labels == at_target.row_labels and out.col_labels == at_target.col_labels
-    for u in out.row_labels:
-        for v in out.col_labels:
-            assert out.entry(u, v) == (-1 if v == "ya" else 1) * at_target.entry(u, v), (u, v)
+    # every sign pattern on the six glue lines of one summand signing, flipped
+    # by label, is undone up to the one sign the re-signing pins, row x2's: the
+    # output is the unflipped pair's signing, entry for entry the same shared
+    # sign Fraction, exactly when x2 keeps its sign, and it certifies every time
+    shared = tuple(_SIGNS.values())
+    seen = Counter()
+    for left, right, glue, d0 in sum3_corpus(per_unit=6):
+        pair, b = (is_regular(left), is_regular(right)), compose(left, right, glue).result.B
+        base = canonical_signing_sum3(*pair, glue)
+        assert all(any(x is v for v in shared) for row in base.body.rows for x in row), d0
+        for side, signs in product((0, 1), product((1, -1), repeat=6)):
+            s = pair[side]
+            rs, cs = dict(zip((glue.x2, glue.x0, glue.x1), signs)), dict(zip(glue.ys, signs[3:]))
+            flipped = LabeledMatrix(s.row_labels, s.col_labels, scale_rows_cols(
+                s.body, [rs.get(u, 1) for u in s.row_labels], [cs.get(v, 1) for v in s.col_labels]))
+            signed = (flipped, pair[1]) if side == 0 else (pair[0], flipped)
+            out = canonical_signing_sum3(*signed, glue)
+            same = (out.row_labels, out.col_labels) == (base.row_labels, base.col_labels) and all(
+                x is y for ro, rb in zip(out.body.rows, base.body.rows) for x, y in zip(ro, rb))
+            assert same == (signs[0] == 1), (d0, side, signs)
+            assert certifies_sum(out, b, *signed, glue), (d0, side, signs)
+            seen[same] += 1
+    assert seen == {True: 2304, False: 2304}
 
 
 def test_canonical_signing_unreachable_target_raises():
